@@ -21,7 +21,8 @@ hallucination's invariants.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -85,29 +86,6 @@ from repro.storage.mirror import MirrorScheme
 _EPS = 1e-9
 
 
-class _ServiceHandle:
-    """Duck-typed stand-in for a kernel :class:`Event` in a deadline
-    bucket: same ``cancel()`` / ``active`` / ``time`` surface, so the
-    per-instance bookkeeping (`_track_instance_events`) treats batched
-    and one-shot scheduling identically — but it is a plain record, not
-    a heap entry, so a bucketed action costs no kernel push/pop."""
-
-    __slots__ = ("time", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, fn, args) -> None:
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    @property
-    def active(self) -> bool:
-        return not self.cancelled
-
-
 def cub_address(cub_id: int) -> str:
     return f"cub:{cub_id}"
 
@@ -132,7 +110,6 @@ class Cub(NetworkNode):
         strict: bool = True,
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
-        batched_service: bool = True,
     ) -> None:
         super().__init__(sim, cub_address(cub_id), tracer)
         self.cub_id = cub_id
@@ -193,15 +170,14 @@ class Cub(NetworkNode):
         self._pending_service: Dict[Tuple, ViewerState] = {}
         #: Service keys abandoned because their disk died.
         self._aborted_service: Set[Tuple] = set()
-        #: Pending service events per play instance (for deschedule).
-        self._instance_events: Dict[int, List[Event]] = {}
-        #: Batch block-service actions into per-deadline buckets drained
-        #: by one kernel event each (reads quantized to the slot-period
-        #: grid); False keeps the seed's per-viewer one-shot timers —
-        #: the differential test runs both and compares counters.
-        self.batched_service = batched_service
-        #: Deadline buckets: fire time -> pending service actions.
-        self._service_buckets: Dict[float, List[_ServiceHandle]] = {}
+        #: The pending table: fire time -> (drain event, actions due
+        #: then, in scheduling order).  One kernel event per distinct
+        #: deadline; a bucket is popped when it fires, so the table
+        #: holds only service still ahead — at most viewers x
+        #: max_vstate_lead / block_play_time records cluster-wide.
+        self._service_buckets: Dict[
+            float, Tuple[Event, List[Tuple[Callable[..., None], tuple]]]
+        ] = {}
 
         #: Committed block migrations from an online restripe:
         #: (file_id, block_index) -> the block's new local location.
@@ -224,6 +200,8 @@ class Cub(NetworkNode):
         #: not from the client's request time, so a long admission
         #: queue does not eat the policy's whole deferral budget.
         self._first_considered: Dict[int, float] = {}
+        #: Pump ticks since construction; every fourth one prunes.
+        self._pump_ticks = 0
 
         # Counters registered as per-cub metric series (the registry
         # handles subclass the plain stats counters, so increments cost
@@ -347,6 +325,10 @@ class Cub(NetworkNode):
         """Power-off: drop messages, stop timers, disks unreachable."""
         super().fail()
         self._started = False
+        # Drain events are held by the pending table, not the process
+        # timer list, so power-off cancels them from there.
+        for drain, _actions in self._service_buckets.values():
+            drain.cancel()
 
     def recover(self) -> None:
         """Power back on with empty protocol state (a rebooted machine)."""
@@ -362,7 +344,6 @@ class Cub(NetworkNode):
         self._redundant_states.clear()
         self._redundant_requests.clear()
         self._ready_reads.clear()
-        self._instance_events.clear()
         # The drain events were cancelled by fail(); their buckets must
         # go too or a re-used fire time would run pre-crash actions.
         self._service_buckets.clear()
@@ -712,45 +693,44 @@ class Cub(NetworkNode):
             return None
         return disk, location
 
-    def _service_at(self, when: float, fn, *args, quantize: bool = False):
-        """Schedule a block-service action via a deadline bucket.
+    def _service_at(self, when: float, action, *args) -> None:
+        """Queue a block-service action in the deadline bucket of ``when``.
 
         All actions sharing a fire time ride one kernel event (the
         bucket drain), so a loaded cub schedules one heap entry per
-        distinct deadline instead of one per viewer.  ``quantize``
-        floors the fire time to the cub's slot-period grid — safe only
-        for actions that may run *early* (disk-read issues, which have
-        the whole ``disk_read_lead`` of slack; never block sends, whose
-        exact due time is the protocol's service discipline) — which is
-        what batches the 1-per-disk-per-period reads into a single
-        per-slot-period tick.
-
-        Returns an Event (legacy mode) or a :class:`_ServiceHandle`;
-        both carry ``cancel()``/``active`` for instance bookkeeping.
+        distinct deadline instead of one per viewer.  Nothing here can
+        be cancelled: a deschedule leaves the records in place and the
+        actions consult the tombstone when they fire (see
+        :meth:`_on_deschedule` for why it is still there).
         """
-        if not self.batched_service:
-            return self.at(when, fn, *args)
-        now = self.sim.now
-        if quantize:
-            period = self.config.block_service_time
-            floored = int(when / period) * period
-            if floored > when:  # float-division rounding guard
-                floored -= period
-            when = floored if floored > now else now
-        handle = _ServiceHandle(when, fn, args)
         bucket = self._service_buckets.get(when)
         if bucket is None:
-            self._service_buckets[when] = [handle]
-            self.at(when, self._drain_service_bucket, when)
+            drain = self.sim.call_at(when, self._drain_service_bucket, when)
+            self._service_buckets[when] = (drain, [(action, args)])
         else:
-            bucket.append(handle)
-        return handle
+            bucket[1].append((action, args))
 
     def _drain_service_bucket(self, when: float) -> None:
-        """The batched tick: run every still-live action at ``when``."""
-        for handle in self._service_buckets.pop(when, ()):
-            if not handle.cancelled:
-                handle.fn(*handle.args)
+        """The batched tick: run every action due at ``when``."""
+        for action, args in self._service_buckets.pop(when)[1]:
+            action(*args)
+
+    def _read_issue_time(self, due_time: float) -> float:
+        """When to issue the read for a block due at ``due_time``.
+
+        ``disk_read_lead`` ahead, floored to the cub's slot-period grid
+        — a read may run *early* (it has the whole lead of slack; a
+        send never may, its exact due time is the protocol's service
+        discipline) — which batches the 1-per-disk-per-period reads
+        into a single per-slot-period tick.
+        """
+        now = self.sim.now
+        when = max(now, due_time - self.config.disk_read_lead)
+        period = self.config.block_service_time
+        floored = int(when / period) * period
+        if floored > when:  # float-division rounding guard
+            floored -= period
+        return floored if floored > now else now
 
     def _schedule_block_service(
         self,
@@ -764,8 +744,6 @@ class Cub(NetworkNode):
         committed migration redirects the read (see
         :meth:`_migrated_source`).
         """
-        key = state.key()
-        read_at = max(self.sim.now, state.due_time - self.config.disk_read_lead)
         if location is None:
             location = self.block_index.lookup_primary(
                 state.file_id, state.block_index
@@ -775,19 +753,26 @@ class Cub(NetworkNode):
                 f"{self.name}: no primary index entry for file {state.file_id} "
                 f"block {state.block_index} (disk {state.disk_id})"
             )
+        self._service_at(
+            self._read_issue_time(state.due_time),
+            self._issue_read, state, disk, location,
+        )
+        self._service_at(state.due_time, self._transmit_block, state)
+        self._pending_service[state.key()] = state
 
-        def issue_read() -> None:
-            disk.read(
-                location.size_bytes,
-                location.zone,
-                on_complete=lambda _t: self._ready_reads.add(key),
-                on_error=lambda: None,
-            )
+    def _issue_read(self, state, disk: SimDisk, location: BlockLocation) -> None:
+        """Start the disk read for a viewer state or mirror piece."""
+        if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
+            return  # descheduled since it was accepted: nothing to read
+        disk.read(
+            location.size_bytes,
+            location.zone,
+            on_complete=partial(self._read_ready, state.key()),
+            on_error=_ignore_read_error,
+        )
 
-        read_event = self._service_at(read_at, issue_read, quantize=True)
-        send_event = self._service_at(state.due_time, self._transmit_block, state)
-        self._pending_service[key] = state
-        self._track_instance_events(state.instance, [read_event, send_event])
+    def _read_ready(self, key: Tuple, _completed_at: float) -> None:
+        self._ready_reads.add(key)
 
     def _transmit_block(self, state: ViewerState) -> None:
         """The disk pointer reached the slot: put the block on the wire."""
@@ -849,12 +834,13 @@ class Cub(NetworkNode):
             self.cpu.add_busy(self.sim.now, size * self.config.cpu_per_data_byte)
             self.blocks_sent.increment()
             self._recent_send_times.append(self.sim.now)
+            self._trim_send_window()
         if self._state_is_final(state):
             self._finish_play(state)
 
     def _pump(self) -> None:
         """Forward every state whose window opened; prune old records."""
-        self._pump_ticks = getattr(self, "_pump_ticks", 0) + 1
+        self._pump_ticks += 1
         if self._pump_ticks % 4 == 0:
             self.view.prune(self.sim.now)
             self._prune_redundant()
@@ -1033,24 +1019,13 @@ class Cub(NetworkNode):
                 f"{mirror_state.file_id} block {mirror_state.block_index} "
                 f"piece {mirror_state.piece}"
             )
-        key = mirror_state.key()
-        read_at = max(
-            self.sim.now, mirror_state.due_time - self.config.disk_read_lead
+        self._service_at(
+            self._read_issue_time(mirror_state.due_time),
+            self._issue_read, mirror_state, disk, location,
         )
-
-        def issue_read() -> None:
-            disk.read(
-                location.size_bytes,
-                location.zone,
-                on_complete=lambda _t: self._ready_reads.add(key),
-                on_error=lambda: None,
-            )
-
-        read_event = self._service_at(read_at, issue_read, quantize=True)
-        send_event = self._service_at(
+        self._service_at(
             mirror_state.due_time, self._transmit_mirror_piece, mirror_state
         )
-        self._track_instance_events(mirror_state.instance, [read_event, send_event])
 
     def _transmit_mirror_piece(self, mirror_state: MirrorViewerState) -> None:
         key = mirror_state.key()
@@ -1148,13 +1123,20 @@ class Cub(NetworkNode):
     # Deschedule handling (§4.1.2)
     # ==================================================================
     def _on_deschedule(self, request: DescheduleRequest) -> None:
-        expiry = (
-            self.sim.now + self.config.max_vstate_lead + self.config.deschedule_hold
+        # The tombstone is also what cancels the play's pending service:
+        # reads and sends already in the pending table check it when
+        # they fire.  A state is accepted at most max_vstate_lead ahead
+        # of its due time (plus one block play time per dead cub it was
+        # bridged across), so the protocol's hold normally covers every
+        # pending deadline; taking the table's latest one as well makes
+        # "the tombstone outlives the service" true by construction.
+        expiry = max(
+            self.sim.now + self.config.max_vstate_lead + self.config.deschedule_hold,
+            max(self._service_buckets, default=0.0),
         )
         if not self.view.apply_deschedule(request, expiry):
             return  # duplicate — idempotent
-        # Kill any pending service for the play and stop forwarding it.
-        self._cancel_instance_events(request.instance)
+        # Stop forwarding the play.
         self._forward_queue = [
             state for state in self._forward_queue if not request.matches(state)
         ]
@@ -1261,10 +1243,7 @@ class Cub(NetworkNode):
         disks' total visit rate, estimates rho with no global state —
         a view-local quantity, in the spirit of §4.
         """
-        window = 4.0 * self.config.block_play_time
-        horizon = self.sim.now - window
-        while self._recent_send_times and self._recent_send_times[0] < horizon:
-            self._recent_send_times.popleft()
+        window = self._trim_send_window()
         if self.sim.now < window:  # not enough history yet
             return 0.0
         visits_per_second = (
@@ -1273,6 +1252,15 @@ class Cub(NetworkNode):
             / self.config.block_play_time
         )
         return len(self._recent_send_times) / (window * visits_per_second)
+
+    def _trim_send_window(self) -> float:
+        """Drop sends older than the estimate's window; returns its length."""
+        window = 4.0 * self.config.block_play_time
+        horizon = self.sim.now - window
+        sends = self._recent_send_times
+        while sends and sends[0] < horizon:
+            sends.popleft()
+        return window
 
     def _admission_blocked(self) -> bool:
         limit = self.config.admission_load_limit
@@ -1487,23 +1475,6 @@ class Cub(NetworkNode):
                 if state.due_time >= horizon
             }
 
-    def _track_instance_events(self, instance: int, events: List[Event]) -> None:
-        bucket = self._instance_events.setdefault(instance, [])
-        bucket.extend(events)
-        if len(bucket) > 32:
-            # Fired events stay "active" forever; prune by time as well
-            # or a long-playing instance's bucket grows without bound.
-            now = self.sim.now
-            self._instance_events[instance] = [
-                event
-                for event in bucket
-                if not event.cancelled and event.time >= now
-            ]
-
-    def _cancel_instance_events(self, instance: int) -> None:
-        for event in self._instance_events.pop(instance, []):
-            event.cancel()
-
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1
 
@@ -1525,6 +1496,10 @@ class Cub(NetworkNode):
 
     def queued_start_requests(self) -> int:
         return sum(len(queue) for queue in self._wait_queues.values())
+
+
+def _ignore_read_error() -> None:
+    """A scheduled read on a dead drive: the transmit records the miss."""
 
 
 def _client_address(viewer_id: str) -> str:

@@ -47,7 +47,6 @@ class TigerSystem:
         strict: bool = True,
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
-        batched_service: bool = True,
         shards: int = 1,
         helpers: int = 0,
         helper_capacity: int = 0,
@@ -127,7 +126,6 @@ class TigerSystem:
                 strict=strict,
                 forward_copies=forward_copies,
                 registry=self.registry,
-                batched_service=batched_service,
             )
             self.network.register(cub, config.cub_nic_bps)
             if shards > 1:

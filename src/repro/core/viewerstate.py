@@ -21,7 +21,7 @@ delivery paths (direct, redundant, bridged) from aliasing each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 _instance_ids = itertools.count(1)
@@ -79,12 +79,15 @@ class ViewerState:
         """
         if hops < 1:
             raise ValueError("hops must be >= 1")
-        return replace(
-            self,
-            block_index=self.block_index + hops,
-            disk_id=(self.disk_id + hops) % num_disks,
-            due_time=self.due_time + hops * block_play_time,
-            play_seqno=self.play_seqno + hops,
+        return ViewerState(
+            self.viewer_id,
+            self.instance,
+            self.slot,
+            self.file_id,
+            self.block_index + hops,
+            (self.disk_id + hops) % num_disks,
+            self.due_time + hops * block_play_time,
+            self.play_seqno + hops,
         )
 
     def lead_time(self, now: float) -> float:

@@ -6,7 +6,6 @@ from typing import Callable, List, Optional
 
 from repro.disk.model import DiskParameters
 from repro.sim.core import Simulator
-from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import BusyMeter, Counter
@@ -51,8 +50,6 @@ class SimDisk(Process):
         self.reads_completed = Counter()
         self.bytes_read = Counter()
         self.reads_errored = Counter()
-        self._pending: List[Event] = []
-        self._pending_compact_at = 128
 
     # ------------------------------------------------------------------
     # I/O
@@ -90,33 +87,26 @@ class SimDisk(Process):
         self._free_at = completion
         self.busy.add_busy(self.sim.now, service)
 
-        def finish() -> None:
-            if self.failed:
-                self.reads_errored.increment()
-                if on_error is not None:
-                    on_error()
-                return
-            self.reads_completed.increment()
-            self.bytes_read.increment(size_bytes)
-            on_complete(self.sim.now)
+        self.sim.call_at(
+            completion, self._finish, size_bytes, on_complete, on_error
+        )
 
-        event = self.sim.call_at(completion, finish)
-        self._track_pending(event)
-
-    def _track_pending(self, event: Event) -> None:
-        self._pending.append(event)
-        # Completed reads stay "active" (never cancelled), so pruning
-        # must also drop past-time events or the list only ever grows;
-        # the threshold doubles with the surviving set to keep the
-        # rescan amortized O(1) per read.
-        if len(self._pending) > self._pending_compact_at:
-            now = self.sim.now
-            self._pending = [
-                entry
-                for entry in self._pending
-                if not entry.cancelled and entry.time >= now
-            ]
-            self._pending_compact_at = max(128, 2 * len(self._pending))
+    def _finish(
+        self,
+        size_bytes: int,
+        on_complete: CompletionCallback,
+        on_error: Optional[ErrorCallback],
+    ) -> None:
+        """A read's service time elapsed; a drive that died meanwhile
+        turns the completion into an error."""
+        if self.failed:
+            self.reads_errored.increment()
+            if on_error is not None:
+                on_error()
+            return
+        self.reads_completed.increment()
+        self.bytes_read.increment(size_bytes)
+        on_complete(self.sim.now)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -128,7 +118,7 @@ class SimDisk(Process):
         self.failed = True
         self.trace("disk.fail", "drive failed")
         # In-flight completions still fire but route to the error path
-        # via the `finish` closure checking `self.failed`.
+        # via `_finish` checking `self.failed`.
         stalled, self._stalled = self._stalled, []
         for _size, _zone, _on_complete, on_error in stalled:
             self.reads_errored.increment()

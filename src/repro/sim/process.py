@@ -7,7 +7,7 @@ It is a convenience layer only — nothing in the kernel requires it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.sim.core import Simulator
 from repro.sim.events import Event
@@ -21,7 +21,9 @@ class Process:
         self.sim = sim
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._timers: List[Event] = []
+        #: Outstanding timers by slot, for :meth:`cancel_timers`.
+        self._timers: Dict[int, Event] = {}
+        self._next_slot = 0
         self._compact_at = 256
 
     # ------------------------------------------------------------------
@@ -52,37 +54,39 @@ class Process:
         def tick() -> None:
             fn()
             delay = period + (jitter_fn() if jitter_fn else 0.0)
-            event = self.sim.call_after(max(1e-9, delay), tick)
-            self._remember(event)
+            # Each tick takes over the slot of the one that just fired.
+            self._timers[slot] = self.sim.call_after(max(1e-9, delay), tick)
 
         first = self.sim.call_after(period + (jitter_fn() if jitter_fn else 0.0), tick)
-        self._remember(first)
+        slot = self._remember(first)
         return first
 
     def cancel_timers(self) -> None:
         """Cancel every outstanding timer this process scheduled."""
-        for event in self._timers:
+        for event in self._timers.values():
             event.cancel()
         self._timers.clear()
         self._compact_at = 256
 
-    def _remember(self, event: Event) -> None:
-        self._timers.append(event)
-        # Opportunistically compact so long-lived processes don't leak.
-        # An event is worth keeping only while cancelling it could still
-        # matter: fired events (time in the past) are dead weight — a
-        # compaction that keeps them never shrinks the list and turns
-        # every rescan quadratic.  The threshold doubles with the live
-        # set so processes with many genuinely-pending timers pay an
-        # amortized O(1) per append.
+    def _remember(self, event: Event) -> int:
+        """Track ``event`` for :meth:`cancel_timers`; returns its slot."""
+        slot = self._next_slot
+        self._next_slot += 1
+        self._timers[slot] = event
+        # A periodic timer re-uses one slot for its whole life; fired
+        # one-shots are dead weight (cancelling them cannot matter), so
+        # compact them away by time.  The threshold doubles with the
+        # live set so processes with many genuinely-pending timers pay
+        # an amortized O(1) per append.
         if len(self._timers) > self._compact_at:
             now = self.sim.now
-            self._timers = [
-                entry
-                for entry in self._timers
+            self._timers = {
+                key: entry
+                for key, entry in self._timers.items()
                 if not entry.cancelled and entry.time >= now
-            ]
+            }
             self._compact_at = max(256, 2 * len(self._timers))
+        return slot
 
     # ------------------------------------------------------------------
     # Tracing

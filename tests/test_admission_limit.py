@@ -48,3 +48,20 @@ def test_estimate_zero_before_history():
     system = TigerSystem(small_config(), seed=33)
     system.add_standard_content(num_files=2, duration_s=60)
     assert system.cubs[0].local_load_estimate() == 0.0
+
+
+def test_send_window_bounded_when_no_limit_is_set():
+    """Regression: the send-time window was trimmed only inside
+    ``local_load_estimate()``, which the admission check never reaches
+    when ``admission_load_limit`` is None (the default) — so it grew by
+    one float per block sent, for ever."""
+    system = TigerSystem(small_config(), seed=31)
+    system.add_standard_content(num_files=4, duration_s=120)
+    client = system.add_client()
+    for index in range(system.config.num_slots):
+        client.start_stream(file_id=index % 4)
+    system.run_for(60.0)
+    for cub in system.cubs:
+        assert cub.blocks_sent.value() > 200
+        # A 4-block-play-time window of a cub serving 8 blocks/s.
+        assert len(cub._recent_send_times) <= 40

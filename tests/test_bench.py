@@ -1,4 +1,4 @@
-"""Tests for the bench harness and the batched-service differential."""
+"""Tests for the bench harness and the service path's golden counters."""
 
 import copy
 
@@ -139,9 +139,9 @@ class TestBaselineGate:
         assert any("not comparable" in problem for problem in problems)
 
 
-def _loaded_run(batched):
+def _loaded_run():
     """A small loaded system driven for 20 sim-seconds."""
-    system = TigerSystem(small_config(), seed=5, batched_service=batched)
+    system = TigerSystem(small_config(), seed=5)
     system.add_standard_content(num_files=4, duration_s=60.0)
     workload = ContinuousWorkload(system)
     workload.add_streams(max(1, system.config.num_slots // 2))
@@ -151,23 +151,32 @@ def _loaded_run(batched):
     return system
 
 
-class TestBatchedServiceDifferential:
-    """The batched per-slot-period service tick is an event-count
-    optimization only: every protocol counter must match the legacy
-    one-timer-per-viewer path exactly at the same config and seed."""
+class TestServicePathGoldenCounters:
+    """The deadline-bucket service path was an event-count optimization
+    over the seed's one-timer-per-viewer path, checked by running both.
+    The legacy path is gone; what it produced on this scenario (taken
+    on the last commit that had it, where both paths agreed) is pinned
+    here instead, so a service-path change that moves a protocol
+    counter still fails."""
+
+    LEGACY_COUNTERS = {
+        "cub.viewer_states_forwarded": 430,
+        "cub.deschedules_forwarded": 0,
+        "cub.inserts_performed": 16,
+        "cub.admission_rejects": 0,
+        "cub.mirror_covers": 0,
+        "cub.blocks_sent": 302,
+        "cub.deadman_resurrections": 0,
+    }
+    #: Kernel events the one-timer-per-viewer path dispatched.
+    LEGACY_EVENTS = 2771
 
     def test_counters_identical_to_legacy_path(self):
-        batched = _loaded_run(batched=True)
-        legacy = _loaded_run(batched=False)
-        batched_counters = protocol_counters(batched.registry)
-        legacy_counters = protocol_counters(legacy.registry)
-        assert batched_counters == legacy_counters
-        # The run actually exercised the service path.
-        assert batched_counters["cub.blocks_sent"] > 0
-        assert batched_counters["cub.viewer_states_forwarded"] > 0
+        system = _loaded_run()
+        assert protocol_counters(system.registry) == self.LEGACY_COUNTERS
         # Batching exists to shrink the kernel event count, never to
         # grow it.
-        assert batched.sim.events_dispatched <= legacy.sim.events_dispatched
+        assert system.sim.events_dispatched <= self.LEGACY_EVENTS
 
 
 class TestSweepPointIndependence:

@@ -1,6 +1,6 @@
 """Integration tests for stop-play / deschedule (§4.1.2)."""
 
-
+from repro.core.viewerstate import MirrorViewerState, ViewerState
 
 
 class TestStopPlaying:
@@ -97,3 +97,137 @@ class TestStopPlaying:
         sent_at_stop = small_system.total_blocks_sent()
         small_system.run_for(20.0)
         assert small_system.total_blocks_sent() == sent_at_stop
+
+
+def _service_totals(system):
+    """(disk reads completed, primary blocks sent, mirror pieces sent)."""
+    return (
+        sum(
+            disk.reads_completed.count
+            for cub in system.cubs
+            for disk in cub.disks.values()
+        ),
+        system.total_blocks_sent(),
+        system.total_mirror_pieces_sent(),
+    )
+
+
+def _unissued_reads(system, instance, record_type):
+    """Reads for ``instance`` still waiting in a cub's pending table."""
+    return [
+        (cub.cub_id, when)
+        for cub in system.living_cubs()
+        for when, (_drain, actions) in cub._service_buckets.items()
+        for action, args in actions
+        if action == cub._issue_read
+        and type(args[0]) is record_type
+        and args[0].instance == instance
+    ]
+
+
+class TestCancellationByTombstone:
+    """Pending service is never cancelled record by record: a deschedule
+    that lands between a state's acceptance and its read-issue time
+    leaves the records in the pending table, and the tombstone stops
+    them when they fire — no read issued, no block or piece sent.  The
+    totals are the ones the per-handle cancellation this replaced gave
+    for the same seed (taken on the last commit that had it)."""
+
+    def _stop_one_play(self, system):
+        client = system.add_client()
+        instance = client.start_stream(file_id=0)
+        system.run_for(10.3)
+        client.stop_stream(instance)
+        system.run_for(0.5)  # the deschedule floods the ring
+        return instance
+
+    def _assert_service_stopped(self, system, expected):
+        at_stop = _service_totals(system)
+        system.run_for(20.0)
+        assert _service_totals(system) == at_stop == expected
+        for cub in system.living_cubs():
+            assert not cub._ready_reads and not cub._pending_service
+        system.assert_invariants()
+
+    def test_primary_path(self, small_system):
+        instance = self._stop_one_play(small_system)
+        # States arrive up to max_vstate_lead ahead, reads are issued
+        # disk_read_lead ahead: most accepted states are still unread.
+        assert len(_unissued_reads(small_system, instance, ViewerState)) >= 4
+        self._assert_service_stopped(small_system, (11, 10, 0))
+
+    def test_mirror_path(self, small_system):
+        small_system.fail_cub(1)
+        small_system.run_for(10.0)  # the deadman settles
+        instance = self._stop_one_play(small_system)
+        assert _unissued_reads(small_system, instance, MirrorViewerState)
+        self._assert_service_stopped(small_system, (14, 7, 6))
+
+    def test_after_fail_and_recover(self, small_system):
+        small_system.run_for(2.0)
+        small_system.fail_cub(1)
+        small_system.run_for(10.0)
+        small_system.recover_cub(1)
+        small_system.run_for(10.0)
+        instance = self._stop_one_play(small_system)
+        rebooted = [
+            when
+            for cub_id, when in _unissued_reads(
+                small_system, instance, ViewerState
+            )
+            if cub_id == 1
+        ]
+        assert rebooted, "the rebooted cub is serving the play again"
+        self._assert_service_stopped(small_system, (11, 10, 0))
+
+    def test_power_off_cancels_pending_drains(self, small_system):
+        """fail() cancels the bucket drains (they are not process
+        timers), recover() drops the buckets: nothing accepted before
+        the crash is served after it."""
+        client = small_system.add_client()
+        client.start_stream(file_id=0)
+        small_system.run_for(10.3)
+        cub = small_system.cubs[1]
+        drains = [drain for drain, _actions in cub._service_buckets.values()]
+        assert drains and all(drain.active for drain in drains)
+        small_system.fail_cub(1)
+        assert not any(drain.active for drain in drains)
+        sent = cub.blocks_sent.value()
+        small_system.run_for(3.0)
+        small_system.recover_cub(1)
+        assert not cub._service_buckets
+        assert cub.blocks_sent.value() == sent
+
+    def test_tombstone_outlives_service_accepted_beyond_the_hold(
+        self, small_system
+    ):
+        """Bridging across dead cubs can accept a state further ahead
+        than max_vstate_lead + deschedule_hold.  The tombstone's expiry
+        covers the latest pending deadline, so even that service is
+        still suppressed when it comes due."""
+        config = small_system.config
+        client = small_system.add_client()
+        instance = client.start_stream(file_id=0)
+        small_system.run_for(10.3)
+        cub = next(
+            cub for cub in small_system.cubs
+            if any(s.instance == instance for s in cub._pending_service.values())
+        )
+        state = max(
+            (s for s in cub._pending_service.values() if s.instance == instance),
+            key=lambda s: s.due_time,
+        )
+        hops = 2 * config.num_cubs * config.disks_per_cub  # same disk again
+        far = state.advanced(hops, config.num_disks, config.block_play_time)
+        assert (
+            far.due_time - small_system.sim.now
+            > config.max_vstate_lead + config.deschedule_hold
+        )
+        cub._schedule_block_service(far, cub.disks[far.disk_id])
+        client.stop_stream(instance)
+        small_system.run_for(0.5)
+        at_stop = _service_totals(small_system)
+        small_system.run_until(far.due_time - 1e-6)
+        assert cub.view.has_tombstone(far.viewer_id, far.instance, far.slot)
+        small_system.run_for(5.0)
+        assert _service_totals(small_system) == at_stop

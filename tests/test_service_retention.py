@@ -1,0 +1,102 @@
+"""A cub's memory is O(viewers x lead), never O(blocks ever served).
+
+The paper's point (§3-§4) is that a cub holds only a bounded *view* of
+the schedule.  The service path must honour that in its bookkeeping
+too: nothing allocated for a block may outlive the block, and nothing
+that has fired may be retained.  These tests run a small system at full
+load to T and to 3T sim-seconds and require the heap and every
+bookkeeping container of every cub, disk, view and process to be as
+large at 3T as at T.
+"""
+
+import gc
+from collections import deque
+
+from repro import TigerSystem, small_config
+from repro.workloads.generator import ContinuousWorkload
+
+#: Long enough past admission and warm-up that the schedule is full and
+#: every lead window is populated; files outlast 3T so no play ends.
+T = 40.0
+GROWTH_ALLOWED = 1.10
+
+_CONTAINERS = (dict, list, set, deque)
+
+
+def _full_load_system() -> TigerSystem:
+    system = TigerSystem(small_config(), seed=3)
+    system.add_standard_content(num_files=4, duration_s=400.0)
+    ContinuousWorkload(system).add_streams(system.config.num_slots)
+    return system
+
+
+def _container_sizes(system: TigerSystem) -> dict:
+    """Size of every container attribute, summed per (class, name).
+
+    Found by introspection, not by a list of names, so a container
+    added to the service path later is covered without editing this
+    test.  Deadline buckets are additionally counted by the records
+    they hold.
+    """
+    owners = []
+    for cub in system.cubs:
+        owners += [cub, cub.view, *cub.disks.values()]
+    owners += [system.controller, *system.clients]
+    sizes: dict = {}
+    for owner in owners:
+        for name, value in vars(owner).items():
+            if isinstance(value, _CONTAINERS):
+                label = f"{type(owner).__name__}.{name}"
+                sizes[label] = sizes.get(label, 0) + len(value)
+    sizes["Cub pending records"] = sum(
+        len(actions)
+        for cub in system.cubs
+        for _drain, actions in cub._service_buckets.values()
+    )
+    return sizes
+
+
+def _snapshot(system: TigerSystem):
+    gc.collect()
+    return len(gc.get_objects()), _container_sizes(system)
+
+
+def test_heap_and_bookkeeping_flat_from_T_to_3T():
+    system = _full_load_system()
+    system.run_for(T)
+    objects_at_t, sizes_at_t = _snapshot(system)
+    blocks_at_t = system.total_blocks_sent()
+    system.run_for(2 * T)
+    objects_at_3t, sizes_at_3t = _snapshot(system)
+
+    # The run really was at full load throughout: three times the sim
+    # time served about three times the blocks.
+    assert system.oracle.num_occupied == system.config.num_slots
+    assert system.total_blocks_sent() > 2.5 * blocks_at_t
+
+    assert objects_at_3t <= objects_at_t * GROWTH_ALLOWED, (
+        f"gc-tracked objects grew {objects_at_t} -> {objects_at_3t}"
+    )
+    grown = {
+        label: (sizes_at_t.get(label, 0), size)
+        for label, size in sizes_at_3t.items()
+        if size > sizes_at_t.get(label, 0) * GROWTH_ALLOWED
+    }
+    assert not grown, f"containers that grew with blocks served: {grown}"
+
+
+def test_pending_table_holds_only_service_still_ahead():
+    """Every bucket and record in the table is due now or later, and
+    the table is within the memory bound DESIGN.md states: viewers x
+    max_vstate_lead / block_play_time states, a read and a send each."""
+    system = _full_load_system()
+    system.run_for(T)
+    now = system.sim.now
+    records = 0
+    for cub in system.cubs:
+        for when, (drain, actions) in cub._service_buckets.items():
+            assert when >= now and drain.active and actions
+            records += len(actions)
+    config = system.config
+    bound = 2 * config.num_slots * config.max_vstate_lead / config.block_play_time
+    assert 0 < records <= bound

@@ -11,37 +11,158 @@ bytes and more frames per second than JSON.
 
 from __future__ import annotations
 
+from time import perf_counter
+from typing import Any, Dict, List
+
 import pytest
 
-from repro.bench.live import (
-    LIVE_TIMING_REPEATS_FULL,
-    LIVE_VIEWERS_QUICK,
-    build_frame_mix,
-    measure_codec,
+from repro.core.protocol import (
+    BlockData,
+    ClientStart,
+    StartAck,
+    ViewerStateBatch,
+    block_pattern,
 )
+from repro.core.viewerstate import ViewerState
 from repro.live.cluster import ClusterScenario, run_cluster
-from repro.live.wire import CODEC_BINARY, CODEC_JSON
+from repro.live.wire import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    FrameDecoder,
+    encode_message,
+)
+from repro.net.message import KIND_CONTROL, KIND_DATA, Message
 from repro.obs.registry import snapshot_total
+from repro.workloads.arrivals import open_loop_trace
 
 from conftest import write_result
 
 SEED = 0
 
 #: Scaled-down cluster leg: enough viewers for real admission traffic,
-#: short enough for the benchmark suite (the full 1000-viewer run lives
-#: in ``repro bench --workloads live`` / BENCH_live.json).
+#: short enough for the benchmark suite.
 CLUSTER_CUBS = 4
 CLUSTER_HUBS = 2
 CLUSTER_VIEWERS = 60
 CLUSTER_DURATION_S = 8.0
 
+#: Codec microbench: viewers in the frame-mix trace, catalog size
+#: (popularity ranks), whole-block data frames and schedule-gossip
+#: states synthesized per viewer, cubs the frames are spread over, and
+#: timing repetitions (best rate wins).
+MIX_VIEWERS = 200
+MIX_NUM_FILES = 32
+MIX_BLOCKS_PER_VIEWER = 4
+MIX_STATES_PER_BATCH = 4
+MIX_CUBS = 8
+MIX_TIMING_REPEATS = 3
+
+
+def build_frame_mix(viewers: int, seed: int) -> List[Message]:
+    """Synthesize the protocol traffic one arrival trace implies.
+
+    Per viewer: a start request, its ack, one viewer-state gossip
+    batch, and :data:`MIX_BLOCKS_PER_VIEWER` whole-block data frames
+    carrying genuine :func:`block_pattern` fingerprints.  Message ids
+    are assigned sequentially from 1 — nothing here depends on process
+    state, so the same ``(viewers, seed)`` always yields byte-identical
+    frames.
+    """
+    trace = open_loop_trace(
+        viewers=viewers,
+        num_files=MIX_NUM_FILES,
+        start=1.0,
+        end=30.0,
+        seed=seed,
+        mode="zipf",
+    )
+    messages: List[Message] = []
+    msg_id = 1
+
+    def emit(src: str, dst: str, payload: Any, size: int, kind: str) -> None:
+        nonlocal msg_id
+        messages.append(Message(src, dst, payload, size, kind, msg_id))
+        msg_id += 1
+
+    for arrival in trace:
+        client = f"client:{arrival.client_index}"
+        viewer_id = f"{client}#{arrival.client_index}"
+        instance = arrival.client_index + 1
+        cub = f"cub:{arrival.client_index % MIX_CUBS}"
+        next_cub = f"cub:{(arrival.client_index + 1) % MIX_CUBS}"
+        emit(
+            client, "controller",
+            ClientStart(viewer_id, instance, arrival.file_index),
+            64, KIND_CONTROL,
+        )
+        emit(
+            "controller", client, StartAck(instance, "controller"),
+            32, KIND_CONTROL,
+        )
+        states = tuple(
+            ViewerState(
+                viewer_id=viewer_id,
+                instance=instance,
+                slot=arrival.client_index % 128,
+                file_id=arrival.file_index,
+                block_index=hop,
+                disk_id=hop % 16,
+                due_time=arrival.time + hop,
+                play_seqno=hop,
+            )
+            for hop in range(MIX_STATES_PER_BATCH)
+        )
+        emit(cub, next_cub, ViewerStateBatch(states=states), 256, KIND_CONTROL)
+        for seqno in range(MIX_BLOCKS_PER_VIEWER):
+            emit(
+                cub, client,
+                BlockData(
+                    viewer_id=viewer_id,
+                    instance=instance,
+                    file_id=arrival.file_index,
+                    block_index=seqno,
+                    play_seqno=seqno,
+                    pattern=block_pattern(arrival.file_index, seqno),
+                ),
+                65536, KIND_DATA,
+            )
+    return messages
+
+
+def measure_codec(
+    messages: List[Message], codec: str, repeats: int = 1
+) -> Dict[str, Any]:
+    """Encode + decode the whole mix; best-of-``repeats`` rate."""
+    total_bytes = 0
+    best_wall = float("inf")
+    for _ in range(max(1, repeats)):
+        start = perf_counter()
+        blob = b"".join(encode_message(m, codec) for m in messages)
+        decoded = FrameDecoder().feed_parsed(blob)
+        wall = perf_counter() - start
+        if len(decoded) != len(messages):
+            raise RuntimeError(
+                f"codec {codec}: decoded {len(decoded)} of "
+                f"{len(messages)} frames"
+            )
+        total_bytes = len(blob)
+        best_wall = min(best_wall, wall)
+    frames_per_sec = len(messages) / best_wall if best_wall > 0 else 0.0
+    return {
+        "codec": codec,
+        "frames": len(messages),
+        "bytes": total_bytes,
+        "wall_s": round(best_wall, 4),
+        "frames_per_sec": round(frames_per_sec, 1),
+        "mean_frame_bytes": round(total_bytes / len(messages), 1)
+        if messages else 0.0,
+    }
+
 
 def run_live_load():
-    messages = build_frame_mix(LIVE_VIEWERS_QUICK, SEED)
-    json_row = measure_codec(messages, CODEC_JSON, LIVE_TIMING_REPEATS_FULL)
-    binary_row = measure_codec(
-        messages, CODEC_BINARY, LIVE_TIMING_REPEATS_FULL
-    )
+    messages = build_frame_mix(MIX_VIEWERS, SEED)
+    json_row = measure_codec(messages, CODEC_JSON, MIX_TIMING_REPEATS)
+    binary_row = measure_codec(messages, CODEC_BINARY, MIX_TIMING_REPEATS)
 
     scenario = ClusterScenario(
         cubs=CLUSTER_CUBS,

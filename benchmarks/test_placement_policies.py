@@ -2,13 +2,14 @@
 
 The paper's fig-10 shows startup latency degrading as schedule load
 approaches capacity under first-fit slot claiming.  This benchmark
-compares the three pluggable placement policies under the bench
-``placement`` tier's scenario — 95% schedule load, VCR churn, and a
-mid-run controller failover whose client retries land requests at the
-cubs in retry-phase order rather than request-age order — and asserts
-the deadline-greedy shape claim: serving the oldest outstanding
-request first repairs the failover-induced priority inversions and
-lowers the startup-latency tail that first-fit's FIFO queues produce.
+compares the three pluggable placement policies under
+:func:`repro.workloads.placement.run_policy_scenario` — 95% schedule
+load, VCR churn, and a mid-run controller failover whose client
+retries land requests at the cubs in retry-phase order rather than
+request-age order — and asserts the deadline-greedy shape claim:
+serving the oldest outstanding request first repairs the
+failover-induced priority inversions and lowers the startup-latency
+tail that first-fit's FIFO queues produce.
 
 Two legs:
 
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.placement import run_policy_scenario
 from repro.config import PLACEMENT_POLICIES
 from repro.live.cluster import ClusterScenario, run_cluster
 from repro.obs.registry import snapshot_total
+from repro.workloads.placement import run_policy_scenario
 
 from conftest import write_result
 

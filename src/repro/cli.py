@@ -12,10 +12,6 @@ Subcommands:
 * ``trace``    — run the failover drill with tracing on and export a
                  Chrome ``trace_event`` file (open in about://tracing);
 * ``metrics``  — run a workload and print/export the metrics registry;
-* ``bench``    — run the performance benchmark matrix (event kernel,
-                 fig-8 full load, chaos mix, cub-count scale sweep) and
-                 write machine-readable ``BENCH_<name>.json`` files,
-                 optionally gated against a ``--baseline`` directory;
 * ``report``   — regenerate EXPERIMENTS.md from benchmark results;
 * ``cluster``  — run the schedule protocol over real sockets: one OS
                  process per cub/controller on localhost, optional
@@ -34,9 +30,7 @@ Usage::
     python -m repro capacity --cubs 14 --disks 4
     python -m repro chaos --seconds 90 --drop-rate 0.01 --trace out.json
     python -m repro trace --out failover.json
-    python -m repro metrics --seconds 60 --profile
-    python -m repro bench --quick --out-dir bench-out
-    python -m repro bench --baseline benchmarks/baselines --quick
+    python -m repro metrics --seconds 60 --out metrics.json
     python -m repro report
     python -m repro cluster --cubs 4 --duration 20 --compare-sim
     python -m repro cluster --cubs 3 --duration 15 --kill-cub 1
@@ -55,7 +49,7 @@ from repro.analysis.render import (
     render_metrics_table,
     render_view_summary,
 )
-from repro.obs import EventLoopProfiler, write_trace
+from repro.obs import write_trace
 from repro.sim.trace import Tracer
 from repro.workloads import ContinuousWorkload
 
@@ -118,16 +112,13 @@ def _bad_helpers(args) -> bool:
     """Validate the helper-tier flags shared by several subcommands."""
     from repro.helpers import CACHE_POLICIES
 
-    if args.helpers is not None and args.helpers < 0:
+    if args.helpers < 0:
         print("error: --helpers must be >= 0")
         return True
-    if args.helper_capacity is not None and args.helper_capacity < 0:
+    if args.helper_capacity < 0:
         print("error: --helper-capacity must be >= 0")
         return True
-    if (
-        args.helper_policy is not None
-        and args.helper_policy not in CACHE_POLICIES
-    ):
+    if args.helper_policy not in CACHE_POLICIES:
         print(
             f"error: --helper-policy must be one of "
             f"{', '.join(CACHE_POLICIES)}"
@@ -500,10 +491,6 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     """Run a workload window and print the metrics registry."""
     system = _build_system(args)
-    profiler = None
-    if args.profile:
-        profiler = EventLoopProfiler()
-        system.sim.set_profiler(profiler)
     from repro.core.metrics import MetricsCollector
 
     collector = MetricsCollector(system)
@@ -518,10 +505,6 @@ def cmd_metrics(args) -> int:
     system.export_metrics()
 
     print(render_metrics_table(system.registry.snapshot()))
-    if profiler is not None:
-        print()
-        for line in profiler.lines():
-            print(line)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(system.registry.to_json())
@@ -529,36 +512,6 @@ def cmd_metrics(args) -> int:
         print(f"\nwrote registry snapshot to {args.out}")
     system.assert_invariants()
     return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the benchmark matrix and write BENCH_<name>.json files."""
-    # Imported lazily: the bench harness drags in tracemalloc/platform
-    # plumbing no other subcommand needs.
-    from repro.bench import run_bench
-
-    workloads = None
-    if args.workloads:
-        workloads = [name.strip() for name in args.workloads.split(",") if name.strip()]
-    if args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
-    if _bad_helpers(args):
-        return 2
-    return run_bench(
-        workloads=workloads,
-        out_dir=args.out_dir,
-        seed=args.seed,
-        quick=args.quick,
-        with_memory=not args.no_memory,
-        baseline_dir=args.baseline,
-        perf_tolerance=args.perf_tolerance,
-        shards=args.shards,
-        helpers=args.helpers,
-        helper_capacity=args.helper_capacity,
-        helper_policy=args.helper_policy,
-        placement=args.placement,
-    )
 
 
 def cmd_report(args) -> int:
@@ -661,18 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--files", type=int, default=8)
         sub.add_argument("--file-seconds", type=float, default=240.0)
 
-    def helper_tier(sub, default_helpers=0, default_capacity=0,
-                    default_policy="lru"):
+    def helper_tier(sub):
         sub.add_argument(
-            "--helpers", type=int, default=default_helpers, metavar="N",
+            "--helpers", type=int, default=0, metavar="N",
             help="edge helper cache nodes to run (0 disables the tier)")
         sub.add_argument(
-            "--helper-capacity", type=int, default=default_capacity,
+            "--helper-capacity", type=int, default=0,
             metavar="BLOCKS", dest="helper_capacity",
             help="per-helper cache capacity in blocks (0 keeps booted "
                  "helpers inert, for A/B runs on a fixed topology)")
         sub.add_argument(
-            "--helper-policy", default=default_policy, metavar="NAME",
+            "--helper-policy", default="lru", metavar="NAME",
             dest="helper_policy",
             help="cache replacement policy: lru, segment, or interval")
 
@@ -808,45 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--load", type=float, default=0.5)
     metrics.add_argument("--warmup", type=float, default=10.0)
     metrics.add_argument("--seconds", type=float, default=50.0)
-    metrics.add_argument("--profile", action="store_true",
-                         help="profile event-loop handlers (wall time)")
     metrics.add_argument("--out", default=None,
                          help="also write the snapshot JSON here")
     metrics.set_defaults(func=cmd_metrics)
-
-    bench = subparsers.add_parser(
-        "bench", help="run the performance benchmark matrix")
-    bench.add_argument("--workloads", default=None, metavar="NAMES",
-                       help="comma-separated subset of "
-                            "kernel,fig8,chaos,scale,live,helpers,"
-                            "placement,restripe "
-                            "(default: all)")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_<name>.json files")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced-scale variant for CI smoke runs")
-    bench.add_argument("--no-memory", action="store_true",
-                       help="skip the instrumented pass (no tracemalloc/"
-                            "profiler data; faster)")
-    bench.add_argument("--baseline", metavar="DIR", default=None,
-                       help="diff each result against BENCH_<name>.json "
-                            "in this directory; exit 1 on regression")
-    bench.add_argument("--perf-tolerance", type=float, default=0.10,
-                       help="relative events/sec drop tolerated by the "
-                            "baseline gate (<=0 disables the perf check; "
-                            "counters always compare exactly)")
-    bench.add_argument("--shards", type=int, default=1,
-                       help="kernel/fig8/chaos: shard lanes for the "
-                            "in-process partitioned kernel; scale: spawn "
-                            "workers for the partitioned tiers (counters "
-                            "are shard-invariant)")
-    # None defaults: the helpers tier keeps its committed-baseline
-    # shape unless explicitly overridden.
-    helper_tier(bench, default_helpers=None, default_capacity=None,
-                default_policy=None)
-    placement_flag(bench)
-    bench.set_defaults(func=cmd_bench)
 
     report = subparsers.add_parser("report", help="rebuild EXPERIMENTS.md")
     report.add_argument("--results", default="benchmarks/results")

@@ -18,7 +18,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, snapshot_total
+
+#: The seven protocol counter families the acceptance criteria require
+#: to stay bit-identical across optimization work (same config + seed).
+PROTOCOL_COUNTERS = (
+    "cub.viewer_states_forwarded",
+    "cub.deschedules_forwarded",
+    "cub.inserts_performed",
+    "cub.admission_rejects",
+    "cub.mirror_covers",
+    "cub.blocks_sent",
+    "cub.deadman_resurrections",
+)
+
+
+def protocol_counters(registry: MetricsRegistry) -> Dict[str, int]:
+    """Read the seven acceptance counters from a metrics registry."""
+    snap = registry.snapshot()
+    return {
+        name: int(snapshot_total(snap, name)) for name in PROTOCOL_COUNTERS
+    }
 
 
 @dataclass

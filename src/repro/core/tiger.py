@@ -451,8 +451,6 @@ class TigerSystem:
                   help="Mean disk utilization since last reset",
                   unit="ratio", cub=cub.cub_id).set(
                       0.0 if cub.failed else cub.mean_disk_utilization(now))
-        if self.sim.profiler is not None:
-            self.sim.profiler.publish(self.registry)
         return self.registry
 
     # ------------------------------------------------------------------

@@ -83,7 +83,6 @@ class ChaosHarness:
         monitor_period: float = 1.0,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[object] = None,
         shards: int = 1,
         helpers: int = 0,
         helper_capacity: int = 0,
@@ -115,7 +114,6 @@ class ChaosHarness:
         self.monitor_period = monitor_period
         self.tracer = tracer
         self.registry = registry
-        self.profiler = profiler
         # Populated by run() for post-mortem inspection.
         self.system: Optional[TigerSystem] = None
         self.monitor: Optional[InvariantMonitor] = None
@@ -136,8 +134,6 @@ class ChaosHarness:
         )
         self.system = system
         self.registry = system.registry
-        if self.profiler is not None:
-            system.sim.set_profiler(self.profiler)
         files = system.add_standard_content(
             num_files=self.num_files, duration_s=self.file_seconds
         )

@@ -73,9 +73,6 @@ class EdgeScenarioResult:
     client_missed: int
     client_late: int
     client_corrupt: int
-    #: Kernel events dispatched and sim-clock reach, for bench perf.
-    events: int = 0
-    sim_seconds: float = 0.0
 
     @property
     def lossless(self) -> bool:
@@ -152,8 +149,6 @@ def run_edge_scenario(
         client_missed=system.total_client_missed(),
         client_late=system.total_client_late(),
         client_corrupt=system.total_client_corrupt(),
-        events=system.sim.events_dispatched,
-        sim_seconds=system.sim.now,
     )
 
 

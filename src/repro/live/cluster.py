@@ -399,6 +399,64 @@ def build_restripe_plan(scenario: "ClusterScenario", layout: Any, files: Any):
     return plan_rebalance(layout, weighted, files, block_bytes)
 
 
+def schedule_viewer_script(
+    runtime: Any, scenario: ClusterScenario, clients: Any, files: Any
+) -> None:
+    """Arm the scenario's viewer operations on ``runtime``.
+
+    The one scenario script both backends execute: every start, stop
+    and VCR churn event of :meth:`ClusterScenario.stream_plan`,
+    :meth:`~ClusterScenario.stop_plan` and
+    :meth:`~ClusterScenario.churn_plan` becomes a ``runtime.call_at``
+    against ``clients[client_index]`` — nothing but the Runtime
+    contract, so the live driver's ``LiveRuntime`` and the replay's
+    ``Simulator`` take the identical sequence.  Each client plays one
+    stream at a time; the script tracks its live play instance (and,
+    while paused, the parked one a resume hands back in).  An operation
+    on a viewer that has no such instance — never started, refused, or
+    already gone — is a no-op, as it is for a real viewer.
+    """
+    instances: Dict[int, int] = {}
+    paused_instances: Dict[int, int] = {}
+
+    def _start_stream(client_index: int, file_index: int) -> None:
+        file_id = files[file_index].file_id
+        instances[client_index] = clients[client_index].start_stream(file_id)
+
+    def _stop_stream(client_index: int) -> None:
+        instance = instances.get(client_index)
+        if instance is not None:
+            clients[client_index].stop_stream(instance)
+
+    def _pause_stream(client_index: int) -> None:
+        instance = instances.get(client_index)
+        if instance is not None:
+            parked = clients[client_index].pause_stream(instance)
+            if parked is not None:
+                paused_instances[client_index] = parked
+                instances.pop(client_index, None)
+
+    def _resume_stream(client_index: int) -> None:
+        parked = paused_instances.pop(client_index, None)
+        if parked is not None:
+            resumed = clients[client_index].resume_stream(parked)
+            if resumed is not None:
+                instances[client_index] = resumed
+
+    _churn_ops = {
+        "pause": _pause_stream,
+        "resume": _resume_stream,
+        "stop": _stop_stream,
+    }
+
+    for client_index, file_index, start_at in scenario.stream_plan():
+        runtime.call_at(start_at, _start_stream, client_index, file_index)
+    for client_index, stop_at in scenario.stop_plan():
+        runtime.call_at(stop_at, _stop_stream, client_index)
+    for churn_at, op, client_index in scenario.churn_plan():
+        runtime.call_at(churn_at, _churn_ops[op], client_index)
+
+
 # ----------------------------------------------------------------------
 # Per-connection send queue with watermark backpressure
 # ----------------------------------------------------------------------
@@ -1024,45 +1082,7 @@ async def _run_cluster_async(
         hub.local[client.address] = _observed_deliver(client)
         clients.append(client)
 
-    instances: Dict[int, int] = {}
-    paused_instances: Dict[int, int] = {}
-
-    def _start_stream(client_index: int, file_index: int) -> None:
-        file_id = world.files[file_index].file_id
-        instances[client_index] = clients[client_index].start_stream(file_id)
-
-    def _stop_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            clients[client_index].stop_stream(instance)
-
-    def _pause_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            parked = clients[client_index].pause_stream(instance)
-            if parked is not None:
-                paused_instances[client_index] = parked
-                instances.pop(client_index, None)
-
-    def _resume_stream(client_index: int) -> None:
-        parked = paused_instances.pop(client_index, None)
-        if parked is not None:
-            resumed = clients[client_index].resume_stream(parked)
-            if resumed is not None:
-                instances[client_index] = resumed
-
-    _churn_ops = {
-        "pause": _pause_stream,
-        "resume": _resume_stream,
-        "stop": _stop_stream,
-    }
-
-    for client_index, file_index, start_at in scenario.stream_plan():
-        runtime.call_at(start_at, _start_stream, client_index, file_index)
-    for client_index, stop_at in scenario.stop_plan():
-        runtime.call_at(stop_at, _stop_stream, client_index)
-    for churn_at, op, client_index in scenario.churn_plan():
-        runtime.call_at(churn_at, _churn_ops[op], client_index)
+    schedule_viewer_script(runtime, scenario, clients, world.files)
 
     # The online restriper is a driver-hosted protocol node: the same
     # OnlineRestriper class the DES runs, on LiveRuntime + HubTransport.
@@ -1235,45 +1255,7 @@ def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
         system.sim.call_at(scenario.restripe_start, restriper.start)
     clients = [system.add_client() for _ in range(scenario.streams)]
 
-    instances: Dict[int, int] = {}
-    paused_instances: Dict[int, int] = {}
-
-    def _start_stream(client_index: int, file_index: int) -> None:
-        file_id = files[file_index].file_id
-        instances[client_index] = clients[client_index].start_stream(file_id)
-
-    def _stop_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            clients[client_index].stop_stream(instance)
-
-    def _pause_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            parked = clients[client_index].pause_stream(instance)
-            if parked is not None:
-                paused_instances[client_index] = parked
-                instances.pop(client_index, None)
-
-    def _resume_stream(client_index: int) -> None:
-        parked = paused_instances.pop(client_index, None)
-        if parked is not None:
-            resumed = clients[client_index].resume_stream(parked)
-            if resumed is not None:
-                instances[client_index] = resumed
-
-    _churn_ops = {
-        "pause": _pause_stream,
-        "resume": _resume_stream,
-        "stop": _stop_stream,
-    }
-
-    for client_index, file_index, start_at in scenario.stream_plan():
-        system.sim.call_at(start_at, _start_stream, client_index, file_index)
-    for client_index, stop_at in scenario.stop_plan():
-        system.sim.call_at(stop_at, _stop_stream, client_index)
-    for churn_at, op, client_index in scenario.churn_plan():
-        system.sim.call_at(churn_at, _churn_ops[op], client_index)
+    schedule_viewer_script(system.sim, scenario, clients, files)
     kill_at = scenario.kill_time()
     if kill_at is not None:
         system.sim.call_at(kill_at, system.cubs[scenario.kill_cub].fail)

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics registry, trace export, profiling.
+"""Unified observability layer: metrics registry and trace export.
 
 This package is the one place the rest of the reproduction reports what
 it measures:
@@ -9,10 +9,7 @@ it measures:
   :class:`~repro.core.metrics.MetricsCollector`, and the chaos
   :class:`~repro.faults.monitor.InvariantMonitor` publish into;
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters
-  for :class:`~repro.sim.trace.Tracer` records, plus metrics snapshots;
-* :mod:`repro.obs.profiler` — event-loop profiling hooks for
-  :class:`~repro.sim.core.Simulator` (per-handler event counts and
-  simulated-vs-wall time).
+  for :class:`~repro.sim.trace.Tracer` records, plus metrics snapshots.
 
 Every metric name and trace category is documented in
 ``docs/OBSERVABILITY.md``; ``tests/test_obs_docs.py`` asserts the doc
@@ -27,7 +24,6 @@ from repro.obs.export import (
     write_jsonl_trace,
     write_trace,
 )
-from repro.obs.profiler import EventLoopProfiler
 from repro.obs.registry import (
     CounterSeries,
     GaugeSeries,
@@ -38,7 +34,6 @@ from repro.obs.registry import (
 
 __all__ = [
     "CounterSeries",
-    "EventLoopProfiler",
     "GaugeSeries",
     "HistogramSeries",
     "MetricError",

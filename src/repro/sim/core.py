@@ -175,9 +175,9 @@ class Simulator:
 
         While attached, every dispatched event is timed with
         ``perf_counter`` and reported via ``profiler.record(fn, wall_s,
-        sim_now)`` — see
-        :class:`repro.obs.profiler.EventLoopProfiler`.  Detached, the
-        dispatch loop pays a single attribute check per event.
+        sim_now)`` — the span recorder in ``benchmarks/perf/spans.py``
+        attaches here.  Detached, the dispatch loop pays a single
+        attribute check per event.
 
         :param profiler: Object with a ``record`` method, or None.
         """

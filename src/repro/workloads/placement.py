@@ -1,12 +1,13 @@
-"""The ``placement`` bench tier: slot-placement policy comparison.
+"""Slot-placement policy scenario: 95% load, VCR churn, failover.
 
-Runs the same 95%-load VCR-churn scenario — with a mid-run controller
-failover, which is when client retries against the backup land
-requests in retry-phase order rather than request-age order — once per
-placement policy (``first-fit``, ``deadline-greedy``,
-``load-spread``) on one seeded trace, and reports per-policy startup
-latency (p50/p99/max, *including* censored still-waiting starts) and
-block loss.
+:func:`run_policy_scenario` runs a 95%-load VCR-churn scenario — with a
+mid-run controller failover, which is when client retries against the
+backup land requests in retry-phase order rather than request-age
+order — under one placement policy (``first-fit``, ``deadline-greedy`` or
+``load-spread``) on a seeded trace, and reports startup latency
+(p50/p99/max, *including* censored still-waiting starts) and block
+loss.  ``benchmarks/test_placement_policies.py`` runs it per policy for
+the EXPERIMENTS.md row; ``tests/test_golden_counters.py`` pins seed 0.
 
 The scenario is built so the policy comparison is causal, not
 coincidental:
@@ -22,20 +23,18 @@ coincidental:
   the same under every policy; the disciplines differ only in which
   queued viewer gets each instant.
 
-Everything runs on the discrete-event simulator, so every gated
-counter is a pure function of ``(seed, mode)``; the headline
-``placement.dg_beats_ff`` asserts the fig-10 claim — deadline-greedy
-must improve startup-latency p99 or block loss over first-fit under
-churn with a controller failover.
+Everything runs on the discrete-event simulator, so every field of a
+:class:`PolicyOutcome` is a pure function of ``(policy, seed)``.
+The fig-10 claim it backs: deadline-greedy improves startup-latency p99
+or block loss over first-fit under churn with a controller failover.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from time import perf_counter
-from typing import Any, Dict, List
+from typing import List
 
-from repro.config import PLACEMENT_POLICIES, small_config
+from repro.config import small_config
 from repro.core.tiger import TigerSystem
 from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
@@ -56,17 +55,6 @@ class PolicyOutcome:
     events: int
     sim_seconds: float
 
-    def line(self) -> str:
-        return (
-            f"{self.policy:<16s} p50 {self.p50_ms / 1000.0:6.2f}s  "
-            f"p99 {self.p99_ms / 1000.0:6.2f}s  "
-            f"max {self.max_ms / 1000.0:6.2f}s  "
-            f"loss {self.loss_blocks:>4d}  "
-            f"pending {self.censored:>2d}  "
-            f"deferrals {self.deferrals:>3d}  "
-            f"({self.streams} starts)"
-        )
-
 
 def _percentile(values: List[float], fraction: float) -> float:
     """Nearest-rank percentile of a non-empty list."""
@@ -75,9 +63,7 @@ def _percentile(values: List[float], fraction: float) -> float:
     return ordered[index]
 
 
-def run_policy_scenario(
-    policy: str, seed: int = 0, quick: bool = False
-) -> PolicyOutcome:
+def run_policy_scenario(policy: str, seed: int = 0) -> PolicyOutcome:
     """Drive one policy through the 95%-load churn + failover trace.
 
     The churn RNG stream is keyed by seed only, so every policy sees
@@ -119,14 +105,14 @@ def run_policy_scenario(
                 client.stop_stream(active.pop(rng.randrange(len(active))))
             system.run_for(rng.uniform(0.3, 1.2))
 
-    system.run_for(4.0 if quick else 8.0)
-    churn(6 if quick else 8)
+    system.run_for(8.0)
+    churn(8)
     # Top the ring back up so *placed* occupancy is back at 95% and
     # the wait queues are empty: the dead-window waves must contest a
     # full schedule identically on every seed.
     while len(active) < target:
         active.append(client.start_stream(rng.randrange(5)))
-    system.run_for(4.0 if quick else 8.0)
+    system.run_for(8.0)
 
     prefail = list(active)
     system.fail_controller()
@@ -134,11 +120,7 @@ def run_policy_scenario(
     # inverted age order (see the module docstring).  Cycling a small
     # file set lands every wave in the same wait queues: cross-wave
     # queue-mates are what the two disciplines order differently.
-    waves = (
-        ((1.9, 2), (3.0, 2), (4.1, 3))
-        if quick
-        else ((1.9, 3), (3.0, 3), (4.1, 4))
-    )
+    waves = ((1.9, 3), (3.0, 3), (4.1, 4))
     elapsed = 0.0
     for offset, count in waves:
         system.run_for(offset - elapsed)
@@ -152,7 +134,7 @@ def run_policy_scenario(
     # (pre-failure) viewers depart, so the freed-slot sequence is the
     # same under every policy and the comparison isolates the queue
     # discipline itself.
-    for _ in range(6 if quick else 8):
+    for _ in range(8):
         if prefail:
             victim = prefail.pop(rng.randrange(len(prefail)))
             active.remove(victim)
@@ -167,8 +149,8 @@ def run_policy_scenario(
     # 95% occupancy have chaotic multi-second waits either way (no
     # systematic policy difference), so admitting them here would only
     # add variance to the tail the experiment is measuring.
-    churn(6 if quick else 10, starts=False)
-    system.run_for(8.0 if quick else 15.0)
+    churn(10, starts=False)
+    system.run_for(15.0)
     system.finalize_clients()
     system.assert_invariants()
 
@@ -201,73 +183,3 @@ def run_policy_scenario(
         events=system.sim.events_dispatched,
         sim_seconds=now,
     )
-
-
-def run_placement_workload(
-    seed: int = 0, quick: bool = False
-) -> Dict[str, Any]:
-    """Run the ``placement`` tier; returns a BENCH result dict."""
-    from repro.bench.harness import _base_result
-
-    outcomes: List[PolicyOutcome] = []
-    events = 0
-    sim_seconds = 0.0
-    started = perf_counter()
-    for policy in PLACEMENT_POLICIES:
-        outcome = run_policy_scenario(policy, seed=seed, quick=quick)
-        outcomes.append(outcome)
-        events += outcome.events
-        sim_seconds += outcome.sim_seconds
-    wall = perf_counter() - started
-
-    by_name = {outcome.policy: outcome for outcome in outcomes}
-    first_fit = by_name["first-fit"]
-    deadline = by_name["deadline-greedy"]
-    dg_beats_ff = int(
-        deadline.p99_ms < first_fit.p99_ms
-        or deadline.loss_blocks < first_fit.loss_blocks
-    )
-
-    counters: Dict[str, int] = {}
-    for outcome in outcomes:
-        tag = outcome.policy.replace("-", "_")
-        counters[f"placement.{tag}_streams"] = outcome.streams
-        counters[f"placement.{tag}_pending"] = outcome.censored
-        counters[f"placement.{tag}_p50_ms"] = outcome.p50_ms
-        counters[f"placement.{tag}_p99_ms"] = outcome.p99_ms
-        counters[f"placement.{tag}_max_ms"] = outcome.max_ms
-        counters[f"placement.{tag}_loss_blocks"] = outcome.loss_blocks
-        counters[f"placement.{tag}_deferrals"] = outcome.deferrals
-    counters["placement.dg_beats_ff"] = dg_beats_ff
-
-    result = _base_result(
-        "placement",
-        "quick" if quick else "full",
-        seed,
-        {
-            "policies": list(PLACEMENT_POLICIES),
-            "load": 0.95,
-            "churn": "vcr+controller-failover",
-        },
-    )
-    result["counters"] = counters
-    result["perf"] = {
-        "events": events,
-        "wall_s": round(wall, 6),
-        "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "sim_seconds": round(sim_seconds, 6),
-        "sim_per_wall": round(sim_seconds / wall, 2) if wall > 0 else 0.0,
-    }
-    result["experiments"] = [
-        {
-            "name": "policy-comparison",
-            "lines": [outcome.line() for outcome in outcomes]
-            + [
-                "deadline-greedy improves p99 or loss vs first-fit: "
-                + ("yes" if dg_beats_ff else "NO")
-            ],
-        }
-    ]
-    result["handlers"] = []
-    result["memory"] = {}
-    return result

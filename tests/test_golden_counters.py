@@ -1,0 +1,166 @@
+"""Golden protocol counters: exact values a behaviour change must move.
+
+The seven protocol counters (and the kernel event count) are a pure
+function of config + seed, so each scenario below is pinned to the
+numbers it produced when it was last verified; drift in any of them is
+a behaviour change, never noise.
+"""
+
+import pytest
+
+from repro import TigerConfig, TigerSystem, paper_config, small_config
+from repro.config import PLACEMENT_POLICIES
+from repro.core.metrics import PROTOCOL_COUNTERS, protocol_counters
+from repro.workloads.generator import ContinuousWorkload
+from repro.workloads.placement import run_policy_scenario
+
+
+def _run(config, *, seed, streams, sim_seconds, num_files=8, file_seconds=240.0):
+    """Build a system, load it with ``streams`` viewers and drive it."""
+    system = TigerSystem(config, seed=seed)
+    system.add_standard_content(num_files=num_files, duration_s=file_seconds)
+    if streams:
+        ContinuousWorkload(system).add_streams(streams)
+    system.run_for(sim_seconds)
+    system.finalize_clients()
+    system.export_metrics()
+    return system
+
+
+def _loaded_run():
+    """A small loaded system driven for 20 sim-seconds."""
+    config = small_config()
+    return _run(
+        config, seed=5, num_files=4, file_seconds=60.0,
+        streams=max(1, config.num_slots // 2), sim_seconds=20.0,
+    )
+
+
+class TestServicePathGoldenCounters:
+    """The deadline-bucket service path was an event-count optimization
+    over the seed's one-timer-per-viewer path, checked by running both.
+    The legacy path is gone; what it produced on this scenario (taken
+    on the last commit that had it, where both paths agreed) is pinned
+    here instead, so a service-path change that moves a protocol
+    counter still fails."""
+
+    LEGACY_COUNTERS = {
+        "cub.viewer_states_forwarded": 430,
+        "cub.deschedules_forwarded": 0,
+        "cub.inserts_performed": 16,
+        "cub.admission_rejects": 0,
+        "cub.mirror_covers": 0,
+        "cub.blocks_sent": 302,
+        "cub.deadman_resurrections": 0,
+    }
+    #: Kernel events the one-timer-per-viewer path dispatched.
+    LEGACY_EVENTS = 2771
+
+    def test_counters_identical_to_legacy_path(self):
+        system = _loaded_run()
+        assert protocol_counters(system.registry) == self.LEGACY_COUNTERS
+        # Batching exists to shrink the kernel event count, never to
+        # grow it.
+        assert system.sim.events_dispatched <= self.LEGACY_EVENTS
+
+
+class TestPaperConfigGoldenCounters:
+    """The paper's 14-cub configuration, seed 0, 8 files x 240 s."""
+
+    def test_fig8_full_load(self):
+        """The §5 testbed at capacity (602 streams) for 10 sim-seconds
+        — the workload behind Figure 8."""
+        config = paper_config()
+        system = _run(
+            config, seed=0, streams=config.num_slots, sim_seconds=10.0
+        )
+        assert protocol_counters(system.registry) == dict(
+            zip(PROTOCOL_COUNTERS, (2406, 0, 172, 0, 0, 1209, 0))
+        )
+        assert system.sim.events_dispatched == 11091
+
+    def test_idle_system_serves_no_blocks(self):
+        """Zero viewers: only heartbeats, pumps and deadman sweeps run,
+        so every protocol counter stays at zero."""
+        system = _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
+        assert not any(protocol_counters(system.registry).values())
+
+
+class TestPlacementScenarioGolden:
+    """The 95%-load churn + controller-failover scenario at seed 0,
+    per placement policy (the DES rows of EXPERIMENTS.md's placement
+    table come from the same function)."""
+
+    #: policy -> (p50_ms, p99_ms == max_ms, deferrals)
+    GOLDEN = {
+        "first-fit": (3001, 19115, 0),
+        "deadline-greedy": (3001, 16915, 0),
+        "load-spread": (4001, 19115, 22),
+    }
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        return {
+            policy: run_policy_scenario(policy, seed=0)
+            for policy in PLACEMENT_POLICIES
+        }
+
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_policy_outcome_pinned(self, outcomes, policy):
+        outcome = outcomes[policy]
+        p50_ms, p99_ms, deferrals = self.GOLDEN[policy]
+        assert outcome.streams == 47
+        assert outcome.p50_ms == p50_ms
+        assert outcome.p99_ms == outcome.max_ms == p99_ms
+        assert outcome.loss_blocks == 0
+        assert outcome.censored == 0
+        assert outcome.deferrals == deferrals
+
+    def test_deadline_greedy_beats_first_fit(self, outcomes):
+        assert outcomes["deadline-greedy"].p99_ms < outcomes["first-fit"].p99_ms
+
+
+class TestSweepPointIndependence:
+    """Regression (sweep seeding): each sweep point must be a pure
+    function of (cubs, seed) — independent of whatever ran earlier in
+    the process.  TigerSystem rewinds the process-global message-id and
+    play-instance-id sequences at construction, so a point measured
+    alone matches the same point inside a full sweep, bit for bit."""
+
+    @staticmethod
+    def _sweep_point(num_cubs):
+        config = TigerConfig(
+            num_cubs=num_cubs,
+            disks_per_cub=2,
+            block_play_time=1.0,
+            max_bitrate_bps=2e6,
+            decluster=2,
+            streams_per_disk_override=4.0,
+        )
+        system = _run(
+            config, seed=0, streams=max(1, config.num_slots // 2),
+            sim_seconds=10.0,
+        )
+        return (
+            protocol_counters(system.registry),
+            system.sim.events_dispatched,
+            system.sim.now,
+        )
+
+    def test_single_point_matches_point_inside_sweep(self):
+        # The same point measured standalone...
+        alone = self._sweep_point(8)
+        # ...and after a cubs=4 point has polluted any process-global
+        # state it was going to.
+        self._sweep_point(4)
+        assert self._sweep_point(8) == alone
+        assert alone[0]["cub.blocks_sent"] > 0
+
+    def test_instance_ids_rewind_per_system(self):
+        from repro.core.viewerstate import new_instance_id
+
+        TigerSystem(small_config(), seed=0)
+        first = new_instance_id()
+        TigerSystem(small_config(), seed=0)
+        second = new_instance_id()
+        assert first == second == 1

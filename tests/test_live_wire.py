@@ -364,6 +364,19 @@ def test_choose_codec_prefers_preferred_then_first_mutual():
     assert choose_codec(["gzip"], CODEC_BINARY) == CODEC_JSON
 
 
+def test_binary_frames_are_smaller_than_json():
+    # The reason the v2 codec exists: the same gossip batch or block
+    # frame costs fewer wire bytes than its JSON spelling.
+    states = tuple(
+        ViewerState("client:7#7", 8, 7 + hop, 3, hop, hop % 16, 6.5 + hop, hop)
+        for hop in range(4)
+    )
+    block = BlockData("client:7#7", 8, 3, 2, 2, pattern=block_pattern(3, 2))
+    for payload in (ViewerStateBatch(states=states), block):
+        message, binary_frame = _binary_frame_of(payload)
+        assert len(binary_frame) < len(encode_message(message, CODEC_JSON))
+
+
 def test_wire_stats_counts_frames_and_bytes_per_codec():
     registry = MetricsRegistry()
     stats = WireStats(registry, node="test")

@@ -1,7 +1,8 @@
 """The instrumentation surface stays documented, loadable, and stable.
 
 * every trace category and metric family a fault-injected run emits
-  must be named (in backticks) in docs/OBSERVABILITY.md;
+  must be named (in backticks) in docs/OBSERVABILITY.md, and every
+  name a table row there documents must still exist under ``src/``;
 * ``python -m repro chaos --trace out.json`` must write a Chrome trace
   that ``json.load`` accepts and a trace viewer can open;
 * the Sphinx API docs must build warning-free (skipped when sphinx is
@@ -13,6 +14,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -121,6 +123,23 @@ class TestDocCoverage:
         doc = OBSERVABILITY_MD.read_text()
         missing = {c for c in ALL_CATEGORIES if f"`{c}`" not in doc}
         assert not missing
+
+    def test_documented_names_exist_in_source(self):
+        # The reverse direction: a table row whose metric family or
+        # trace category no code names any more documents nothing.
+        documented = re.findall(
+            r"^\| `([^`]+)`", OBSERVABILITY_MD.read_text(), re.MULTILINE
+        )
+        assert len(documented) > 100, "table-row pattern matched too little"
+        source = "".join(
+            path.read_text()
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        )
+        stale = [name for name in documented if f'"{name}"' not in source]
+        assert not stale, (
+            f"docs/OBSERVABILITY.md documents names that appear as a "
+            f"string literal nowhere under src/: {stale}"
+        )
 
     def test_emitted_categories_are_in_known_inventory(self, chaos_run):
         tracer, _ = chaos_run

@@ -1,4 +1,4 @@
-"""Tests for trace export (JSONL + Chrome) and the event-loop profiler."""
+"""Tests for trace export (JSONL + Chrome) and the kernel's profiler hook."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.obs.export import (
     write_jsonl_trace,
     write_trace,
 )
-from repro.obs.profiler import EventLoopProfiler
-from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.sim.trace import KIND_SPAN, Tracer
 
@@ -118,10 +116,18 @@ class TestTracerBound:
 
 
 class TestProfiler:
+    """``Simulator.set_profiler`` is the hook the span recorder in
+    ``benchmarks/perf/spans.py`` attaches through."""
+
     def test_records_handlers_through_simulator(self):
         sim = Simulator()
-        profiler = EventLoopProfiler()
-        sim.set_profiler(profiler)
+        recorded = []
+
+        class Recorder:
+            def record(self, fn, wall_s, sim_now):
+                recorded.append((fn, wall_s, sim_now))
+
+        sim.set_profiler(Recorder())
         calls = []
 
         def handler():
@@ -130,26 +136,11 @@ class TestProfiler:
         sim.call_at(1.0, handler)
         sim.call_at(2.0, handler)
         sim.run(until=5.0)
-        assert len(calls) == 2
-        rows = profiler.rows()
-        assert len(rows) == 1
-        name, count, wall = rows[0]
-        assert "handler" in name
-        assert count == 2
-        assert wall >= 0.0
-        assert profiler.events == 2
-        assert profiler.sim_elapsed == pytest.approx(1.0)
-
-    def test_publish_into_registry(self):
-        sim = Simulator()
-        profiler = EventLoopProfiler()
-        sim.set_profiler(profiler)
-        sim.call_at(1.0, lambda: None)
-        sim.run(until=2.0)
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        assert registry.get_value("sim.profile_events") == 1
-        assert "sim.handler_calls" in registry.names()
+        assert calls == [1.0, 2.0]
+        assert [(fn, now) for fn, _, now in recorded] == [
+            (handler, 1.0), (handler, 2.0),
+        ]
+        assert all(wall >= 0.0 for _, wall, _ in recorded)
 
     def test_no_profiler_means_no_overhead_attribute(self):
         sim = Simulator()

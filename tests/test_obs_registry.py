@@ -166,7 +166,7 @@ class TestSystemWiring:
 
 
 class TestMergeSnapshots:
-    """Cross-registry merging (live cluster, partitioned bench tiers)."""
+    """Cross-registry merging (the live cluster's per-node snapshots)."""
 
     def test_counters_sum_and_gauges_last_win(self):
         from repro.obs.registry import merge_snapshots

@@ -25,6 +25,7 @@ import pytest
 
 from repro import TigerSystem, small_config
 from repro.config import PLACEMENT_POLICIES
+from repro.core.metrics import PROTOCOL_COUNTERS
 from repro.core.netschedule import NetworkSchedule
 from repro.core.placement import (
     DeadlineGreedyPolicy,
@@ -40,18 +41,6 @@ from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 
 from tests.test_core_centralized import build_centralized
-
-#: The protocol counters the bench harness gates on; the differential
-#: below compares them across policies.
-PROTOCOL_COUNTERS = (
-    "cub.viewer_states_forwarded",
-    "cub.deschedules_forwarded",
-    "cub.inserts_performed",
-    "cub.admission_rejects",
-    "cub.mirror_covers",
-    "cub.blocks_sent",
-    "cub.deadman_resurrections",
-)
 
 #: Chaos fingerprints of the pre-policy code at 95% load (seeds 0, 1).
 #: The first-fit default must keep these bit-identical: any drift means
@@ -217,7 +206,7 @@ def _churn_counters(placement, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_policy_differential_on_protocol_counters(seed):
-    """3-policy differential on the bench-gated protocol counters.
+    """3-policy differential on the seven golden protocol counters.
 
     Under VCR churn with no failover, cub wait queues stay in request-
     time order, so deadline-greedy's EDF request selection is FIFO and
@@ -452,7 +441,7 @@ class TestPlacementCli:
         from repro.cli import build_parser
 
         parser = build_parser()
-        for command in ("demo", "chaos", "bench", "cluster"):
+        for command in ("demo", "chaos", "cluster"):
             args = parser.parse_args([command, "--placement", "load-spread"])
             assert args.placement == "load-spread"
         with pytest.raises(SystemExit):

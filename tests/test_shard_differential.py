@@ -5,16 +5,16 @@ sharded and single-heap runs must produce bit-identical protocol
 counters"): the k-way merge dispatches in exact ``(time, priority,
 seq)`` order, so shard count is an execution detail the protocol can
 never observe.  These tests pin that across seeds, shard counts, and
-chaos fault plans — the same seven counters the bench baseline gate
-diffs.
+chaos fault plans — the same seven counters
+``tests/test_golden_counters.py`` pins.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.harness import PROTOCOL_COUNTERS, protocol_counters
 from repro.config import small_config
 from repro.core import TigerSystem
+from repro.core.metrics import PROTOCOL_COUNTERS, protocol_counters
 from repro.faults import ChaosHarness, standard_chaos_plan
 from repro.workloads import ContinuousWorkload
 

@@ -35,6 +35,12 @@ messages with the chosen codec — decoders accept both at all times,
 and control frames stay JSON forever.  Per-codec frame/byte counters
 land in ``live.wire_frames`` / ``live.wire_bytes``.
 
+Like the switch it stands in for, the hub does not interpret what it
+only carries: it reads a binary frame's envelope and queues the
+sender's bytes untouched on a binary peer's connection, decoding the
+payload only for a driver-local or JSON-codec destination — a payload
+is validated exactly once, by whoever consumes it (docs/WIRE.md).
+
 Determinism and comparability
 -----------------------------
 A :class:`ClusterScenario` is the single source of truth for both
@@ -58,7 +64,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from collections import deque
 
@@ -80,9 +86,11 @@ from repro.live.node import (
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import HubTransport
 from repro.live.wire import (
+    CODEC_BINARY,
     CODEC_JSON,
     SUPPORTED_CODECS,
-    FrameDecoder,
+    EnvelopeDecoder,
+    RawFrame,
     WireError,
     WireStats,
     choose_codec,
@@ -593,6 +601,15 @@ class ClusterHub:
             "live.hub_sendq_dropped",
             help="Frames dropped at the per-connection hard queue cap",
             unit="frames")
+        self.forwarded_raw, self.forwarded_decoded = (
+            registry.counter(
+                "live.hub_frames_forwarded",
+                help="Messages routed, by path: raw = a binary frame's "
+                     "bytes relayed untouched, decoded = delivered "
+                     "locally or encoded for the destination",
+                unit="frames", mode=mode)
+            for mode in ("raw", "decoded")
+        )
         self.wire_stats = WireStats(registry, node="hub")
 
     async def start(self) -> List[int]:
@@ -623,22 +640,43 @@ class ClusterHub:
         return False
 
     # -- routing ------------------------------------------------------
-    def route(self, message: Message) -> bool:
-        """Deliver one protocol message to its destination's inbox."""
+    def route(self, message: Union[Message, RawFrame]) -> bool:
+        """Deliver one protocol message to its destination's inbox.
+
+        A :class:`~repro.live.wire.RawFrame` (a binary frame off a
+        socket, payload unread) bound for a connection that negotiated
+        binary is queued as the bytes the sender wrote.  For any other
+        destination the hub consumes the payload and decodes it here.
+
+        :raises WireError: when that decode finds a corrupt payload.
+        """
+        raw = message if isinstance(message, RawFrame) else None
         deliver = self.local.get(message.dst)
         if deliver is not None:
+            if raw is not None:
+                message = raw.message()
             self.routed.increment()
+            self.forwarded_decoded.increment()
             deliver(message)
             return True
         connection = self.connections.get(message.dst)
         if connection is None or connection.is_closing():
             self.dropped.increment()
             return False
-        frame = encode_message(message, connection.codec, self.wire_stats)
+        if raw is not None and connection.codec == CODEC_BINARY:
+            frame, path = raw.frame, self.forwarded_raw
+            # Still a frame this endpoint put on a socket: count it tx.
+            self.wire_stats.on_encoded(CODEC_BINARY, len(frame))
+        else:
+            if raw is not None:
+                message = raw.message()
+            frame = encode_message(message, connection.codec, self.wire_stats)
+            path = self.forwarded_decoded
         if not connection.send(frame):
             self.dropped.increment()
             return False
         self.routed.increment()
+        path.increment()
         return True
 
     def broadcast(self, frame: bytes) -> None:
@@ -650,7 +688,7 @@ class ClusterHub:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = FrameDecoder(stats=self.wire_stats)
+        decoder = EnvelopeDecoder(stats=self.wire_stats)
         address: Optional[str] = None
         connection: Optional[NodeConnection] = None
         try:
@@ -659,7 +697,7 @@ class ClusterHub:
                 if not data:
                     break
                 for kind, parsed in decoder.feed_parsed(data):
-                    if kind == "msg":
+                    if kind != "ctl":
                         self.route(parsed)
                         continue
                     ctl = parsed.get("ctl")
@@ -692,16 +730,25 @@ class ClusterHub:
                     elif ctl == "_bye":
                         self.byes[parsed["node"]] = parsed
                         self.expected_exits.add(parsed["node"])
+                    elif ctl == "_error":
+                        # A node's decoder rejected a frame the hub
+                        # forwarded unopened; ``src`` names its sender.
+                        self.wire_errors.append(
+                            f"{parsed['node']} (from "
+                            f"{parsed.get('src') or '?'}): "
+                            f"{parsed.get('reason', '?')}"
+                        )
         except (ConnectionError, OSError):
             pass
         except WireError as error:
             self.wire_errors.append(f"{address or '?'}: {error}")
-            if connection is not None and not connection.is_closing():
-                # Tell the peer why it is about to lose its socket.
-                self._send_control(
-                    connection,
-                    control_frame("_error", reason=str(error)),
-                )
+            if not writer.is_closing():
+                # Tell the peer why it is about to lose its socket —
+                # written past the send queue, which the close() below
+                # abandons unsent.
+                frame = control_frame("_error", reason=str(error))
+                writer.write(frame)
+                self.wire_stats.on_encoded(CODEC_JSON, len(frame))
         finally:
             if address is not None:
                 self.connections.pop(address, None)
@@ -761,7 +808,7 @@ class ClusterReport:
         rows.append((
             "wire protocol errors",
             not self.wire_errors,
-            f"{len(self.wire_errors)}",
+            "; ".join([f"{len(self.wire_errors)}"] + self.wire_errors),
         ))
         received = snapshot_total(merged, "live.client_blocks_received")
         rows.append((

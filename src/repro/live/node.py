@@ -51,6 +51,7 @@ from repro.live.wire import (
     CODEC_JSON,
     SUPPORTED_CODECS,
     FrameDecoder,
+    WireError,
     WireStats,
     control_frame,
 )
@@ -227,6 +228,8 @@ class LiveNode:
         self.component: Any = None
         self.probe: Optional[CubInvariantProbe] = None
         self._stopping = False
+        #: Frames this node's decoder rejected (fatal: at most 1).
+        self.wire_errors = 0
         #: Outgoing message codec; JSON until the hub's ``codec_ack``.
         self.codec = CODEC_JSON
         self.wire_stats = WireStats(self.registry, node=self.address)
@@ -293,9 +296,33 @@ class LiveNode:
         await writer.drain()
 
         decoder = FrameDecoder(stats=self.wire_stats)
-        start_body = await self._await_start(reader, decoder)
-        epoch = float(start_body["epoch"])
+        try:
+            start_body = await self._await_start(reader, decoder)
+            self._boot(float(start_body["epoch"]), writer)
+            await self._serve(reader, decoder)
+        except WireError as error:
+            # The hub forwards binary frames unopened, so a peer's bad
+            # payload is first seen here.  Say why before leaving, and
+            # name the sender: the hub fails the run on it.
+            self.wire_errors += 1
+            print(
+                f"{self.address}: rejected a frame from "
+                f"{error.src or '?'}: {error}",
+                flush=True,
+            )
+            self._write_control(
+                writer,
+                control_frame(
+                    "_error", node=self.address, reason=str(error),
+                    src=error.src, msg_id=error.msg_id,
+                ),
+            )
+        await self._shutdown(writer)
+        return 1 if self.wire_errors else 0
 
+    def _boot(self, epoch: float, writer: asyncio.StreamWriter) -> None:
+        """Build the runtime and the component once the epoch is known."""
+        spec = self.spec
         # Namespace the message-id sequence so every live node mints ids
         # in a disjoint range — globally unique with zero coordination.
         reset_message_ids(int(spec["namespace"]))
@@ -322,9 +349,6 @@ class LiveNode:
         self.runtime.call_after(
             self.metrics_interval, self._pump_metrics, writer
         )
-
-        await self._serve(reader, writer, decoder)
-        return 0
 
     def _handle_control(self, parsed: Dict[str, Any]) -> None:
         ctl = parsed.get("ctl")
@@ -361,10 +385,7 @@ class LiveNode:
                 self._handle_control(parsed)
 
     async def _serve(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        decoder: FrameDecoder,
+        self, reader: asyncio.StreamReader, decoder: FrameDecoder
     ) -> None:
         while not self._stopping:
             data = await reader.read(65536)
@@ -375,10 +396,14 @@ class LiveNode:
                     self.component.deliver(parsed)
                 else:
                     self._handle_control(parsed)
-        await self._shutdown(writer)
 
     async def _shutdown(self, writer: asyncio.StreamWriter) -> None:
         self._stopping = True
+        if self.runtime is None:
+            # Rejected a frame before ``_start``: nothing ran, so there
+            # is nothing to snapshot or sign off.
+            writer.close()
+            return
         if self.probe is not None:
             self.probe.stop()
         self.runtime.cancel_all()
@@ -392,7 +417,7 @@ class LiveNode:
                     "_bye",
                     node=self.address,
                     events=self.runtime.events_dispatched,
-                    errors=self.runtime.callback_errors,
+                    errors=self.runtime.callback_errors + self.wire_errors,
                     error_details=[
                         {"t": t, "fn": fn, "traceback": tb}
                         for t, fn, tb in self.runtime.errors[:8]

@@ -28,7 +28,10 @@ sockets need bytes.  This module defines:
   advertise anything keep working unchanged;
 * an incremental :class:`FrameDecoder` that accepts arbitrary chunk
   boundaries from a TCP stream, with optional :class:`WireStats`
-  frame/byte accounting per codec.
+  frame/byte accounting per codec — and the hub's
+  :class:`EnvelopeDecoder`, which validates only a binary frame's
+  envelope and yields the sender's bytes as a :class:`RawFrame` to
+  forward untouched (whoever consumes a payload validates it, once).
 
 Frames whose version, length, magic, or payload tag is wrong are
 rejected with :class:`WireError` — a malformed peer cannot wedge the
@@ -44,7 +47,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Type,
+)
 
 from repro.core.protocol import (
     BlockData,
@@ -138,6 +144,12 @@ _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 class WireError(ValueError):
     """Raised for malformed, truncated, oversized, or unknown frames."""
 
+    #: ``src`` / ``msg_id`` of the offending binary frame when its
+    #: envelope parsed and its payload did not — who to blame when the
+    #: frame was forwarded here unopened.
+    src: Optional[str] = None
+    msg_id: Optional[int] = None
+
 
 # ----------------------------------------------------------------------
 # Payload codec registry
@@ -152,6 +164,8 @@ _TYPE_TO_ID: Dict[Type[Any], int] = {}
 #: Field names per registered class, in declaration order — the binary
 #: codec writes values positionally and never puts names on the wire.
 _TYPE_FIELDS: Dict[Type[Any], Tuple[str, ...]] = {}
+#: The same names as a set, for the JSON decoder's unknown-field check.
+_TYPE_FIELD_SET: Dict[Type[Any], FrozenSet[str]] = {}
 
 
 def register_payload(tag: str, cls: Type[Any]) -> None:
@@ -183,6 +197,7 @@ def register_payload(tag: str, cls: Type[Any]) -> None:
     _TYPE_FIELDS[cls] = tuple(
         field.name for field in dataclasses.fields(cls)
     )
+    _TYPE_FIELD_SET[cls] = frozenset(_TYPE_FIELDS[cls])
 
 
 def registered_payload_types() -> Dict[str, Type[Any]]:
@@ -242,8 +257,8 @@ def encode_payload(obj: Any) -> Any:
             f"payload type {type(obj).__name__} is not wire-registered"
         )
     encoded: Dict[str, Any] = {_TYPE_KEY: tag}
-    for field in dataclasses.fields(obj):
-        encoded[field.name] = encode_payload(getattr(obj, field.name))
+    for name in _TYPE_FIELDS[type(obj)]:
+        encoded[name] = encode_payload(getattr(obj, name))
     return encoded
 
 
@@ -262,7 +277,7 @@ def decode_payload(value: Any) -> Any:
         cls = _TAG_TO_TYPE.get(tag)
         if cls is None:
             raise WireError(f"unknown payload tag {tag!r}")
-        field_names = {field.name for field in dataclasses.fields(cls)}
+        field_names = _TYPE_FIELD_SET[cls]
         kwargs = {}
         for key, item in value.items():
             if key == _TYPE_KEY:
@@ -307,9 +322,9 @@ class WireStats:
 
     One instance per endpoint (a node process, or the driver's hub).
     ``direction`` is from the owning endpoint's point of view: ``tx``
-    counts frames this endpoint encoded onto a socket, ``rx`` counts
-    frames its decoder parsed.  Frame length includes the 4-byte
-    length prefix.
+    counts frames this endpoint put on a socket (encoded — or, at the
+    hub, forwarded as received), ``rx`` counts frames its decoder
+    parsed.  Frame length includes the 4-byte length prefix.
     """
 
     __slots__ = ("_tx", "_rx")
@@ -554,9 +569,19 @@ def _decode_binary_value(view: memoryview, offset: int) -> Tuple[Any, int]:
     raise WireError(f"unknown binary value type code {code:#04x}")
 
 
-def _parse_binary_body(view: memoryview) -> Tuple[str, Any]:
+def _read_binary_envelope(
+    frame: memoryview,
+) -> Tuple[str, str, int, int, str, int]:
+    """Validate a v2 frame's envelope, leaving its payload unread.
+
+    :param frame: The whole frame, length prefix included.
+    :returns: ``(src, dst, msg_id, size_bytes, kind, payload offset)``.
+    :raises WireError: for everything an envelope can get wrong,
+        including a payload of zero bytes.
+    """
+    offset = _LENGTH.size
     try:
-        magic, version, frame_type = _BIN_HEAD.unpack_from(view, 0)
+        magic, version, frame_type = _BIN_HEAD.unpack_from(frame, offset)
     except struct.error as error:
         raise WireError(f"binary frame too short: {error}") from error
     if magic != BINARY_MAGIC:
@@ -568,30 +593,69 @@ def _parse_binary_body(view: memoryview) -> Tuple[str, Any]:
         )
     if frame_type != _FT_MESSAGE:
         raise WireError(f"unknown binary frame type {frame_type:#04x}")
-    offset = _BIN_HEAD.size
+    offset += _BIN_HEAD.size
     try:
-        msg_id, size_bytes, kind_code = _BIN_MSG.unpack_from(view, offset)
+        msg_id, size_bytes, kind_code = _BIN_MSG.unpack_from(frame, offset)
     except struct.error as error:
         raise WireError(f"truncated binary envelope: {error}") from error
     offset += _BIN_MSG.size
     kind = _CODE_TO_KIND.get(kind_code)
     if kind is None:
         raise WireError(f"unknown message kind code {kind_code}")
-    src, offset = _read_binary_str(view, offset)
-    dst, offset = _read_binary_str(view, offset)
-    payload, offset = _decode_binary_value(view, offset)
-    if offset != len(view):
-        raise WireError(
-            f"{len(view) - offset} trailing byte(s) after binary payload"
-        )
+    if size_bytes <= 0:
+        # Message.__post_init__'s check, made where no Message is built.
+        raise WireError("bad message envelope: messages must have positive size")
+    src, offset = _read_binary_str(frame, offset)
+    dst, offset = _read_binary_str(frame, offset)
+    if offset >= len(frame):
+        raise WireError("truncated binary value")
+    return src, dst, msg_id, size_bytes, kind, offset
+
+
+def _binary_message(
+    frame: memoryview, src: str, dst: str, msg_id: int, size_bytes: int,
+    kind: str, offset: int,
+) -> Message:
+    """Decode the payload at ``offset`` of a frame whose envelope
+    :func:`_read_binary_envelope` already validated."""
     try:
-        message = Message(
-            src=src, dst=dst, payload=payload, size_bytes=size_bytes,
-            kind=kind, msg_id=msg_id,
-        )
-    except ValueError as error:
-        raise WireError(f"bad message envelope: {error}") from error
-    return ("msg", message)
+        payload, offset = _decode_binary_value(frame, offset)
+        if offset != len(frame):
+            raise WireError(
+                f"{len(frame) - offset} trailing byte(s) after binary payload"
+            )
+    except WireError as error:
+        error.src, error.msg_id = src, msg_id
+        raise
+    return Message(
+        src=src, dst=dst, payload=payload, size_bytes=size_bytes,
+        kind=kind, msg_id=msg_id,
+    )
+
+
+class RawFrame(NamedTuple):
+    """A v2 message frame with a validated envelope and an unread payload.
+
+    What :class:`EnvelopeDecoder` yields (frame kind ``"raw"``): ``dst``
+    to route on, ``frame`` — the sender's bytes, length prefix included
+    — to forward untouched, and the rest of the envelope so that
+    :meth:`message` can decode the payload from those same bytes.
+    """
+
+    src: str
+    dst: str
+    msg_id: int
+    size_bytes: int
+    kind: str
+    payload_at: int
+    frame: bytes
+
+    def message(self) -> Message:
+        """Decode the payload — the one validation it ever gets.
+
+        :raises WireError: on a corrupt payload.
+        """
+        return _binary_message(memoryview(self.frame), *self[:6])
 
 
 def encode_message(
@@ -610,70 +674,39 @@ def encode_message(
     return frame
 
 
-def _parse_body_view(view: memoryview) -> Tuple[str, Tuple[str, Any]]:
-    """Decode one frame body; returns ``(codec, parsed frame)``."""
-    if len(view) and view[0] == BINARY_MAGIC:
-        return (CODEC_BINARY, _parse_binary_body(view))
+def _parse_json_body(frame: memoryview) -> Tuple[str, Any]:
     try:
-        body = json.loads(bytes(view))
+        body = json.loads(bytes(frame[_LENGTH.size:]))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"undecodable frame body: {error}") from error
-    return (CODEC_JSON, parse_frame(body))
+    return parse_frame(body)
 
 
 class FrameDecoder:
     """Incremental frame reader tolerating arbitrary chunk boundaries.
 
-    Feed raw TCP bytes in; complete frames come out.  The decoder
-    validates the length prefix before buffering a body, so a corrupt
-    or hostile peer cannot make it allocate unboundedly.  Two read
-    surfaces:
-
-    * :meth:`feed` — the v1 legacy surface: raw JSON frame *bodies*
-      (dicts), to be classified with :func:`parse_frame`;
-    * :meth:`feed_parsed` — codec-aware: parsed ``("ctl", body)`` /
-      ``("msg", Message)`` tuples for JSON *and* binary frames, with
-      binary bodies decoded straight from a :class:`memoryview` over
-      the receive buffer (no per-frame body copy).
+    Feed raw TCP bytes in; complete frames come out of
+    :meth:`feed_parsed` as ``("ctl", body)`` / ``("msg", Message)``
+    tuples, JSON *and* binary, with binary frames decoded straight from
+    a :class:`memoryview` over the receive buffer (no per-frame body
+    copy).  The decoder validates the length prefix before buffering a
+    body, so a corrupt or hostile peer cannot make it allocate
+    unboundedly.
     """
 
     def __init__(self, stats: Optional[WireStats] = None) -> None:
         self._buffer = bytearray()
         self._stats = stats
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Add bytes; return every JSON frame body completed by them.
-
-        :raises WireError: on an oversized length prefix or a body that
-            is not valid JSON (including any binary frame — use
-            :meth:`feed_parsed` on mixed-codec streams).
-        """
-        self._buffer.extend(data)
-        bodies: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return bodies
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(
-                    f"frame length {length} exceeds maximum "
-                    f"{MAX_FRAME_BYTES} (corrupt stream?)"
-                )
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
-                return bodies
-            raw = bytes(self._buffer[_LENGTH.size:end])
-            del self._buffer[:end]
-            try:
-                bodies.append(json.loads(raw))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise WireError(f"undecodable frame body: {error}") from error
+    def _parse_binary(self, frame: memoryview) -> Tuple[str, Any]:
+        """Parse one complete v2 frame (length prefix included)."""
+        return ("msg", _binary_message(frame, *_read_binary_envelope(frame)))
 
     def feed_parsed(self, data: bytes) -> List[Tuple[str, Any]]:
         """Add bytes; return every parsed frame completed by them.
 
         Handles both codecs per frame (the first body byte
-        discriminates).  Binary bodies are decoded from a
+        discriminates).  Binary frames are decoded from a
         :class:`memoryview` over the internal buffer — values are
         extracted with ``unpack_from``/slice decoding, never via an
         intermediate ``bytes`` copy of the body.
@@ -700,11 +733,16 @@ class FrameDecoder:
                 end = consumed + _LENGTH.size + length
                 if total < end:
                     break
-                body = view[consumed + _LENGTH.size:end]
+                frame = view[consumed:end]
                 try:
-                    codec, parsed = _parse_body_view(body)
+                    if length and frame[_LENGTH.size] == BINARY_MAGIC:
+                        codec = CODEC_BINARY
+                        parsed = self._parse_binary(frame)
+                    else:
+                        codec = CODEC_JSON
+                        parsed = _parse_json_body(frame)
                 finally:
-                    body.release()
+                    frame.release()
                 if self._stats is not None:
                     self._stats.on_decoded(codec, _LENGTH.size + length)
                 frames.append(parsed)
@@ -726,6 +764,20 @@ class FrameDecoder:
                 f"stream truncated with {len(self._buffer)} byte(s) of "
                 "partial frame"
             )
+
+
+class EnvelopeDecoder(FrameDecoder):
+    """The hub's reader: the same framing, binary payloads left unread.
+
+    A binary message frame comes out as ``("raw", RawFrame)``, every
+    envelope check made and the payload not looked at: whoever consumes
+    the payload (the destination node, or the hub itself through
+    :meth:`RawFrame.message`) validates it.  Control frames and JSON
+    message frames parse in full.
+    """
+
+    def _parse_binary(self, frame: memoryview) -> Tuple[str, Any]:
+        return ("raw", RawFrame(*_read_binary_envelope(frame), bytes(frame)))
 
 
 def decode_frames(data: bytes) -> Iterator[Tuple[str, Any]]:

@@ -1,0 +1,635 @@
+"""The hub as a switch: a real ``ClusterHub`` on loopback, in-process.
+
+Every test boots a :class:`~repro.live.cluster.ClusterHub` on an
+ephemeral localhost port and talks to it through hand-rolled
+connections (``hello`` / ``codec_ack`` by hand, raw socket bytes kept
+beside the decoded frames), so what is asserted is what a node's socket
+would actually see:
+
+* a binary frame bound for a binary peer arrives as the *bytes the
+  sender wrote*; one bound for a JSON peer or a driver-local component
+  is decoded at the hub;
+* every envelope error is still caught at the hub and closes the
+  sender; every payload error is caught exactly once, by whoever
+  consumes the payload — and still fails the run, naming its sender;
+* the hub's counters (wire frames/bytes per codec, drops, the send
+  queue's hard cap) read as they did when the hub decoded everything.
+"""
+
+import asyncio
+import contextlib
+import random
+import struct
+import time
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core.protocol import (
+    BlockData,
+    ClientStart,
+    Heartbeat,
+    ViewerStateBatch,
+    block_pattern,
+)
+from repro.core.viewerstate import ViewerState
+from repro.live.cluster import (
+    SEND_QUEUE_HARD_CAP,
+    ClusterHub,
+    ClusterReport,
+    ClusterScenario,
+)
+from repro.live.node import ROLE_CONTROLLER, LiveNode, config_to_dict
+from repro.live.wire import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    MAX_FRAME_BYTES,
+    SUPPORTED_CODECS,
+    EnvelopeDecoder,
+    FrameDecoder,
+    WireError,
+    binary_message_frame,
+    control_frame,
+    decode_frames,
+    encode_message,
+    registered_payload_types,
+)
+from repro.net.message import KIND_DATA, Message, reset_message_ids
+from repro.obs.registry import MetricsRegistry, snapshot_total
+from tests.test_live_wire import _instance_of
+
+#: Seconds any single wait may take before the test fails.
+TIMEOUT = 5.0
+#: A peer that advertises nothing in its ``hello``: a v1, JSON-only build.
+V1 = ()
+
+
+# ----------------------------------------------------------------------
+# Harness: hand-rolled connections to a real hub
+# ----------------------------------------------------------------------
+class Peer:
+    """One hand-rolled hub connection."""
+
+    def __init__(self, reader, writer):
+        self.reader = reader
+        self.writer = writer
+        self.codec = CODEC_JSON
+        #: Every byte the socket read since the handshake, undecoded.
+        self.raw = bytearray()
+        #: The same bytes as parsed ``(kind, value)`` frames.
+        self.frames = []
+        self.eof = False
+        self._decoder = FrameDecoder()
+
+    def send(self, *frames):
+        self.writer.write(b"".join(frames))
+
+    async def read(self, until):
+        """Pump the socket until ``until()`` holds (or EOF)."""
+
+        async def pump():
+            while not until() and not self.eof:
+                data = await self.reader.read(1 << 16)
+                self.eof = not data
+                self.raw += data
+                self.frames += self._decoder.feed_parsed(data)
+
+        await asyncio.wait_for(pump(), TIMEOUT)
+
+    async def read_messages(self, count):
+        await self.read(lambda: len(self.messages) >= count)
+        return self.messages
+
+    @property
+    def messages(self):
+        return [value for kind, value in self.frames if kind == "msg"]
+
+    @property
+    def controls(self):
+        return [value for kind, value in self.frames if kind == "ctl"]
+
+
+async def settled(condition):
+    """Poll until the hub's side of things makes ``condition()`` true."""
+    for _ in range(int(TIMEOUT / 0.01)):
+        if condition():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("the hub never got there")
+
+
+async def join(port, address, codecs):
+    """Connect as ``address``; with codecs, wait out the ``codec_ack``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    peer = Peer(reader, writer)
+    hello = {"node": address, "pid": 1}
+    if codecs:
+        hello["codecs"] = list(codecs)
+    peer.send(control_frame("hello", **hello))
+    if codecs:
+        await peer.read(lambda: peer.frames)
+        ((_, ack),) = peer.frames
+        assert ack["ctl"] == "codec_ack"
+        peer.codec = ack["codec"]
+        peer.frames.clear()
+        peer.raw.clear()
+    return peer
+
+
+@contextlib.asynccontextmanager
+async def running_hub(*joins, preferred=CODEC_BINARY):
+    """A hub plus one joined :class:`Peer` per ``(address, codecs)``."""
+    registry = MetricsRegistry()
+    hub = ClusterHub(
+        [address for address, _ in joins], registry, preferred_codec=preferred
+    )
+    (port,) = await hub.start()
+    peers = [await join(port, address, codecs) for address, codecs in joins]
+    await asyncio.wait_for(hub.all_joined.wait(), TIMEOUT)
+    try:
+        yield SimpleNamespace(
+            hub=hub, registry=registry, port=port, peers=peers
+        )
+    finally:
+        # Peers hang up first, so the hub's handlers end on EOF instead
+        # of being cancelled mid-read by hub.stop().
+        for peer in peers:
+            peer.writer.close()
+        try:
+            await settled(lambda: not hub.connections)
+        finally:
+            await hub.stop()
+
+
+def total(rig, name, **labels):
+    return snapshot_total(rig.registry.snapshot(), name, **labels)
+
+
+def forwarded(rig):
+    """``(raw, decoded)`` of ``live.hub_frames_forwarded``."""
+    return (
+        total(rig, "live.hub_frames_forwarded", mode="raw"),
+        total(rig, "live.hub_frames_forwarded", mode="decoded"),
+    )
+
+
+def message_to(dst, payload=None, src="cub:0", msg_id=7, **envelope):
+    if payload is None:
+        payload = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.5, 7)
+    envelope.setdefault("size_bytes", 100)
+    return Message(src, dst, payload, msg_id=msg_id, **envelope)
+
+
+def reframe(body):
+    return struct.pack(">I", len(body)) + bytes(body)
+
+
+BOTH = SUPPORTED_CODECS
+
+
+# ----------------------------------------------------------------------
+# (a) binary -> binary: the receiver's socket reads the sender's bytes
+# ----------------------------------------------------------------------
+def test_binary_frames_reach_a_binary_peer_byte_for_byte():
+    messages = []
+    for tag, cls in sorted(registered_payload_types().items()):
+        for seed in range(3):
+            rng = random.Random(f"hub-{tag}-{seed}")
+            messages.append(message_to(
+                "cub:1", _instance_of(cls, rng),
+                src=f"cub:{rng.randrange(16)}",
+                size_bytes=rng.randrange(1, 10**6),
+                kind=rng.choice(["control", "data"]),
+                msg_id=len(messages) + 1,
+            ))
+    frames = [binary_message_frame(message) for message in messages]
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            assert (tx.codec, rx.codec) == (CODEC_BINARY, CODEC_BINARY)
+            tx.send(*frames)
+            assert await rx.read_messages(len(messages)) == messages
+            assert bytes(rx.raw) == b"".join(frames)
+            assert not tx.raw
+            assert forwarded(rig) == (len(messages), 0)
+            assert total(rig, "live.hub_messages_routed") == len(messages)
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (b) codec mismatch: the hub decodes and re-encodes, as before
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "sender_codecs, receiver_codecs, wire_codec, first_body_byte",
+    [(BOTH, V1, CODEC_JSON, ord("{")), (V1, BOTH, CODEC_BINARY, 0xB2)],
+    ids=["binary-to-json-peer", "json-to-binary-peer"],
+)
+def test_frames_cross_codecs_through_the_decoded_path(
+    sender_codecs, receiver_codecs, wire_codec, first_body_byte
+):
+    rng = random.Random("cross")
+    messages = [
+        message_to("cub:1", _instance_of(cls, rng), msg_id=index + 1)
+        for index, (_, cls) in enumerate(
+            sorted(registered_payload_types().items())
+        )
+    ]
+
+    async def scenario():
+        async with running_hub(
+            ("cub:0", sender_codecs), ("cub:1", receiver_codecs)
+        ) as rig:
+            tx, rx = rig.peers
+            tx.send(*(encode_message(m, tx.codec) for m in messages))
+            assert await rx.read_messages(len(messages)) == messages
+            assert bytes(rx.raw) == b"".join(
+                encode_message(m, wire_codec) for m in messages
+            )
+            assert rx.raw[4] == first_body_byte
+            assert forwarded(rig) == (0, len(messages))
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (c) driver-local destinations get a decoded Message, sockets nothing
+# ----------------------------------------------------------------------
+def test_local_destination_gets_the_decoded_message():
+    block = BlockData(
+        "client:0#1", 1, 2, 3, 4, pattern=block_pattern(2, 3)
+    )
+    to_client = message_to("client:0", block, kind=KIND_DATA, msg_id=1)
+    sentinel = message_to("cub:1", Heartbeat(0), msg_id=2)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            inbox = []
+            rig.hub.local["client:0"] = inbox.append
+            tx.send(
+                binary_message_frame(to_client), binary_message_frame(sentinel)
+            )
+            # One connection is FIFO: once the sentinel is through, the
+            # frame before it has been routed.
+            assert await rx.read_messages(1) == [sentinel]
+            assert inbox == [to_client]
+            assert bytes(rx.raw) == binary_message_frame(sentinel)
+            assert not tx.raw
+            assert forwarded(rig) == (1, 1)
+
+    asyncio.run(scenario())
+
+
+def test_local_senders_messages_are_encoded_for_the_peer():
+    # HubTransport hands route() a Message that never was a frame.
+    message = message_to("cub:1", src="client:0")
+
+    async def scenario():
+        async with running_hub(("cub:1", BOTH)) as rig:
+            (rx,) = rig.peers
+            assert rig.hub.route(message)
+            assert await rx.read_messages(1) == [message]
+            assert forwarded(rig) == (0, 1)
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (d) unknown destination: dropped and counted, the stream goes on
+# ----------------------------------------------------------------------
+def test_unknown_destination_is_dropped_and_later_frames_flow():
+    lost = message_to("cub:9", msg_id=1)
+    kept = message_to("cub:1", msg_id=2)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            tx.send(binary_message_frame(lost), binary_message_frame(kept))
+            assert await rx.read_messages(1) == [kept]
+            assert bytes(rx.raw) == binary_message_frame(kept)
+            assert total(rig, "live.hub_messages_dropped") == 1
+            assert total(rig, "live.hub_messages_routed") == 1
+            assert forwarded(rig) == (1, 0)
+            assert not rig.hub.wire_errors
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (e) every envelope error is still the hub's, and the sender's problem
+# ----------------------------------------------------------------------
+def _mangled_envelopes():
+    body = bytearray(binary_message_frame(message_to("cub:1"))[4:])
+    src_at = 16  # magic, version, type, u64 id, u32 size, u8 kind
+    dst_at = src_at + 4 + len("cub:0")
+    payload_at = dst_at + 4 + len("cub:1")
+
+    def patched(offset, replacement):
+        out = bytearray(body)
+        out[offset:offset + len(replacement)] = replacement
+        return reframe(out)
+
+    return {
+        "bad magic": (patched(0, b"\xb3"), "undecodable frame body"),
+        "wrong version": (patched(1, b"\x03"), "unsupported wire version 3"),
+        "unknown frame type": (
+            patched(2, b"\x7f"), "unknown binary frame type 0x7f"),
+        "unknown kind code": (
+            patched(15, b"\x09"), "unknown message kind code 9"),
+        "zero size": (
+            patched(11, bytes(4)), "bad message envelope: messages must"),
+        "bad utf-8 in src": (
+            patched(src_at + 4, b"\xff"), "bad utf-8 in binary frame"),
+        "truncated head": (reframe(body[:2]), "binary frame too short"),
+        "truncated fixed envelope": (
+            reframe(body[:10]), "truncated binary envelope"),
+        "truncated src": (
+            reframe(body[:src_at + 6]), "truncated binary string body"),
+        "truncated dst": (
+            reframe(body[:dst_at + 2]), "truncated binary string: "),
+        "oversized length prefix": (
+            struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x", "exceeds maximum"),
+        "no payload bytes": (
+            reframe(body[:payload_at]), "truncated binary value"),
+    }
+
+
+MANGLED_ENVELOPES = _mangled_envelopes()
+
+
+@pytest.mark.parametrize("case", sorted(MANGLED_ENVELOPES))
+def test_malformed_envelope_closes_the_sender_only(case):
+    mangled, expected = MANGLED_ENVELOPES[case]
+    # The hub's reader and the full decoder agree on the reason.
+    with pytest.raises(WireError) as full:
+        FrameDecoder().feed_parsed(mangled)
+    with pytest.raises(WireError) as envelope_only:
+        EnvelopeDecoder().feed_parsed(mangled)
+    reason = str(full.value)
+    assert expected in reason and str(envelope_only.value) == reason
+    echo = message_to("cub:1", src="cub:1")
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            tx.send(mangled)
+            await tx.read(lambda: False)  # until the hub hangs up
+            assert tx.eof
+            assert [(c["ctl"], c["reason"]) for c in tx.controls] == [
+                ("_error", reason)
+            ]
+            assert rig.hub.wire_errors == [f"cub:0: {reason}"]
+            assert "cub:0" not in rig.hub.connections
+            # The other connection never noticed.
+            rx.send(binary_message_frame(echo))
+            assert await rx.read_messages(1) == [echo]
+            assert len(rig.hub.wire_errors) == 1
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (f) payload errors belong to whoever consumes the payload
+# ----------------------------------------------------------------------
+def _corrupt_payloads(dst):
+    body = bytearray(binary_message_frame(message_to(dst))[4:])
+    payload_at = 16 + 4 + len("cub:0") + 4 + len(dst)
+    assert body[payload_at] == 0x07  # an obj value: its registry id follows
+    unknown_id = bytearray(body)
+    unknown_id[payload_at + 1] = 0xFE
+    return {
+        "unknown registry id": (
+            reframe(unknown_id), "unknown binary payload id 254"),
+        "truncated value": (reframe(body[:-3]), "truncated binary value"),
+        "trailing bytes": (
+            reframe(body + b"\x00\x00"),
+            "2 trailing byte(s) after binary payload"),
+    }
+
+
+CORRUPT_PAYLOAD_CASES = sorted(_corrupt_payloads("cub:1"))
+
+
+@pytest.mark.parametrize("case", CORRUPT_PAYLOAD_CASES)
+def test_corrupt_payload_is_forwarded_and_rejected_by_the_receiver(case):
+    corrupt, expected = _corrupt_payloads("cub:1")[case]
+    echo = message_to("cub:0", msg_id=8)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            tx.send(corrupt)
+            with pytest.raises(WireError) as rejected:
+                await rx.read(lambda: False)
+            # The same reason as ever, now with the envelope's sender.
+            assert expected in str(rejected.value)
+            assert (rejected.value.src, rejected.value.msg_id) == ("cub:0", 7)
+            assert bytes(rx.raw) == corrupt
+            # The hub read the envelope only: nothing to object to.
+            assert not rig.hub.wire_errors
+            assert forwarded(rig) == (1, 0)
+            # ... and the sender's connection is still good.
+            tx.send(binary_message_frame(echo))
+            assert await tx.read_messages(1) == [echo]
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("case", CORRUPT_PAYLOAD_CASES)
+def test_corrupt_payload_for_a_local_destination_closes_the_sender(case):
+    corrupt, expected = _corrupt_payloads("client:0")[case]
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, _ = rig.peers
+            inbox = []
+            rig.hub.local["client:0"] = inbox.append
+            tx.send(corrupt)
+            await tx.read(lambda: False)
+            assert tx.eof and not inbox
+            ((error,),) = [tx.controls]
+            assert error["ctl"] == "_error" and expected in error["reason"]
+            assert rig.hub.wire_errors == [f"cub:0: {error['reason']}"]
+
+    asyncio.run(scenario())
+
+
+def test_corrupt_payload_for_a_json_peer_closes_the_sender():
+    corrupt, expected = _corrupt_payloads("cub:1")["unknown registry id"]
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", V1)) as rig:
+            tx, rx = rig.peers
+            tx.send(corrupt)
+            await tx.read(lambda: False)
+            assert tx.eof
+            assert rig.hub.wire_errors == [f"cub:0: {expected}"]
+            assert not rx.raw
+
+    asyncio.run(scenario())
+
+
+def test_live_node_reports_a_forwarded_corrupt_payload_and_fails_the_run():
+    scenario_ = ClusterScenario(cubs=3)
+    corrupt, expected = _corrupt_payloads("controller")["unknown registry id"]
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH)) as rig:
+            hub = rig.hub
+            node = LiveNode({
+                "role": ROLE_CONTROLLER, "node_id": 0,
+                "address": "controller",
+                "namespace": scenario_.namespace_of("controller"),
+                "port": rig.port,
+                "config": config_to_dict(scenario_.config()),
+                "content": {"num_files": 2, "duration_s": 10.0},
+                "metrics_interval": 60.0,
+            })
+            running = asyncio.ensure_future(node.run())
+            await settled(lambda: "controller" in hub.connections)
+            hub.broadcast(
+                control_frame("_start", epoch=time.time(), duration=60.0)
+            )
+            (tx,) = rig.peers
+            tx.send(corrupt)
+            assert await asyncio.wait_for(running, TIMEOUT) == 1
+            await settled(lambda: "controller" not in hub.connections)
+            return hub
+
+    try:
+        hub = asyncio.run(scenario())
+    finally:
+        reset_message_ids()  # the node rebound the process-wide sequence
+    assert hub.wire_errors == [f"controller (from cub:0): {expected}"]
+    # It left through _shutdown(): final snapshot, then a _bye that
+    # owns up to the error — a reported exit, not an unexplained one.
+    assert "controller" in hub.node_metrics
+    assert hub.byes["controller"]["errors"] == 1
+    assert ("controller", "clean") in hub.disconnects
+    report = ClusterReport(
+        scenario=scenario_, merged={}, node_metrics={}, byes=dict(hub.byes),
+        unexpected_exits=[], wire_errors=list(hub.wire_errors), kills=[],
+        wall_seconds=0.0, workdir="",
+    )
+    (row,) = [row for row in report.checks() if row[0] == "wire protocol errors"]
+    assert not row[1] and expected in row[2] and "cub:0" in row[2]
+    assert not report.passed
+
+
+# ----------------------------------------------------------------------
+# (g) wire accounting: forwarded frames count exactly as re-encoded ones
+# ----------------------------------------------------------------------
+def _fixed_mix(count):
+    """``count`` messages cycling through four payload shapes."""
+    out = []
+    for index in range(count):
+        viewer = f"client:{index % 7}#{index}"
+        state = ViewerState(
+            viewer, index, index % 24, index % 8, index, index % 6,
+            1.5 * index, index,
+        )
+        payload = (
+            state,
+            Heartbeat(index % 3),
+            ViewerStateBatch(states=(state,) * 4),
+            BlockData(
+                viewer, index, index % 8, index, index,
+                pattern=block_pattern(index % 8, index),
+            ),
+        )[index % 4]
+        out.append(Message(
+            "cub:0", "cub:1", payload, 64 + index,
+            kind=KIND_DATA if index % 4 == 3 else "control", msg_id=index + 1,
+        ))
+    return out
+
+
+#: ``live.wire_frames`` / ``live.wire_bytes`` at the hub for the mix
+#: below, as measured with the hub that decoded and re-encoded every
+#: frame (commit bdf977e).  Forwarding must not move any of them.
+PINNED_WIRE_COUNTS = {
+    (CODEC_BINARY, "rx"): (150, 24426),
+    (CODEC_BINARY, "tx"): (150, 24748),
+    (CODEC_JSON, "rx"): (53, 16692),  # 3 hellos + 50 messages
+    (CODEC_JSON, "tx"): (52, 15958),  # 2 codec_acks + 50 messages
+}
+
+
+async def _relay_fixed_mix():
+    """Run the 200-frame mix; returns the hub's wire counts by
+    ``(codec, direction)`` and its ``(raw, decoded)`` forwarding split."""
+    mix = _fixed_mix(200)
+    # 100 binary -> binary, 50 binary -> JSON, 50 JSON -> binary.
+    for message in mix[100:150]:
+        message.dst = "cub:2"
+    for message in mix[150:]:
+        message.src = "cub:2"
+    async with running_hub(
+        ("cub:0", BOTH), ("cub:1", BOTH), ("cub:2", V1)
+    ) as rig:
+        binary_tx, binary_rx, json_peer = rig.peers
+        binary_tx.send(*(binary_message_frame(m) for m in mix[:150]))
+        json_peer.send(*(encode_message(m, CODEC_JSON) for m in mix[150:]))
+        await binary_rx.read_messages(150)
+        await json_peer.read_messages(50)
+        counts = {
+            (codec, direction): tuple(
+                total(rig, name, codec=codec, direction=direction, node="hub")
+                for name in ("live.wire_frames", "live.wire_bytes")
+            )
+            for codec, direction in PINNED_WIRE_COUNTS
+        }
+        return counts, forwarded(rig)
+
+
+def test_wire_accounting_is_unmoved_by_forwarding():
+    counts, split = asyncio.run(_relay_fixed_mix())
+    assert counts == PINNED_WIRE_COUNTS
+    assert split == (100, 100)
+
+
+# ----------------------------------------------------------------------
+# (h) the send queue's hard cap applies to forwarded bytes too
+# ----------------------------------------------------------------------
+def test_forwarded_frame_over_the_hard_cap_is_dropped_and_counted():
+    big = message_to(
+        "cub:1", ClientStart("v" * (256 * 1024), 1, 2), msg_id=1
+    )
+    frame = binary_message_frame(big)
+    fits = SEND_QUEUE_HARD_CAP // len(frame)
+    ((_, raw),) = EnvelopeDecoder().feed_parsed(frame)
+    small = message_to("cub:1", msg_id=2)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            tx, rx = rig.peers
+            # No await between these calls, so the drainer cannot run
+            # and the queue only grows: exactly `fits` frames fit.
+            outcomes = [rig.hub.route(raw) for _ in range(fits + 1)]
+            assert outcomes == [True] * fits + [False]
+            assert total(rig, "live.hub_sendq_dropped") == 1
+            assert total(rig, "live.hub_messages_dropped") == 1
+            assert forwarded(rig) == (fits, 0)
+            assert total(rig, "live.hub_backpressure_events") == 1
+            # The queue drains and the connection carries on.
+            tx.send(binary_message_frame(small))
+            assert await rx.read_messages(fits + 1) == [big] * fits + [small]
+
+    asyncio.run(scenario())
+
+
+def test_envelope_decoder_yields_the_frame_and_a_lazy_message():
+    message = message_to("cub:1")
+    frame = binary_message_frame(message)
+    control = control_frame("_stop")
+    json_frame = encode_message(message, CODEC_JSON)
+    parsed = EnvelopeDecoder().feed_parsed(frame + control + json_frame)
+    assert [kind for kind, _ in parsed] == ["raw", "ctl", "msg"]
+    raw = parsed[0][1]
+    assert (raw.src, raw.dst, raw.msg_id, raw.frame) == (
+        "cub:0", "cub:1", 7, frame
+    )
+    assert raw.message() == message == parsed[2][1]
+    assert list(decode_frames(raw.frame)) == [("msg", message)]

@@ -9,6 +9,7 @@ loses a field or narrows a float fails here first.
 """
 
 import dataclasses
+import json
 import random
 import struct
 import typing
@@ -139,15 +140,15 @@ def test_decoder_accepts_arbitrary_chunk_boundaries():
     ]
     stream = b"".join(message_frame(m) for m in messages)
     decoder = FrameDecoder()
-    bodies = []
+    decoded = []
     position = 0
     while position < len(stream):
         step = rng.randrange(1, 7)
-        bodies.extend(decoder.feed(stream[position:position + step]))
+        decoded.extend(decoder.feed_parsed(stream[position:position + step]))
         position += step
     decoder.assert_drained()
-    decoded = [parse_frame(body)[1] for body in bodies]
-    assert [m.payload for m in decoded] == [m.payload for m in messages]
+    assert [kind for kind, _ in decoded] == ["msg"] * len(messages)
+    assert [m.payload for _, m in decoded] == [m.payload for m in messages]
 
 
 def test_control_frames_round_trip():
@@ -192,41 +193,52 @@ def test_missing_required_field_rejected_at_decode():
         decode_payload(encoded)
 
 
+def _json_frame(body) -> bytes:
+    data = json.dumps(body).encode("utf-8")
+    return struct.pack(">I", len(data)) + data
+
+
 def test_wrong_wire_version_rejected():
-    frame = control_frame("_start", epoch=0.0)
-    (body,) = FrameDecoder().feed(frame)
+    ((_, body),) = decode_frames(control_frame("_start", epoch=0.0))
     body["v"] = WIRE_VERSION + 1
     with pytest.raises(WireError, match="unsupported wire version"):
         parse_frame(body)
+    with pytest.raises(WireError, match="unsupported wire version"):
+        FrameDecoder().feed_parsed(_json_frame(body))
 
 
 def test_oversized_length_prefix_rejected_before_buffering():
     hostile = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x"
+    decoder = FrameDecoder()
     with pytest.raises(WireError, match="exceeds maximum"):
-        FrameDecoder().feed(hostile)
+        decoder.feed_parsed(hostile)
+    assert decoder.pending_bytes() == len(hostile)  # nothing consumed
 
 
 def test_truncated_stream_detected():
     frame = control_frame("_stop")
     decoder = FrameDecoder()
-    decoder.feed(frame[:-3])
+    assert decoder.feed_parsed(frame[:-3]) == []
     assert decoder.pending_bytes() == len(frame) - 3
     with pytest.raises(WireError, match="truncated"):
         decoder.assert_drained()
+    with pytest.raises(WireError, match="truncated"):
+        list(decode_frames(frame[:-3]))
 
 
 def test_garbage_body_rejected():
     garbage = struct.pack(">I", 4) + b"\xff\xfe\x00\x01"
     with pytest.raises(WireError, match="undecodable frame body"):
-        FrameDecoder().feed(garbage)
+        FrameDecoder().feed_parsed(garbage)
 
 
 def test_frame_missing_envelope_field_rejected():
-    frame = control_frame("x")
-    (body,) = FrameDecoder().feed(frame)
+    ((_, body),) = decode_frames(control_frame("x"))
     del body["ctl"]  # now neither a control nor a complete message frame
     with pytest.raises(WireError, match="missing envelope field"):
         parse_frame(body)
+    with pytest.raises(WireError, match="missing envelope field"):
+        FrameDecoder().feed_parsed(_json_frame(body))
 
 
 def test_duplicate_tag_registration_rejected():

@@ -39,8 +39,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import sys
 from typing import List, Optional
 
 from repro import TigerSystem, TigerConfig, paper_config, small_config
@@ -51,11 +53,32 @@ from repro.analysis.render import (
 )
 from repro.obs import write_trace
 from repro.sim.trace import Tracer
+from repro.storage.rebalance import arm_rebalance
 from repro.workloads import ContinuousWorkload
 
 #: Ring capacity used for CLI-requested traces: big enough that a
 #: default-length run exports complete, not a truncated tail.
 CLI_TRACE_CAPACITY = 2_000_000
+
+#: Exit code for rejected arguments, on every verb (argparse's own).
+EXIT_USAGE = 2
+
+
+class _UsageError(Exception):
+    """Rejected arguments; :func:`main` prints ``error: <message>``."""
+
+
+@contextlib.contextmanager
+def _constructing():
+    """A ``ValueError`` while *building* what a verb runs is the user's
+    input being rejected: the library's message becomes the one
+    ``error:`` line and exit code 2.  Only construction goes inside —
+    an exception out of the run itself must still surface as a failure.
+    """
+    try:
+        yield
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
 
 
 def _make_tracer(args) -> Optional[Tracer]:
@@ -108,23 +131,15 @@ def _build_system(args, tracer: Optional[Tracer] = None) -> TigerSystem:
     return system
 
 
-def _bad_helpers(args) -> bool:
-    """Validate the helper-tier flags shared by several subcommands."""
+def _check_helper_policy(args) -> None:
+    """``--helper-policy`` is only looked at by a helper node, so with
+    ``--helpers 0`` nothing downstream would reject a bad one."""
     from repro.helpers import CACHE_POLICIES
 
-    if args.helpers < 0:
-        print("error: --helpers must be >= 0")
-        return True
-    if args.helper_capacity < 0:
-        print("error: --helper-capacity must be >= 0")
-        return True
     if args.helper_policy not in CACHE_POLICIES:
-        print(
-            f"error: --helper-policy must be one of "
-            f"{', '.join(CACHE_POLICIES)}"
+        raise ValueError(
+            f"--helper-policy must be one of {', '.join(CACHE_POLICIES)}"
         )
-        return True
-    return False
 
 
 def _parse_restripe_weights(spec: str, config: TigerConfig) -> tuple:
@@ -156,22 +171,6 @@ def _parse_restripe_weights(spec: str, config: TigerConfig) -> tuple:
     )
 
 
-def _attach_cli_restriper(system, weights, throttle, journal_path=None):
-    """Plan a weighted rebalance of the system's content and attach an
-    :class:`OnlineRestriper` for it (shared by demo/chaos/restripe)."""
-    from repro.storage.journal import MoveJournal
-    from repro.storage.rebalance import plan_rebalance
-
-    weighted = system.layout.with_weights(weights)
-    files = system.catalog.files()
-    block_bytes = {
-        entry.file_id: entry.content_bytes_per_block for entry in files
-    }
-    plan = plan_rebalance(system.layout, weighted, files, block_bytes)
-    journal = MoveJournal.load(journal_path) if journal_path else None
-    return system.attach_restriper(plan, journal=journal, throttle=throttle)
-
-
 def _print_restripe_summary(restriper) -> None:
     journal = restriper.journal
     state = (
@@ -196,34 +195,29 @@ def _print_restripe_summary(restriper) -> None:
               f"({len(journal.records)} records)")
 
 
-def _bad_victim(args, config) -> bool:
+def _check_victim(args, config) -> None:
     """Validate a ``--victim`` cub id against the chosen config."""
-    if 0 <= args.victim < config.num_cubs:
-        return False
-    print(f"error: --victim must be a cub id in 0..{config.num_cubs - 1}")
-    return True
+    if not 0 <= args.victim < config.num_cubs:
+        raise ValueError(
+            f"--victim must be a cub id in 0..{config.num_cubs - 1}"
+        )
 
 
 def cmd_demo(args) -> int:
-    if args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
-    if _bad_helpers(args):
-        return 2
     tracer = _make_tracer(args)
-    system = _build_system(args, tracer=tracer)
-    restriper = None
-    if args.restripe is not None:
-        try:
-            weights = _parse_restripe_weights(args.restripe, system.config)
-        except ValueError as error:
-            print(f"error: --restripe: {error}")
-            return 2
-        restriper = _attach_cli_restriper(
-            system, weights, args.restripe_throttle, args.restripe_journal
-        )
-        system.sim.call_at(args.restripe_start, restriper.start)
-    workload = ContinuousWorkload(system)
+    with _constructing():
+        _check_helper_policy(args)
+        system = _build_system(args, tracer=tracer)
+        restriper = None
+        if args.restripe is not None:
+            restriper = arm_rebalance(
+                system,
+                _parse_restripe_weights(args.restripe, system.config),
+                args.restripe_throttle,
+                args.restripe_start,
+                args.restripe_journal,
+            )
+        workload = ContinuousWorkload(system)
     workload.add_streams(args.streams)
     system.run_for(args.seconds)
     system.finalize_clients()
@@ -263,10 +257,10 @@ def cmd_demo(args) -> int:
 
 
 def cmd_failover(args) -> int:
-    if _bad_victim(args, paper_config() if args.paper else small_config()):
-        return 2
-    system = _build_system(args)
-    workload = ContinuousWorkload(system)
+    with _constructing():
+        system = _build_system(args)
+        _check_victim(args, system.config)
+        workload = ContinuousWorkload(system)
     target = int(system.config.num_slots * args.load)
     workload.add_streams(target)
     system.run_for(15.0)
@@ -315,54 +309,40 @@ def cmd_chaos(args) -> int:
     from repro.faults import ChaosHarness, InvariantViolation, standard_chaos_plan
 
     config = _cli_config(args)
-    if args.seconds <= 0:
-        print("error: --seconds must be positive")
-        return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
-    if _bad_helpers(args):
-        return 2
-    if _bad_victim(args, config):
-        return 2
-    restripe_weights = None
-    if args.restripe is not None:
-        try:
-            restripe_weights = _parse_restripe_weights(args.restripe, config)
-        except ValueError as error:
-            print(f"error: --restripe: {error}")
-            return 2
-    try:
+    tracer = _make_tracer(args)
+    with _constructing():
+        _check_helper_policy(args)
+        _check_victim(args, config)
         plan = standard_chaos_plan(
             duration=args.seconds,
             drop_rate=args.drop_rate,
             victim_cub=args.victim,
         )
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
+        harness = ChaosHarness(
+            config,
+            plan,
+            seed=args.seed,
+            load=args.load,
+            duration=args.seconds,
+            num_files=args.files,
+            file_seconds=args.file_seconds,
+            tracer=tracer,
+            shards=args.shards,
+            helpers=args.helpers,
+            helper_capacity=args.helper_capacity,
+            helper_policy=args.helper_policy,
+            restripe_weights=(
+                None if args.restripe is None
+                else _parse_restripe_weights(args.restripe, config)
+            ),
+            restripe_throttle=args.restripe_throttle,
+            restripe_start=args.restripe_start,
+            restripe_journal=args.restripe_journal,
+        )
+        harness.build()
     print("fault plan:")
     print(plan.describe())
     print()
-    tracer = _make_tracer(args)
-    harness = ChaosHarness(
-        config,
-        plan,
-        seed=args.seed,
-        load=args.load,
-        duration=args.seconds,
-        num_files=args.files,
-        file_seconds=args.file_seconds,
-        tracer=tracer,
-        shards=args.shards,
-        helpers=args.helpers,
-        helper_capacity=args.helper_capacity,
-        helper_policy=args.helper_policy,
-        restripe_weights=restripe_weights,
-        restripe_throttle=args.restripe_throttle,
-        restripe_start=args.restripe_start,
-        restripe_journal=args.restripe_journal,
-    )
     try:
         report = harness.run()
     except InvariantViolation as violation:
@@ -391,12 +371,6 @@ def cmd_restripe(args) -> int:
     from repro.storage.restripe import estimate_restripe_time
 
     config = _cli_config(args)
-    if args.seconds <= 0:
-        print("error: --seconds must be positive")
-        return 2
-    if not 0.0 < args.load <= 1.0:
-        print("error: --load must be in (0, 1]")
-        return 2
     weights_spec = args.weights
     if weights_spec is None:
         # Default drill: every cub's last local disk is a new
@@ -404,17 +378,18 @@ def cmd_restripe(args) -> int:
         weights_spec = ",".join(
             ["1"] * (config.disks_per_cub - 1) + ["2"]
         ) if config.disks_per_cub > 1 else "1"
-    try:
-        weights = _parse_restripe_weights(weights_spec, config)
-    except ValueError as error:
-        print(f"error: --weights: {error}")
-        return 2
-
     tracer = _make_tracer(args)
-    system = _build_system(args, tracer=tracer)
-    restriper = _attach_cli_restriper(
-        system, weights, args.throttle, args.journal
-    )
+    with _constructing():
+        if args.seconds <= 0:
+            raise ValueError("--seconds must be positive")
+        if not 0.0 < args.load <= 1.0:
+            raise ValueError("--load must be in (0, 1]")
+        weights = _parse_restripe_weights(weights_spec, config)
+        system = _build_system(args, tracer=tracer)
+        restriper = arm_rebalance(
+            system, weights, args.throttle, args.start_at, args.journal
+        )
+        workload = ContinuousWorkload(system)
     plan = restriper.plan
     block_bytes = config.block_bytes
     disk_rate = block_bytes / config.disk.expected_read_time(
@@ -435,10 +410,8 @@ def cmd_restripe(args) -> int:
         print(f"journal resume: {skipped} moves already committed, "
               f"never re-run")
 
-    workload = ContinuousWorkload(system)
     target = max(1, int(config.num_slots * args.load))
     workload.add_streams(target)
-    system.sim.call_at(args.start_at, restriper.start)
     system.run_for(args.seconds)
     system.finalize_clients()
 
@@ -457,12 +430,12 @@ def cmd_restripe(args) -> int:
 
 def cmd_trace(args) -> int:
     """Failover drill with tracing on; exports a Chrome trace."""
-    if _bad_victim(args, paper_config() if args.paper else small_config()):
-        return 2
     tracer = Tracer(capacity=CLI_TRACE_CAPACITY)
     tracer.enable()
-    system = _build_system(args, tracer=tracer)
-    workload = ContinuousWorkload(system)
+    with _constructing():
+        system = _build_system(args, tracer=tracer)
+        _check_victim(args, system.config)
+        workload = ContinuousWorkload(system)
     target = max(1, int(system.config.num_slots * args.load))
     workload.add_streams(target)
     system.run_for(args.warmup)
@@ -490,11 +463,12 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run a workload window and print the metrics registry."""
-    system = _build_system(args)
     from repro.core.metrics import MetricsCollector
 
-    collector = MetricsCollector(system)
-    workload = ContinuousWorkload(system)
+    with _constructing():
+        system = _build_system(args)
+        collector = MetricsCollector(system)
+        workload = ContinuousWorkload(system)
     target = max(1, int(system.config.num_slots * args.load))
     workload.add_streams(target)
     system.run_for(args.warmup)
@@ -526,22 +500,19 @@ def cmd_report(args) -> int:
 #: 0 = run completed and every acceptance check (including the
 #: ``--compare-sim`` tolerance bands) passed; 1 = run completed but a
 #: check or sim/live comparison failed; 2 = bad arguments (argparse or
-#: scenario validation); 3 = the driver itself died (boot failure,
-#: node crash take-down, replay error) — reported as one line on
-#: stderr, never a traceback.
+#: scenario validation — :data:`EXIT_USAGE`, as on every verb); 3 = the
+#: driver itself died (boot failure, node crash take-down, replay
+#: error) — reported as one line on stderr, never a traceback.
 EXIT_CLUSTER_MISMATCH = 1
-EXIT_CLUSTER_USAGE = 2
 EXIT_CLUSTER_DRIVER_ERROR = 3
 
 
 def cmd_cluster(args) -> int:
     # Imported lazily: the live backend drags in asyncio/subprocess
     # machinery no simulated subcommand needs.
-    import sys
-
     from repro.live.cluster import ClusterScenario, run_cluster
 
-    try:
+    with _constructing():
         scenario = ClusterScenario(
             cubs=args.cubs,
             duration=args.duration,
@@ -567,17 +538,12 @@ def cmd_cluster(args) -> int:
             restripe_journal=args.restripe_journal,
         )
         if args.restripe is not None:
-            import dataclasses
-
             scenario = dataclasses.replace(
                 scenario,
                 restripe_weights=_parse_restripe_weights(
                     args.restripe, scenario.config()
                 ),
             )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLUSTER_USAGE
     try:
         report = run_cluster(
             scenario, compare_sim=args.compare_sim, echo=print
@@ -841,7 +807,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Assembly of a complete Tiger system.
+"""Assembly of a complete simulated Tiger system.
 
-:class:`TigerSystem` wires together every substrate — simulator,
-switched network, disks, striped storage with declustered mirrors —
-and the schedule-protocol components (cubs, controller, clients).  It
-is the single entry point examples and benchmarks use.
+:class:`TigerSystem` is the :class:`~repro.core.world.World` bound to
+the discrete-event backend — a ``Simulator`` (or ``ShardedSimulator``)
+and a ``SwitchedNetwork`` — building *every* node: cubs, controller,
+helpers, and on request clients, the backup controller and an online
+restriper.  It is the single entry point examples and benchmarks use,
+and one of the two scenario hosts (see
+:func:`repro.live.cluster.arm_scenario`).
 """
 
 from __future__ import annotations
@@ -11,15 +14,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import TigerConfig
-from repro.core import content as content_lib
 from repro.core.client import ViewerClient
-from repro.core.controller import Controller
 from repro.core.cub import Cub
 from repro.core.metrics import MetricsCollector
 from repro.core.schedule import GlobalSchedule
-from repro.core.slots import SlotClock
 from repro.core.protocol import HelperInvalidate
 from repro.core.viewerstate import reset_instance_ids
+from repro.core.world import World
 from repro.helpers.directory import HelperDirectory
 from repro.helpers.node import HelperNode
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
@@ -30,13 +31,9 @@ from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import ShardedSimulator
 from repro.sim.trace import Tracer
-from repro.storage.blockindex import BlockIndex
-from repro.storage.catalog import Catalog, TigerFile
-from repro.storage.layout import StripeLayout
-from repro.storage.mirror import MirrorScheme
 
 
-class TigerSystem:
+class TigerSystem(World):
     """A fully wired, runnable Tiger deployment (single-bitrate)."""
 
     def __init__(
@@ -52,7 +49,6 @@ class TigerSystem:
         helper_capacity: int = 0,
         helper_policy: str = "lru",
     ) -> None:
-        self.config = config
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if helpers < 0:
@@ -63,89 +59,58 @@ class TigerSystem:
             )
         self.shards = shards
         if shards == 1:
-            self.sim = Simulator()
+            sim = Simulator()
         else:
             # Partitioned kernel: contiguous cub groups per lane, with
             # the fabric's base propagation latency as the conservative
             # lookahead bound (the minimum cross-shard link latency).
             # Protocol counters are bit-identical to the single heap for
             # any shard count — see repro/sim/shard.py.
-            self.sim = ShardedSimulator(
-                shards, lookahead=config.net_base_latency
-            )
+            sim = ShardedSimulator(shards, lookahead=config.net_base_latency)
         # Rewind the message-id and play-instance-id sequences so a run
         # is a pure function of (seed, config): back-to-back systems in
         # one process allocate identical ids instead of continuing a
         # process-global counter.
         reset_message_ids()
         reset_instance_ids()
-        self.rngs = RngRegistry(seed)
-        self.tracer = tracer if tracer is not None else Tracer()
-        #: The system-wide metrics sink; every cub and controller
-        #: registers its counters here (see docs/OBSERVABILITY.md).
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-        self.layout = StripeLayout(config.num_cubs, config.disks_per_cub)
-        self.mirror = MirrorScheme(self.layout, config.decluster)
-        self.clock = SlotClock(
-            num_disks=config.num_disks,
-            num_slots=config.num_slots,
-            block_play_time=config.block_play_time,
+        rngs = RngRegistry(seed)
+        if tracer is None:
+            tracer = Tracer()
+        super().__init__(
+            config,
+            runtime=sim,
+            network=SwitchedNetwork(
+                sim,
+                rngs,
+                base_latency=config.net_base_latency,
+                latency_jitter=config.net_latency_jitter,
+                tracer=tracer,
+            ),
+            # The system-wide metrics sink; every cub and controller
+            # registers its counters here (see docs/OBSERVABILITY.md).
+            registry=registry if registry is not None else MetricsRegistry(),
+            tracer=tracer,
+            rngs=rngs,
         )
-        self.catalog = Catalog(config.block_play_time, config.num_disks)
+        #: The runtime under the name DES code has always used.
+        self.sim = sim
         #: The hallucination made checkable: cubs report commits here and
         #: the oracle raises on any violation of the global invariants.
         self.oracle = GlobalSchedule(config.num_slots)
 
-        self.network = SwitchedNetwork(
-            self.sim,
-            self.rngs,
-            base_latency=config.net_base_latency,
-            latency_jitter=config.net_latency_jitter,
-            tracer=self.tracer,
-        )
-
-        self.indexes: List[BlockIndex] = [
-            BlockIndex(cub_id) for cub_id in range(config.num_cubs)
-        ]
         self.cubs: List[Cub] = []
         for cub_id in range(config.num_cubs):
-            cub = Cub(
-                sim=self.sim,
-                cub_id=cub_id,
-                config=config,
-                layout=self.layout,
-                mirror=self.mirror,
-                catalog=self.catalog,
-                clock=self.clock,
-                network=self.network,
-                rngs=self.rngs,
-                block_index=self.indexes[cub_id],
-                oracle=self.oracle,
-                tracer=self.tracer,
-                strict=strict,
-                forward_copies=forward_copies,
-                registry=self.registry,
-            )
+            cub = self.make_cub(cub_id, self.oracle, strict, forward_copies)
             self.network.register(cub, config.cub_nic_bps)
             if shards > 1:
                 # Contiguous groups keep the mirror ring's viewer-state
                 # forwarding (cub i -> i-1) on-shard except at the group
                 # boundary, which is exactly the thin slice the boundary
                 # channels are meant to carry.
-                self.sim.pin(cub.address, group_pin(cub_id, shards, config.num_cubs))
+                sim.pin(cub.address, group_pin(cub_id, shards, config.num_cubs))
             self.cubs.append(cub)
 
-        self.controller = Controller(
-            sim=self.sim,
-            config=config,
-            layout=self.layout,
-            catalog=self.catalog,
-            clock=self.clock,
-            network=self.network,
-            tracer=self.tracer,
-            registry=self.registry,
-        )
+        self.controller = self.make_controller()
         self.network.register(self.controller, config.controller_nic_bps)
 
         #: Optional edge-cache tier (see :mod:`repro.helpers`).  With
@@ -156,23 +121,10 @@ class TigerSystem:
         self.helper_directory = HelperDirectory(helpers, helper_capacity)
         self.helpers: List[HelperNode] = []
         for helper_id in range(helpers):
-            helper = HelperNode(
-                sim=self.sim,
-                helper_id=helper_id,
-                config=config,
-                catalog=self.catalog,
-                layout=self.layout,
-                network=self.network,
-                capacity_blocks=helper_capacity,
-                policy=helper_policy,
-                tracer=self.tracer,
-                registry=self.registry,
-            )
+            helper = self.make_helper(helper_id, helper_capacity, helper_policy)
             self.network.register(helper, config.cub_nic_bps)
             if shards > 1:
-                self.sim.pin(
-                    helper.address, group_pin(helper_id, shards, helpers)
-                )
+                sim.pin(helper.address, group_pin(helper_id, shards, helpers))
             self.helpers.append(helper)
 
         self.clients: List[ViewerClient] = []
@@ -188,63 +140,38 @@ class TigerSystem:
     # ------------------------------------------------------------------
     def add_client(self, late_tolerance: float = 0.5) -> ViewerClient:
         """Attach one client machine to the switched network."""
-        backup_address = (
-            self.backup_controller.address
-            if self.backup_controller is not None
-            else None
-        )
-        client = ViewerClient(
-            sim=self.sim,
-            address=f"client:{len(self.clients)}",
-            config=self.config,
-            catalog=self.catalog,
-            network=self.network,
-            tracer=self.tracer,
-            late_tolerance=late_tolerance,
-            backup_controller=backup_address,
-            helper_directory=(
-                self.helper_directory if self.helpers else None
+        client = self.make_client(
+            len(self.clients),
+            backup=(
+                self.backup_controller.address
+                if self.backup_controller is not None
+                else None
             ),
-            registry=self.registry,
+            helper_directory=self.helper_directory if self.helpers else None,
+            late_tolerance=late_tolerance,
         )
         self.network.register(client, self.config.client_nic_bps)
         self.clients.append(client)
         return client
 
-    def attach_restriper(
-        self,
-        plan,
-        journal=None,
-        throttle: float = 0.25,
-        retry_base: float = 0.5,
-        suspend_after: int = 3,
-        ack_timeout: Optional[float] = None,
-    ):
+    def add_clients(self, count: int) -> List[ViewerClient]:
+        return [self.add_client() for _ in range(count)]
+
+    def attach_restriper(self, plan, **options):
         """Attach an :class:`~repro.storage.rebalance.OnlineRestriper`
         that will execute ``plan`` in the background once started.
 
-        The restriper is a network node like any other — it rides the
-        switched fabric (and the shard/lookahead machinery) with the
-        same NIC model as a cub.  Call ``system.restriper.start()`` (or
-        schedule it) to begin moving blocks.
+        ``options`` are :meth:`World.make_restriper`'s (``journal``,
+        ``throttle``, ``retry_base``, ``suspend_after``,
+        ``ack_timeout``).  The restriper is a network node like any
+        other — it rides the switched fabric (and the shard/lookahead
+        machinery) with the same NIC model as a cub.  Call
+        ``system.restriper.start()`` (or schedule it) to begin moving
+        blocks.
         """
-        from repro.storage.rebalance import OnlineRestriper
-
         if self.restriper is not None:
             raise RuntimeError("a restriper is already attached")
-        restriper = OnlineRestriper(
-            sim=self.sim,
-            config=self.config,
-            plan=plan,
-            network=self.network,
-            journal=journal,
-            throttle=throttle,
-            retry_base=retry_base,
-            suspend_after=suspend_after,
-            ack_timeout=ack_timeout,
-            tracer=self.tracer,
-            registry=self.registry,
-        )
+        restriper = self.make_restriper(plan, **options)
         self.network.register(restriper, self.config.cub_nic_bps)
         self.restriper = restriper
         return restriper
@@ -257,27 +184,20 @@ class TigerSystem:
         retry unacknowledged starts against the backup.  Returns the
         :class:`~repro.core.failover.BackupController`.
         """
-        from repro.core.failover import BackupController
-
         if self.backup_controller is not None:
             return self.backup_controller
-        backup = BackupController(
-            sim=self.sim,
-            config=self.config,
-            layout=self.layout,
-            catalog=self.catalog,
-            clock=self.clock,
-            network=self.network,
-            tracer=self.tracer,
-            takeover_timeout=takeover_timeout,
-            registry=self.registry,
-        )
+        backup = self.make_backup_controller(takeover_timeout)
         self.network.register(backup, self.config.controller_nic_bps)
         self.controller.attach_backup(backup.address)
         for cub in self.cubs:
             cub.controller_addresses = ("controller", backup.address)
         self.backup_controller = backup
         return backup
+
+    def install_faults(self, plan):
+        """Arm a :class:`~repro.faults.plan.FaultPlan` on the simulator
+        (:func:`repro.faults.injectors.install_plan`)."""
+        return plan.install(self)
 
     def fail_controller(self) -> None:
         """Power off the primary controller (failover experiments)."""
@@ -295,43 +215,6 @@ class TigerSystem:
             target="controller",
         )
         self.controller.recover()
-
-    def add_clients(self, count: int) -> List[ViewerClient]:
-        return [self.add_client() for _ in range(count)]
-
-    def add_file(
-        self,
-        name: str,
-        duration_s: float,
-        bitrate_bps: Optional[float] = None,
-        start_disk: Optional[int] = None,
-    ) -> TigerFile:
-        """Stripe a file across every disk and index it on every cub.
-
-        Populates each cub's in-memory block index with the primary
-        location and the ``decluster`` secondary pieces of every block
-        (§2.2, §2.3, §4.1.1).
-        """
-        rate = bitrate_bps if bitrate_bps is not None else self.config.max_bitrate_bps
-        entry = self.catalog.add_file(name, rate, duration_s, start_disk)
-        content_lib.index_file(
-            self.config, self.layout, self.mirror, self.indexes, entry
-        )
-        return entry
-
-    def add_standard_content(
-        self, num_files: int = 16, duration_s: float = 600.0
-    ) -> List[TigerFile]:
-        """A library of equal-length maximum-rate files (the paper's
-        64 one-hour test-pattern files, scaled for simulation).
-
-        Delegates to :func:`repro.core.content.add_standard_content`,
-        the same routine live nodes use, so a DES run and a live
-        cluster built from the same config see identical content."""
-        return content_lib.add_standard_content(
-            self.config, self.layout, self.mirror, self.catalog,
-            self.indexes, num_files, duration_s,
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -431,17 +314,7 @@ class TigerSystem:
                   unit="blocks").set(
                       sum(len(h.policy) for h in self.helpers))
         if self.restriper is not None:
-            gauge("restripe.progress_ratio",
-                  help="Fraction of planned moves committed (or skipped "
-                       "as already committed on resume)",
-                  unit="ratio").set(self.restriper.progress_ratio())
-            gauge("restripe.in_flight",
-                  help="Moves currently copying", unit="moves").set(
-                      self.restriper.in_flight())
-            gauge("restripe.suspended",
-                  help="1 while repeated move failures hold the "
-                       "restripe suspended",
-                  unit="bool").set(1.0 if self.restriper.suspended else 0.0)
+            self.restriper.export_gauges()
         for cub in self.cubs:
             gauge("cub.cpu_utilization",
                   help="Modelled CPU utilization since last reset",

@@ -1,0 +1,252 @@
+"""The one assembly: deterministic substrate plus the backend it was handed.
+
+A :class:`World` holds everything a Tiger node is built from.  The
+**substrate** — stripe layout, mirror scheme, slot clock, catalog and
+the per-cub block indexes — is a pure function of the config (the
+paper distributes file metadata out of band too, §2.2), so every
+process that builds a world from the same config holds byte-identical
+content state with no distribution protocol.  The **backend** —
+runtime, transport, metrics registry, tracer, seeded RNG registry — is
+whatever the caller passes in; the class has no notion of which one it
+got.
+
+It is also the only place the six protocol classes are constructed
+(``make_cub`` … ``make_restriper``), so a node is wired identically
+wherever it runs.  Three bindings exist:
+
+* :class:`~repro.core.tiger.TigerSystem` — ``Simulator`` +
+  ``SwitchedNetwork``, builds every node;
+* a live node process (:mod:`repro.live.node`) — ``LiveRuntime`` +
+  ``NodeTransport``, builds the one node its spec names;
+* the live driver (:class:`~repro.live.cluster.LiveCluster`) —
+  ``LiveRuntime`` + ``HubTransport``, builds clients and the restriper.
+
+The ``make_*`` methods only construct.  Attaching the node to a fabric
+(``network.register``, ``hub.local``) and remembering it is the
+caller's business, because that is where the bindings differ.
+"""
+
+from __future__ import annotations
+
+from typing import Any, List, Optional
+
+from repro.config import TigerConfig
+from repro.core.client import ViewerClient
+from repro.core.controller import Controller
+from repro.core.cub import Cub
+from repro.core.failover import BackupController
+from repro.core.slots import SlotClock
+from repro.helpers.node import HelperNode
+from repro.storage.blockindex import BlockIndex
+from repro.storage.catalog import MODE_SINGLE_BITRATE, Catalog, TigerFile
+from repro.storage.layout import StripeLayout
+from repro.storage.mirror import MirrorScheme
+
+
+class World:
+    """Substrate + backend + the six protocol-class constructors."""
+
+    def __init__(
+        self,
+        config: TigerConfig,
+        runtime: Any,
+        network: Any,
+        registry: Any,
+        tracer: Any,
+        rngs: Any,
+    ) -> None:
+        self.config = config
+        #: The :class:`~repro.runtime.Runtime` every node built here
+        #: runs on.
+        self.runtime = runtime
+        #: The :class:`~repro.runtime.Transport` they send through.
+        self.network = network
+        self.registry = registry
+        self.tracer = tracer
+        self.rngs = rngs
+
+        self.layout = StripeLayout(config.num_cubs, config.disks_per_cub)
+        self.mirror = MirrorScheme(self.layout, config.decluster)
+        self.clock = SlotClock(
+            num_disks=config.num_disks,
+            num_slots=config.num_slots,
+            block_play_time=config.block_play_time,
+        )
+        self.catalog = Catalog(config.block_play_time, config.num_disks)
+        self.indexes: List[BlockIndex] = [
+            BlockIndex(cub_id) for cub_id in range(config.num_cubs)
+        ]
+
+    # ------------------------------------------------------------------
+    # Content
+    # ------------------------------------------------------------------
+    def add_file(
+        self,
+        name: str,
+        duration_s: float,
+        bitrate_bps: Optional[float] = None,
+        start_disk: Optional[int] = None,
+    ) -> TigerFile:
+        """Stripe a file across every disk and index it on every cub.
+
+        Populates each owning cub's in-memory block index with the
+        primary location and the ``decluster`` secondary pieces of
+        every block (§2.2, §2.3, §4.1.1).
+        """
+        config, layout, mirror = self.config, self.layout, self.mirror
+        rate = bitrate_bps if bitrate_bps is not None else config.max_bitrate_bps
+        entry = self.catalog.add_file(name, rate, duration_s, start_disk)
+        stored = entry.stored_bytes_per_block(
+            MODE_SINGLE_BITRATE, config.max_bitrate_bps
+        )
+        piece = mirror.piece_size(stored)
+        for block in range(entry.num_blocks):
+            primary_disk = layout.disk_of_block(entry.start_disk, block)
+            primary_cub = layout.cub_of_disk(primary_disk)
+            self.indexes[primary_cub].add_primary(
+                entry.file_id, block, primary_disk, stored
+            )
+            for piece_index in range(config.decluster):
+                piece_disk = mirror.piece_location(primary_disk, piece_index)
+                piece_cub = layout.cub_of_disk(piece_disk)
+                self.indexes[piece_cub].add_secondary(
+                    entry.file_id, block, piece_index, piece_disk, piece
+                )
+        return entry
+
+    def add_standard_content(
+        self, num_files: int = 16, duration_s: float = 600.0
+    ) -> List[TigerFile]:
+        """A library of equal-length maximum-rate files (the paper's
+        64 one-hour test-pattern files, scaled for simulation).
+
+        File ids, start disks and block placement are a pure function
+        of ``(config, num_files, duration_s)``, which is what lets a
+        DES run and every process of a live cluster see identical
+        content."""
+        return [
+            self.add_file(f"content-{index:03d}", duration_s)
+            for index in range(num_files)
+        ]
+
+    # ------------------------------------------------------------------
+    # Protocol nodes
+    # ------------------------------------------------------------------
+    def make_cub(
+        self,
+        cub_id: int,
+        oracle: Any = None,
+        strict: bool = True,
+        forward_copies: int = 2,
+    ) -> Cub:
+        return Cub(
+            sim=self.runtime,
+            cub_id=cub_id,
+            config=self.config,
+            layout=self.layout,
+            mirror=self.mirror,
+            catalog=self.catalog,
+            clock=self.clock,
+            network=self.network,
+            rngs=self.rngs,
+            block_index=self.indexes[cub_id],
+            oracle=oracle,
+            tracer=self.tracer,
+            strict=strict,
+            forward_copies=forward_copies,
+            registry=self.registry,
+        )
+
+    def make_controller(self) -> Controller:
+        return Controller(
+            sim=self.runtime,
+            config=self.config,
+            layout=self.layout,
+            catalog=self.catalog,
+            clock=self.clock,
+            network=self.network,
+            tracer=self.tracer,
+            registry=self.registry,
+        )
+
+    def make_backup_controller(
+        self, takeover_timeout: Optional[float] = None
+    ) -> BackupController:
+        return BackupController(
+            sim=self.runtime,
+            config=self.config,
+            layout=self.layout,
+            catalog=self.catalog,
+            clock=self.clock,
+            network=self.network,
+            tracer=self.tracer,
+            takeover_timeout=takeover_timeout,
+            registry=self.registry,
+        )
+
+    def make_helper(
+        self, helper_id: int, capacity: int, policy: str = "lru"
+    ) -> HelperNode:
+        return HelperNode(
+            sim=self.runtime,
+            helper_id=helper_id,
+            config=self.config,
+            catalog=self.catalog,
+            layout=self.layout,
+            network=self.network,
+            capacity_blocks=capacity,
+            policy=policy,
+            tracer=self.tracer,
+            registry=self.registry,
+        )
+
+    def make_client(
+        self,
+        index: int,
+        backup: Optional[str] = None,
+        helper_directory: Any = None,
+        late_tolerance: float = 0.5,
+    ) -> ViewerClient:
+        """Viewer machine ``client:<index>``; ``backup`` is the address
+        unacknowledged starts are retried against, if any."""
+        return ViewerClient(
+            sim=self.runtime,
+            address=f"client:{index}",
+            config=self.config,
+            catalog=self.catalog,
+            network=self.network,
+            tracer=self.tracer,
+            late_tolerance=late_tolerance,
+            backup_controller=backup,
+            helper_directory=helper_directory,
+            registry=self.registry,
+        )
+
+    def make_restriper(
+        self,
+        plan: Any,
+        journal: Any = None,
+        throttle: float = 0.25,
+        retry_base: float = 0.5,
+        suspend_after: int = 3,
+        ack_timeout: Optional[float] = None,
+    ) -> Any:
+        """An :class:`~repro.storage.rebalance.OnlineRestriper` that
+        will execute ``plan`` in the background once started."""
+        # Imported on use, as every attach site did before: runs that
+        # never restripe never load the restripe executor.
+        from repro.storage.rebalance import OnlineRestriper
+
+        return OnlineRestriper(
+            sim=self.runtime,
+            config=self.config,
+            plan=plan,
+            network=self.network,
+            journal=journal,
+            throttle=throttle,
+            retry_base=retry_base,
+            suspend_after=suspend_after,
+            ack_timeout=ack_timeout,
+            tracer=self.tracer,
+            registry=self.registry,
+        )

@@ -1,14 +1,6 @@
 """Zoned disk model: geometry, service times, simulated drives, failures."""
 
 from repro.disk.drive import SimDisk
-from repro.disk.failure import FailureEvent, FailurePlan
-from repro.disk.multizone import (
-    MultiZoneGeometry,
-    Zone,
-    expected_random_seek,
-    linear_taper_zones,
-    seek_time,
-)
 from repro.disk.model import (
     DiskParameters,
     unfailed_utilization_at_capacity,
@@ -23,13 +15,6 @@ __all__ = [
     "ULTRASTAR_LIKE",
     "ZONE_INNER",
     "ZONE_OUTER",
-    "FailureEvent",
-    "FailurePlan",
     "worst_case_streams_per_disk",
-    "MultiZoneGeometry",
-    "Zone",
-    "linear_taper_zones",
-    "seek_time",
-    "expected_random_seek",
     "unfailed_utilization_at_capacity",
 ]

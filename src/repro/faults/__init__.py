@@ -20,8 +20,6 @@ from repro.faults.live import (
     CubInvariantProbe,
     LiveFaultError,
     LiveFaultInjector,
-    kill_cub_plan,
-    kill_helper_plan,
 )
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -41,7 +39,5 @@ __all__ = [
     "MessageFaultInjector",
     "ProcessFaultInjector",
     "install_plan",
-    "kill_cub_plan",
-    "kill_helper_plan",
     "standard_chaos_plan",
 ]

@@ -114,14 +114,17 @@ class ChaosHarness:
         self.monitor_period = monitor_period
         self.tracer = tracer
         self.registry = registry
-        # Populated by run() for post-mortem inspection.
+        # Populated by build() for post-mortem inspection.
         self.system: Optional[TigerSystem] = None
         self.monitor: Optional[InvariantMonitor] = None
         self.installed: Optional[InstalledFaults] = None
         self.workload: Optional[ContinuousWorkload] = None
 
     # ------------------------------------------------------------------
-    def run(self) -> ChaosReport:
+    def build(self) -> None:
+        """Assemble the experiment: everything that can reject its
+        inputs (a ``ValueError``) does so here, before the clock moves.
+        :meth:`run` calls it when the caller has not."""
         system = TigerSystem(
             self.config,
             seed=self.seed,
@@ -134,7 +137,7 @@ class ChaosHarness:
         )
         self.system = system
         self.registry = system.registry
-        files = system.add_standard_content(
+        system.add_standard_content(
             num_files=self.num_files, duration_s=self.file_seconds
         )
         # Controller faults are only survivable with a backup; arm it
@@ -142,7 +145,15 @@ class ChaosHarness:
         system.enable_controller_backup()
 
         if self.restripe_weights is not None:
-            self._arm_restripe(system, files)
+            from repro.storage.rebalance import arm_rebalance
+
+            arm_rebalance(
+                system,
+                self.restripe_weights,
+                self.restripe_throttle,
+                self.restripe_start,
+                self.restripe_journal,
+            )
 
         monitor = InvariantMonitor(system, period=self.monitor_period)
         self.monitor = monitor
@@ -153,6 +164,10 @@ class ChaosHarness:
         target = max(1, round(self.load * self.config.num_slots))
         workload.add_streams(target)
 
+    def run(self) -> ChaosReport:
+        if self.system is None:
+            self.build()
+        system, monitor = self.system, self.monitor
         system.start()
         monitor.install()
         system.run_until(self.duration)
@@ -175,34 +190,6 @@ class ChaosHarness:
             totals=totals,
             message_stats=self.installed.message_stats(),
         )
-
-    # ------------------------------------------------------------------
-    def _arm_restripe(self, system: TigerSystem, files) -> None:
-        """Attach a weighted-rebalance restriper and schedule its start.
-
-        The weighted layout keeps the system's geometry (same cubs,
-        same disks) and only re-spreads blocks inside each cub, so the
-        restripe is fully executable under live traffic.  With a
-        journal path, a journal left by a crashed run is loaded and the
-        restripe *resumes* — committed moves are never re-run.
-        """
-        from repro.storage.journal import MoveJournal
-        from repro.storage.rebalance import plan_rebalance
-
-        weighted = system.layout.with_weights(tuple(self.restripe_weights))
-        block_bytes = {
-            entry.file_id: entry.content_bytes_per_block for entry in files
-        }
-        plan = plan_rebalance(system.layout, weighted, files, block_bytes)
-        journal = (
-            MoveJournal.load(self.restripe_journal)
-            if self.restripe_journal is not None
-            else None
-        )
-        restriper = system.attach_restriper(
-            plan, journal=journal, throttle=self.restripe_throttle
-        )
-        system.sim.call_at(self.restripe_start, restriper.start)
 
     # ------------------------------------------------------------------
     @staticmethod

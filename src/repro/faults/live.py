@@ -1,6 +1,10 @@
 """Fault machinery for the live backend.
 
-Two pieces, mirroring what the chaos harness gives the DES:
+Two pieces, mirroring what the chaos harness gives the DES.  There are
+no live-only plans: a scenario's kills are
+:meth:`repro.live.cluster.ClusterScenario.fault_plan`, the same
+:class:`~repro.faults.plan.FaultPlan` the ``--compare-sim`` replay
+installs on the simulator.
 
 * :class:`LiveFaultInjector` — runs in the **driver** process and turns
   the process events of a :class:`~repro.faults.plan.FaultPlan` into
@@ -87,29 +91,6 @@ class LiveFaultInjector:
                 address = "controller"
             runtime.call_at(spec.start, self.cluster.kill_node, address)
             self.scheduled.append((spec.start, address))
-
-
-def kill_cub_plan(cub_id: int, at: float) -> FaultPlan:
-    """The canonical live fault: SIGKILL one cub mid-run.
-
-    :param cub_id: Victim cub.
-    :param at: Runtime seconds (post-epoch) at which to kill it.
-    """
-    plan = FaultPlan(name=f"live-kill-cub-{cub_id}")
-    plan.crash_cub(cub_id, at)
-    return plan
-
-
-def kill_helper_plan(helper_id: int, at: float) -> FaultPlan:
-    """SIGKILL one edge helper mid-run: its cache-served viewers must
-    degrade to origin service with zero invariant violations.
-
-    :param helper_id: Victim helper.
-    :param at: Runtime seconds (post-epoch) at which to kill it.
-    """
-    plan = FaultPlan(name=f"live-kill-helper-{helper_id}")
-    plan.crash_helper(helper_id, at)
-    return plan
 
 
 class CubInvariantProbe:

@@ -44,9 +44,12 @@ is validated exactly once, by whoever consumes it (docs/WIRE.md).
 Determinism and comparability
 -----------------------------
 A :class:`ClusterScenario` is the single source of truth for both
-backends: the same config, content library, staggered stream starts,
-mid-run stop, and cub kill are scheduled on the live wall clock and on
-the simulator's virtual clock.  Wall-clock jitter, real socket
+backends, and :func:`arm_scenario` the single function that arms it:
+the same restripe, viewer script and fault plan go onto a
+:class:`LiveCluster`'s wall clock and onto a
+:class:`~repro.core.tiger.TigerSystem`'s virtual one — both hosts are
+the same assembly (:mod:`repro.core.world`), handed a different
+runtime and transport.  Wall-clock jitter, real socket
 latency, and OS scheduling make the live counters *noisy*, not
 *different in kind* — the comparison asserts each counter lands within
 ``max(floor, rel x max(sim, live))`` of its simulated value (see
@@ -62,21 +65,22 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from collections import deque
 
 from repro.config import PLACEMENT_POLICIES, TigerConfig
-from repro.core.client import ViewerClient
 from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
 from repro.core.protocol import BlockData
-from repro.faults.live import LiveFaultInjector, kill_cub_plan, kill_helper_plan
+from repro.core.tiger import TigerSystem
+from repro.core.world import World
+from repro.faults.live import LiveFaultInjector
+from repro.faults.plan import FaultPlan
 from repro.helpers import CACHE_POLICIES, HelperDirectory
 from repro.live.node import (
     DEFAULT_METRICS_INTERVAL,
-    NodeWorld,
     ROLE_BACKUP,
     ROLE_CONTROLLER,
     ROLE_CUB,
@@ -105,6 +109,7 @@ from repro.obs.registry import (
     snapshot_total,
 )
 from repro.sim.rng import RngRegistry
+from repro.storage.rebalance import RESTRIPER_ADDRESS, arm_rebalance
 from repro.workloads.arrivals import (
     ARRIVAL_MODES,
     DEFAULT_ZIPF_EXPONENT,
@@ -196,6 +201,12 @@ class ClusterScenario:
             raise ValueError("a Tiger cluster needs at least 3 cubs")
         if self.duration <= self.first_start:
             raise ValueError("duration too short for any stream to start")
+        if self.streams < 0:
+            raise ValueError("streams must be >= 0")
+        if self.num_files < 1:
+            raise ValueError("a scenario needs at least one file")
+        if self.file_duration_s <= 0:
+            raise ValueError("file duration must be positive")
         if self.kill_cub is not None and not 0 <= self.kill_cub < self.cubs:
             raise ValueError(f"kill target cub:{self.kill_cub} out of range")
         if self.helpers < 0:
@@ -213,6 +224,15 @@ class ClusterScenario:
             raise ValueError(
                 f"kill target helper:{self.kill_helper} out of range"
             )
+        if (
+            (self.kill_cub is not None or self.kill_helper is not None)
+            and self.kill_at is not None
+            and not 0.0 < self.kill_at < self.duration
+        ):
+            # A kill outside the run never fires: the run would report
+            # PASS having exercised nothing (and the replay's simulator
+            # refuses a time in the past outright).
+            raise ValueError("kill time must land inside the run")
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; pick one "
@@ -349,6 +369,16 @@ class ClusterScenario:
             return None
         return self.kill_at if self.kill_at is not None else self.duration * 0.5
 
+    def fault_plan(self) -> FaultPlan:
+        """The scenario's faults as the one plan both backends execute
+        (empty when the run is fault-free)."""
+        plan = FaultPlan(name="scenario")
+        if self.kill_cub is not None:
+            plan.crash_cub(self.kill_cub, self.kill_time())
+        if self.kill_helper is not None:
+            plan.crash_helper(self.kill_helper, self.helper_kill_time())
+        return plan
+
     def node_addresses(self) -> List[str]:
         out = [f"cub:{cub_id}" for cub_id in range(self.cubs)]
         out.append("controller")
@@ -390,21 +420,6 @@ class ClusterScenario:
     @property
     def driver_namespace(self) -> int:
         return self.cubs + 3
-
-
-def build_restripe_plan(scenario: "ClusterScenario", layout: Any, files: Any):
-    """The capacity-weighted rebalance plan both backends execute.
-
-    Layout and content are pure functions of the scenario, so the live
-    driver and the simulator replay plan the *identical* move list.
-    """
-    from repro.storage.rebalance import plan_rebalance
-
-    weighted = layout.with_weights(tuple(scenario.restripe_weights))
-    block_bytes = {
-        entry.file_id: entry.content_bytes_per_block for entry in files
-    }
-    return plan_rebalance(layout, weighted, files, block_bytes)
 
 
 def schedule_viewer_script(
@@ -463,6 +478,39 @@ def schedule_viewer_script(
         runtime.call_at(stop_at, _stop_stream, client_index)
     for churn_at, op, client_index in scenario.churn_plan():
         runtime.call_at(churn_at, _churn_ops[op], client_index)
+
+
+def arm_scenario(host: Any, scenario: ClusterScenario) -> None:
+    """Turn ``scenario`` into armed work on ``host``.
+
+    The single place a scenario becomes a restriper, viewer clients,
+    their script and a fault plan.  ``host`` is an assembly
+    (:class:`~repro.core.world.World`: ``runtime``, layout, catalog)
+    that also knows how to take a client, a restriper and a fault plan
+    into its own fabric — ``add_client()``, ``attach_restriper(plan,
+    journal=..., throttle=...)``, ``install_faults(plan)``.  Two exist:
+    :class:`~repro.core.tiger.TigerSystem` (the ``--compare-sim``
+    replay) and :class:`LiveCluster` (the real thing).
+
+    The order — restriper, clients, script, faults — is fixed: on the
+    DES it decides event sequence numbers, hence equal-time tie order,
+    hence the replay's counters.  A wall clock has no order to keep.
+    """
+    if scenario.restripe_weights is not None:
+        arm_rebalance(
+            host,
+            scenario.restripe_weights,
+            scenario.restripe_throttle,
+            scenario.restripe_start,
+            scenario.restripe_journal,
+        )
+    clients = [host.add_client() for _ in range(scenario.streams)]
+    schedule_viewer_script(
+        host.runtime, scenario, clients, host.catalog.files()
+    )
+    plan = scenario.fault_plan()
+    if plan.events:
+        host.install_faults(plan)
 
 
 # ----------------------------------------------------------------------
@@ -930,16 +978,100 @@ class ClusterReport:
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
-class LiveCluster:
-    """Holds the spawned processes; the fault injector's target."""
+class LiveCluster(World):
+    """The live scenario host: the driver's assembly plus the spawned
+    node processes the fault injector targets.
 
-    def __init__(self) -> None:
-        self.procs: Dict[str, subprocess.Popen] = {}
-        self.runtime: Optional[LiveRuntime] = None
-        self.hub: Optional[ClusterHub] = None
-        #: ``(runtime_time, address)`` kills actually performed.
+    Viewer clients and the online restriper are driver-hosted protocol
+    nodes — the same classes the DES runs, on ``LiveRuntime`` +
+    ``HubTransport``; what they send rides the hub to the real node
+    processes, and replies route back through ``hub.local``.
+    """
+
+    def __init__(
+        self,
+        scenario: ClusterScenario,
+        hub: ClusterHub,
+        runtime: LiveRuntime,
+        registry: MetricsRegistry,
+        procs: Dict[str, subprocess.Popen],
+    ) -> None:
+        super().__init__(
+            scenario.config(),
+            runtime,
+            HubTransport(hub, runtime),
+            registry,
+            tracer=None,
+            rngs=RngRegistry(scenario.seed),
+        )
+        self.add_standard_content(
+            num_files=scenario.num_files,
+            duration_s=scenario.file_duration_s,
+        )
+        self.hub = hub
+        self.procs = procs
+        self.clients: List[Any] = []
+        self.restriper: Any = None
+        #: ``(runtime_time, address)`` kills armed / actually performed.
+        self.armed_faults: List[Tuple[float, str]] = []
         self.kills: List[Tuple[float, str]] = []
+        self._backup = BACKUP_CONTROLLER_ADDRESS if scenario.backup else None
+        self._helper_directory = (
+            HelperDirectory(scenario.helpers, scenario.helper_capacity)
+            if scenario.helpers
+            else None
+        )
+        self.lateness = registry.histogram(
+            "live.block_lateness",
+            help="Whole-block arrival time minus play deadline at "
+                 "driver-hosted viewers (negative = early)",
+            unit="seconds",
+        )
 
+    # -- the host contract (see arm_scenario) --------------------------
+    def add_client(self) -> Any:
+        """Host one more viewer, reachable as ``client:<n>`` at the hub."""
+        client = self.make_client(
+            len(self.clients),
+            backup=self._backup,
+            helper_directory=self._helper_directory,
+        )
+        self.hub.local[client.address] = self._observed_deliver(client)
+        self.clients.append(client)
+        return client
+
+    def _observed_deliver(self, client: Any) -> Callable[[Message], None]:
+        """Delivery tap: record block-service lateness, then deliver."""
+        lateness, runtime = self.lateness, self.runtime
+
+        def deliver(message: Message) -> None:
+            payload = message.payload
+            if isinstance(payload, BlockData) and payload.piece is None:
+                monitor = client.streams.get(payload.instance)
+                if (
+                    monitor is not None
+                    and monitor.first_block_time is not None
+                ):
+                    lateness.observe(
+                        runtime.now - monitor.deadline(payload.play_seqno)
+                    )
+            client.deliver(message)
+
+        return deliver
+
+    def attach_restriper(self, plan: Any, **options: Any) -> Any:
+        """Host the restriper; acks route back through ``hub.local``."""
+        self.restriper = self.make_restriper(plan, **options)
+        self.hub.local[RESTRIPER_ADDRESS] = self.restriper.deliver
+        return self.restriper
+
+    def install_faults(self, plan: FaultPlan) -> None:
+        """Arm ``plan`` as SIGKILLs on the driver's clock."""
+        injector = LiveFaultInjector(self, plan)
+        injector.install()
+        self.armed_faults = injector.scheduled
+
+    # -- fault target ---------------------------------------------------
     def kill_node(self, address: str) -> None:
         """SIGKILL a node: the live cub-crash fault (no cleanup, no
         goodbye — the survivors find out via deadman silence)."""
@@ -950,19 +1082,58 @@ class LiveCluster:
         proc.kill()
         self.kills.append((self.runtime.now, address))
 
-    def reap(self, timeout: float = 5.0) -> None:
-        """Terminate and wait out every remaining subprocess."""
-        for proc in self.procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.time() + timeout
-        for proc in self.procs.values():
-            remaining = max(0.1, deadline - time.time())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
+    # -- end of run -----------------------------------------------------
+    def export_metrics(self) -> MetricsRegistry:
+        """Fold driver-side observations into the registry."""
+        registry = self.registry
+        for client in self.clients:
+            for metric, total in (
+                ("live.client_blocks_received", client.total_received()),
+                ("live.client_blocks_late", client.total_late()),
+                ("live.client_blocks_missed", client.total_missed()),
+                ("live.client_blocks_corrupt", client.total_corrupt()),
+            ):
+                registry.gauge(
+                    metric,
+                    help="Driver-hosted viewer reception bookkeeping",
+                    unit="blocks", node=client.address,
+                ).set(total)
+        lateness = self.lateness
+        registry.gauge(
+            "live.block_lateness_p99",
+            help="p99 of live.block_lateness across the whole run",
+            unit="seconds",
+        ).set(lateness.quantile(0.99) if lateness.n else 0.0)
+        if self.restriper is not None:
+            self.restriper.export_gauges()
+        if self._helper_directory is not None:
+            # Offload ratio across the whole run, from the nodes' final
+            # snapshots: cache-served blocks over all whole blocks served.
+            node_merged = merge_snapshots(list(self.hub.node_metrics.values()))
+            cached = snapshot_total(node_merged, "helper.blocks_served")
+            origin = snapshot_total(node_merged, "cub.blocks_sent")
+            registry.gauge(
+                "helper.origin_offload_ratio",
+                help="Fraction of whole-block services the helper tier "
+                     "absorbed instead of the cub schedule",
+                unit="ratio",
+            ).set(cached / (cached + origin) if cached + origin else 0.0)
+        return registry
+
+
+def _reap(procs: Dict[str, subprocess.Popen], timeout: float = 5.0) -> None:
+    """Terminate and wait out every remaining subprocess."""
+    for proc in procs.values():
+        if proc.poll() is None:
+            proc.terminate()
+    deadline = time.time() + timeout
+    for proc in procs.values():
+        remaining = max(0.1, deadline - time.time())
+        try:
+            proc.wait(timeout=remaining)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=5.0)
 
 
 def _write_node_spec(
@@ -1008,8 +1179,8 @@ def _spawn_nodes(
     workdir: Path,
     scenario: ClusterScenario,
     ports: List[int],
-    cluster: LiveCluster,
-) -> None:
+) -> Dict[str, subprocess.Popen]:
+    procs: Dict[str, subprocess.Popen] = {}
     env = dict(os.environ)
     src_dir = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")
@@ -1021,11 +1192,12 @@ def _spawn_nodes(
         spec_path = _write_node_spec(workdir, scenario, address, port)
         log_path = workdir / f"{address.replace(':', '-')}.log"
         with open(log_path, "wb") as log:
-            cluster.procs[address] = subprocess.Popen(
+            procs[address] = subprocess.Popen(
                 [sys.executable, "-m", "repro.live.node",
                  "--spec", str(spec_path)],
                 stdout=log, stderr=subprocess.STDOUT, env=env,
             )
+    return procs
 
 
 async def _run_cluster_async(
@@ -1034,14 +1206,12 @@ async def _run_cluster_async(
 ) -> ClusterReport:
     wall_start = time.time()
     registry = MetricsRegistry()
-    cluster = LiveCluster()
     hub = ClusterHub(
         scenario.node_addresses(),
         registry,
         preferred_codec=scenario.codec,
         hubs=scenario.hubs,
     )
-    cluster.hub = hub
     ports = await hub.start()
     workdir = Path(tempfile.mkdtemp(prefix="tiger-live-"))
     echo(
@@ -1050,13 +1220,13 @@ async def _run_cluster_async(
         f"{','.join(str(p) for p in ports)}, codec {scenario.codec}, "
         f"workdir {workdir})"
     )
-    _spawn_nodes(workdir, scenario, ports, cluster)
+    procs = _spawn_nodes(workdir, scenario, ports)
     try:
         await asyncio.wait_for(
             hub.all_joined.wait(), timeout=JOIN_TIMEOUT
         )
     except asyncio.TimeoutError:
-        cluster.reap()
+        _reap(procs)
         await hub.stop()
         missing = sorted(hub.expected - set(hub.connections))
         raise RuntimeError(
@@ -1070,114 +1240,19 @@ async def _run_cluster_async(
     hub.broadcast(
         control_frame("_start", epoch=epoch, duration=scenario.duration)
     )
-    loop = asyncio.get_running_loop()
-    runtime = LiveRuntime(epoch, loop)
-    cluster.runtime = runtime
+    runtime = LiveRuntime(epoch, asyncio.get_running_loop())
     reset_message_ids(scenario.driver_namespace)
 
-    # Viewer clients live in the driver process, on the same runtime.
-    world = NodeWorld(
-        scenario.config(),
-        num_files=scenario.num_files,
-        duration_s=scenario.file_duration_s,
-    )
-    transport = HubTransport(hub, runtime)
-    lateness = registry.histogram(
-        "live.block_lateness",
-        help="Whole-block arrival time minus play deadline at "
-             "driver-hosted viewers (negative = early)",
-        unit="seconds",
-    )
-
-    def _observed_deliver(client: ViewerClient) -> Callable[[Message], None]:
-        """Delivery tap: record block-service lateness, then deliver."""
-
-        def deliver(message: Message) -> None:
-            payload = message.payload
-            if isinstance(payload, BlockData) and payload.piece is None:
-                monitor = client.streams.get(payload.instance)
-                if (
-                    monitor is not None
-                    and monitor.first_block_time is not None
-                ):
-                    lateness.observe(
-                        runtime.now - monitor.deadline(payload.play_seqno)
-                    )
-            client.deliver(message)
-
-        return deliver
-
-    helper_directory = (
-        HelperDirectory(scenario.helpers, scenario.helper_capacity)
-        if scenario.helpers
-        else None
-    )
-    clients: List[ViewerClient] = []
-    for client_index in range(scenario.streams):
-        client = ViewerClient(
-            sim=runtime,
-            address=f"client:{client_index}",
-            config=world.config,
-            catalog=world.catalog,
-            network=transport,
-            backup_controller=(
-                BACKUP_CONTROLLER_ADDRESS if scenario.backup else None
-            ),
-            helper_directory=helper_directory,
-            registry=registry,
-        )
-        hub.local[client.address] = _observed_deliver(client)
-        clients.append(client)
-
-    schedule_viewer_script(runtime, scenario, clients, world.files)
-
-    # The online restriper is a driver-hosted protocol node: the same
-    # OnlineRestriper class the DES runs, on LiveRuntime + HubTransport.
-    # Copies and commits ride the hub to the real cub processes; acks
-    # route back through the hub's local delivery table.
-    restriper = None
-    if scenario.restripe_weights is not None:
-        from repro.storage.rebalance import RESTRIPER_ADDRESS, OnlineRestriper
-
-        from repro.storage.journal import MoveJournal
-
-        restripe_plan = build_restripe_plan(
-            scenario, world.layout, world.files
-        )
-        restriper = OnlineRestriper(
-            sim=runtime,
-            config=world.config,
-            plan=restripe_plan,
-            network=transport,
-            journal=(
-                MoveJournal.load(scenario.restripe_journal)
-                if scenario.restripe_journal is not None
-                else None
-            ),
-            throttle=scenario.restripe_throttle,
-            registry=registry,
-        )
-        hub.local[RESTRIPER_ADDRESS] = restriper.deliver
-        runtime.call_at(scenario.restripe_start, restriper.start)
+    cluster = LiveCluster(scenario, hub, runtime, registry, procs)
+    arm_scenario(cluster, scenario)
+    if cluster.restriper is not None:
         echo(
-            f"armed restripe: {len(restripe_plan.moves)} moves at "
-            f"t={scenario.restripe_start:g}s, throttle "
+            f"armed restripe: {len(cluster.restriper.plan.moves)} moves "
+            f"at t={scenario.restripe_start:g}s, throttle "
             f"{scenario.restripe_throttle:g}"
         )
-
-    kill_at = scenario.kill_time()
-    if kill_at is not None:
-        plan = kill_cub_plan(scenario.kill_cub, kill_at)
-        LiveFaultInjector(cluster, plan).install()
-        echo(f"armed fault: SIGKILL cub:{scenario.kill_cub} at t={kill_at:g}s")
-    helper_kill_at = scenario.helper_kill_time()
-    if helper_kill_at is not None:
-        plan = kill_helper_plan(scenario.kill_helper, helper_kill_at)
-        LiveFaultInjector(cluster, plan).install()
-        echo(
-            f"armed fault: SIGKILL helper:{scenario.kill_helper} "
-            f"at t={helper_kill_at:g}s"
-        )
+    for when, address in cluster.armed_faults:
+        echo(f"armed fault: SIGKILL {address} at t={when:g}s")
 
     echo(
         f"epoch fixed; driving {scenario.streams} streams for "
@@ -1193,60 +1268,9 @@ async def _run_cluster_async(
     while time.time() < drain_deadline and hub.connections:
         await asyncio.sleep(0.05)
     runtime.cancel_all()
-    cluster.reap()
+    _reap(procs)
     await hub.stop()
-
-    # Fold driver-side client observations into the metrics pool.
-    for client in clients:
-        for metric, attribute in (
-            ("live.client_blocks_received", "blocks_received"),
-            ("live.client_blocks_late", "blocks_late"),
-            ("live.client_blocks_missed", "blocks_missed"),
-            ("live.client_blocks_corrupt", "blocks_corrupt"),
-        ):
-            total = sum(
-                getattr(monitor, attribute)
-                for monitor in client.streams.values()
-            )
-            registry.gauge(
-                metric,
-                help="Driver-hosted viewer reception bookkeeping",
-                unit="blocks", node=client.address,
-            ).set(total)
-    registry.gauge(
-        "live.block_lateness_p99",
-        help="p99 of live.block_lateness across the whole run",
-        unit="seconds",
-    ).set(lateness.quantile(0.99) if lateness.n else 0.0)
-    if restriper is not None:
-        registry.gauge(
-            "restripe.progress_ratio",
-            help="Fraction of planned moves committed (or skipped "
-                 "as already committed on resume)",
-            unit="ratio",
-        ).set(restriper.progress_ratio())
-        registry.gauge(
-            "restripe.in_flight",
-            help="Moves currently copying", unit="moves",
-        ).set(restriper.in_flight())
-        registry.gauge(
-            "restripe.suspended",
-            help="1 while repeated move failures hold the restripe "
-                 "suspended",
-            unit="bool",
-        ).set(1.0 if restriper.suspended else 0.0)
-    if scenario.helpers:
-        # Offload ratio across the whole run, from the nodes' final
-        # snapshots: cache-served blocks over all whole blocks served.
-        node_merged = merge_snapshots(list(hub.node_metrics.values()))
-        cached = snapshot_total(node_merged, "helper.blocks_served")
-        origin = snapshot_total(node_merged, "cub.blocks_sent")
-        registry.gauge(
-            "helper.origin_offload_ratio",
-            help="Fraction of whole-block services the helper tier "
-                 "absorbed instead of the cub schedule",
-            unit="ratio",
-        ).set(cached / (cached + origin) if cached + origin else 0.0)
+    cluster.export_metrics()
 
     killed = {address for _, address in cluster.kills}
     unexpected = [
@@ -1280,8 +1304,6 @@ def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
     staggered starts, same mid-run stop, same kill instant (a powered
     -off cub, the DES equivalent of SIGKILL).
     """
-    from repro.core.tiger import TigerSystem
-
     system = TigerSystem(
         scenario.config(),
         seed=scenario.seed,
@@ -1289,29 +1311,13 @@ def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
         helper_capacity=scenario.helper_capacity,
         helper_policy=scenario.helper_policy,
     )
-    files = system.add_standard_content(
+    system.add_standard_content(
         num_files=scenario.num_files, duration_s=scenario.file_duration_s
     )
     if scenario.backup:
         system.enable_controller_backup()
-    if scenario.restripe_weights is not None:
-        restripe_plan = build_restripe_plan(scenario, system.layout, files)
-        restriper = system.attach_restriper(
-            restripe_plan, throttle=scenario.restripe_throttle
-        )
-        system.sim.call_at(scenario.restripe_start, restriper.start)
-    clients = [system.add_client() for _ in range(scenario.streams)]
-
-    schedule_viewer_script(system.sim, scenario, clients, files)
-    kill_at = scenario.kill_time()
-    if kill_at is not None:
-        system.sim.call_at(kill_at, system.cubs[scenario.kill_cub].fail)
-    helper_kill_at = scenario.helper_kill_time()
-    if helper_kill_at is not None:
-        system.sim.call_at(
-            helper_kill_at, system.fail_helper, scenario.kill_helper
-        )
-
+    # The replay always executes the full plan: no journal to resume.
+    arm_scenario(system, replace(scenario, restripe_journal=None))
     system.run_until(scenario.duration)
     system.export_metrics()
     return system.registry.snapshot()

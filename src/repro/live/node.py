@@ -10,16 +10,17 @@ the live backend:
 2. connect to the cluster hub and say hello;
 3. wait for the hub's ``_start`` frame carrying the shared **epoch**
    (the wall-clock instant that is runtime time 0.0 for every node);
-4. rebuild layout, mirror scheme, slot clock, catalog, and block
-   indexes *locally* from the spec — content placement is a pure
-   function of the config (:mod:`repro.core.content`), so no metadata
-   distribution protocol is needed and every node's indexes are
-   byte-identical to the simulator's;
-5. construct the **unmodified** protocol class with
-   :class:`~repro.live.runtime.LiveRuntime` as its ``sim`` and a
-   :class:`~repro.live.transport.NodeTransport` as its ``network``,
-   then pump frames: incoming message frames go to
-   ``component.deliver``, metrics snapshots stream back to the hub
+4. build the same assembly the simulator runs
+   (:class:`~repro.core.world.World`) around a
+   :class:`~repro.live.runtime.LiveRuntime` and a
+   :class:`~repro.live.transport.NodeTransport`, and load the standard
+   content from the spec — content placement is a pure function of
+   the config, so no metadata distribution protocol is needed and
+   every node's indexes are byte-identical to the simulator's;
+5. ask that world for the **one** node the spec names — the
+   unmodified protocol class, wired by the same ``make_*`` call that
+   wires it in the DES — then pump frames: incoming message frames go
+   to ``component.deliver``, metrics snapshots stream back to the hub
    every few seconds, and a ``_stop`` frame (or hub disconnect) ends
    the process after one final snapshot.
 
@@ -38,13 +39,10 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig
-from repro.core import content as content_lib
-from repro.core.controller import CONTROLLER_ADDRESS, Controller
-from repro.core.cub import Cub
-from repro.core.failover import BACKUP_CONTROLLER_ADDRESS, BackupController
-from repro.core.slots import SlotClock
+from repro.core.controller import CONTROLLER_ADDRESS
+from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
+from repro.core.world import World
 from repro.faults.live import CubInvariantProbe
-from repro.helpers.node import HelperNode
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import NodeTransport
 from repro.live.wire import (
@@ -59,10 +57,6 @@ from repro.net.message import reset_message_ids
 from repro.obs.registry import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.storage.blockindex import BlockIndex
-from repro.storage.catalog import Catalog
-from repro.storage.layout import StripeLayout
-from repro.storage.mirror import MirrorScheme
 
 ROLE_CUB = "cub"
 ROLE_CONTROLLER = "controller"
@@ -74,7 +68,7 @@ DEFAULT_METRICS_INTERVAL = 2.0
 
 
 # ----------------------------------------------------------------------
-# Config and content reconstruction
+# Spec decoding: the config round trip and the role dispatch
 # ----------------------------------------------------------------------
 def config_to_dict(config: TigerConfig) -> Dict[str, Any]:
     """Serialize a config's scalar fields for a node spec.
@@ -102,111 +96,40 @@ def config_from_dict(data: Dict[str, Any]) -> TigerConfig:
     return TigerConfig(**data)
 
 
-class NodeWorld:
-    """The deterministic substrate every node rebuilds from its spec."""
-
-    def __init__(
-        self,
-        config: TigerConfig,
-        num_files: int,
-        duration_s: float,
-    ) -> None:
-        self.config = config
-        self.layout = StripeLayout(config.num_cubs, config.disks_per_cub)
-        self.mirror = MirrorScheme(self.layout, config.decluster)
-        self.clock = SlotClock(
-            num_disks=config.num_disks,
-            num_slots=config.num_slots,
-            block_play_time=config.block_play_time,
-        )
-        self.catalog = Catalog(config.block_play_time, config.num_disks)
-        self.indexes: List[BlockIndex] = [
-            BlockIndex(cub_id) for cub_id in range(config.num_cubs)
-        ]
-        self.files = content_lib.add_standard_content(
-            config, self.layout, self.mirror, self.catalog, self.indexes,
-            num_files=num_files, duration_s=duration_s,
-        )
-
-
 def build_component(
-    spec: Dict[str, Any],
-    world: NodeWorld,
-    runtime: LiveRuntime,
-    transport: NodeTransport,
-    registry: MetricsRegistry,
+    spec: Dict[str, Any], world: World
 ) -> Tuple[Any, Optional[CubInvariantProbe]]:
-    """Construct the protocol component a spec asks for.
+    """Have ``world`` build the protocol component a spec asks for.
 
     :returns: ``(component, probe)``; the invariant probe is only
         created for cubs (it is not installed yet).
     """
     role = spec["role"]
-    config = world.config
-    tracer = Tracer(capacity=4096)
     if role == ROLE_CUB:
-        cub_id = int(spec["node_id"])
-        cub = Cub(
-            sim=runtime,
-            cub_id=cub_id,
-            config=config,
-            layout=world.layout,
-            mirror=world.mirror,
-            catalog=world.catalog,
-            clock=world.clock,
-            network=transport,
-            rngs=RngRegistry(int(spec.get("seed", 0))),
-            block_index=world.indexes[cub_id],
+        cub = world.make_cub(
+            int(spec["node_id"]),
             oracle=None,  # the oracle needs global state; live nodes have none
-            tracer=tracer,
             strict=False,  # count violations; never kill a live process
-            registry=registry,
         )
         if spec.get("backup_enabled"):
             cub.controller_addresses = (
                 CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS
             )
-        return cub, CubInvariantProbe(cub, registry)
+        return cub, CubInvariantProbe(cub, world.registry)
     if role == ROLE_CONTROLLER:
-        controller = Controller(
-            sim=runtime,
-            config=config,
-            layout=world.layout,
-            catalog=world.catalog,
-            clock=world.clock,
-            network=transport,
-            tracer=tracer,
-            registry=registry,
-        )
+        controller = world.make_controller()
         if spec.get("backup_enabled"):
             controller.attach_backup(BACKUP_CONTROLLER_ADDRESS)
         return controller, None
     if role == ROLE_HELPER:
-        helper = HelperNode(
-            sim=runtime,
-            helper_id=int(spec["node_id"]),
-            config=config,
-            catalog=world.catalog,
-            layout=world.layout,
-            network=transport,
-            capacity_blocks=int(spec.get("helper_capacity", 0)),
-            policy=str(spec.get("helper_policy", "lru")),
-            tracer=tracer,
-            registry=registry,
+        helper = world.make_helper(
+            int(spec["node_id"]),
+            int(spec.get("helper_capacity", 0)),
+            str(spec.get("helper_policy", "lru")),
         )
         return helper, None
     if role == ROLE_BACKUP:
-        backup = BackupController(
-            sim=runtime,
-            config=config,
-            layout=world.layout,
-            catalog=world.catalog,
-            clock=world.clock,
-            network=transport,
-            tracer=tracer,
-            registry=registry,
-        )
-        return backup, None
+        return world.make_backup_controller(), None
     raise ValueError(f"unknown node role {role!r}")
 
 
@@ -332,19 +255,25 @@ class LiveNode:
         self.transport = NodeTransport(
             self.runtime, writer, codec=self.codec, stats=self.wire_stats
         )
-        world = NodeWorld(
+        world = World(
             config_from_dict(spec["config"]),
-            num_files=int(spec.get("content", {}).get("num_files", 16)),
-            duration_s=float(spec.get("content", {}).get("duration_s", 600.0)),
+            self.runtime,
+            self.transport,
+            self.registry,
+            Tracer(capacity=4096),
+            RngRegistry(int(spec.get("seed", 0))),
         )
-        self.component, self.probe = build_component(
-            spec, world, self.runtime, self.transport, self.registry
+        content = spec.get("content", {})
+        world.add_standard_content(
+            num_files=int(content.get("num_files", 16)),
+            duration_s=float(content.get("duration_s", 600.0)),
         )
-        if isinstance(self.component, Cub):
-            # Heartbeats, pumps, and deadman sweeps begin at epoch, in
-            # lockstep with every other cub's runtime time 0.
-            self.runtime.call_at(0.0, self.component.start)
+        self.component, self.probe = build_component(spec, world)
         if self.probe is not None:
+            # A cub: heartbeats, pumps, deadman and invariant sweeps
+            # begin at epoch, in lockstep with every other cub's
+            # runtime time 0.
+            self.runtime.call_at(0.0, self.component.start)
             self.runtime.call_at(0.0, self.probe.install)
         self.runtime.call_after(
             self.metrics_interval, self._pump_metrics, writer

@@ -86,6 +86,40 @@ def plan_rebalance(
     return plan
 
 
+def arm_rebalance(
+    host: Any,
+    weights: Sequence[int],
+    throttle: float,
+    start_at: float,
+    journal_path: Optional[str] = None,
+) -> "OnlineRestriper":
+    """Arm a capacity-weighted rebalance of ``host``'s content.
+
+    The one weights → plan → journal → attach → scheduled-start
+    sequence behind ``demo``/``chaos``/``restripe``/``cluster`` and the
+    ``--compare-sim`` replay.  ``host`` is any assembly
+    (:class:`~repro.core.world.World`) that can ``attach_restriper``.
+    Layout and content are pure functions of the config, so every host
+    plans the *identical* move list.  The weighted layout keeps the
+    geometry (same cubs, same disks) and only re-spreads blocks inside
+    each cub, so the plan is fully executable under live traffic.  With
+    a journal path, a journal left by a crashed run is loaded and the
+    restripe *resumes* — committed moves are never re-run.
+    """
+    weighted = host.layout.with_weights(weights)
+    files = host.catalog.files()
+    block_bytes = {
+        entry.file_id: entry.content_bytes_per_block for entry in files
+    }
+    plan = plan_rebalance(host.layout, weighted, files, block_bytes)
+    journal = MoveJournal.load(journal_path) if journal_path else None
+    restriper = host.attach_restriper(
+        plan, journal=journal, throttle=throttle
+    )
+    host.runtime.call_at(start_at, restriper.start)
+    return restriper
+
+
 def plan_fingerprint(plan: RestripePlan) -> str:
     """Stable identity of a plan (journal/plan pairing check)."""
     digest = hashlib.sha256()
@@ -317,6 +351,21 @@ class OnlineRestriper(NetworkNode):
 
     def result_fingerprint(self) -> str:
         return placement_fingerprint(self.plan, self.journal.committed)
+
+    def export_gauges(self) -> None:
+        """Publish point-in-time progress beside the live counters."""
+        gauge = self.registry.gauge
+        gauge("restripe.progress_ratio",
+              help="Fraction of planned moves committed (or skipped "
+                   "as already committed on resume)",
+              unit="ratio").set(self.progress_ratio())
+        gauge("restripe.in_flight",
+              help="Moves currently copying", unit="moves").set(
+                  self.in_flight())
+        gauge("restripe.suspended",
+              help="1 while repeated move failures hold the "
+                   "restripe suspended",
+              unit="bool").set(1.0 if self.suspended else 0.0)
 
     # ------------------------------------------------------------------
     # Move machinery

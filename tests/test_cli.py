@@ -58,3 +58,55 @@ class TestCommands:
         )
         assert code == 0
         assert output.exists()
+
+
+class TestBadInput:
+    """A constructor's ``ValueError`` is the user's input being
+    rejected: one ``error:`` line, exit code 2, no traceback — on every
+    verb, with the library's own message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "--load", "2"], "load must be in (0, 1]"),
+            (["chaos", "--seconds", "0"], "duration must be positive"),
+            (["chaos", "--shards", "0"], "shards must be >= 1"),
+            (["chaos", "--helpers", "-1"], "helpers must be >= 0"),
+            (["chaos", "--victim", "99"], "--victim"),
+            (["chaos", "--restripe", "1,2", "--restripe-throttle", "0"],
+             "throttle must be in (0, 1]"),
+            (["demo", "--files", "0"], "add content"),
+            (["demo", "--file-seconds", "0"], "duration must be positive"),
+            (["demo", "--shards", "0"], "shards must be >= 1"),
+            (["demo", "--helper-capacity", "-2"],
+             "helper_capacity must be >= 0"),
+            (["demo", "--helper-policy", "bogus"], "--helper-policy"),
+            (["demo", "--restripe", "1,2", "--restripe-throttle", "0"],
+             "throttle must be in (0, 1]"),
+            (["demo", "--restripe", "a,b"], "weights must be integers"),
+            (["restripe", "--throttle", "0"], "throttle must be in (0, 1]"),
+            (["restripe", "--load", "0"], "--load"),
+            (["restripe", "--seconds", "0"], "--seconds"),
+            (["failover", "--victim", "7"], "--victim"),
+            (["trace", "--victim", "7"], "--victim"),
+            (["metrics", "--files", "0"], "add content"),
+        ],
+    )
+    def test_rejected_with_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_an_error_out_of_the_run_is_not_a_usage_error(self, monkeypatch):
+        """Only construction is wrapped: a ``ValueError`` raised while
+        the clock is moving must surface, not exit 2."""
+        from repro import TigerSystem
+
+        def boom(self, duration):
+            raise ValueError("schedule corrupted mid-run")
+
+        monkeypatch.setattr(TigerSystem, "run_for", boom)
+        with pytest.raises(ValueError, match="mid-run"):
+            main(["demo", "--streams", "2", "--seconds", "1", "--files", "2"])

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.disk.drive import SimDisk
-from repro.disk.failure import FailureEvent, FailurePlan
 from repro.disk.model import (
     DiskParameters,
     unfailed_utilization_at_capacity,
@@ -200,50 +199,3 @@ class TestSimDisk:
             sim.run()
         mean = lambda xs: sum(xs) / len(xs)
         assert mean(times["inner"]) > mean(times["outer"])
-
-
-class TestFailurePlan:
-    def test_parse_sorted(self):
-        plan = FailurePlan()
-        plan.fail_cub(3, at=10.0)
-        plan.fail_disk(7, at=5.0)
-        decoded = plan.parse()
-        assert decoded[0] == (5.0, "disk", 7, "fail")
-        assert decoded[1] == (10.0, "cub", 3, "fail")
-
-    def test_bad_action_rejected(self):
-        with pytest.raises(ValueError):
-            FailureEvent(0.0, "cub:1", "explode")
-
-    def test_bad_component_rejected(self):
-        with pytest.raises(ValueError):
-            FailureEvent(0.0, "router:1", "fail")
-
-    def test_install_applies_events(self, sim):
-        class FakeSystem:
-            def __init__(self):
-                self.calls = []
-
-            def fail_cub(self, index):
-                self.calls.append(("fail_cub", index, sim.now))
-
-            def recover_cub(self, index):
-                self.calls.append(("recover_cub", index, sim.now))
-
-        system = FakeSystem()
-        plan = FailurePlan().fail_cub(2, at=1.0).recover_cub(2, at=3.0)
-        plan.install(sim, system)
-        sim.run()
-        assert system.calls == [("fail_cub", 2, 1.0), ("recover_cub", 2, 3.0)]
-
-    def test_install_immediate_for_past_events(self, sim):
-        class FakeSystem:
-            def __init__(self):
-                self.calls = []
-
-            def fail_cub(self, index):
-                self.calls.append(index)
-
-        system = FakeSystem()
-        FailurePlan().fail_cub(1, at=0.0).install(sim, system)
-        assert system.calls == [1]

@@ -1,9 +1,9 @@
-"""FailurePlan driving a real TigerSystem, plus cub edge cases."""
+"""A fault plan driving a real TigerSystem, plus cub edge cases."""
 
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.disk.failure import FailurePlan
+from repro.faults.plan import FaultPlan
 
 
 class TestFailurePlanIntegration:
@@ -13,8 +13,7 @@ class TestFailurePlanIntegration:
         client = system.add_client()
         for index in range(8):
             client.start_stream(file_id=index % 4)
-        plan = FailurePlan().fail_cub(1, at=20.0).recover_cub(1, at=45.0)
-        plan.install(system.sim, system)
+        FaultPlan().crash_cub(1, at=20.0, restart_after=25.0).install(system)
         system.run_for(70.0)
         assert system.cubs[1].failed is False
         assert system.total_mirror_pieces_sent() > 0
@@ -26,7 +25,7 @@ class TestFailurePlanIntegration:
         client = system.add_client()
         for index in range(8):
             client.start_stream(file_id=index % 4)
-        FailurePlan().fail_disk(2, at=15.0).install(system.sim, system)
+        FaultPlan().fail_disk(2, at=15.0).install(system)
         system.run_for(40.0)
         assert system.cubs[2].disks[2].failed
         assert system.total_mirror_pieces_sent() > 0
@@ -40,12 +39,11 @@ class TestFailurePlanIntegration:
         for index in range(8):
             client.start_stream(file_id=index % 4)
         plan = (
-            FailurePlan()
-            .fail_cub(0, at=15.0)
-            .recover_cub(0, at=40.0)
-            .fail_cub(2, at=60.0)
+            FaultPlan()
+            .crash_cub(0, at=15.0, restart_after=25.0)
+            .crash_cub(2, at=60.0)
         )
-        plan.install(system.sim, system)
+        plan.install(system)
         system.run_for(90.0)
         system.finalize_clients()
         for monitor in client.all_monitors():

@@ -12,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.config import small_config
-from repro.faults.live import LiveFaultError, LiveFaultInjector, kill_cub_plan
+from repro.faults.live import LiveFaultError, LiveFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.live.cluster import (
     SEND_HIGH_WATERMARK,
@@ -47,6 +47,33 @@ def test_scenario_validation():
         ClusterScenario(cubs=4, hubs=0)
     with pytest.raises(ValueError, match="hubs"):
         ClusterScenario(cubs=4, hubs=5)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # stream_plan() used to divide by zero after the cluster booted.
+        (dict(num_files=0), "at least one file"),
+        (dict(streams=-3), "streams"),
+        (dict(file_duration_s=0.0), "file duration"),
+        # A kill beyond the run never fired, and the run reported PASS
+        # having exercised nothing.
+        (dict(kill_cub=1, kill_at=99.0), "kill time"),
+        (dict(kill_cub=1, kill_at=20.0), "kill time"),  # == duration
+        # LiveRuntime clamped this to "now"; the replay's simulator
+        # raised on a time in the past.
+        (dict(kill_cub=1, kill_at=-1.0), "kill time"),
+        (dict(helpers=1, kill_helper=0, kill_at=0.0), "kill time"),
+    ],
+)
+def test_scenario_rejects_what_could_not_run(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ClusterScenario(cubs=4, duration=20.0, **fields)
+
+
+def test_scenario_kill_at_is_only_checked_with_a_victim():
+    assert ClusterScenario(kill_at=99.0).fault_plan().events == []
+    assert ClusterScenario(kill_cub=1, kill_at=19.5).kill_time() == 19.5
 
 
 def test_scenario_namespaces_are_disjoint():
@@ -116,7 +143,7 @@ def test_live_injector_rejects_unsupported_fault_kinds():
 
 
 def test_kill_cub_plan_is_one_supported_crash():
-    plan = kill_cub_plan(2, at=4.5)
+    plan = ClusterScenario(kill_cub=2, kill_at=4.5).fault_plan()
     (spec,) = plan.events
     assert spec.kind == "cub.crash"
     assert spec.target == "cub:2"
@@ -408,6 +435,28 @@ def test_report_render_shows_zero_safe_drift():
     text = report.render()
     assert "drift=0%" in text
     assert "drift=100%" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--files", "0"], "at least one file"),
+        (["--streams", "-3"], "streams"),
+        (["--file-seconds", "0"], "file duration"),
+        (["--kill-cub", "1", "--kill-at", "99"], "kill time"),
+        (["--kill-cub", "1", "--kill-at", "-1"], "kill time"),
+    ],
+)
+def test_cluster_cli_rejects_a_scenario_that_could_not_run(
+    argv, message, capsys
+):
+    from repro.cli import main
+
+    assert main(["cluster", "--cubs", "3"] + argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cluster_cli_exit_codes_without_tracebacks(monkeypatch, capsys):

@@ -1,15 +1,40 @@
-"""The one scenario script both backends run, on a bare Simulator.
+"""The one scenario script both backends run, and its two hosts.
 
 ``schedule_viewer_script`` needs nothing but ``runtime.call_at``, so
 recording fake clients on a plain :class:`Simulator` see exactly the
 operation sequence the live driver and the ``--compare-sim`` replay
-would issue.
+would issue.  ``arm_scenario`` needs an assembly that can take a
+client, a restriper and a fault plan: a recording fake pins what it
+asks for and in which order, then the two real hosts —
+:class:`TigerSystem` and :class:`LiveCluster` (no processes needed) —
+are armed with the same scenario, and five replays are pinned to the
+counters measured before the two backends shared this code.
 """
 
+import asyncio
+import time
 from types import SimpleNamespace
 
-from repro.live.cluster import ClusterScenario, schedule_viewer_script
+import pytest
+
+from repro.core.protocol import BlockData, block_pattern
+from repro.core.tiger import TigerSystem
+from repro.core.world import World
+from repro.live.cluster import (
+    ClusterHub,
+    ClusterScenario,
+    LiveCluster,
+    arm_scenario,
+    run_scenario_in_sim,
+    schedule_viewer_script,
+)
+from repro.live.runtime import LiveRuntime
+from repro.live.transport import NullTransport
+from repro.net.message import KIND_DATA, Message
+from repro.obs.registry import MetricsRegistry, snapshot_total
 from repro.sim.core import Simulator
+from repro.sim.rng import RngRegistry
+from repro.storage.rebalance import RESTRIPER_ADDRESS
 
 
 class RecordingClient:
@@ -110,3 +135,245 @@ def test_ops_on_a_viewer_without_an_instance_are_noops():
     assert [op for _, op, client, _ in log if client == 1] == [
         "start", "pause",
     ]
+
+
+# ----------------------------------------------------------------------
+# arm_scenario: what it asks of a host, and in which order
+# ----------------------------------------------------------------------
+RESTRIPE_WEIGHTS = (1, 1, 1, 1, 2, 2, 2, 2)
+
+
+def busy_scenario(**overrides):
+    """Restripe, cub kill, helper kill and churn in one run."""
+    fields = dict(
+        cubs=4, streams=5, duration=20.0, churn=3,
+        kill_cub=2, helpers=1, helper_capacity=8, kill_helper=0,
+        restripe_weights=RESTRIPE_WEIGHTS, restripe_throttle=0.5,
+        restripe_start=2.0,
+    )
+    fields.update(overrides)
+    return ClusterScenario(**fields)
+
+
+class RecordingHost(World):
+    """A third host: the substrate comes from the assembly, the three
+    verbs only write down what they were asked."""
+
+    def __init__(self, scenario):
+        super().__init__(
+            scenario.config(), Simulator(), NullTransport(),
+            MetricsRegistry(), None, RngRegistry(scenario.seed),
+        )
+        self.add_standard_content(
+            scenario.num_files, scenario.file_duration_s
+        )
+        self.calls = []
+        self.clients = []
+        self.restriper_started_at = None
+
+    def add_client(self):
+        self.calls.append("add_client")
+        self.clients.append(RecordingClient(
+            len(self.clients), self.runtime, [], iter(range(100, 10_000))
+        ))
+        return self.clients[-1]
+
+    def attach_restriper(self, plan, **options):
+        self.calls.append("attach_restriper")
+        self.plan, self.restriper_options = plan, options
+
+        def start():
+            self.restriper_started_at = self.runtime.now
+
+        return SimpleNamespace(start=start)
+
+    def install_faults(self, plan):
+        self.calls.append("install_faults")
+        self.fault_plan = plan
+
+
+def test_arm_scenario_order_and_arguments():
+    scenario = busy_scenario()
+    host = RecordingHost(scenario)
+    arm_scenario(host, scenario)
+    # Restriper first, then every client, then the one fault plan: on
+    # the DES this order is the event sequence numbers.
+    assert host.calls == (
+        ["attach_restriper"] + ["add_client"] * scenario.streams
+        + ["install_faults"]
+    )
+    assert host.plan.moves and host.plan.new_layout.disk_weights == (
+        RESTRIPE_WEIGHTS
+    )
+    assert host.restriper_options == {"journal": None, "throttle": 0.5}
+    assert [spec.describe() for spec in host.fault_plan.events] == [
+        f"cub.crash cub:2 @{scenario.kill_time():g}s",
+        f"helper.crash helper:0 @{scenario.helper_kill_time():g}s",
+    ]
+    assert host.restriper_started_at is None
+    host.runtime.run(until=scenario.duration)
+    assert host.restriper_started_at == scenario.restripe_start
+
+
+def test_arm_scenario_without_restripe_or_faults_asks_for_neither():
+    scenario = ClusterScenario(cubs=4, streams=3, duration=20.0)
+    host = RecordingHost(scenario)
+    arm_scenario(host, scenario)
+    assert host.calls == ["add_client"] * 3
+
+
+# ----------------------------------------------------------------------
+# The DES host
+# ----------------------------------------------------------------------
+def test_scenario_armed_on_a_real_system():
+    scenario = busy_scenario()
+    system = TigerSystem(
+        scenario.config(), seed=scenario.seed,
+        helpers=scenario.helpers, helper_capacity=scenario.helper_capacity,
+    )
+    system.add_standard_content(
+        scenario.num_files, scenario.file_duration_s
+    )
+    arm_scenario(system, scenario)
+    assert len(system.clients) == scenario.streams
+    assert system.restriper is not None and not system.restriper.started
+    system.run_until(scenario.restripe_start + 1e-6)
+    assert system.restriper.started_at == scenario.restripe_start
+    victim = system.cubs[scenario.kill_cub]
+    system.run_until(scenario.kill_time() - 1e-6)
+    assert not victim.failed
+    system.run_until(scenario.kill_time() + 1e-6)
+    # Power cut, not just a silent process: the disks go with the cub.
+    assert victim.failed
+    assert all(disk.failed for disk in victim.disks.values())
+    assert not system.helpers[0].failed
+    system.run_until(scenario.helper_kill_time() + 1e-6)
+    assert system.helpers[0].failed
+
+
+#: ``run_scenario_in_sim`` totals measured on the commit before the
+#: replay and the live driver shared ``arm_scenario``.
+GOLDEN_COUNTERS = (
+    "cub.viewer_states_forwarded", "cub.deschedules_forwarded",
+    "cub.inserts_performed", "cub.admission_rejects", "cub.mirror_covers",
+    "cub.blocks_sent", "cub.deadman_resurrections",
+    "cub.mirror_pieces_sent", "controller.starts_routed",
+    "controller.stops_routed", "restripe.moves_committed",
+    "sim.events_dispatched", "helper.blocks_served",
+)
+GOLDEN_REPLAYS = [
+    (dict(cubs=4, streams=6, duration=20.0),
+     (150, 4, 6, 0, 0, 102, 0, 0, 6, 1, 0, 2098, 0)),
+    (dict(cubs=3, streams=6, duration=12.0, kill_cub=1),
+     (88, 2, 6, 0, 20, 43, 0, 11, 6, 1, 0, 897, 0)),
+    (dict(cubs=5, streams=12, duration=25.0, kill_cub=2, churn=4,
+          arrivals="zipf", seed=3),
+     (203, 17, 13, 0, 45, 118, 0, 50, 13, 4, 0, 3155, 0)),
+    (dict(cubs=4, streams=8, duration=20.0, helpers=2, helper_capacity=64,
+          kill_helper=0, arrivals="flash", seed=1),
+     (112, 4, 8, 0, 0, 57, 0, 0, 8, 1, 0, 2104, 29)),
+    (dict(cubs=4, streams=3, duration=16.0,
+          restripe_weights=RESTRIPE_WEIGHTS, restripe_throttle=0.5,
+          restripe_start=2.0),
+     (61, 4, 3, 0, 0, 37, 0, 0, 3, 1, 430, 3609, 0)),
+]
+
+
+@pytest.mark.parametrize("fields, expected", GOLDEN_REPLAYS)
+def test_replay_counters_are_bit_identical(fields, expected):
+    snapshot = run_scenario_in_sim(ClusterScenario(**fields))
+    assert tuple(
+        int(snapshot_total(snapshot, name)) for name in GOLDEN_COUNTERS
+    ) == expected
+
+
+def test_replay_ignores_the_journal(tmp_path):
+    """The replay always executes the full plan (see
+    ``ClusterScenario.restripe_journal``): it neither reads nor writes
+    the live run's journal."""
+    journal = tmp_path / "moves.jsonl"
+    fields, expected = GOLDEN_REPLAYS[-1]
+    snapshot = run_scenario_in_sim(
+        ClusterScenario(restripe_journal=str(journal), **fields)
+    )
+    assert int(snapshot_total(snapshot, "restripe.moves_committed")) == 430
+    assert not journal.exists()
+
+
+# ----------------------------------------------------------------------
+# The live host, without processes
+# ----------------------------------------------------------------------
+class StubProc:
+    """Stands in for a ``subprocess.Popen`` the fault injector kills."""
+
+    def __init__(self):
+        self.killed = False
+
+    def poll(self):
+        return 0 if self.killed else None
+
+    def kill(self):
+        self.killed = True
+
+
+def test_scenario_armed_on_a_live_cluster_without_processes():
+    scenario = busy_scenario(kill_at=5.0)
+
+    async def body():
+        registry = MetricsRegistry()
+        hub = ClusterHub(scenario.node_addresses(), registry)
+        # Runtime time 4.8: every start and the restripe start are
+        # already due, the kill is 0.2 s away.
+        runtime = LiveRuntime(time.time() - 4.8, asyncio.get_running_loop())
+        procs = {address: StubProc() for address in scenario.node_addresses()}
+        cluster = LiveCluster(scenario, hub, runtime, registry, procs)
+        arm_scenario(cluster, scenario)
+        try:
+            assert set(hub.local) == {
+                f"client:{index}" for index in range(scenario.streams)
+            } | {RESTRIPER_ADDRESS}
+            assert cluster.armed_faults == [(5.0, "cub:2"), (5.0, "helper:0")]
+            assert cluster.restriper.plan.moves
+            await asyncio.sleep(0.05)  # due timers fire: streams start
+            assert cluster.restriper.started
+
+            # Blocks routed to client:0 reach that client, through the
+            # tap: lateness is observed from the second block on (the
+            # first one fixes the stream's deadlines).
+            client = cluster.clients[0]
+            (instance,) = client.streams
+            monitor = client.streams[instance]
+            for seqno in range(3):
+                assert cluster.lateness.n == max(0, seqno - 1)
+                hub.route(Message(
+                    "cub:0", client.address,
+                    BlockData(
+                        monitor.viewer_id, instance, monitor.file_id,
+                        seqno, seqno,
+                        pattern=block_pattern(monitor.file_id, seqno),
+                    ),
+                    1000, kind=KIND_DATA,
+                ))
+                assert monitor.blocks_received == seqno + 1
+            assert cluster.lateness.n == 2
+
+            assert not cluster.kills
+            await asyncio.sleep(0.4)
+            # Same instant on a wall clock: either may go first.
+            assert sorted(address for _, address in cluster.kills) == [
+                "cub:2", "helper:0",
+            ]
+            assert cluster.kills[0][0] == pytest.approx(5.0, abs=0.2)
+            assert procs["cub:2"].killed and procs["helper:0"].killed
+            assert {"cub:2", "helper:0"} <= hub.expected_exits
+            assert not procs["cub:1"].killed
+
+            snapshot = cluster.export_metrics().snapshot()
+            assert snapshot_total(
+                snapshot, "live.client_blocks_received", node="client:0"
+            ) == 3
+            assert "restripe.progress_ratio" in snapshot
+        finally:
+            runtime.cancel_all()
+
+    asyncio.run(body())

@@ -16,13 +16,17 @@ A cub never consults the global schedule; when a :class:`GlobalSchedule`
 oracle is attached (tests, metrics) the cub *reports* its commits to it,
 and the oracle raises if the distributed protocol ever violates the
 hallucination's invariants.
+
+Nothing else lives here.  The optional tiers (online restriping, helper
+fills) keep the cub-side half of their protocols in their own modules
+and add their payloads to the dispatch table, :attr:`Cub.handlers`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -32,13 +36,7 @@ from repro.core.protocol import (
     CancelStart,
     DescheduleForward,
     Heartbeat,
-    HelperFetch,
-    HelperFetchReply,
     PlayEnded,
-    RestripeAck,
-    RestripeBlock,
-    RestripeCommit,
-    RestripeCopy,
     StartCommitted,
     StartRequest,
     ViewerStateBatch,
@@ -48,25 +46,21 @@ from repro.core.placement import (
     make_placement_policy,
     neighbor_offsets,
 )
-from repro.core.protocol import CancelStart as _CancelStart
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
 from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ScheduleView
 from repro.core.viewerstate import (
-    DescheduleRequest,
     MirrorViewerState,
     ViewerState,
     make_initial_state,
     mirror_states_for,
 )
 from repro.disk.drive import SimDisk
-from repro.disk.zones import ZONE_OUTER
 from repro.net.message import (
     BATCH_HEADER_BYTES,
     DESCHEDULE_BYTES,
     HEARTBEAT_BYTES,
     KIND_DATA,
-    REQUEST_BYTES,
     VIEWER_STATE_BYTES,
     Message,
 )
@@ -185,10 +179,6 @@ class Cub(NetworkNode):
         #: (it models on-disk placement metadata, like the block
         #: index itself).
         self.migrations: Dict[Tuple[int, int], BlockLocation] = {}
-        #: Restriped copies written but not yet committed, by move id.
-        #: Cleared on recover: an unacknowledged write is presumed
-        #: lost and the restriper's retry re-creates it (idempotent).
-        self._staged_restripes: Dict[int, BlockLocation] = {}
 
         #: Modelled CPU (packetization dominates; see DESIGN.md).
         self.cpu = BusyMeter(sim.now)
@@ -258,27 +248,6 @@ class Cub(NetworkNode):
             "cub.deadman_resurrections",
             help="Believed-dead neighbours heard from again",
             unit="events", cub=cub_id)
-        self.helper_fetches_served = metric(
-            "cub.helper_fetches_served",
-            help="Off-schedule cache-fill blocks sent to helper nodes",
-            unit="blocks", cub=cub_id)
-        self.restripe_copies_served = metric(
-            "cub.restripe_copies_served",
-            help="Restripe block copies read off-schedule from this cub",
-            unit="blocks", cub=cub_id)
-        self.restripe_blocks_received = metric(
-            "cub.restripe_blocks_received",
-            help="Cross-cub restripe blocks written at this cub",
-            unit="blocks", cub=cub_id)
-        self.restripe_deferrals = metric(
-            "cub.restripe_deferrals",
-            help="Restripe copy reads deferred while scheduled work "
-                 "was queued on the source disk",
-            unit="deferrals", cub=cub_id)
-        self.restripe_commits = metric(
-            "cub.restripe_commits",
-            help="Migration-map cutovers applied from restripe commits",
-            unit="moves", cub=cub_id)
 
         #: Slot-placement policy for this cub's ownership instants.
         #: Policies are stateless; every cub shares the same registry
@@ -286,6 +255,20 @@ class Cub(NetworkNode):
         self._placement = make_placement_policy(
             config.placement, self.registry
         )
+
+        #: Payload type -> ``handler(payload, sender)``: the one dispatch
+        #: path.  These five are §4's whole vocabulary; an optional
+        #: tier's cub-side service adds its own (``World.make_cub``), so
+        #: the cub never names a tier's messages.
+        self.handlers: Dict[type, Callable[[Any, str], None]] = {
+            Heartbeat: self._on_heartbeat,
+            ViewerStateBatch: self._on_state_batch,
+            DescheduleForward: self._on_deschedule,
+            StartRequest: self._on_start_request,
+            CancelStart: self._on_cancel_start,
+        }
+        #: Run on reboot, for state a served tier must forget with it.
+        self.on_recover: List[Callable[[], None]] = []
 
         self._started = False
 
@@ -353,11 +336,11 @@ class Cub(NetworkNode):
         self._aborted_service.clear()
         self._recent_send_times.clear()
         self._first_considered.clear()
-        # Unacknowledged restripe writes are presumed lost with the
-        # crash; the restriper's retry re-creates them.  Committed
+        # Served tiers forget their volatile state too.  Committed
         # migrations persist — they model on-disk placement metadata,
         # like the block index.
-        self._staged_restripes.clear()
+        for forget in self.on_recover:
+            forget()
         self.start()
 
     # ==================================================================
@@ -365,244 +348,22 @@ class Cub(NetworkNode):
     # ==================================================================
     def handle_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, Heartbeat):
-            self.deadman.note_heartbeat(payload.cub_id, self.sim.now)
-            return
-        self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
-        if isinstance(payload, ViewerStateBatch):
-            for state in payload.states:
-                self._on_viewer_state(state)
-            for mirror_state in payload.mirrors:
-                self._on_mirror_state(mirror_state)
-        elif isinstance(payload, DescheduleForward):
-            self._on_deschedule(payload.request)
-        elif isinstance(payload, StartRequest):
-            self._on_start_request(payload)
-        elif isinstance(payload, _CancelStart):
-            self._on_cancel_start(payload)
-        elif isinstance(payload, HelperFetch):
-            self._on_helper_fetch(payload, message.src)
-        elif isinstance(payload, RestripeCopy):
-            self._on_restripe_copy(payload, message.src)
-        elif isinstance(payload, RestripeBlock):
-            self._on_restripe_block(payload)
-        elif isinstance(payload, RestripeCommit):
-            self._on_restripe_commit(payload)
-        else:
-            raise TypeError(f"{self.name}: unexpected payload {type(payload).__name__}")
+        kind = type(payload)
+        handler = self.handlers.get(kind)
+        if handler is None:
+            raise TypeError(f"{self.name}: unexpected payload {kind.__name__}")
+        if kind is not Heartbeat:  # liveness beats are not charged CPU
+            self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
+        handler(payload, message.src)
 
-    def _on_helper_fetch(self, fetch: HelperFetch, requester: str) -> None:
-        """Serve an off-schedule cache-fill read for a helper node.
+    def _on_heartbeat(self, beat: Heartbeat, _sender: str) -> None:
+        self.deadman.note_heartbeat(beat.cub_id, self.sim.now)
 
-        Fills ride the cub's spare disk/NIC bandwidth, outside the
-        distributed schedule: the reply is paced like a normal block
-        but never enters the slot machinery or the per-disk read
-        queues, so a busy fill tier cannot cause a scheduled read to
-        miss its deadline.  Counted as ``cub.helper_fetches_served``,
-        deliberately *not* ``cub.blocks_sent``, so origin-offload
-        measurements compare real schedule load.
-        """
-        entry = self.catalog.get(fetch.file_id)
-        if not 0 <= fetch.block_index < entry.num_blocks:
-            return
-        disk_id = (entry.start_disk + fetch.block_index) % self.layout.num_disks
-        if self.layout.cub_of_disk(disk_id) != self.cub_id:
-            return  # the helper's layout view raced a restripe
-        disk = self.disks.get(disk_id)
-        if disk is None or disk.failed:
-            return  # dead drive: the helper retries and gives up
-        size = entry.content_bytes_per_block
-        self.network.send_paced(
-            Message(
-                self.address,
-                requester,
-                HelperFetchReply(
-                    fetch.file_id, fetch.block_index,
-                    block_pattern(fetch.file_id, fetch.block_index),
-                ),
-                size,
-                kind=KIND_DATA,
-            ),
-            pacing_duration=self.config.block_play_time,
-        )
-        self.cpu.add_busy(self.sim.now, size * self.config.cpu_per_data_byte)
-        self.helper_fetches_served.increment()
-
-    # ==================================================================
-    # Online restriping (repro.storage.rebalance)
-    # ==================================================================
-    #: Consecutive slot-period deferrals before a copy read proceeds
-    #: anyway (the off-schedule read cannot displace queued scheduled
-    #: reads in any case; deferring models yielding the head).
-    _RESTRIPE_MAX_DEFERRALS = 8
-
-    def _restripe_ack(
-        self, requester: str, move_id: int, ok: bool, detail: str = ""
-    ) -> None:
-        self.network.send(
-            Message(
-                self.address, requester,
-                RestripeAck(move_id, ok, detail), REQUEST_BYTES,
-            )
-        )
-
-    def _on_restripe_copy(
-        self, copy: RestripeCopy, requester: str, deferrals: int = 0
-    ) -> None:
-        """Read one block off-schedule for an online restripe.
-
-        Same spare-bandwidth rule as helper fetches: the read never
-        enters the per-disk scheduled queues, and it additionally
-        *defers* (one slot period at a time) while the source disk has
-        scheduled work queued, so restripe reads only consume
-        slot-idle disk time.
-        """
-        disk = self.disks.get(copy.src_disk)
-        if disk is None:
-            self._restripe_ack(
-                requester, copy.move_id, False,
-                f"disk {copy.src_disk} not on cub {self.cub_id}")
-            return
-        if disk.failed:
-            self._restripe_ack(
-                requester, copy.move_id, False,
-                f"source disk {copy.src_disk} failed")
-            return
-        location = self.block_index.lookup_primary(
-            copy.file_id, copy.block_index
-        )
-        if location is None:
-            self._restripe_ack(
-                requester, copy.move_id, False,
-                f"no primary entry for file {copy.file_id} "
-                f"block {copy.block_index}")
-            return
-        if (
-            disk.queue_backlog > 0
-            and deferrals < self._RESTRIPE_MAX_DEFERRALS
-        ):
-            self.restripe_deferrals.increment()
-            self.after(
-                self.config.block_service_time,
-                self._on_restripe_copy, copy, requester, deferrals + 1,
-            )
-            return
-        read_time = self.config.disk.expected_read_time(
-            location.zone, copy.size_bytes
-        )
-        self.cpu.add_busy(
-            self.sim.now, copy.size_bytes * self.config.cpu_per_data_byte
-        )
-        self.restripe_copies_served.increment()
-        if copy.dst_disk in self.disks:
-            # Intra-cub move: disk-to-disk copy, no network hop.  The
-            # write costs about a read on the destination's outer zone.
-            write_time = self.config.disk.expected_read_time(
-                ZONE_OUTER, copy.size_bytes
-            )
-            self.after(
-                read_time + write_time,
-                self._finish_local_restripe, copy, requester,
-            )
-        else:
-            dst_cub = self.layout.cub_of_disk(copy.dst_disk)
-            block = RestripeBlock(
-                move_id=copy.move_id,
-                file_id=copy.file_id,
-                block_index=copy.block_index,
-                dst_disk=copy.dst_disk,
-                size_bytes=copy.size_bytes,
-                pattern=block_pattern(copy.file_id, copy.block_index),
-                reply_to=requester,
-            )
-            self.after(
-                read_time, self._ship_restripe_block, dst_cub, block
-            )
-
-    def _finish_local_restripe(
-        self, copy: RestripeCopy, requester: str
-    ) -> None:
-        dst = self.disks.get(copy.dst_disk)
-        if dst is None or dst.failed:
-            self._restripe_ack(
-                requester, copy.move_id, False,
-                f"destination disk {copy.dst_disk} failed")
-            return
-        self._staged_restripes[copy.move_id] = BlockLocation(
-            copy.dst_disk, ZONE_OUTER, 0, copy.size_bytes
-        )
-        self._restripe_ack(requester, copy.move_id, True)
-
-    def _ship_restripe_block(self, dst_cub: int, block: RestripeBlock) -> None:
-        self.network.send_paced(
-            Message(
-                self.address,
-                cub_address(dst_cub),
-                block,
-                block.size_bytes,
-                kind=KIND_DATA,
-            ),
-            pacing_duration=self.config.block_play_time,
-        )
-
-    def _on_restripe_block(self, block: RestripeBlock) -> None:
-        """Write a cross-cub migrated block at its new disk."""
-        disk = self.disks.get(block.dst_disk)
-        if disk is None:
-            self._restripe_ack(
-                block.reply_to, block.move_id, False,
-                f"disk {block.dst_disk} not on cub {self.cub_id}")
-            return
-        if disk.failed:
-            self._restripe_ack(
-                block.reply_to, block.move_id, False,
-                f"destination disk {block.dst_disk} failed")
-            return
-        write_time = self.config.disk.expected_read_time(
-            ZONE_OUTER, block.size_bytes
-        )
-        self.cpu.add_busy(
-            self.sim.now, block.size_bytes * self.config.cpu_per_data_byte
-        )
-        self.after(write_time, self._finish_remote_restripe, block)
-
-    def _finish_remote_restripe(self, block: RestripeBlock) -> None:
-        disk = self.disks.get(block.dst_disk)
-        if disk is None or disk.failed:
-            self._restripe_ack(
-                block.reply_to, block.move_id, False,
-                f"destination disk {block.dst_disk} failed during write")
-            return
-        self._staged_restripes[block.move_id] = BlockLocation(
-            block.dst_disk, ZONE_OUTER, 0, block.size_bytes
-        )
-        self.restripe_blocks_received.increment()
-        self._restripe_ack(block.reply_to, block.move_id, True)
-
-    def _on_restripe_commit(self, commit: RestripeCommit) -> None:
-        """Cut the scheduled read path over to the migrated copy.
-
-        Idempotent: replaying a commit (journal resume, duplicated
-        message) is a no-op.  The old index entry is never removed —
-        dual presence is what lets an aborted or crashed restripe keep
-        serving from the source copies.
-        """
-        key = (commit.file_id, commit.block_index)
-        if key in self.migrations:
-            return
-        if commit.dst_disk not in self.disks:
-            return  # not the serving cub for this move (stale commit)
-        staged = self._staged_restripes.pop(commit.move_id, None)
-        if staged is None:
-            # Commit replay after a reboot dropped the staging record:
-            # rebuild the location from the commit itself.
-            entry = self.catalog.get(commit.file_id)
-            staged = BlockLocation(
-                commit.dst_disk, ZONE_OUTER, 0,
-                entry.content_bytes_per_block,
-            )
-        self.migrations[key] = staged
-        self.restripe_commits.increment()
+    def _on_state_batch(self, batch: ViewerStateBatch, _sender: str) -> None:
+        for state in batch.states:
+            self._on_viewer_state(state)
+        for mirror_state in batch.mirrors:
+            self._on_mirror_state(mirror_state)
 
     # ==================================================================
     # Steady state: viewer-state propagation (§4.1.1)
@@ -1122,7 +883,8 @@ class Cub(NetworkNode):
     # ==================================================================
     # Deschedule handling (§4.1.2)
     # ==================================================================
-    def _on_deschedule(self, request: DescheduleRequest) -> None:
+    def _on_deschedule(self, forward: DescheduleForward, _sender: str) -> None:
+        request = forward.request
         # The tombstone is also what cancels the play's pending service:
         # reads and sends already in the pending table check it when
         # they fire.  A state is accepted at most max_vstate_lead ahead
@@ -1186,7 +948,7 @@ class Cub(NetworkNode):
     # ==================================================================
     # Insertion (§4.1.3)
     # ==================================================================
-    def _on_start_request(self, request: StartRequest) -> None:
+    def _on_start_request(self, request: StartRequest, _sender: str) -> None:
         if request.instance in self._cancelled_instances:
             return
         if request.instance in self._seen_start_instances:
@@ -1206,7 +968,7 @@ class Cub(NetworkNode):
         queue.append(request)
         self._arm_scan(request.target_disk)
 
-    def _on_cancel_start(self, cancel: CancelStart) -> None:
+    def _on_cancel_start(self, cancel: CancelStart, _sender: str) -> None:
         self._cancelled_instances.add(cancel.instance)
         self._redundant_requests.pop(cancel.instance, None)
         self._remove_queued_instance(cancel.instance)

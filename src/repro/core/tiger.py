@@ -415,7 +415,7 @@ class TigerSystem(World):
         return sum(helper.blocks_served.count for helper in self.helpers)
 
     def total_helper_fetches_served(self) -> int:
-        return sum(cub.helper_fetches_served.count for cub in self.cubs)
+        return sum(cub.helper_fetch.served.count for cub in self.cubs)
 
     def origin_offload_ratio(self) -> float:
         """Fraction of viewer blocks that never touched the schedule."""

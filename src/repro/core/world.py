@@ -12,7 +12,9 @@ got.
 
 It is also the only place the six protocol classes are constructed
 (``make_cub`` … ``make_restriper``), so a node is wired identically
-wherever it runs.  Three bindings exist:
+wherever it runs — including the cub-side services of the restripe and
+helper tiers, which ``make_cub`` plugs into every cub's dispatch table.
+Three bindings exist:
 
 * :class:`~repro.core.tiger.TigerSystem` — ``Simulator`` +
   ``SwitchedNetwork``, builds every node;
@@ -36,11 +38,12 @@ from repro.core.controller import Controller
 from repro.core.cub import Cub
 from repro.core.failover import BackupController
 from repro.core.slots import SlotClock
-from repro.helpers.node import HelperNode
+from repro.helpers.node import HelperFetchService, HelperNode
 from repro.storage.blockindex import BlockIndex
 from repro.storage.catalog import MODE_SINGLE_BITRATE, Catalog, TigerFile
 from repro.storage.layout import StripeLayout
 from repro.storage.mirror import MirrorScheme
+from repro.storage.rebalance import CubRestripeService, OnlineRestriper
 
 
 class World:
@@ -139,7 +142,7 @@ class World:
         strict: bool = True,
         forward_copies: int = 2,
     ) -> Cub:
-        return Cub(
+        cub = Cub(
             sim=self.runtime,
             cub_id=cub_id,
             config=self.config,
@@ -156,6 +159,12 @@ class World:
             forward_copies=forward_copies,
             registry=self.registry,
         )
+        # The optional tiers' cub-side services, always attached: a
+        # live cub process cannot know whether the driver will restripe
+        # or a helper will fetch, and an idle service is a table entry.
+        cub.restripe = CubRestripeService(cub)
+        cub.helper_fetch = HelperFetchService(cub)
+        return cub
 
     def make_controller(self) -> Controller:
         return Controller(
@@ -230,13 +239,9 @@ class World:
         retry_base: float = 0.5,
         suspend_after: int = 3,
         ack_timeout: Optional[float] = None,
-    ) -> Any:
-        """An :class:`~repro.storage.rebalance.OnlineRestriper` that
-        will execute ``plan`` in the background once started."""
-        # Imported on use, as every attach site did before: runs that
-        # never restripe never load the restripe executor.
-        from repro.storage.rebalance import OnlineRestriper
-
+    ) -> OnlineRestriper:
+        """A restriper that will execute ``plan`` in the background
+        once started."""
         return OnlineRestriper(
             sim=self.runtime,
             config=self.config,

@@ -29,6 +29,7 @@ from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import MetricsRegistry
 from repro.sim.trace import Tracer
+from repro.storage.rebalance import arm_rebalance
 from repro.workloads.generator import ContinuousWorkload
 
 
@@ -145,8 +146,6 @@ class ChaosHarness:
         system.enable_controller_backup()
 
         if self.restripe_weights is not None:
-            from repro.storage.rebalance import arm_rebalance
-
             arm_rebalance(
                 system,
                 self.restripe_weights,

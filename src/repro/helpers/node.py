@@ -19,7 +19,9 @@ in :mod:`repro.live.wire`):
   later viewers hit);
 * helper -> cub :class:`~repro.core.protocol.HelperFetch` — an
   off-schedule block read from the owning cub's spare bandwidth,
-  answered by :class:`~repro.core.protocol.HelperFetchReply`;
+  answered by :class:`~repro.core.protocol.HelperFetchReply` (the
+  cub-side half is :class:`HelperFetchService` below, attached to
+  every cub by ``World.make_cub``);
 * anyone -> helper :class:`~repro.core.protocol.HelperInvalidate` —
   purge a file from the cache (content replaced/restriped).
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.config import TigerConfig
-from repro.core.cub import cub_address
+from repro.core.cub import Cub, cub_address
 from repro.core.protocol import (
     BlockData,
     HelperCancel,
@@ -349,7 +351,7 @@ class HelperNode(NetworkNode):
             return
         self._pending_fills[key] = now
         entry = self.catalog.get(file_id)
-        disk = (entry.start_disk + block) % self.layout.num_disks
+        disk = self.layout.disk_of_block(entry.start_disk, block)
         owner = self.layout.cub_of_disk(disk)
         self.network.send(
             Message(
@@ -429,6 +431,56 @@ class HelperNode(NetworkNode):
 
     def cached_blocks(self) -> int:
         return len(self.policy)
+
+
+class HelperFetchService:
+    """The cub-side half of the fill protocol: serves ``HelperFetch``."""
+
+    def __init__(self, cub: Cub) -> None:
+        self.cub = cub
+        self.served = cub.registry.counter(
+            "cub.helper_fetches_served",
+            help="Off-schedule cache-fill blocks sent to helper nodes",
+            unit="blocks", cub=cub.cub_id)
+        cub.handlers[HelperFetch] = self._on_fetch
+
+    def _on_fetch(self, fetch: HelperFetch, requester: str) -> None:
+        """Serve an off-schedule cache-fill read for a helper node.
+
+        Fills ride the cub's spare disk/NIC bandwidth, outside the
+        distributed schedule: the reply is paced like a normal block
+        but never enters the slot machinery or the per-disk read
+        queues, so a busy fill tier cannot cause a scheduled read to
+        miss its deadline.  Counted as ``cub.helper_fetches_served``,
+        deliberately *not* ``cub.blocks_sent``, so origin-offload
+        measurements compare real schedule load.
+        """
+        cub = self.cub
+        entry = cub.catalog.get(fetch.file_id)
+        if not 0 <= fetch.block_index < entry.num_blocks:
+            return
+        disk_id = cub.layout.disk_of_block(entry.start_disk, fetch.block_index)
+        if cub.layout.cub_of_disk(disk_id) != cub.cub_id:
+            return  # the helper's layout view raced a restripe
+        disk = cub.disks.get(disk_id)
+        if disk is None or disk.failed:
+            return  # dead drive: the helper retries and gives up
+        size = entry.content_bytes_per_block
+        cub.network.send_paced(
+            Message(
+                cub.address,
+                requester,
+                HelperFetchReply(
+                    fetch.file_id, fetch.block_index,
+                    block_pattern(fetch.file_id, fetch.block_index),
+                ),
+                size,
+                kind=KIND_DATA,
+            ),
+            pacing_duration=cub.config.block_play_time,
+        )
+        cub.cpu.add_busy(cub.sim.now, size * cub.config.cpu_per_data_byte)
+        self.served.increment()
 
 
 def _client_address(viewer_id: str) -> str:

@@ -28,6 +28,11 @@ Robustness model
   exceeds ``throttle`` of a cub's NIC, and source cubs defer copy
   reads while scheduled work is queued on the disk: moves only
   consume slot-idle time.
+
+Both halves of the wire protocol live here: :class:`OnlineRestriper`
+sends ``RestripeCopy`` / ``RestripeCommit`` and consumes ``RestripeAck``;
+the :class:`CubRestripeService` that ``World.make_cub`` attaches to
+every cub answers them, shipping ``RestripeBlock`` cub to cub.
 """
 
 from __future__ import annotations
@@ -35,9 +40,19 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.core.protocol import RestripeCopy
-from repro.net.message import KIND_CONTROL, REQUEST_BYTES, Message
+from repro.core.cub import Cub, cub_address
+from repro.core.protocol import (
+    RestripeAck,
+    RestripeBlock,
+    RestripeCommit,
+    RestripeCopy,
+    block_pattern,
+)
+from repro.disk.zones import ZONE_OUTER
+from repro.net.message import KIND_CONTROL, KIND_DATA, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
+from repro.obs.registry import MetricsRegistry
+from repro.storage.blockindex import BlockLocation
 from repro.storage.catalog import TigerFile
 from repro.storage.journal import MoveJournal
 from repro.storage.layout import StripeLayout
@@ -236,8 +251,6 @@ class OnlineRestriper(NetworkNode):
         #: Callbacks run once when the last move commits.
         self.on_done: List[Callable[[], None]] = []
 
-        from repro.obs.registry import MetricsRegistry
-
         self.registry = registry if registry is not None else MetricsRegistry()
         metric = self.registry.counter
         self.moves_planned = metric(
@@ -406,7 +419,7 @@ class OnlineRestriper(NetworkNode):
         cub = self.layout.cub_of_disk(move.src_disk)
         self.network.send(
             Message(
-                self.address, f"cub:{cub}", copy, REQUEST_BYTES,
+                self.address, cub_address(cub), copy, REQUEST_BYTES,
                 kind=KIND_CONTROL,
             )
         )
@@ -415,8 +428,6 @@ class OnlineRestriper(NetworkNode):
         )
 
     def handle_message(self, message: Message) -> None:
-        from repro.core.protocol import RestripeAck
-
         payload = message.payload
         if isinstance(payload, RestripeAck):
             self._on_ack(payload)
@@ -475,8 +486,6 @@ class OnlineRestriper(NetworkNode):
         at their destination until an epoch cutover adopts the new
         layout ring.
         """
-        from repro.core.protocol import RestripeCommit
-
         move = self.plan.moves[move_id]
         src_cub = self.layout.cub_of_disk(move.src_disk)
         dst_cub = self.layout.cub_of_disk(move.dst_disk)
@@ -493,7 +502,7 @@ class OnlineRestriper(NetworkNode):
         )
         self.network.send(
             Message(
-                self.address, f"cub:{src_cub}", commit, REQUEST_BYTES,
+                self.address, cub_address(src_cub), commit, REQUEST_BYTES,
                 kind=KIND_CONTROL,
             )
         )
@@ -545,3 +554,210 @@ class OnlineRestriper(NetworkNode):
         )
         for callback in self.on_done:
             callback()
+
+
+class CubRestripeService:
+    """The cub-side half of the protocol: copy, receive, stage, cut over.
+
+    Every action is scheduled through the cub's own ``after()``, so
+    powering the cub off cancels the copies it had in flight.
+    """
+
+    #: Consecutive slot-period deferrals before a copy read proceeds
+    #: anyway (the off-schedule read cannot displace queued scheduled
+    #: reads in any case; deferring models yielding the head).
+    MAX_DEFERRALS = 8
+
+    def __init__(self, cub: Cub) -> None:
+        self.cub = cub
+        #: Restriped copies written but not yet committed, by move id.
+        #: Cleared on recover: an unacknowledged write is presumed
+        #: lost and the restriper's retry re-creates it (idempotent).
+        self.staged: Dict[int, BlockLocation] = {}
+        metric = cub.registry.counter
+        self.copies_served = metric(
+            "cub.restripe_copies_served",
+            help="Restripe block copies read off-schedule from this cub",
+            unit="blocks", cub=cub.cub_id)
+        self.blocks_received = metric(
+            "cub.restripe_blocks_received",
+            help="Cross-cub restripe blocks written at this cub",
+            unit="blocks", cub=cub.cub_id)
+        self.deferrals = metric(
+            "cub.restripe_deferrals",
+            help="Restripe copy reads deferred while scheduled work "
+                 "was queued on the source disk",
+            unit="deferrals", cub=cub.cub_id)
+        self.commits = metric(
+            "cub.restripe_commits",
+            help="Migration-map cutovers applied from restripe commits",
+            unit="moves", cub=cub.cub_id)
+        cub.handlers[RestripeCopy] = self._on_copy
+        cub.handlers[RestripeBlock] = self._on_block
+        cub.handlers[RestripeCommit] = self._on_commit
+        cub.on_recover.append(self.staged.clear)
+
+    def _ack(
+        self, requester: str, move_id: int, ok: bool, detail: str = ""
+    ) -> None:
+        self.cub.network.send(
+            Message(
+                self.cub.address, requester,
+                RestripeAck(move_id, ok, detail), REQUEST_BYTES,
+            )
+        )
+
+    def _on_copy(
+        self, copy: RestripeCopy, requester: str, deferrals: int = 0
+    ) -> None:
+        """Read one block off-schedule for an online restripe.
+
+        Same spare-bandwidth rule as helper fetches: the read never
+        enters the per-disk scheduled queues, and it additionally
+        *defers* (one slot period at a time) while the source disk has
+        scheduled work queued, so restripe reads only consume
+        slot-idle disk time.
+        """
+        cub = self.cub
+        disk = cub.disks.get(copy.src_disk)
+        if disk is None:
+            self._ack(
+                requester, copy.move_id, False,
+                f"disk {copy.src_disk} not on cub {cub.cub_id}")
+            return
+        if disk.failed:
+            self._ack(
+                requester, copy.move_id, False,
+                f"source disk {copy.src_disk} failed")
+            return
+        location = cub.block_index.lookup_primary(
+            copy.file_id, copy.block_index
+        )
+        if location is None:
+            self._ack(
+                requester, copy.move_id, False,
+                f"no primary entry for file {copy.file_id} "
+                f"block {copy.block_index}")
+            return
+        if disk.queue_backlog > 0 and deferrals < self.MAX_DEFERRALS:
+            self.deferrals.increment()
+            cub.after(
+                cub.config.block_service_time,
+                self._on_copy, copy, requester, deferrals + 1,
+            )
+            return
+        read_time = cub.config.disk.expected_read_time(
+            location.zone, copy.size_bytes
+        )
+        cub.cpu.add_busy(
+            cub.sim.now, copy.size_bytes * cub.config.cpu_per_data_byte
+        )
+        self.copies_served.increment()
+        if copy.dst_disk in cub.disks:
+            # Intra-cub move: disk-to-disk copy, no network hop.  The
+            # write costs about a read on the destination's outer zone.
+            write_time = cub.config.disk.expected_read_time(
+                ZONE_OUTER, copy.size_bytes
+            )
+            cub.after(
+                read_time + write_time, self._finish_local, copy, requester
+            )
+        else:
+            block = RestripeBlock(
+                move_id=copy.move_id,
+                file_id=copy.file_id,
+                block_index=copy.block_index,
+                dst_disk=copy.dst_disk,
+                size_bytes=copy.size_bytes,
+                pattern=block_pattern(copy.file_id, copy.block_index),
+                reply_to=requester,
+            )
+            cub.after(
+                read_time, self._ship_block,
+                cub.layout.cub_of_disk(copy.dst_disk), block,
+            )
+
+    def _finish_local(self, copy: RestripeCopy, requester: str) -> None:
+        dst = self.cub.disks.get(copy.dst_disk)
+        if dst is None or dst.failed:
+            self._ack(
+                requester, copy.move_id, False,
+                f"destination disk {copy.dst_disk} failed")
+            return
+        self.staged[copy.move_id] = BlockLocation(
+            copy.dst_disk, ZONE_OUTER, 0, copy.size_bytes
+        )
+        self._ack(requester, copy.move_id, True)
+
+    def _ship_block(self, dst_cub: int, block: RestripeBlock) -> None:
+        self.cub.network.send_paced(
+            Message(
+                self.cub.address,
+                cub_address(dst_cub),
+                block,
+                block.size_bytes,
+                kind=KIND_DATA,
+            ),
+            pacing_duration=self.cub.config.block_play_time,
+        )
+
+    def _on_block(self, block: RestripeBlock, _sender: str) -> None:
+        """Write a cross-cub migrated block at its new disk."""
+        cub = self.cub
+        disk = cub.disks.get(block.dst_disk)
+        if disk is None:
+            self._ack(
+                block.reply_to, block.move_id, False,
+                f"disk {block.dst_disk} not on cub {cub.cub_id}")
+            return
+        if disk.failed:
+            self._ack(
+                block.reply_to, block.move_id, False,
+                f"destination disk {block.dst_disk} failed")
+            return
+        write_time = cub.config.disk.expected_read_time(
+            ZONE_OUTER, block.size_bytes
+        )
+        cub.cpu.add_busy(
+            cub.sim.now, block.size_bytes * cub.config.cpu_per_data_byte
+        )
+        cub.after(write_time, self._finish_remote, block)
+
+    def _finish_remote(self, block: RestripeBlock) -> None:
+        disk = self.cub.disks.get(block.dst_disk)
+        if disk is None or disk.failed:
+            self._ack(
+                block.reply_to, block.move_id, False,
+                f"destination disk {block.dst_disk} failed during write")
+            return
+        self.staged[block.move_id] = BlockLocation(
+            block.dst_disk, ZONE_OUTER, 0, block.size_bytes
+        )
+        self.blocks_received.increment()
+        self._ack(block.reply_to, block.move_id, True)
+
+    def _on_commit(self, commit: RestripeCommit, _sender: str) -> None:
+        """Cut the scheduled read path over to the migrated copy.
+
+        Idempotent: replaying a commit (journal resume, duplicated
+        message) is a no-op.  The old index entry is never removed —
+        dual presence is what lets an aborted or crashed restripe keep
+        serving from the source copies.
+        """
+        cub = self.cub
+        key = (commit.file_id, commit.block_index)
+        if key in cub.migrations:
+            return
+        if commit.dst_disk not in cub.disks:
+            return  # not the serving cub for this move (stale commit)
+        staged = self.staged.pop(commit.move_id, None)
+        if staged is None:
+            # Commit replay after a reboot dropped the staging record:
+            # rebuild the location from the commit itself.
+            entry = cub.catalog.get(commit.file_id)
+            staged = BlockLocation(
+                commit.dst_disk, ZONE_OUTER, 0,
+                entry.content_bytes_per_block,
+            )
+        cub.migrations[key] = staged
+        self.commits.increment()

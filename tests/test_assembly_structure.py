@@ -5,6 +5,11 @@ Both backends run "the unmodified protocol classes"; this keeps them
 that every protocol class, every substrate piece and the rebalance
 planning step is called at exactly one site, and that the names of the
 per-backend copies this replaced stay gone.
+
+The same walk keeps ``core/cub.py`` the paper's §4 and nothing else:
+the restripe and helper tiers' cub-side services live beside the other
+half of their protocols and reach the cub only through its dispatch
+table, attached by the assembly.
 """
 
 import ast
@@ -26,6 +31,9 @@ SINGLE_SITES = {
     "OnlineRestriper": "core/world.py",
     "MirrorScheme": "core/world.py",
     "SlotClock": "core/world.py",
+    # The optional tiers' cub-side services: attached by the assembly.
+    "CubRestripeService": "core/world.py",
+    "HelperFetchService": "core/world.py",
     # weights -> plan -> journal -> attach -> start: arm_rebalance.
     "plan_rebalance": "storage/rebalance.py",
     "MoveJournal.load": "storage/rebalance.py",
@@ -35,6 +43,13 @@ SINGLE_SITES = {
 RETIRED_NAMES = {
     "NodeWorld", "kill_cub_plan", "kill_helper_plan",
     "build_restripe_plan", "FailurePlan", "MultiZoneGeometry",
+    "RestripeExecutor",
+}
+
+#: Tier payloads the cub serves without ever naming them.
+TIER_PAYLOADS = {
+    "HelperFetch", "HelperFetchReply",
+    "RestripeCopy", "RestripeBlock", "RestripeAck", "RestripeCommit",
 }
 
 
@@ -106,3 +121,43 @@ def test_the_assembly_does_not_know_its_backend():
         module.startswith(("repro.sim", "repro.live", "repro.net.switch"))
         for module in imported
     )
+
+
+def test_the_cub_names_no_optional_tier():
+    tree = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    named = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    } | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    } | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not named & TIER_PAYLOADS
+    imported = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert not any(
+        module.startswith(("repro.helpers", "repro.storage.rebalance"))
+        for module in imported
+    )
+
+
+def test_the_cub_has_one_dispatch_path():
+    """A payload-type table, not a type-test chain a tier must join."""
+    tree = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    (cub,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Cub"
+    ]
+    (dispatch,) = [
+        node for node in cub.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "handle_message"
+    ]
+    assert not list(_calls(dispatch, "isinstance"))

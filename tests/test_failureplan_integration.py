@@ -81,8 +81,8 @@ class TestCubEdgeCases:
 
         cub = system.cubs[0]
         request = StartRequest("client:0#1", 1, 0, 0, 0, 0.0)
-        cub._on_start_request(request)
-        cub._on_start_request(request)
+        cub._on_start_request(request, "controller")
+        cub._on_start_request(request, "controller")
         assert cub.queued_start_requests() == 1
 
     def test_mean_disk_utilization_zero_idle(self):

@@ -19,6 +19,7 @@ from repro.config import TigerConfig, small_config
 from repro.core.tiger import TigerSystem
 from repro.disk.zones import ZONE_OUTER
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
+from repro.obs.registry import snapshot_total
 from repro.storage.journal import MoveJournal
 from repro.storage.rebalance import (
     MOVE_COMMITTED,
@@ -26,7 +27,11 @@ from repro.storage.rebalance import (
     placement_fingerprint,
     plan_rebalance,
 )
-from repro.storage.restripe import estimate_restripe_time
+from repro.storage.restripe import (
+    BlockMove,
+    RestripePlan,
+    estimate_restripe_time,
+)
 from repro.workloads.generator import ContinuousWorkload
 
 #: Never loop a sim forever when a restripe regresses into not finishing.
@@ -42,11 +47,12 @@ def mixed_generation_weights(config: TigerConfig):
 
 
 def build_restripe_system(
-    config=None, seed=7, journal=None, load=0.0, **attach_kwargs
+    config=None, seed=7, journal=None, load=0.0, num_files=6,
+    **attach_kwargs
 ):
     """System + attached (unstarted) restriper for the weighted plan."""
     system = TigerSystem(config or small_config(), seed=seed)
-    files = system.add_standard_content(num_files=6, duration_s=120)
+    files = system.add_standard_content(num_files=num_files, duration_s=120)
     weighted = system.layout.with_weights(
         mixed_generation_weights(system.config)
     )
@@ -95,6 +101,9 @@ class TestCompletion:
         assert int(restriper.moves_committed.value()) == len(
             restriper.plan.moves
         )
+        assert int(restriper.bytes_moved.value()) == (
+            restriper.plan.total_bytes
+        )
         assert restriper.journal.done_fingerprint == (
             restriper.result_fingerprint()
         )
@@ -125,14 +134,7 @@ class TestEstimateLowerBound:
     @pytest.mark.parametrize("num_cubs", [4, 8])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_online_never_beats_dedicated_estimate(self, num_cubs, seed):
-        config = TigerConfig(
-            num_cubs=num_cubs,
-            disks_per_cub=2,
-            block_play_time=1.0,
-            max_bitrate_bps=2e6,
-            decluster=2,
-            streams_per_disk_override=4.0,
-        )
+        config = small_config(num_cubs=num_cubs)
         system, restriper = build_restripe_system(
             config=config, seed=seed, throttle=0.5, load=0.5
         )
@@ -141,6 +143,91 @@ class TestEstimateLowerBound:
         assert restriper.finished
         elapsed = restriper.finished_at - restriper.started_at
         assert elapsed >= dedicated_estimate(system, restriper.plan)
+
+
+def test_online_restripe_time_flat_across_system_sizes():
+    """The dynamic form of the §2.2 size-independence claim: with the
+    catalog growing in step with the system (so every cub holds the
+    same amount), an idle 16-cub restripe of ~4x the moves takes about
+    as long as the 4-cub one."""
+    elapsed = []
+    for num_cubs in (4, 8, 16):
+        system, restriper = build_restripe_system(
+            config=small_config(num_cubs=num_cubs), num_files=2 * num_cubs,
+            throttle=0.5,
+        )
+        system.sim.call_at(1.0, restriper.start)
+        drive_to_completion(system, restriper)
+        assert restriper.finished
+        elapsed.append(restriper.finished_at - restriper.started_at)
+    assert max(elapsed) < 1.6 * min(elapsed), elapsed
+
+
+class TestCrossCubCopy:
+    """The copy path no weighted plan reaches: ``plan_rebalance`` keeps
+    every move inside one cub, so the cub-to-cub block shipment and the
+    staged-at-destination state need a hand-built plan."""
+
+    def run_two_moves(self):
+        system = TigerSystem(small_config(), seed=7)
+        entry = system.add_standard_content(num_files=2, duration_s=60)[0]
+        layout = system.layout
+        size = entry.content_bytes_per_block
+        local_src = layout.disk_of_block(entry.start_disk, 0)
+        remote_src = layout.disk_of_block(entry.start_disk, 1)
+        plan = RestripePlan(layout, layout, [
+            # Same cub, its other disk.
+            BlockMove(entry.file_id, 0, local_src,
+                      (local_src + layout.num_cubs) % layout.num_disks, size),
+            # The next cub over.
+            BlockMove(entry.file_id, 1, remote_src,
+                      (remote_src + 1) % layout.num_disks, size),
+        ])
+        restriper = system.attach_restriper(plan, throttle=0.5)
+        system.sim.call_at(1.0, restriper.start)
+        system.run_for(20.0)
+        assert restriper.finished
+        local_cub = system.cubs[layout.cub_of_disk(local_src)]
+        dst_cub = system.cubs[layout.cub_of_disk(plan.moves[1].dst_disk)]
+        assert dst_cub is not system.cubs[layout.cub_of_disk(remote_src)]
+        return system, restriper, local_cub, dst_cub
+
+    def test_block_ships_to_the_destination_cub_and_stays_staged(self):
+        system, restriper, local_cub, dst_cub = self.run_two_moves()
+
+        def total(name):
+            return snapshot_total(system.registry.snapshot(), name)
+
+        assert total("cub.restripe_copies_served") == 2
+        assert total("cub.restripe_blocks_received") == 1
+        assert system.registry.get_value(
+            "cub.restripe_blocks_received", cub=dst_cub.cub_id) == 1
+        assert total("cub.restripe_commits") == 1
+        assert total("restripe.moves_committed") == 2
+        assert total("restripe.moves_staged") == 1
+        # The intra-cub move cut its read path over; the cross-cub one
+        # waits, staged, for an epoch cutover that adopts the new ring.
+        assert list(local_cub.migrations) == [(0, 0)]
+        assert [len(cub.migrations) for cub in system.cubs].count(0) == 3
+        move = restriper.plan.moves[1]
+        assert [
+            (move_id, location.disk_id)
+            for cub in system.cubs
+            for move_id, location in cub.restripe.staged.items()
+        ] == [(1, move.dst_disk)]
+        assert list(dst_cub.restripe.staged) == [1]
+        system.assert_invariants()
+
+    def test_reboot_drops_the_staged_copy(self):
+        """An unacknowledged write is presumed lost with the crash; the
+        committed migration is on-disk metadata and survives one."""
+        system, _restriper, local_cub, dst_cub = self.run_two_moves()
+        for cub in (local_cub, dst_cub):
+            system.fail_cub(cub.cub_id)
+            system.run_for(1.0)
+            system.recover_cub(cub.cub_id)
+        assert dst_cub.restripe.staged == {}
+        assert list(local_cub.migrations) == [(0, 0)]
 
 
 class TestCrashResume:

@@ -142,6 +142,10 @@ class Cub(NetworkNode):
         #: Start requests waiting for a free slot, per target disk.
         #: May include a dead predecessor's disks when covering for it.
         self._wait_queues: Dict[int, Deque[StartRequest]] = {}
+        #: Play instance -> its request in ``_wait_queues`` (an instance
+        #: is queued at most once), so a stop or cancel goes to the one
+        #: queue that holds it.  Exactly the queued requests.
+        self._queued_requests: Dict[int, StartRequest] = {}
         self._scan_events: Dict[int, Event] = {}
         self._cancelled_instances: Set[int] = set()
         #: Start-request instances already routed to this cub (duplicate
@@ -149,8 +153,14 @@ class Cub(NetworkNode):
         self._seen_start_instances: Set[int] = set()
         #: Redundant start requests held for a live predecessor (§4.1.3).
         self._redundant_requests: Dict[int, StartRequest] = {}
-        #: Redundant viewer states held for predecessors (§4.1.1).
+        #: Redundant viewer states held for predecessors (§4.1.1), in
+        #: arrival order — the order a neighbour's death bridges them.
         self._redundant_states: Dict[Tuple[int, int], ViewerState] = {}
+        #: The same records by play: instance -> play seqnos held, so a
+        #: deschedule finds them without a search.  Exactly the store's
+        #: keys; every write to the store goes through
+        #: :meth:`_hold_redundant` / :meth:`_release_redundant`.
+        self._redundant_index: Dict[int, Tuple[int, ...]] = {}
         #: States awaiting their forward window.
         self._forward_queue: List[ViewerState] = []
         #: Mirror states bound for downstream piece holders; they ride
@@ -172,6 +182,10 @@ class Cub(NetworkNode):
         self._service_buckets: Dict[
             float, Tuple[Event, List[Tuple[Callable[..., None], tuple]]]
         ] = {}
+        #: The latest deadline ever put in the table.  A bucket leaves
+        #: only at its own fire time, so this is the table's maximum
+        #: whenever that lies in the future.
+        self._latest_service_deadline = 0.0
 
         #: Committed block migrations from an online restripe:
         #: (file_id, block_index) -> the block's new local location.
@@ -321,15 +335,23 @@ class Cub(NetworkNode):
         # full timeout of grace instead of replaying pre-crash silence.
         self.deadman = self._fresh_deadman()
         self._wait_queues.clear()
+        self._queued_requests.clear()
         self._scan_events.clear()
+        # The crash lost every queued start, so its duplicate-suppression
+        # memory must go with it: a client retry routed here again is
+        # the only copy left, not a duplicate.
+        self._seen_start_instances.clear()
+        self._cancelled_instances.clear()
         self._forward_queue.clear()
         self._mirror_forward_queue.clear()
         self._redundant_states.clear()
+        self._redundant_index.clear()
         self._redundant_requests.clear()
         self._ready_reads.clear()
         # The drain events were cancelled by fail(); their buckets must
         # go too or a re-used fire time would run pre-crash actions.
         self._service_buckets.clear()
+        self._latest_service_deadline = 0.0
         # Service events were cancelled by fail(); drop their bookkeeping
         # too, or the entries would linger as phantom slot ownership.
         self._pending_service.clear()
@@ -389,7 +411,7 @@ class Cub(NetworkNode):
         ):
             self._bridge_state(state)
         else:
-            self._redundant_states[state.key()] = state
+            self._hold_redundant(state)
             if self.deadman.recently_resurrected(owner_cub, self.sim.now):
                 # Restart race: the sender routed around the owner while
                 # believing it dead, but our belief already flipped back
@@ -399,6 +421,26 @@ class Cub(NetworkNode):
                 # destination.  Relay it; duplicate chains self-merge
                 # through the idempotence set.
                 self._relay_to_owner(owner_cub, state)
+
+    def _hold_redundant(self, state: ViewerState) -> None:
+        """Keep a state targeted at another cub's disk, indexed by play."""
+        key = state.key()
+        if key not in self._redundant_states:
+            instance, seqno = key
+            index = self._redundant_index
+            index[instance] = index.get(instance, ()) + (seqno,)
+        self._redundant_states[key] = state
+
+    def _release_redundant(self, key: Tuple[int, int]) -> None:
+        """Take one held state out of the store and the index."""
+        del self._redundant_states[key]
+        instance, seqno = key
+        index = self._redundant_index
+        held = index[instance]
+        if len(held) == 1:  # the usual case: one visit's state per play
+            del index[instance]
+        else:
+            index[instance] = tuple(s for s in held if s != seqno)
 
     def _relay_to_owner(self, owner_cub: int, state: ViewerState) -> None:
         """Hand a held state straight to its (resurrected) owner."""
@@ -468,6 +510,8 @@ class Cub(NetworkNode):
         if bucket is None:
             drain = self.sim.call_at(when, self._drain_service_bucket, when)
             self._service_buckets[when] = (drain, [(action, args)])
+            if when > self._latest_service_deadline:
+                self._latest_service_deadline = when
         else:
             bucket[1].append((action, args))
 
@@ -627,12 +671,14 @@ class Cub(NetworkNode):
 
         mirrors_out: List[MirrorViewerState] = []
         for mirror_state in self._mirror_forward_queue:
-            if mirror_state.due_time <= now + _EPS:
-                self.mirror_pieces_missed.increment()
-                continue
+            # Tombstone first: a descheduled play's piece still queued
+            # here was cancelled, not missed.
             if self.view.has_tombstone(
                 mirror_state.viewer_id, mirror_state.instance, mirror_state.slot
             ):
+                continue
+            if mirror_state.due_time <= now + _EPS:
+                self.mirror_pieces_missed.increment()
                 continue
             mirrors_out.append(mirror_state)
         self._mirror_forward_queue = []
@@ -716,7 +762,7 @@ class Cub(NetworkNode):
             # state in the passive redundant store and orphan the viewer
             # — the owner never received a copy.  Hand it over the wire.
             self.view.admit(advanced, self.sim.now)
-            self._redundant_states[advanced.key()] = advanced
+            self._hold_redundant(advanced)
             self._relay_to_owner(owner, advanced)
             return
         self._on_viewer_state(advanced)
@@ -846,7 +892,7 @@ class Cub(NetworkNode):
                 and self._is_first_living_after(owner)
             ):
                 continue
-            del self._redundant_states[key]
+            self._release_redundant(key)
             self._bridge_state(state)
         # Activate redundant start requests on the same criterion.
         for instance in list(self._redundant_requests):
@@ -884,32 +930,30 @@ class Cub(NetworkNode):
     # Deschedule handling (§4.1.2)
     # ==================================================================
     def _on_deschedule(self, forward: DescheduleForward, _sender: str) -> None:
+        """Apply one deschedule.  It searches nothing: every table it
+        touches is reached by the play's own key."""
         request = forward.request
-        # The tombstone is also what cancels the play's pending service:
-        # reads and sends already in the pending table check it when
-        # they fire.  A state is accepted at most max_vstate_lead ahead
-        # of its due time (plus one block play time per dead cub it was
-        # bridged across), so the protocol's hold normally covers every
-        # pending deadline; taking the table's latest one as well makes
-        # "the tombstone outlives the service" true by construction.
-        expiry = max(
-            self.sim.now + self.config.max_vstate_lead + self.config.deschedule_hold,
-            max(self._service_buckets, default=0.0),
-        )
-        if not self.view.apply_deschedule(request, expiry):
+        if self.view.has_tombstone(request.viewer_id, request.instance, request.slot):
             return  # duplicate — idempotent
-        # Stop forwarding the play.
-        self._forward_queue = [
-            state for state in self._forward_queue if not request.matches(state)
-        ]
-        self._mirror_forward_queue = [
-            mirror_state
-            for mirror_state in self._mirror_forward_queue
-            if not request.matches_mirror(mirror_state)
-        ]
-        for key in list(self._redundant_states):
+        # The tombstone is what cancels the play's pending service and
+        # its queued forwards: the pending table's reads and sends and
+        # the forward queues' states check it when they fire, so none is
+        # looked for here.  A state is accepted at most max_vstate_lead
+        # ahead of its due time (plus one block play time per dead cub
+        # it was bridged across) and leaves the forward queue within a
+        # block play time and a pump interval of that, so the protocol's
+        # hold normally covers them all; taking the table's latest
+        # deadline as well makes "the tombstone outlives the service"
+        # true by construction.
+        config = self.config
+        expiry = self.sim.now + config.max_vstate_lead + config.deschedule_hold
+        self.view.apply_deschedule(
+            request, max(expiry, self._latest_service_deadline)
+        )
+        for seqno in self._redundant_index.get(request.instance, ()):
+            key = (request.instance, seqno)
             if request.matches(self._redundant_states[key]):
-                del self._redundant_states[key]
+                self._release_redundant(key)
         self._remove_queued_instance(request.instance)
         self._redundant_requests.pop(request.instance, None)
         if self.oracle is not None:
@@ -966,6 +1010,7 @@ class Cub(NetworkNode):
     def _enqueue_start(self, request: StartRequest) -> None:
         queue = self._wait_queues.setdefault(request.target_disk, deque())
         queue.append(request)
+        self._queued_requests[request.instance] = request
         self._arm_scan(request.target_disk)
 
     def _on_cancel_start(self, cancel: CancelStart, _sender: str) -> None:
@@ -975,12 +1020,9 @@ class Cub(NetworkNode):
 
     def _remove_queued_instance(self, instance: int) -> None:
         self._first_considered.pop(instance, None)
-        for disk_id, queue in self._wait_queues.items():
-            filtered = deque(
-                request for request in queue if request.instance != instance
-            )
-            if len(filtered) != len(queue):
-                self._wait_queues[disk_id] = filtered
+        request = self._queued_requests.pop(instance, None)
+        if request is not None:
+            self._wait_queues[request.target_disk].remove(request)
 
     def _arm_scan(self, disk_id: int) -> None:
         """Schedule the next ownership instant for ``disk_id``'s queue."""
@@ -1033,7 +1075,7 @@ class Cub(NetworkNode):
         self._scan_events.pop(disk_id, None)
         queue = self._wait_queues.get(disk_id)
         while queue and queue[0].instance in self._cancelled_instances:
-            queue.popleft()
+            del self._queued_requests[queue.popleft().instance]
         if queue and not self.view.occupied_at(slot, visit):
             if self._admission_blocked():
                 self.admission_rejects.increment()
@@ -1082,6 +1124,7 @@ class Cub(NetworkNode):
             return
         self._first_considered.pop(request.instance, None)
         queue.remove(request)
+        del self._queued_requests[request.instance]
         self._insert_viewer(request, disk_id, slot, visit)
 
     def _placement_candidates(
@@ -1229,13 +1272,15 @@ class Cub(NetworkNode):
         self.deadman.check(self.sim.now)
 
     def _prune_redundant(self) -> None:
+        """Drop held states no neighbour's death could still need."""
         horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
-        if len(self._redundant_states) > 64:
-            self._redundant_states = {
-                key: state
-                for key, state in self._redundant_states.items()
-                if state.due_time >= horizon
-            }
+        expired = [
+            key
+            for key, state in self._redundant_states.items()
+            if state.due_time < horizon
+        ]
+        for key in expired:
+            self._release_redundant(key)
 
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1

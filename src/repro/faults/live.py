@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.faults.monitor import index_incoherence
 from repro.faults.plan import (
     CONTROLLER_KILL,
     CUB_CRASH,
@@ -104,6 +105,9 @@ class CubInvariantProbe:
       :meth:`~repro.core.tiger.TigerSystem.assert_invariants` enforces;
     * the forwarding queues stay bounded (a stuck pump would grow them
       without limit);
+    * the by-play indexes a deschedule deletes through name exactly the
+      records their stores hold
+      (:func:`~repro.faults.monitor.index_incoherence`);
     * the runtime clock is monotonic between sweeps;
     * the deadman never believes *every* other cub dead while traffic
       still flows (whole-ring-dead belief with a live hub connection
@@ -175,6 +179,9 @@ class CubInvariantProbe:
                 f"forward queues grew to {queued} records "
                 f"(bound {self.queue_bound})"
             )
+        incoherent = index_incoherence(cub)
+        if incoherent is not None:
+            self._violate(incoherent)
         believed_dead = cub.deadman.believed_failed
         if len(believed_dead) >= cub.config.num_cubs - 1:
             self._violate(

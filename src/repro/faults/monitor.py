@@ -14,7 +14,11 @@ at the end of a test.  Checks fall into two classes:
   ownership protocol's whole purpose);
 * *delivery conservation*: for every viewer,
   ``received + missed == next_seqno`` and ``corrupt == 0`` — every
-  block is accounted exactly once, and nothing cross-wired arrives.
+  block is accounted exactly once, and nothing cross-wired arrives;
+* *index coherence*: a cub's by-play indexes (redundant states by play
+  instance, queued starts by instance) name exactly the records their
+  stores hold — a deschedule deletes through them without searching,
+  so a key missing from one is a record no stop can reach.
 
 **Staleness-sensitive** — hold only once in-flight knowledge has had
 time to propagate, so they observe grace windows around fault activity
@@ -52,6 +56,7 @@ CHECK_NAMES = (
     "double-ownership",
     "conservation",
     "restripe-presence",
+    "index-coherence",
     "view-coherence",
     "stream-liveness",
     "deadman-convergence",
@@ -60,6 +65,46 @@ CHECK_NAMES = (
 
 class InvariantViolation(AssertionError):
     """A chaos run broke one of the system's correctness invariants."""
+
+
+def index_incoherence(cub: Any) -> Optional[str]:
+    """How ``cub``'s by-play indexes and their stores disagree, if they do.
+
+    Every indexed key is in the store, every stored key is indexed, and
+    no play's entry is empty — so the index is never larger than the
+    store; likewise the instance map and the wait queues.  Checkable
+    from inside one cub, so the live probe (:mod:`repro.faults.live`)
+    runs it too.
+    """
+    store, index = cub._redundant_states, cub._redundant_index
+    indexed = [
+        (instance, seqno)
+        for instance, seqnos in index.items()
+        for seqno in seqnos
+    ]
+    if (
+        len(indexed) != len(store)
+        or set(indexed) != store.keys()
+        or not all(index.values())
+    ):
+        return (
+            f"redundant index names {len(indexed)} records of {len(index)} "
+            f"plays, the store holds {len(store)}"
+        )
+    queued = [
+        request.instance
+        for queue in cub._wait_queues.values()
+        for request in queue
+    ]
+    if (
+        len(queued) != len(cub._queued_requests)
+        or set(queued) != cub._queued_requests.keys()
+    ):
+        return (
+            f"instance map names {len(cub._queued_requests)} queued "
+            f"starts, the wait queues hold {len(queued)}"
+        )
+    return None
 
 
 class InvariantMonitor:
@@ -181,6 +226,8 @@ class InvariantMonitor:
         self._count("conservation")
         self._check_restripe_presence(now)
         self._count("restripe-presence")
+        self._check_index_coherence(now)
+        self._count("index-coherence")
         if not self._relaxed(now):
             self._check_view_coherence(now)
             self._count("view-coherence")
@@ -315,6 +362,12 @@ class InvariantMonitor:
                     f"broken",
                 )
 
+    def _check_index_coherence(self, now: float) -> None:
+        for cub in getattr(self.system, "cubs", ()):
+            problem = index_incoherence(cub)
+            if problem is not None:
+                self._fail(now, "index-coherence", f"cub {cub.cub_id}: {problem}")
+
     # ------------------------------------------------------------------
     # Staleness-sensitive
     # ------------------------------------------------------------------
@@ -346,9 +399,8 @@ class InvariantMonitor:
             for queued in cub._forward_queue:
                 if (queued.viewer_id, queued.instance) == ident:
                     return True
-            for held in cub._redundant_states.values():
-                if (held.viewer_id, held.instance) == ident:
-                    return True
+            if entry.instance in cub._redundant_index:
+                return True  # instance ids are unique to a play
         return False
 
     def _check_stream_liveness(self, now: float) -> None:

@@ -10,6 +10,9 @@ The same walk keeps ``core/cub.py`` the paper's §4 and nothing else:
 the restripe and helper tiers' cub-side services live beside the other
 half of their protocols and reach the cub only through its dispatch
 table, attached by the assembly.
+
+And it keeps a deschedule searching nothing: the stop, pause and cancel
+handlers may walk no table of the cub but the one play's index entry.
 """
 
 import ast
@@ -50,6 +53,17 @@ RETIRED_NAMES = {
 TIER_PAYLOADS = {
     "HelperFetch", "HelperFetchReply",
     "RestripeCopy", "RestripeBlock", "RestripeAck", "RestripeCommit",
+}
+
+
+#: The handlers every stop, pause and cancel runs through ...
+STOP_PATH = {"_on_deschedule", "_on_cancel_start", "_remove_queued_instance"}
+#: ... the one table they may iterate, and only one play's entry of it ...
+PLAY_INDEX = "self._redundant_index"
+#: ... and the builtins that walk their argument as a loop would.
+WALKERS = {
+    "all", "any", "deque", "dict", "frozenset", "list", "max", "min",
+    "set", "sorted", "sum", "tuple",
 }
 
 
@@ -161,3 +175,100 @@ def test_the_cub_has_one_dispatch_path():
         and node.name == "handle_message"
     ]
     assert not list(_calls(dispatch, "isinstance"))
+
+
+def _tables_walked(function: ast.FunctionDef):
+    """``self._x`` tables a loop, comprehension or walking builtin in
+    ``function`` goes through — directly or under a local name — other
+    than one keyed entry of :data:`PLAY_INDEX`."""
+    aliases = {
+        node.targets[0].id: node.value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+    walked = []
+    for node in ast.walk(function):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            walked.append(node.iter)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in WALKERS
+            and len(node.args) == 1  # max(a, b) compares, max(t) walks
+        ):
+            walked += node.args
+    found = set()
+    for source in walked:
+        nodes = list(ast.walk(source))
+        for node in list(nodes):
+            if isinstance(node, ast.Name) and node.id in aliases:
+                nodes += ast.walk(aliases[node.id])
+        own_entry = set()
+        for node in nodes:
+            keyed = None
+            if isinstance(node, ast.Subscript):
+                keyed = node.value
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "pop")
+            ):
+                keyed = node.func.value
+            if keyed is not None and ast.unparse(keyed) == PLAY_INDEX:
+                own_entry.add(id(keyed))
+        found |= {
+            ast.unparse(node)
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr.startswith("_")
+            and id(node) not in own_entry
+        }
+    return found
+
+
+def _cub_methods(source: str):
+    (cub,) = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "Cub"
+    ]
+    return {
+        node.name: node for node in cub.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_a_deschedule_walks_no_table_of_the_cub():
+    """Stop, pause and cancel cost the play's own records (DESIGN.md
+    §5.1), so the scan they replaced cannot quietly come back."""
+    methods = _cub_methods((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    assert STOP_PATH <= set(methods)
+    for name in sorted(STOP_PATH):
+        assert not _tables_walked(methods[name]), name
+
+
+def test_the_walk_check_sees_the_scans_it_replaced():
+    scans = _cub_methods(
+        "class Cub:\n"
+        "    def a(self):\n"
+        "        for key in list(self._redundant_states): pass\n"
+        "    def b(self):\n"
+        "        self._q = [s for s in self._forward_queue if s]\n"
+        "    def c(self):\n"
+        "        return max(self._service_buckets, default=0.0)\n"
+        "    def d(self):\n"
+        "        queues = self._wait_queues\n"
+        "        for disk, queue in queues.items(): pass\n"
+        "    def e(self, request):\n"
+        "        for n in self._redundant_index.get(request.instance, ()):\n"
+        "            self._release_redundant((request.instance, n))\n"
+        "        for peer in self.deadman.living_successors(self.copies): pass\n"
+    )
+    assert _tables_walked(scans["a"]) == {"self._redundant_states"}
+    assert _tables_walked(scans["b"]) == {"self._forward_queue"}
+    assert _tables_walked(scans["c"]) == {"self._service_buckets"}
+    assert _tables_walked(scans["d"]) == {"self._wait_queues"}
+    assert not _tables_walked(scans["e"])

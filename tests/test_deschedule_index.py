@@ -1,0 +1,260 @@
+"""A deschedule searches nothing (DESIGN.md §5.1, paper §4.1.2).
+
+The cub reaches every record a stop, pause or cancel must drop through
+the play's own key: its redundant states through a by-play index, its
+queued start through an instance map, everything already queued for
+service or forwarding through the tombstone.  These tests hold that to
+a reference cub that searches everything, count the work a deschedule
+does, and check that what is no longer searched for is still never sent.
+"""
+
+import random
+from collections import deque
+
+import pytest
+
+from repro import TigerSystem, small_config
+from repro.core.cub import Cub
+from repro.core.protocol import BlockData, DescheduleForward, ViewerStateBatch
+from repro.core.viewerstate import (
+    DescheduleRequest,
+    MirrorViewerState,
+    ViewerState,
+)
+from repro.faults.monitor import index_incoherence
+
+
+class FullScanCub(Cub):
+    """The reference: the same cub with no index.  Every stop walks the
+    redundant store, both forward queues and every wait queue, as the
+    code did before the index; what remains of ``Cub._on_deschedule``
+    then finds nothing left to drop."""
+
+    def _hold_redundant(self, state):
+        self._redundant_states[state.key()] = state
+
+    def _release_redundant(self, key):
+        del self._redundant_states[key]
+
+    def _prune_redundant(self):
+        horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
+        self._redundant_states = {
+            key: state
+            for key, state in self._redundant_states.items()
+            if state.due_time >= horizon
+        }
+
+    def _remove_queued_instance(self, instance):
+        self._first_considered.pop(instance, None)
+        self._queued_requests.pop(instance, None)
+        for disk_id, queue in self._wait_queues.items():
+            self._wait_queues[disk_id] = deque(
+                request for request in queue if request.instance != instance
+            )
+
+    def _on_deschedule(self, forward, sender):
+        request = forward.request
+        if not self.view.has_tombstone(
+            request.viewer_id, request.instance, request.slot
+        ):
+            self._forward_queue = [
+                state for state in self._forward_queue
+                if not request.matches(state)
+            ]
+            self._mirror_forward_queue = [
+                mirror for mirror in self._mirror_forward_queue
+                if not request.matches_mirror(mirror)
+            ]
+            for key in list(self._redundant_states):
+                if request.matches(self._redundant_states[key]):
+                    del self._redundant_states[key]
+            # The running latest deadline stands in for a walk of the
+            # pending table wherever the tombstone's expiry can see it.
+            floor = self.sim.now
+            assert max(floor, self._latest_service_deadline) == max(
+                floor, max(self._service_buckets, default=0.0)
+            )
+        super()._on_deschedule(forward, sender)
+
+
+def _full_scan(system):
+    for cub in system.cubs:
+        cub.__class__ = FullScanCub
+        cub.handlers[DescheduleForward] = cub._on_deschedule
+    return system
+
+
+def _churn_under_faults(system, seed, indexed=False):
+    """A seeded script of starts past capacity (so some queue), stops,
+    pauses, resumes, one cub crash at a time and its reboot; returns
+    what every cub held after every step."""
+    rng = random.Random(seed)
+    client = system.add_client()
+    capacity = system.config.num_slots
+    # Four more than fit: the surplus waits in the cubs' queues.
+    playing = [
+        client.start_stream(rng.randrange(6), rng.randrange(40))
+        for _ in range(capacity + 4)
+    ]
+    paused, down = [], None
+    history = []
+    for step in range(200):
+        roll = rng.random()
+        if roll < 0.40:
+            if len(playing) < capacity + 6:
+                playing.append(
+                    client.start_stream(rng.randrange(6), rng.randrange(40))
+                )
+        elif roll < 0.60:
+            if playing:
+                client.stop_stream(playing.pop(rng.randrange(len(playing))))
+        elif roll < 0.72:
+            if playing:
+                instance = playing.pop(rng.randrange(len(playing)))
+                if client.pause_stream(instance) is not None:
+                    paused.append(instance)
+        elif roll < 0.80:
+            if paused:
+                playing.append(client.resume_stream(paused.pop()))
+        elif roll < 0.86:
+            if down is None and step > 20:
+                down = rng.randrange(system.config.num_cubs)
+                system.fail_cub(down)
+        elif down is not None:
+            system.recover_cub(down)
+            down = None
+        system.run_for(rng.choice((0.25, 0.5, 1.0, 2.5)))
+        history.append([
+            (
+                list(cub._redundant_states.items()),
+                {disk: list(q) for disk, q in cub._wait_queues.items() if q},
+            )
+            for cub in system.cubs
+        ])
+        if indexed:
+            for cub in system.cubs:
+                assert index_incoherence(cub) is None, (step, cub.name)
+    system.finalize_clients()
+    return history, system.export_metrics().snapshot()
+
+
+def _small_system(seed, strict=True):
+    system = TigerSystem(small_config(), seed=seed, strict=strict)
+    system.add_standard_content(num_files=6, duration_s=120)
+    return system
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_indexed_cub_holds_what_a_full_scan_holds_in_the_same_order(seed):
+    # Not strict: a start inserted inside a crash's detection window can
+    # double-book a slot, on this code and on a full scan alike; the
+    # oracle then counts the conflict where a strict one would raise.
+    held, totals = _churn_under_faults(
+        _small_system(seed, strict=False), seed, indexed=True
+    )
+    reference, reference_totals = _churn_under_faults(
+        _full_scan(_small_system(seed, strict=False)), seed
+    )
+    exercised = [
+        sum(bool(cub[part]) for step in held for cub in step)
+        for part in (0, 1)
+    ]
+    assert min(exercised) > 20, "the script never filled store or queues"
+    for step, (ours, theirs) in enumerate(zip(held, reference)):
+        for cub_id, (mine, full) in enumerate(zip(ours, theirs)):
+            assert mine[0] == full[0], (step, cub_id, "redundant store")
+            assert mine[1] == full[1], (step, cub_id, "wait queues")
+    # Not searching the forward queues changes nothing anyone can see:
+    # every counter of every node, and every client's ledger, is equal.
+    assert totals == reference_totals
+
+
+def _state(instance, seqno, slot, disk_id, due_time):
+    return ViewerState(
+        viewer_id=f"client:0#{instance}", instance=instance, slot=slot,
+        file_id=0, block_index=seqno, disk_id=disk_id, due_time=due_time,
+        play_seqno=seqno,
+    )
+
+
+def test_a_deschedule_costs_the_plays_own_records(monkeypatch):
+    """1,000 records of other plays held; one stop compares only its own."""
+    system = _small_system(5)
+    system.run_for(1.0)
+    cub = system.cubs[0]
+    now = system.sim.now
+    foreign_disk = 1  # cub 1's: cub 0 holds these states redundantly
+    assert system.layout.cub_of_disk(foreign_disk) != cub.cub_id
+    for instance in range(100, 1100):
+        cub._on_viewer_state(_state(instance, 0, instance % 32, foreign_disk, now + 3.0))
+    for seqno in range(3):
+        cub._on_viewer_state(_state(7, seqno, 5, foreign_disk, now + 3.0 + seqno))
+    assert len(cub._redundant_states) == 1003
+
+    compared = []
+    matches = DescheduleRequest.matches
+    monkeypatch.setattr(
+        DescheduleRequest, "matches",
+        lambda self, state: compared.append(state) or matches(self, state),
+    )
+    stop = DescheduleForward(DescheduleRequest("client:0#7", 7, 5, now))
+    cub._on_deschedule(stop, "controller")
+    assert len(cub._redundant_states) == 1000
+    # Its three held states and the view's one slot occupant.
+    assert len(compared) <= 4
+    assert {state.instance for state in compared} == {7}
+    assert 7 not in cub._redundant_index
+
+    del compared[:]
+    cub._on_deschedule(stop, "cub:3")
+    assert not compared
+    assert len(cub._redundant_states) == 1000
+
+
+def test_a_descheduled_plays_queued_records_are_never_sent():
+    """The forward queues are not searched; the tombstone stops the
+    play's queued state and mirror piece when their turn comes."""
+    system = _small_system(6)
+    system.add_client()  # "client:0": where the spared play's blocks go
+    system.run_for(1.0)
+    cub = system.cubs[0]
+    now = system.sim.now
+    lead = system.config.max_vstate_lead
+    own_disk, next_disk = 0, 1
+    # Far enough ahead that its forward window has not opened yet.
+    doomed = _state(7, 0, 5, own_disk, now + lead + 0.5)
+    spared = _state(8, 0, 6, own_disk, now + lead + 0.5)
+    cub._on_viewer_state(doomed)
+    cub._on_viewer_state(spared)
+    piece = MirrorViewerState(
+        "client:0#7", 7, 5, file_id=0, block_index=0, piece=0, decluster=2,
+        disk_id=next_disk, due_time=now + 2.0, play_seqno=0,
+    )
+    cub._on_mirror_state(piece)
+    assert doomed in cub._forward_queue and piece in cub._mirror_forward_queue
+
+    sent = []
+    network = system.network
+    for name in ("send", "send_paced"):
+        def record(message, _send=getattr(network, name), **pacing):
+            sent.append(message.payload)
+            return _send(message, **pacing)
+        setattr(network, name, record)
+
+    cub._on_deschedule(
+        DescheduleForward(DescheduleRequest("client:0#7", 7, 5, now)),
+        "controller",
+    )
+    system.run_for(lead + 3.0)
+
+    assert not cub._forward_queue and not cub._mirror_forward_queue
+    forwarded = {
+        record.instance
+        for payload in sent if isinstance(payload, ViewerStateBatch)
+        for record in payload.states + payload.mirrors
+    }
+    served = {
+        payload.instance for payload in sent if isinstance(payload, BlockData)
+    }
+    assert forwarded == {8} and served == {8}
+    assert cub.mirror_pieces_missed.count == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TigerSystem, small_config
+from repro.faults.live import CubInvariantProbe
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
 from repro.faults.plan import FaultPlan
 from repro.workloads import ContinuousWorkload
@@ -118,6 +119,30 @@ class TestDetection:
         victim.blocks_corrupt += 1
         with pytest.raises(InvariantViolation, match=r"\[corruption\]"):
             monitor.check_now()
+
+    @pytest.mark.parametrize("damage", ["unindexed", "unstored", "unmapped"])
+    def test_index_incoherence_detected(self, damage):
+        """The DES monitor and the live probe run the same check."""
+        system = build_running(streams=34)  # two more than fit: they queue
+        cub = next(
+            cub for cub in system.cubs
+            if cub._redundant_states and cub._queued_requests
+        )
+        monitor = InvariantMonitor(system)
+        probe = CubInvariantProbe(cub, system.registry)
+        monitor.check_now()
+        probe._sweep()
+        assert probe.violations.count == 0
+        if damage == "unindexed":  # a record no deschedule can reach
+            cub._redundant_index.popitem()
+        elif damage == "unstored":  # an index entry outliving its record
+            cub._redundant_states.popitem()
+        else:
+            cub._queued_requests.popitem()
+        with pytest.raises(InvariantViolation, match=r"\[index-coherence\]"):
+            monitor.check_now()
+        probe._sweep()
+        assert probe.violations.count == 1
 
     def test_violation_carries_trace_dump(self):
         system = build_running()

@@ -2,6 +2,7 @@
 
 
 from repro import TigerSystem, small_config
+from repro.core.protocol import StartRequest
 
 
 def build_loaded(seed=9, streams=12, duration=240.0):
@@ -130,6 +131,51 @@ class TestCubFailure:
         assert system.cubs[1].blocks_sent.count > sent_before
         system.finalize_clients()
         system.assert_invariants()
+
+    def test_rebooted_cub_takes_a_start_routed_to_it_again(self):
+        """The crash lost the queued start, so the reboot must forget it
+        was ever seen: the client's retry via the backup controller is
+        then the only copy, not a duplicate to suppress."""
+        system = TigerSystem(small_config(), seed=21)
+        system.add_standard_content(num_files=6, duration_s=240)
+        system.run_for(2.0)
+        cub = system.cubs[1]
+        request = StartRequest(
+            "client:0#7", 7, file_id=1, first_block=0, target_disk=1,
+            request_time=system.sim.now,
+        )
+        cub.handlers[StartRequest](request, "controller")
+        assert cub.queued_start_requests() == 1
+        system.fail_cub(1)
+        system.recover_cub(1)  # inside the deadman timeout: nobody noticed
+        assert cub.queued_start_requests() == 0
+        cub.handlers[StartRequest](request, "backup-controller")
+        assert cub.queued_start_requests() == 1
+
+    def test_small_system_does_not_bridge_long_expired_states(self):
+        """The redundant store is pruned whatever its size.  Left alone
+        below 64 records it kept states a minute past due, and a
+        neighbour's death "bridged" every one of them, each counting a
+        minute of blocks as lost in failover (1,601 here, for 3 viewers
+        and 5 blocks really missed)."""
+        system, client = build_loaded(streams=3)
+        system.run_for(45.0)
+        config = system.config
+        bpt = config.block_play_time
+        # What prune keeps, plus the four pump ticks between prunes.
+        retention = (
+            config.deadman_timeout + 2.0 + 4 * config.forward_pump_interval
+        )
+        for cub in system.cubs:
+            assert cub._redundant_states
+            for state in cub._redundant_states.values():
+                assert state.due_time >= system.sim.now - retention
+        system.fail_cub(1)
+        system.run_for(30.0)
+        # Each viewer has at most `retention` of held states to bridge,
+        # and a bridged state is at most that far behind.
+        per_viewer = (retention / bpt + 1) ** 2
+        assert 0 < system.total_failover_losses() <= 3 * per_viewer
 
 
 class TestDiskFailure:

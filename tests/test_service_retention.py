@@ -35,8 +35,8 @@ def _container_sizes(system: TigerSystem) -> dict:
 
     Found by introspection, not by a list of names, so a container
     added to the service path later is covered without editing this
-    test.  Deadline buckets are additionally counted by the records
-    they hold.
+    test.  Deadline buckets and the redundant store's by-play index
+    are additionally counted by the records they hold.
     """
     owners = []
     for cub in system.cubs:
@@ -53,6 +53,14 @@ def _container_sizes(system: TigerSystem) -> dict:
         for cub in system.cubs
         for _drain, actions in cub._service_buckets.values()
     )
+    # The by-play index is counted by the records it names, not by its
+    # plays, and it and the instance map must be on the list at all.
+    sizes["Cub indexed redundant records"] = sum(
+        len(seqnos)
+        for cub in system.cubs
+        for seqnos in cub._redundant_index.values()
+    )
+    assert {"Cub._redundant_index", "Cub._queued_requests"} <= set(sizes)
     return sizes
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 
 class LiveTimer:
@@ -92,7 +92,9 @@ class LiveRuntime:
         #: Up to :data:`MAX_RECORDED_ERRORS` ``(runtime_time, fn_name,
         #: traceback_text)`` tuples for post-mortem reporting.
         self.errors: List[Tuple[float, str, str]] = []
-        self._timers: List[LiveTimer] = []
+        #: Timers not yet fired, for :meth:`cancel_all`.
+        self._timers: Set[LiveTimer] = set()
+        self._sweep_at = 512
 
     # ------------------------------------------------------------------
     # Clock
@@ -151,6 +153,8 @@ class LiveRuntime:
         return self.call_at(self.now + delay, fn, *args, priority=priority)
 
     def _dispatch(self, timer: LiveTimer) -> None:
+        # Fired (or cancelled after its handle ran): no longer pending.
+        self._timers.discard(timer)
         if timer.cancelled:
             return
         self._events_dispatched += 1
@@ -163,9 +167,15 @@ class LiveRuntime:
                 self.errors.append((self.now, name, traceback.format_exc()))
 
     def _track(self, timer: LiveTimer) -> None:
-        self._timers.append(timer)
-        if len(self._timers) > 512:
-            self._timers = [entry for entry in self._timers if entry.active]
+        """Remember ``timer`` until it fires, for :meth:`cancel_all`.
+
+        A cancelled timer's handle never runs, so those are swept here
+        once they could outnumber the pending ones.
+        """
+        self._timers.add(timer)
+        if len(self._timers) > self._sweep_at:
+            self._timers = {entry for entry in self._timers if entry.active}
+            self._sweep_at = max(512, 2 * len(self._timers))
 
     # ------------------------------------------------------------------
     # Shutdown

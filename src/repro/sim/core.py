@@ -1,9 +1,9 @@
 """The discrete-event simulation kernel.
 
 The kernel is deliberately small: a time-ordered heap of
-:class:`~repro.sim.events.Event` objects and a clock.  Components
+``(time, priority, seq, event)`` entries and a clock.  Components
 schedule callbacks with :meth:`Simulator.call_at` / ``call_after`` and
-the loop dispatches them in deterministic order.
+one loop, :meth:`Simulator.run`, dispatches them in deterministic order.
 
 Design notes
 ------------
@@ -18,9 +18,10 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import inf
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import PRIORITY_NORMAL, Event
 
@@ -39,7 +40,10 @@ class TombstoneHeap:
     This is the storage half of the kernel, factored out so the
     partitioned kernel (:class:`repro.sim.shard.ShardedSimulator`) can
     run one timeline per shard lane with identical pop/peek/compaction
-    semantics.  Two invariants matter to callers:
+    semantics.  An entry is the tuple ``(time, priority, seq, event)``:
+    ``seq`` is unique per event, so two entries always differ before
+    the compare reaches the event and ``heapq`` orders them entirely in
+    C.  Three invariants matter to callers:
 
     * :meth:`pop` and :meth:`peek` never surface a cancelled event, and
       purged tombstones are **not** otherwise observable — a cancelled
@@ -48,12 +52,14 @@ class TombstoneHeap:
       dispatch order exactly: event ordering is a total order on
       ``(time, priority, seq)``, so rebuilding the heap without
       tombstones cannot reorder the survivors.
+    * The list object is never replaced (compaction rebuilds it in
+      place): :meth:`Simulator.run` holds it across callbacks.
     """
 
     __slots__ = ("_heap", "_cancelled")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._cancelled = 0
 
     def __len__(self) -> int:
@@ -66,12 +72,13 @@ class TombstoneHeap:
         return self._cancelled
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
+        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def pop(self) -> Optional[Event]:
         """Pop the next active event, silently purging tombstones."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
             event.owner = None
             if event.cancelled:
                 self._cancelled -= 1
@@ -81,10 +88,15 @@ class TombstoneHeap:
 
     def peek(self) -> Optional[Event]:
         """The next active event (still in the heap), or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).owner = None
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if not event.cancelled:
+                return event
+            heappop(heap)
+            event.owner = None
             self._cancelled -= 1
-        return self._heap[0] if self._heap else None
+        return None
 
     def note_cancelled(self) -> None:
         """An event currently in this heap was cancelled.
@@ -95,15 +107,19 @@ class TombstoneHeap:
         until its pop, inflating both memory and per-push compare cost.
         """
         self._cancelled += 1
+        heap = self._heap
         if (
             self._cancelled > _COMPACT_MIN_TOMBSTONES
-            and self._cancelled * 2 > len(self._heap)
+            and self._cancelled * 2 > len(heap)
         ):
-            for event in self._heap:
-                if event.cancelled:
-                    event.owner = None
-            self._heap = [event for event in self._heap if not event.cancelled]
-            heapq.heapify(self._heap)
+            live = []
+            for entry in heap:
+                if entry[3].cancelled:
+                    entry[3].owner = None
+                else:
+                    live.append(entry)
+            heap[:] = live
+            heapify(heap)
             self._cancelled = 0
 
 
@@ -153,7 +169,7 @@ class Simulator:
         return self._events_dispatched
 
     @property
-    def _heap(self) -> List[Event]:
+    def _heap(self) -> List[Tuple[float, int, int, Event]]:
         """The raw event heap (tests and debugging only)."""
         return self._timeline._heap
 
@@ -203,9 +219,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, now is t={self._now:.9f}"
             )
-        event = Event(time, fn, args, priority=priority)
+        event = Event(time, fn, args, priority)
         event.owner = self
-        self._timeline.push(event)
+        heappush(self._timeline._heap, (event.time, priority, event.seq, event))
         return event
 
     def call_after(
@@ -270,18 +286,36 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
+        timeline = self._timeline
+        heap = timeline._heap
+        horizon = inf if until is None else until
+        # Counted up to the budget; -1 is never reached.
+        budget = -1 if max_events is None else max(0, max_events)
         dispatched = 0
         try:
-            while not self._stopped:
-                if max_events is not None and dispatched >= max_events:
+            while heap and dispatched != budget and not self._stopped:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
+                    # A tombstone consumes no budget and moves no clock.
+                    heappop(heap)
+                    event.owner = None
+                    timeline._cancelled -= 1
+                    continue
+                if entry[0] > horizon:
                     break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                heappop(heap)
+                event.owner = None
+                self._now = entry[0]
+                self._events_dispatched += 1
                 dispatched += 1
+                profiler = self._profiler
+                if profiler is None:
+                    event.fn(*event.args)
+                else:
+                    started = perf_counter()
+                    event.fn(*event.args)
+                    profiler.record(event.fn, perf_counter() - started, self._now)
             pending = self.peek_time()
             if (
                 until is not None

@@ -3,6 +3,10 @@
 An :class:`Event` is a scheduled callback.  Events are ordered by
 ``(time, priority, seq)`` so that simultaneous events fire in a
 deterministic order: lower priority values first, then insertion order.
+The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
+unique, so the tuple compare is decided before it reaches the event and
+every heap comparison runs in C — an ``Event`` defines no ordering of
+its own.
 Events may be cancelled; cancelled events are skipped (and lazily
 discarded) by the simulator loop rather than removed from the heap,
 which keeps cancellation O(1).
@@ -30,7 +34,7 @@ class Event:
     :meth:`Simulator.call_after` rather than constructing them directly.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "owner", "_key")
+    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "owner")
 
     def __init__(
         self,
@@ -52,9 +56,6 @@ class Event:
         #: for lazy heap compaction.  Cancelling a fired event is still
         #: a plain flag write.
         self.owner = None
-        # Heap comparisons dominate push/pop cost; the ordering fields
-        # are immutable after construction, so build the key once.
-        self._key = (self.time, self.priority, self.seq)
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -71,10 +72,8 @@ class Event:
         return not self.cancelled
 
     def sort_key(self) -> Tuple[float, int, int]:
-        return self._key
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key < other._key
+        """The event's place in dispatch order."""
+        return (self.time, self.priority, self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"

@@ -7,7 +7,7 @@ It is a convenience layer only — nothing in the kernel requires it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Simulator
 from repro.sim.events import Event
@@ -25,6 +25,12 @@ class Process:
         self._timers: Dict[int, Event] = {}
         self._next_slot = 0
         self._compact_at = 256
+        #: Periodic timers by ``(registered at, period)``: ``(first
+        #: event, callbacks after the first)`` — what a later
+        #: :meth:`every` at the same instant joins.
+        self._periodic: Dict[
+            Tuple[float, float], Tuple[Event, List[Callable[[], Any]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Timers
@@ -41,24 +47,45 @@ class Process:
         self._remember(event)
         return event
 
-    def every(self, period: float, fn: Callable[[], Any], jitter_fn=None) -> Event:
+    def every(self, period: float, fn: Callable[[], Any]) -> Event:
         """Run ``fn`` every ``period`` seconds until :meth:`cancel_timers`.
 
-        ``jitter_fn``, if given, returns an additive offset applied to
-        each interval (used by the deadman protocol to avoid lockstep
-        heartbeats).
+        Periodic timers this process registers at the same ``now`` with
+        the same period share one kernel event: they would fire at the
+        same instants forever, so one tick runs them in registration
+        order (and the returned event is the group's).  A timer with
+        another period, or registered at a later ``now``, gets its own
+        event.  On the live backend consecutive registrations read
+        different wall-clock ``now`` values and so never merge.
+
+        A callback that reaches :meth:`cancel_timers` stops the timer:
+        the rest of its group does not run and nothing is re-armed.
         """
         if period <= 0:
             raise ValueError("period must be positive")
+        key = (self.sim.now, period)
+        group = self._periodic.get(key)
+        if group is not None:
+            group[1].append(fn)
+            return group[0]
+        rest: List[Callable[[], Any]] = []
 
+        # ``fn`` stays a free variable of ``tick``: the benchmark's span
+        # recorder unwraps the tick through it to charge the group's
+        # time to its owner's layer, not the kernel's.
         def tick() -> None:
             fn()
-            delay = period + (jitter_fn() if jitter_fn else 0.0)
-            # Each tick takes over the slot of the one that just fired.
-            self._timers[slot] = self.sim.call_after(max(1e-9, delay), tick)
+            for member in rest:
+                if slot not in self._timers:
+                    return
+                member()
+            if slot in self._timers:
+                # Each tick takes over the slot of the one that just fired.
+                self._timers[slot] = self.sim.call_after(period, tick)
 
-        first = self.sim.call_after(period + (jitter_fn() if jitter_fn else 0.0), tick)
+        first = self.sim.call_after(period, tick)
         slot = self._remember(first)
+        self._periodic[key] = (first, rest)
         return first
 
     def cancel_timers(self) -> None:
@@ -66,6 +93,7 @@ class Process:
         for event in self._timers.values():
             event.cancel()
         self._timers.clear()
+        self._periodic.clear()
         self._compact_at = 256
 
     def _remember(self, event: Event) -> int:

@@ -334,9 +334,10 @@ class ShardedSimulator:
             event = lane.heap.peek()
             if event is None:
                 continue
-            if best_key is None or event._key < best_key:
+            key = event.sort_key()
+            if best_key is None or key < best_key:
                 best = lane
-                best_key = event._key
+                best_key = key
         return best
 
     def _dispatch(self, lane: ShardLane) -> None:

@@ -77,13 +77,31 @@ class TestPaperConfigGoldenCounters:
         assert protocol_counters(system.registry) == dict(
             zip(PROTOCOL_COUNTERS, (2406, 0, 172, 0, 0, 1209, 0))
         )
-        assert system.sim.events_dispatched == 11091
+        # Was 11,091 while heartbeat, pump and deadman each armed their
+        # own kernel event: 14 cubs x 20 periods x 2 merged ticks = 560.
+        assert system.sim.events_dispatched == 10531
 
     def test_idle_system_serves_no_blocks(self):
         """Zero viewers: only heartbeats, pumps and deadman sweeps run,
         so every protocol counter stays at zero."""
         system = _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
         assert not any(protocol_counters(system.registry).values())
+
+    def test_idle_cub_costs_one_tick_per_heartbeat_period(self):
+        """30 idle sim-seconds: a cub's heartbeat, pump and deadman
+        timers share one kernel event per 0.5 s period; the rest is the
+        heartbeats' deliveries and the controller's 10 Hz tick."""
+        system = _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
+        cubs, periods = 14, 60
+        ticks = cubs * periods
+        # Four watched neighbours each; the last period's are in flight.
+        heartbeats_delivered = cubs * 4 * (periods - 1)
+        # 0.1 s accumulated in floats puts the 300th just past 30.0.
+        clock_master_ticks = 299
+        assert (ticks, heartbeats_delivered) == (840, 3304)
+        assert system.sim.events_dispatched == (
+            ticks + heartbeats_delivered + clock_master_ticks
+        )
 
 
 class TestPlacementScenarioGolden:

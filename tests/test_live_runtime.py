@@ -111,3 +111,29 @@ def test_cancel_all_silences_everything():
         assert fired == []
 
     _run(scenario())
+
+
+def test_fired_timers_are_forgotten_and_pending_ones_still_cancelled():
+    """Regression: tracking used to drop only *cancelled* timers, so
+    every fired one stayed and each ``call_at`` past 512 rebuilt an
+    ever-growing list."""
+    async def scenario():
+        runtime = LiveRuntime()
+        fired = []
+        for index in range(5000):
+            runtime.call_after(0.0, fired.append, index)
+        for _ in range(500):
+            if len(fired) == 5000:
+                break
+            await asyncio.sleep(0.01)
+        assert len(fired) == 5000
+        assert not runtime._timers
+        pending = [
+            runtime.call_after(30.0, fired.append, "late") for _ in range(600)
+        ]
+        assert runtime._timers == set(pending)
+        runtime.cancel_all()
+        assert all(timer.cancelled for timer in pending)
+        assert not runtime._timers
+
+    _run(scenario())

@@ -301,6 +301,84 @@ class TestHeapCompaction:
         assert eager == reference
 
 
+class TestTupleKeyedTimeline:
+    """Heap entries are ``(time, priority, seq, event)`` tuples: the
+    order is decided by the first three fields, in C, and an ``Event``
+    is never compared."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.sampled_from([PRIORITY_HIGH, 0, 3, PRIORITY_LOW]),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        st.sets(st.integers(0, 79)),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dispatch_order_is_sorted_time_priority_insertion(
+        self, schedule, cancelled, split
+    ):
+        """Property: any mix of ``call_at`` (coarse time grid, so ties
+        abound) and cancels dispatches the survivors in
+        ``sorted((time, priority, insertion))`` order — up to ``split``
+        on the heap as built, past it on a heap a compaction rebuilt."""
+        original = sim_core._COMPACT_MIN_TOMBSTONES
+        sim_core._COMPACT_MIN_TOMBSTONES = 0
+        try:
+            sim = Simulator()
+            fired = []
+            events = [
+                sim.call_at(tick / 10.0, fired.append, index, priority=priority)
+                for index, (tick, priority) in enumerate(schedule)
+            ]
+            for victim in cancelled:
+                if victim < len(events):
+                    events[victim].cancel()
+            sim.run(until=split / 10.0)
+            # Force a rebuild: tombstones outnumbering what is left.
+            entries = len(sim._heap)
+            fillers = [
+                sim.call_at(99.0, fired.append, "filler")
+                for _ in range(entries + 2)
+            ]
+            for filler in fillers:
+                filler.cancel()
+            assert len(sim._heap) < entries + len(fillers)
+            sim.run()
+        finally:
+            sim_core._COMPACT_MIN_TOMBSTONES = original
+        expected = [
+            index
+            for _tick, _priority, index in sorted(
+                (tick, priority, index)
+                for index, (tick, priority) in enumerate(schedule)
+            )
+            if index not in cancelled
+        ]
+        assert fired == expected
+        assert sim.events_dispatched == len(expected)
+
+    def test_loaded_system_never_compares_events_in_python(
+        self, monkeypatch, loaded_system
+    ):
+        """Guard: a loaded system runs with every ``Event`` rich
+        comparison rigged to raise, so the heap cannot go back to
+        ordering events through a Python-level ``__lt__``."""
+
+        def compared(self, other):
+            raise AssertionError("the heap compared two Event objects")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Event, name, compared, raising=False)
+        before = loaded_system.sim.events_dispatched
+        loaded_system.run_for(5.0)
+        assert loaded_system.sim.events_dispatched > before + 200
+
+
 class TestBudgetVsTombstones:
     """Audit pin-downs: the ``run(until, max_events)`` budget counts
     dispatched events only.  ``run`` peeks past tombstones before every

@@ -113,15 +113,80 @@ class TestProcess:
         sim.run(until=10.0)
         assert len(fired) == 2
 
-    def test_every_with_jitter(self, sim, rngs):
-        rng = rngs.stream("jitter")
+    def test_callback_cancelling_timers_is_not_rearmed(self, sim):
+        """Regression: the tick used to re-arm after ``fn()`` whatever
+        ``fn`` did, so a timer that cancelled itself on its 2nd tick
+        (``NetworkNode.fail`` from a timer callback) kept firing."""
         proc = Process(sim, "p")
-        times = []
-        proc.every(1.0, lambda: times.append(sim.now), jitter_fn=lambda: rng.random() * 0.1)
+        fired = []
+
+        def callback():
+            fired.append(sim.now)
+            if len(fired) == 2:
+                proc.cancel_timers()
+
+        proc.every(1.0, callback)
         sim.run(until=10.0)
-        assert len(times) >= 8
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(1.0 <= gap <= 1.1 + 1e-9 for gap in gaps)
+        assert fired == [1.0, 2.0]
+
+    def test_same_instant_same_period_timers_share_one_event(self, sim):
+        proc = Process(sim, "p")
+        fired = []
+        first = proc.every(0.5, lambda: fired.append(("a", sim.now)))
+        assert proc.every(0.5, lambda: fired.append(("b", sim.now))) is first
+        assert proc.every(0.5, lambda: fired.append(("c", sim.now))) is first
+        assert len(sim._heap) == 1
+        sim.run(until=2.0)
+        # One kernel event per period, members in registration order,
+        # at the times three separate timers would have fired.
+        assert sim.events_dispatched == 4
+        assert fired == [
+            (name, when) for when in (0.5, 1.0, 1.5, 2.0) for name in "abc"
+        ]
+
+    def test_other_period_or_later_registration_gets_its_own_event(self, sim):
+        proc = Process(sim, "p")
+        fired = []
+        proc.every(0.5, lambda: fired.append("a"))
+        proc.every(0.4, lambda: fired.append("pump"))
+        proc.every(0.5, lambda: fired.append("b"))
+        other = Process(sim, "q")
+        other.every(0.5, lambda: fired.append("q"))
+        assert len(sim._heap) == 3  # a+b, pump, and the other process
+        sim.run(until=0.25)
+        proc.every(0.5, lambda: fired.append("late"))
+        assert len(sim._heap) == 4
+        sim.run(until=1.0)
+        assert fired == [
+            "pump", "a", "b", "q", "late", "pump", "a", "b", "q",
+        ]
+        # pump x2, a+b x2, q x2, late x1
+        assert sim.events_dispatched == 7
+
+    def test_member_cancelling_timers_stops_the_rest_of_its_group(self, sim):
+        proc = Process(sim, "p")
+        fired = []
+
+        def second():
+            fired.append("second")
+            if len(fired) == 5:
+                proc.cancel_timers()
+
+        proc.every(1.0, lambda: fired.append("first"))
+        proc.every(1.0, second)
+        proc.every(1.0, lambda: fired.append("third"))
+        sim.run(until=10.0)
+        assert fired == ["first", "second", "third", "first", "second"]
+        assert not sim._heap
+
+    def test_timer_registered_after_a_cancel_does_not_join_the_dead_group(self, sim):
+        proc = Process(sim, "p")
+        fired = []
+        proc.every(1.0, lambda: fired.append("old"))
+        proc.cancel_timers()
+        proc.every(1.0, lambda: fired.append("new"))
+        sim.run(until=2.0)
+        assert fired == ["new", "new"]
 
     def test_trace_through_process(self, sim):
         tracer = Tracer()

@@ -120,7 +120,6 @@ def _build_system(args, tracer: Optional[Tracer] = None) -> TigerSystem:
         config,
         seed=args.seed,
         tracer=tracer,
-        shards=getattr(args, "shards", 1),
         helpers=getattr(args, "helpers", 0),
         helper_capacity=getattr(args, "helper_capacity", 0),
         helper_policy=getattr(args, "helper_policy", "lru"),
@@ -327,7 +326,6 @@ def cmd_chaos(args) -> int:
             num_files=args.files,
             file_seconds=args.file_seconds,
             tracer=tracer,
-            shards=args.shards,
             helpers=args.helpers,
             helper_capacity=args.helper_capacity,
             helper_policy=args.helper_policy,
@@ -640,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     observability(demo)
     demo.add_argument("--streams", type=int, default=12)
     demo.add_argument("--seconds", type=float, default=30.0)
-    demo.add_argument("--shards", type=int, default=1,
-                      help="run on a partitioned kernel with this many "
-                           "cub-group shard lanes (1 = single heap; "
-                           "results are bit-identical either way)")
     helper_tier(demo)
     placement_flag(demo)
     restripe_flags(demo)
@@ -669,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seconds", type=float, default=120.0)
     chaos.add_argument("--drop-rate", type=float, default=0.01)
     chaos.add_argument("--victim", type=int, default=1)
-    chaos.add_argument("--shards", type=int, default=1,
-                       help="run on a partitioned kernel with this many "
-                            "cub-group shard lanes (1 = single heap; the "
-                            "replay fingerprint is identical either way)")
     helper_tier(chaos)
     placement_flag(chaos)
     restripe_flags(chaos)

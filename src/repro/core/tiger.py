@@ -1,11 +1,11 @@
 """Assembly of a complete simulated Tiger system.
 
 :class:`TigerSystem` is the :class:`~repro.core.world.World` bound to
-the discrete-event backend — a ``Simulator`` (or ``ShardedSimulator``)
-and a ``SwitchedNetwork`` — building *every* node: cubs, controller,
-helpers, and on request clients, the backup controller and an online
-restriper.  It is the single entry point examples and benchmarks use,
-and one of the two scenario hosts (see
+the discrete-event backend — a ``Simulator`` and a ``SwitchedNetwork``
+— building *every* node: cubs, controller, helpers, and on request
+clients, the backup controller and an online restriper.  It is the
+single entry point examples and benchmarks use, and one of the two
+scenario hosts (see
 :func:`repro.live.cluster.arm_scenario`).
 """
 
@@ -24,12 +24,10 @@ from repro.core.world import World
 from repro.helpers.directory import HelperDirectory
 from repro.helpers.node import HelperNode
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
-from repro.placement import group_pin
 from repro.net.switch import SwitchedNetwork
 from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.shard import ShardedSimulator
 from repro.sim.trace import Tracer
 
 
@@ -44,29 +42,17 @@ class TigerSystem(World):
         strict: bool = True,
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
-        shards: int = 1,
         helpers: int = 0,
         helper_capacity: int = 0,
         helper_policy: str = "lru",
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if helpers < 0:
             raise ValueError(f"helpers must be >= 0, got {helpers}")
         if helper_capacity < 0:
             raise ValueError(
                 f"helper_capacity must be >= 0, got {helper_capacity}"
             )
-        self.shards = shards
-        if shards == 1:
-            sim = Simulator()
-        else:
-            # Partitioned kernel: contiguous cub groups per lane, with
-            # the fabric's base propagation latency as the conservative
-            # lookahead bound (the minimum cross-shard link latency).
-            # Protocol counters are bit-identical to the single heap for
-            # any shard count — see repro/sim/shard.py.
-            sim = ShardedSimulator(shards, lookahead=config.net_base_latency)
+        sim = Simulator()
         # Rewind the message-id and play-instance-id sequences so a run
         # is a pure function of (seed, config): back-to-back systems in
         # one process allocate identical ids instead of continuing a
@@ -102,12 +88,6 @@ class TigerSystem(World):
         for cub_id in range(config.num_cubs):
             cub = self.make_cub(cub_id, self.oracle, strict, forward_copies)
             self.network.register(cub, config.cub_nic_bps)
-            if shards > 1:
-                # Contiguous groups keep the mirror ring's viewer-state
-                # forwarding (cub i -> i-1) on-shard except at the group
-                # boundary, which is exactly the thin slice the boundary
-                # channels are meant to carry.
-                sim.pin(cub.address, group_pin(cub_id, shards, config.num_cubs))
             self.cubs.append(cub)
 
         self.controller = self.make_controller()
@@ -123,8 +103,6 @@ class TigerSystem(World):
         for helper_id in range(helpers):
             helper = self.make_helper(helper_id, helper_capacity, helper_policy)
             self.network.register(helper, config.cub_nic_bps)
-            if shards > 1:
-                sim.pin(helper.address, group_pin(helper_id, shards, helpers))
             self.helpers.append(helper)
 
         self.clients: List[ViewerClient] = []
@@ -164,10 +142,9 @@ class TigerSystem(World):
         ``options`` are :meth:`World.make_restriper`'s (``journal``,
         ``throttle``, ``retry_base``, ``suspend_after``,
         ``ack_timeout``).  The restriper is a network node like any
-        other — it rides the switched fabric (and the shard/lookahead
-        machinery) with the same NIC model as a cub.  Call
-        ``system.restriper.start()`` (or schedule it) to begin moving
-        blocks.
+        other — it rides the switched fabric with the same NIC model
+        as a cub.  Call ``system.restriper.start()`` (or schedule it)
+        to begin moving blocks.
         """
         if self.restriper is not None:
             raise RuntimeError("a restriper is already attached")
@@ -282,28 +259,6 @@ class TigerSystem(World):
               help="Events dispatched by the simulation kernel",
               unit="events").set(self.sim.events_dispatched)
         gauge("sim.now", help="Simulated clock at export", unit="s").set(now)
-        shard_stats = getattr(self.sim, "shard_stats", None)
-        if shard_stats is not None:
-            stats = shard_stats()
-            gauge("sim.shards", help="Shard lanes in the partitioned kernel",
-                  unit="shards").set(stats["shards"])
-            gauge("sim.shard_windows",
-                  help="Conservative lookahead windows completed",
-                  unit="windows").set(stats["windows"])
-            gauge("sim.cross_shard_messages",
-                  help="Events carried across shard boundaries",
-                  unit="events").set(stats["cross_shard_messages"])
-            gauge("sim.null_messages",
-                  help="Clock-only boundary-channel advancements",
-                  unit="messages").set(stats["null_messages"])
-            gauge("sim.lookahead_violations",
-                  help="Cross-shard sends undercutting the lookahead bound "
-                       "(must stay zero for a PDES-safe partitioning)",
-                  unit="events").set(stats["lookahead_violations"])
-            for lane_index, lane_events in enumerate(stats["lane_events"]):
-                gauge("sim.lane_events",
-                      help="Events dispatched on one shard lane",
-                      unit="events", lane=lane_index).set(lane_events)
         if self.helpers:
             gauge("helper.origin_offload_ratio",
                   help="Fraction of viewer blocks served from helper "

@@ -84,7 +84,6 @@ class ChaosHarness:
         monitor_period: float = 1.0,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        shards: int = 1,
         helpers: int = 0,
         helper_capacity: int = 0,
         helper_policy: str = "lru",
@@ -97,7 +96,6 @@ class ChaosHarness:
             raise ValueError("load must be in (0, 1]")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        self.shards = shards
         self.helpers = helpers
         self.helper_capacity = helper_capacity
         self.helper_policy = helper_policy
@@ -131,7 +129,6 @@ class ChaosHarness:
             seed=self.seed,
             tracer=self.tracer,
             registry=self.registry,
-            shards=self.shards,
             helpers=self.helpers,
             helper_capacity=self.helper_capacity,
             helper_policy=self.helper_policy,

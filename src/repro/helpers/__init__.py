@@ -14,7 +14,7 @@ recently-streamed blocks ahead of the cubs:
   map clients consult before touching the schedule;
 * :mod:`repro.helpers.node` — :class:`HelperNode`, written against the
   Runtime/Transport contracts so the identical code runs on the DES
-  (including sharded mode) and the live asyncio backend;
+  and the live asyncio backend;
 * :mod:`repro.helpers.scenarios` — hot-movie-premiere and flash-crowd
   experiments measuring origin offload vs. the no-helper baseline.
 

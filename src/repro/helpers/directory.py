@@ -4,9 +4,9 @@ Tiger has no lookup service to ask "who caches this file?", and adding
 one would put a round trip ahead of every start request.  Instead the
 directory is a pure function of the deployment shape — helper count,
 helper capacity, catalog size — via the same contiguous-group formula
-(:func:`repro.placement.group_pin`) that pins cubs to shard lanes and
-hub listeners, so every client and every helper agree on the mapping
-without exchanging a single message.
+(:func:`repro.placement.group_pin`) that assigns cubs to the live
+backend's hub listeners, so every client and every helper agree on the
+mapping without exchanging a single message.
 
 Eligibility is strict: a directory with no helpers *or* zero cache
 capacity answers ``None`` for every file, and the client then follows

@@ -3,9 +3,8 @@
 A :class:`HelperNode` is written against the same Runtime/Transport
 contracts as the cubs and the controller (``sim`` provides ``now`` and
 timers, ``network`` provides ``send``/``send_paced``), so the identical
-class runs on the DES — including sharded mode, where helpers are
-pinned to lanes with :func:`repro.placement.group_pin` — and as one OS
-process per helper on the live asyncio backend.
+class runs on the DES and as one OS process per helper on the live
+asyncio backend.
 
 Protocol (all payloads in :mod:`repro.core.protocol`, wire-registered
 in :mod:`repro.live.wire`):

@@ -18,8 +18,8 @@ connection to the driver, which routes by destination address
 switched fabric, keeps join/handshake trivial, and gives the driver a
 complete vantage point: it sees every frame, every disconnect, and
 every metrics snapshot.  The driver listens on ``scenario.hubs``
-sockets — one hub per cub *group*, the same group boundaries
-``sim/shard.py`` partitions on (``hub_of(c) = c * hubs // cubs``) —
+sockets — one hub per cub *group*, the contiguous groups of
+:func:`repro.placement.group_pin` (``hub_of(c) = c * hubs // cubs``) —
 so connection handling shards across listener tasks while the routing
 table stays global.  Each connection gets a send queue with high/low
 watermark backpressure accounting and a hard cap (see
@@ -168,7 +168,7 @@ class ClusterScenario:
     #: Catalog popularity skew for random arrival modes.
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT
     #: Listener sockets to shard node connections across — one per
-    #: cub group, same boundaries as ``sim/shard.py``.
+    #: cub group (:func:`repro.placement.group_pin`).
     hubs: int = 1
     #: Edge helper processes to boot (0 disables the cache tier).
     helpers: int = 0
@@ -390,10 +390,9 @@ class ClusterScenario:
     def hub_of(self, cub_id: int) -> int:
         """Which hub listener a cub connects to.
 
-        Same group-boundary formula ``sim/shard.py`` uses to partition
-        cubs across shard lanes (see :func:`repro.placement.group_pin`),
-        so a live multi-hub topology shards connections along the exact
-        lines the partitioned simulator partitions events.
+        The contiguous-group formula of
+        :func:`repro.placement.group_pin`: cubs that are neighbours on
+        the mirror ring share a listener except at a group boundary.
         """
         return group_pin(cub_id, self.hubs, self.cubs)
 

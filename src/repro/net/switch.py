@@ -48,11 +48,6 @@ class SwitchedNetwork:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
-        # Partitioned kernels (repro.sim.shard.ShardedSimulator) route a
-        # delivery onto the destination node's shard lane; the single
-        # heap has no lanes, so fall back to plain call_at.  Resolved
-        # once — this sits on the per-message hot path.
-        self._call_at_node = getattr(sim, "call_at_node", None)
         self.base_latency = base_latency
         self.latency_jitter = latency_jitter
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -157,10 +152,7 @@ class SwitchedNetwork:
             if fifo:
                 self._last_arrival[flow] = arrival
             self.messages_scheduled += 1
-            if self._call_at_node is None:
-                self.sim.call_at(arrival, self._deliver, message)
-            else:
-                self._call_at_node(message.dst, arrival, self._deliver, message)
+            self.sim.call_at(arrival, self._deliver, message)
             return True
         now = self.sim.now
         arrivals = self.fault_injector.perturb(message, now, arrival)
@@ -177,10 +169,7 @@ class SwitchedNetwork:
             if when < now:
                 when = now
             self.messages_scheduled += 1
-            if self._call_at_node is None:
-                self.sim.call_at(when, self._deliver, message)
-            else:
-                self._call_at_node(message.dst, when, self._deliver, message)
+            self.sim.call_at(when, self._deliver, message)
             if when > latest:
                 latest = when
         if fifo and not reordered:

@@ -1,13 +1,11 @@
 """Shared contiguous-group placement arithmetic.
 
-Three subsystems partition an index space into contiguous groups: the
-sharded DES pins cub addresses to shard lanes, the live driver shards
-cub connections across hub listeners, and the helper tier maps files
-onto helper caches.  They must all use the *same* formula — the hub
-sharding deliberately rides the DES shard boundaries so that a
-boundary-crossing message in one backend is a boundary-crossing
-message in the other — so the formula lives here instead of being
-repeated (and drifting) at each call site.
+Two subsystems partition an index space into contiguous groups: the
+live driver shards cub connections across hub listeners, and the helper
+tier maps files onto helper caches.  They must use the *same* formula —
+every client, helper and hub works the mapping out for itself, without
+a message — so the formula lives here instead of being repeated (and
+drifting) at each call site.
 """
 
 from __future__ import annotations

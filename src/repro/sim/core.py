@@ -1,9 +1,10 @@
 """The discrete-event simulation kernel.
 
-The kernel is deliberately small: a time-ordered heap of
-``(time, priority, seq, event)`` entries and a clock.  Components
-schedule callbacks with :meth:`Simulator.call_at` / ``call_after`` and
-one loop, :meth:`Simulator.run`, dispatches them in deterministic order.
+The kernel is deliberately small — and the only one the DES has: a
+time-ordered heap of ``(time, priority, seq, event)`` entries and a
+clock.  Components schedule callbacks with :meth:`Simulator.call_at` /
+``call_after`` and one loop, :meth:`Simulator.run`, dispatches them in
+deterministic order.
 
 Design notes
 ------------
@@ -14,6 +15,10 @@ Design notes
 * Determinism: ties are broken by ``(priority, insertion order)`` and
   all randomness flows through :class:`~repro.sim.rng.RngRegistry`, so a
   run is a pure function of its seed and configuration.
+* Cancellation is lazy: a cancelled event stays in the heap as a
+  tombstone until it reaches the top or a compaction sweeps it.  A
+  tombstone is never dispatched, consumes no ``max_events`` budget and
+  never advances the clock.
 """
 
 from __future__ import annotations
@@ -32,95 +37,6 @@ _COMPACT_MIN_TOMBSTONES = 64
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling into the past)."""
-
-
-class TombstoneHeap:
-    """A time-ordered event heap with lazy tombstone compaction.
-
-    This is the storage half of the kernel, factored out so the
-    partitioned kernel (:class:`repro.sim.shard.ShardedSimulator`) can
-    run one timeline per shard lane with identical pop/peek/compaction
-    semantics.  An entry is the tuple ``(time, priority, seq, event)``:
-    ``seq`` is unique per event, so two entries always differ before
-    the compare reaches the event and ``heapq`` orders them entirely in
-    C.  Three invariants matter to callers:
-
-    * :meth:`pop` and :meth:`peek` never surface a cancelled event, and
-      purged tombstones are **not** otherwise observable — a cancelled
-      event consumes no dispatch budget and never advances a clock.
-    * Compaction (triggered from :meth:`note_cancelled`) preserves the
-      dispatch order exactly: event ordering is a total order on
-      ``(time, priority, seq)``, so rebuilding the heap without
-      tombstones cannot reorder the survivors.
-    * The list object is never replaced (compaction rebuilds it in
-      place): :meth:`Simulator.run` holds it across callbacks.
-    """
-
-    __slots__ = ("_heap", "_cancelled")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Event]] = []
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        """Entries physically in the heap, tombstones included."""
-        return len(self._heap)
-
-    @property
-    def cancelled(self) -> int:
-        """Cancelled events still sitting in the heap (lazy tombstones)."""
-        return self._cancelled
-
-    def push(self, event: Event) -> None:
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next active event, silently purging tombstones."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            event.owner = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            return event
-        return None
-
-    def peek(self) -> Optional[Event]:
-        """The next active event (still in the heap), or None."""
-        heap = self._heap
-        while heap:
-            event = heap[0][3]
-            if not event.cancelled:
-                return event
-            heappop(heap)
-            event.owner = None
-            self._cancelled -= 1
-        return None
-
-    def note_cancelled(self) -> None:
-        """An event currently in this heap was cancelled.
-
-        When tombstones outnumber live events (past a fixed floor), the
-        heap is rebuilt without them: cancel-heavy workloads (deadman
-        timers, per-service bookkeeping) otherwise carry every tombstone
-        until its pop, inflating both memory and per-push compare cost.
-        """
-        self._cancelled += 1
-        heap = self._heap
-        if (
-            self._cancelled > _COMPACT_MIN_TOMBSTONES
-            and self._cancelled * 2 > len(heap)
-        ):
-            live = []
-            for entry in heap:
-                if entry[3].cancelled:
-                    entry[3].owner = None
-                else:
-                    live.append(entry)
-            heap[:] = live
-            heapify(heap)
-            self._cancelled = 0
 
 
 class Simulator:
@@ -147,7 +63,12 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._timeline = TombstoneHeap()
+        #: The event heap.  The list object is never replaced
+        #: (compaction rebuilds it in place): :meth:`run` holds it
+        #: across callbacks.
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        #: Cancelled events still sitting in the heap (lazy tombstones).
+        self._cancelled_in_heap = 0
         self._events_dispatched = 0
         self._running = False
         self._stopped = False
@@ -167,16 +88,6 @@ class Simulator:
     def events_dispatched(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_dispatched
-
-    @property
-    def _heap(self) -> List[Tuple[float, int, int, Event]]:
-        """The raw event heap (tests and debugging only)."""
-        return self._timeline._heap
-
-    @property
-    def _cancelled_in_heap(self) -> int:
-        """Cancelled events still sitting in the heap (lazy tombstones)."""
-        return self._timeline.cancelled
 
     # ------------------------------------------------------------------
     # Profiling
@@ -215,13 +126,13 @@ class Simulator:
         the current instant, after events already queued for it);
         scheduling strictly into the past is an error.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, now is t={self._now:.9f}"
             )
         event = Event(time, fn, args, priority)
         event.owner = self
-        heappush(self._timeline._heap, (event.time, priority, event.seq, event))
+        heappush(self._heap, (event.time, priority, event.seq, event))
         return event
 
     def call_after(
@@ -232,22 +143,39 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
         return self.call_at(self._now + delay, fn, *args, priority=priority)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _purge_head(self) -> Optional[Tuple[float, int, int, Event]]:
+        """Pop tombstones off the top of the heap; return the entry of
+        the next active event (left in the heap), or None."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if not event.cancelled:
+                return entry
+            heappop(heap)
+            event.owner = None
+            self._cancelled_in_heap -= 1
+        return None
+
     def step(self) -> bool:
         """Dispatch the next active event.
 
         Returns False when the heap holds no active events.
         """
-        event = self._timeline.pop()
-        if event is None:
+        entry = self._purge_head()
+        if entry is None:
             return False
-        self._now = event.time
+        heappop(self._heap)
+        event = entry[3]
+        event.owner = None
+        self._now = entry[0]
         self._events_dispatched += 1
         if self._profiler is None:
             event.fn(*event.args)
@@ -261,12 +189,34 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next active event, or None if the heap is empty."""
-        event = self._timeline.peek()
-        return event.time if event is not None else None
+        entry = self._purge_head()
+        return entry[0] if entry is not None else None
 
     def _note_cancelled(self) -> None:
-        """An event currently in the heap was cancelled (Event.cancel)."""
-        self._timeline.note_cancelled()
+        """An event currently in the heap was cancelled (Event.cancel).
+
+        When tombstones outnumber live events (past a fixed floor), the
+        heap is rebuilt without them: cancel-heavy workloads (deadman
+        timers, per-service bookkeeping) otherwise carry every tombstone
+        until its pop, inflating both memory and per-push compare cost.
+        Event ordering is a total order on ``(time, priority, seq)``, so
+        the rebuild cannot reorder the survivors.
+        """
+        self._cancelled_in_heap += 1
+        heap = self._heap
+        if (
+            self._cancelled_in_heap > _COMPACT_MIN_TOMBSTONES
+            and self._cancelled_in_heap * 2 > len(heap)
+        ):
+            live = []
+            for entry in heap:
+                if entry[3].cancelled:
+                    entry[3].owner = None
+                else:
+                    live.append(entry)
+            heap[:] = live
+            heapify(heap)
+            self._cancelled_in_heap = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
@@ -286,8 +236,7 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        timeline = self._timeline
-        heap = timeline._heap
+        heap = self._heap
         horizon = inf if until is None else until
         # Counted up to the budget; -1 is never reached.
         budget = -1 if max_events is None else max(0, max_events)
@@ -300,7 +249,7 @@ class Simulator:
                     # A tombstone consumes no budget and moves no clock.
                     heappop(heap)
                     event.owner = None
-                    timeline._cancelled -= 1
+                    self._cancelled_in_heap -= 1
                     continue
                 if entry[0] > horizon:
                     break

@@ -71,10 +71,6 @@ class Event:
         """True if the event has not been cancelled."""
         return not self.cancelled
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        """The event's place in dispatch order."""
-        return (self.time, self.priority, self.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
         name = getattr(self.fn, "__qualname__", repr(self.fn))

@@ -6,7 +6,7 @@ system keeps serving viewers.  The :class:`OnlineRestriper` is written
 against the Runtime/Transport contracts (``sim`` with
 ``now``/``call_at``/``call_after``; ``network`` with
 ``send``/``send_paced``), so the identical class drives a restripe on
-the DES, the sharded DES, and the live asyncio backend.
+the DES and the live asyncio backend.
 
 Robustness model
 ----------------

@@ -13,6 +13,11 @@ table, attached by the assembly.
 
 And it keeps a deschedule searching nothing: the stop, pause and cancel
 handlers may walk no table of the cub but the one play's index entry.
+
+And it keeps the DES on one event kernel (DESIGN.md §8): one class with
+a ``run`` loop under ``repro/sim``, a fabric that hands deliveries to
+``call_at`` and probes the simulator for nothing else, and no ``shards``
+option on the system or the chaos harness.
 """
 
 import ast
@@ -272,3 +277,79 @@ def test_the_walk_check_sees_the_scans_it_replaced():
     assert _tables_walked(scans["c"]) == {"self._service_buckets"}
     assert _tables_walked(scans["d"]) == {"self._wait_queues"}
     assert not _tables_walked(scans["e"])
+
+
+# ----------------------------------------------------------------------
+# One event kernel (DESIGN.md §8)
+# ----------------------------------------------------------------------
+def _classes_with_a_run_method():
+    return [
+        f"{relative}:{node.name}"
+        for relative, tree in _walk_sources()
+        if relative.startswith("sim/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "run"
+            for item in node.body
+        )
+    ]
+
+
+def _fabric_kernel_forks(source: str):
+    """What in the fabric's source would make it serve two kernels:
+    probing the simulator with ``getattr``, or handing ``_deliver`` to
+    anything but ``self.sim.call_at``."""
+    tree = ast.parse(source)
+    found = [
+        ast.unparse(node) for node in _calls(tree, "getattr")
+        if node.args and ast.unparse(node.args[0]) in {"sim", "self.sim"}
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+            ast.unparse(arg) == "self._deliver" for arg in node.args
+        ):
+            if ast.unparse(node.func) != "self.sim.call_at":
+                found.append(ast.unparse(node))
+    return found
+
+
+def _init_parameters(relative: str, class_name: str):
+    tree = ast.parse((SRC / relative).read_text(encoding="utf-8"))
+    (init,) = [
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    args = init.args
+    return {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def test_the_des_has_one_event_kernel():
+    assert _classes_with_a_run_method() == ["sim/core.py:Simulator"]
+    switch = (SRC / "net/switch.py").read_text(encoding="utf-8")
+    assert "self.sim.call_at(" in switch
+    assert not _fabric_kernel_forks(switch)
+    assert "shards" not in _init_parameters("core/tiger.py", "TigerSystem")
+    assert "shards" not in _init_parameters("faults/harness.py", "ChaosHarness")
+
+
+def test_the_kernel_fork_check_sees_the_fork_it_replaced():
+    forked = (
+        "class SwitchedNetwork:\n"
+        "    def __init__(self, sim):\n"
+        "        self.sim = sim\n"
+        "        self._call_on_lane = getattr(sim, 'call_on_lane', None)\n"
+        "    def _schedule_delivery(self, message, arrival):\n"
+        "        if self._call_on_lane is None:\n"
+        "            self.sim.call_at(arrival, self._deliver, message)\n"
+        "        else:\n"
+        "            self._call_on_lane(\n"
+        "                message.dst, arrival, self._deliver, message)\n"
+    )
+    assert _fabric_kernel_forks(forked) == [
+        "getattr(sim, 'call_on_lane', None)",
+        "self._call_on_lane(message.dst, arrival, self._deliver, message)",
+    ]

@@ -70,14 +70,14 @@ class TestBadInput:
         [
             (["chaos", "--load", "2"], "load must be in (0, 1]"),
             (["chaos", "--seconds", "0"], "duration must be positive"),
-            (["chaos", "--shards", "0"], "shards must be >= 1"),
+            (["chaos", "--drop-rate", "1.5"], "rate must be within [0, 1]"),
             (["chaos", "--helpers", "-1"], "helpers must be >= 0"),
             (["chaos", "--victim", "99"], "--victim"),
             (["chaos", "--restripe", "1,2", "--restripe-throttle", "0"],
              "throttle must be in (0, 1]"),
             (["demo", "--files", "0"], "add content"),
             (["demo", "--file-seconds", "0"], "duration must be positive"),
-            (["demo", "--shards", "0"], "shards must be >= 1"),
+            (["demo", "--helpers", "-1"], "helpers must be >= 0"),
             (["demo", "--helper-capacity", "-2"],
              "helper_capacity must be >= 0"),
             (["demo", "--helper-policy", "bogus"], "--helper-policy"),
@@ -97,6 +97,18 @@ class TestBadInput:
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and message in line
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("verb", ["demo", "chaos"])
+    def test_shards_flag_is_gone(self, verb, capsys):
+        """There is one event kernel: ``--shards`` is an unknown flag,
+        which argparse refuses with a usage line and exit code 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--shards", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments: --shards 2" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
     def test_an_error_out_of_the_run_is_not_a_usage_error(self, monkeypatch):

@@ -126,8 +126,8 @@ class TestHelperDirectory:
         assert ids == {0, 1, 2}
 
     def test_group_pin_matches_legacy_formulas(self):
-        # The shared helper replaced two inline formulas: the shard
-        # lane pin and the hub listener pin, both `i * groups // total`.
+        # The shared helper replaced the inline formula of the hub
+        # listener pin, `i * groups // total`.
         for total in (1, 3, 4, 7, 16):
             for groups in (1, 2, 3, total):
                 for item in range(total):

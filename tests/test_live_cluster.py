@@ -252,9 +252,8 @@ def test_stream_plan_stagger_unchanged_by_new_fields():
 
 
 def test_hub_sharding_matches_sim_shard_pinning():
-    # The hub shard for a cub must be the same group the sharded
-    # simulator pins it to, so multi-hub topologies mirror sim/shard.py
-    # boundaries.
+    # The hub shard for a cub is its placement.group_pin group: cubs
+    # are spread over the listeners in contiguous runs of the ring.
     scenario = ClusterScenario(cubs=8, hubs=3)
     assert [scenario.hub_of(cub) for cub in range(8)] == [
         cub * 3 // 8 for cub in range(8)

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro import small_config
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.faults.injectors import MessageFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.net.message import KIND_DATA, Message
 from repro.net.nic import Nic
 from repro.net.node import NetworkNode
 from repro.net.switch import SwitchedNetwork
+from repro.sim.core import Simulator
 
 
 class Sink(NetworkNode):
@@ -328,3 +331,52 @@ class TestTrafficAccounting:
         assert network.control_rate_from("a", 10.0) == pytest.approx(100.0)
         # Window resets after snapshot.
         assert network.control_rate_from("a", 20.0) == 0.0
+
+
+def _noisy_chaos_plan(duration):
+    """``standard_chaos_plan`` plus the three message faults it leaves
+    out, so every kind of perturbation the injector knows is drawn."""
+    plan = standard_chaos_plan(duration=duration, drop_rate=0.05)
+    plan.delay_messages(0.004, start=2.0, duration=6.0, jitter=0.002)
+    plan.duplicate_messages(0.05, start=4.0, duration=8.0, kind="data")
+    plan.reorder_messages(0.05, 0.01, start=6.0, duration=8.0, kind="data")
+    return plan
+
+
+class TestEveryDeliveryPaysTheBaseLatency:
+    """The fabric never schedules a delivery sooner than
+    ``base_latency`` after the send — with or without a fault injector,
+    whose ``perturb`` only delays, duplicates or drops.  (This is the
+    lookahead bound a conservative parallel kernel would need; DESIGN.md
+    §8.)"""
+
+    @pytest.mark.parametrize(
+        "injected", [False, True], ids=["plain", "fault-injector"]
+    )
+    def test_chaos_run(self, monkeypatch, injected):
+        config = small_config()
+        duration = 20.0
+        plan = (
+            _noisy_chaos_plan(duration) if injected
+            else FaultPlan(name="quiet")
+        )
+        real_call_at = Simulator.call_at
+        leads, branches = [], set()
+
+        def spy(sim, time, fn, *args, **kwargs):
+            if getattr(fn, "__func__", None) is SwitchedNetwork._deliver:
+                leads.append(time - sim.now)
+                branches.add(fn.__self__.fault_injector is not None)
+            return real_call_at(sim, time, fn, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "call_at", spy)
+        harness = ChaosHarness(config, plan, seed=3, duration=duration)
+        report = harness.run()
+
+        assert branches == {injected}
+        assert len(leads) == report.totals["messages_scheduled"] > 1000
+        assert min(leads) >= config.net_base_latency - 1e-12
+        if injected:
+            stats = report.message_stats
+            assert stats["dropped"] and stats["delayed"]
+            assert stats["duplicated"] and stats["reordered"]

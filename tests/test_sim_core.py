@@ -49,6 +49,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.call_at(0.5, lambda: None)
 
+    def test_scheduling_at_nan_raises(self, sim):
+        """A NaN time compares False against everything: it must be
+        refused at the door, not let into the heap to scramble the
+        order of its neighbours."""
+        fired = []
+        sim.call_at(3.0, fired.append, 3.0)
+        with pytest.raises(SimulationError):
+            sim.call_at(float("nan"), fired.append, "nan")
+        sim.call_at(1.0, fired.append, 1.0)
+        sim.call_at(2.0, fired.append, 2.0)
+        with pytest.raises(SimulationError):
+            sim.call_after(float("nan"), fired.append, "nan")
+        sim.call_at(0.5, fired.append, 0.5)
+        sim.run(until=10.0)
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+        assert sim.now == 10.0
+
     def test_scheduling_at_now_is_allowed(self, sim):
         fired = []
         sim.call_after(1.0, lambda: sim.call_at(sim.now, fired.append, "x"))
@@ -58,6 +75,11 @@ class TestScheduling:
     def test_negative_delay_raises(self, sim):
         with pytest.raises(SimulationError):
             sim.call_after(-0.1, lambda: None)
+
+    def test_nan_delay_raises(self, sim):
+        with pytest.raises(SimulationError):
+            sim.call_after(float("nan"), lambda: None)
+        assert not sim._heap
 
     def test_none_callback_raises(self):
         with pytest.raises(ValueError):
@@ -172,6 +194,18 @@ class TestRunControl:
             sim.run()
 
     def test_step_returns_false_when_empty(self, sim):
+        assert sim.step() is False
+
+    def test_step_dispatches_the_next_active_event(self, sim):
+        fired = []
+        dead = sim.call_after(1.0, fired.append, "dead")
+        live = sim.call_after(1.5, fired.append, "live")
+        dead.cancel()
+        assert sim.step() is True
+        assert fired == ["live"]
+        assert sim.now == pytest.approx(1.5)
+        assert sim.events_dispatched == 1
+        assert sim._cancelled_in_heap == 0 and live.owner is None
         assert sim.step() is False
 
     def test_peek_time_skips_cancelled(self, sim):
@@ -383,8 +417,7 @@ class TestBudgetVsTombstones:
     """Audit pin-downs: the ``run(until, max_events)`` budget counts
     dispatched events only.  ``run`` peeks past tombstones before every
     step, so a cancelled event can never consume budget or clock — these
-    tests freeze that property against future kernel refactors (the
-    TombstoneHeap extraction relies on it)."""
+    tests freeze that property against future kernel refactors."""
 
     def test_cancelled_events_do_not_consume_max_events(self, sim):
         fired = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.disk.model import DiskParameters, worst_case_streams_per_disk
@@ -137,17 +138,21 @@ class TigerConfig:
 
     # ------------------------------------------------------------------
     # Derived quantities
+    #
+    # Each is computed once per instance: the fields are frozen, and the
+    # block path reads these per accepted state.  ``replace`` builds a
+    # new instance, so a copy with other fields derives its own.
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def num_disks(self) -> int:
         return self.num_cubs * self.disks_per_cub
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         """Stored block size in the single-bitrate system."""
         return int(round(self.max_bitrate_bps * self.block_play_time / 8.0))
 
-    @property
+    @cached_property
     def streams_per_disk(self) -> float:
         """Streams one disk sustains, including failed-mode reserve."""
         if self.streams_per_disk_override is not None:
@@ -156,17 +161,17 @@ class TigerConfig:
             self.disk, self.block_bytes, self.decluster
         )
 
-    @property
+    @cached_property
     def schedule_duration(self) -> float:
         """Length of the schedule ring: block play time x disks (§3.1)."""
         return self.block_play_time * self.num_disks
 
-    @property
+    @cached_property
     def num_slots(self) -> int:
         """System stream capacity, rounded down to an integer (§3.1)."""
         return int(math.floor(self.num_disks * self.streams_per_disk + 1e-9))
 
-    @property
+    @cached_property
     def block_service_time(self) -> float:
         """Slot width, lengthened so the schedule holds a whole number
         of slots: schedule_duration / num_slots (§3.1)."""

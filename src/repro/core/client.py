@@ -24,6 +24,8 @@ from repro.core.protocol import (
     HelperHit,
     HelperMiss,
     HelperProbe,
+    StartAck,
+    block_pattern,
 )
 from repro.core.viewerstate import new_instance_id
 from repro.net.message import REQUEST_BYTES, Message
@@ -81,8 +83,6 @@ class StreamMonitor:
         """Handle one data message (whole block or mirror piece)."""
         if self.stopped or self.finished:
             return
-        from repro.core.protocol import block_pattern
-
         expected_block = self.first_block + data.play_seqno
         expected_pattern = block_pattern(self.file_id, expected_block)
         if (
@@ -472,8 +472,6 @@ class ViewerClient(NetworkNode):
     # Data plane
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> None:
-        from repro.core.protocol import StartAck
-
         payload = message.payload
         if isinstance(payload, StartAck):
             self._acked.add(payload.instance)

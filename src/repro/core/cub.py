@@ -48,7 +48,7 @@ from repro.core.placement import (
 )
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
-from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ScheduleView
+from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ExpiryIndex, ScheduleView
 from repro.core.viewerstate import (
     MirrorViewerState,
     ViewerState,
@@ -161,6 +161,8 @@ class Cub(NetworkNode):
         #: keys; every write to the store goes through
         #: :meth:`_hold_redundant` / :meth:`_release_redundant`.
         self._redundant_index: Dict[int, Tuple[int, ...]] = {}
+        #: And by due time: what :meth:`_prune_redundant` visits.
+        self._redundant_expiry = ExpiryIndex()
         #: States awaiting their forward window.
         self._forward_queue: List[ViewerState] = []
         #: Mirror states bound for downstream piece holders; they ride
@@ -346,6 +348,7 @@ class Cub(NetworkNode):
         self._mirror_forward_queue.clear()
         self._redundant_states.clear()
         self._redundant_index.clear()
+        self._redundant_expiry.clear()
         self._redundant_requests.clear()
         self._ready_reads.clear()
         # The drain events were cancelled by fail(); their buckets must
@@ -423,13 +426,15 @@ class Cub(NetworkNode):
                 self._relay_to_owner(owner_cub, state)
 
     def _hold_redundant(self, state: ViewerState) -> None:
-        """Keep a state targeted at another cub's disk, indexed by play."""
+        """Keep a state targeted at another cub's disk, indexed by play
+        and by due time."""
         key = state.key()
         if key not in self._redundant_states:
             instance, seqno = key
             index = self._redundant_index
             index[instance] = index.get(instance, ()) + (seqno,)
         self._redundant_states[key] = state
+        self._redundant_expiry.note(key, state.due_time)
 
     def _release_redundant(self, key: Tuple[int, int]) -> None:
         """Take one held state out of the store and the index."""
@@ -592,6 +597,8 @@ class Cub(NetworkNode):
         if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
             self._ready_reads.discard(key)
             return
+        entry = self.catalog.get(state.file_id)
+        final = state.block_index >= entry.num_blocks - 1
         if key not in self._ready_reads:
             # The read missed its deadline — the paper's server-side
             # "failed to place a block on the network" event.
@@ -615,14 +622,13 @@ class Cub(NetworkNode):
                     slot=state.slot,
                     disk=state.disk_id,
                 )
-            entry = self.catalog.get(state.file_id)
             payload = BlockData(
                 viewer_id=state.viewer_id,
                 instance=state.instance,
                 file_id=state.file_id,
                 block_index=state.block_index,
                 play_seqno=state.play_seqno,
-                final=self._state_is_final(state),
+                final=final,
                 pattern=block_pattern(state.file_id, state.block_index),
             )
             size = entry.content_bytes_per_block
@@ -640,7 +646,7 @@ class Cub(NetworkNode):
             self.blocks_sent.increment()
             self._recent_send_times.append(self.sim.now)
             self._trim_send_window()
-        if self._state_is_final(state):
+        if final:
             self._finish_play(state)
 
     def _pump(self) -> None:
@@ -1274,13 +1280,11 @@ class Cub(NetworkNode):
     def _prune_redundant(self) -> None:
         """Drop held states no neighbour's death could still need."""
         horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
-        expired = [
-            key
-            for key, state in self._redundant_states.items()
-            if state.due_time < horizon
-        ]
-        for key in expired:
-            self._release_redundant(key)
+        held = self._redundant_states
+        for key in self._redundant_expiry.due_before(horizon):
+            state = held.get(key)
+            if state is not None and state.due_time < horizon:
+                self._release_redundant(key)
 
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1

@@ -10,7 +10,8 @@ the view's size is bounded by the lead-time constants — the paper's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from math import floor
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.viewerstate import (
     DescheduleRequest,
@@ -25,6 +26,58 @@ ADMIT_DESCHEDULED = "descheduled"
 ADMIT_TOO_LATE = "too-late"
 
 _EPS = 1e-9
+
+
+class ExpiryIndex:
+    """Which records of a store fall due when, without walking the store.
+
+    Keys (never records) are listed under the whole second their
+    record's due time falls in, so expiring costs what expired plus one
+    boundary second — not the size of the store.  The listing is a
+    superset: a key stays listed after its record is dropped or
+    replaced, so the caller checks each candidate against its store,
+    and that check, not this index, is the exact cut.  What must hold
+    is the converse — every record is listed under its own due time
+    (:meth:`unlisted` is the invariant monitor's check) — or it could
+    never expire.  One list per second of due times: nothing here is
+    allocated per record.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self) -> None:
+        self._buckets: Dict[int, List[Hashable]] = {}
+
+    def note(self, key: Hashable, due_time: float) -> None:
+        """List ``key`` under ``due_time``; call on every store write."""
+        try:
+            self._buckets[floor(due_time)].append(key)
+        except KeyError:
+            self._buckets[floor(due_time)] = [key]
+
+    def due_before(self, cutoff: float) -> List[Hashable]:
+        """Every key listed under a due time that may lie before
+        ``cutoff``: the whole seconds before it, forgotten here as they
+        are returned, and the second ``cutoff`` falls in, which stays
+        listed because part of it is still to come."""
+        boundary = floor(cutoff)
+        buckets = self._buckets
+        keys: List[Hashable] = []
+        for second in [s for s in buckets if s <= boundary]:
+            keys += buckets[second] if second == boundary else buckets.pop(second)
+        return keys
+
+    def unlisted(self, records: Iterable[Tuple[Hashable, float]]) -> List[Hashable]:
+        """The keys among ``(key, due_time)`` records not listed under
+        their due time — records no expiry would ever reach."""
+        listed = {second: set(keys) for second, keys in self._buckets.items()}
+        return [
+            key for key, due_time in records
+            if key not in listed.get(floor(due_time), ())
+        ]
+
+    def clear(self) -> None:
+        self._buckets.clear()
 
 
 class ScheduleView:
@@ -48,6 +101,9 @@ class ScheduleView:
         self._slot_states: Dict[int, ViewerState] = {}
         #: Idempotence: record key -> due time (for expiry).
         self._seen: Dict[Tuple, float] = {}
+        #: The two stores' keys by due time: what :meth:`prune` visits.
+        self._seen_expiry = ExpiryIndex()
+        self._slot_expiry = ExpiryIndex()
         #: Deschedule tombstones: (viewer, instance, slot) -> expiry time.
         self._tombstones: Dict[Tuple[str, int, int], float] = {}
         self._tombstone_requests: Dict[Tuple[str, int, int], DescheduleRequest] = {}
@@ -74,17 +130,18 @@ class ScheduleView:
             return ADMIT_DUPLICATE
         tomb_key = (state.viewer_id, state.instance, state.slot)
         if tomb_key in self._tombstones:
-            self._seen[key] = state.due_time
+            self._note_seen(key, state.due_time)
             return ADMIT_DESCHEDULED
         if state.due_time < now - self.hold_time:
             # Later than any tombstone could still be held: drop it so a
             # dead deschedule can never be outrun (§4.1.2).
             self.states_discarded_late += 1
             return ADMIT_TOO_LATE
-        self._seen[key] = state.due_time
+        self._note_seen(key, state.due_time)
         current = self._slot_states.get(state.slot)
         if current is None or state.due_time > current.due_time + _EPS:
             self._slot_states[state.slot] = state
+            self._slot_expiry.note(state.slot, state.due_time)
         return ADMIT_NEW
 
     def admit_mirror(self, state: MirrorViewerState, now: float) -> str:
@@ -95,13 +152,18 @@ class ScheduleView:
             return ADMIT_DUPLICATE
         tomb_key = (state.viewer_id, state.instance, state.slot)
         if tomb_key in self._tombstones:
-            self._seen[key] = state.due_time
+            self._note_seen(key, state.due_time)
             return ADMIT_DESCHEDULED
         if state.due_time < now - self.hold_time:
             self.states_discarded_late += 1
             return ADMIT_TOO_LATE
-        self._seen[key] = state.due_time
+        self._note_seen(key, state.due_time)
         return ADMIT_NEW
+
+    def _note_seen(self, key: Tuple, due_time: float) -> None:
+        """Remember a record key until its due time is ``hold_time`` past."""
+        self._seen[key] = due_time
+        self._seen_expiry.note(key, due_time)
 
     # ------------------------------------------------------------------
     # Deschedules
@@ -168,14 +230,19 @@ class ScheduleView:
     def prune(self, now: float) -> None:
         """Expire stale records; keeps the view size load-bounded."""
         horizon = now - self.hold_time
-        self._seen = {
-            key: due for key, due in self._seen.items() if due >= horizon
-        }
-        self._slot_states = {
-            slot: state
-            for slot, state in self._slot_states.items()
-            if state.due_time >= horizon - self.block_play_time
-        }
+        seen = self._seen
+        for key in self._seen_expiry.due_before(horizon):
+            due = seen.get(key)
+            if due is not None and due < horizon:
+                del seen[key]
+        # A slot's latest state lingers one visit longer: it is what
+        # says the slot's viewer continues (see occupied_at).
+        slot_horizon = horizon - self.block_play_time
+        slot_states = self._slot_states
+        for slot in self._slot_expiry.due_before(slot_horizon):
+            state = slot_states.get(slot)
+            if state is not None and state.due_time < slot_horizon:
+                del slot_states[slot]
         expired = [key for key, expiry in self._tombstones.items() if expiry < now]
         for key in expired:
             del self._tombstones[key]
@@ -192,3 +259,13 @@ class ScheduleView:
 
     def known_slots(self) -> Tuple[int, ...]:
         return tuple(sorted(self._slot_states))
+
+    def unexpirable(self) -> int:
+        """Records :meth:`prune` could never reach — zero, or the view
+        would grow without bound (the invariant monitor's check)."""
+        return len(self._seen_expiry.unlisted(self._seen.items())) + len(
+            self._slot_expiry.unlisted(
+                (slot, state.due_time)
+                for slot, state in self._slot_states.items()
+            )
+        )

@@ -106,7 +106,8 @@ class CubInvariantProbe:
     * the forwarding queues stay bounded (a stuck pump would grow them
       without limit);
     * the by-play indexes a deschedule deletes through name exactly the
-      records their stores hold
+      records their stores hold, and the expiry indexes pruning works
+      from list every record that must one day expire
       (:func:`~repro.faults.monitor.index_incoherence`);
     * the runtime clock is monotonic between sweeps;
     * the deadman never believes *every* other cub dead while traffic

@@ -18,7 +18,11 @@ at the end of a test.  Checks fall into two classes:
 * *index coherence*: a cub's by-play indexes (redundant states by play
   instance, queued starts by instance) name exactly the records their
   stores hold — a deschedule deletes through them without searching,
-  so a key missing from one is a record no stop can reach.
+  so a key missing from one is a record no stop can reach; and every
+  record that expires by due time (the view's idempotence set and slot
+  states, the redundant states) is listed under that time in its
+  expiry index — pruning visits only what is listed, so an unlisted
+  record is held forever (§4's bounded view, broken).
 
 **Staleness-sensitive** — hold only once in-flight knowledge has had
 time to propagate, so they observe grace windows around fault activity
@@ -72,9 +76,12 @@ def index_incoherence(cub: Any) -> Optional[str]:
 
     Every indexed key is in the store, every stored key is indexed, and
     no play's entry is empty — so the index is never larger than the
-    store; likewise the instance map and the wait queues.  Checkable
-    from inside one cub, so the live probe (:mod:`repro.faults.live`)
-    runs it too.
+    store; likewise the instance map and the wait queues.  And every
+    record the view or the redundant store holds is listed under its
+    due time in that store's expiry index (a listing may outlive its
+    record; a record may never lack its listing).  Checkable from
+    inside one cub, so the live probe (:mod:`repro.faults.live`) runs
+    it too.
     """
     store, index = cub._redundant_states, cub._redundant_index
     indexed = [
@@ -103,6 +110,17 @@ def index_incoherence(cub: Any) -> Optional[str]:
         return (
             f"instance map names {len(cub._queued_requests)} queued "
             f"starts, the wait queues hold {len(queued)}"
+        )
+    stranded = cub.view.unexpirable() + len(
+        cub._redundant_expiry.unlisted(
+            (key, state.due_time)
+            for key, state in cub._redundant_states.items()
+        )
+    )
+    if stranded:
+        return (
+            f"{stranded} records are not listed under their due time in "
+            f"their expiry index: no prune would ever drop them"
         )
     return None
 

@@ -105,9 +105,10 @@ class GaugeSeries:
 class HistogramSeries:
     """One labelled histogram series with quantile queries.
 
-    Wraps :class:`repro.sim.stats.Histogram` (exact, sorted-insert);
-    suitable for the tens of thousands of observations an experiment
-    produces, not for millions.
+    Wraps :class:`repro.sim.stats.Histogram` (exact): O(1)
+    :meth:`observe`, sorted on the first read after a write — fine for
+    the millions of observations a paper-scale run produces, as long as
+    they are read at report time and not between every two writes.
 
     :param labels: The series' label set.
     """

@@ -8,7 +8,7 @@ harness converts to numpy arrays only at reporting time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -152,56 +152,73 @@ class BusyMeter:
 
 
 class Histogram:
-    """A simple exact histogram with quantile queries.
+    """An exact histogram with quantile queries.
 
-    Stores all samples (sorted insert).  Fine for the ten-thousands of
-    samples our experiments generate; not meant for millions.
+    Stores every sample: O(1) ``add``, sorted on the first read after
+    a write — fine for millions of samples read at report time (one
+    sort, cheap on the already-sorted prefix, instead of one sorted
+    insert per sample).
     """
 
     def __init__(self) -> None:
-        self._sorted: List[float] = []
+        self._samples: List[float] = []
+        #: Samples were appended since the last sort.
+        self._unsorted = False
 
     def add(self, value: float) -> None:
-        insort(self._sorted, value)
+        self._samples.append(value)
+        self._unsorted = True
 
     def extend(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
+        self._samples.extend(values)
+        self._unsorted = True
+
+    def _sorted(self) -> List[float]:
+        """The samples in ascending order, equal ones in arrival order
+        (the sort is stable, and cheap on an already-sorted prefix)."""
+        if self._unsorted:
+            self._samples.sort()
+            self._unsorted = False
+        return self._samples
 
     @property
     def n(self) -> int:
-        return len(self._sorted)
+        return len(self._samples)
 
     @property
     def samples(self) -> Tuple[float, ...]:
-        return tuple(self._sorted)
+        return tuple(self._sorted())
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile, q in [0, 1]."""
-        if not self._sorted:
+        if not self._samples:
             raise ValueError("empty histogram")
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be within [0, 1]")
-        if len(self._sorted) == 1:
-            return self._sorted[0]
-        pos = q * (len(self._sorted) - 1)
+        ordered = self._sorted()
+        if len(ordered) == 1:
+            return ordered[0]
+        pos = q * (len(ordered) - 1)
         lo = int(math.floor(pos))
-        hi = min(lo + 1, len(self._sorted) - 1)
+        hi = min(lo + 1, len(ordered) - 1)
         frac = pos - lo
-        lower = self._sorted[lo]
-        upper = self._sorted[hi]
+        lower = ordered[lo]
+        upper = ordered[hi]
         # lower + delta*frac (not lower*(1-frac) + upper*frac): the
         # two-product form can round below ``lower`` for subnormal
         # samples, breaking min <= quantile <= max.
         return lower + (upper - lower) * frac
 
     def mean(self) -> float:
-        if not self._sorted:
+        if not self._samples:
             raise ValueError("empty histogram")
-        return sum(self._sorted) / len(self._sorted)
+        # Summed in ascending order: float addition is order-sensitive,
+        # and this is the order the reported means have always used.
+        return sum(self._sorted()) / len(self._samples)
 
     def count_above(self, threshold: float) -> int:
-        return len(self._sorted) - bisect_right(self._sorted, threshold)
+        ordered = self._sorted()
+        return len(ordered) - bisect_right(ordered, threshold)
 
 
 class RateMeter:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional
 
 #: Server block-sizing policies.
@@ -53,12 +54,14 @@ class TigerFile:
         if self.block_play_time <= 0:
             raise ValueError("block play time must be positive")
 
-    @property
+    # The two derived sizes are computed once per (frozen) file: the
+    # block path reads them for every block sent.
+    @cached_property
     def num_blocks(self) -> int:
         """Blocks needed to cover the duration (last may be partial)."""
         return max(1, math.ceil(self.duration_s / self.block_play_time - 1e-9))
 
-    @property
+    @cached_property
     def content_bytes_per_block(self) -> int:
         """Actual content bytes in one full-duration block."""
         return int(round(self.bitrate_bps * self.block_play_time / 8.0))

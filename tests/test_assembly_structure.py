@@ -14,6 +14,9 @@ table, attached by the assembly.
 And it keeps a deschedule searching nothing: the stop, pause and cancel
 handlers may walk no table of the cub but the one play's index entry.
 
+And it keeps expiry working from the due-time indexes: a prune may walk
+none of the stores it expires, and the histogram sorts, never inserts.
+
 And it keeps the DES on one event kernel (DESIGN.md §8): one class with
 a ``run`` loop under ``repro/sim``, a fabric that hands deliveries to
 ``call_at`` and probes the simulator for nothing else, and no ``shards``
@@ -235,10 +238,10 @@ def _tables_walked(function: ast.FunctionDef):
     return found
 
 
-def _cub_methods(source: str):
+def _cub_methods(source: str, class_name: str = "Cub"):
     (cub,) = [
         node for node in ast.parse(source).body
-        if isinstance(node, ast.ClassDef) and node.name == "Cub"
+        if isinstance(node, ast.ClassDef) and node.name == class_name
     ]
     return {
         node.name: node for node in cub.body
@@ -277,6 +280,44 @@ def test_the_walk_check_sees_the_scans_it_replaced():
     assert _tables_walked(scans["c"]) == {"self._service_buckets"}
     assert _tables_walked(scans["d"]) == {"self._wait_queues"}
     assert not _tables_walked(scans["e"])
+
+
+#: The stores that expire by due time; their pruning works from an
+#: :class:`ExpiryIndex`, never from a walk of the store.
+EXPIRING_STORES = {"self._seen", "self._slot_states", "self._redundant_states"}
+
+
+def test_a_prune_walks_no_store_it_expires():
+    """Expiry costs what expired (DESIGN.md §5.1), so the per-prune
+    rebuilds cannot quietly come back."""
+    view = _cub_methods(
+        (SRC / "core/view.py").read_text(encoding="utf-8"), "ScheduleView"
+    )
+    cub = _cub_methods((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    for prune in (view["prune"], cub["_prune_redundant"]):
+        assert not _tables_walked(prune) & EXPIRING_STORES, prune.name
+    rebuilds = _cub_methods(
+        "class Cub:\n"
+        "    def prune(self):\n"
+        "        self._seen = {k: d for k, d in self._seen.items() if d}\n"
+        "        states = self._slot_states\n"
+        "        for slot in list(states): pass\n"
+    )
+    assert _tables_walked(rebuilds["prune"]) == {
+        "self._seen", "self._slot_states",
+    }
+
+
+def test_the_histogram_never_inserts_in_order():
+    """A sample is appended and sorted on the next read; a sorted insert
+    per sample is quadratic in the run."""
+    tree = ast.parse((SRC / "sim/stats.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "bisect_right" in imported and "insort" not in imported
+    assert not list(_calls(tree, "insort"))
 
 
 # ----------------------------------------------------------------------

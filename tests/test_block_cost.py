@@ -1,0 +1,447 @@
+"""A block costs the same at the millionth block as at the first
+(DESIGN.md §5.1, paper §4).
+
+Three things on the per-block path used to grow with the run or with
+the tables: a sorted insert per lateness sample, a rebuild of every
+expiring store per prune, and derived constants re-derived per block.
+These tests hold what replaced them to references that still work the
+old way — after every step, not just at the end — and check that the
+constants are computed once.
+"""
+
+import dataclasses
+import math
+import sys
+from bisect import bisect_right, insort
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro import TigerSystem, small_config
+from repro.core.cub import Cub
+from repro.core.view import ExpiryIndex, ScheduleView
+from repro.core.viewerstate import (
+    DescheduleRequest,
+    MirrorViewerState,
+    ViewerState,
+)
+from repro.faults.monitor import index_incoherence
+from repro.sim.stats import Histogram
+from repro.storage.catalog import TigerFile
+
+# Times on a quarter-second grid a few seconds wide, negative ones
+# included: a prune's cut then lands exactly on a record's due time, and
+# inside the second a record falls due in, often enough to pin both, and
+# the index's whole-second buckets see boundaries below zero.
+_QUARTERS = st.integers(-8, 40).map(lambda quarters: quarters / 4.0)
+
+
+# ----------------------------------------------------------------------
+# ScheduleView.prune against the three rebuilds it replaced
+# ----------------------------------------------------------------------
+class RebuildingView(ScheduleView):
+    """The reference: the same view, pruned by rebuilding every store
+    from a walk over all of it, as before the expiry indexes."""
+
+    def prune(self, now):
+        horizon = now - self.hold_time
+        self._seen = {
+            key: due for key, due in self._seen.items() if due >= horizon
+        }
+        self._slot_states = {
+            slot: state
+            for slot, state in self._slot_states.items()
+            if state.due_time >= horizon - self.block_play_time
+        }
+        expired = [key for key, expiry in self._tombstones.items() if expiry < now]
+        for key in expired:
+            del self._tombstones[key]
+            self._tombstone_requests.pop(key, None)
+        self._reserved_slots = {
+            slot: until
+            for slot, until in self._reserved_slots.items()
+            if until >= now
+        }
+
+
+_SLOTS = 6
+
+
+def _viewer_state(instance, seqno, slot, due_time):
+    return ViewerState(
+        viewer_id=f"v{instance}", instance=instance, slot=slot, file_id=0,
+        block_index=seqno, disk_id=seqno % 4, due_time=due_time,
+        play_seqno=seqno,
+    )
+
+
+# A handful of plays, positions and slots, so duplicate keys (with the
+# same due time and, adversarially, another one), replaced slot states
+# and matching tombstones all happen.
+_STATE_ARGS = st.tuples(
+    st.integers(0, 4), st.integers(0, 3), st.integers(0, _SLOTS - 1), _QUARTERS
+)
+_VIEW_STEP = st.one_of(
+    st.tuples(st.just("admit"), _STATE_ARGS, _QUARTERS),
+    st.tuples(
+        st.just("admit_mirror"),
+        st.tuples(_STATE_ARGS, st.integers(0, 1)),
+        _QUARTERS,
+    ),
+    st.tuples(
+        st.just("deschedule"),
+        st.tuples(st.integers(0, 4), st.integers(0, _SLOTS - 1)),
+        _QUARTERS,
+    ),
+    st.tuples(st.just("reserve"), st.integers(0, _SLOTS - 1), _QUARTERS),
+    st.tuples(st.just("prune"), st.none(), _QUARTERS),
+)
+
+
+def _apply_view_step(view, step):
+    op, args, when = step
+    if op == "admit":
+        return view.admit(_viewer_state(*args), when)
+    if op == "admit_mirror":
+        (instance, seqno, slot, due_time), piece = args
+        mirror = MirrorViewerState(
+            viewer_id=f"v{instance}", instance=instance, slot=slot,
+            file_id=0, block_index=seqno, piece=piece, decluster=2,
+            disk_id=(seqno + 1 + piece) % 4, due_time=due_time,
+            play_seqno=seqno,
+        )
+        return view.admit_mirror(mirror, when)
+    if op == "deschedule":
+        instance, slot = args
+        request = DescheduleRequest(f"v{instance}", instance, slot, when)
+        return view.apply_deschedule(request, when + 3.0)
+    if op == "reserve":
+        return view.reserve_slot(args, when)
+    return view.prune(when)
+
+
+def _view_facts(view):
+    probes = [halves / 2.0 for halves in range(-4, 24)]
+    return {
+        "seen": list(view._seen.items()),
+        "slot_states": list(view._slot_states.items()),
+        "size": view.size(),
+        "known_slots": view.known_slots(),
+        "occupied": [
+            view.occupied_at(slot, visit)
+            for slot in range(_SLOTS) for visit in probes
+        ],
+    }
+
+
+@given(st.lists(_VIEW_STEP, min_size=4, max_size=60))
+@example([  # the cut is exclusive: due == horizon stays, in both stores
+    ("admit", (1, 0, 2, 4.25), 0.0), ("admit", (2, 0, 3, 3.25), 0.0),
+    ("prune", None, 5.0), ("prune", None, 5.25),
+])
+@example([  # expired inside the second the cut falls in
+    ("admit", (1, 0, 2, 4.0), 0.0), ("admit", (2, 0, 3, 4.5), 0.0),
+    ("prune", None, 5.0), ("prune", None, 5.75),
+])
+@example([  # a replaced slot state is judged by its newer due time
+    ("admit", (1, 0, 2, 1.0), 0.0), ("admit", (1, 1, 2, 9.0), 0.0),
+    ("prune", None, 6.0), ("admit", (1, 0, 2, 1.0), 0.0),
+])
+@settings(max_examples=300, deadline=None)
+def test_an_indexed_prune_leaves_what_three_rebuilds_leave(steps):
+    """Every store, in iteration order, after every step — prune
+    instants are not monotone and states arrive late and early."""
+    def is_final(state):
+        return state.block_index >= 3
+
+    view = ScheduleView(0, 1.0, hold_time=0.75, is_final=is_final)
+    reference = RebuildingView(0, 1.0, hold_time=0.75, is_final=is_final)
+    for number, step in enumerate(steps):
+        assert _apply_view_step(view, step) == _apply_view_step(reference, step)
+        assert _view_facts(view) == _view_facts(reference), (number, step)
+        assert view.unexpirable() == 0, (number, step)
+
+
+def test_a_prune_visits_what_expired_not_what_is_held(monkeypatch):
+    """10,000 records held, 10 of them expired: the index hands prune
+    those and one boundary second, never the store."""
+    view = ScheduleView(0, 1.0, hold_time=3.0)
+    for instance in range(10_000):
+        # Ten due in second 4, the rest spread over seconds 50..149.
+        due = 4.5 if instance < 10 else 50.0 + instance % 100
+        view.admit(_viewer_state(instance, 0, instance, due), now=0.0)
+    handed = []
+    due_before = ExpiryIndex.due_before
+
+    def spy(index, cutoff):
+        keys = due_before(index, cutoff)
+        handed.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(ExpiryIndex, "due_before", spy)
+    view.prune(now=10.0)
+    assert handed == [10, 10]  # the idempotence keys, the slot numbers
+    assert len(view._seen) == len(view._slot_states) == 9_990
+
+
+# ----------------------------------------------------------------------
+# Cub._prune_redundant against the walk it replaced
+# ----------------------------------------------------------------------
+class RescanningCub(Cub):
+    """The reference: the same cub, expiring held states by walking the
+    whole redundant store, as before the expiry index."""
+
+    def _prune_redundant(self):
+        horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
+        expired = [
+            key
+            for key, state in self._redundant_states.items()
+            if state.due_time < horizon
+        ]
+        for key in expired:
+            self._release_redundant(key)
+
+
+#: The subject is cub 2; cub 1 is its predecessor, whose states it
+#: holds redundantly and bridges when the deadman gives cub 1 up.
+_SUBJECT, _PREDECESSOR = 2, 1
+
+_OFFSET = st.integers(-60, 40).map(lambda quarters: quarters / 4.0)
+_HELD_STATE = st.tuples(
+    st.integers(1, 5), st.integers(0, 3), st.integers(0, 1), _OFFSET
+)
+_STORE_STEP = st.one_of(
+    st.tuples(st.just("hold"), _HELD_STATE),      # re-hold: same key again
+    st.tuples(st.just("arrive"), _HELD_STATE),    # through the receive path
+    st.tuples(st.just("release"), st.integers(0, 30)),
+    st.tuples(st.just("deadman"), st.none()),     # may declare, and bridge
+    st.tuples(st.just("heartbeat"), st.none()),   # hold passively again
+    st.tuples(
+        st.just("prune"),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 6.25, 8.0]),
+    ),
+)
+
+
+def _store_subject(cub_class):
+    system = TigerSystem(small_config(), seed=3)
+    system.add_standard_content(num_files=2, duration_s=60)
+    system.add_client()  # client:0 — where a bridged state's block goes
+    cub = system.cubs[_SUBJECT]
+    cub.__class__ = cub_class
+    return system, cub
+
+
+def _apply_store_step(system, cub, step):
+    op, args = step
+    now = system.sim.now
+    if op in ("hold", "arrive"):
+        instance, seqno, which, offset = args
+        # A block of file 0 that does live on one of the predecessor's
+        # disks: a bridged or relayed state is served for real.
+        entry = system.catalog.get(0)
+        block = [
+            index for index in range(entry.num_blocks)
+            if system.layout.cub_of_block(entry.start_disk, index) == _PREDECESSOR
+        ][2 * seqno + which]
+        state = ViewerState(
+            viewer_id=f"client:0#{instance}", instance=instance,
+            slot=instance, file_id=0, block_index=block,
+            disk_id=system.layout.disk_of_block(entry.start_disk, block),
+            due_time=now + offset, play_seqno=seqno,
+        )
+        if op == "hold":
+            cub._hold_redundant(state)
+        else:
+            cub._on_viewer_state(state)
+    elif op == "release":
+        held = list(cub._redundant_states)
+        if held:
+            cub._release_redundant(held[args % len(held)])
+    elif op == "deadman":
+        cub.deadman.check(now)
+    elif op == "heartbeat":
+        cub.deadman.note_heartbeat(_PREDECESSOR, now)
+    else:
+        system.sim.run(until=now + args)
+        cub._prune_redundant()
+
+
+@given(st.lists(_STORE_STEP, max_size=50))
+@settings(max_examples=120, deadline=None)
+def test_an_indexed_expiry_holds_what_a_walk_of_the_store_holds(steps):
+    system, cub = _store_subject(Cub)
+    reference_system, reference = _store_subject(RescanningCub)
+    for number, step in enumerate(steps):
+        _apply_store_step(system, cub, step)
+        _apply_store_step(reference_system, reference, step)
+        assert list(cub._redundant_states.items()) == list(
+            reference._redundant_states.items()
+        ), (number, step)
+        assert cub._redundant_index == reference._redundant_index, (number, step)
+        assert index_incoherence(cub) is None, (number, step)
+
+
+def test_a_reboot_forgets_the_expiry_index_with_the_store():
+    system, cub = _store_subject(Cub)
+    _apply_store_step(system, cub, ("hold", (1, 0, 0, 5.0)))
+    ((key, state),) = cub._redundant_states.items()
+    record = [(key, state.due_time)]
+    assert cub._redundant_expiry.unlisted(record) == []
+    cub.fail()
+    cub.recover()
+    assert not cub._redundant_states
+    assert cub._redundant_expiry.unlisted(record) == [key]
+
+
+# ----------------------------------------------------------------------
+# Histogram against a list kept sorted by insertion
+# ----------------------------------------------------------------------
+class SortedInsertHistogram:
+    """The reference: every sample placed by ``insort``, every answer
+    read off the sorted list — the histogram as it was."""
+
+    def __init__(self):
+        self._sorted = []
+
+    def add(self, value):
+        insort(self._sorted, value)
+
+    def extend(self, values):
+        for value in values:
+            insort(self._sorted, value)
+
+    def n(self):
+        return len(self._sorted)
+
+    def samples(self):
+        return tuple(self._sorted)
+
+    def quantile(self, q):
+        if len(self._sorted) == 1:
+            return self._sorted[0]
+        pos = q * (len(self._sorted) - 1)
+        lo = int(math.floor(pos))
+        hi = min(lo + 1, len(self._sorted) - 1)
+        lower, upper = self._sorted[lo], self._sorted[hi]
+        return lower + (upper - lower) * (pos - lo)
+
+    def mean(self):
+        return sum(self._sorted) / len(self._sorted)
+
+    def count_above(self, threshold):
+        return len(self._sorted) - bisect_right(self._sorted, threshold)
+
+
+# Subnormals and both zeros included; NaN has no place in a sorted list.
+_SAMPLE = st.floats(allow_nan=False, allow_infinity=False)
+_HISTOGRAM_STEP = st.one_of(
+    st.tuples(st.just("add"), _SAMPLE),
+    st.tuples(st.just("extend"), st.lists(_SAMPLE, max_size=8)),
+    st.tuples(st.just("quantile"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("count_above"), _SAMPLE),
+    st.tuples(st.just("mean"), st.none()),
+    st.tuples(st.just("samples"), st.none()),
+    st.tuples(st.just("n"), st.none()),
+)
+
+
+@given(st.lists(_HISTOGRAM_STEP, max_size=60))
+@example([  # the case quantile's comment names: subnormal neighbours
+    ("add", 1e-323), ("add", 5e-324), ("quantile", 0.5),
+    ("add", 5e-324), ("quantile", 0.25), ("mean", None),
+])
+@example([  # equal samples keep arrival order: -0.0 sorts as 0.0
+    ("add", 0.0), ("add", -0.0), ("samples", None),
+    ("extend", [-0.0, 1.0, 0.0]), ("samples", None),
+])
+@settings(max_examples=300, deadline=None)
+def test_a_lazily_sorted_histogram_answers_as_a_sorted_insert_one(steps):
+    """Reads between writes included; compared by ``repr``, so to the
+    last bit and the sign of zero."""
+    histogram, reference = Histogram(), SortedInsertHistogram()
+    for number, (op, argument) in enumerate(steps):
+        if op in ("add", "extend"):
+            getattr(histogram, op)(argument)
+            getattr(reference, op)(argument)
+            continue
+        if op in ("quantile", "mean") and not reference.n():
+            continue  # both raise on an empty histogram; tested elsewhere
+        if op in ("samples", "n"):
+            ours = getattr(histogram, op)
+            theirs = getattr(reference, op)()
+        elif op == "mean":
+            ours, theirs = histogram.mean(), reference.mean()
+        else:
+            ours = getattr(histogram, op)(argument)
+            theirs = getattr(reference, op)(argument)
+        assert repr(ours) == repr(theirs), (number, op, argument)
+        if op == "quantile":
+            low, high = reference.samples()[0], reference.samples()[-1]
+            assert low <= ours <= high
+
+
+# ----------------------------------------------------------------------
+# Derived constants are computed once
+# ----------------------------------------------------------------------
+def test_no_derived_constant_is_recomputed_on_the_block_path(monkeypatch):
+    """``math.floor`` / ``math.ceil`` are how ``TigerConfig.num_slots``
+    and ``TigerFile.num_blocks`` are derived; once warm, five loaded
+    seconds reach neither from those two modules."""
+    system = TigerSystem(small_config(), seed=7)
+    system.add_standard_content(num_files=4, duration_s=90)
+    client = system.add_client()
+    for index in range(12):
+        client.start_stream(file_id=index % 4)
+    system.run_for(10.0)
+    sent_before = sum(cub.blocks_sent.count for cub in system.cubs)
+
+    callers = []
+    for name in ("floor", "ceil"):
+        real = getattr(math, name)
+
+        def spy(value, _real=real, _name=name):
+            callers.append((_name, sys._getframe(1).f_globals["__name__"]))
+            return _real(value)
+
+        monkeypatch.setattr(math, name, spy)
+    system.run_for(5.0)
+    on_block_path = list(callers)
+    # The spy does see those modules when they do derive something.
+    assert TigerFile(0, "f", 1e6, 10.0, 1.0, 0).num_blocks == 10
+    assert callers[len(on_block_path):] == [("ceil", "repro.storage.catalog")]
+
+    assert sum(cub.blocks_sent.count for cub in system.cubs) > sent_before + 40
+    assert not [
+        caller for caller in on_block_path
+        if caller[1] in ("repro.config", "repro.storage.catalog")
+    ]
+
+
+def test_a_copied_config_derives_its_own_constants():
+    """The derived values live on the instance, and ``replace`` builds a
+    new one: a copy with other fields inherits none of them."""
+    base = small_config()
+    derived = (
+        "num_disks", "block_bytes", "streams_per_disk",
+        "schedule_duration", "num_slots", "block_service_time",
+    )
+    before = {name: getattr(base, name) for name in derived}
+    assert before == {name: getattr(base, name) for name in derived}
+
+    for copy in (
+        dataclasses.replace(base, disks_per_cub=3, max_bitrate_bps=4e6),
+        base.with_overrides(disks_per_cub=3, max_bitrate_bps=4e6),
+    ):
+        assert copy.num_disks == 12
+        assert copy.block_bytes == 2 * before["block_bytes"]
+        assert copy.schedule_duration == 12.0
+        assert copy.num_slots == 48
+        assert copy.block_service_time == 12.0 / 48
+    assert {name: getattr(base, name) for name in derived} == before
+    # Equality and hashing are by field, cached values or not.
+    assert base == small_config() and hash(base) == hash(small_config())
+
+    short = TigerFile(0, "f", 2e6, 10.0, 1.0, 0)
+    assert (short.num_blocks, short.content_bytes_per_block) == (10, 250_000)
+    longer = dataclasses.replace(short, duration_s=20.5, bitrate_bps=1e6)
+    assert (longer.num_blocks, longer.content_bytes_per_block) == (21, 125_000)

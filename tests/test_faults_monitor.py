@@ -1,5 +1,7 @@
 """Tests for the runtime invariant monitor (repro.faults.monitor)."""
 
+import math
+
 import pytest
 
 from repro import TigerSystem, small_config
@@ -120,7 +122,10 @@ class TestDetection:
         with pytest.raises(InvariantViolation, match=r"\[corruption\]"):
             monitor.check_now()
 
-    @pytest.mark.parametrize("damage", ["unindexed", "unstored", "unmapped"])
+    @pytest.mark.parametrize("damage", [
+        "unindexed", "unstored", "unmapped",
+        "stranded-seen", "stranded-slot", "stranded-redundant",
+    ])
     def test_index_incoherence_detected(self, damage):
         """The DES monitor and the live probe run the same check."""
         system = build_running(streams=34)  # two more than fit: they queue
@@ -137,8 +142,23 @@ class TestDetection:
             cub._redundant_index.popitem()
         elif damage == "unstored":  # an index entry outliving its record
             cub._redundant_states.popitem()
-        else:
+        elif damage == "unmapped":
             cub._queued_requests.popitem()
+        else:  # a record no prune can reach: held forever
+            view = cub.view
+            index, records = {
+                "stranded-seen": (view._seen_expiry, view._seen.items()),
+                "stranded-slot": (view._slot_expiry, (
+                    (slot, state.due_time)
+                    for slot, state in view._slot_states.items()
+                )),
+                "stranded-redundant": (cub._redundant_expiry, (
+                    (key, state.due_time)
+                    for key, state in cub._redundant_states.items()
+                )),
+            }[damage]
+            key, due_time = next(iter(records))
+            index._buckets[math.floor(due_time)].remove(key)
         with pytest.raises(InvariantViolation, match=r"\[index-coherence\]"):
             monitor.check_now()
         probe._sweep()

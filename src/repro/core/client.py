@@ -473,19 +473,18 @@ class ViewerClient(NetworkNode):
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, StartAck):
-            self._acked.add(payload.instance)
+        if not isinstance(payload, BlockData):  # the rare kinds
+            if isinstance(payload, StartAck):
+                self._acked.add(payload.instance)
+            elif isinstance(payload, HelperHit):
+                self._on_helper_hit(payload, message.src)
+            elif isinstance(payload, HelperMiss):
+                self._on_helper_miss(payload)
+            else:
+                raise TypeError(
+                    f"{self.name}: unexpected payload {type(payload).__name__}"
+                )
             return
-        if isinstance(payload, HelperHit):
-            self._on_helper_hit(payload, message.src)
-            return
-        if isinstance(payload, HelperMiss):
-            self._on_helper_miss(payload)
-            return
-        if not isinstance(payload, BlockData):
-            raise TypeError(
-                f"{self.name}: unexpected payload {type(payload).__name__}"
-            )
         monitor = self.streams.get(payload.instance)
         if monitor is None:
             return  # stream already torn down

@@ -25,8 +25,7 @@ and add their payloads to the dispatch table, :attr:`Cub.handlers`.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -55,7 +54,7 @@ from repro.core.viewerstate import (
     make_initial_state,
     mirror_states_for,
 )
-from repro.disk.drive import SimDisk
+from repro.disk.drive import Read, SimDisk
 from repro.net.message import (
     BATCH_HEADER_BYTES,
     DESCHEDULE_BYTES,
@@ -82,6 +81,31 @@ _EPS = 1e-9
 
 def cub_address(cub_id: int) -> str:
     return f"cub:{cub_id}"
+
+
+class _Service:
+    """One accepted state's block service: everything its read and its
+    send share.  Built once, appended to the read bucket and the send
+    bucket of the pending table, dead when the send bucket pops."""
+
+    __slots__ = ("state", "key", "disk", "location", "read")
+
+    def __init__(
+        self,
+        state: Any,
+        disk: SimDisk,
+        location: BlockLocation,
+        key: Optional[Tuple] = None,
+    ) -> None:
+        self.state = state
+        #: A primary state's idempotence key, computed once: what the
+        #: disk-death bookkeeping is keyed by.  Mirror pieces have none.
+        self.key = key
+        self.disk = disk
+        self.location = location
+        #: The drive's handle once the read is issued; None if a
+        #: tombstone stopped it.
+        self.read: Optional[Read] = None
 
 
 class Cub(NetworkNode):
@@ -169,20 +193,19 @@ class Cub(NetworkNode):
         #: the next pump batch, one hop at a time, single copy (each is
         #: re-derivable from the primary chain, so no redundancy needed).
         self._mirror_forward_queue: List[MirrorViewerState] = []
-        #: Read-completion flags keyed by record key.
-        self._ready_reads: Set[Tuple] = set()
         #: States with a scheduled read/send on a local disk, by key —
         #: consulted when one of our own disks dies mid-flight.
         self._pending_service: Dict[Tuple, ViewerState] = {}
         #: Service keys abandoned because their disk died.
         self._aborted_service: Set[Tuple] = set()
-        #: The pending table: fire time -> (drain event, actions due
-        #: then, in scheduling order).  One kernel event per distinct
-        #: deadline; a bucket is popped when it fires, so the table
-        #: holds only service still ahead — at most viewers x
-        #: max_vstate_lead / block_play_time records cluster-wide.
+        #: The pending table: fire time -> (drain event, records whose
+        #: read is due then, records whose send is due then, each in
+        #: scheduling order).  One kernel event per distinct deadline;
+        #: a bucket is popped when it fires, so the table holds only
+        #: service still ahead — at most viewers x max_vstate_lead /
+        #: block_play_time records cluster-wide, each listed twice.
         self._service_buckets: Dict[
-            float, Tuple[Event, List[Tuple[Callable[..., None], tuple]]]
+            float, Tuple[Event, List[_Service], List[_Service]]
         ] = {}
         #: The latest deadline ever put in the table.  A bucket leaves
         #: only at its own fire time, so this is the table's maximum
@@ -326,7 +349,7 @@ class Cub(NetworkNode):
         self._started = False
         # Drain events are held by the pending table, not the process
         # timer list, so power-off cancels them from there.
-        for drain, _actions in self._service_buckets.values():
+        for drain, _reads, _sends in self._service_buckets.values():
             drain.cancel()
 
     def recover(self) -> None:
@@ -350,9 +373,10 @@ class Cub(NetworkNode):
         self._redundant_index.clear()
         self._redundant_expiry.clear()
         self._redundant_requests.clear()
-        self._ready_reads.clear()
         # The drain events were cancelled by fail(); their buckets must
-        # go too or a re-used fire time would run pre-crash actions.
+        # go too or a re-used fire time would run pre-crash service.  A
+        # read already issued goes with its record: nothing of it is
+        # kept anywhere else.
         self._service_buckets.clear()
         self._latest_service_deadline = 0.0
         # Service events were cancelled by fail(); drop their bookkeeping
@@ -394,7 +418,11 @@ class Cub(NetworkNode):
     # Steady state: viewer-state propagation (§4.1.1)
     # ==================================================================
     def _on_viewer_state(self, state: ViewerState) -> None:
-        disposition = self.view.admit(state, self.sim.now)
+        # The state's key is made here, once per visit, and handed to
+        # whichever of the view, the redundant store and the pending
+        # table this visit reaches.
+        key = state.key()
+        disposition = self.view.admit(state, self.sim.now, key)
         if disposition == ADMIT_TOO_LATE and self.oracle is not None:
             # Discarding without forwarding spontaneously deschedules
             # the viewer (§4.1.2's acknowledged worst case); keep the
@@ -408,13 +436,13 @@ class Cub(NetworkNode):
 
         owner_cub = self.layout.cub_of_disk(state.disk_id)
         if owner_cub == self.cub_id:
-            self._accept_own_state(state)
+            self._accept_own_state(state, key)
         elif self.deadman.believes_failed(owner_cub) and self._is_first_living_after(
             owner_cub
         ):
             self._bridge_state(state)
         else:
-            self._hold_redundant(state)
+            self._hold_redundant(state, key)
             if self.deadman.recently_resurrected(owner_cub, self.sim.now):
                 # Restart race: the sender routed around the owner while
                 # believing it dead, but our belief already flipped back
@@ -425,10 +453,9 @@ class Cub(NetworkNode):
                 # through the idempotence set.
                 self._relay_to_owner(owner_cub, state)
 
-    def _hold_redundant(self, state: ViewerState) -> None:
-        """Keep a state targeted at another cub's disk, indexed by play
-        and by due time."""
-        key = state.key()
+    def _hold_redundant(self, state: ViewerState, key: Tuple[int, int]) -> None:
+        """Keep a state (``key`` is its ``key()``) targeted at another
+        cub's disk, indexed by play and by due time."""
         if key not in self._redundant_states:
             instance, seqno = key
             index = self._redundant_index
@@ -462,16 +489,17 @@ class Cub(NetworkNode):
         )
         self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
 
-    def _accept_own_state(self, state: ViewerState) -> None:
+    def _accept_own_state(self, state: ViewerState, key: Tuple[int, int]) -> None:
         """Serve and later forward a state targeted at one of my disks."""
         disk = self.disks[state.disk_id]
         location = None
-        migrated = self._migrated_source(state)
-        if migrated is not None:
-            # An online restripe committed this block to a new local
-            # disk; the schedule slot is unchanged but the read goes
-            # to the migrated copy.
-            disk, location = migrated
+        if self.migrations:
+            migrated = self._migrated_source(state)
+            if migrated is not None:
+                # An online restripe committed this block to a new local
+                # disk; the schedule slot is unchanged but the read goes
+                # to the migrated copy.
+                disk, location = migrated
         if disk.failed:
             # Local disk death: this cub is alive and knows immediately
             # (I/O errors), so it takes the §4.1.1 mirror decision itself.
@@ -483,7 +511,7 @@ class Cub(NetworkNode):
             # after a failover gap): the block cannot be sent on time.
             self.server_missed_blocks.increment()
         else:
-            self._schedule_block_service(state, disk, location)
+            self._schedule_block_service(state, key, disk, location)
         self._forward_queue.append(state)
 
     def _migrated_source(self, state: ViewerState):
@@ -501,29 +529,61 @@ class Cub(NetworkNode):
             return None
         return disk, location
 
-    def _service_at(self, when: float, action, *args) -> None:
-        """Queue a block-service action in the deadline bucket of ``when``.
+    def _queue_service(self, record: _Service) -> None:
+        """One record, two appends: the bucket of its read's issue time
+        and the bucket of its due time.
 
-        All actions sharing a fire time ride one kernel event (the
+        All service sharing a fire time rides one kernel event (the
         bucket drain), so a loaded cub schedules one heap entry per
         distinct deadline instead of one per viewer.  Nothing here can
         be cancelled: a deschedule leaves the records in place and the
-        actions consult the tombstone when they fire (see
+        read and the send consult the tombstone when they fire (see
         :meth:`_on_deschedule` for why it is still there).
         """
-        bucket = self._service_buckets.get(when)
-        if bucket is None:
-            drain = self.sim.call_at(when, self._drain_service_bucket, when)
-            self._service_buckets[when] = (drain, [(action, args)])
-            if when > self._latest_service_deadline:
-                self._latest_service_deadline = when
-        else:
-            bucket[1].append((action, args))
+        buckets = self._service_buckets
+        due_time = record.state.due_time
+        read_time = self._read_issue_time(due_time)
+        bucket = buckets.get(read_time) or self._open_bucket(read_time)
+        bucket[1].append(record)
+        bucket = buckets.get(due_time) or self._open_bucket(due_time)
+        bucket[2].append(record)
+
+    def _open_bucket(
+        self, when: float
+    ) -> Tuple[Event, List[_Service], List[_Service]]:
+        """A new, empty bucket for fire time ``when`` and its drain event."""
+        drain = self.sim.call_at(when, self._drain_service_bucket, when)
+        bucket = self._service_buckets[when] = (drain, [], [])
+        if when > self._latest_service_deadline:
+            self._latest_service_deadline = when
+        return bucket
 
     def _drain_service_bucket(self, when: float) -> None:
-        """The batched tick: run every action due at ``when``."""
-        for action, args in self._service_buckets.pop(when)[1]:
-            action(*args)
+        """The batched tick: issue every read, then make every send, due
+        at ``when``.  A state's read is always strictly earlier than its
+        send, and the reads and sends of different states share nothing
+        but the tombstones they only look at, so draining by kind keeps
+        the order that matters: reads among reads (the drives' queues
+        and random streams), sends among sends (the wire)."""
+        _drain, reads, sends = self._service_buckets.pop(when)
+        for record in reads:
+            self._issue_read(record)
+        for record in sends:
+            if type(record.state) is ViewerState:
+                self._transmit_block(record)
+            else:
+                self._transmit_mirror_piece(record)
+
+    def pending_service_records(self) -> Iterator[Tuple[float, str, Any]]:
+        """Read-only walk of the pending table: ``(fire time, "read" |
+        "send", state)`` for every read not yet issued and every send
+        not yet made.  For tests and monitors; the service path never
+        walks the table."""
+        for when, (_drain, reads, sends) in self._service_buckets.items():
+            for record in reads:
+                yield when, "read", record.state
+            for record in sends:
+                yield when, "send", record.state
 
     def _read_issue_time(self, due_time: float) -> float:
         """When to issue the read for a block due at ``due_time``.
@@ -545,14 +605,15 @@ class Cub(NetworkNode):
     def _schedule_block_service(
         self,
         state: ViewerState,
+        key: Tuple[int, int],
         disk: SimDisk,
         location: Optional[BlockLocation] = None,
     ) -> None:
         """Issue the read ahead of time; transmit exactly at the due time.
 
-        ``location`` overrides the primary-index lookup when a
-        committed migration redirects the read (see
-        :meth:`_migrated_source`).
+        ``key`` is ``state.key()``; ``location`` overrides the
+        primary-index lookup when a committed migration redirects the
+        read (see :meth:`_migrated_source`).
         """
         if location is None:
             location = self.block_index.lookup_primary(
@@ -563,43 +624,35 @@ class Cub(NetworkNode):
                 f"{self.name}: no primary index entry for file {state.file_id} "
                 f"block {state.block_index} (disk {state.disk_id})"
             )
-        self._service_at(
-            self._read_issue_time(state.due_time),
-            self._issue_read, state, disk, location,
-        )
-        self._service_at(state.due_time, self._transmit_block, state)
-        self._pending_service[state.key()] = state
+        self._queue_service(_Service(state, disk, location, key))
+        self._pending_service[key] = state
 
-    def _issue_read(self, state, disk: SimDisk, location: BlockLocation) -> None:
+    def _issue_read(self, record: _Service) -> None:
         """Start the disk read for a viewer state or mirror piece."""
+        state = record.state
         if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
             return  # descheduled since it was accepted: nothing to read
-        disk.read(
-            location.size_bytes,
-            location.zone,
-            on_complete=partial(self._read_ready, state.key()),
-            on_error=_ignore_read_error,
-        )
+        location = record.location
+        record.read = record.disk.read(location.size_bytes, location.zone)
 
-    def _read_ready(self, key: Tuple, _completed_at: float) -> None:
-        self._ready_reads.add(key)
-
-    def _transmit_block(self, state: ViewerState) -> None:
+    def _transmit_block(self, record: _Service) -> None:
         """The disk pointer reached the slot: put the block on the wire."""
-        key = state.key()
+        state = record.state
+        key = record.key
         self._pending_service.pop(key, None)
         if key in self._aborted_service:
             # The disk died after this send was scheduled; mirror
             # coverage already replaced it.
             self._aborted_service.discard(key)
-            self._ready_reads.discard(key)
             return
         if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
-            self._ready_reads.discard(key)
             return
         entry = self.catalog.get(state.file_id)
         final = state.block_index >= entry.num_blocks - 1
-        if key not in self._ready_reads:
+        read = record.read
+        # A drive that died with the read in flight says "not finished":
+        # that is how a disk dying mid-read reaches the miss counter.
+        if read is None or not record.disk.finished(read):
             # The read missed its deadline — the paper's server-side
             # "failed to place a block on the network" event.
             self.server_missed_blocks.increment()
@@ -610,7 +663,6 @@ class Cub(NetworkNode):
                 block=state.block_index,
             )
         else:
-            self._ready_reads.discard(key)
             if self.tracer.enabled:
                 # Span covering the service window: read lead to wire.
                 self.trace_span(
@@ -660,17 +712,21 @@ class Cub(NetworkNode):
     def _pump_forward(self) -> None:
         now = self.sim.now
         bpt = self.config.block_play_time
+        max_lead = self.config.max_vstate_lead
+        has_tombstone = self.view.has_tombstone
+        num_disks = self.layout.num_disks
+        get_file = self.catalog.get
         outgoing: List[ViewerState] = []
         keep: List[ViewerState] = []
         for state in self._forward_queue:
             next_due = state.due_time + bpt
-            if now < next_due - self.config.max_vstate_lead - _EPS:
+            if now < next_due - max_lead - _EPS:
                 keep.append(state)
                 continue
-            if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
+            if has_tombstone(state.viewer_id, state.instance, state.slot):
                 continue
-            advanced = state.advanced(1, self.layout.num_disks, bpt)
-            if advanced.block_index >= self.catalog.get(state.file_id).num_blocks:
+            advanced = state.advanced(1, num_disks, bpt)
+            if advanced.block_index >= get_file(state.file_id).num_blocks:
                 continue  # end of file: the chain simply stops (§4.1.2)
             outgoing.append(advanced)
         self._forward_queue = keep
@@ -767,8 +823,9 @@ class Cub(NetworkNode):
             # locally failed disk).  Re-injecting locally would park the
             # state in the passive redundant store and orphan the viewer
             # — the owner never received a copy.  Hand it over the wire.
-            self.view.admit(advanced, self.sim.now)
-            self._hold_redundant(advanced)
+            key = advanced.key()
+            self.view.admit(advanced, self.sim.now, key)
+            self._hold_redundant(advanced, key)
             self._relay_to_owner(owner, advanced)
             return
         self._on_viewer_state(advanced)
@@ -832,25 +889,18 @@ class Cub(NetworkNode):
                 f"{mirror_state.file_id} block {mirror_state.block_index} "
                 f"piece {mirror_state.piece}"
             )
-        self._service_at(
-            self._read_issue_time(mirror_state.due_time),
-            self._issue_read, mirror_state, disk, location,
-        )
-        self._service_at(
-            mirror_state.due_time, self._transmit_mirror_piece, mirror_state
-        )
+        self._queue_service(_Service(mirror_state, disk, location))
 
-    def _transmit_mirror_piece(self, mirror_state: MirrorViewerState) -> None:
-        key = mirror_state.key()
+    def _transmit_mirror_piece(self, record: _Service) -> None:
+        mirror_state = record.state
         if self.view.has_tombstone(
             mirror_state.viewer_id, mirror_state.instance, mirror_state.slot
         ):
-            self._ready_reads.discard(key)
             return
-        if key not in self._ready_reads:
+        read = record.read
+        if read is None or not record.disk.finished(read):
             self.mirror_pieces_missed.increment()
             return
-        self._ready_reads.discard(key)
         entry = self.catalog.get(mirror_state.file_id)
         piece_bytes = -(-entry.content_bytes_per_block // mirror_state.decluster)
         payload = BlockData(
@@ -1205,7 +1255,8 @@ class Cub(NetworkNode):
                 # insert (one of the viewers loses service).
                 self.insert_conflicts.increment()
                 return
-        self.view.admit(state, self.sim.now)
+        key = state.key()
+        self.view.admit(state, self.sim.now, key)
         self.inserts_performed.increment()
         self.trace(
             "insert",
@@ -1219,7 +1270,7 @@ class Cub(NetworkNode):
         owner_cub = self.layout.cub_of_disk(disk_id)
         if owner_cub == self.cub_id and not self.disks[disk_id].failed:
             disk = self.disks[disk_id]
-            self._schedule_block_service(state, disk)
+            self._schedule_block_service(state, key, disk)
             self._forward_queue.append(state)
         else:
             # Covering insertion for a dead predecessor's disk: the
@@ -1307,10 +1358,6 @@ class Cub(NetworkNode):
 
     def queued_start_requests(self) -> int:
         return sum(len(queue) for queue in self._wait_queues.values())
-
-
-def _ignore_read_error() -> None:
-    """A scheduled read on a dead drive: the transmit records the miss."""
 
 
 def _client_address(viewer_id: str) -> str:

@@ -115,7 +115,7 @@ def block_pattern(file_id: int, block_index: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockData:
     """A block (or declustered piece of one) sent to a viewer.
 

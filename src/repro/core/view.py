@@ -50,10 +50,11 @@ class ExpiryIndex:
 
     def note(self, key: Hashable, due_time: float) -> None:
         """List ``key`` under ``due_time``; call on every store write."""
+        second = floor(due_time)
         try:
-            self._buckets[floor(due_time)].append(key)
+            self._buckets[second].append(key)
         except KeyError:
-            self._buckets[floor(due_time)] = [key]
+            self._buckets[second] = [key]
 
     def due_before(self, cutoff: float) -> List[Hashable]:
         """Every key listed under a due time that may lie before
@@ -116,15 +117,19 @@ class ScheduleView:
     # ------------------------------------------------------------------
     # Admission of viewer states
     # ------------------------------------------------------------------
-    def admit(self, state: ViewerState, now: float) -> str:
+    def admit(
+        self, state: ViewerState, now: float, key: Optional[Tuple] = None
+    ) -> str:
         """Apply one incoming viewer state; returns its disposition.
 
         Implements the §4.1.2 receive rules: duplicates are ignored, a
         matching tombstone kills the state, and a state arriving later
         than tombstones are held is discarded outright (the paper's
         "spontaneous deschedule" corner — never observed, but handled).
+        ``key`` is ``state.key()`` for a caller that already made it.
         """
-        key = state.key()
+        if key is None:
+            key = state.key()
         if key in self._seen:
             self.duplicates_ignored += 1
             return ADMIT_DUPLICATE
@@ -137,11 +142,14 @@ class ScheduleView:
             # dead deschedule can never be outrun (§4.1.2).
             self.states_discarded_late += 1
             return ADMIT_TOO_LATE
-        self._note_seen(key, state.due_time)
-        current = self._slot_states.get(state.slot)
-        if current is None or state.due_time > current.due_time + _EPS:
-            self._slot_states[state.slot] = state
-            self._slot_expiry.note(state.slot, state.due_time)
+        due_time = state.due_time
+        self._seen[key] = due_time
+        self._seen_expiry.note(key, due_time)
+        slot = state.slot
+        current = self._slot_states.get(slot)
+        if current is None or due_time > current.due_time + _EPS:
+            self._slot_states[slot] = state
+            self._slot_expiry.note(slot, due_time)
         return ADMIT_NEW
 
     def admit_mirror(self, state: MirrorViewerState, now: float) -> str:

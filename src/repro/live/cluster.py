@@ -1296,8 +1296,9 @@ async def _run_cluster_async(
 # ----------------------------------------------------------------------
 # The same scenario in the simulator, and the comparison
 # ----------------------------------------------------------------------
-def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
-    """Replay a cluster scenario on the DES; returns a metrics snapshot.
+def replay_scenario_in_sim(scenario: ClusterScenario) -> TigerSystem:
+    """Replay a cluster scenario on the DES; returns the system at the
+    scenario's end, metrics exported.
 
     Identical wiring decisions: same config, same content library, same
     staggered starts, same mid-run stop, same kill instant (a powered
@@ -1319,7 +1320,12 @@ def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
     arm_scenario(system, replace(scenario, restripe_journal=None))
     system.run_until(scenario.duration)
     system.export_metrics()
-    return system.registry.snapshot()
+    return system
+
+
+def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
+    """The metrics snapshot of :func:`replay_scenario_in_sim`."""
+    return replay_scenario_in_sim(scenario).registry.snapshot()
 
 
 #: ``(counter family, relative tolerance, absolute floor)`` — the

@@ -105,7 +105,7 @@ class Message:
     payload: Any
     size_bytes: int
     kind: str = KIND_CONTROL
-    msg_id: int = field(default_factory=next_message_id)
+    msg_id: int = field(default_factory=_allocator.allocate)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

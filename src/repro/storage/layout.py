@@ -62,7 +62,8 @@ class StripeLayout:
     # ------------------------------------------------------------------
     def cub_of_disk(self, disk_id: int) -> int:
         """The cub hosting ``disk_id`` (cub-minor order)."""
-        self._check_disk(disk_id)
+        if not 0 <= disk_id < self.num_cubs * self.disks_per_cub:
+            self._check_disk(disk_id)  # raises
         return disk_id % self.num_cubs
 
     def disks_of_cub(self, cub_id: int) -> Tuple[int, ...]:

@@ -30,8 +30,8 @@ class FullScanCub(Cub):
     code did before the index; what remains of ``Cub._on_deschedule``
     then finds nothing left to drop."""
 
-    def _hold_redundant(self, state):
-        self._redundant_states[state.key()] = state
+    def _hold_redundant(self, state, key):
+        self._redundant_states[key] = state
 
     def _release_redundant(self, key):
         del self._redundant_states[key]

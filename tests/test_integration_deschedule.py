@@ -117,11 +117,10 @@ def _unissued_reads(system, instance, record_type):
     return [
         (cub.cub_id, when)
         for cub in system.living_cubs()
-        for when, (_drain, actions) in cub._service_buckets.items()
-        for action, args in actions
-        if action == cub._issue_read
-        and type(args[0]) is record_type
-        and args[0].instance == instance
+        for when, kind, state in cub.pending_service_records()
+        if kind == "read"
+        and type(state) is record_type
+        and state.instance == instance
     ]
 
 
@@ -146,7 +145,8 @@ class TestCancellationByTombstone:
         system.run_for(20.0)
         assert _service_totals(system) == at_stop == expected
         for cub in system.living_cubs():
-            assert not cub._ready_reads and not cub._pending_service
+            assert not cub._pending_service
+            assert not list(cub.pending_service_records())
         system.assert_invariants()
 
     def test_primary_path(self, small_system):
@@ -188,14 +188,17 @@ class TestCancellationByTombstone:
         client.start_stream(file_id=0)
         small_system.run_for(10.3)
         cub = small_system.cubs[1]
-        drains = [drain for drain, _actions in cub._service_buckets.values()]
-        assert drains and all(drain.active for drain in drains)
+        pending = list(cub.pending_service_records())
+        assert pending
         small_system.fail_cub(1)
-        assert not any(drain.active for drain in drains)
         sent = cub.blocks_sent.value()
         small_system.run_for(3.0)
+        # A drain that fired would have popped its bucket and issued
+        # its reads: every record is still there, none was acted on.
+        assert list(cub.pending_service_records()) == pending
+        assert min(when for when, _kind, _state in pending) < small_system.sim.now
         small_system.recover_cub(1)
-        assert not cub._service_buckets
+        assert not list(cub.pending_service_records())
         assert cub.blocks_sent.value() == sent
 
     def test_tombstone_outlives_service_accepted_beyond_the_hold(
@@ -223,7 +226,7 @@ class TestCancellationByTombstone:
             far.due_time - small_system.sim.now
             > config.max_vstate_lead + config.deschedule_hold
         )
-        cub._schedule_block_service(far, cub.disks[far.disk_id])
+        cub._schedule_block_service(far, far.key(), cub.disks[far.disk_id])
         client.stop_stream(instance)
         small_system.run_for(0.5)
         at_stop = _service_totals(small_system)

@@ -3,6 +3,7 @@
 
 from repro import TigerSystem, small_config
 from repro.core.protocol import StartRequest
+from repro.workloads.generator import ContinuousWorkload
 
 
 def build_loaded(seed=9, streams=12, duration=240.0):
@@ -197,6 +198,36 @@ class TestDiskFailure:
         sent_before = system.cubs[1].blocks_sent.count
         system.run_for(20.0)
         assert system.cubs[1].blocks_sent.count > sent_before
+
+
+    def test_a_drive_dying_mid_read_is_seen_at_the_due_time(self):
+        """The drive dies between a block's read issue and its due time
+        and nobody tells the cub (no ``on_local_disk_failed``): no event
+        fires for the lost read, yet the send finds it errored — the
+        drive settles its reads in flight when it dies — and counts the
+        block missed.  So does every block already accepted for that
+        drive, its read refused at issue; later states see the dead
+        drive on arrival and go to the mirrors.  Same numbers as with a
+        completion event per read."""
+        system = TigerSystem(small_config(), seed=7)
+        system.add_standard_content(num_files=6, duration_s=90)
+        ContinuousWorkload(system).add_streams(system.config.num_slots // 2)
+        system.run_for(15.0)
+        cub, disk = next(
+            (cub, disk)
+            for cub in system.cubs
+            for disk in cub.disks.values()
+            if disk.queue_backlog > 0.0  # a read is in flight
+        )
+        completed = disk.reads_completed.count
+        assert (cub.server_missed_blocks.value(), disk.reads_errored.count) == (0, 0)
+        disk.fail()
+        system.run_for(12.0)
+        assert disk.reads_completed.count == completed == 31
+        assert disk.reads_errored.count == 15
+        assert cub.server_missed_blocks.value() == 15
+        assert cub.mirror_covers.value() == 29
+        assert system.total_client_missed() == 15
 
 
 class TestSecondFailures:

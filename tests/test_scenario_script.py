@@ -25,6 +25,7 @@ from repro.live.cluster import (
     ClusterScenario,
     LiveCluster,
     arm_scenario,
+    replay_scenario_in_sim,
     run_scenario_in_sim,
     schedule_viewer_script,
 )
@@ -267,22 +268,31 @@ GOLDEN_COUNTERS = (
 # ``fault_time`` = 0.4 x duration) and no other column moved —
 # 2098 - 2*4*40; 897 - 2*(2*24 + 9); 3155 - 2*(4*50 + 19);
 # 2104 - 2*4*40; 3609 - 2*4*32.
+# It was re-pinned again when a disk read stopped costing a kernel event
+# (the drive knows a read's completion time at issue and settles it
+# lazily): each fell by exactly the reads the drives had settled by the
+# scenario's end, completed or errored, and no other column moved —
+# ``test_replay_events_fell_by_the_reads_the_drives_settled`` holds each
+# row to the count it replaced, ``EVENTS_WITH_A_COMPLETION_EVENT_PER_READ``.
 GOLDEN_REPLAYS = [
     (dict(cubs=4, streams=6, duration=20.0),
-     (150, 4, 6, 0, 0, 102, 0, 0, 6, 1, 0, 1778, 0)),
+     (150, 4, 6, 0, 0, 102, 0, 0, 6, 1, 0, 1672, 0)),
     (dict(cubs=3, streams=6, duration=12.0, kill_cub=1),
-     (88, 2, 6, 0, 20, 43, 0, 11, 6, 1, 0, 783, 0)),
+     (88, 2, 6, 0, 20, 43, 0, 11, 6, 1, 0, 720, 0)),
     (dict(cubs=5, streams=12, duration=25.0, kill_cub=2, churn=4,
           arrivals="zipf", seed=3),
-     (203, 17, 13, 0, 45, 118, 0, 50, 13, 4, 0, 2717, 0)),
+     (203, 17, 13, 0, 45, 118, 0, 50, 13, 4, 0, 2534, 0)),
     (dict(cubs=4, streams=8, duration=20.0, helpers=2, helper_capacity=64,
           kill_helper=0, arrivals="flash", seed=1),
-     (112, 4, 8, 0, 0, 57, 0, 0, 8, 1, 0, 1784, 29)),
+     (112, 4, 8, 0, 0, 57, 0, 0, 8, 1, 0, 1721, 29)),
     (dict(cubs=4, streams=3, duration=16.0,
           restripe_weights=RESTRIPE_WEIGHTS, restripe_throttle=0.5,
           restripe_start=2.0),
-     (61, 4, 3, 0, 0, 37, 0, 0, 3, 1, 430, 3353, 0)),
+     (61, 4, 3, 0, 0, 37, 0, 0, 3, 1, 430, 3314, 0)),
 ]
+#: ``sim.events_dispatched`` of the same rows while every read armed a
+#: completion (or error) event of its own.
+EVENTS_WITH_A_COMPLETION_EVENT_PER_READ = (1778, 783, 2717, 1784, 3353)
 
 
 @pytest.mark.parametrize("fields, expected", GOLDEN_REPLAYS)
@@ -291,6 +301,33 @@ def test_replay_counters_are_bit_identical(fields, expected):
     assert tuple(
         int(snapshot_total(snapshot, name)) for name in GOLDEN_COUNTERS
     ) == expected
+
+
+@pytest.mark.parametrize(
+    "fields, events_before",
+    [
+        (fields, before)
+        for (fields, _expected), before in zip(
+            GOLDEN_REPLAYS, EVENTS_WITH_A_COMPLETION_EVENT_PER_READ
+        )
+    ],
+)
+def test_replay_events_fell_by_the_reads_the_drives_settled(
+    fields, events_before
+):
+    """The identity behind the re-pin: a read used to cost one kernel
+    event — its completion, or its error callback on a dead drive — and
+    now costs none, so each row's event count fell by the reads its
+    drives have counted, either way, by the scenario's end (a read
+    still in flight then had not fired its event before, either)."""
+    system = replay_scenario_in_sim(ClusterScenario(**fields))
+    settled = sum(
+        disk.reads_completed.count + disk.reads_errored.count
+        for cub in system.cubs
+        for disk in cub.disks.values()
+    )
+    assert settled > 0
+    assert events_before - system.sim.events_dispatched == settled
 
 
 def test_replay_ignores_the_journal(tmp_path):

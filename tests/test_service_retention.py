@@ -12,7 +12,10 @@ large at 3T as at T.
 import gc
 from collections import deque
 
+import pytest
+
 from repro import TigerSystem, small_config
+from repro.core.cub import _Service
 from repro.workloads.generator import ContinuousWorkload
 
 #: Long enough past admission and warm-up that the schedule is full and
@@ -35,8 +38,10 @@ def _container_sizes(system: TigerSystem) -> dict:
 
     Found by introspection, not by a list of names, so a container
     added to the service path later is covered without editing this
-    test.  Deadline buckets and the redundant store's by-play index
-    are additionally counted by the records they hold.
+    test — a drive's FIFO of reads in flight is one of them: the drive
+    settles it on every read, so it holds what is in flight, never what
+    was.  Deadline buckets and the redundant store's by-play index are
+    additionally counted by the records they hold.
     """
     owners = []
     for cub in system.cubs:
@@ -49,9 +54,7 @@ def _container_sizes(system: TigerSystem) -> dict:
                 label = f"{type(owner).__name__}.{name}"
                 sizes[label] = sizes.get(label, 0) + len(value)
     sizes["Cub pending records"] = sum(
-        len(actions)
-        for cub in system.cubs
-        for _drain, actions in cub._service_buckets.values()
+        1 for cub in system.cubs for _ in cub.pending_service_records()
     )
     # The by-play index is counted by the records it names, not by its
     # plays, and it and the instance map must be on the list at all.
@@ -60,7 +63,9 @@ def _container_sizes(system: TigerSystem) -> dict:
         for cub in system.cubs
         for seqnos in cub._redundant_index.values()
     )
-    assert {"Cub._redundant_index", "Cub._queued_requests"} <= set(sizes)
+    assert {
+        "Cub._redundant_index", "Cub._queued_requests", "SimDisk._in_flight",
+    } <= set(sizes)
     return sizes
 
 
@@ -102,9 +107,88 @@ def test_pending_table_holds_only_service_still_ahead():
     now = system.sim.now
     records = 0
     for cub in system.cubs:
-        for when, (drain, actions) in cub._service_buckets.items():
-            assert when >= now and drain.active and actions
-            records += len(actions)
+        for when, kind, state in cub.pending_service_records():
+            assert when >= now and kind in ("read", "send")
+            assert when <= state.due_time
+            records += 1
     config = system.config
     bound = 2 * config.num_slots * config.max_vstate_lead / config.block_play_time
     assert 0 < records <= bound
+
+
+
+# ----------------------------------------------------------------------
+# A crash with a read in flight leaves nothing of it behind
+# ----------------------------------------------------------------------
+def _reachable_ids(root) -> set:
+    """Ids of every gc-visible object reachable from ``root``."""
+    seen = {id(root)}
+    frontier = [root]
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            if id(referent) not in seen:
+                seen.add(id(referent))
+                frontier.append(referent)
+    return seen
+
+
+def _crash_with_a_read_in_flight(system, cub, power_cycle):
+    """Run to the first instant past t = 20 s at which one of ``cub``'s
+    drives has a read in flight, power-cycle the cub there, and return
+    what existed for its block service just before: the records, their
+    ``Read`` handles and the keys, by value, of everything pending."""
+    system.run_for(20.0)
+    while not any(disk.queue_backlog > 0.0 for disk in cub.disks.values()):
+        system.run_for(0.001)
+    gc.collect()
+    drives = list(cub.disks.values())
+    records = [
+        found for found in gc.get_objects()
+        if type(found) is _Service and found.disk in drives
+    ]
+    reads = [record.read for record in records if record.read is not None]
+    assert any(
+        read.done_at > system.sim.now and not read.errored for read in reads
+    ), "a read issued and not yet complete"
+    keys = {state.key() for _when, _kind, state in cub.pending_service_records()}
+    assert records and keys
+    power_cycle()
+    return records, reads, keys
+
+
+@pytest.mark.parametrize("route", ["system", "cub"])
+def test_a_crash_mid_read_leaves_nothing_of_the_service_behind(route):
+    """Regression: a read in flight when the cub lost power used to
+    complete into the rebooted cub's ready set — a pre-crash key nothing
+    ever discarded.  Now the flag lives on the service record and dies
+    with the table: 3 x max_vstate_lead after the reboot nothing from
+    before the crash is reachable from the system, and no container of
+    the cub or its drives holds a pre-crash key."""
+    system = TigerSystem(small_config(), seed=3)
+    system.add_standard_content(num_files=4, duration_s=400.0)
+    ContinuousWorkload(system).add_streams(system.config.num_slots // 2)
+    cub = system.cubs[1]
+
+    def through_the_system():
+        system.fail_cub(1)
+        system.recover_cub(1)
+
+    def the_cub_alone():  # its drives never notice
+        cub.fail()
+        cub.recover()
+
+    records, reads, keys = _crash_with_a_read_in_flight(
+        system, cub,
+        through_the_system if route == "system" else the_cub_alone,
+    )
+    sent = cub.blocks_sent.value()
+    system.run_for(3 * system.config.max_vstate_lead)
+    assert cub.blocks_sent.value() > sent, "the rebooted cub serves again"
+
+    reachable = _reachable_ids(system)
+    assert not [record for record in records if id(record) in reachable]
+    assert not [read for read in reads if id(read) in reachable]
+    for owner in (cub, *cub.disks.values()):
+        for name, value in vars(owner).items():
+            if isinstance(value, (dict, set)):
+                assert not keys & set(value), (type(owner).__name__, name)

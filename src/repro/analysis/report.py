@@ -1,16 +1,14 @@
 """Assemble EXPERIMENTS.md from the benchmark result tables.
 
 Each benchmark writes its rows to ``benchmarks/results/<name>.txt``.
-This tool stitches them together with the paper's reported numbers so
-the paper-vs-measured record stays mechanically in sync with the last
-benchmark run:
-
-    python -m repro.analysis.report [--results DIR] [--output FILE]
+This module stitches them together with the paper's reported numbers
+so the paper-vs-measured record stays mechanically in sync with the last
+benchmark run; ``python -m repro report [--results DIR] [--output
+FILE]`` writes the document.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 from dataclasses import dataclass
 from typing import List, Optional
@@ -207,7 +205,7 @@ Every table and figure in the paper's evaluation (plus the analyses its
 text makes qualitatively), reproduced by the benchmarks in
 `benchmarks/`.  Measured sections below are the literal output of the
 last `pytest benchmarks/ --benchmark-only` run (regenerate this file
-with `python -m repro.analysis.report`).
+with `python -m repro report`).
 
 Reading guide: our substrate is a calibrated simulation, so absolute
 numbers differ from the 1997 testbed; the reproduction target is the
@@ -256,19 +254,3 @@ def render(sections: List[Section]) -> str:
             parts.append("```\n")
     return "\n".join(parts)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    default_results = os.path.join("benchmarks", "results")
-    parser.add_argument("--results", default=default_results)
-    parser.add_argument("--output", default="EXPERIMENTS.md")
-    args = parser.parse_args(argv)
-    document = render(load_sections(args.results))
-    with open(args.output, "w") as handle:
-        handle.write(document)
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

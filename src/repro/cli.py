@@ -3,34 +3,38 @@
 Subcommands:
 
 * ``demo``     — run a small system with N streams, print delivery stats
-                 and the Figure 3/7-style view of the schedule;
+                 and the Figure 3/7-style view of the schedule; with
+                 ``--restripe`` also run an online capacity-weighted
+                 restripe under that load, print its plan and estimate,
+                 and exit 1 unless it finishes with no block missed;
 * ``failover`` — run the §5 reconfiguration drill and print the loss
-                 window;
+                 window; ``--recover`` brings the victim back as well;
 * ``capacity`` — print the derived capacity numbers for a configuration;
 * ``chaos``    — run a fault-injection soak under the runtime invariant
                  monitor and print the deterministic replay fingerprint;
-* ``trace``    — run the failover drill with tracing on and export a
-                 Chrome ``trace_event`` file (open in about://tracing);
-* ``metrics``  — run a workload and print/export the metrics registry;
 * ``report``   — regenerate EXPERIMENTS.md from benchmark results;
 * ``cluster``  — run the schedule protocol over real sockets: one OS
                  process per cub/controller on localhost, optional
                  mid-run SIGKILL of a cub, optional ``--compare-sim``
                  replay of the identical scenario in the simulator.
 
-``demo`` and ``chaos`` also accept ``--trace PATH`` (Chrome JSON by
-default, JSONL when the path ends in ``.jsonl``) and ``--metrics-out
-PATH`` (registry snapshot JSON).  See ``docs/OBSERVABILITY.md`` for the
-full name inventory.
+``demo``, ``failover`` and ``chaos`` also accept ``--trace PATH`` (Chrome
+JSON by default, JSONL when the path ends in ``.jsonl``; the record
+count per category is printed) and ``--metrics-out PATH`` (registry
+snapshot JSON, with one ``sample.*`` measurement window over the whole
+run; ``demo`` also prints it as a table).  See ``docs/OBSERVABILITY.md``
+for the full name inventory.
 
 Usage::
 
     python -m repro demo --streams 12 --seconds 30
+    python -m repro demo --seconds 60 --metrics-out metrics.json
+    python -m repro demo --streams 16 --seconds 90 --restripe 1,2 \\
+        --restripe-throttle 0.5 --restripe-journal restripe.jsonl
     python -m repro failover --load 0.5
+    python -m repro failover --recover --trace failover.json
     python -m repro capacity --cubs 14 --disks 4
     python -m repro chaos --seconds 90 --drop-rate 0.01 --trace out.json
-    python -m repro trace --out failover.json
-    python -m repro metrics --seconds 60 --out metrics.json
     python -m repro report
     python -m repro cluster --cubs 4 --duration 20 --compare-sim
     python -m repro cluster --cubs 3 --duration 15 --kill-cub 1
@@ -42,10 +46,13 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from repro import TigerSystem, TigerConfig, paper_config, small_config
+from repro.core.metrics import MetricsCollector
 from repro.analysis.render import (
     render_disk_schedule,
     render_metrics_table,
@@ -83,7 +90,7 @@ def _constructing():
 
 def _make_tracer(args) -> Optional[Tracer]:
     """A capture tracer when ``--trace`` was given, else None."""
-    if getattr(args, "trace", None) is None:
+    if args.trace is None:
         return None
     tracer = Tracer(capacity=CLI_TRACE_CAPACITY)
     tracer.enable()
@@ -91,18 +98,58 @@ def _make_tracer(args) -> Optional[Tracer]:
 
 
 def _export_trace(path: str, tracer: Tracer) -> None:
+    counts = Counter(record.category for record in tracer.records)
+    print(f"{len(tracer.records)} trace records "
+          f"({tracer.dropped} dropped) across {len(counts)} categories:")
+    for category in sorted(counts):
+        print(f"  {category:<20} {counts[category]}")
     written = write_trace(path, tracer.records)
     fmt = "jsonl" if path.endswith(".jsonl") else "chrome"
-    dropped = f" ({tracer.dropped} dropped at capacity)" if tracer.dropped else ""
-    print(f"wrote {written} trace records to {path} [{fmt}]{dropped}")
+    print(f"wrote {written} trace records to {path} [{fmt}]")
+    if fmt == "chrome":
+        print("open in a Chromium browser at about://tracing, or at "
+              "https://ui.perfetto.dev")
 
 
 def _export_metrics(path: str, system: TigerSystem) -> None:
+    # One measurement window over the whole run, so the snapshot
+    # carries the paper's §5 series as ``sample.*``.
+    MetricsCollector(system).sample()
     registry = system.export_metrics()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(registry.to_json())
         handle.write("\n")
     print(f"wrote {len(registry.names())} metric families to {path}")
+
+
+def _export_outputs(args, tracer: Optional[Tracer], system) -> None:
+    """Write whatever ``--trace`` / ``--metrics-out`` asked for."""
+    if tracer is not None:
+        _export_trace(args.trace, tracer)
+    if args.metrics_out is not None and system is not None:
+        _export_metrics(args.metrics_out, system)
+
+
+def _check_output_paths(args) -> None:
+    """Outputs are written after the run: refuse one whose directory is
+    missing before the clock moves, not after."""
+    for flag, path in (("--trace", getattr(args, "trace", None)),
+                       ("--metrics-out", args.metrics_out)):
+        if path is not None:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise ValueError(f"{flag}: no directory {directory!r}")
+
+
+def _check_run_shape(args) -> None:
+    """A DES verb's run must be one: positive simulated time, a stream
+    count, a load fraction of the schedule."""
+    if args.seconds <= 0:
+        raise ValueError("--seconds must be positive")
+    if getattr(args, "streams", 0) < 0:
+        raise ValueError("--streams must be >= 0")
+    if not 0.0 < getattr(args, "load", 1.0) <= 1.0:
+        raise ValueError("--load must be in (0, 1]")
 
 
 def _cli_config(args) -> TigerConfig:
@@ -170,6 +217,32 @@ def _parse_restripe_weights(spec: str, config: TigerConfig) -> tuple:
     )
 
 
+def _print_restripe_plan(restriper) -> None:
+    """What an armed restripe will do, before the clock moves."""
+    from repro.disk.zones import ZONE_OUTER
+    from repro.storage.restripe import estimate_restripe_time
+
+    plan, config = restriper.plan, restriper.config
+    block_bytes = config.block_bytes
+    disk_rate = block_bytes / config.disk.expected_read_time(
+        ZONE_OUTER, block_bytes
+    )
+    estimate = (
+        estimate_restripe_time(
+            plan, disk_rate, disk_rate, config.cub_nic_bps
+        )
+        if plan.moves else 0.0
+    )
+    print(f"plan: {len(plan.moves)} moves, {plan.total_bytes} bytes, "
+          f"weights {plan.new_layout.disk_weights}")
+    print(f"analytic estimate (dedicated resources): {estimate:.1f}s; "
+          f"throttle {restriper.throttle:.0%} of NIC under live load")
+    skipped = int(restriper.moves_skipped.value())
+    if skipped:
+        print(f"journal resume: {skipped} moves already committed, "
+              f"never re-run")
+
+
 def _print_restripe_summary(restriper) -> None:
     journal = restriper.journal
     state = (
@@ -205,6 +278,8 @@ def _check_victim(args, config) -> None:
 def cmd_demo(args) -> int:
     tracer = _make_tracer(args)
     with _constructing():
+        _check_run_shape(args)
+        _check_output_paths(args)
         _check_helper_policy(args)
         system = _build_system(args, tracer=tracer)
         restriper = None
@@ -217,6 +292,8 @@ def cmd_demo(args) -> int:
                 args.restripe_journal,
             )
         workload = ContinuousWorkload(system)
+    if restriper is not None:
+        _print_restripe_plan(restriper)
     workload.add_streams(args.streams)
     system.run_for(args.seconds)
     system.finalize_clients()
@@ -248,16 +325,22 @@ def cmd_demo(args) -> int:
     print()
     print(render_view_summary(system))
     system.assert_invariants()
-    if tracer is not None:
-        _export_trace(args.trace, tracer)
+    _export_outputs(args, tracer, system)
     if args.metrics_out is not None:
-        _export_metrics(args.metrics_out, system)
+        print(render_metrics_table(system.registry.snapshot()))
+    if restriper is not None and not (
+        restriper.finished and system.total_client_missed() == 0
+    ):
+        return 1
     return 0
 
 
 def cmd_failover(args) -> int:
+    tracer = _make_tracer(args)
     with _constructing():
-        system = _build_system(args)
+        _check_run_shape(args)
+        _check_output_paths(args)
+        system = _build_system(args, tracer=tracer)
         _check_victim(args, system.config)
         workload = ContinuousWorkload(system)
     target = int(system.config.num_slots * args.load)
@@ -267,6 +350,10 @@ def cmd_failover(args) -> int:
     print(f"t={failure_time:.1f}s: failing cub {args.victim}")
     system.fail_cub(args.victim)
     system.run_for(args.seconds)
+    if args.recover:
+        print(f"t={system.sim.now:.1f}s: recovering cub {args.victim}")
+        system.recover_cub(args.victim)
+        system.run_for(args.seconds)
     system.finalize_clients()
     losses = sorted(
         when
@@ -282,15 +369,17 @@ def cmd_failover(args) -> int:
         print("no losses recorded")
     print(f"mirror pieces sent: {system.total_mirror_pieces_sent()}")
     system.assert_invariants()
+    _export_outputs(args, tracer, system)
     return 0
 
 
 def cmd_capacity(args) -> int:
-    config = TigerConfig(
-        num_cubs=args.cubs,
-        disks_per_cub=args.disks,
-        decluster=args.decluster,
-    )
+    with _constructing():
+        config = TigerConfig(
+            num_cubs=args.cubs,
+            disks_per_cub=args.disks,
+            decluster=args.decluster,
+        )
     print(f"{config.num_cubs} cubs x {config.disks_per_cub} disks "
           f"(decluster {config.decluster}):")
     print(f"  streams/disk (incl. failed-mode reserve): "
@@ -310,6 +399,7 @@ def cmd_chaos(args) -> int:
     config = _cli_config(args)
     tracer = _make_tracer(args)
     with _constructing():
+        _check_output_paths(args)
         _check_helper_policy(args)
         _check_victim(args, config)
         plan = standard_chaos_plan(
@@ -347,151 +437,26 @@ def cmd_chaos(args) -> int:
         print(f"INVARIANT VIOLATION\n{violation}")
         # Export whatever was captured anyway: a violated run is
         # exactly when the forensics matter most.
-        if tracer is not None:
-            _export_trace(args.trace, tracer)
-        if args.metrics_out is not None and harness.system is not None:
-            _export_metrics(args.metrics_out, harness.system)
+        _export_outputs(args, tracer, harness.system)
         return 1
     for line in report.lines():
         print(line)
     if harness.system is not None and harness.system.restriper is not None:
         _print_restripe_summary(harness.system.restriper)
-    if tracer is not None:
-        _export_trace(args.trace, tracer)
-    if args.metrics_out is not None:
-        _export_metrics(args.metrics_out, harness.system)
-    return 0
-
-
-def cmd_restripe(args) -> int:
-    """Run a capacity-weighted online restripe under live traffic."""
-    from repro.disk.zones import ZONE_OUTER
-    from repro.storage.restripe import estimate_restripe_time
-
-    config = _cli_config(args)
-    weights_spec = args.weights
-    if weights_spec is None:
-        # Default drill: every cub's last local disk is a new
-        # double-capacity generation.
-        weights_spec = ",".join(
-            ["1"] * (config.disks_per_cub - 1) + ["2"]
-        ) if config.disks_per_cub > 1 else "1"
-    tracer = _make_tracer(args)
-    with _constructing():
-        if args.seconds <= 0:
-            raise ValueError("--seconds must be positive")
-        if not 0.0 < args.load <= 1.0:
-            raise ValueError("--load must be in (0, 1]")
-        weights = _parse_restripe_weights(weights_spec, config)
-        system = _build_system(args, tracer=tracer)
-        restriper = arm_rebalance(
-            system, weights, args.throttle, args.start_at, args.journal
-        )
-        workload = ContinuousWorkload(system)
-    plan = restriper.plan
-    block_bytes = config.block_bytes
-    disk_rate = block_bytes / config.disk.expected_read_time(
-        ZONE_OUTER, block_bytes
-    )
-    estimate = (
-        estimate_restripe_time(
-            plan, disk_rate, disk_rate, config.cub_nic_bps
-        )
-        if plan.moves else 0.0
-    )
-    print(f"plan: {len(plan.moves)} moves, "
-          f"{plan.total_bytes} bytes, weights {weights}")
-    print(f"analytic estimate (dedicated resources): {estimate:.1f}s; "
-          f"throttle {args.throttle:.0%} of NIC under live load")
-    skipped = int(restriper.moves_skipped.value())
-    if skipped:
-        print(f"journal resume: {skipped} moves already committed, "
-              f"never re-run")
-
-    target = max(1, int(config.num_slots * args.load))
-    workload.add_streams(target)
-    system.run_for(args.seconds)
-    system.finalize_clients()
-
-    _print_restripe_summary(restriper)
-    missed = system.total_client_missed()
-    print(f"viewers: {target} streams at {args.load:.0%} load, "
-          f"{system.total_client_received()} blocks delivered, "
-          f"{missed} missed, {system.total_client_late()} late")
-    system.assert_invariants()
-    if tracer is not None:
-        _export_trace(args.trace, tracer)
-    if args.metrics_out is not None:
-        _export_metrics(args.metrics_out, system)
-    return 0 if (restriper.finished and missed == 0) else 1
-
-
-def cmd_trace(args) -> int:
-    """Failover drill with tracing on; exports a Chrome trace."""
-    tracer = Tracer(capacity=CLI_TRACE_CAPACITY)
-    tracer.enable()
-    with _constructing():
-        system = _build_system(args, tracer=tracer)
-        _check_victim(args, system.config)
-        workload = ContinuousWorkload(system)
-    target = max(1, int(system.config.num_slots * args.load))
-    workload.add_streams(target)
-    system.run_for(args.warmup)
-    print(f"t={system.sim.now:.1f}s: failing cub {args.victim}")
-    system.fail_cub(args.victim)
-    system.run_for(args.seconds)
-    if args.recover:
-        print(f"t={system.sim.now:.1f}s: recovering cub {args.victim}")
-        system.recover_cub(args.victim)
-        system.run_for(args.seconds)
-    system.finalize_clients()
-
-    counts: dict = {}
-    for record in tracer.records:
-        counts[record.category] = counts.get(record.category, 0) + 1
-    print(f"{len(tracer.records)} trace records "
-          f"({tracer.dropped} dropped) across {len(counts)} categories:")
-    for category in sorted(counts):
-        print(f"  {category:<20} {counts[category]}")
-    _export_trace(args.out, tracer)
-    print("open in a Chromium browser at about://tracing, or at "
-          "https://ui.perfetto.dev")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    """Run a workload window and print the metrics registry."""
-    from repro.core.metrics import MetricsCollector
-
-    with _constructing():
-        system = _build_system(args)
-        collector = MetricsCollector(system)
-        workload = ContinuousWorkload(system)
-    target = max(1, int(system.config.num_slots * args.load))
-    workload.add_streams(target)
-    system.run_for(args.warmup)
-    collector.begin_window()
-    system.run_for(args.seconds)
-    collector.sample(label=f"load={args.load:.2f}")
-    system.finalize_clients()
-    system.export_metrics()
-
-    print(render_metrics_table(system.registry.snapshot()))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(system.registry.to_json())
-            handle.write("\n")
-        print(f"\nwrote registry snapshot to {args.out}")
-    system.assert_invariants()
+    _export_outputs(args, tracer, harness.system)
     return 0
 
 
 def cmd_report(args) -> int:
-    from repro.analysis.report import main as report_main
+    from repro.analysis.report import load_sections, render
 
-    return report_main(
-        ["--results", args.results, "--output", args.output]
-    )
+    if not os.path.isdir(args.results):
+        raise _UsageError(f"--results: no directory {args.results!r}")
+    document = render(load_sections(args.results))
+    with open(args.output, "w", encoding="utf-8") as handle:
+        handle.write(document)
+    print(f"wrote {args.output}")
+    return 0
 
 
 #: ``repro cluster`` exit codes (also in the subcommand's ``--help``):
@@ -511,6 +476,7 @@ def cmd_cluster(args) -> int:
     from repro.live.cluster import ClusterScenario, run_cluster
 
     with _constructing():
+        _check_output_paths(args)
         scenario = ClusterScenario(
             cubs=args.cubs,
             duration=args.duration,
@@ -599,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "ends in .jsonl")
         sub.add_argument(
             "--metrics-out", metavar="PATH", default=None,
-            help="write the metrics registry snapshot as JSON")
+            help="write the metrics registry snapshot as JSON, with one "
+                 "sample.* measurement window over the whole run")
 
     def placement_flag(sub):
         from repro.config import PLACEMENT_POLICIES
@@ -633,7 +600,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="write-ahead move journal; an existing journal from a "
                  "crashed run is loaded and the restripe resumes")
 
-    demo = subparsers.add_parser("demo", help="run and inspect a system")
+    demo = subparsers.add_parser(
+        "demo",
+        help="run and inspect a system",
+        epilog=(
+            "exit codes: 0 = the run completed (with --restripe: and the "
+            "restripe finished with zero viewer misses); 1 = the "
+            "restripe is unfinished (raise --seconds or "
+            "--restripe-throttle) or viewers missed blocks; 2 = bad "
+            "arguments"
+        ),
+    )
     common(demo)
     observability(demo)
     demo.add_argument("--streams", type=int, default=12)
@@ -645,9 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     failover = subparsers.add_parser("failover", help="reconfiguration drill")
     common(failover)
+    observability(failover)
     failover.add_argument("--load", type=float, default=0.5)
     failover.add_argument("--victim", type=int, default=1)
     failover.add_argument("--seconds", type=float, default=45.0)
+    failover.add_argument("--recover", action="store_true",
+                          help="then recover the victim and run --seconds "
+                               "more (reintegration)")
     failover.set_defaults(func=cmd_failover)
 
     capacity = subparsers.add_parser("capacity", help="derived capacity")
@@ -667,58 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     placement_flag(chaos)
     restripe_flags(chaos)
     chaos.set_defaults(func=cmd_chaos)
-
-    restripe = subparsers.add_parser(
-        "restripe",
-        help="online capacity-weighted restripe under live traffic",
-        epilog=(
-            "exit codes: 0 = restripe finished with zero viewer "
-            "misses; 1 = unfinished (raise --seconds or --throttle) "
-            "or viewers missed blocks; 2 = bad arguments"
-        ),
-    )
-    common(restripe)
-    observability(restripe)
-    restripe.add_argument("--load", type=float, default=0.5,
-                          help="viewer load fraction while restriping")
-    restripe.add_argument("--seconds", type=float, default=90.0)
-    restripe.add_argument("--weights", metavar="WEIGHTS", default=None,
-                          help="disk capacity weights (see demo "
-                               "--restripe); default doubles every "
-                               "cub's last local disk")
-    restripe.add_argument("--throttle", type=float, default=0.25,
-                          help="restripe NIC budget fraction "
-                               "(default 0.25)")
-    restripe.add_argument("--start-at", type=float, default=5.0,
-                          dest="start_at", metavar="SECONDS",
-                          help="when the restriper starts (default 5)")
-    restripe.add_argument("--journal", metavar="PATH", default=None,
-                          help="write-ahead move journal; loading an "
-                               "existing one resumes a crashed restripe")
-    restripe.set_defaults(func=cmd_restripe)
-
-    trace = subparsers.add_parser(
-        "trace", help="failover drill exported as a Chrome trace")
-    common(trace)
-    trace.add_argument("--out", default="trace.json",
-                       help="output path (default: trace.json)")
-    trace.add_argument("--load", type=float, default=0.5)
-    trace.add_argument("--victim", type=int, default=1)
-    trace.add_argument("--warmup", type=float, default=10.0)
-    trace.add_argument("--seconds", type=float, default=20.0)
-    trace.add_argument("--recover", action="store_true",
-                       help="also recover the victim and trace reintegration")
-    trace.set_defaults(func=cmd_trace)
-
-    metrics = subparsers.add_parser(
-        "metrics", help="print/export the metrics registry after a run")
-    common(metrics)
-    metrics.add_argument("--load", type=float, default=0.5)
-    metrics.add_argument("--warmup", type=float, default=10.0)
-    metrics.add_argument("--seconds", type=float, default=50.0)
-    metrics.add_argument("--out", default=None,
-                         help="also write the snapshot JSON here")
-    metrics.set_defaults(func=cmd_metrics)
 
     report = subparsers.add_parser("report", help="rebuild EXPERIMENTS.md")
     report.add_argument("--results", default="benchmarks/results")

@@ -111,7 +111,7 @@ def arm_rebalance(
     """Arm a capacity-weighted rebalance of ``host``'s content.
 
     The one weights → plan → journal → attach → scheduled-start
-    sequence behind ``demo``/``chaos``/``restripe``/``cluster`` and the
+    sequence behind ``demo``/``chaos``/``cluster`` and the
     ``--compare-sim`` replay.  ``host`` is any assembly
     (:class:`~repro.core.world.World`) that can ``attach_restriper``.
     Layout and content are pure functions of the config, so every host

@@ -21,6 +21,9 @@ And it keeps the DES on one event kernel (DESIGN.md §8): one class with
 a ``run`` loop under ``repro/sim``, a fabric that hands deliveries to
 ``call_at`` and probes the simulator for nothing else, and no ``shards``
 option on the system or the chaos harness.
+
+And it keeps one command line: one verb per drill, and one parser per
+executable (``repro`` and a live node).
 """
 
 import ast
@@ -394,3 +397,27 @@ def test_the_kernel_fork_check_sees_the_fork_it_replaced():
         "getattr(sim, 'call_on_lane', None)",
         "self._call_on_lane(message.dst, arrival, self._deliver, message)",
     ]
+
+
+# ----------------------------------------------------------------------
+# One command line
+# ----------------------------------------------------------------------
+#: ``repro``'s verbs; the failover and loaded-system drills are reached
+#: through ``failover`` and ``demo`` only.
+VERBS = {"demo", "failover", "capacity", "chaos", "report", "cluster"}
+
+
+def test_one_verb_per_drill_and_one_parser_per_executable():
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert {
+        node.args[0].value for node in _calls(cli, "add_parser")
+    } == VERBS
+    importers = {
+        relative
+        for relative, tree in _walk_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "argparse" in [getattr(node, "module", None)]
+        + [alias.name for alias in node.names]
+    }
+    assert importers == {"cli.py", "live/node.py"}

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,6 +63,93 @@ class TestCommands:
         assert output.exists()
 
 
+#: ``_print_restripe_summary``'s counts line, as CI's restripe job reads it.
+RESTRIPE_SUMMARY = re.compile(
+    r"restripe (\w[\w ]*): (\d+) committed \+ (\d+) resumed-skipped "
+    r"of (\d+) moves"
+)
+RESTRIPE_DRILL = [
+    "demo", "--streams", "16", "--restripe", "1,2",
+    "--restripe-throttle", "0.5",
+]
+
+
+def _restripe_run(capsys, *extra):
+    """Exit code, (state, committed, skipped, total) and placement
+    prefix (None until finished) of one ``demo --restripe`` run."""
+    code = main(RESTRIPE_DRILL + list(extra))
+    out = capsys.readouterr().out
+    state, done, skipped, total = RESTRIPE_SUMMARY.search(out).groups()
+    placement = re.search(r"placement ([0-9a-f]+)", out)
+    return (
+        code,
+        (state, int(done), int(skipped), int(total)),
+        placement and placement.group(1),
+    )
+
+
+class TestFoldedDrills:
+    """What the ``trace``, ``metrics`` and ``restripe`` verbs did, run
+    through ``failover`` and ``demo``."""
+
+    def test_failover_trace_holds_the_failure_and_the_recovery(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "failover.json"
+        code = main([
+            "failover", "--load", "0.25", "--seconds", "3", "--files", "4",
+            "--recover", "--trace", str(path),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "recovering cub 1" in out
+        assert re.search(r"^  fault\.inject +2$", out, re.MULTILINE)
+        assert "about://tracing" in out
+        events = json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
+        injected = [
+            event["args"]["message"] for event in events
+            if event.get("cat") == "fault.inject"
+        ]
+        assert injected == ["cub 1 failed", "cub 1 recovered"]
+
+    def test_a_restripe_cut_short_resumes_from_its_journal(
+        self, tmp_path, capsys
+    ):
+        """CI's crash-resume drill: the resumed run re-runs none of the
+        committed moves and lands on the undisturbed run's placement."""
+        journal = str(tmp_path / "restripe.jsonl")
+        code, (state, done, _, total), _ = _restripe_run(
+            capsys, "--restripe-journal", journal, "--seconds", "12"
+        )
+        assert code == 1
+        assert state == "in progress" and 0 < done < total
+        code, (state, done2, skipped2, total2), resumed = _restripe_run(
+            capsys, "--restripe-journal", journal, "--seconds", "90"
+        )
+        assert code == 0 and state == "finished"
+        assert skipped2 == done and done2 + skipped2 == total2 == total
+        code, _, undisturbed = _restripe_run(capsys, "--seconds", "90")
+        assert code == 0
+        assert undisturbed is not None and resumed == undisturbed
+
+    def test_demo_metrics_out_samples_the_run_and_prints_the_table(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "metrics.json"
+        code = main([
+            "demo", "--streams", "6", "--seconds", "12", "--files", "4",
+            "--metrics-out", str(path),
+        ])
+        assert code == 0
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        sampled = {name for name in snapshot if name.startswith("sample.")}
+        assert "sample.blocks_sent" in sampled and len(sampled) == 10
+        assert re.search(
+            r"^sample\.active_streams +6 +streams$",
+            capsys.readouterr().out, re.MULTILINE,
+        )
+
+
 class TestBadInput:
     """A constructor's ``ValueError`` is the user's input being
     rejected: one ``error:`` line, exit code 2, no traceback — on every
@@ -84,12 +174,24 @@ class TestBadInput:
             (["demo", "--restripe", "1,2", "--restripe-throttle", "0"],
              "throttle must be in (0, 1]"),
             (["demo", "--restripe", "a,b"], "weights must be integers"),
-            (["restripe", "--throttle", "0"], "throttle must be in (0, 1]"),
-            (["restripe", "--load", "0"], "--load"),
-            (["restripe", "--seconds", "0"], "--seconds"),
+            (["demo", "--restripe", "1,2", "--restripe-throttle", "2"],
+             "throttle must be in (0, 1]"),
+            (["failover", "--load", "0"], "--load"),
+            (["demo", "--restripe", "1,2", "--seconds", "0"], "--seconds"),
             (["failover", "--victim", "7"], "--victim"),
-            (["trace", "--victim", "7"], "--victim"),
-            (["metrics", "--files", "0"], "add content"),
+            (["failover", "--recover", "--victim", "7"], "--victim"),
+            (["demo", "--metrics-out", "metrics.json", "--files", "0"],
+             "add content"),
+            (["capacity", "--cubs", "0"], "at least 3 cubs"),
+            (["demo", "--seconds", "-1"], "--seconds must be positive"),
+            (["demo", "--streams", "-3"], "--streams must be >= 0"),
+            (["failover", "--load", "3"], "--load must be in (0, 1]"),
+            (["failover", "--seconds", "0"], "--seconds must be positive"),
+            (["demo", "--trace", "no-such-dir/t.json"], "--trace"),
+            (["failover", "--metrics-out", "no-such-dir/m.json"],
+             "--metrics-out"),
+            (["chaos", "--trace", "no-such-dir/t.json"], "--trace"),
+            (["report", "--results", "no-such-dir"], "--results"),
         ],
     )
     def test_rejected_with_one_error_line(self, argv, message, capsys):
@@ -110,6 +212,15 @@ class TestBadInput:
         assert captured.err.startswith("usage: ")
         assert "unrecognized arguments: --shards 2" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("verb", ["trace", "metrics", "restripe"])
+    def test_folded_verbs_are_gone(self, verb, capsys):
+        """``failover`` and ``demo`` run these drills now; the old verb
+        is an invalid choice, refused by argparse with exit code 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
     def test_an_error_out_of_the_run_is_not_a_usage_error(self, monkeypatch):
         """Only construction is wrapped: a ``ValueError`` raised while

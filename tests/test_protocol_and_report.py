@@ -87,10 +87,12 @@ class TestReport:
         assert "```text" in document
 
     def test_main_writes_output(self, tmp_path):
-        from repro.analysis.report import main
+        """``repro report`` is the one writer of EXPERIMENTS.md."""
+        from repro.cli import main
 
         output = tmp_path / "EXP.md"
-        code = main(["--results", str(tmp_path), "--output", str(output)])
+        code = main(
+            ["report", "--results", str(tmp_path), "--output", str(output)]
+        )
         assert code == 0
-        assert output.exists()
-        assert "# EXPERIMENTS" in output.read_text()
+        assert "# EXPERIMENTS" in output.read_text(encoding="utf-8")

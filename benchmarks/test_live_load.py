@@ -42,7 +42,6 @@ SEED = 0
 #: Scaled-down cluster leg: enough viewers for real admission traffic,
 #: short enough for the benchmark suite.
 CLUSTER_CUBS = 4
-CLUSTER_HUBS = 2
 CLUSTER_VIEWERS = 60
 CLUSTER_DURATION_S = 8.0
 
@@ -171,7 +170,6 @@ def run_live_load():
         seed=SEED,
         codec=CODEC_BINARY,
         arrivals="zipf",
-        hubs=CLUSTER_HUBS,
     )
     report = run_cluster(scenario)
     merged = report.merged
@@ -197,7 +195,7 @@ def test_live_load(benchmark):
     speedup = binary_row["frames_per_sec"] / json_row["frames_per_sec"]
     lines = [
         "live backend — open-loop load over real sockets "
-        f"({CLUSTER_CUBS} cub processes, {CLUSTER_HUBS} hub shards, "
+        f"({CLUSTER_CUBS} cub processes, "
         f"{CLUSTER_VIEWERS} viewers, zipf arrivals, seed {SEED})",
         "",
         "codec microbench (encode+decode, deterministic frame mix):",

@@ -153,39 +153,22 @@ def _check_run_shape(args) -> None:
 
 
 def _cli_config(args) -> TigerConfig:
-    """Base config for a subcommand, with CLI overrides applied."""
-    config = paper_config() if args.paper else small_config()
-    placement = getattr(args, "placement", None)
-    if placement is not None and placement != config.placement:
-        config = dataclasses.replace(config, placement=placement)
-    return config
+    """Base config for a subcommand, with the config fields its flags
+    set (``--placement``, ``--helpers`` …) applied; the config checks
+    them."""
+    fields = ("placement", "helpers", "helper_capacity", "helper_policy")
+    preset = paper_config if args.paper else small_config
+    return preset(**{
+        name: getattr(args, name) for name in fields if hasattr(args, name)
+    })
 
 
 def _build_system(args, tracer: Optional[Tracer] = None) -> TigerSystem:
-    config = _cli_config(args)
-    system = TigerSystem(
-        config,
-        seed=args.seed,
-        tracer=tracer,
-        helpers=getattr(args, "helpers", 0),
-        helper_capacity=getattr(args, "helper_capacity", 0),
-        helper_policy=getattr(args, "helper_policy", "lru"),
-    )
+    system = TigerSystem(_cli_config(args), seed=args.seed, tracer=tracer)
     system.add_standard_content(
         num_files=args.files, duration_s=args.file_seconds
     )
     return system
-
-
-def _check_helper_policy(args) -> None:
-    """``--helper-policy`` is only looked at by a helper node, so with
-    ``--helpers 0`` nothing downstream would reject a bad one."""
-    from repro.helpers import CACHE_POLICIES
-
-    if args.helper_policy not in CACHE_POLICIES:
-        raise ValueError(
-            f"--helper-policy must be one of {', '.join(CACHE_POLICIES)}"
-        )
 
 
 def _parse_restripe_weights(spec: str, config: TigerConfig) -> tuple:
@@ -280,7 +263,6 @@ def cmd_demo(args) -> int:
     with _constructing():
         _check_run_shape(args)
         _check_output_paths(args)
-        _check_helper_policy(args)
         system = _build_system(args, tracer=tracer)
         restriper = None
         if args.restripe is not None:
@@ -396,11 +378,10 @@ def cmd_capacity(args) -> int:
 def cmd_chaos(args) -> int:
     from repro.faults import ChaosHarness, InvariantViolation, standard_chaos_plan
 
-    config = _cli_config(args)
     tracer = _make_tracer(args)
     with _constructing():
+        config = _cli_config(args)
         _check_output_paths(args)
-        _check_helper_policy(args)
         _check_victim(args, config)
         plan = standard_chaos_plan(
             duration=args.seconds,
@@ -416,9 +397,6 @@ def cmd_chaos(args) -> int:
             num_files=args.files,
             file_seconds=args.file_seconds,
             tracer=tracer,
-            helpers=args.helpers,
-            helper_capacity=args.helper_capacity,
-            helper_policy=args.helper_policy,
             restripe_weights=(
                 None if args.restripe is None
                 else _parse_restripe_weights(args.restripe, config)
@@ -490,7 +468,6 @@ def cmd_cluster(args) -> int:
             deadman_timeout=args.deadman,
             codec=args.codec,
             arrivals=args.arrivals,
-            hubs=args.hubs,
             helpers=args.helpers,
             helper_capacity=args.helper_capacity,
             helper_policy=args.helper_policy,
@@ -683,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "Poisson+Zipf long tail, or live flash "
                               "crowd (see docs/WIRE.md companion "
                               "workloads)")
-    cluster.add_argument("--hubs", type=int, default=1,
-                         help="hub listener sockets to shard node "
-                              "connections across (one per cub group)")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--files", type=int, default=8)
     cluster.add_argument("--file-seconds", type=float, default=120.0)

@@ -27,6 +27,10 @@ from repro.disk.model import DiskParameters, worst_case_streams_per_disk
 #: behavior and the default.
 PLACEMENT_POLICIES = ("first-fit", "deadline-greedy", "load-spread")
 
+#: Cache replacement policies a helper node runs (see
+#: :mod:`repro.helpers.policy`).
+CACHE_POLICIES = ("lru", "segment", "interval")
+
 
 @dataclass(frozen=True)
 class TigerConfig:
@@ -97,6 +101,18 @@ class TigerConfig:
     placement: str = "first-fit"
 
     # ------------------------------------------------------------------
+    # Optional edge-cache tier (see repro.helpers)
+    # ------------------------------------------------------------------
+    #: Helper cache nodes; 0 leaves the tier out entirely.
+    helpers: int = 0
+    #: Per-helper cache capacity in blocks; 0 keeps booted helpers inert
+    #: (no probe, no fetch), for A/B runs on a fixed topology.
+    helper_capacity: int = 0
+    #: Cache replacement policy of every helper (one of
+    #: ``CACHE_POLICIES``).
+    helper_policy: str = "lru"
+
+    # ------------------------------------------------------------------
     # CPU cost model (calibrated against §5; see DESIGN.md)
     # ------------------------------------------------------------------
     #: Seconds of cub CPU per data byte packetized (dominant cost).
@@ -134,6 +150,17 @@ class TigerConfig:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
+            )
+        if self.helpers < 0:
+            raise ValueError(f"helpers must be >= 0, got {self.helpers}")
+        if self.helper_capacity < 0:
+            raise ValueError(
+                f"helper_capacity must be >= 0, got {self.helper_capacity}"
+            )
+        if self.helper_policy not in CACHE_POLICIES:
+            raise ValueError(
+                f"unknown helper policy {self.helper_policy!r}; "
+                f"expected one of {CACHE_POLICIES}"
             )
 
     # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.core.protocol import (
     block_pattern,
 )
 from repro.core.viewerstate import new_instance_id
+from repro.helpers.directory import HelperDirectory
 from repro.net.message import REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
 from repro.net.switch import SwitchedNetwork
@@ -160,7 +161,6 @@ class ViewerClient(NetworkNode):
         late_tolerance: float = 0.5,
         backup_controller: Optional[str] = None,
         ack_timeout: float = 2.0,
-        helper_directory=None,
         registry=None,
         probe_timeout: float = 1.5,
     ) -> None:
@@ -172,11 +172,13 @@ class ViewerClient(NetworkNode):
         #: Failover extension: retry unacknowledged starts here.
         self.backup_controller = backup_controller
         self.ack_timeout = ack_timeout
-        #: Helper tier: the deterministic file -> helper map (see
-        #: :class:`repro.helpers.directory.HelperDirectory`).  ``None``
-        #: (or an inert directory) keeps the classic start path with
-        #: zero extra messages.
-        self.helper_directory = helper_directory
+        #: Helper tier: the deterministic file -> helper map of the
+        #: config's tier (see :class:`~repro.helpers.directory
+        #: .HelperDirectory`).  ``None`` (or an inert directory) keeps
+        #: the classic start path with zero extra messages.
+        self.helper_directory = (
+            HelperDirectory(config) if config.helpers > 0 else None
+        )
         #: Unanswered probe after this long means the helper is dead;
         #: fall back to the origin tier.
         self.probe_timeout = probe_timeout

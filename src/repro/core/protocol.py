@@ -299,27 +299,9 @@ class RestripeCopy:
 
 
 @dataclass(frozen=True)
-class RestripeBlock:
-    """Source cub -> destination cub: the block being migrated.
-
-    Paced like viewer data; the fingerprint stands in for content,
-    exactly as on the viewer data path.
-    """
-
-    move_id: int
-    file_id: int
-    block_index: int
-    dst_disk: int
-    size_bytes: int
-    pattern: int
-    #: Where the destination cub sends the durability ack.
-    reply_to: str = "restriper"
-
-
-@dataclass(frozen=True)
 class RestripeAck:
-    """Destination cub -> restriper: the new copy is durable (or the
-    move failed — ``ok`` False with a reason in ``detail``).
+    """Owning cub -> restriper: the new copy is durable (or the move
+    failed — ``ok`` False with a reason in ``detail``).
 
     Until this arrives the block stays readable at its old disk
     (dual presence), so a crash anywhere in flight loses nothing.

@@ -21,7 +21,6 @@ from repro.core.schedule import GlobalSchedule
 from repro.core.protocol import HelperInvalidate
 from repro.core.viewerstate import reset_instance_ids
 from repro.core.world import World
-from repro.helpers.directory import HelperDirectory
 from repro.helpers.node import HelperNode
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
 from repro.net.switch import SwitchedNetwork
@@ -42,16 +41,7 @@ class TigerSystem(World):
         strict: bool = True,
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
-        helpers: int = 0,
-        helper_capacity: int = 0,
-        helper_policy: str = "lru",
     ) -> None:
-        if helpers < 0:
-            raise ValueError(f"helpers must be >= 0, got {helpers}")
-        if helper_capacity < 0:
-            raise ValueError(
-                f"helper_capacity must be >= 0, got {helper_capacity}"
-            )
         sim = Simulator()
         # Rewind the message-id and play-instance-id sequences so a run
         # is a pure function of (seed, config): back-to-back systems in
@@ -93,15 +83,14 @@ class TigerSystem(World):
         self.controller = self.make_controller()
         self.network.register(self.controller, config.controller_nic_bps)
 
-        #: Optional edge-cache tier (see :mod:`repro.helpers`).  With
-        #: ``helpers == 0`` — or capacity 0, which leaves every node
-        #: inert and every client on the classic path — nothing below
-        #: sends a single message, so chaos fingerprints match the
-        #: no-helper baseline bit for bit.
-        self.helper_directory = HelperDirectory(helpers, helper_capacity)
+        #: Optional edge-cache tier (see :mod:`repro.helpers`), shaped
+        #: by the config.  With ``config.helpers == 0`` — or capacity 0,
+        #: which leaves every node inert and every client on the
+        #: classic path — nothing below sends a single message, so
+        #: chaos fingerprints match the no-helper baseline bit for bit.
         self.helpers: List[HelperNode] = []
-        for helper_id in range(helpers):
-            helper = self.make_helper(helper_id, helper_capacity, helper_policy)
+        for helper_id in range(config.helpers):
+            helper = self.make_helper(helper_id)
             self.network.register(helper, config.cub_nic_bps)
             self.helpers.append(helper)
 
@@ -125,7 +114,6 @@ class TigerSystem(World):
                 if self.backup_controller is not None
                 else None
             ),
-            helper_directory=self.helper_directory if self.helpers else None,
             late_tolerance=late_tolerance,
         )
         self.network.register(client, self.config.client_nic_bps)

@@ -193,9 +193,7 @@ class World:
             registry=self.registry,
         )
 
-    def make_helper(
-        self, helper_id: int, capacity: int, policy: str = "lru"
-    ) -> HelperNode:
+    def make_helper(self, helper_id: int) -> HelperNode:
         return HelperNode(
             sim=self.runtime,
             helper_id=helper_id,
@@ -203,8 +201,6 @@ class World:
             catalog=self.catalog,
             layout=self.layout,
             network=self.network,
-            capacity_blocks=capacity,
-            policy=policy,
             tracer=self.tracer,
             registry=self.registry,
         )
@@ -213,7 +209,6 @@ class World:
         self,
         index: int,
         backup: Optional[str] = None,
-        helper_directory: Any = None,
         late_tolerance: float = 0.5,
     ) -> ViewerClient:
         """Viewer machine ``client:<index>``; ``backup`` is the address
@@ -227,7 +222,6 @@ class World:
             tracer=self.tracer,
             late_tolerance=late_tolerance,
             backup_controller=backup,
-            helper_directory=helper_directory,
             registry=self.registry,
         )
 

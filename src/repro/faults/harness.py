@@ -84,9 +84,6 @@ class ChaosHarness:
         monitor_period: float = 1.0,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        helpers: int = 0,
-        helper_capacity: int = 0,
-        helper_policy: str = "lru",
         restripe_weights: Optional[Tuple[int, ...]] = None,
         restripe_throttle: float = 0.25,
         restripe_start: float = 5.0,
@@ -96,9 +93,6 @@ class ChaosHarness:
             raise ValueError("load must be in (0, 1]")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        self.helpers = helpers
-        self.helper_capacity = helper_capacity
-        self.helper_policy = helper_policy
         self.restripe_weights = restripe_weights
         self.restripe_throttle = restripe_throttle
         self.restripe_start = restripe_start
@@ -129,9 +123,6 @@ class ChaosHarness:
             seed=self.seed,
             tracer=self.tracer,
             registry=self.registry,
-            helpers=self.helpers,
-            helper_capacity=self.helper_capacity,
-            helper_policy=self.helper_policy,
         )
         self.system = system
         self.registry = system.registry

@@ -2,11 +2,11 @@
 
 Tiger has no lookup service to ask "who caches this file?", and adding
 one would put a round trip ahead of every start request.  Instead the
-directory is a pure function of the deployment shape — helper count,
-helper capacity, catalog size — via the same contiguous-group formula
-(:func:`repro.placement.group_pin`) that assigns cubs to the live
-backend's hub listeners, so every client and every helper agree on the
-mapping without exchanging a single message.
+directory is a pure function of the deployment shape — the config's
+helper count and capacity, and the catalog size — via the
+contiguous-group formula :func:`repro.placement.group_pin`, so every
+client and every helper agree on the mapping without exchanging a
+single message.
 
 Eligibility is strict: a directory with no helpers *or* zero cache
 capacity answers ``None`` for every file, and the client then follows
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.config import TigerConfig
 from repro.placement import group_pin
 
 
@@ -30,20 +31,14 @@ def helper_address(helper_id: int) -> str:
 class HelperDirectory:
     """Pure-function routing of files onto helper caches."""
 
-    def __init__(self, num_helpers: int, capacity_blocks: int) -> None:
-        if num_helpers < 0:
-            raise ValueError(f"num_helpers must be >= 0, got {num_helpers}")
-        if capacity_blocks < 0:
-            raise ValueError(
-                f"capacity_blocks must be >= 0, got {capacity_blocks}"
-            )
-        self.num_helpers = num_helpers
-        self.capacity_blocks = capacity_blocks
+    def __init__(self, config: TigerConfig) -> None:
+        self.num_helpers = config.helpers
+        self.capacity = config.helper_capacity
 
     @property
     def active(self) -> bool:
         """Whether the tier can serve anything at all."""
-        return self.num_helpers > 0 and self.capacity_blocks > 0
+        return self.num_helpers > 0 and self.capacity > 0
 
     def helper_for(self, file_id: int, num_files: int) -> Optional[str]:
         """Address of the helper responsible for ``file_id``.

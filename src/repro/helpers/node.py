@@ -49,6 +49,7 @@ from repro.core.protocol import (
     HelperProbe,
     block_pattern,
 )
+from repro.helpers.directory import helper_address
 from repro.helpers.policy import CachePolicy, make_policy
 from repro.net.message import KIND_DATA, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
@@ -67,11 +68,6 @@ FETCH_RETRY_BLOCKS = 2.0
 SERVE_GIVE_UP_BLOCKS = 2.0
 
 
-def helper_node_address(helper_id: int) -> str:
-    """Network address of one helper node."""
-    return f"helper:{helper_id}"
-
-
 @dataclass
 class _HelperStream:
     """One cache-served play in progress."""
@@ -87,7 +83,8 @@ class _HelperStream:
 
 
 class HelperNode(NetworkNode):
-    """An edge cache node serving recently-streamed blocks."""
+    """An edge cache node serving recently-streamed blocks, sized and
+    policed by ``config.helper_capacity`` / ``config.helper_policy``."""
 
     def __init__(
         self,
@@ -97,19 +94,18 @@ class HelperNode(NetworkNode):
         catalog: Catalog,
         layout: StripeLayout,
         network,
-        capacity_blocks: int,
-        policy: str = "lru",
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(sim, helper_node_address(helper_id), tracer)
+        super().__init__(sim, helper_address(helper_id), tracer)
         self.helper_id = helper_id
         self.config = config
         self.catalog = catalog
         self.layout = layout
         self.network = network
-        self.capacity_blocks = capacity_blocks
-        self.policy: CachePolicy = make_policy(policy, capacity_blocks)
+        self.policy: CachePolicy = make_policy(
+            config.helper_policy, config.helper_capacity
+        )
 
         #: Cache-served plays by instance id.
         self._streams: Dict[int, _HelperStream] = {}
@@ -162,7 +158,7 @@ class HelperNode(NetworkNode):
     def recover(self) -> None:
         """Reboot with a cold cache (the policy keeps its capacity)."""
         super().recover()
-        self.policy = make_policy(self.policy.name, self.capacity_blocks)
+        self.policy = make_policy(self.policy.name, self.policy.capacity)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -191,7 +187,7 @@ class HelperNode(NetworkNode):
     def _on_probe(self, probe: HelperProbe) -> None:
         client = _client_address(probe.viewer_id)
         key = (probe.file_id, probe.first_block)
-        cached = self.capacity_blocks > 0 and self.policy.touch(key)
+        cached = self.policy.capacity > 0 and self.policy.touch(key)
         # A flash crowd arrives faster than one cache fill completes:
         # everyone after the very first viewer would miss while the
         # warm fill is still in flight.  A probe at or past an active
@@ -247,7 +243,7 @@ class HelperNode(NetworkNode):
                     REQUEST_BYTES,
                 )
             )
-            if self.capacity_blocks > 0:
+            if self.policy.capacity > 0:
                 self._start_warm(probe.file_id, probe.first_block)
 
     # ------------------------------------------------------------------
@@ -364,7 +360,7 @@ class HelperNode(NetworkNode):
     def _on_fetch_reply(self, reply: HelperFetchReply) -> None:
         key = (reply.file_id, reply.block_index)
         self._pending_fills.pop(key, None)
-        if self.capacity_blocks == 0:
+        if self.policy.capacity == 0:
             return
         self._publish_play_points()
         evicted = self.policy.insert(key)

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.config import CACHE_POLICIES
+
 #: Identity of one cached block.
 BlockKey = Tuple[int, int]
-
-#: Policy names accepted by :func:`make_policy` and the CLI flags.
-CACHE_POLICIES: Tuple[str, ...] = ("lru", "segment", "interval")
 
 
 class CachePolicy:
@@ -40,12 +39,10 @@ class CachePolicy:
 
     name = "base"
 
-    def __init__(self, capacity_blocks: int) -> None:
-        if capacity_blocks < 0:
-            raise ValueError(
-                f"capacity must be >= 0, got {capacity_blocks}"
-            )
-        self.capacity = capacity_blocks
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        self.capacity = capacity
         #: key -> logical last-access tick (insertion order preserved).
         self._entries: Dict[BlockKey, int] = {}
         self._tick = 0
@@ -130,8 +127,8 @@ class SegmentPopularityPolicy(CachePolicy):
 
     name = "segment"
 
-    def __init__(self, capacity_blocks: int, segment_blocks: int = 16) -> None:
-        super().__init__(capacity_blocks)
+    def __init__(self, capacity: int, segment_blocks: int = 16) -> None:
+        super().__init__(capacity)
         if segment_blocks < 1:
             raise ValueError("segment_blocks must be >= 1")
         self.segment_blocks = segment_blocks
@@ -169,8 +166,8 @@ class IntervalCachePolicy(CachePolicy):
 
     name = "interval"
 
-    def __init__(self, capacity_blocks: int, window: int = 32) -> None:
-        super().__init__(capacity_blocks)
+    def __init__(self, capacity: int, window: int = 32) -> None:
+        super().__init__(capacity)
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
@@ -201,11 +198,11 @@ _POLICY_CLASSES = {
 }
 
 
-def make_policy(name: str, capacity_blocks: int) -> CachePolicy:
-    """Instantiate a policy by CLI name; unknown names raise ValueError."""
+def make_policy(name: str, capacity: int) -> CachePolicy:
+    """Instantiate a policy by name; unknown names raise ValueError."""
     cls: Optional[type] = _POLICY_CLASSES.get(name)
     if cls is None:
         raise ValueError(
             f"unknown cache policy {name!r} (one of {', '.join(CACHE_POLICIES)})"
         )
-    return cls(capacity_blocks)
+    return cls(capacity)

@@ -30,7 +30,7 @@ re-read of a block some earlier viewer already pulled).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig, small_config
 from repro.core.tiger import TigerSystem
@@ -58,9 +58,8 @@ class EdgeScenarioResult:
 
     name: str
     seed: int
-    helpers: int
-    helper_capacity: int
-    helper_policy: str
+    #: The config the replay ran, helper tier included.
+    config: TigerConfig
     streams: int
     #: Whole blocks served by the cub schedule (the offload target).
     cub_blocks: int
@@ -87,13 +86,11 @@ def run_edge_scenario(
     file_seconds: float = 60.0,
     duration: float = 110.0,
     arrival_window: float = 30.0,
-    helpers: int = 0,
-    helper_capacity: int = 0,
-    helper_policy: str = "lru",
     config: Optional[TigerConfig] = None,
 ) -> EdgeScenarioResult:
     """Replay one scenario's arrival trace; returns the outcome.
 
+    The helper tier is the one ``config`` describes (none by default).
     The trace is a pure function of ``(name, seed, viewers, num_files,
     arrival_window)`` — the with-helpers and no-helpers runs of an A/B
     pair therefore see byte-identical offered load.
@@ -103,13 +100,8 @@ def run_edge_scenario(
             f"unknown edge scenario {name!r}; pick one of {EDGE_SCENARIOS}"
         )
     shape = _SCENARIO_SHAPE[name]
-    system = TigerSystem(
-        config if config is not None else small_config(),
-        seed=seed,
-        helpers=helpers,
-        helper_capacity=helper_capacity,
-        helper_policy=helper_policy,
-    )
+    config = config if config is not None else small_config()
+    system = TigerSystem(config, seed=seed)
     files = system.add_standard_content(
         num_files=num_files, duration_s=file_seconds
     )
@@ -137,9 +129,7 @@ def run_edge_scenario(
     return EdgeScenarioResult(
         name=name,
         seed=seed,
-        helpers=helpers,
-        helper_capacity=helper_capacity,
-        helper_policy=helper_policy,
+        config=config,
         streams=len(trace),
         cub_blocks=system.total_blocks_sent(),
         helper_blocks=system.total_helper_blocks_served(),
@@ -174,9 +164,9 @@ class OffloadExperiment:
         helped, base = self.helped, self.baseline
         return [
             f"scenario={self.name} seed={helped.seed} "
-            f"streams={helped.streams} helpers={helped.helpers} "
-            f"capacity={helped.helper_capacity} "
-            f"policy={helped.helper_policy}",
+            f"streams={helped.streams} helpers={helped.config.helpers} "
+            f"capacity={helped.config.helper_capacity} "
+            f"policy={helped.config.helper_policy}",
             f"no-helper baseline: cub_blocks={base.cub_blocks} "
             f"received={base.client_received} missed={base.client_missed} "
             f"late={base.client_late} corrupt={base.client_corrupt}",
@@ -192,75 +182,62 @@ class OffloadExperiment:
         ]
 
 
+def _scale(quick: bool) -> Dict[str, Any]:
+    """Viewers, run length and arrival window of one replay."""
+    if quick:
+        return dict(viewers=12, duration=80.0, arrival_window=20.0)
+    return dict(viewers=24, duration=110.0, arrival_window=30.0)
+
+
 def run_offload_experiment(
     name: str,
     seed: int = 0,
-    helpers: int = 2,
-    helper_capacity: int = 128,
-    helper_policy: str = "lru",
+    config: Optional[TigerConfig] = None,
     quick: bool = False,
 ) -> OffloadExperiment:
-    """Run one scenario twice — without and with the helper tier."""
-    scale: Dict[str, float] = (
-        {"viewers": 12, "duration": 80.0, "arrival_window": 20.0}
-        if quick
-        else {"viewers": 24, "duration": 110.0, "arrival_window": 30.0}
+    """Run one scenario twice — without, and with the helper tier
+    ``config`` describes (two 128-block LRU helpers by default)."""
+    helped = (
+        config if config is not None
+        else small_config(helpers=2, helper_capacity=128)
     )
-    common = dict(
+    scale = _scale(quick)
+    return OffloadExperiment(
         name=name,
-        seed=seed,
-        viewers=int(scale["viewers"]),
-        duration=scale["duration"],
-        arrival_window=scale["arrival_window"],
+        baseline=run_edge_scenario(
+            name, seed, config=helped.with_overrides(helpers=0), **scale
+        ),
+        helped=run_edge_scenario(name, seed, config=helped, **scale),
     )
-    baseline = run_edge_scenario(**common)
-    helped = run_edge_scenario(
-        helpers=helpers,
-        helper_capacity=helper_capacity,
-        helper_policy=helper_policy,
-        **common,
-    )
-    return OffloadExperiment(name=name, baseline=baseline, helped=helped)
 
 
 def capacity_sweep(
     name: str = "flash_crowd",
     capacities: Tuple[int, ...] = (0, 8, 16, 32, 64, 128),
     seed: int = 0,
-    helpers: int = 2,
-    helper_policy: str = "lru",
+    config: Optional[TigerConfig] = None,
     quick: bool = False,
 ) -> List[Tuple[int, EdgeScenarioResult]]:
-    """Offload as a function of per-helper cache size.
+    """Offload as a function of per-helper cache size, on the helper
+    tier ``config`` describes (two LRU helpers by default).
 
     The curve is concave and saturates once the cache holds the hot
     set — the discrete analogue of the interval-caching (Viennot stack
     distance) bound: no cache size can offload more than the demand
     that re-reads blocks an earlier viewer already streamed.
     """
-    rows: List[Tuple[int, EdgeScenarioResult]] = []
-    scale: Dict[str, float] = (
-        {"viewers": 12, "duration": 80.0, "arrival_window": 20.0}
-        if quick
-        else {"viewers": 24, "duration": 110.0, "arrival_window": 30.0}
-    )
-    for capacity in capacities:
-        rows.append(
-            (
-                capacity,
-                run_edge_scenario(
-                    name,
-                    seed=seed,
-                    viewers=int(scale["viewers"]),
-                    duration=scale["duration"],
-                    arrival_window=scale["arrival_window"],
-                    helpers=helpers,
-                    helper_capacity=capacity,
-                    helper_policy=helper_policy,
-                ),
-            )
+    base = config if config is not None else small_config(helpers=2)
+    return [
+        (
+            capacity,
+            run_edge_scenario(
+                name, seed,
+                config=base.with_overrides(helper_capacity=capacity),
+                **_scale(quick),
+            ),
         )
-    return rows
+        for capacity in capacities
+    ]
 
 
 def sweep_lines(
@@ -272,8 +249,8 @@ def sweep_lines(
         first = rows[0][1]
         out.append(
             f"scenario={first.name} seed={first.seed} "
-            f"streams={first.streams} helpers={first.helpers} "
-            f"policy={first.helper_policy}"
+            f"streams={first.streams} helpers={first.config.helpers} "
+            f"policy={first.config.helper_policy}"
         )
     for capacity, result in rows:
         out.append(

@@ -17,11 +17,8 @@ connection to the driver, which routes by destination address
 (``cub:2``, ``controller``, ``client:0``).  That mirrors the paper's
 switched fabric, keeps join/handshake trivial, and gives the driver a
 complete vantage point: it sees every frame, every disconnect, and
-every metrics snapshot.  The driver listens on ``scenario.hubs``
-sockets — one hub per cub *group*, the contiguous groups of
-:func:`repro.placement.group_pin` (``hub_of(c) = c * hubs // cubs``) —
-so connection handling shards across listener tasks while the routing
-table stays global.  Each connection gets a send queue with high/low
+every metrics snapshot.  The driver listens on one socket, served on
+its one event loop.  Each connection gets a send queue with high/low
 watermark backpressure accounting and a hard cap (see
 :class:`NodeConnection`), so one slow peer cannot wedge the hub.
 
@@ -71,14 +68,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from collections import deque
 
-from repro.config import PLACEMENT_POLICIES, TigerConfig
+from repro.config import TigerConfig
 from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
 from repro.core.protocol import BlockData
 from repro.core.tiger import TigerSystem
 from repro.core.world import World
 from repro.faults.live import LiveFaultInjector
 from repro.faults.plan import FaultPlan
-from repro.helpers import CACHE_POLICIES, HelperDirectory
 from repro.live.node import (
     DEFAULT_METRICS_INTERVAL,
     ROLE_BACKUP,
@@ -102,7 +98,6 @@ from repro.live.wire import (
     encode_message,
 )
 from repro.net.message import Message, reset_message_ids
-from repro.placement import group_pin
 from repro.obs.registry import (
     MetricsRegistry,
     merge_snapshots,
@@ -167,15 +162,10 @@ class ClusterScenario:
     arrivals: str = "stagger"
     #: Catalog popularity skew for random arrival modes.
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT
-    #: Listener sockets to shard node connections across — one per
-    #: cub group (:func:`repro.placement.group_pin`).
-    hubs: int = 1
-    #: Edge helper processes to boot (0 disables the cache tier).
+    #: The helper tier of :meth:`config` (``TigerConfig.helpers`` and
+    #: kin): one process per helper.
     helpers: int = 0
-    #: Per-helper cache capacity in blocks; 0 keeps helpers inert even
-    #: when booted, for A/B runs on a fixed topology.
     helper_capacity: int = 0
-    #: Cache replacement policy for every helper.
     helper_policy: str = "lru"
     #: Helper id to SIGKILL mid-run; None keeps all helpers alive.
     kill_helper: Optional[int] = None
@@ -197,8 +187,8 @@ class ClusterScenario:
     restripe_journal: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.cubs < 3:
-            raise ValueError("a Tiger cluster needs at least 3 cubs")
+        # The config checks its own fields: cubs, placement, helper tier.
+        num_disks = self.config().num_disks
         if self.duration <= self.first_start:
             raise ValueError("duration too short for any stream to start")
         if self.streams < 0:
@@ -209,15 +199,6 @@ class ClusterScenario:
             raise ValueError("file duration must be positive")
         if self.kill_cub is not None and not 0 <= self.kill_cub < self.cubs:
             raise ValueError(f"kill target cub:{self.kill_cub} out of range")
-        if self.helpers < 0:
-            raise ValueError("helpers must be >= 0")
-        if self.helper_capacity < 0:
-            raise ValueError("helper capacity must be >= 0")
-        if self.helper_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown helper policy {self.helper_policy!r}; pick one "
-                f"of {CACHE_POLICIES}"
-            )
         if self.kill_helper is not None and not (
             0 <= self.kill_helper < self.helpers
         ):
@@ -233,11 +214,6 @@ class ClusterScenario:
             # PASS having exercised nothing (and the replay's simulator
             # refuses a time in the past outright).
             raise ValueError("kill time must land inside the run")
-        if self.placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; pick one "
-                f"of {PLACEMENT_POLICIES}"
-            )
         if self.codec not in SUPPORTED_CODECS:
             raise ValueError(
                 f"unknown codec {self.codec!r}; pick one of "
@@ -248,12 +224,9 @@ class ClusterScenario:
                 f"unknown arrival mode {self.arrivals!r}; pick one of "
                 f"{ARRIVAL_MODES}"
             )
-        if not 1 <= self.hubs <= self.cubs:
-            raise ValueError("hubs must be within [1, cubs]")
         if self.churn < 0:
             raise ValueError("churn must be >= 0")
         if self.restripe_weights is not None:
-            num_disks = self.config().num_disks
             if len(self.restripe_weights) != num_disks:
                 raise ValueError(
                     f"restripe weights need one entry per disk "
@@ -277,6 +250,9 @@ class ClusterScenario:
             streams_per_disk_override=4.0,
             deadman_timeout=self.deadman_timeout,
             placement=self.placement,
+            helpers=self.helpers,
+            helper_capacity=self.helper_capacity,
+            helper_policy=self.helper_policy,
         )
 
     def stream_plan(self) -> List[Tuple[int, int, float]]:
@@ -386,21 +362,6 @@ class ClusterScenario:
             out.append(BACKUP_CONTROLLER_ADDRESS)
         out.extend(f"helper:{hid}" for hid in range(self.helpers))
         return out
-
-    def hub_of(self, cub_id: int) -> int:
-        """Which hub listener a cub connects to.
-
-        The contiguous-group formula of
-        :func:`repro.placement.group_pin`: cubs that are neighbours on
-        the mirror ring share a listener except at a group boundary.
-        """
-        return group_pin(cub_id, self.hubs, self.cubs)
-
-    def hub_index_of(self, address: str) -> int:
-        """Hub listener for any node address (non-cubs ride hub 0)."""
-        if address.startswith("cub:"):
-            return self.hub_of(int(address.split(":", 1)[1]))
-        return 0
 
     def namespace_of(self, address: str) -> int:
         """Disjoint message-id namespaces: cub i -> i+1, controller ->
@@ -603,7 +564,7 @@ class NodeConnection:
 
 
 # ----------------------------------------------------------------------
-# The hub: sharded listeners, one routing table, a metrics inbox
+# The hub: one listener, one routing table, a metrics inbox
 # ----------------------------------------------------------------------
 class ClusterHub:
     """Routes frames between node sockets and driver-local components."""
@@ -613,11 +574,9 @@ class ClusterHub:
         expected: List[str],
         registry: MetricsRegistry,
         preferred_codec: str = CODEC_JSON,
-        hubs: int = 1,
     ) -> None:
         self.expected = set(expected)
         self.preferred_codec = preferred_codec
-        self.hubs = max(1, hubs)
         self.connections: Dict[str, NodeConnection] = {}
         #: Driver-local delivery targets (the viewer clients).
         self.local: Dict[str, Callable[[Message], None]] = {}
@@ -631,7 +590,7 @@ class ClusterHub:
         self.expected_exits: set = set()
         self.all_joined = asyncio.Event()
         self.wire_errors: List[str] = []
-        self._servers: List[asyncio.AbstractServer] = []
+        self._server: Optional[asyncio.AbstractServer] = None
         self.routed = registry.counter(
             "live.hub_messages_routed",
             help="Protocol messages routed through the cluster hub",
@@ -660,23 +619,19 @@ class ClusterHub:
         self.wire_stats = WireStats(registry, node="hub")
 
     async def start(self) -> List[int]:
-        """Listen on ``hubs`` ephemeral localhost ports; returns them."""
-        ports: List[int] = []
-        for _ in range(self.hubs):
-            server = await asyncio.start_server(
-                self._handle_connection, "127.0.0.1", 0
-            )
-            self._servers.append(server)
-            ports.append(server.sockets[0].getsockname()[1])
-        return ports
+        """Listen on an ephemeral localhost port; returns ``[port]``."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, "127.0.0.1", 0
+        )
+        return [self._server.sockets[0].getsockname()[1]]
 
     async def stop(self) -> None:
         for connection in list(self.connections.values()):
             connection.close()
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
 
     # -- framed sends --------------------------------------------------
     def _send_control(self, connection: NodeConnection, frame: bytes) -> bool:
@@ -900,7 +855,7 @@ class ClusterReport:
             f"live cluster: {scenario.cubs} cubs, {scenario.streams} "
             f"streams, {scenario.duration:g}s runtime "
             f"({self.wall_seconds:.1f}s wall), codec {scenario.codec}, "
-            f"arrivals {scenario.arrivals}, {scenario.hubs} hub(s)"
+            f"arrivals {scenario.arrivals}"
         )
         if scenario.helpers:
             lines.append(
@@ -1015,11 +970,6 @@ class LiveCluster(World):
         self.armed_faults: List[Tuple[float, str]] = []
         self.kills: List[Tuple[float, str]] = []
         self._backup = BACKUP_CONTROLLER_ADDRESS if scenario.backup else None
-        self._helper_directory = (
-            HelperDirectory(scenario.helpers, scenario.helper_capacity)
-            if scenario.helpers
-            else None
-        )
         self.lateness = registry.histogram(
             "live.block_lateness",
             help="Whole-block arrival time minus play deadline at "
@@ -1030,11 +980,7 @@ class LiveCluster(World):
     # -- the host contract (see arm_scenario) --------------------------
     def add_client(self) -> Any:
         """Host one more viewer, reachable as ``client:<n>`` at the hub."""
-        client = self.make_client(
-            len(self.clients),
-            backup=self._backup,
-            helper_directory=self._helper_directory,
-        )
+        client = self.make_client(len(self.clients), backup=self._backup)
         self.hub.local[client.address] = self._observed_deliver(client)
         self.clients.append(client)
         return client
@@ -1105,7 +1051,7 @@ class LiveCluster(World):
         ).set(lateness.quantile(0.99) if lateness.n else 0.0)
         if self.restriper is not None:
             self.restriper.export_gauges()
-        if self._helper_directory is not None:
+        if self.config.helpers:
             # Offload ratio across the whole run, from the nodes' final
             # snapshots: cache-served blocks over all whole blocks served.
             node_merged = merge_snapshots(list(self.hub.node_metrics.values()))
@@ -1141,7 +1087,7 @@ def _write_node_spec(
     address: str,
     port: int,
 ) -> Path:
-    """Write one node's boot spec; ``port`` is its hub listener."""
+    """Write one node's boot spec; ``port`` is the hub's listener."""
     if address.startswith("cub:"):
         role, node_id = ROLE_CUB, int(address.split(":", 1)[1])
     elif address.startswith("helper:"):
@@ -1166,9 +1112,6 @@ def _write_node_spec(
         "metrics_interval": scenario.metrics_interval,
         "backup_enabled": scenario.backup,
     }
-    if role == ROLE_HELPER:
-        spec["helper_capacity"] = scenario.helper_capacity
-        spec["helper_policy"] = scenario.helper_policy
     path = workdir / f"{address.replace(':', '-')}.json"
     path.write_text(json.dumps(spec, indent=2), encoding="utf-8")
     return path
@@ -1177,7 +1120,7 @@ def _write_node_spec(
 def _spawn_nodes(
     workdir: Path,
     scenario: ClusterScenario,
-    ports: List[int],
+    port: int,
 ) -> Dict[str, subprocess.Popen]:
     procs: Dict[str, subprocess.Popen] = {}
     env = dict(os.environ)
@@ -1187,7 +1130,6 @@ def _spawn_nodes(
         src_dir if not existing else src_dir + os.pathsep + existing
     )
     for address in scenario.node_addresses():
-        port = ports[scenario.hub_index_of(address)]
         spec_path = _write_node_spec(workdir, scenario, address, port)
         log_path = workdir / f"{address.replace(':', '-')}.log"
         with open(log_path, "wb") as log:
@@ -1206,20 +1148,16 @@ async def _run_cluster_async(
     wall_start = time.time()
     registry = MetricsRegistry()
     hub = ClusterHub(
-        scenario.node_addresses(),
-        registry,
-        preferred_codec=scenario.codec,
-        hubs=scenario.hubs,
+        scenario.node_addresses(), registry, preferred_codec=scenario.codec
     )
-    ports = await hub.start()
+    (port,) = await hub.start()
     workdir = Path(tempfile.mkdtemp(prefix="tiger-live-"))
     echo(
         f"booting {len(scenario.node_addresses())} node processes "
-        f"({len(ports)} hub listener(s) on 127.0.0.1:"
-        f"{','.join(str(p) for p in ports)}, codec {scenario.codec}, "
+        f"(hub on 127.0.0.1:{port}, codec {scenario.codec}, "
         f"workdir {workdir})"
     )
-    procs = _spawn_nodes(workdir, scenario, ports)
+    procs = _spawn_nodes(workdir, scenario, port)
     try:
         await asyncio.wait_for(
             hub.all_joined.wait(), timeout=JOIN_TIMEOUT
@@ -1304,13 +1242,7 @@ def replay_scenario_in_sim(scenario: ClusterScenario) -> TigerSystem:
     staggered starts, same mid-run stop, same kill instant (a powered
     -off cub, the DES equivalent of SIGKILL).
     """
-    system = TigerSystem(
-        scenario.config(),
-        seed=scenario.seed,
-        helpers=scenario.helpers,
-        helper_capacity=scenario.helper_capacity,
-        helper_policy=scenario.helper_policy,
-    )
+    system = TigerSystem(scenario.config(), seed=scenario.seed)
     system.add_standard_content(
         num_files=scenario.num_files, duration_s=scenario.file_duration_s
     )

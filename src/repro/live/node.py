@@ -106,11 +106,10 @@ def build_component(
     """
     role = spec["role"]
     if role == ROLE_CUB:
-        cub = world.make_cub(
-            int(spec["node_id"]),
-            oracle=None,  # the oracle needs global state; live nodes have none
-            strict=False,  # count violations; never kill a live process
-        )
+        # The oracle needs global state a live node does not have.
+        # Without one, the slot-conflict check in Cub._insert_viewer
+        # never runs, so a live double-book is not counted at all.
+        cub = world.make_cub(int(spec["node_id"]), oracle=None)
         if spec.get("backup_enabled"):
             cub.controller_addresses = (
                 CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS
@@ -122,12 +121,7 @@ def build_component(
             controller.attach_backup(BACKUP_CONTROLLER_ADDRESS)
         return controller, None
     if role == ROLE_HELPER:
-        helper = world.make_helper(
-            int(spec["node_id"]),
-            int(spec.get("helper_capacity", 0)),
-            str(spec.get("helper_policy", "lru")),
-        )
-        return helper, None
+        return world.make_helper(int(spec["node_id"])), None
     if role == ROLE_BACKUP:
         return world.make_backup_controller(), None
     raise ValueError(f"unknown node role {role!r}")

@@ -69,7 +69,6 @@ from repro.core.protocol import (
     PlayEnded,
     ReplicaUpdate,
     RestripeAck,
-    RestripeBlock,
     RestripeCommit,
     RestripeCopy,
     StartAck,
@@ -238,7 +237,6 @@ for _tag, _cls in (
     ("helper_cancel", HelperCancel),
     # Online restriping (appended — ids are positional).
     ("restripe_copy", RestripeCopy),
-    ("restripe_block", RestripeBlock),
     ("restripe_ack", RestripeAck),
     ("restripe_commit", RestripeCommit),
 ):

@@ -1,11 +1,9 @@
-"""Shared contiguous-group placement arithmetic.
+"""Contiguous-group placement arithmetic.
 
-Two subsystems partition an index space into contiguous groups: the
-live driver shards cub connections across hub listeners, and the helper
-tier maps files onto helper caches.  They must use the *same* formula —
-every client, helper and hub works the mapping out for itself, without
-a message — so the formula lives here instead of being repeated (and
-drifting) at each call site.
+The helper tier maps files onto helper caches in contiguous groups.
+Every client and helper works the mapping out for itself, without a
+message, so the formula lives in one place instead of being repeated
+(and drifting) at each call site.
 """
 
 from __future__ import annotations

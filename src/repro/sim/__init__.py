@@ -8,8 +8,7 @@ Public surface:
 * :class:`RngRegistry` — deterministic named random streams.
 * :class:`Tracer` — structured trace collection.
 * Measurement primitives: :class:`Counter`, :class:`Histogram`,
-  :class:`BusyMeter`, :class:`RateMeter`, :class:`TimeWeightedValue`,
-  :class:`WelfordAccumulator`.
+  :class:`BusyMeter`, :class:`RateMeter`.
 """
 
 from repro.sim.core import SimulationError, Simulator
@@ -21,8 +20,6 @@ from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
-    TimeWeightedValue,
-    WelfordAccumulator,
     percentile,
     summarize,
 )
@@ -45,8 +42,6 @@ __all__ = [
     "Histogram",
     "BusyMeter",
     "RateMeter",
-    "TimeWeightedValue",
-    "WelfordAccumulator",
     "percentile",
     "summarize",
 ]

@@ -29,81 +29,6 @@ class Counter:
         return f"<Counter {self.count}>"
 
 
-class WelfordAccumulator:
-    """Streaming mean / variance via Welford's algorithm."""
-
-    __slots__ = ("n", "_mean", "_m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-
-class TimeWeightedValue:
-    """Tracks a piecewise-constant value and its time-weighted average.
-
-    Used for utilization-style metrics: queue depths, busy flags, and
-    instantaneous load.  ``update`` records a new value effective at
-    time ``now``; ``average`` integrates the step function.
-    """
-
-    __slots__ = ("_last_time", "_last_value", "_area", "_start", "current")
-
-    def __init__(self, start_time: float = 0.0, initial: float = 0.0) -> None:
-        self._start = start_time
-        self._last_time = start_time
-        self._last_value = float(initial)
-        self._area = 0.0
-        self.current = float(initial)
-
-    def update(self, now: float, value: float) -> None:
-        if now < self._last_time:
-            raise ValueError("time moved backwards")
-        self._area += self._last_value * (now - self._last_time)
-        self._last_time = now
-        self._last_value = float(value)
-        self.current = float(value)
-
-    def average(self, now: float) -> float:
-        """Time-weighted mean over ``[start, now]``."""
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._last_value
-        area = self._area + self._last_value * (now - self._last_time)
-        return area / elapsed
-
-    def reset(self, now: float) -> None:
-        """Restart the averaging window at ``now`` keeping the current value."""
-        self._start = now
-        self._last_time = now
-        self._area = 0.0
-
-
 class BusyMeter:
     """Accumulates busy time for a resource (disk, NIC, CPU proxy).
 

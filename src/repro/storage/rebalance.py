@@ -32,31 +32,27 @@ Robustness model
 Both halves of the wire protocol live here: :class:`OnlineRestriper`
 sends ``RestripeCopy`` / ``RestripeCommit`` and consumes ``RestripeAck``;
 the :class:`CubRestripeService` that ``World.make_cub`` attaches to
-every cub answers them, shipping ``RestripeBlock`` cub to cub.
+every cub answers them.  Every move stays inside one cub — a block's
+schedule slot is anchored to its cub (§2.2, §4.1.1) — so a copy is
+disk to disk on the cub that owns both.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.cub import Cub, cub_address
-from repro.core.protocol import (
-    RestripeAck,
-    RestripeBlock,
-    RestripeCommit,
-    RestripeCopy,
-    block_pattern,
-)
+from repro.core.protocol import RestripeAck, RestripeCommit, RestripeCopy
 from repro.disk.zones import ZONE_OUTER
-from repro.net.message import KIND_CONTROL, KIND_DATA, REQUEST_BYTES, Message
+from repro.net.message import KIND_CONTROL, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
 from repro.obs.registry import MetricsRegistry
 from repro.storage.blockindex import BlockLocation
 from repro.storage.catalog import TigerFile
 from repro.storage.journal import MoveJournal
 from repro.storage.layout import StripeLayout
-from repro.storage.restripe import BlockMove, RestripePlan
+from repro.storage.restripe import BlockMove, RestripePlan, plan_restripe
 
 #: Network address the restriper listens on (both backends).
 RESTRIPER_ADDRESS = "restriper"
@@ -77,28 +73,19 @@ def plan_rebalance(
     """Plan the capacity-weighted rebalance of a running system.
 
     ``weighted`` must be the same geometry as ``layout`` with capacity
-    weights applied (see :meth:`StripeLayout.with_weights`): blocks
-    move from their ring position to their weighted placement.  The
-    weighted placement preserves cub ownership, so every move is
-    intra-cub — the distributed schedule never changes hands and the
-    plan is fully executable under live traffic.
+    weights applied (see :meth:`StripeLayout.with_weights`); the plan
+    is :func:`plan_restripe`'s, moving blocks from their ring position
+    to their weighted placement.  That placement preserves cub
+    ownership, so every move is intra-cub — the distributed schedule
+    never changes hands and the plan is fully executable under live
+    traffic.
     """
     if (layout.num_cubs, layout.disks_per_cub) != (
         weighted.num_cubs,
         weighted.disks_per_cub,
     ):
         raise ValueError("rebalance requires identical geometry")
-    plan = RestripePlan(layout, weighted)
-    for entry in files:
-        size = block_bytes_for[entry.file_id]
-        for block in range(entry.num_blocks):
-            src = layout.disk_of_block(entry.start_disk, block)
-            dst = weighted.placement_disk_of_block(entry.start_disk, block)
-            if src != dst:
-                plan.moves.append(
-                    BlockMove(entry.file_id, block, src, dst, size)
-                )
-    return plan
+    return plan_restripe(layout, weighted, files, block_bytes_for)
 
 
 def arm_rebalance(
@@ -187,9 +174,8 @@ class OnlineRestriper(NetworkNode):
         suspend_after: int = 3,
         tracer: Any = None,
         registry: Any = None,
-        address: str = RESTRIPER_ADDRESS,
     ) -> None:
-        super().__init__(sim, address, tracer)
+        super().__init__(sim, RESTRIPER_ADDRESS, tracer)
         if not 0.0 < throttle <= 1.0:
             raise ValueError("throttle must be in (0, 1]")
         if suspend_after < 1:
@@ -210,12 +196,20 @@ class OnlineRestriper(NetworkNode):
                     f"running system ({self.layout.num_disks} disks); "
                     "growth restripes execute on the expanded system"
                 )
+            if self.layout.cub_of_disk(move.src_disk) != (
+                self.layout.cub_of_disk(move.dst_disk)
+            ):
+                raise ValueError(
+                    f"move from disk {move.src_disk} to disk "
+                    f"{move.dst_disk} crosses cubs; a block's schedule "
+                    "slot is anchored to its cub"
+                )
         self.journal = journal if journal is not None else MoveJournal()
         self.throttle = throttle
         self.retry_base = retry_base
         self.suspend_after = suspend_after
-        #: Copy round trip: off-schedule read + paced transfer + write
-        #: + control hops, with slack for deferrals at a loaded disk.
+        #: Copy round trip: off-schedule read + write + control hops,
+        #: with slack for deferrals at a loaded disk.
         self.ack_timeout = (
             ack_timeout
             if ack_timeout is not None
@@ -248,8 +242,6 @@ class OnlineRestriper(NetworkNode):
         self.finished = False
         self.finished_at: Optional[float] = None
         self.started_at: Optional[float] = None
-        #: Callbacks run once when the last move commits.
-        self.on_done: List[Callable[[], None]] = []
 
         self.registry = registry if registry is not None else MetricsRegistry()
         metric = self.registry.counter
@@ -264,10 +256,6 @@ class OnlineRestriper(NetworkNode):
             "restripe.moves_skipped",
             help="Moves skipped on resume because a prior run committed "
                  "them (never-run-twice guard)", unit="moves")
-        self.moves_staged = metric(
-            "restripe.moves_staged",
-            help="Committed cross-cub moves awaiting epoch cutover "
-                 "(read path still serves the source copy)", unit="moves")
         self.bytes_moved = metric(
             "restripe.bytes_moved",
             help="Payload bytes copied to destination disks", unit="bytes")
@@ -479,20 +467,9 @@ class OnlineRestriper(NetworkNode):
         self._maybe_finish()
 
     def _send_commit(self, move_id: int) -> None:
-        """Cut reads over at the serving cub (idempotent).
-
-        Only moves whose destination disk lives on the serving cub can
-        redirect under the running layout; cross-cub moves stay staged
-        at their destination until an epoch cutover adopts the new
-        layout ring.
-        """
+        """Cut reads over at the serving cub (idempotent)."""
         move = self.plan.moves[move_id]
         src_cub = self.layout.cub_of_disk(move.src_disk)
-        dst_cub = self.layout.cub_of_disk(move.dst_disk)
-        if src_cub != dst_cub:
-            if self.move_state[move_id] == MOVE_COMMITTED:
-                self.moves_staged.increment()
-            return
         commit = RestripeCommit(
             move_id=move_id,
             file_id=move.file_id,
@@ -552,12 +529,10 @@ class OnlineRestriper(NetworkNode):
             f"restripe complete in {elapsed:.1f}s, "
             f"placement {fingerprint[:12]}…",
         )
-        for callback in self.on_done:
-            callback()
 
 
 class CubRestripeService:
-    """The cub-side half of the protocol: copy, receive, stage, cut over.
+    """The cub-side half of the protocol: copy, stage, cut over.
 
     Every action is scheduled through the cub's own ``after()``, so
     powering the cub off cancels the copies it had in flight.
@@ -579,10 +554,6 @@ class CubRestripeService:
             "cub.restripe_copies_served",
             help="Restripe block copies read off-schedule from this cub",
             unit="blocks", cub=cub.cub_id)
-        self.blocks_received = metric(
-            "cub.restripe_blocks_received",
-            help="Cross-cub restripe blocks written at this cub",
-            unit="blocks", cub=cub.cub_id)
         self.deferrals = metric(
             "cub.restripe_deferrals",
             help="Restripe copy reads deferred while scheduled work "
@@ -593,7 +564,6 @@ class CubRestripeService:
             help="Migration-map cutovers applied from restripe commits",
             unit="moves", cub=cub.cub_id)
         cub.handlers[RestripeCopy] = self._on_copy
-        cub.handlers[RestripeBlock] = self._on_block
         cub.handlers[RestripeCommit] = self._on_commit
         cub.on_recover.append(self.staged.clear)
 
@@ -610,13 +580,14 @@ class CubRestripeService:
     def _on_copy(
         self, copy: RestripeCopy, requester: str, deferrals: int = 0
     ) -> None:
-        """Read one block off-schedule for an online restripe.
+        """Copy one block off-schedule between two of this cub's disks.
 
         Same spare-bandwidth rule as helper fetches: the read never
         enters the per-disk scheduled queues, and it additionally
         *defers* (one slot period at a time) while the source disk has
         scheduled work queued, so restripe reads only consume
-        slot-idle disk time.
+        slot-idle disk time.  The write costs about a read on the
+        destination's outer zone.
         """
         cub = self.cub
         disk = cub.disks.get(copy.src_disk)
@@ -653,31 +624,12 @@ class CubRestripeService:
             cub.sim.now, copy.size_bytes * cub.config.cpu_per_data_byte
         )
         self.copies_served.increment()
-        if copy.dst_disk in cub.disks:
-            # Intra-cub move: disk-to-disk copy, no network hop.  The
-            # write costs about a read on the destination's outer zone.
-            write_time = cub.config.disk.expected_read_time(
-                ZONE_OUTER, copy.size_bytes
-            )
-            cub.after(
-                read_time + write_time, self._finish_local, copy, requester
-            )
-        else:
-            block = RestripeBlock(
-                move_id=copy.move_id,
-                file_id=copy.file_id,
-                block_index=copy.block_index,
-                dst_disk=copy.dst_disk,
-                size_bytes=copy.size_bytes,
-                pattern=block_pattern(copy.file_id, copy.block_index),
-                reply_to=requester,
-            )
-            cub.after(
-                read_time, self._ship_block,
-                cub.layout.cub_of_disk(copy.dst_disk), block,
-            )
+        write_time = cub.config.disk.expected_read_time(
+            ZONE_OUTER, copy.size_bytes
+        )
+        cub.after(read_time + write_time, self._finish, copy, requester)
 
-    def _finish_local(self, copy: RestripeCopy, requester: str) -> None:
+    def _finish(self, copy: RestripeCopy, requester: str) -> None:
         dst = self.cub.disks.get(copy.dst_disk)
         if dst is None or dst.failed:
             self._ack(
@@ -688,53 +640,6 @@ class CubRestripeService:
             copy.dst_disk, ZONE_OUTER, 0, copy.size_bytes
         )
         self._ack(requester, copy.move_id, True)
-
-    def _ship_block(self, dst_cub: int, block: RestripeBlock) -> None:
-        self.cub.network.send_paced(
-            Message(
-                self.cub.address,
-                cub_address(dst_cub),
-                block,
-                block.size_bytes,
-                kind=KIND_DATA,
-            ),
-            pacing_duration=self.cub.config.block_play_time,
-        )
-
-    def _on_block(self, block: RestripeBlock, _sender: str) -> None:
-        """Write a cross-cub migrated block at its new disk."""
-        cub = self.cub
-        disk = cub.disks.get(block.dst_disk)
-        if disk is None:
-            self._ack(
-                block.reply_to, block.move_id, False,
-                f"disk {block.dst_disk} not on cub {cub.cub_id}")
-            return
-        if disk.failed:
-            self._ack(
-                block.reply_to, block.move_id, False,
-                f"destination disk {block.dst_disk} failed")
-            return
-        write_time = cub.config.disk.expected_read_time(
-            ZONE_OUTER, block.size_bytes
-        )
-        cub.cpu.add_busy(
-            cub.sim.now, block.size_bytes * cub.config.cpu_per_data_byte
-        )
-        cub.after(write_time, self._finish_remote, block)
-
-    def _finish_remote(self, block: RestripeBlock) -> None:
-        disk = self.cub.disks.get(block.dst_disk)
-        if disk is None or disk.failed:
-            self._ack(
-                block.reply_to, block.move_id, False,
-                f"destination disk {block.dst_disk} failed during write")
-            return
-        self.staged[block.move_id] = BlockLocation(
-            block.dst_disk, ZONE_OUTER, 0, block.size_bytes
-        )
-        self.blocks_received.increment()
-        self._ack(block.reply_to, block.move_id, True)
 
     def _on_commit(self, commit: RestripeCommit, _sender: str) -> None:
         """Cut the scheduled read path over to the migrated copy.

@@ -88,8 +88,10 @@ def plan_restripe(
     ``block_bytes_for`` maps file_id -> stored block size.  Files keep
     their start disk when it exists in the new layout (capped by
     ``new_layout.num_disks``); ``new_start_disks`` overrides per file
-    and must name disks that exist in the new layout.
-    Blocks already on the right disk do not move.
+    and must name disks that exist in the new layout.  A block's new
+    disk is the new layout's capacity-aware placement (plain striping
+    when it has no weights).  Blocks already on the right disk do not
+    move.
     """
     plan = RestripePlan(old_layout, new_layout)
     overrides = new_start_disks or {}
@@ -106,7 +108,7 @@ def plan_restripe(
         )
         for block in range(entry.num_blocks):
             src = old_layout.disk_of_block(entry.start_disk, block)
-            dst = new_layout.disk_of_block(new_start, block)
+            dst = new_layout.placement_disk_of_block(new_start, block)
             if src != dst:
                 plan.moves.append(
                     BlockMove(entry.file_id, block, src, dst, size)

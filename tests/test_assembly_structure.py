@@ -24,6 +24,11 @@ option on the system or the chaos harness.
 
 And it keeps one command line: one verb per drill, and one parser per
 executable (``repro`` and a live node).
+
+And it keeps the optional tiers declared once: the helper tier's shape
+is ``TigerConfig``'s, read where it is used and threaded through no
+signature, and the restripe's cross-cub copy path and the multi-hub
+listener knob stay deleted.
 """
 
 import ast
@@ -63,7 +68,7 @@ RETIRED_NAMES = {
 #: Tier payloads the cub serves without ever naming them.
 TIER_PAYLOADS = {
     "HelperFetch", "HelperFetchReply",
-    "RestripeCopy", "RestripeBlock", "RestripeAck", "RestripeCommit",
+    "RestripeCopy", "RestripeAck", "RestripeCommit",
 }
 
 
@@ -421,3 +426,36 @@ def test_one_verb_per_drill_and_one_parser_per_executable():
         + [alias.name for alias in node.names]
     }
     assert importers == {"cli.py", "live/node.py"}
+
+
+# ----------------------------------------------------------------------
+# The optional tiers, declared once
+# ----------------------------------------------------------------------
+#: Parameters the helper tier's shape used to travel through; it is the
+#: config's ``helpers`` / ``helper_capacity`` / ``helper_policy`` now.
+TIER_SHAPE_PARAMETERS = {
+    "helper_capacity", "helper_policy", "capacity_blocks", "helper_directory",
+}
+#: The cross-cub restripe copy path and the multi-hub listener knob.
+DELETED_NAMES = ("RestripeBlock", "moves_staged", "hub_of")
+
+
+def test_the_tier_shape_is_declared_once():
+    threaded = [
+        f"{relative}:{node.name}({arg.arg})"
+        for relative, tree in _walk_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in TIER_SHAPE_PARAMETERS
+    ]
+    assert not threaded
+    assert "helpers" not in _init_parameters("core/tiger.py", "TigerSystem")
+    assert "helpers" not in _init_parameters("faults/harness.py", "ChaosHarness")
+    named = [
+        f"{path.relative_to(SRC).as_posix()}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in DELETED_NAMES
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not named

@@ -170,7 +170,7 @@ class TestBadInput:
             (["demo", "--helpers", "-1"], "helpers must be >= 0"),
             (["demo", "--helper-capacity", "-2"],
              "helper_capacity must be >= 0"),
-            (["demo", "--helper-policy", "bogus"], "--helper-policy"),
+            (["demo", "--helper-policy", "bogus"], "unknown helper policy"),
             (["demo", "--restripe", "1,2", "--restripe-throttle", "0"],
              "throttle must be in (0, 1]"),
             (["demo", "--restripe", "a,b"], "weights must be integers"),
@@ -192,6 +192,7 @@ class TestBadInput:
              "--metrics-out"),
             (["chaos", "--trace", "no-such-dir/t.json"], "--trace"),
             (["report", "--results", "no-such-dir"], "--results"),
+            (["chaos", "--helper-policy", "nope"], "unknown helper policy"),
         ],
     )
     def test_rejected_with_one_error_line(self, argv, message, capsys):

@@ -16,6 +16,7 @@ import pytest
 from repro import TigerSystem, small_config
 from repro.core.cub import Cub
 from repro.core.protocol import BlockData, DescheduleForward, ViewerStateBatch
+from repro.core.schedule import SlotConflictError
 from repro.core.viewerstate import (
     DescheduleRequest,
     MirrorViewerState,
@@ -167,6 +168,20 @@ def test_indexed_cub_holds_what_a_full_scan_holds_in_the_same_order(seed):
     # Not searching the forward queues changes nothing anyone can see:
     # every counter of every node, and every client's ledger, is equal.
     assert totals == reference_totals
+
+
+@pytest.mark.xfail(
+    raises=SlotConflictError, strict=True,
+    reason="a start inserted inside a crash's detection window, or soon "
+           "after the reboot, double-books a slot",
+)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_a_single_failure_never_double_books_a_slot(seed):
+    """The paper's claim under the strict oracle: one cub down at a time
+    and no slot ever holds two viewers.  It does not hold yet (seed 1:
+    "slot 14 already holds client:0#33#33; refused insert of
+    client:0#65#65"); strict, so the fix has to flip it."""
+    _churn_under_faults(_small_system(seed, strict=True), seed)
 
 
 def _state(instance, seqno, slot, disk_id, due_time):

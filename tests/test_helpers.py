@@ -108,26 +108,25 @@ class TestCachePolicies:
 
 class TestHelperDirectory:
     def test_inert_when_no_helpers_or_no_capacity(self):
-        assert not HelperDirectory(0, 128).active
-        assert not HelperDirectory(2, 0).active
-        assert HelperDirectory(0, 128).helper_for(0, 8) is None
-        assert HelperDirectory(2, 0).helper_for(0, 8) is None
+        for config in (small_config(helper_capacity=128),
+                       small_config(helpers=2)):
+            assert not HelperDirectory(config).active
+            assert HelperDirectory(config).helper_for(0, 8) is None
 
     def test_mapping_is_total_and_contiguous(self):
-        directory = HelperDirectory(3, 64)
+        directory = HelperDirectory(small_config(helpers=3, helper_capacity=64))
         ids = [directory.helper_id_for(f, 9) for f in range(9)]
         assert ids == [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert directory.helper_for(4, 9) == helper_address(1)
 
     def test_more_helpers_than_files_collapses(self):
-        directory = HelperDirectory(8, 64)
+        directory = HelperDirectory(small_config(helpers=8, helper_capacity=64))
         ids = {directory.helper_id_for(f, 3) for f in range(3)}
         # Only the first min(helpers, files) helpers are ever used.
         assert ids == {0, 1, 2}
 
     def test_group_pin_matches_legacy_formulas(self):
-        # The shared helper replaced the inline formula of the hub
-        # listener pin, `i * groups // total`.
+        # The shared helper replaced an inline `i * groups // total`.
         for total in (1, 3, 4, 7, 16):
             for groups in (1, 2, 3, total):
                 for item in range(total):
@@ -145,8 +144,10 @@ class TestHelperDirectory:
 def _staggered_system(helpers=1, capacity=64, policy="lru", seed=11):
     """Three viewers on one file, spaced past the cache warm time."""
     system = TigerSystem(
-        small_config(), seed=seed,
-        helpers=helpers, helper_capacity=capacity, helper_policy=policy,
+        small_config(
+            helpers=helpers, helper_capacity=capacity, helper_policy=policy
+        ),
+        seed=seed,
     )
     files = system.add_standard_content(num_files=2, duration_s=12.0)
     clients = [system.add_client() for _ in range(3)]
@@ -195,7 +196,7 @@ class TestDesIntegration:
         # fill is still in flight.  Warm-join turns them into hits —
         # only the very first origin stream claims a slot.
         system = TigerSystem(
-            small_config(), seed=13, helpers=1, helper_capacity=64,
+            small_config(helpers=1, helper_capacity=64), seed=13
         )
         files = system.add_standard_content(num_files=2, duration_s=12.0)
         clients = [system.add_client() for _ in range(4)]
@@ -241,16 +242,15 @@ class TestDesIntegration:
 
 
 class TestFingerprintIdentity:
-    def _fingerprint(self, **kwargs):
+    def _fingerprint(self, **tier):
         harness = ChaosHarness(
-            small_config(),
+            small_config(**tier),
             standard_chaos_plan(duration=25.0),
             seed=5,
             load=0.5,
             duration=25.0,
             num_files=4,
             file_seconds=40.0,
-            **kwargs,
         )
         return harness.run().fingerprint
 
@@ -268,9 +268,8 @@ class TestFingerprintIdentity:
         plan = FaultPlan()
         plan.crash_helper(0, at=10.0, restart_after=8.0)
         harness = ChaosHarness(
-            small_config(), plan, seed=5, load=0.4, duration=30.0,
-            num_files=4, file_seconds=40.0,
-            helpers=2, helper_capacity=64,
+            small_config(helpers=2, helper_capacity=64), plan, seed=5,
+            load=0.4, duration=30.0, num_files=4, file_seconds=40.0,
         )
         report = harness.run()  # construction implies zero violations
         assert report.checks_run > 0 and report.fingerprint

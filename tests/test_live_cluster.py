@@ -43,10 +43,6 @@ def test_scenario_validation():
         ClusterScenario(codec="gzip")
     with pytest.raises(ValueError, match="arrival"):
         ClusterScenario(arrivals="sawtooth")
-    with pytest.raises(ValueError, match="hubs"):
-        ClusterScenario(cubs=4, hubs=0)
-    with pytest.raises(ValueError, match="hubs"):
-        ClusterScenario(cubs=4, hubs=5)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +221,7 @@ def test_snapshot_total_filters_by_labels_and_skips_non_numeric():
 
 
 # ----------------------------------------------------------------------
-# Arrival plans and hub sharding
+# Arrival plans and the connection send queue
 # ----------------------------------------------------------------------
 def test_stream_plan_random_modes_are_deterministic_and_sorted():
     scenario = ClusterScenario(
@@ -249,23 +245,6 @@ def test_stream_plan_stagger_unchanged_by_new_fields():
     assert legacy.stream_plan() == [
         (0, 0, 1.0), (1, 1, 1.25), (2, 2, 1.5)
     ]
-
-
-def test_hub_sharding_matches_sim_shard_pinning():
-    # The hub shard for a cub is its placement.group_pin group: cubs
-    # are spread over the listeners in contiguous runs of the ring.
-    scenario = ClusterScenario(cubs=8, hubs=3)
-    assert [scenario.hub_of(cub) for cub in range(8)] == [
-        cub * 3 // 8 for cub in range(8)
-    ]
-    # Every shard is non-empty and boundaries are monotone.
-    shards = [scenario.hub_of(cub) for cub in range(8)]
-    assert shards == sorted(shards)
-    assert set(shards) == {0, 1, 2}
-    # Non-cub nodes all talk to the first listener.
-    assert scenario.hub_index_of("controller") == 0
-    assert scenario.hub_index_of("controller:backup") == 0
-    assert scenario.hub_index_of("cub:7") == 2
 
 
 def test_node_connection_backpressure_and_hard_cap():

@@ -19,7 +19,6 @@ from repro.config import TigerConfig, small_config
 from repro.core.tiger import TigerSystem
 from repro.disk.zones import ZONE_OUTER
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
-from repro.obs.registry import snapshot_total
 from repro.storage.journal import MoveJournal
 from repro.storage.rebalance import (
     MOVE_COMMITTED,
@@ -164,70 +163,56 @@ def test_online_restripe_time_flat_across_system_sizes():
 
 
 class TestCrossCubCopy:
-    """The copy path no weighted plan reaches: ``plan_rebalance`` keeps
-    every move inside one cub, so the cub-to-cub block shipment and the
-    staged-at-destination state need a hand-built plan."""
+    """There is none: a block's schedule slot is anchored to its cub, so
+    ``plan_rebalance`` keeps every move inside one cub and the restriper
+    refuses a plan that does not, as it refuses a disk outside the
+    running system.  A copy is staged on the cub that owns both disks."""
 
-    def run_two_moves(self):
+    def system_and_file(self):
         system = TigerSystem(small_config(), seed=7)
         entry = system.add_standard_content(num_files=2, duration_s=60)[0]
-        layout = system.layout
-        size = entry.content_bytes_per_block
-        local_src = layout.disk_of_block(entry.start_disk, 0)
-        remote_src = layout.disk_of_block(entry.start_disk, 1)
+        return system, system.layout, entry
+
+    def test_a_cross_cub_move_is_refused_at_construction(self):
+        system, layout, entry = self.system_and_file()
+        src = layout.disk_of_block(entry.start_disk, 1)
+        # Same geometry, the next cub over.
         plan = RestripePlan(layout, layout, [
-            # Same cub, its other disk.
-            BlockMove(entry.file_id, 0, local_src,
-                      (local_src + layout.num_cubs) % layout.num_disks, size),
-            # The next cub over.
-            BlockMove(entry.file_id, 1, remote_src,
-                      (remote_src + 1) % layout.num_disks, size),
+            BlockMove(entry.file_id, 1, src, (src + 1) % layout.num_disks,
+                      entry.content_bytes_per_block),
         ])
-        restriper = system.attach_restriper(plan, throttle=0.5)
-        system.sim.call_at(1.0, restriper.start)
-        system.run_for(20.0)
-        assert restriper.finished
-        local_cub = system.cubs[layout.cub_of_disk(local_src)]
-        dst_cub = system.cubs[layout.cub_of_disk(plan.moves[1].dst_disk)]
-        assert dst_cub is not system.cubs[layout.cub_of_disk(remote_src)]
-        return system, restriper, local_cub, dst_cub
-
-    def test_block_ships_to_the_destination_cub_and_stays_staged(self):
-        system, restriper, local_cub, dst_cub = self.run_two_moves()
-
-        def total(name):
-            return snapshot_total(system.registry.snapshot(), name)
-
-        assert total("cub.restripe_copies_served") == 2
-        assert total("cub.restripe_blocks_received") == 1
-        assert system.registry.get_value(
-            "cub.restripe_blocks_received", cub=dst_cub.cub_id) == 1
-        assert total("cub.restripe_commits") == 1
-        assert total("restripe.moves_committed") == 2
-        assert total("restripe.moves_staged") == 1
-        # The intra-cub move cut its read path over; the cross-cub one
-        # waits, staged, for an epoch cutover that adopts the new ring.
-        assert list(local_cub.migrations) == [(0, 0)]
-        assert [len(cub.migrations) for cub in system.cubs].count(0) == 3
-        move = restriper.plan.moves[1]
-        assert [
-            (move_id, location.disk_id)
-            for cub in system.cubs
-            for move_id, location in cub.restripe.staged.items()
-        ] == [(1, move.dst_disk)]
-        assert list(dst_cub.restripe.staged) == [1]
-        system.assert_invariants()
+        with pytest.raises(ValueError, match="crosses cubs"):
+            system.attach_restriper(plan, throttle=0.5)
+        assert system.restriper is None
 
     def test_reboot_drops_the_staged_copy(self):
-        """An unacknowledged write is presumed lost with the crash; the
+        """An acknowledged copy waits, staged, for its commit; a crash in
+        between drops it (the restriper's retry re-creates it), while a
         committed migration is on-disk metadata and survives one."""
-        system, _restriper, local_cub, dst_cub = self.run_two_moves()
-        for cub in (local_cub, dst_cub):
-            system.fail_cub(cub.cub_id)
-            system.run_for(1.0)
-            system.recover_cub(cub.cub_id)
-        assert dst_cub.restripe.staged == {}
-        assert list(local_cub.migrations) == [(0, 0)]
+        system, layout, entry = self.system_and_file()
+        moves = []
+        for block in (0, layout.num_cubs):  # two blocks of one cub
+            src = layout.disk_of_block(entry.start_disk, block)
+            moves.append(BlockMove(
+                entry.file_id, block, src,
+                (src + layout.num_cubs) % layout.num_disks,
+                entry.content_bytes_per_block,
+            ))
+        restriper = system.attach_restriper(
+            RestripePlan(layout, layout, moves), throttle=0.5
+        )
+        system.sim.call_at(1.0, restriper.start)
+        cub = system.cubs[layout.cub_of_disk(moves[0].src_disk)]
+        system.start()
+        # Move 0 committed, move 1 written and acknowledged, not committed.
+        while not (cub.restripe.staged and cub.migrations):
+            assert system.sim.now < 20.0 and system.sim.step()
+        assert list(cub.restripe.staged) == [1]
+        system.fail_cub(cub.cub_id)
+        system.run_for(1.0)
+        system.recover_cub(cub.cub_id)
+        assert cub.restripe.staged == {}
+        assert list(cub.migrations) == [(entry.file_id, 0)]
 
 
 class TestCrashResume:

@@ -228,10 +228,7 @@ def test_arm_scenario_without_restripe_or_faults_asks_for_neither():
 # ----------------------------------------------------------------------
 def test_scenario_armed_on_a_real_system():
     scenario = busy_scenario()
-    system = TigerSystem(
-        scenario.config(), seed=scenario.seed,
-        helpers=scenario.helpers, helper_capacity=scenario.helper_capacity,
-    )
+    system = TigerSystem(scenario.config(), seed=scenario.seed)
     system.add_standard_content(
         scenario.num_files, scenario.file_duration_s
     )

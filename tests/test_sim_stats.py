@@ -9,8 +9,6 @@ from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
-    TimeWeightedValue,
-    WelfordAccumulator,
     percentile,
     summarize,
 )
@@ -29,57 +27,6 @@ class TestCounter:
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             Counter().increment(-1)
-
-
-class TestWelford:
-    def test_mean_and_variance(self):
-        acc = WelfordAccumulator()
-        for value in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            acc.add(value)
-        assert acc.mean == pytest.approx(5.0)
-        assert acc.stdev == pytest.approx(2.138, abs=1e-3)
-
-    def test_min_max(self):
-        acc = WelfordAccumulator()
-        for value in [3.0, -1.0, 7.0]:
-            acc.add(value)
-        assert acc.minimum == -1.0
-        assert acc.maximum == 7.0
-
-    def test_empty_mean_is_zero(self):
-        assert WelfordAccumulator().mean == 0.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_matches_batch_computation(self, values):
-        acc = WelfordAccumulator()
-        for value in values:
-            acc.add(value)
-        mean = sum(values) / len(values)
-        assert acc.mean == pytest.approx(mean, rel=1e-9, abs=1e-6)
-
-
-class TestTimeWeightedValue:
-    def test_constant_value(self):
-        tw = TimeWeightedValue(0.0, 5.0)
-        assert tw.average(10.0) == pytest.approx(5.0)
-
-    def test_step_function(self):
-        tw = TimeWeightedValue(0.0, 0.0)
-        tw.update(5.0, 10.0)
-        # 0 for 5 s then 10 for 5 s
-        assert tw.average(10.0) == pytest.approx(5.0)
-
-    def test_time_backwards_rejected(self):
-        tw = TimeWeightedValue(0.0, 0.0)
-        tw.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(4.0, 2.0)
-
-    def test_reset_restarts_window(self):
-        tw = TimeWeightedValue(0.0, 10.0)
-        tw.reset(100.0)
-        tw.update(100.0, 2.0)
-        assert tw.average(110.0) == pytest.approx(2.0)
 
 
 class TestBusyMeter:

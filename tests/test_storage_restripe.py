@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import TigerSystem, paper_config, small_config
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
 from repro.storage.restripe import (
@@ -10,6 +11,7 @@ from repro.storage.restripe import (
     estimate_restripe_time,
     plan_restripe,
 )
+from repro.storage.rebalance import plan_rebalance
 
 
 def build_catalog(num_disks, files=4, duration=50.0):
@@ -110,6 +112,64 @@ class TestPlan:
         plan = plan_restripe(old, new, catalog.files(), block_sizes(catalog))
         assert sum(plan.bytes_out_of_disk().values()) == plan.total_bytes
         assert sum(plan.bytes_into_disk().values()) == plan.total_bytes
+
+
+def rebalance_reference(layout, weighted, files, sizes):
+    """The rebalance planner's own loop, before it was folded into
+    ``plan_restripe``: ring position -> weighted placement."""
+    return [
+        BlockMove(entry.file_id, block, src, dst, sizes[entry.file_id])
+        for entry in files
+        for block in range(entry.num_blocks)
+        for src, dst in [(
+            layout.disk_of_block(entry.start_disk, block),
+            weighted.placement_disk_of_block(entry.start_disk, block),
+        )]
+        if src != dst
+    ]
+
+
+class TestOnePlanner:
+    """``plan_rebalance`` is a geometry check in front of
+    ``plan_restripe``, whose loop uses the capacity-aware placement."""
+
+    @pytest.mark.parametrize("config, local_weights, moves", [
+        (small_config(), (1, 2), 960),
+        (paper_config(), (1, 2, 1, 3), 1500),
+        (small_config(), (3, 1), 480),
+    ])
+    def test_rebalance_plan_is_unchanged_move_for_move(
+        self, config, local_weights, moves
+    ):
+        system = TigerSystem(config)
+        files = system.add_standard_content(num_files=8, duration_s=240.0)
+        layout = system.layout
+        weighted = layout.with_weights(tuple(
+            local_weights[disk // layout.num_cubs]
+            for disk in range(layout.num_disks)
+        ))
+        sizes = {entry.file_id: entry.content_bytes_per_block for entry in files}
+        plan = plan_rebalance(layout, weighted, files, sizes)
+        assert plan.moves == rebalance_reference(layout, weighted, files, sizes)
+        assert len(plan.moves) == moves
+
+    def test_unweighted_placement_is_plain_striping(self):
+        for cubs in range(1, 9):
+            for disks in range(1, 5):
+                layout = StripeLayout(cubs, disks)
+                for start in range(layout.num_disks):
+                    for block in range(3 * layout.num_disks):
+                        assert layout.placement_disk_of_block(start, block) == (
+                            layout.disk_of_block(start, block)
+                        )
+
+    def test_rebalance_refuses_another_geometry(self):
+        catalog = build_catalog(8)
+        with pytest.raises(ValueError, match="identical geometry"):
+            plan_rebalance(
+                StripeLayout(4, 2), StripeLayout(2, 4), catalog.files(),
+                block_sizes(catalog),
+            )
 
 
 class TestTimeEstimate:

@@ -19,8 +19,10 @@ from repro.core.cub import Cub
 from repro.core.metrics import MetricsCollector
 from repro.core.schedule import GlobalSchedule
 from repro.core.protocol import HelperInvalidate
+from repro.core.view import view_size_bound
 from repro.core.viewerstate import reset_instance_ids
 from repro.core.world import World
+from repro.disk.drive import SimDisk
 from repro.helpers.node import HelperNode
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
 from repro.net.switch import SwitchedNetwork
@@ -159,11 +161,6 @@ class TigerSystem(World):
         self.backup_controller = backup
         return backup
 
-    def install_faults(self, plan):
-        """Arm a :class:`~repro.faults.plan.FaultPlan` on the simulator
-        (:func:`repro.faults.injectors.install_plan`)."""
-        return plan.install(self)
-
     def fail_controller(self) -> None:
         """Power off the primary controller (failover experiments)."""
         self.tracer.emit(
@@ -272,6 +269,19 @@ class TigerSystem(World):
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
+    @property
+    def fault_kinds(self) -> frozenset:
+        """The DES executes every fault kind a plan can name (see
+        :func:`repro.faults.injectors.install_plan`)."""
+        # Imported here: the faults package imports this module.
+        from repro.faults.plan import ALL_KINDS
+
+        return ALL_KINDS
+
+    def disk(self, disk_id: int) -> SimDisk:
+        """The drive ``disk_id``, wherever the layout puts it."""
+        return self.cubs[self.layout.cub_of_disk(disk_id)].disks[disk_id]
+
     def fail_cub(self, cub_id: int) -> None:
         """Cut power to a cub: it stops sending, its disks vanish."""
         self.tracer.emit(
@@ -301,8 +311,8 @@ class TigerSystem(World):
             self.sim.now, "fault.inject", f"disk {disk_id} failed",
             target=f"disk:{disk_id}",
         )
+        self.disk(disk_id).fail()
         cub = self.cubs[self.layout.cub_of_disk(disk_id)]
-        cub.disks[disk_id].fail()
         if not cub.failed:
             cub.on_local_disk_failed(disk_id)
 
@@ -311,8 +321,7 @@ class TigerSystem(World):
             self.sim.now, "fault.inject", f"disk {disk_id} recovered",
             target=f"disk:{disk_id}",
         )
-        cub = self.cubs[self.layout.cub_of_disk(disk_id)]
-        cub.disks[disk_id].recover()
+        self.disk(disk_id).recover()
 
     def fail_helper(self, helper_id: int) -> None:
         """Kill an edge helper; its viewers degrade to origin service."""
@@ -419,10 +428,8 @@ class TigerSystem(World):
     def assert_invariants(self) -> None:
         """The executable form of the coherence argument (tests)."""
         self.oracle.assert_consistent()
+        bound = view_size_bound(self.config.num_slots)
         for cub in self.living_cubs():
-            # Views must stay bounded: O(leads x capacity share), never
-            # O(total schedule history).
-            bound = 40 * self.config.num_slots + 1000
             if cub.view.size() > bound:
                 raise AssertionError(
                     f"{cub.name} view grew to {cub.view.size()} records"

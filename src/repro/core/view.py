@@ -28,6 +28,12 @@ ADMIT_TOO_LATE = "too-late"
 _EPS = 1e-9
 
 
+def view_size_bound(num_slots: int) -> int:
+    """Most records a cub's view may hold: O(leads x capacity), never
+    O(schedule history).  Both backends' invariant checks enforce it."""
+    return 40 * num_slots + 1000
+
+
 class ExpiryIndex:
     """Which records of a store fall due when, without walking the store.
 

@@ -1,26 +1,20 @@
 """Chaos engineering for the Tiger reproduction.
 
-Declarative fault schedules (:mod:`repro.faults.plan`), the machinery
-that executes them against a simulated system
-(:mod:`repro.faults.injectors`) or a live socket cluster
-(:mod:`repro.faults.live`), runtime invariant monitoring
-(:mod:`repro.faults.monitor`), and the end-to-end harness with
+Declarative fault schedules (:mod:`repro.faults.plan`), the one
+installer that arms them on a simulated system or a live socket
+cluster (:mod:`repro.faults.injectors`), runtime invariant monitoring
+(:mod:`repro.faults.monitor`, and its per-cub live probe in
+:mod:`repro.faults.live`), and the end-to-end harness with
 deterministic replay fingerprints (:mod:`repro.faults.harness`).
 """
 
 from repro.faults.harness import ChaosHarness, ChaosReport, standard_chaos_plan
 from repro.faults.injectors import (
-    DiskFaultInjector,
-    InstalledFaults,
     MessageFaultInjector,
-    ProcessFaultInjector,
+    UnsupportedFaultError,
     install_plan,
 )
-from repro.faults.live import (
-    CubInvariantProbe,
-    LiveFaultError,
-    LiveFaultInjector,
-)
+from repro.faults.live import CubInvariantProbe
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
 from repro.faults.plan import FaultPlan, FaultSpec
 
@@ -28,16 +22,12 @@ __all__ = [
     "ChaosHarness",
     "ChaosReport",
     "CubInvariantProbe",
-    "DiskFaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "InstalledFaults",
     "InvariantMonitor",
     "InvariantViolation",
-    "LiveFaultError",
-    "LiveFaultInjector",
     "MessageFaultInjector",
-    "ProcessFaultInjector",
+    "UnsupportedFaultError",
     "install_plan",
     "standard_chaos_plan",
 ]

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig
 from repro.core.tiger import TigerSystem
-from repro.faults.injectors import InstalledFaults, install_plan
+from repro.faults.injectors import MessageFaultInjector, install_plan
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import MetricsRegistry
@@ -110,7 +110,7 @@ class ChaosHarness:
         # Populated by build() for post-mortem inspection.
         self.system: Optional[TigerSystem] = None
         self.monitor: Optional[InvariantMonitor] = None
-        self.installed: Optional[InstalledFaults] = None
+        self.message_stage: Optional[MessageFaultInjector] = None
         self.workload: Optional[ContinuousWorkload] = None
 
     # ------------------------------------------------------------------
@@ -144,7 +144,9 @@ class ChaosHarness:
 
         monitor = InvariantMonitor(system, period=self.monitor_period)
         self.monitor = monitor
-        self.installed = install_plan(self.plan, system, monitor)
+        self.message_stage = install_plan(self.plan, system)
+        for spec in self.plan.events:
+            monitor.note_fault(spec)
 
         workload = ContinuousWorkload(system)
         self.workload = workload
@@ -175,10 +177,17 @@ class ChaosHarness:
             checks_run=monitor.checks_run,
             fingerprint=self.fingerprint(system),
             totals=totals,
-            message_stats=self.installed.message_stats(),
+            message_stats=self._message_stats(),
         )
 
     # ------------------------------------------------------------------
+    def _message_stats(self) -> Dict[str, int]:
+        stage = self.message_stage
+        return {
+            name: 0 if stage is None else getattr(stage, f"messages_{name}")
+            for name in ("seen", "dropped", "delayed", "duplicated", "reordered")
+        }
+
     @staticmethod
     def _totals(system: TigerSystem) -> Dict[str, int]:
         totals = {

@@ -1,29 +1,30 @@
-"""Executable fault machinery: turn a :class:`FaultPlan` into live hooks.
+"""One fault installer for every host: a :class:`FaultPlan` becomes timers.
 
-Three injector classes, one per layer the plan can touch:
+:func:`install_plan` walks a plan once, in plan order, and arms each
+spec on ``host.runtime`` as calls to the host's own fault verbs:
+``fail_cub`` / ``recover_cub``, ``fail_disk`` / ``recover_disk``,
+``fail_controller`` / ``recover_controller``, ``fail_helper`` /
+``recover_helper``, a drive's ``set_slow`` / ``set_stuck``, and the
+fabric's ``partition`` / ``heal`` / ``isolate`` / ``rejoin``.  A host
+declares the kinds it can execute as ``fault_kinds``: the simulator
+(:class:`~repro.core.tiger.TigerSystem`) all of them, a live cluster
+(:class:`~repro.live.cluster.LiveCluster`) the three it performs as a
+SIGKILL.  A plan naming any other kind is refused before anything is
+armed.  On the DES a cub crash takes the cub's disks with it, exactly
+as in the paper's machine-failure experiments.
 
-* :class:`MessageFaultInjector` installs itself as the network's
-  ``fault_injector`` and perturbs every scheduled delivery while a
-  network fault window is open — dropping, delaying, duplicating, or
-  reordering messages.  All probability draws come from one named
-  :class:`~repro.sim.rng.RngRegistry` stream, so a chaos run replays
-  bit-identically for the same (seed, plan).
-* :class:`DiskFaultInjector` schedules slow zones, queue freezes, and
-  drive death/recovery against the right :class:`SimDisk`.
-* :class:`ProcessFaultInjector` schedules cub crashes/restarts and
-  controller kill/failback through :class:`TigerSystem`'s failure API,
-  so a crash takes the cub's disks with it exactly as in the paper's
-  machine-failure experiments.
-
-:func:`install_plan` dispatches a whole plan across the three and
-(optionally) tells an :class:`~repro.faults.monitor.InvariantMonitor`
-about every fault window so staleness-sensitive checks can open their
-grace periods.
+Message faults are not timed verbs but an in-fabric stage:
+:class:`MessageFaultInjector` installs itself as the network's
+``fault_injector`` and perturbs every delivery scheduled while one of
+their windows is open — dropping, delaying, duplicating, or reordering
+messages.  All probability draws come from one named
+:class:`~repro.sim.rng.RngRegistry` stream, so a chaos run replays
+bit-identically for the same (seed, plan).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.faults.plan import (
     CONTROLLER_KILL,
@@ -51,6 +52,25 @@ from repro.faults.plan import (
 
 #: Duplicates trail the original by up to this many seconds.
 _DUPLICATE_SPREAD = 0.005
+
+#: Kinds the in-fabric stage executes rather than a timed verb.
+_MESSAGE_KINDS = frozenset({NET_DROP, NET_DELAY, NET_DUPLICATE, NET_REORDER})
+
+#: Point faults: kind -> (the host verb it calls, the target it names).
+_POINT_VERBS = {
+    CUB_CRASH: ("fail_cub", "cub"),
+    CUB_RESTART: ("recover_cub", "cub"),
+    DISK_FAIL: ("fail_disk", "disk"),
+    DISK_RECOVER: ("recover_disk", "disk"),
+    HELPER_CRASH: ("fail_helper", "helper"),
+    HELPER_RESTART: ("recover_helper", "helper"),
+    CONTROLLER_KILL: ("fail_controller", None),
+    CONTROLLER_RECOVER: ("recover_controller", None),
+}
+
+
+class UnsupportedFaultError(ValueError):
+    """Raised when a plan names fault kinds its host cannot execute."""
 
 
 class MessageFaultInjector:
@@ -138,191 +158,65 @@ class MessageFaultInjector:
         return times
 
 
-class DiskFaultInjector:
-    """Schedules degraded-mode and death/recovery events on drives."""
-
-    def __init__(self, system: Any, plan: FaultPlan) -> None:
-        self.system = system
-        self.events = plan.disk_events()
-
-    def _disk(self, disk_id: int) -> Any:
-        cub = self.system.cubs[self.system.layout.cub_of_disk(disk_id)]
-        return cub.disks[disk_id]
-
-    def install(self) -> None:
-        sim = self.system.sim
-        for spec in self.events:
-            disk_id = parse_target(spec.target, "disk")
-            if spec.kind == DISK_SLOW:
-                factor = spec.get("factor", 1.0)
-                sim.call_at(spec.start, self._disk(disk_id).set_slow, factor)
-                sim.call_at(spec.end, self._disk(disk_id).set_slow, 1.0)
-            elif spec.kind == DISK_STUCK:
-                sim.call_at(spec.start, self._disk(disk_id).set_stuck, True)
-                sim.call_at(spec.end, self._disk(disk_id).set_stuck, False)
-            elif spec.kind == DISK_FAIL:
-                sim.call_at(spec.start, self.system.fail_disk, disk_id)
-            elif spec.kind == DISK_RECOVER:
-                sim.call_at(spec.start, self.system.recover_disk, disk_id)
+def _on_restriper(host: Any, verb: str, *args: Any) -> None:
+    """Call ``verb`` on whatever restriper ``host`` has when the fault
+    fires: a plan may be armed before the restriper is attached, and a
+    restripe fault on a host with none is a no-op (like killing an
+    already-dead cub)."""
+    if host.restriper is not None:
+        getattr(host.restriper, verb)(*args)
 
 
-class ProcessFaultInjector:
-    """Schedules cub crash/restart and controller kill/failback."""
+def install_plan(plan: FaultPlan, host: Any) -> Optional[MessageFaultInjector]:
+    """Arm every fault in ``plan`` on ``host``, in plan order.
 
-    def __init__(self, system: Any, plan: FaultPlan) -> None:
-        self.system = system
-        self.events = plan.process_events()
-
-    def install(self) -> None:
-        sim = self.system.sim
-        for spec in self.events:
-            if spec.kind == CUB_CRASH:
-                cub_id = parse_target(spec.target, "cub")
-                sim.call_at(spec.start, self.system.fail_cub, cub_id)
-            elif spec.kind == CUB_RESTART:
-                cub_id = parse_target(spec.target, "cub")
-                sim.call_at(spec.start, self.system.recover_cub, cub_id)
-            elif spec.kind == CONTROLLER_KILL:
-                sim.call_at(spec.start, self.system.fail_controller)
-            elif spec.kind == CONTROLLER_RECOVER:
-                sim.call_at(spec.start, self.system.recover_controller)
-            elif spec.kind == HELPER_CRASH:
-                helper_id = parse_target(spec.target, "helper")
-                sim.call_at(spec.start, self.system.fail_helper, helper_id)
-            elif spec.kind == HELPER_RESTART:
-                helper_id = parse_target(spec.target, "helper")
-                sim.call_at(spec.start, self.system.recover_helper, helper_id)
-
-
-class RestripeFaultInjector:
-    """Schedules pause/resume windows and aborts on the restriper.
-
-    The restriper is resolved lazily at fire time, so a plan can be
-    installed before :meth:`TigerSystem.attach_restriper` runs, and a
-    restripe fault against a system with no restriper is a no-op
-    (exactly like killing an already-dead cub).
+    Returns the installed :class:`MessageFaultInjector`, or ``None``
+    when the plan has no message faults.  Raises
+    :class:`UnsupportedFaultError`, arming nothing, if the plan names a
+    kind outside ``host.fault_kinds``.
     """
+    unsupported = sorted({spec.kind for spec in plan.events} - host.fault_kinds)
+    if unsupported:
+        raise UnsupportedFaultError(
+            "host cannot execute fault kinds: "
+            + ", ".join(unsupported)
+            + (
+                " (cub.restart would need subprocess respawn)"
+                if CUB_RESTART in unsupported
+                else ""
+            )
+        )
+    stage = None
+    if any(spec.kind in _MESSAGE_KINDS for spec in plan.events):
+        stage = MessageFaultInjector(host, plan)
+        stage.install()
 
-    def __init__(self, system: Any, plan: FaultPlan) -> None:
-        self.system = system
-        self.events = plan.restripe_events()
-
-    def _restriper(self) -> Any:
-        return getattr(self.system, "restriper", None)
-
-    def _pause(self) -> None:
-        restriper = self._restriper()
-        if restriper is not None:
-            restriper.pause()
-
-    def _resume(self) -> None:
-        restriper = self._restriper()
-        if restriper is not None:
-            restriper.resume()
-
-    def _abort(self, reason: str) -> None:
-        restriper = self._restriper()
-        if restriper is not None:
-            restriper.abort(reason)
-
-    def install(self) -> None:
-        sim = self.system.sim
-        for spec in self.events:
-            if spec.kind == RESTRIPE_PAUSE:
-                sim.call_at(spec.start, self._pause)
-                sim.call_at(spec.end, self._resume)
-            elif spec.kind == RESTRIPE_ABORT:
-                sim.call_at(spec.start, self._abort, spec.get("reason", "chaos"))
-
-
-class _NetworkTopologyInjector:
-    """Schedules link partitions and port isolations on the switch."""
-
-    def __init__(self, system: Any, plan: FaultPlan) -> None:
-        self.network = system.network
-        self.sim = system.sim
-        self.events = [
-            e for e in plan.network_events()
-            if e.kind in (NET_PARTITION, NET_ISOLATE)
-        ]
-
-    def install(self) -> None:
-        for spec in self.events:
-            if spec.kind == NET_PARTITION:
-                src, dst = parse_target(spec.target, "link")
-                self.sim.call_at(spec.start, self.network.partition, src, dst)
-                self.sim.call_at(spec.end, self.network.heal, src, dst)
-            elif spec.kind == NET_ISOLATE:
-                address = parse_target(spec.target, "node")
-                self.sim.call_at(spec.start, self.network.isolate, address)
-                self.sim.call_at(spec.end, self.network.rejoin, address)
-
-
-class InstalledFaults:
-    """Handle returned by :func:`install_plan`: live injectors + stats."""
-
-    def __init__(
-        self,
-        plan: FaultPlan,
-        message_injector: Optional[MessageFaultInjector],
-        disk_injector: DiskFaultInjector,
-        process_injector: ProcessFaultInjector,
-        topology_injector: _NetworkTopologyInjector,
-        restripe_injector: Optional["RestripeFaultInjector"] = None,
-    ) -> None:
-        self.plan = plan
-        self.message_injector = message_injector
-        self.disk_injector = disk_injector
-        self.process_injector = process_injector
-        self.topology_injector = topology_injector
-        self.restripe_injector = restripe_injector
-
-    def message_stats(self) -> Dict[str, int]:
-        inj = self.message_injector
-        if inj is None:
-            return {"seen": 0, "dropped": 0, "delayed": 0,
-                    "duplicated": 0, "reordered": 0}
-        return {
-            "seen": inj.messages_seen,
-            "dropped": inj.messages_dropped,
-            "delayed": inj.messages_delayed,
-            "duplicated": inj.messages_duplicated,
-            "reordered": inj.messages_reordered,
-        }
-
-
-def install_plan(
-    plan: FaultPlan, system: Any, monitor: Any = None
-) -> InstalledFaults:
-    """Arm every fault in ``plan`` against ``system``.
-
-    If ``monitor`` is given, every spec is reported via
-    ``monitor.note_fault(spec)`` so staleness-sensitive invariants open
-    grace windows around the fault activity.
-    """
-    needs_message_stage = any(
-        e.kind in (NET_DROP, NET_DELAY, NET_DUPLICATE, NET_REORDER)
-        for e in plan.events
-    )
-    message_injector = None
-    if needs_message_stage:
-        message_injector = MessageFaultInjector(system, plan)
-        message_injector.install()
-
-    disk_injector = DiskFaultInjector(system, plan)
-    disk_injector.install()
-    process_injector = ProcessFaultInjector(system, plan)
-    process_injector.install()
-    topology_injector = _NetworkTopologyInjector(system, plan)
-    topology_injector.install()
-    restripe_injector = RestripeFaultInjector(system, plan)
-    restripe_injector.install()
-
-    if monitor is not None:
-        for spec in plan.events:
-            monitor.note_fault(spec)
-
-    return InstalledFaults(
-        plan, message_injector, disk_injector, process_injector,
-        topology_injector, restripe_injector,
-    )
+    call_at = host.runtime.call_at
+    for spec in plan.events:  # message kinds arm no timer: see the stage
+        kind, start, end = spec.kind, spec.start, spec.end
+        if kind in _POINT_VERBS:
+            verb, target = _POINT_VERBS[kind]
+            args = () if target is None else (parse_target(spec.target, target),)
+            call_at(start, getattr(host, verb), *args)
+        elif kind == DISK_SLOW:
+            disk = host.disk(parse_target(spec.target, "disk"))
+            call_at(start, disk.set_slow, spec.get("factor", 1.0))
+            call_at(end, disk.set_slow, 1.0)
+        elif kind == DISK_STUCK:
+            disk = host.disk(parse_target(spec.target, "disk"))
+            call_at(start, disk.set_stuck, True)
+            call_at(end, disk.set_stuck, False)
+        elif kind == NET_PARTITION:
+            src, dst = parse_target(spec.target, "link")
+            call_at(start, host.network.partition, src, dst)
+            call_at(end, host.network.heal, src, dst)
+        elif kind == NET_ISOLATE:
+            address = parse_target(spec.target, "node")
+            call_at(start, host.network.isolate, address)
+            call_at(end, host.network.rejoin, address)
+        elif kind == RESTRIPE_PAUSE:
+            call_at(start, _on_restriper, host, "pause")
+            call_at(end, _on_restriper, host, "resume")
+        elif kind == RESTRIPE_ABORT:
+            call_at(start, _on_restriper, host, "abort", spec.get("reason", "chaos"))
+    return stage

@@ -1,97 +1,29 @@
-"""Fault machinery for the live backend.
+"""The live counterpart of the DES invariant monitor.
 
-Two pieces, mirroring what the chaos harness gives the DES.  There are
-no live-only plans: a scenario's kills are
+Live faults need nothing here: a scenario's kills are
 :meth:`repro.live.cluster.ClusterScenario.fault_plan`, the same
 :class:`~repro.faults.plan.FaultPlan` the ``--compare-sim`` replay
-installs on the simulator.
+installs on the simulator, and :func:`repro.faults.injectors.install_plan`
+arms it on the driver's clock against
+:class:`~repro.live.cluster.LiveCluster`'s fault verbs, each a SIGKILL
+of the victim's subprocess.
 
-* :class:`LiveFaultInjector` — runs in the **driver** process and turns
-  the process events of a :class:`~repro.faults.plan.FaultPlan` into
-  real actions against a live cluster: ``cub.crash`` becomes SIGKILL of
-  the cub's subprocess.  Killing the process is the most faithful fault
-  available — the victim stops heartbeating mid-protocol with no
-  cleanup, its TCP connection drops, and the survivors walk the exact
-  §2.3 deadman path the simulator exercises.  (Live restart — respawning
-  the subprocess — is future work; the plan validator rejects it rather
-  than silently ignoring it.)
-* :class:`CubInvariantProbe` — runs in **each cub node** and sweeps the
-  locally checkable invariants once a second, the live counterpart of
-  the DES :class:`~repro.faults.monitor.InvariantMonitor` (whose global
-  checks need the whole system in one address space).  Violations are
-  counted into the node's metrics registry as
-  ``live.invariant_violations`` and stream back to the driver with
-  every metrics frame, so a cluster run can assert "zero violations"
-  from the merged metrics alone.
+:class:`CubInvariantProbe` runs in **each cub node** and sweeps the
+locally checkable invariants once a second, the live counterpart of
+the DES :class:`~repro.faults.monitor.InvariantMonitor` (whose global
+checks need the whole system in one address space).  Violations are
+counted into the node's metrics registry as
+``live.invariant_violations`` and stream back to the driver with every
+metrics frame, so a cluster run can assert "zero violations" from the
+merged metrics alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
+from repro.core.view import view_size_bound
 from repro.faults.monitor import index_incoherence
-from repro.faults.plan import (
-    CONTROLLER_KILL,
-    CUB_CRASH,
-    CUB_RESTART,
-    HELPER_CRASH,
-    FaultPlan,
-    parse_target,
-)
-
-#: FaultPlan kinds the live injector can execute today.
-LIVE_SUPPORTED_KINDS = frozenset({CUB_CRASH, CONTROLLER_KILL, HELPER_CRASH})
-
-
-class LiveFaultError(ValueError):
-    """Raised when a plan contains faults the live backend cannot run."""
-
-
-class LiveFaultInjector:
-    """Schedules a plan's process faults against a live cluster.
-
-    ``cluster`` is duck-typed: anything with ``kill_node(address)`` and
-    a driver-side :class:`~repro.live.runtime.LiveRuntime` under
-    ``.runtime`` (see :class:`repro.live.cluster.LiveCluster`).
-    """
-
-    def __init__(self, cluster: Any, plan: FaultPlan) -> None:
-        self.cluster = cluster
-        self.plan = plan
-        #: ``(time, address)`` pairs actually armed, for the report.
-        self.scheduled: List[Tuple[float, str]] = []
-        unsupported = sorted(
-            {
-                spec.kind
-                for spec in plan.events
-                if spec.kind not in LIVE_SUPPORTED_KINDS
-            }
-        )
-        if unsupported:
-            raise LiveFaultError(
-                "live backend cannot execute fault kinds: "
-                + ", ".join(unsupported)
-                + (
-                    " (cub.restart would need subprocess respawn)"
-                    if CUB_RESTART in unsupported
-                    else ""
-                )
-            )
-
-    def install(self) -> None:
-        """Arm every supported fault on the driver's runtime clock."""
-        runtime = self.cluster.runtime
-        for spec in self.plan.events:
-            if spec.kind == CUB_CRASH:
-                cub_id = parse_target(spec.target, "cub")
-                address = f"cub:{cub_id}"
-            elif spec.kind == HELPER_CRASH:
-                helper_id = parse_target(spec.target, "helper")
-                address = f"helper:{helper_id}"
-            else:  # CONTROLLER_KILL
-                address = "controller"
-            runtime.call_at(spec.start, self.cluster.kill_node, address)
-            self.scheduled.append((spec.start, address))
 
 
 class CubInvariantProbe:
@@ -125,7 +57,7 @@ class CubInvariantProbe:
         self.cub = cub
         self.period = period
         config = cub.config
-        self.view_bound = 40 * config.num_slots + 1000
+        self.view_bound = view_size_bound(config.num_slots)
         self.queue_bound = (
             queue_bound
             if queue_bound is not None

@@ -194,7 +194,13 @@ class InvariantMonitor:
     # Fault awareness
     # ------------------------------------------------------------------
     def note_fault(self, spec: FaultSpec) -> None:
-        """Open a grace window around one scheduled fault."""
+        """Open a grace window around one scheduled fault.
+
+        Helper faults open none: a helper owns no schedule state, so
+        its death must leave every invariant armed.
+        """
+        if spec.kind.startswith("helper."):
+            return
         self._relaxed_windows.append(
             (spec.start, spec.end + self.settle_margin)
         )

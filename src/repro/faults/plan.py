@@ -7,7 +7,7 @@ from the machinery that makes it go wrong (see
 
 * **Determinism.**  A plan holds no live state and draws no randomness
   itself; probabilistic faults (message drop, duplication, reordering)
-  are resolved by the injectors against a named
+  are resolved by the message stage against a named
   :class:`~repro.sim.rng.RngRegistry` stream, so the same (system seed,
   plan) pair replays bit-identically.  Goemans/Lynch/Saias-style
   multi-fault regimes become reproducible experiments instead of
@@ -57,16 +57,6 @@ _POINT_KINDS = frozenset(
      RESTRIPE_ABORT}
 )
 ALL_KINDS = _WINDOW_KINDS | _POINT_KINDS
-
-#: Fault classes whose effects linger after the fault itself clears:
-#: the invariant monitor widens its staleness grace until the system
-#: has had time to re-converge (see FaultPlan.settle_margin).  Helper
-#: faults are deliberately absent: a helper owns no schedule state, so
-#: its death must not require any invariant grace at all.
-PROCESS_KINDS = frozenset(
-    {CUB_CRASH, CUB_RESTART, CONTROLLER_KILL, CONTROLLER_RECOVER,
-     DISK_FAIL, DISK_RECOVER}
-)
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,7 @@ class FaultPlan:
     """An ordered, buildable collection of :class:`FaultSpec` records."""
 
     events: List[FaultSpec] = field(default_factory=list)
-    #: Salt for the injectors' RNG stream names; two plans with
+    #: Salt for the message stage's RNG stream name; two plans with
     #: different names draw independent randomness from the same system.
     name: str = "chaos"
 
@@ -328,35 +318,11 @@ class FaultPlan:
         """Instant after which no scheduled fault is active."""
         return max((event.end for event in self.events), default=0.0)
 
-    def network_events(self) -> List[FaultSpec]:
-        return [e for e in self.events if e.kind.startswith("net.")]
-
-    def disk_events(self) -> List[FaultSpec]:
-        return [e for e in self.events if e.kind.startswith("disk.")]
-
-    def process_events(self) -> List[FaultSpec]:
-        return [
-            e for e in self.events
-            if e.kind.startswith("cub.")
-            or e.kind.startswith("controller.")
-            or e.kind.startswith("helper.")
-        ]
-
-    def restripe_events(self) -> List[FaultSpec]:
-        return [e for e in self.events if e.kind.startswith("restripe.")]
-
     def describe(self) -> str:
         if not self.events:
             return "(no faults)"
         ordered = sorted(self.events, key=lambda e: (e.start, e.kind))
         return "\n".join(event.describe() for event in ordered)
-
-    def install(self, system: Any, monitor: Any = None) -> Any:
-        """Arm every fault against ``system``; see
-        :func:`repro.faults.injectors.install_plan`."""
-        from repro.faults.injectors import install_plan
-
-        return install_plan(self, system, monitor)
 
     @staticmethod
     def _check_rate(rate: float) -> None:

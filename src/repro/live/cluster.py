@@ -73,8 +73,13 @@ from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
 from repro.core.protocol import BlockData
 from repro.core.tiger import TigerSystem
 from repro.core.world import World
-from repro.faults.live import LiveFaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.injectors import install_plan
+from repro.faults.plan import (
+    CONTROLLER_KILL,
+    CUB_CRASH,
+    HELPER_CRASH,
+    FaultPlan,
+)
 from repro.live.node import (
     DEFAULT_METRICS_INTERVAL,
     ROLE_BACKUP,
@@ -446,9 +451,10 @@ def arm_scenario(host: Any, scenario: ClusterScenario) -> None:
     The single place a scenario becomes a restriper, viewer clients,
     their script and a fault plan.  ``host`` is an assembly
     (:class:`~repro.core.world.World`: ``runtime``, layout, catalog)
-    that also knows how to take a client, a restriper and a fault plan
-    into its own fabric — ``add_client()``, ``attach_restriper(plan,
-    journal=..., throttle=...)``, ``install_faults(plan)``.  Two exist:
+    that also knows how to take a client and a restriper into its own
+    fabric — ``add_client()``, ``attach_restriper(plan, journal=...,
+    throttle=...)`` — and executes the fault verbs its ``fault_kinds``
+    name (:func:`~repro.faults.injectors.install_plan`).  Two exist:
     :class:`~repro.core.tiger.TigerSystem` (the ``--compare-sim``
     replay) and :class:`LiveCluster` (the real thing).
 
@@ -468,9 +474,7 @@ def arm_scenario(host: Any, scenario: ClusterScenario) -> None:
     schedule_viewer_script(
         host.runtime, scenario, clients, host.catalog.files()
     )
-    plan = scenario.fault_plan()
-    if plan.events:
-        host.install_faults(plan)
+    install_plan(scenario.fault_plan(), host)
 
 
 # ----------------------------------------------------------------------
@@ -934,7 +938,7 @@ class ClusterReport:
 # ----------------------------------------------------------------------
 class LiveCluster(World):
     """The live scenario host: the driver's assembly plus the spawned
-    node processes the fault injector targets.
+    node processes its fault verbs SIGKILL.
 
     Viewer clients and the online restriper are driver-hosted protocol
     nodes — the same classes the DES runs, on ``LiveRuntime`` +
@@ -966,8 +970,7 @@ class LiveCluster(World):
         self.procs = procs
         self.clients: List[Any] = []
         self.restriper: Any = None
-        #: ``(runtime_time, address)`` kills armed / actually performed.
-        self.armed_faults: List[Tuple[float, str]] = []
+        #: ``(runtime_time, address)`` kills actually performed.
         self.kills: List[Tuple[float, str]] = []
         self._backup = BACKUP_CONTROLLER_ADDRESS if scenario.backup else None
         self.lateness = registry.histogram(
@@ -1010,16 +1013,25 @@ class LiveCluster(World):
         self.hub.local[RESTRIPER_ADDRESS] = self.restriper.deliver
         return self.restriper
 
-    def install_faults(self, plan: FaultPlan) -> None:
-        """Arm ``plan`` as SIGKILLs on the driver's clock."""
-        injector = LiveFaultInjector(self, plan)
-        injector.install()
-        self.armed_faults = injector.scheduled
+    # -- fault verbs (see install_plan) ---------------------------------
+    #: What a SIGKILL can do.  Respawning a process (``cub.restart``)
+    #: is not implemented, so the live backend has no recovery verbs.
+    fault_kinds = frozenset({CUB_CRASH, CONTROLLER_KILL, HELPER_CRASH})
 
-    # -- fault target ---------------------------------------------------
+    def fail_cub(self, cub_id: int) -> None:
+        self.kill_node(f"cub:{cub_id}")
+
+    def fail_helper(self, helper_id: int) -> None:
+        self.kill_node(f"helper:{helper_id}")
+
+    def fail_controller(self) -> None:
+        self.kill_node("controller")
+
     def kill_node(self, address: str) -> None:
-        """SIGKILL a node: the live cub-crash fault (no cleanup, no
-        goodbye — the survivors find out via deadman silence)."""
+        """SIGKILL a node: every live fault is one.  It is the most
+        faithful fault available — the victim stops mid-protocol with
+        no cleanup or goodbye, its TCP connection drops, and a cub's
+        survivors walk the same §2.3 deadman path the simulator does."""
         proc = self.procs.get(address)
         if proc is None or proc.poll() is not None:
             return
@@ -1188,8 +1200,8 @@ async def _run_cluster_async(
             f"at t={scenario.restripe_start:g}s, throttle "
             f"{scenario.restripe_throttle:g}"
         )
-    for when, address in cluster.armed_faults:
-        echo(f"armed fault: SIGKILL {address} at t={when:g}s")
+    for spec in scenario.fault_plan().events:
+        echo(f"armed fault: SIGKILL {spec.target} at t={spec.start:g}s")
 
     echo(
         f"epoch fixed; driving {scenario.streams} streams for "

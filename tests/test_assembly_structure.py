@@ -63,6 +63,12 @@ RETIRED_NAMES = {
     "NodeWorld", "kill_cub_plan", "kill_helper_plan",
     "build_restripe_plan", "FailurePlan", "MultiZoneGeometry",
     "RestripeExecutor",
+    # One fault installer: a plan arms each host's own fault verbs.
+    "DiskFaultInjector", "ProcessFaultInjector", "RestripeFaultInjector",
+    "_NetworkTopologyInjector", "InstalledFaults", "LiveFaultInjector",
+    "LiveFaultError", "LIVE_SUPPORTED_KINDS", "PROCESS_KINDS",
+    "install_faults", "network_events", "disk_events", "process_events",
+    "restripe_events",
 }
 
 #: Tier payloads the cub serves without ever naming them.

@@ -96,6 +96,69 @@ class TestChainLivenessRegressions:
             assert report.totals["client_received"] > 100
 
 
+def partition_case():
+    # A data link: a 3 s cut between cubs orphans a play (silent
+    # sub-timeout control-link cuts are outside the paper's TCP model).
+    plan = FaultPlan(name="partition").partition_link(
+        "cub:1", "client:0", start=10.0, duration=3.0
+    )
+    return small_config(), plan, {}
+
+
+def restripe_case():
+    config = small_config()
+    plan = (
+        FaultPlan(name="restripe-ops")
+        .pause_restripe(8.0, duration=5.0)
+        .abort_restripe(20.0, reason="drill")
+    )
+    # ``--restripe 1,2``: every cub's second drive weighs twice its first.
+    weights = tuple(
+        1 if disk < config.num_cubs else 2 for disk in range(config.num_disks)
+    )
+    return config, plan, dict(
+        restripe_weights=weights, restripe_throttle=0.5, restripe_start=5.0
+    )
+
+
+def helper_case():
+    plan = FaultPlan(name="helper").crash_helper(0, at=10.0, restart_after=5.0)
+    return small_config(helpers=2, helper_capacity=64), plan, {}
+
+
+class TestFaultArmFingerprints:
+    """One short run per fault arm no committed result exercises, with
+    its fingerprint pinned: arming a verb at another instant, or in
+    another order among same-instant events, moves it."""
+
+    @pytest.mark.parametrize(
+        "case, fingerprint, dropped",
+        [
+            (partition_case,
+             "4102cb65b8d173f63ccd46daef3de2ef789033901ebffa8eaf59c63c72ecbece",
+             8),
+            (restripe_case,
+             "8ef72db3e78387ae8045574b6e46fd5ae53b267362158480b4f9e45d7541572f",
+             0),
+            (helper_case,
+             "2716d50d9b1dbd48f98ae2aa6ecdbabb2baa04fbd1ea52d7ba7196c537dea565",
+             0),
+        ],
+        ids=["partition_link", "pause_and_abort_restripe", "crash_helper"],
+    )
+    def test_fingerprint_is_pinned(self, case, fingerprint, dropped):
+        config, plan, extra = case()
+        harness = ChaosHarness(
+            config, plan, seed=0, load=0.4, duration=30.0, **extra
+        )
+        report = harness.run()
+        assert report.totals["messages_dropped"] == dropped
+        assert report.fingerprint == fingerprint
+        restriper = harness.system.restriper
+        if restriper is not None:
+            assert restriper.aborted and not restriper.finished
+
+
 class TestStandardPlan:
     def test_contains_acceptance_fault_mix(self):
         plan = standard_chaos_plan(duration=120.0, drop_rate=0.01)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TigerSystem, small_config
+from repro.faults.injectors import install_plan
 from repro.faults.plan import FaultPlan
 
 
@@ -13,7 +14,7 @@ class TestFailurePlanIntegration:
         client = system.add_client()
         for index in range(8):
             client.start_stream(file_id=index % 4)
-        FaultPlan().crash_cub(1, at=20.0, restart_after=25.0).install(system)
+        install_plan(FaultPlan().crash_cub(1, at=20.0, restart_after=25.0), system)
         system.run_for(70.0)
         assert system.cubs[1].failed is False
         assert system.total_mirror_pieces_sent() > 0
@@ -25,7 +26,7 @@ class TestFailurePlanIntegration:
         client = system.add_client()
         for index in range(8):
             client.start_stream(file_id=index % 4)
-        FaultPlan().fail_disk(2, at=15.0).install(system)
+        install_plan(FaultPlan().fail_disk(2, at=15.0), system)
         system.run_for(40.0)
         assert system.cubs[2].disks[2].failed
         assert system.total_mirror_pieces_sent() > 0
@@ -43,7 +44,7 @@ class TestFailurePlanIntegration:
             .crash_cub(0, at=15.0, restart_after=25.0)
             .crash_cub(2, at=60.0)
         )
-        plan.install(system)
+        install_plan(plan, system)
         system.run_for(90.0)
         system.finalize_clients()
         for monitor in client.all_monitors():

@@ -1,13 +1,20 @@
-"""Tests for the fault injectors (repro.faults.injectors)."""
+"""Tests for the one fault installer and the message stage
+(repro.faults.injectors)."""
+
+import re
 
 import pytest
 
 from repro import TigerSystem, small_config
+from repro.faults import ChaosHarness, InvariantMonitor
 from repro.faults.injectors import (
     MessageFaultInjector,
+    UnsupportedFaultError,
     install_plan,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import ALL_KINDS, CUB_CRASH, FaultPlan, FaultSpec
+from repro.live.cluster import ClusterHub, ClusterScenario, LiveCluster
+from repro.obs.registry import MetricsRegistry
 from repro.sim.rng import RngRegistry
 
 
@@ -113,7 +120,7 @@ class TestSystemInjectors:
         system = self.build()
         plan = FaultPlan().slow_disk(2, factor=3.0, start=1.0, duration=2.0)
         install_plan(plan, system)
-        disk = system.cubs[system.layout.cub_of_disk(2)].disks[2]
+        disk = system.disk(2)
         system.run_for(1.5)
         assert disk.slow_factor == pytest.approx(3.0)
         system.run_for(2.0)
@@ -123,7 +130,7 @@ class TestSystemInjectors:
         system = self.build()
         plan = FaultPlan().fail_disk(1, at=1.0, recover_after=2.0)
         install_plan(plan, system)
-        disk = system.cubs[system.layout.cub_of_disk(1)].disks[1]
+        disk = system.disk(1)
         system.run_for(1.5)
         assert disk.failed
         system.run_for(2.0)
@@ -149,30 +156,73 @@ class TestSystemInjectors:
 
     def test_no_message_stage_without_message_faults(self):
         system = self.build()
-        plan = FaultPlan().crash_cub(1, at=1.0)
-        installed = install_plan(plan, system)
-        assert installed.message_injector is None
+        assert install_plan(FaultPlan().crash_cub(1, at=1.0), system) is None
         assert system.network.fault_injector is None
-        assert installed.message_stats() == {
-            "seen": 0, "dropped": 0, "delayed": 0,
-            "duplicated": 0, "reordered": 0,
-        }
+        plan = FaultPlan().drop_messages(0.1, start=0.0, duration=5.0)
+        stage = install_plan(plan, system)
+        assert system.network.fault_injector is stage
 
-    def test_monitor_notified_of_every_spec(self):
-        system = self.build()
+    def test_monitor_notified_of_every_spec(self, monkeypatch):
         plan = (
             FaultPlan()
             .drop_messages(0.1, start=0.0, duration=5.0)
             .crash_cub(1, at=1.0, restart_after=2.0)
         )
+        noted = []
+        monkeypatch.setattr(
+            InvariantMonitor, "note_fault", lambda _, spec: noted.append(spec)
+        )
+        ChaosHarness(small_config(), plan, duration=10.0).build()
+        assert noted == plan.events
 
-        class Recorder:
-            def __init__(self):
-                self.specs = []
 
-            def note_fault(self, spec):
-                self.specs.append(spec)
+class ArmedCalls:
+    """A runtime that writes down what is armed on it, by verb name."""
 
-        recorder = Recorder()
-        install_plan(plan, system, recorder)
-        assert recorder.specs == plan.events
+    def __init__(self):
+        self.armed = []
+
+    def call_at(self, when, fn, *args):
+        self.armed.append((when, fn.__name__, args))
+
+
+def stub_live_cluster(scenario):
+    """A :class:`LiveCluster` with no processes, on an :class:`ArmedCalls`."""
+    registry = MetricsRegistry()
+    hub = ClusterHub(scenario.node_addresses(), registry)
+    return LiveCluster(scenario, hub, ArmedCalls(), registry, procs={})
+
+
+class TestOneInstallerBothHosts:
+    SCENARIO = ClusterScenario(cubs=4, helpers=1, helper_capacity=8)
+
+    def test_both_hosts_arm_the_same_verbs(self):
+        plan = (
+            FaultPlan()
+            .crash_cub(2, at=3.0)
+            .crash_helper(0, at=1.0)
+            .kill_controller(at=2.0)
+        )
+        system = TigerSystem(self.SCENARIO.config())
+        system.runtime = ArmedCalls()
+        cluster = stub_live_cluster(self.SCENARIO)
+        install_plan(plan, system)
+        install_plan(plan, cluster)
+        assert system.runtime.armed == cluster.runtime.armed == [
+            (3.0, "fail_cub", (2,)),
+            (1.0, "fail_helper", (0,)),
+            (2.0, "fail_controller", ()),
+        ]
+
+    @pytest.mark.parametrize(
+        "kind", sorted(ALL_KINDS - LiveCluster.fault_kinds)
+    )
+    def test_live_cluster_refuses_with_nothing_armed(self, kind):
+        cluster = stub_live_cluster(self.SCENARIO)
+        plan = FaultPlan([
+            FaultSpec(CUB_CRASH, 1.0, target="cub:1"),
+            FaultSpec(kind, 2.0, duration=1.0),
+        ])
+        with pytest.raises(UnsupportedFaultError, match=re.escape(kind)):
+            install_plan(plan, cluster)
+        assert cluster.runtime.armed == []

@@ -64,6 +64,17 @@ class TestGraceWindows:
             5.0 + monitor.settle_margin
         )
 
+    def test_helper_faults_open_no_window(self):
+        """A helper owns no schedule state: its death and reboot must
+        leave every staleness check armed."""
+        system = build_running(warmup=1.0)
+        monitor = InvariantMonitor(system)
+        for spec in FaultPlan().crash_helper(0, at=5.0, restart_after=3.0).events:
+            monitor.note_fault(spec)
+        assert not monitor._relaxed(5.0)
+        assert not monitor._relaxed(8.0)
+        assert monitor._converge_after == 0.0
+
     def test_hard_checks_never_stand_down(self):
         """Delivery conservation must hold even mid-fault-window."""
         system = build_running()

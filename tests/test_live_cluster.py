@@ -8,17 +8,19 @@ live-smoke job enforces through the CLI.
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import small_config
-from repro.faults.live import LiveFaultError, LiveFaultInjector
+from repro.faults.injectors import UnsupportedFaultError, install_plan
 from repro.faults.plan import FaultPlan
 from repro.live.cluster import (
     SEND_HIGH_WATERMARK,
     SEND_QUEUE_HARD_CAP,
     ClusterReport,
     ClusterScenario,
+    LiveCluster,
     NodeConnection,
     compare_counters,
     relative_drift,
@@ -130,12 +132,14 @@ def test_config_round_trips_through_node_spec():
 # Fault plumbing
 # ----------------------------------------------------------------------
 def test_live_injector_rejects_unsupported_fault_kinds():
+    # Refused before the host's runtime is touched.
+    cluster = SimpleNamespace(fault_kinds=LiveCluster.fault_kinds)
     plan = FaultPlan().drop_messages(rate=0.1, start=0.0, duration=5.0)
-    with pytest.raises(LiveFaultError, match="net.drop"):
-        LiveFaultInjector(cluster=None, plan=plan)
+    with pytest.raises(UnsupportedFaultError, match="net.drop"):
+        install_plan(plan, cluster)
     restart = FaultPlan().crash_cub(1, at=2.0, restart_after=3.0)
-    with pytest.raises(LiveFaultError, match="cub.restart"):
-        LiveFaultInjector(cluster=None, plan=restart)
+    with pytest.raises(UnsupportedFaultError, match="cub.restart would need"):
+        install_plan(restart, cluster)
 
 
 def test_kill_cub_plan_is_one_supported_crash():

@@ -20,6 +20,7 @@ import pytest
 from repro.core.protocol import BlockData, block_pattern
 from repro.core.tiger import TigerSystem
 from repro.core.world import World
+from repro.faults.plan import CUB_CRASH, HELPER_CRASH
 from repro.live.cluster import (
     ClusterHub,
     ClusterScenario,
@@ -157,8 +158,11 @@ def busy_scenario(**overrides):
 
 
 class RecordingHost(World):
-    """A third host: the substrate comes from the assembly, the three
-    verbs only write down what they were asked."""
+    """A third host: the substrate comes from the assembly, the host
+    verbs and the two fault verbs only write down what they were
+    asked."""
+
+    fault_kinds = frozenset({CUB_CRASH, HELPER_CRASH})
 
     def __init__(self, scenario):
         super().__init__(
@@ -169,6 +173,7 @@ class RecordingHost(World):
             scenario.num_files, scenario.file_duration_s
         )
         self.calls = []
+        self.faults = []
         self.clients = []
         self.restriper_started_at = None
 
@@ -188,32 +193,34 @@ class RecordingHost(World):
 
         return SimpleNamespace(start=start)
 
-    def install_faults(self, plan):
-        self.calls.append("install_faults")
-        self.fault_plan = plan
+    def fail_cub(self, cub_id):
+        self.faults.append((self.runtime.now, "fail_cub", cub_id))
+
+    def fail_helper(self, helper_id):
+        self.faults.append((self.runtime.now, "fail_helper", helper_id))
 
 
 def test_arm_scenario_order_and_arguments():
     scenario = busy_scenario()
     host = RecordingHost(scenario)
     arm_scenario(host, scenario)
-    # Restriper first, then every client, then the one fault plan: on
-    # the DES this order is the event sequence numbers.
+    # Restriper first, then every client, then the fault plan's timers:
+    # on the DES this order is the event sequence numbers (the golden
+    # replays below pin it).
     assert host.calls == (
         ["attach_restriper"] + ["add_client"] * scenario.streams
-        + ["install_faults"]
     )
     assert host.plan.moves and host.plan.new_layout.disk_weights == (
         RESTRIPE_WEIGHTS
     )
     assert host.restriper_options == {"journal": None, "throttle": 0.5}
-    assert [spec.describe() for spec in host.fault_plan.events] == [
-        f"cub.crash cub:2 @{scenario.kill_time():g}s",
-        f"helper.crash helper:0 @{scenario.helper_kill_time():g}s",
-    ]
-    assert host.restriper_started_at is None
+    assert host.restriper_started_at is None and host.faults == []
     host.runtime.run(until=scenario.duration)
     assert host.restriper_started_at == scenario.restripe_start
+    assert host.faults == [
+        (scenario.kill_time(), "fail_cub", 2),
+        (scenario.helper_kill_time(), "fail_helper", 0),
+    ]
 
 
 def test_arm_scenario_without_restripe_or_faults_asks_for_neither():
@@ -372,7 +379,11 @@ def test_scenario_armed_on_a_live_cluster_without_processes():
             assert set(hub.local) == {
                 f"client:{index}" for index in range(scenario.streams)
             } | {RESTRIPER_ADDRESS}
-            assert cluster.armed_faults == [(5.0, "cub:2"), (5.0, "helper:0")]
+            # What the driver echoes as armed.
+            assert [
+                (spec.start, spec.target)
+                for spec in scenario.fault_plan().events
+            ] == [(5.0, "cub:2"), (5.0, "helper:0")]
             assert cluster.restriper.plan.moves
             await asyncio.sleep(0.05)  # due timers fire: streams start
             assert cluster.restriper.started

@@ -156,6 +156,13 @@ class Cub(NetworkNode):
             is_final=self._state_is_final,
         )
         self.deadman = self._fresh_deadman()
+        #: The deadman beat and the neighbours it goes to, built once:
+        #: the watched set is fixed by ``cub_id`` and ``num_cubs``, so a
+        #: rebooted cub's fresh monitor watches the same cubs.
+        self._heartbeat = Heartbeat(cub_id)
+        self._heartbeat_to = tuple(
+            cub_address(neighbour) for neighbour in self.deadman.watched
+        )
 
         #: The cub's disks, keyed by global disk id.
         self.disks: Dict[int, SimDisk] = {
@@ -296,11 +303,12 @@ class Cub(NetworkNode):
         )
 
         #: Payload type -> ``handler(payload, sender)``: the one dispatch
-        #: path.  These five are §4's whole vocabulary; an optional
-        #: tier's cub-side service adds its own (``World.make_cub``), so
-        #: the cub never names a tier's messages.
+        #: path.  These four and the heartbeat, which
+        #: :meth:`handle_message` hands the deadman before any lookup,
+        #: are §4's whole vocabulary; an optional tier's cub-side service
+        #: adds its own (``World.make_cub``), so the cub never names a
+        #: tier's messages.
         self.handlers: Dict[type, Callable[[Any, str], None]] = {
-            Heartbeat: self._on_heartbeat,
             ViewerStateBatch: self._on_state_batch,
             DescheduleForward: self._on_deschedule,
             StartRequest: self._on_start_request,
@@ -398,15 +406,16 @@ class Cub(NetworkNode):
     def handle_message(self, message: Message) -> None:
         payload = message.payload
         kind = type(payload)
+        if kind is Heartbeat:
+            # Eight of every cub-second's messages; a liveness beat is
+            # not charged CPU and goes straight to the deadman.
+            self.deadman.note_heartbeat(payload.cub_id, self.sim.now)
+            return
         handler = self.handlers.get(kind)
         if handler is None:
             raise TypeError(f"{self.name}: unexpected payload {kind.__name__}")
-        if kind is not Heartbeat:  # liveness beats are not charged CPU
-            self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
+        self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
         handler(payload, message.src)
-
-    def _on_heartbeat(self, beat: Heartbeat, _sender: str) -> None:
-        self.deadman.note_heartbeat(beat.cub_id, self.sim.now)
 
     def _on_state_batch(self, batch: ViewerStateBatch, _sender: str) -> None:
         for state in batch.states:
@@ -710,6 +719,8 @@ class Cub(NetworkNode):
         self._pump_forward()
 
     def _pump_forward(self) -> None:
+        if not self._forward_queue and not self._mirror_forward_queue:
+            return  # an idle cub's every pump tick
         now = self.sim.now
         bpt = self.config.block_play_time
         max_lead = self.config.max_vstate_lead
@@ -1317,13 +1328,10 @@ class Cub(NetworkNode):
     # Heartbeats, bookkeeping
     # ==================================================================
     def _send_heartbeats(self) -> None:
-        beat = Heartbeat(self.cub_id)
-        for neighbour in self.deadman.watched:
-            self.network.send(
-                Message(
-                    self.address, cub_address(neighbour), beat, HEARTBEAT_BYTES
-                )
-            )
+        send = self.network.send
+        source, beat = self.address, self._heartbeat
+        for address in self._heartbeat_to:
+            send(Message(source, address, beat, HEARTBEAT_BYTES))
 
     def _deadman_check(self) -> None:
         self.deadman.check(self.sim.now)

@@ -9,11 +9,12 @@ resource whose utilization the network schedule (§3.2) manages.
 
 from __future__ import annotations
 
-from repro.sim.stats import BusyMeter, RateMeter
+from repro.sim.stats import BusyMeter
 
 
-class Nic:
-    """An egress-serialized network interface.
+class Nic(BusyMeter):
+    """An egress-serialized network interface: a serial resource whose
+    busy time is the serialization of what it sends.
 
     Parameters
     ----------
@@ -22,12 +23,14 @@ class Nic:
         are ~155 Mbit/s; we default lower-order components elsewhere).
     """
 
+    __slots__ = ("bandwidth_bps", "bytes_sent", "messages_sent")
+
     def __init__(self, bandwidth_bps: float, start_time: float = 0.0) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
+        super().__init__(start_time)
         self.bandwidth_bps = float(bandwidth_bps)
-        self.busy = BusyMeter(start_time)
-        self.bytes_sent = RateMeter(start_time)
+        self.bytes_sent = 0
         self.messages_sent = 0
 
     def serialization_delay(self, size_bytes: int) -> float:
@@ -40,17 +43,21 @@ class Nic:
         Returns the time at which the last byte leaves the NIC (i.e.
         when the message has fully departed).  Messages queue FIFO
         behind any in-flight transmission.
-        """
-        delay = self.serialization_delay(size_bytes)
-        departure_start = max(now, self.busy.busy_until)
-        self.busy.add_busy(now, delay)
-        self.bytes_sent.add(size_bytes)
-        self.messages_sent += 1
-        return departure_start + delay
 
-    def utilization(self, now: float) -> float:
-        return self.busy.utilization(now)
+        Every unpaced message (every heartbeat) passes here, so the
+        serialization delay, the busy horizon and the byte count are
+        worked out inline rather than through method calls.
+        """
+        delay = size_bytes * 8.0 / self.bandwidth_bps
+        start = self._busy_until
+        if now > start:
+            start = now
+        self._busy_until = start + delay
+        self._busy_accum += delay
+        self.bytes_sent += size_bytes
+        self.messages_sent += 1
+        return self._busy_until
 
     def queue_delay(self, now: float) -> float:
         """How long a message enqueued now would wait before transmitting."""
-        return max(0.0, self.busy.busy_until - now)
+        return max(0.0, self._busy_until - now)

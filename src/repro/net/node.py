@@ -14,9 +14,10 @@ class NetworkNode(Process):
     """A process with a network address and a message dispatch entry point.
 
     Subclasses (cubs, the controller, viewers) implement
-    :meth:`handle_message`.  The network delivers every message through
+    :meth:`handle_message`.  A live node delivers every message through
     :meth:`deliver`, which drops traffic addressed to a failed node —
-    modelling a powered-off machine.
+    modelling a powered-off machine; the simulated fabric makes the same
+    check inline in ``SwitchedNetwork._deliver``.
     """
 
     def __init__(self, sim: Simulator, address: str, tracer: Optional[Tracer] = None) -> None:

@@ -9,9 +9,9 @@ guarantee Tiger gets from running TCP between cubs (§4.1.3 relies on
 it for deschedule-before-insert ordering).
 
 Failure semantics: messages from a failed node are dropped at the
-source; messages to a failed node are dropped at the destination (see
-:meth:`NetworkNode.deliver`).  Partition sets allow link-level drops
-for fault-injection tests.
+source; messages to a failed node are counted delivered and dropped at
+the destination (see :meth:`SwitchedNetwork._deliver`).  Partition sets
+allow link-level drops for fault-injection tests.
 """
 
 from __future__ import annotations
@@ -117,17 +117,21 @@ class SwitchedNetwork:
     def rejoin(self, address: str) -> None:
         self._isolated.discard(address)
 
-    def _link_blocked(self, message: Message) -> bool:
+    def _link_blocked(self, src: str, dst: str) -> bool:
         return (
-            (message.src, message.dst) in self._partitioned
-            or message.src in self._isolated
-            or message.dst in self._isolated
+            (src, dst) in self._partitioned
+            or src in self._isolated
+            or dst in self._isolated
         )
 
     def _schedule_delivery(
-        self, message: Message, arrival: float, fifo: bool = True
+        self, message: Message, arrival: float, flow: Optional[Tuple[str, str]]
     ) -> bool:
-        """Final fabric stage: FIFO clamp, fault injector, enqueue.
+        """The fault stage: perturb one delivery, then enqueue it.
+
+        Only runs while a ``fault_injector`` is installed; without one,
+        ``send`` / ``send_paced`` enqueue the delivery themselves.
+        ``arrival`` is already clamped to the flow's FIFO floor.
 
         The per-flow FIFO floor is maintained here — from the arrival
         times *actually scheduled* — not from the nominal pre-fault
@@ -138,22 +142,11 @@ class SwitchedNetwork:
         untouched (so later sends *can* overtake it) and is traced
         distinctly as ``net.reorder``.
 
-        ``fifo=False`` is the paced-data path: paced streams are
+        ``flow=None`` is the paced-data path: paced streams are
         cell-interleaved on the ATM fabric, so a small transfer (a
         mirror piece) is NOT serialized behind a large in-flight block
         to the same client and no floor applies.
         """
-        flow = (message.src, message.dst)
-        if fifo:
-            floor = self._last_arrival.get(flow, -1.0) + _FIFO_EPSILON
-            if arrival < floor:
-                arrival = floor
-        if self.fault_injector is None:
-            if fifo:
-                self._last_arrival[flow] = arrival
-            self.messages_scheduled += 1
-            self.sim.call_at(arrival, self._deliver, message)
-            return True
         now = self.sim.now
         arrivals = self.fault_injector.perturb(message, now, arrival)
         if not arrivals:
@@ -172,7 +165,7 @@ class SwitchedNetwork:
             self.sim.call_at(when, self._deliver, message)
             if when > latest:
                 latest = when
-        if fifo and not reordered:
+        if flow is not None and not reordered:
             # Floor from the actual (post-perturbation) arrivals, so a
             # delayed or duplicated message keeps its flow in order.
             if latest > self._last_arrival.get(flow, -1.0):
@@ -200,28 +193,49 @@ class SwitchedNetwork:
         Delivery time = NIC departure (FIFO serialization at the sender)
         + switch propagation latency + jitter, clamped to preserve
         per-flow FIFO order.
+
+        This is every heartbeat's path (eight per cub-second), so it
+        reads each message field once, looks at the partition sets only
+        while one is non-empty, and enqueues the delivery itself unless
+        a fault stage is installed.
         """
-        endpoint = self._endpoint.get(message.src)
+        src = message.src
+        dst = message.dst
+        endpoint = self._endpoint.get(src)
         if endpoint is None:
-            raise KeyError(f"unknown source address {message.src!r}")
-        if message.dst not in self._nodes:
-            raise KeyError(f"unknown destination address {message.dst!r}")
+            raise KeyError(f"unknown source address {src!r}")
+        if dst not in self._nodes:
+            raise KeyError(f"unknown destination address {dst!r}")
         src_node, nic, control_meter, data_meter = endpoint
         self.messages_sent += 1
-        if src_node.failed or self._link_blocked(message):
+        if src_node.failed or (
+            (self._partitioned or self._isolated)
+            and self._link_blocked(src, dst)
+        ):
             self.messages_dropped += 1
             return False
 
-        departure = nic.enqueue(self.sim.now, message.size_bytes)
+        size = message.size_bytes
+        departure = nic.enqueue(self.sim.now, size)
         jitter = self._rng.random() * self.latency_jitter
         arrival = departure + self.base_latency + jitter
 
-        if message.kind == KIND_CONTROL:
-            control_meter.add(message.size_bytes)
-        elif message.kind == KIND_DATA:
-            data_meter.add(message.size_bytes)
+        kind = message.kind
+        if kind == KIND_CONTROL:
+            control_meter.add(size)
+        elif kind == KIND_DATA:
+            data_meter.add(size)
 
-        return self._schedule_delivery(message, arrival, fifo=True)
+        flow = (src, dst)
+        floor = self._last_arrival.get(flow, -1.0) + _FIFO_EPSILON
+        if arrival < floor:
+            arrival = floor
+        if self.fault_injector is not None:
+            return self._schedule_delivery(message, arrival, flow)
+        self._last_arrival[flow] = arrival
+        self.messages_scheduled += 1
+        self.sim.call_at(arrival, self._deliver, message)
+        return True
 
     def send_paced(self, message: Message, pacing_duration: float) -> bool:
         """Inject a stream-paced data message.
@@ -242,12 +256,15 @@ class SwitchedNetwork:
             raise KeyError(f"unknown destination address {message.dst!r}")
         src_node, nic, control_meter, data_meter = endpoint
         self.messages_sent += 1
-        if src_node.failed or self._link_blocked(message):
+        if src_node.failed or (
+            (self._partitioned or self._isolated)
+            and self._link_blocked(message.src, message.dst)
+        ):
             self.messages_dropped += 1
             return False
 
-        nic.busy.add_busy(self.sim.now, nic.serialization_delay(message.size_bytes))
-        nic.bytes_sent.add(message.size_bytes)
+        nic.add_busy(self.sim.now, nic.serialization_delay(message.size_bytes))
+        nic.bytes_sent += message.size_bytes
         nic.messages_sent += 1
 
         jitter = self._rng.random() * self.latency_jitter
@@ -258,16 +275,20 @@ class SwitchedNetwork:
         elif message.kind == KIND_DATA:
             data_meter.add(message.size_bytes)
 
-        # fifo=False: paced streams are cell-interleaved on the ATM
-        # fabric, so no per-flow FIFO floor applies (see
-        # _schedule_delivery).
-        return self._schedule_delivery(message, arrival, fifo=False)
+        # No flow: paced streams are cell-interleaved on the ATM fabric,
+        # so no per-flow FIFO floor applies (see _schedule_delivery).
+        if self.fault_injector is not None:
+            return self._schedule_delivery(message, arrival, None)
+        self.messages_scheduled += 1
+        self.sim.call_at(arrival, self._deliver, message)
+        return True
 
     def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.dst)
-        if node is None:  # pragma: no cover - nodes are never unregistered
-            self.messages_dropped += 1
-            return
+        """One delivery event: count it, show it to the tracer and the
+        hooks, and hand it to the destination unless that is failed (a
+        powered-off machine drops what reaches it; see
+        :meth:`NetworkNode.deliver`, the entry the live backend uses)."""
+        node = self._nodes[message.dst]
         self.messages_delivered += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -278,9 +299,12 @@ class SwitchedNetwork:
                 size=message.size_bytes,
                 node=message.dst,
             )
-        for hook in self._delivery_hooks:
-            hook(message, self.sim.now)
-        node.deliver(message)
+        if self._delivery_hooks:
+            now = self.sim.now
+            for hook in self._delivery_hooks:
+                hook(message, now)
+        if not node.failed:
+            node.handle_message(message)
 
     # ------------------------------------------------------------------
     # Measurement helpers

@@ -22,6 +22,10 @@ a ``run`` loop under ``repro/sim``, a fabric that hands deliveries to
 ``call_at`` and probes the simulator for nothing else, and no ``shards``
 option on the system or the chaos harness.
 
+And it keeps protocol code on the backend contract (``runtime.py``): no
+module under ``core/``, ``helpers/`` or ``storage/`` reads a private
+attribute of its simulator, runtime or network.
+
 And it keeps one command line: one verb per drill, and one parser per
 executable (``repro`` and a live node).
 
@@ -389,6 +393,48 @@ def test_the_des_has_one_event_kernel():
     assert not _fabric_kernel_forks(switch)
     assert "shards" not in _init_parameters("core/tiger.py", "TigerSystem")
     assert "shards" not in _init_parameters("faults/harness.py", "ChaosHarness")
+
+
+#: Packages written against the backend contract (``runtime.py``) ...
+CONTRACT_PACKAGES = ("core/", "helpers/", "storage/")
+#: ... and the backend objects they hold, of which they may use only
+#: ``now``, ``call_at`` / ``call_after`` and ``send`` / ``send_paced``.
+BACKEND_OBJECTS = {"self.sim", "self.runtime", "self.network"}
+
+
+def _private_backend_reads(source: str):
+    """``self.sim._x``-style reads: a private attribute of a backend
+    object, which the other backend need not have."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and ast.unparse(node.value) in BACKEND_OBJECTS
+    ]
+
+
+def test_protocol_code_reads_only_the_runtime_contract():
+    """A protocol class runs on the simulator and on ``LiveRuntime``;
+    a read of ``self.sim._now`` works on the first and raises on the
+    second, only once a live node reaches that line."""
+    found = {
+        relative: _private_backend_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+        for relative in [path.relative_to(SRC).as_posix()]
+        if relative.startswith(CONTRACT_PACKAGES)
+    }
+    assert not {relative: reads for relative, reads in found.items() if reads}
+
+
+def test_the_contract_check_sees_a_private_clock_read():
+    assert _private_backend_reads(
+        "class Cub:\n"
+        "    def handle_message(self, message):\n"
+        "        self.deadman.note_heartbeat(message.payload.cub_id,"
+        " self.sim._now)\n"
+        "        self.runtime.call_at(self.sim.now, self.network._deliver)\n"
+    ) == ["self.sim._now", "self.network._deliver"]
 
 
 def test_the_kernel_fork_check_sees_the_fork_it_replaced():

@@ -6,11 +6,15 @@ numbers it produced when it was last verified; drift in any of them is
 a behaviour change, never noise.
 """
 
+import hashlib
+
 import pytest
 
 from repro import TigerConfig, TigerSystem, paper_config, small_config
 from repro.config import PLACEMENT_POLICIES
 from repro.core.metrics import PROTOCOL_COUNTERS, protocol_counters
+from repro.faults.injectors import install_plan
+from repro.faults.plan import FaultPlan
 from repro.workloads.generator import ContinuousWorkload
 from repro.workloads.placement import run_policy_scenario
 
@@ -64,6 +68,12 @@ class TestServicePathGoldenCounters:
         assert system.sim.events_dispatched <= self.LEGACY_EVENTS
 
 
+@pytest.fixture(scope="module")
+def idle_paper_system():
+    """The paper's configuration with no viewers, 30 sim-seconds."""
+    return _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
+
+
 class TestPaperConfigGoldenCounters:
     """The paper's 14-cub configuration, seed 0, 8 files x 240 s."""
 
@@ -95,17 +105,19 @@ class TestPaperConfigGoldenCounters:
         assert reads_settled == 10531 - 9161
         assert system.sim.events_dispatched == 9161
 
-    def test_idle_system_serves_no_blocks(self):
+    def test_idle_system_serves_no_blocks(self, idle_paper_system):
         """Zero viewers: only heartbeats, pumps and deadman sweeps run,
         so every protocol counter stays at zero."""
-        system = _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
+        system = idle_paper_system
         assert not any(protocol_counters(system.registry).values())
 
-    def test_idle_cub_costs_one_tick_per_heartbeat_period(self):
+    def test_idle_cub_costs_one_tick_per_heartbeat_period(
+        self, idle_paper_system
+    ):
         """30 idle sim-seconds: a cub's heartbeat, pump and deadman
         timers share one kernel event per 0.5 s period; the rest is the
         heartbeats' deliveries and the controller's 10 Hz tick."""
-        system = _run(paper_config(), seed=0, streams=0, sim_seconds=30.0)
+        system = idle_paper_system
         cubs, periods = 14, 60
         ticks = cubs * periods
         # Four watched neighbours each; the last period's are in flight.
@@ -115,6 +127,78 @@ class TestPaperConfigGoldenCounters:
         assert (ticks, heartbeats_delivered) == (840, 3304)
         assert system.sim.events_dispatched == (
             ticks + heartbeats_delivered + clock_master_ticks
+        )
+
+
+#: The fabric's delivery counters.
+FABRIC_COUNTERS = (
+    "messages_sent", "messages_scheduled", "messages_dropped",
+    "messages_delivered",
+)
+
+
+def heartbeat_digest(system):
+    """SHA-256 over when each cub last heard every neighbour it watches,
+    the arrival the fabric last scheduled on every flow (its FIFO floor)
+    and the four fabric counters.
+
+    A heartbeat lands at its send time plus NIC serialization, the base
+    latency, one jitter draw and the flow's FIFO floor: drawing jitter in
+    another order moves every entry, and dropping the floor moves the
+    flows it clamps.  The event count in the test above moves with
+    neither."""
+    parts = [
+        f"{cub.cub_id}<-{neighbour}@{heard!r}"
+        for cub in system.cubs
+        for neighbour, heard in sorted(cub.deadman._last_heard.items())
+    ]
+    parts += [
+        f"{src}->{dst}@{arrival!r}"
+        for (src, dst), arrival in sorted(system.network._last_arrival.items())
+    ]
+    parts += [
+        f"{name}={getattr(system.network, name)}" for name in FABRIC_COUNTERS
+    ]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+class TestHeartbeatTimingGolden:
+    """Heartbeat timing, not only heartbeat counts.  Both digests were
+    taken before the heartbeat fast path (one send, one delivery event,
+    the fault stage only with an injector installed), which had to
+    leave them unchanged."""
+
+    def test_idle_paper_config(self, idle_paper_system):
+        network = idle_paper_system.network
+        assert [getattr(network, name) for name in FABRIC_COUNTERS] == [
+            3360, 3360, 0, 3304,
+        ]
+        assert heartbeat_digest(idle_paper_system) == (
+            "12c1b9778da7f2d5404c5627572f043d469ef66e72da42a19ca41315cf3efdd5"
+        )
+
+    def test_small_config_under_faults(self):
+        """Half load, then a cub crash and reboot, an isolated cub and a
+        message drop window: the fault stage's path, the source drops
+        and the drops at a failed destination all feed the digest."""
+        config = small_config()
+        system = TigerSystem(config, seed=0)
+        system.add_standard_content(num_files=4, duration_s=60.0)
+        ContinuousWorkload(system).add_streams(config.num_slots // 2)
+        plan = (
+            FaultPlan()
+            .crash_cub(1, at=5.0, restart_after=8.0)
+            .isolate_node("cub:3", start=9.0, duration=1.5)
+            .drop_messages(0.2, start=2.0, duration=6.0)
+        )
+        install_plan(plan, system)
+        system.run_for(25.0)
+        network = system.network
+        assert [getattr(network, name) for name in FABRIC_COUNTERS] == [
+            1221, 1174, 47, 1136,
+        ]
+        assert heartbeat_digest(system) == (
+            "557c18620364207d8d04ca971e08ac70dc0ec0fd0880d0f80fa1b043f78740c9"
         )
 
 

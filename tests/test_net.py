@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro import small_config
+from repro import TigerSystem, small_config
+from repro.core.protocol import Heartbeat
 from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.faults.injectors import MessageFaultInjector
 from repro.faults.plan import FaultPlan
-from repro.net.message import KIND_DATA, Message
+from repro.net.message import KIND_DATA, Message, reset_message_ids
 from repro.net.nic import Nic
 from repro.net.node import NetworkNode
-from repro.net.switch import SwitchedNetwork
+from repro.net.switch import _FIFO_EPSILON, SwitchedNetwork
 from repro.sim.core import Simulator
+from repro.sim.rng import RngRegistry
 
 
 class Sink(NetworkNode):
@@ -19,9 +21,11 @@ class Sink(NetworkNode):
     def __init__(self, sim, address):
         super().__init__(sim, address)
         self.received = []
+        self.ids = []
 
     def handle_message(self, message):
         self.received.append((message.payload, self.sim.now))
+        self.ids.append(message.msg_id)
 
 
 def make_net(sim, rngs, jitter=0.0, latency=0.001):
@@ -170,6 +174,40 @@ class TestFailureSemantics:
         sim.run()
         assert len(b.received) == 1
 
+    def test_isolate_drops_both_directions_at_the_source(self, sim, net_pair):
+        network, a, b = net_pair
+        network.isolate("a")
+        assert network.send(Message("a", "b", "out", 10)) is False
+        assert network.send(Message("b", "a", "in", 10)) is False
+        assert (network.messages_sent, network.messages_dropped) == (2, 2)
+        assert network.messages_scheduled == 0
+        network.rejoin("a")
+        assert network.send(Message("b", "a", "after", 10)) is True
+        sim.run()
+        assert [payload for payload, _ in a.received] == ["after"]
+        assert b.received == []
+
+    def test_heartbeat_to_a_failed_cub_is_delivered_and_unheard(self):
+        """A powered-off cub's neighbours keep beating it: each beat is
+        a delivery the fabric counts, and the dead cub's deadman never
+        sees it."""
+        system = TigerSystem(small_config(), seed=0)
+        system.run_for(2.0)
+        victim = system.cubs[1]
+        system.fail_cub(1)
+        heard = dict(victim.deadman._last_heard)
+        delivered = []
+        system.network.add_delivery_hook(
+            lambda message, _when: delivered.append(message)
+        )
+        before = system.network.messages_delivered
+        system.run_for(2.0)
+        to_victim = [m for m in delivered if m.dst == victim.address]
+        assert to_victim
+        assert all(type(m.payload) is Heartbeat for m in to_victim)
+        assert system.network.messages_delivered - before == len(delivered)
+        assert victim.deadman._last_heard == heard
+
 
 class TestPacedSend:
     def test_paced_arrival_after_pacing_duration(self, sim, net_pair):
@@ -257,6 +295,59 @@ class TestFifoUnderFaults:
         # reordered outlier: a third send arrives after "pushed" only
         # because of its own latency, not a clamp.
         assert b.received[0][1] < b.received[1][1]
+
+
+class PassThroughStage:
+    """A fault stage that perturbs nothing."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def perturb(self, message, now, arrival):
+        self.seen += 1
+        return [arrival]
+
+
+def _two_clamped_flows(stage):
+    """Bursts on two flows into ``b`` with jitter far above the NIC's
+    serialization time, so the FIFO floor clamps arrivals on both."""
+    reset_message_ids()
+    sim = Simulator()
+    network = make_net(sim, RngRegistry(seed=1234), jitter=0.01)
+    a, b, c = Sink(sim, "a"), Sink(sim, "b"), Sink(sim, "c")
+    for node in (a, b, c):
+        network.register(node, 100e6)
+    network.fault_injector = stage
+    for index in range(40):
+        network.send(Message("a", "b", ("a", index), 100))
+        network.send(Message("c", "b", ("c", index), 100))
+    sim.run()
+    counters = (
+        network.messages_sent, network.messages_scheduled,
+        network.messages_dropped, network.messages_delivered,
+    )
+    return b.received, b.ids, counters
+
+
+class TestFaultStageEquivalence:
+    def test_pass_through_stage_changes_nothing(self):
+        """The fault stage is a separate path from the plain send; with
+        a stage that perturbs nothing, every arrival, id and counter must
+        be what the plain path produces."""
+        stage = PassThroughStage()
+        plain = _two_clamped_flows(None)
+        staged = _two_clamped_flows(stage)
+        assert stage.seen == 80
+        assert staged == plain
+        received, _ids, counters = plain
+        assert counters == (80, 80, 0, 80)
+        for flow in ("a", "c"):
+            arrivals = [when for (src, _), when in received if src == flow]
+            clamped = [
+                later == earlier + _FIFO_EPSILON
+                for earlier, later in zip(arrivals, arrivals[1:])
+            ]
+            assert sum(clamped) >= 5, flow
 
 
 class TestFabricAccountingIdentity:

@@ -18,7 +18,7 @@ class TestNicBudgets:
             client.start_stream(file_id=index % 4)
         system.run_for(10.0)
         for cub in system.cubs:
-            system.network.nic(cub.address).busy.reset(system.sim.now)
+            system.network.nic(cub.address).reset(system.sim.now)
         system.run_for(10.0)
         expected = 4 * 2e6 / system.config.cub_nic_bps
         for cub in system.cubs:

@@ -175,7 +175,7 @@ def run_live_load():
     merged = report.merged
     cluster = {
         "passed": report.passed,
-        "violations": snapshot_total(merged, "live.invariant_violations"),
+        "violations": snapshot_total(merged, "invariant.violations"),
         "blocks": snapshot_total(merged, "live.client_blocks_received"),
         "admitted": snapshot_total(merged, "cub.inserts_performed"),
         "wire_frames_binary": snapshot_total(

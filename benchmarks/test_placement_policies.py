@@ -95,7 +95,7 @@ def test_placement_policies(benchmark):
     for policy in PLACEMENT_POLICIES:
         report = live_reports[policy]
         violations = snapshot_total(
-            report.merged, "live.invariant_violations"
+            report.merged, "invariant.violations"
         )
         in_band = sum(1 for row in report.comparison if row[4])
         lines.append(

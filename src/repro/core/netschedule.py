@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -91,8 +92,6 @@ class NetworkSchedule:
     def _sum_offsets_in(self, lo: float, hi: float) -> float:
         """Sum of bitrates of entries with offset in [lo, hi) — linear
         (non-wrapping) coordinates clipped to [0, length)."""
-        from bisect import bisect_left
-
         left = bisect_left(self._sorted_offsets, lo - _EPS)
         right = bisect_left(self._sorted_offsets, hi - _EPS)
         return self._prefix[right] - self._prefix[left]
@@ -120,28 +119,63 @@ class NetworkSchedule:
 
         The load function only changes at entry starts, so evaluating
         at the window start and every entry start inside the window is
-        exact.
+        exact.  The entry starts are walked once in ascending order, so
+        each bound of :meth:`load_at`'s prefix-sum differences is a
+        pointer that only moves forward; the bounds and sums are
+        :meth:`load_at`'s own float expressions, so every probe's load
+        is bit-identical to it.
         """
         if self._index_dirty:
             self._rebuild_index()
-        from bisect import bisect_left
-
         offset %= self.length
         peak = self.load_at(offset)
+        starts, prefix = self._sorted_offsets, self._prefix
+        length, entry_width, count = self.length, self.width, len(starts)
+        eps = _EPS
+        two_eps = 2 * eps
+        # The fixed bounds of load_at's wrapped sum over
+        # [0.0, hi) + [lo + length, length + 1.0).
+        zero = bisect_left(starts, 0.0 - eps)
+        beyond = bisect_left(starts, length + 1.0 - eps)
         # Entry offsets within [offset, offset+width), ring-aware.
-        spans = [(offset, min(offset + width, self.length))]
-        if offset + width > self.length:
-            spans.append((0.0, offset + width - self.length))
+        spans = [(offset, min(offset + width, length))]
+        if offset + width > length:
+            spans.append((0.0, offset + width - length))
         for lo, hi in spans:
-            left = bisect_left(self._sorted_offsets, lo - _EPS)
+            first = bisect_left(starts, lo - eps)
             # Include entries within float fuzz of the window top: an
             # entry at hi - ulp genuinely overlaps the window, and
             # skipping it lets can_insert under-count the peak and admit
             # past capacity.  An entry at exactly hi costs one spurious
             # (conservative) probe point, never an optimistic answer.
-            right = bisect_left(self._sorted_offsets, hi)
-            for position in self._sorted_offsets[left:right]:
-                load = self.load_at(position)
+            last = bisect_left(starts, hi)
+            if first == last:
+                continue
+            # Pointers at the first start's bounds; every later start's
+            # bounds are no smaller, so the pointers only move forward.
+            x = starts[first]
+            low = bisect_left(starts, x - entry_width + two_eps - eps)
+            wrap = bisect_left(
+                starts, x - entry_width + two_eps + length - eps
+            )
+            high = bisect_left(starts, x + two_eps - eps)
+            for x in starts[first:last]:
+                cut = x + two_eps - eps
+                while high < count and starts[high] < cut:
+                    high += 1
+                below = x - entry_width + two_eps
+                if below >= 0:
+                    cut = below - eps
+                    while low < count and starts[low] < cut:
+                        low += 1
+                    load = prefix[high] - prefix[low]
+                else:
+                    cut = below + length - eps
+                    while wrap < count and starts[wrap] < cut:
+                        wrap += 1
+                    load = (prefix[high] - prefix[zero]) + (
+                        prefix[beyond] - prefix[wrap]
+                    )
                 if load > peak:
                     peak = load
         return peak

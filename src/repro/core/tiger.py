@@ -19,7 +19,6 @@ from repro.core.cub import Cub
 from repro.core.metrics import MetricsCollector
 from repro.core.schedule import GlobalSchedule
 from repro.core.protocol import HelperInvalidate
-from repro.core.view import view_size_bound
 from repro.core.viewerstate import reset_instance_ids
 from repro.core.world import World
 from repro.disk.drive import SimDisk
@@ -426,11 +425,9 @@ class TigerSystem(World):
                 loss_hist.observe(float(monitor.blocks_missed))
 
     def assert_invariants(self) -> None:
-        """The executable form of the coherence argument (tests)."""
-        self.oracle.assert_consistent()
-        bound = view_size_bound(self.config.num_slots)
-        for cub in self.living_cubs():
-            if cub.view.size() > bound:
-                raise AssertionError(
-                    f"{cub.name} view grew to {cub.view.size()} records"
-                )
+        """The executable form of the coherence argument (tests): the
+        invariant monitor's structural checks — the oracle, and every
+        cub-scope check over the living cubs."""
+        from repro.faults.monitor import InvariantMonitor
+
+        InvariantMonitor(self).check_structure()

@@ -3,9 +3,9 @@
 Declarative fault schedules (:mod:`repro.faults.plan`), the one
 installer that arms them on a simulated system or a live socket
 cluster (:mod:`repro.faults.injectors`), runtime invariant monitoring
-(:mod:`repro.faults.monitor`, and its per-cub live probe in
-:mod:`repro.faults.live`), and the end-to-end harness with
-deterministic replay fingerprints (:mod:`repro.faults.harness`).
+of a simulated system or of each live cub (:mod:`repro.faults.monitor`),
+and the end-to-end harness with deterministic replay fingerprints
+(:mod:`repro.faults.harness`).
 """
 
 from repro.faults.harness import ChaosHarness, ChaosReport, standard_chaos_plan
@@ -14,14 +14,12 @@ from repro.faults.injectors import (
     UnsupportedFaultError,
     install_plan,
 )
-from repro.faults.live import CubInvariantProbe
 from repro.faults.monitor import InvariantMonitor, InvariantViolation
 from repro.faults.plan import FaultPlan, FaultSpec
 
 __all__ = [
     "ChaosHarness",
     "ChaosReport",
-    "CubInvariantProbe",
     "FaultPlan",
     "FaultSpec",
     "InvariantMonitor",

@@ -1,20 +1,14 @@
-"""Runtime invariant monitoring for chaos runs.
+"""Runtime invariant monitoring, one monitor for both backends.
 
-The :class:`InvariantMonitor` sweeps a running
-:class:`~repro.core.tiger.TigerSystem` and checks the executable form
-of the paper's correctness argument *while faults are active*, not just
-at the end of a test.  Checks fall into two classes:
+The :class:`InvariantMonitor` sweeps a running system and checks the
+executable form of the paper's correctness argument *while faults are
+active*, not just at the end of a test.  Every check is written once,
+as a function of the cubs it is given or of the whole system.
 
-**Hard safety** — must hold at every instant, faults or not:
+**Cub scope** — reads only cub state, so it runs wherever a cub does:
+over every living cub of a :class:`~repro.core.tiger.TigerSystem`, and
+in a live node process over that node's own cub:
 
-* *oracle consistency*: the :class:`GlobalSchedule` hallucination has
-  at most one entry per slot and no play instance in two slots;
-* *no double ownership*: no two living cubs hold pending block service
-  for *different* play instances at the same slot visit (the §4.1.3
-  ownership protocol's whole purpose);
-* *delivery conservation*: for every viewer,
-  ``received + missed == next_seqno`` and ``corrupt == 0`` — every
-  block is accounted exactly once, and nothing cross-wired arrives;
 * *index coherence*: a cub's by-play indexes (redundant states by play
   instance, queued starts by instance) name exactly the records their
   stores hold — a deschedule deletes through them without searching,
@@ -22,12 +16,26 @@ at the end of a test.  Checks fall into two classes:
   record that expires by due time (the view's idempotence set and slot
   states, the redundant states) is listed under that time in its
   expiry index — pruning visits only what is listed, so an unlisted
-  record is held forever (§4's bounded view, broken).
+  record is held forever (§4's bounded view, broken);
+* *bounded view*: a schedule view holds O(leads x capacity) records,
+  never O(history) (:func:`~repro.core.view.view_size_bound`);
+* *bounded forward queues*: a stuck pump would grow them without limit;
+* *no double ownership*: no two pending block services hold
+  *different* play instances at the same slot visit (the §4.1.3
+  ownership protocol's whole purpose);
+* *whole-ring-dead belief*: a running cub never believes every
+  neighbour it watches dead — with traffic still flowing, that means
+  its own receive path wedged.
 
-**Staleness-sensitive** — hold only once in-flight knowledge has had
-time to propagate, so they observe grace windows around fault activity
-(armed via :meth:`note_fault`):
+**System scope** — needs the whole system in one address space, so it
+runs only when the monitor is given a ``TigerSystem``:
 
+* *oracle consistency*: the :class:`GlobalSchedule` hallucination has
+  at most one entry per slot and no play instance in two slots;
+* *delivery conservation*: for every viewer,
+  ``received + missed == next_seqno`` and ``corrupt == 0`` — every
+  block is accounted exactly once, and nothing cross-wired arrives;
+* *restripe presence*: a block being moved never loses its source copy;
 * *view coherence*: every play the oracle believes scheduled has a
   witness in the union of living cubs' views (slot state, pending
   service, forward queue, or redundant copy) — an unwitnessed play is
@@ -38,29 +46,49 @@ time to propagate, so they observe grace windows around fault activity
 * *deadman convergence*: after quiescence, every living cub's liveness
   beliefs about its watched neighbours match reality.
 
-A violation raises :class:`InvariantViolation` carrying a dump of the
+Whole-ring-dead belief, view coherence, stream liveness and deadman
+convergence are **staleness-sensitive**: they hold only once in-flight
+knowledge has had time to propagate (an isolated cub rightly believes
+its neighbours dead until the fault heals), so they stand down inside
+the grace windows :meth:`InvariantMonitor.note_fault` opens.  A live
+node notes no faults, so there every check is always armed.
+
+Where a violation goes is the host's business.  Given a whole system,
+the monitor raises :class:`InvariantViolation` carrying a dump of the
 most recent trace records, so a chaos failure arrives with its own
-forensics attached.
+forensics attached.  Given one cub, it counts the violation into
+``invariant.violations`` and keeps sweeping; the count streams back to
+the cluster driver with every metrics frame, so a cluster run asserts
+"zero violations" from the merged metrics alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
+from repro.core.view import view_size_bound
 from repro.faults.plan import FaultSpec
 from repro.sim.trace import format_trace
 
 _EPS = 1e-9
 
-#: Every check name the monitor can run, in sweep order.  Used to
-#: pre-register the per-check ``chaos.invariant_checks`` counters so a
-#: clean run still exports a zero-valued series for each check.
-CHECK_NAMES = (
-    "oracle",
+#: The checks that read only cub state, in sweep order — all a live
+#: node runs.
+CUB_CHECKS = (
+    "index-coherence",
+    "view-size",
+    "forward-queue",
     "double-ownership",
+    "whole-ring-dead",
+)
+
+#: Every check name the monitor can run, in sweep order.  Used to
+#: pre-register the per-check ``invariant.checks`` and
+#: ``invariant.violations`` counters so a clean run still exports a
+#: zero-valued series for each check.
+CHECK_NAMES = ("oracle",) + CUB_CHECKS + (
     "conservation",
     "restripe-presence",
-    "index-coherence",
     "view-coherence",
     "stream-liveness",
     "deadman-convergence",
@@ -79,9 +107,7 @@ def index_incoherence(cub: Any) -> Optional[str]:
     store; likewise the instance map and the wait queues.  And every
     record the view or the redundant store holds is listed under its
     due time in that store's expiry index (a listing may outlive its
-    record; a record may never lack its listing).  Checkable from
-    inside one cub, so the live probe (:mod:`repro.faults.live`) runs
-    it too.
+    record; a record may never lack its listing).
     """
     store, index = cub._redundant_states, cub._redundant_index
     indexed = [
@@ -126,22 +152,34 @@ def index_incoherence(cub: Any) -> Optional[str]:
 
 
 class InvariantMonitor:
-    """Periodic invariant sweeps over a live :class:`TigerSystem`."""
+    """Periodic invariant sweeps over a whole system or one live cub.
+
+    :param world: the :class:`~repro.core.tiger.TigerSystem` to sweep,
+        or — with ``cub`` — the :class:`~repro.core.world.World` a live
+        node built that cub in (its runtime, registry and tracer).
+    :param cub: the one cub a live node runs; only the cub-scope checks
+        run over it, and a violation is counted, not raised.
+    """
 
     def __init__(
         self,
-        system: Any,
+        world: Any,
+        cub: Any = None,
         period: float = 1.0,
         trace_tail: int = 40,
         startup_grace: float = 30.0,
         stall_grace: Optional[float] = None,
     ) -> None:
-        self.system = system
+        #: The whole system, or None for a one-cub monitor.
+        self.system = world if cub is None else None
+        self._cubs = world.living_cubs if cub is None else lambda: (cub,)
+        self.runtime = world.runtime
+        self.tracer = world.tracer
         self.period = period
         self.trace_tail = trace_tail
         #: Longest a requested stream may stay serviceless in calm air.
         self.startup_grace = startup_grace
-        config = system.config
+        self.config = config = world.config
         #: How far past its deadline the next expected block may be.
         self.stall_grace = (
             stall_grace
@@ -157,38 +195,39 @@ class InvariantMonitor:
         self.settle_margin = (
             config.deadman_timeout + config.max_vstate_lead + 2.0
         )
+        #: Most records one cub's view may hold.
+        self.view_bound = view_size_bound(config.num_slots)
+        #: Most records one cub's two forward queues may hold together.
+        self.queue_bound = 8 * config.num_slots + 256
         #: Grace windows (start, end) during which staleness-sensitive
         #: checks stand down; hard safety checks never stand down.
         self._relaxed_windows: List[Tuple[float, float]] = []
         #: Deadman beliefs are only compared to reality after this time.
         self._converge_after = 0.0
         self.checks_run = 0
-        self._installed = False
-        self._stopped = False
-        registry = getattr(system, "registry", None)
-        if registry is not None:
-            self._sweeps = registry.counter(
-                "chaos.invariant_sweeps",
-                help="Full invariant sweeps completed by the monitor",
-                unit="sweeps",
-            )
-            self._check_counters = {
-                name: registry.counter(
-                    "chaos.invariant_checks",
-                    help="Individual invariant checks executed, by check",
-                    unit="checks",
-                    check=name,
-                )
-                for name in CHECK_NAMES
-            }
-        else:  # bare system without a registry (unit-test doubles)
-            self._sweeps = None
-            self._check_counters = {}
+        self._timer: Any = None
+        self._registry = world.registry
+        self._labels = {} if cub is None else {"node": cub.name}
+        self._sweeps = self._registry.counter(
+            "invariant.sweeps",
+            help="Full invariant sweeps completed by the monitor",
+            unit="sweeps", **self._labels)
+        names = CHECK_NAMES if cub is None else CUB_CHECKS
+        self._checks = {
+            name: self._registry.counter(
+                "invariant.checks",
+                help="Individual invariant checks executed, by check",
+                unit="checks", check=name, **self._labels)
+            for name in names
+        }
+        for name in names:
+            self._violations(name)
 
-    def _count(self, check: str) -> None:
-        counter = self._check_counters.get(check)
-        if counter is not None:
-            counter.increment()
+    def _violations(self, check: str) -> Any:
+        return self._registry.counter(
+            "invariant.violations",
+            help="Invariant violations observed, by check",
+            unit="violations", check=check, **self._labels)
 
     # ------------------------------------------------------------------
     # Fault awareness
@@ -217,49 +256,59 @@ class InvariantMonitor:
     # Scheduling
     # ------------------------------------------------------------------
     def install(self) -> None:
-        """Start periodic sweeps (keeps one event permanently pending,
-        so drive the simulator with ``run(until=...)``)."""
-        if self._installed:
-            return
-        self._installed = True
-        self.system.sim.call_after(self.period, self._sweep)
+        """Start periodic sweeps (on the DES this keeps one event
+        permanently pending, so drive the simulator with
+        ``run(until=...)``)."""
+        if self._timer is None:
+            self._timer = self.runtime.call_after(self.period, self._sweep)
 
     def stop(self) -> None:
-        self._stopped = True
+        if self._timer is not None:
+            self._timer.cancel()
 
     def _sweep(self) -> None:
-        if self._stopped:
-            return
         self.check_now()
-        self.system.sim.call_after(self.period, self._sweep)
+        self._timer = self.runtime.call_after(self.period, self._sweep)
 
     # ------------------------------------------------------------------
     # Check battery
     # ------------------------------------------------------------------
-    def check_now(self) -> None:
-        """One full sweep; raises :class:`InvariantViolation` on failure."""
-        now = self.system.sim.now
-        self.checks_run += 1
-        if self._sweeps is not None:
-            self._sweeps.increment()
-        self._check_oracle(now)
-        self._count("oracle")
-        self._check_slot_ownership(now)
-        self._count("double-ownership")
-        self._check_delivery_conservation(now)
-        self._count("conservation")
-        self._check_restripe_presence(now)
-        self._count("restripe-presence")
-        self._check_index_coherence(now)
-        self._count("index-coherence")
+    def _run(self, name: str, check: Any, *args: Any) -> None:
+        check(*args)
+        self._checks[name].increment()
+
+    def check_structure(self) -> None:
+        """The oracle (given a whole system) and the cub-scope checks:
+        all of :meth:`~repro.core.tiger.TigerSystem.assert_invariants`."""
+        now = self.runtime.now
+        if self.system is not None:
+            self._run("oracle", self._check_oracle, now)
+        cubs = self._cubs()
+        self._run("index-coherence", self._check_index_coherence, now, cubs)
+        self._run("view-size", self._check_view_size, now, cubs)
+        self._run("forward-queue", self._check_forward_queues, now, cubs)
+        self._run("double-ownership", self._check_slot_ownership, now, cubs)
         if not self._relaxed(now):
-            self._check_view_coherence(now)
-            self._count("view-coherence")
-            self._check_stream_liveness(now)
-            self._count("stream-liveness")
+            self._run("whole-ring-dead", self._check_whole_ring_dead, now, cubs)
+
+    def check_now(self) -> None:
+        """One full sweep."""
+        self.checks_run += 1
+        self._sweeps.increment()
+        self.check_structure()
+        if self.system is None:
+            return
+        now = self.runtime.now
+        self._run("conservation", self._check_delivery_conservation, now)
+        self._run("restripe-presence", self._check_restripe_presence, now)
+        if not self._relaxed(now):
+            self._run("view-coherence", self._check_view_coherence, now)
+            self._run("stream-liveness", self._check_stream_liveness, now)
             if now >= self._converge_after:
-                self._check_deadman_convergence(now)
-                self._count("deadman-convergence")
+                self._run(
+                    "deadman-convergence",
+                    self._check_deadman_convergence, now,
+                )
 
     def final_check(self) -> None:
         """End-of-run sweep.  Call *before* ``finalize_clients()`` —
@@ -268,15 +317,37 @@ class InvariantMonitor:
         self.check_now()
 
     # ------------------------------------------------------------------
-    # Hard safety
+    # Cub scope
     # ------------------------------------------------------------------
-    def _check_oracle(self, now: float) -> None:
-        try:
-            self.system.oracle.assert_consistent()
-        except AssertionError as exc:
-            self._fail(now, "oracle", str(exc))
+    def _check_index_coherence(self, now: float, cubs: Iterable[Any]) -> None:
+        for cub in cubs:
+            problem = index_incoherence(cub)
+            if problem is not None:
+                self._fail(now, "index-coherence", f"cub {cub.cub_id}: {problem}")
 
-    def _check_slot_ownership(self, now: float) -> None:
+    def _check_view_size(self, now: float, cubs: Iterable[Any]) -> None:
+        for cub in cubs:
+            size = cub.view.size()
+            if size > self.view_bound:
+                self._fail(
+                    now,
+                    "view-size",
+                    f"cub {cub.cub_id} view grew to {size} records "
+                    f"(bound {self.view_bound})",
+                )
+
+    def _check_forward_queues(self, now: float, cubs: Iterable[Any]) -> None:
+        for cub in cubs:
+            queued = len(cub._forward_queue) + len(cub._mirror_forward_queue)
+            if queued > self.queue_bound:
+                self._fail(
+                    now,
+                    "forward-queue",
+                    f"cub {cub.cub_id} forward queues grew to {queued} "
+                    f"records (bound {self.queue_bound})",
+                )
+
+    def _check_slot_ownership(self, now: float, cubs: Iterable[Any]) -> None:
         """No slot visit may be claimed by two different play instances.
 
         Successive visits of one slot are exactly one block play time
@@ -284,9 +355,9 @@ class InvariantMonitor:
         closer than that target the *same* visit — a double booking the
         §4.1.3 ownership protocol must make impossible, even mid-fault.
         """
-        bpt = self.system.config.block_play_time
+        bpt = self.config.block_play_time
         claims: dict = {}
-        for cub in self.system.living_cubs():
+        for cub in cubs:
             for state in cub._pending_service.values():
                 if cub.view.has_tombstone(
                     state.viewer_id, state.instance, state.slot
@@ -309,6 +380,26 @@ class InvariantMonitor:
                             f"due {a[2]:.3f}) vs {b[0]}#{b[1]} "
                             f"(cub {b[3]}, due {b[2]:.3f})",
                         )
+
+    def _check_whole_ring_dead(self, now: float, cubs: Iterable[Any]) -> None:
+        for cub in cubs:
+            deadman = cub.deadman
+            if all(deadman.believes_failed(cub_id) for cub_id in deadman.watched):
+                self._fail(
+                    now,
+                    "whole-ring-dead",
+                    f"cub {cub.cub_id} believes all {len(deadman.watched)} "
+                    f"neighbours it watches dead while still running",
+                )
+
+    # ------------------------------------------------------------------
+    # System scope
+    # ------------------------------------------------------------------
+    def _check_oracle(self, now: float) -> None:
+        try:
+            self.system.oracle.assert_consistent()
+        except AssertionError as exc:
+            self._fail(now, "oracle", str(exc))
 
     def _check_delivery_conservation(self, now: float) -> None:
         for client in self.system.clients:
@@ -351,11 +442,9 @@ class InvariantMonitor:
         even after commit, so a crash at any point in a move loses
         nothing.
         """
-        cubs = getattr(self.system, "cubs", None)
-        if cubs is None:  # unit-test doubles without a storage layer
-            return
+        cubs = self.system.cubs
         for cub in cubs:
-            for key, location in getattr(cub, "migrations", {}).items():
+            for key, location in cub.migrations.items():
                 if location.disk_id not in cub.disks:
                     file_id, block = key
                     self._fail(
@@ -365,7 +454,7 @@ class InvariantMonitor:
                         f"block {block} names disk {location.disk_id} "
                         f"it does not own",
                     )
-        restriper = getattr(self.system, "restriper", None)
+        restriper = self.system.restriper
         if restriper is None:
             return
         layout = restriper.layout
@@ -386,15 +475,6 @@ class InvariantMonitor:
                     f"broken",
                 )
 
-    def _check_index_coherence(self, now: float) -> None:
-        for cub in getattr(self.system, "cubs", ()):
-            problem = index_incoherence(cub)
-            if problem is not None:
-                self._fail(now, "index-coherence", f"cub {cub.cub_id}: {problem}")
-
-    # ------------------------------------------------------------------
-    # Staleness-sensitive
-    # ------------------------------------------------------------------
     def _check_view_coherence(self, now: float) -> None:
         living = self.system.living_cubs()
         for slot in self.system.oracle.occupied_slots():
@@ -468,10 +548,13 @@ class InvariantMonitor:
 
     # ------------------------------------------------------------------
     def _fail(self, now: float, check: str, detail: str) -> None:
-        tracer = self.system.tracer
+        self._violations(check).increment()
+        tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "invariant.violation", detail, check=check)
-        tail = list(self.system.tracer.records)[-self.trace_tail:]
+        if self.system is None:
+            return  # one live cub: counted, and the sweeps go on
+        tail = list(tracer.records)[-self.trace_tail:]
         dump = format_trace(tail) if tail else "(tracing disabled)"
         raise InvariantViolation(
             f"[{check}] violated at t={now:.3f}: {detail}\n"

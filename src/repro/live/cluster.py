@@ -794,7 +794,7 @@ class ClusterReport:
         """Acceptance checks: ``(name, ok, detail)`` rows."""
         merged = self.merged
         rows: List[Tuple[str, bool, str]] = []
-        violations = snapshot_total(merged, "live.invariant_violations")
+        violations = snapshot_total(merged, "invariant.violations")
         rows.append((
             "invariant violations", violations == 0, f"{violations:g}"
         ))

@@ -42,7 +42,7 @@ from repro.config import TigerConfig
 from repro.core.controller import CONTROLLER_ADDRESS
 from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
 from repro.core.world import World
-from repro.faults.live import CubInvariantProbe
+from repro.faults.monitor import InvariantMonitor
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import NodeTransport
 from repro.live.wire import (
@@ -98,11 +98,12 @@ def config_from_dict(data: Dict[str, Any]) -> TigerConfig:
 
 def build_component(
     spec: Dict[str, Any], world: World
-) -> Tuple[Any, Optional[CubInvariantProbe]]:
+) -> Tuple[Any, Optional[InvariantMonitor]]:
     """Have ``world`` build the protocol component a spec asks for.
 
-    :returns: ``(component, probe)``; the invariant probe is only
-        created for cubs (it is not installed yet).
+    :returns: ``(component, monitor)``; an invariant monitor of the
+        cub-scope checks is only created for cubs (it is not installed
+        yet).
     """
     role = spec["role"]
     if role == ROLE_CUB:
@@ -114,7 +115,7 @@ def build_component(
             cub.controller_addresses = (
                 CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS
             )
-        return cub, CubInvariantProbe(cub, world.registry)
+        return cub, InvariantMonitor(world, cub)
     if role == ROLE_CONTROLLER:
         controller = world.make_controller()
         if spec.get("backup_enabled"):
@@ -143,7 +144,7 @@ class LiveNode:
         self.transport: Optional[NodeTransport] = None
         self.registry = MetricsRegistry()
         self.component: Any = None
-        self.probe: Optional[CubInvariantProbe] = None
+        self.monitor: Optional[InvariantMonitor] = None
         self._stopping = False
         #: Frames this node's decoder rejected (fatal: at most 1).
         self.wire_errors = 0
@@ -262,13 +263,13 @@ class LiveNode:
             num_files=int(content.get("num_files", 16)),
             duration_s=float(content.get("duration_s", 600.0)),
         )
-        self.component, self.probe = build_component(spec, world)
-        if self.probe is not None:
+        self.component, self.monitor = build_component(spec, world)
+        if self.monitor is not None:
             # A cub: heartbeats, pumps, deadman and invariant sweeps
             # begin at epoch, in lockstep with every other cub's
             # runtime time 0.
             self.runtime.call_at(0.0, self.component.start)
-            self.runtime.call_at(0.0, self.probe.install)
+            self.runtime.call_at(0.0, self.monitor.install)
         self.runtime.call_after(
             self.metrics_interval, self._pump_metrics, writer
         )
@@ -327,8 +328,8 @@ class LiveNode:
             # is nothing to snapshot or sign off.
             writer.close()
             return
-        if self.probe is not None:
-            self.probe.stop()
+        if self.monitor is not None:
+            self.monitor.stop()
         self.runtime.cancel_all()
         if not writer.is_closing():
             # Final snapshot + sign-off so the driver's merged report

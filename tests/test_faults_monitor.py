@@ -5,9 +5,16 @@ import math
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.faults.live import CubInvariantProbe
-from repro.faults.monitor import InvariantMonitor, InvariantViolation
+from repro.core.world import World
+from repro.faults.injectors import install_plan
+from repro.faults.monitor import CUB_CHECKS, InvariantMonitor, InvariantViolation
 from repro.faults.plan import FaultPlan
+from repro.live.node import build_component
+from repro.net.switch import SwitchedNetwork
+from repro.obs.registry import MetricsRegistry, snapshot_total
+from repro.sim.core import Simulator
+from repro.sim.rng import RngRegistry
+from repro.sim.trace import Tracer
 from repro.workloads import ContinuousWorkload
 
 
@@ -19,6 +26,16 @@ def build_running(seed=21, streams=8, warmup=10.0):
     system.start()
     system.run_until(warmup)
     return system
+
+
+def violations(system, cub, check=None):
+    """What a one-cub monitor of ``cub`` counted (of ``check``)."""
+    labels = {"node": cub.name}
+    if check is not None:
+        labels["check"] = check
+    return snapshot_total(
+        system.registry.snapshot(), "invariant.violations", **labels
+    )
 
 
 class TestSweeps:
@@ -136,25 +153,35 @@ class TestDetection:
     @pytest.mark.parametrize("damage", [
         "unindexed", "unstored", "unmapped",
         "stranded-seen", "stranded-slot", "stranded-redundant",
+        "view-size", "forward-queue",
     ])
     def test_index_incoherence_detected(self, damage):
-        """The DES monitor and the live probe run the same check."""
+        """Cub-scope damage raises on the DES and is counted by a
+        one-cub monitor, which runs the same check."""
         system = build_running(streams=34)  # two more than fit: they queue
         cub = next(
             cub for cub in system.cubs
             if cub._redundant_states and cub._queued_requests
         )
         monitor = InvariantMonitor(system)
-        probe = CubInvariantProbe(cub, system.registry)
+        own = InvariantMonitor(system, cub)
         monitor.check_now()
-        probe._sweep()
-        assert probe.violations.count == 0
+        own.check_now()
+        assert violations(system, cub) == 0
+        check = "index-coherence"
         if damage == "unindexed":  # a record no deschedule can reach
             cub._redundant_index.popitem()
         elif damage == "unstored":  # an index entry outliving its record
             cub._redundant_states.popitem()
         elif damage == "unmapped":
             cub._queued_requests.popitem()
+        elif damage == "view-size":  # a view that outgrew its leads
+            check = damage
+            for key in range(monitor.view_bound + 1):
+                cub.view._tombstones[("ghost", key, 0)] = math.inf
+        elif damage == "forward-queue":  # a pump that stopped draining
+            check = damage
+            cub._mirror_forward_queue.extend([None] * (monitor.queue_bound + 1))
         else:  # a record no prune can reach: held forever
             view = cub.view
             index, records = {
@@ -170,10 +197,10 @@ class TestDetection:
             }[damage]
             key, due_time = next(iter(records))
             index._buckets[math.floor(due_time)].remove(key)
-        with pytest.raises(InvariantViolation, match=r"\[index-coherence\]"):
+        with pytest.raises(InvariantViolation, match=rf"\[{check}\]"):
             monitor.check_now()
-        probe._sweep()
-        assert probe.violations.count == 1
+        own.check_now()
+        assert violations(system, cub, check) == 1
 
     def test_violation_carries_trace_dump(self):
         system = build_running()
@@ -182,3 +209,61 @@ class TestDetection:
         victim.blocks_missed += 1
         with pytest.raises(InvariantViolation, match="trace records"):
             monitor.check_now()
+
+
+class TestOneCubMonitor:
+    def test_counts_a_violation_and_sweeps_on(self):
+        system = build_running(warmup=1.0)
+        cub = system.cubs[0]
+        own = InvariantMonitor(system, cub)
+        own.install()
+        for key in range(own.view_bound + 1):  # inert: never expires
+            cub.view._tombstones[("ghost", key, 0)] = math.inf
+        system.run_until(4.5)
+        assert own.checks_run == 3
+        assert violations(system, cub, "view-size") == 3
+        assert violations(system, cub) == 3
+
+    @pytest.mark.parametrize("num_cubs", [4, 5, 8])
+    def test_an_isolated_cub_believes_its_ring_dead(self, num_cubs):
+        """A cub watches at most four neighbours: at 8 cubs, believing
+        those four dead is the whole ring it can see."""
+        system = TigerSystem(small_config(num_cubs=num_cubs), seed=3)
+        system.add_standard_content(num_files=4, duration_s=90)
+        install_plan(
+            FaultPlan().isolate_node("cub:0", start=1.0, duration=40.0),
+            system,
+        )
+        system.start()
+        system.run_until(21.0)
+        cub = system.cubs[0]
+        assert cub.deadman.believed_failed == set(cub.deadman.watched)
+        own = InvariantMonitor(system, cub)
+        own.check_now()
+        assert violations(system, cub, "whole-ring-dead") == 1
+
+    def test_a_live_cub_node_runs_only_the_cub_scope_checks(self):
+        config = small_config()
+        sim, rngs, tracer = Simulator(), RngRegistry(0), Tracer()
+        world = World(
+            config, sim, SwitchedNetwork(sim, rngs, tracer=tracer),
+            MetricsRegistry(), tracer, rngs,
+        )
+        world.add_standard_content(num_files=4, duration_s=90)
+        cub, monitor = build_component({"role": "cub", "node_id": 1}, world)
+        assert monitor.system is None
+        monitor.check_now()
+        checks = world.registry.snapshot()["invariant.checks"]["series"]
+        assert {row["labels"]["check"]: row["value"] for row in checks} == {
+            name: 1 for name in CUB_CHECKS
+        }
+        assert {row["labels"]["node"] for row in checks} == {cub.name}
+
+
+def test_assert_invariants_runs_the_cub_scope_checks():
+    system = build_running(streams=34)
+    system.assert_invariants()
+    cub = next(cub for cub in system.cubs if cub._redundant_states)
+    cub._redundant_index.popitem()
+    with pytest.raises(InvariantViolation, match=r"\[index-coherence\]"):
+        system.assert_invariants()

@@ -476,7 +476,7 @@ def test_live_cluster_survives_a_cub_kill():
     )
     report = run_cluster(scenario)
     assert report.kills == [(pytest.approx(4.0, abs=0.5), "cub:1")]
-    assert snapshot_total(report.merged, "live.invariant_violations") == 0
+    assert snapshot_total(report.merged, "invariant.violations") == 0
     assert snapshot_total(report.merged, "cub.mirror_pieces_sent") > 0
     assert snapshot_total(report.merged, "live.client_blocks_received") > 0
     assert not report.unexpected_exits

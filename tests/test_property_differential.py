@@ -1,6 +1,7 @@
 """Differential and property-based tests on core data structures."""
 
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,22 @@ class TestNetworkScheduleDifferential:
             for entry in schedule.entries()
             if schedule._covers(entry, x)
         )
+
+    @staticmethod
+    def peak_by_point_loads(schedule: NetworkSchedule, offset: float) -> float:
+        """``load_at`` at the window start and at every entry start in
+        the one-width window: the definition the single walk replaces."""
+        starts = sorted(entry.offset for entry in schedule.entries())
+        offset %= schedule.length
+        spans = [(offset, min(offset + WIDTH, schedule.length))]
+        if offset + WIDTH > schedule.length:
+            spans.append((0.0, offset + WIDTH - schedule.length))
+        probes = [offset] + [
+            x
+            for lo, hi in spans
+            for x in starts[bisect_left(starts, lo - 1e-9):bisect_left(starts, hi)]
+        ]
+        return max(schedule.load_at(x) for x in probes)
 
     # Offsets/probes on a millisecond grid: the two implementations
     # use slightly different epsilon conventions at sub-nanosecond
@@ -66,6 +83,7 @@ class TestNetworkScheduleDifferential:
             if schedule.can_insert(offset, rate):
                 schedule.insert("v", offset, rate)
         peak = schedule.peak_load_in(window_start, WIDTH)
+        assert peak == self.peak_by_point_loads(schedule, window_start)
         for step in range(10):
             x = (window_start + step * WIDTH / 10) % LENGTH
             assert schedule.load_at(x) <= peak + 1.0

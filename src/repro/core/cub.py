@@ -238,6 +238,8 @@ class Cub(NetworkNode):
         self._first_considered: Dict[int, float] = {}
         #: Pump ticks since construction; every fourth one prunes.
         self._pump_ticks = 0
+        #: How far back the sends behind the load estimate reach.
+        self._send_window = 4.0 * config.block_play_time
 
         # Counters registered as per-cub metric series (the registry
         # handles subclass the plain stats counters, so increments cost
@@ -548,10 +550,25 @@ class Cub(NetworkNode):
         be cancelled: a deschedule leaves the records in place and the
         read and the send consult the tombstone when they fire (see
         :meth:`_on_deschedule` for why it is still there).
+
+        The read is issued ``disk_read_lead`` ahead, floored to the
+        cub's slot-period grid — a read may run *early* (it has the
+        whole lead of slack; a send never may, its exact due time is
+        the protocol's service discipline) — which batches the
+        1-per-disk-per-period reads into a single per-slot-period tick.
         """
         buckets = self._service_buckets
+        config = self.config
+        now = self.sim.now
         due_time = record.state.due_time
-        read_time = self._read_issue_time(due_time)
+        read_time = due_time - config.disk_read_lead
+        if not read_time > now:
+            read_time = now
+        period = config.block_service_time
+        floored = int(read_time / period) * period
+        if floored > read_time:  # float-division rounding guard
+            floored -= period
+        read_time = floored if floored > now else now
         bucket = buckets.get(read_time) or self._open_bucket(read_time)
         bucket[1].append(record)
         bucket = buckets.get(due_time) or self._open_bucket(due_time)
@@ -594,23 +611,6 @@ class Cub(NetworkNode):
             for record in sends:
                 yield when, "send", record.state
 
-    def _read_issue_time(self, due_time: float) -> float:
-        """When to issue the read for a block due at ``due_time``.
-
-        ``disk_read_lead`` ahead, floored to the cub's slot-period grid
-        — a read may run *early* (it has the whole lead of slack; a
-        send never may, its exact due time is the protocol's service
-        discipline) — which batches the 1-per-disk-per-period reads
-        into a single per-slot-period tick.
-        """
-        now = self.sim.now
-        when = max(now, due_time - self.config.disk_read_lead)
-        period = self.config.block_service_time
-        floored = int(when / period) * period
-        if floored > when:  # float-division rounding guard
-            floored -= period
-        return floored if floored > now else now
-
     def _schedule_block_service(
         self,
         state: ViewerState,
@@ -649,10 +649,11 @@ class Cub(NetworkNode):
         state = record.state
         key = record.key
         self._pending_service.pop(key, None)
-        if key in self._aborted_service:
+        aborted = self._aborted_service
+        if aborted and key in aborted:
             # The disk died after this send was scheduled; mirror
             # coverage already replaced it.
-            self._aborted_service.discard(key)
+            aborted.discard(key)
             return
         if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
             return
@@ -693,6 +694,8 @@ class Cub(NetworkNode):
                 pattern=block_pattern(state.file_id, state.block_index),
             )
             size = entry.content_bytes_per_block
+            config = self.config
+            now = self.sim.now
             self.network.send_paced(
                 Message(
                     self.address,
@@ -701,12 +704,18 @@ class Cub(NetworkNode):
                     size,
                     kind=KIND_DATA,
                 ),
-                pacing_duration=self.config.block_play_time,
+                pacing_duration=config.block_play_time,
             )
-            self.cpu.add_busy(self.sim.now, size * self.config.cpu_per_data_byte)
+            self.cpu.add_busy(now, size * config.cpu_per_data_byte)
             self.blocks_sent.increment()
-            self._recent_send_times.append(self.sim.now)
-            self._trim_send_window()
+            # The load estimate's window, trimmed here as it slides (see
+            # _trim_send_window): the send just appended is never older
+            # than the horizon, so the loop stops at it at the latest.
+            sends = self._recent_send_times
+            sends.append(now)
+            horizon = now - self._send_window
+            while sends[0] < horizon:
+                sends.popleft()
         if final:
             self._finish_play(state)
 
@@ -1126,7 +1135,7 @@ class Cub(NetworkNode):
 
     def _trim_send_window(self) -> float:
         """Drop sends older than the estimate's window; returns its length."""
-        window = 4.0 * self.config.block_play_time
+        window = self._send_window
         horizon = self.sim.now - window
         sends = self._recent_send_times
         while sends and sends[0] < horizon:

@@ -105,9 +105,17 @@ class DeadmanMonitor:
         owner alive, and would otherwise be held passively while the
         resurrected owner — who was not a destination — never hears of
         it.  Callers use this predicate to relay such states onward.
+
+        Asked for every held state; until some neighbour has come back
+        it answers before computing anything.
         """
-        horizon = now - (self.timeout if window is None else window)
-        return self._resurrected_at.get(cub_id, -float("inf")) >= horizon
+        resurrected = self._resurrected_at
+        if not resurrected:
+            return False
+        heard_again = resurrected.get(cub_id)
+        return heard_again is not None and heard_again >= now - (
+            self.timeout if window is None else window
+        )
 
     @property
     def believed_failed(self) -> frozenset:

@@ -14,6 +14,7 @@ from repro.core.viewerstate import (
     DescheduleRequest,
     MirrorViewerState,
     ViewerState,
+    slot_setters,
 )
 
 
@@ -115,13 +116,15 @@ def block_pattern(file_id: int, block_index: int) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BlockData:
     """A block (or declustered piece of one) sent to a viewer.
 
     ``piece`` is None for a whole primary block; otherwise it names the
     secondary fragment, of which ``total_pieces`` complete the block.
     ``pattern`` carries the content fingerprint the client verifies.
+    One is built per block sent, so it sets its fields through their
+    slot descriptors, as the viewer-state records do.
     """
 
     viewer_id: str
@@ -133,6 +136,34 @@ class BlockData:
     total_pieces: int = 1
     final: bool = False
     pattern: int = 0
+
+    def __init__(
+        self,
+        viewer_id: str,
+        instance: int,
+        file_id: int,
+        block_index: int,
+        play_seqno: int,
+        piece: Optional[int] = None,
+        total_pieces: int = 1,
+        final: bool = False,
+        pattern: int = 0,
+    ) -> None:
+        _bd_viewer_id(self, viewer_id)
+        _bd_instance(self, instance)
+        _bd_file_id(self, file_id)
+        _bd_block_index(self, block_index)
+        _bd_play_seqno(self, play_seqno)
+        _bd_piece(self, piece)
+        _bd_total_pieces(self, total_pieces)
+        _bd_final(self, final)
+        _bd_pattern(self, pattern)
+
+
+(
+    _bd_viewer_id, _bd_instance, _bd_file_id, _bd_block_index,
+    _bd_play_seqno, _bd_piece, _bd_total_pieces, _bd_final, _bd_pattern,
+) = slot_setters(BlockData)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ exercised exhaustively by property-based tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 #: Tolerance for float comparisons on the schedule ring.  One nanosecond
@@ -29,25 +29,21 @@ class SlotClock:
     num_disks: int
     num_slots: int
     block_play_time: float
+    #: Ring length in seconds: block play time x number of disks.
+    #: Derived once here, like :attr:`block_service_time`; neither takes
+    #: part in construction, comparison or ``repr``.
+    duration: float = field(init=False, repr=False, compare=False)
+    #: Slot width; by construction the ring holds a whole number.
+    block_service_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_disks < 1 or self.num_slots < 1:
             raise ValueError("need at least one disk and one slot")
-        if self.block_play_time <= 0:
+        if not self.block_play_time > 0:  # also rejects NaN
             raise ValueError("block play time must be positive")
-
-    # ------------------------------------------------------------------
-    # Derived geometry
-    # ------------------------------------------------------------------
-    @property
-    def duration(self) -> float:
-        """Ring length in seconds: block play time x number of disks."""
-        return self.block_play_time * self.num_disks
-
-    @property
-    def block_service_time(self) -> float:
-        """Slot width; by construction the ring holds a whole number."""
-        return self.duration / self.num_slots
+        duration = self.block_play_time * self.num_disks
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "block_service_time", duration / self.num_slots)
 
     # ------------------------------------------------------------------
     # Pointer motion

@@ -139,16 +139,17 @@ class ScheduleView:
         if key in self._seen:
             self.duplicates_ignored += 1
             return ADMIT_DUPLICATE
-        tomb_key = (state.viewer_id, state.instance, state.slot)
-        if tomb_key in self._tombstones:
-            self._note_seen(key, state.due_time)
+        due_time = state.due_time
+        if self._tombstones and (
+            (state.viewer_id, state.instance, state.slot) in self._tombstones
+        ):
+            self._note_seen(key, due_time)
             return ADMIT_DESCHEDULED
-        if state.due_time < now - self.hold_time:
+        if due_time < now - self.hold_time:
             # Later than any tombstone could still be held: drop it so a
             # dead deschedule can never be outrun (§4.1.2).
             self.states_discarded_late += 1
             return ADMIT_TOO_LATE
-        due_time = state.due_time
         self._seen[key] = due_time
         self._seen_expiry.note(key, due_time)
         slot = state.slot
@@ -164,8 +165,9 @@ class ScheduleView:
         if key in self._seen:
             self.duplicates_ignored += 1
             return ADMIT_DUPLICATE
-        tomb_key = (state.viewer_id, state.instance, state.slot)
-        if tomb_key in self._tombstones:
+        if self._tombstones and (
+            (state.viewer_id, state.instance, state.slot) in self._tombstones
+        ):
             self._note_seen(key, state.due_time)
             return ADMIT_DESCHEDULED
         if state.due_time < now - self.hold_time:
@@ -195,7 +197,12 @@ class ScheduleView:
         return True
 
     def has_tombstone(self, viewer_id: str, instance: int, slot: int) -> bool:
-        return (viewer_id, instance, slot) in self._tombstones
+        """Is this play descheduled here?  Asked several times per block;
+        with no tombstone held it answers before building a key."""
+        tombstones = self._tombstones
+        if not tombstones:
+            return False
+        return (viewer_id, instance, slot) in tombstones
 
     # ------------------------------------------------------------------
     # Occupancy queries (insertion safety, §4.1.3)

@@ -16,13 +16,16 @@ Three record types circulate around the ring:
 All records are frozen dataclasses: protocol state is immutable and
 "advancing" a state produces a new record, which keeps the multiple-
 delivery paths (direct, redundant, bridged) from aliasing each other.
+Every block builds several, so each writes its own ``__init__``, which
+sets the fields through their slot descriptors (:func:`slot_setters`)
+instead of the generated one's ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Tuple
 
 _instance_ids = itertools.count(1)
 
@@ -53,7 +56,19 @@ def reset_instance_ids() -> None:
     _instance_ids = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> Tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    A frozen dataclass refuses assignment in ``__setattr__``; a slot
+    descriptor's ``__set__`` writes the slot beneath it, which is how a
+    record's own ``__init__`` sets its fields at half the generated
+    one's cost.  Assignment after construction still raises
+    ``FrozenInstanceError``.
+    """
+    return tuple(vars(cls)[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ViewerState:
     """One schedule entry, targeted at a specific disk visit."""
 
@@ -65,6 +80,26 @@ class ViewerState:
     disk_id: int
     due_time: float
     play_seqno: int
+
+    def __init__(
+        self,
+        viewer_id: str,
+        instance: int,
+        slot: int,
+        file_id: int,
+        block_index: int,
+        disk_id: int,
+        due_time: float,
+        play_seqno: int,
+    ) -> None:
+        _vs_viewer_id(self, viewer_id)
+        _vs_instance(self, instance)
+        _vs_slot(self, slot)
+        _vs_file_id(self, file_id)
+        _vs_block_index(self, block_index)
+        _vs_disk_id(self, disk_id)
+        _vs_due_time(self, due_time)
+        _vs_play_seqno(self, play_seqno)
 
     def key(self) -> Tuple[int, int]:
         """Idempotence key: one per (play instance, position in play)."""
@@ -95,7 +130,13 @@ class ViewerState:
         return self.due_time - now
 
 
-@dataclass(frozen=True, slots=True)
+(
+    _vs_viewer_id, _vs_instance, _vs_slot, _vs_file_id, _vs_block_index,
+    _vs_disk_id, _vs_due_time, _vs_play_seqno,
+) = slot_setters(ViewerState)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MirrorViewerState:
     """A schedule entry for one secondary piece of a lost block.
 
@@ -116,12 +157,43 @@ class MirrorViewerState:
     due_time: float
     play_seqno: int
 
+    def __init__(
+        self,
+        viewer_id: str,
+        instance: int,
+        slot: int,
+        file_id: int,
+        block_index: int,
+        piece: int,
+        decluster: int,
+        disk_id: int,
+        due_time: float,
+        play_seqno: int,
+    ) -> None:
+        _mvs_viewer_id(self, viewer_id)
+        _mvs_instance(self, instance)
+        _mvs_slot(self, slot)
+        _mvs_file_id(self, file_id)
+        _mvs_block_index(self, block_index)
+        _mvs_piece(self, piece)
+        _mvs_decluster(self, decluster)
+        _mvs_disk_id(self, disk_id)
+        _mvs_due_time(self, due_time)
+        _mvs_play_seqno(self, play_seqno)
+
     def key(self) -> Tuple[int, int, int]:
         """Idempotence key: (instance, position, piece)."""
         return (self.instance, self.play_seqno, self.piece)
 
 
-@dataclass(frozen=True, slots=True)
+(
+    _mvs_viewer_id, _mvs_instance, _mvs_slot, _mvs_file_id,
+    _mvs_block_index, _mvs_piece, _mvs_decluster, _mvs_disk_id,
+    _mvs_due_time, _mvs_play_seqno,
+) = slot_setters(MirrorViewerState)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DescheduleRequest:
     """Remove ``viewer_id``'s ``instance`` from ``slot`` — if present.
 
@@ -138,6 +210,14 @@ class DescheduleRequest:
     instance: int
     slot: int
     issue_time: float
+
+    def __init__(
+        self, viewer_id: str, instance: int, slot: int, issue_time: float
+    ) -> None:
+        _dr_viewer_id(self, viewer_id)
+        _dr_instance(self, instance)
+        _dr_slot(self, slot)
+        _dr_issue_time(self, issue_time)
 
     def key(self) -> Tuple[str, int, int]:
         return (self.viewer_id, self.instance, self.slot)
@@ -156,6 +236,11 @@ class DescheduleRequest:
             and state.instance == self.instance
             and state.slot == self.slot
         )
+
+
+_dr_viewer_id, _dr_instance, _dr_slot, _dr_issue_time = slot_setters(
+    DescheduleRequest
+)
 
 
 def make_initial_state(

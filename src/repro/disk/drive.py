@@ -115,7 +115,7 @@ class SimDisk(Process):
         completion_time)`` also fires when it is, or ``on_error()`` (at
         the request time or at ``done_at``) if the drive is dead then.
         """
-        if size_bytes <= 0:
+        if not size_bytes > 0:  # also rejects NaN
             raise ValueError("read size must be positive")
         self._settle()
         read = Read(size_bytes)

@@ -108,7 +108,7 @@ class Message:
     msg_id: int = field(default_factory=_allocator.allocate)
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+        if not self.size_bytes > 0:  # also rejects NaN
             raise ValueError("messages must have positive size")
         if self.kind not in (KIND_CONTROL, KIND_DATA):
             raise ValueError(f"unknown message kind {self.kind!r}")

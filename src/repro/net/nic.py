@@ -33,10 +33,6 @@ class Nic(BusyMeter):
         self.bytes_sent = 0
         self.messages_sent = 0
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        """Seconds the wire is occupied by a message of ``size_bytes``."""
-        return size_bytes * 8.0 / self.bandwidth_bps
-
     def enqueue(self, now: float, size_bytes: int) -> float:
         """Account for sending ``size_bytes`` at ``now``.
 
@@ -57,6 +53,26 @@ class Nic(BusyMeter):
         self.bytes_sent += size_bytes
         self.messages_sent += 1
         return self._busy_until
+
+    def pace(self, now: float, size_bytes: int) -> None:
+        """Account for a paced send of ``size_bytes`` at ``now``.
+
+        The NIC is charged the message's serialization share of busy
+        time, exactly as :meth:`~repro.sim.stats.BusyMeter.add_busy`
+        would, and counts its bytes; the delivery time does not depend
+        on it (a paced stream interleaves on the wire).  Every block
+        passes here, so that is done inline.
+        """
+        delay = size_bytes * 8.0 / self.bandwidth_bps
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError("negative busy duration")
+        start = self._busy_until
+        if now > start:
+            start = now
+        self._busy_until = start + delay
+        self._busy_accum += delay
+        self.bytes_sent += size_bytes
+        self.messages_sent += 1
 
     def queue_delay(self, now: float) -> float:
         """How long a message enqueued now would wait before transmitting."""

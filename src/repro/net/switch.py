@@ -246,34 +246,40 @@ class SwitchedNetwork:
         of the last byte.  The sender's NIC is charged its serialization
         share (``size/bandwidth``) for utilization accounting, since
         paced streams interleave on the wire.
+
+        Every block takes this path, so like :meth:`send` it reads each
+        message field once and does the NIC accounting in one call.
         """
-        if pacing_duration < 0:
+        if not pacing_duration >= 0:  # also rejects NaN
             raise ValueError("negative pacing duration")
-        endpoint = self._endpoint.get(message.src)
+        src = message.src
+        dst = message.dst
+        endpoint = self._endpoint.get(src)
         if endpoint is None:
-            raise KeyError(f"unknown source address {message.src!r}")
-        if message.dst not in self._nodes:
-            raise KeyError(f"unknown destination address {message.dst!r}")
+            raise KeyError(f"unknown source address {src!r}")
+        if dst not in self._nodes:
+            raise KeyError(f"unknown destination address {dst!r}")
         src_node, nic, control_meter, data_meter = endpoint
         self.messages_sent += 1
         if src_node.failed or (
             (self._partitioned or self._isolated)
-            and self._link_blocked(message.src, message.dst)
+            and self._link_blocked(src, dst)
         ):
             self.messages_dropped += 1
             return False
 
-        nic.add_busy(self.sim.now, nic.serialization_delay(message.size_bytes))
-        nic.bytes_sent += message.size_bytes
-        nic.messages_sent += 1
+        now = self.sim.now
+        size = message.size_bytes
+        nic.pace(now, size)
 
         jitter = self._rng.random() * self.latency_jitter
-        arrival = self.sim.now + pacing_duration + self.base_latency + jitter
+        arrival = now + pacing_duration + self.base_latency + jitter
 
-        if message.kind == KIND_CONTROL:
-            control_meter.add(message.size_bytes)
-        elif message.kind == KIND_DATA:
-            data_meter.add(message.size_bytes)
+        kind = message.kind
+        if kind == KIND_CONTROL:
+            control_meter.add(size)
+        elif kind == KIND_DATA:
+            data_meter.add(size)
 
         # No flow: paced streams are cell-interleaved on the ATM fabric,
         # so no per-flow FIFO floor applies (see _schedule_delivery).

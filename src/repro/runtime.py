@@ -63,7 +63,13 @@ class Runtime(Protocol):
 
     @property
     def now(self) -> float:
-        """Current runtime time in seconds."""
+        """Current runtime time in seconds.
+
+        The contract promises only that it can be read: ``Simulator``
+        keeps it as a plain attribute that its dispatch loop writes,
+        ``LiveRuntime`` as a property over the wall clock.  Protocol
+        code never writes it.
+        """
         ...
 
     def call_at(

@@ -62,7 +62,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, read
+        #: on every hop of every block; only this module writes it (the
+        #: dispatch loop, ``step`` and the end of a bounded ``run``).
+        self.now = float(start_time)
         #: The event heap.  The list object is never replaced
         #: (compaction rebuilds it in place): :meth:`run` holds it
         #: across callbacks.
@@ -79,11 +82,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_dispatched(self) -> int:
         """Total number of callbacks executed so far."""
@@ -126,9 +124,9 @@ class Simulator:
         the current instant, after events already queued for it);
         scheduling strictly into the past is an error.
         """
-        if not time >= self._now:  # also rejects NaN
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time:.9f}, now is t={self._now:.9f}"
+                f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
         event = Event(time, fn, args, priority)
         event.owner = self
@@ -145,7 +143,7 @@ class Simulator:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, fn, *args, priority=priority)
+        return self.call_at(self.now + delay, fn, *args, priority=priority)
 
     # ------------------------------------------------------------------
     # Execution
@@ -175,7 +173,7 @@ class Simulator:
         heappop(self._heap)
         event = entry[3]
         event.owner = None
-        self._now = entry[0]
+        self.now = entry[0]
         self._events_dispatched += 1
         if self._profiler is None:
             event.fn(*event.args)
@@ -183,7 +181,7 @@ class Simulator:
             started = perf_counter()
             event.fn(*event.args)
             self._profiler.record(
-                event.fn, perf_counter() - started, self._now
+                event.fn, perf_counter() - started, self.now
             )
         return True
 
@@ -255,7 +253,7 @@ class Simulator:
                     break
                 heappop(heap)
                 event.owner = None
-                self._now = entry[0]
+                self.now = entry[0]
                 self._events_dispatched += 1
                 dispatched += 1
                 profiler = self._profiler
@@ -264,15 +262,15 @@ class Simulator:
                 else:
                     started = perf_counter()
                     event.fn(*event.args)
-                    profiler.record(event.fn, perf_counter() - started, self._now)
+                    profiler.record(event.fn, perf_counter() - started, self.now)
             pending = self.peek_time()
             if (
                 until is not None
-                and self._now < until
+                and self.now < until
                 and not self._stopped
                 and (pending is None or pending > until)
             ):
-                self._now = until
+                self.now = until
         finally:
             self._stopped = False
             self._running = False
@@ -283,6 +281,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={self._now:.6f} pending={len(self._heap)} "
+            f"<Simulator now={self.now:.6f} pending={len(self._heap)} "
             f"dispatched={self._events_dispatched}>"
         )

@@ -52,7 +52,7 @@ class BusyMeter:
         If the resource is already busy past ``now``, the new work is
         appended after the current horizon (serial resource semantics).
         """
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ValueError("negative busy duration")
         start = max(now, self._busy_until)
         self._busy_until = start + duration

@@ -24,7 +24,8 @@ option on the system or the chaos harness.
 
 And it keeps protocol code on the backend contract (``runtime.py``): no
 module under ``core/``, ``helpers/`` or ``storage/`` reads a private
-attribute of its simulator, runtime or network.
+attribute of its simulator, runtime or network, and nothing but the
+kernel writes the simulator's clock.
 
 And it keeps one command line: one verb per drill, and one parser per
 executable (``repro`` and a live node).
@@ -435,6 +436,49 @@ def test_the_contract_check_sees_a_private_clock_read():
         " self.sim._now)\n"
         "        self.runtime.call_at(self.sim.now, self.network._deliver)\n"
     ) == ["self.sim._now", "self.network._deliver"]
+
+
+def _clock_writes(tree: ast.AST):
+    """Assignments to an attribute named ``now``, however spelled."""
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "now"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    ]
+    found += [
+        ast.unparse(node) for name in ("setattr", "delattr")
+        for node in _calls(tree, name)
+        if len(node.args) > 1 and ast.unparse(node.args[1]) in ("'now'", '"now"')
+    ]
+    return found
+
+
+def test_only_the_kernel_writes_the_clock():
+    """``Simulator.now`` is a plain attribute (read on every hop of
+    every block) that the dispatch loop writes; a write anywhere else
+    would move simulated time behind the kernel's back."""
+    from repro.sim.core import Simulator
+
+    writers = {
+        relative: _clock_writes(tree)
+        for relative, tree in _walk_sources()
+        if relative != "sim/core.py"
+    }
+    assert not {relative: found for relative, found in writers.items() if found}
+    assert "now" not in vars(Simulator)
+    assert _clock_writes(ast.parse((SRC / "sim/core.py").read_text("utf-8")))
+
+
+def test_the_clock_write_check_sees_a_write():
+    assert _clock_writes(ast.parse(
+        "def tick(self, sim):\n"
+        "    now = sim.now\n"
+        "    self.sim.now = now + 1.0\n"
+        "    sim.now += 1.0\n"
+        "    setattr(sim, 'now', 0.0)\n"
+    )) == ["self.sim.now", "sim.now", "setattr(sim, 'now', 0.0)"]
 
 
 def test_the_kernel_fork_check_sees_the_fork_it_replaced():

@@ -6,7 +6,8 @@ the tables: a sorted insert per lateness sample, a rebuild of every
 expiring store per prune, and derived constants re-derived per block.
 These tests hold what replaced them to references that still work the
 old way — after every step, not just at the end — and check that the
-constants are computed once.
+constants are computed once.  And a block stays inside a budget of
+Python calls, fault-free and with a cub failed.
 """
 
 import dataclasses
@@ -499,3 +500,51 @@ def test_block_lateness_is_pinned_to_the_last_bit(figure_8_full_load):
         "p95": "0x1.1f999e0480000p-13",
         "max": "0x1.9deb0ef7c0000p-13",
     }
+
+
+# ----------------------------------------------------------------------
+# A block's Python call budget
+# ----------------------------------------------------------------------
+def _calls_per_on_time_block(failed_cub):
+    """Python-level call events (``sys.setprofile``) per block delivered
+    on time, over 8 sim-s of a full small system after its warm-up."""
+    system = TigerSystem(small_config(), seed=5)
+    system.add_standard_content(num_files=4, duration_s=120.0)
+    if failed_cub is not None:
+        system.fail_cub(failed_cub)
+        system.run_for(10.0)  # past the deadman timeout: mirrors cover
+    ContinuousWorkload(system).add_streams(system.config.num_slots)
+    system.run_for(30.0)
+
+    def on_time():
+        return system.total_client_received() - system.total_client_late()
+
+    before = on_time()
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        system.run_for(8.0)
+    finally:
+        sys.setprofile(None)
+    blocks = on_time() - before
+    assert blocks == 256
+    return calls / blocks
+
+
+@pytest.mark.parametrize(
+    "failed_cub, ceiling", [(None, 100.0), (1, 111.0)],
+    ids=["fault-free", "cub-1-failed"],
+)
+def test_a_block_stays_inside_its_call_budget(failed_cub, ceiling):
+    """Every hop, timer and counter the window runs, heartbeats and
+    forwarding included, over the blocks it delivered on time: ~97
+    calls a block fault-free and ~108 with a cub's blocks rebuilt from
+    mirror pieces.  A ceiling, not an equality: Python 3.12 inlines
+    comprehensions and counts fewer."""
+    assert _calls_per_on_time_block(failed_cub) <= ceiling

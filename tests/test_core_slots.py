@@ -48,6 +48,20 @@ class TestGeometry:
             SlotClock(10, 0, 1.0)
         with pytest.raises(ValueError):
             SlotClock(10, 10, 0.0)
+        with pytest.raises(ValueError):
+            SlotClock(10, 10, float("nan"))
+
+    def test_derived_geometry_is_stored_not_compared(self, clock):
+        """``duration`` and ``block_service_time`` are fields computed
+        once, left out of construction, equality and ``repr``."""
+        assert (clock.duration, clock.block_service_time) == (56.0, 56.0 / 602)
+        assert clock == SlotClock(56, 602, 1.0)
+        assert hash(clock) == hash(SlotClock(56, 602, 1.0))
+        assert repr(clock) == (
+            "SlotClock(num_disks=56, num_slots=602, block_play_time=1.0)"
+        )
+        with pytest.raises(TypeError):
+            SlotClock(56, 602, 1.0, 56.0)
 
 
 class TestPointerMotion:

@@ -190,6 +190,11 @@ class TestSimDisk:
         with pytest.raises(ValueError):
             disk.read(0, ZONE_OUTER, lambda t: None)
 
+    def test_nan_read_rejected(self, sim, disk):
+        with pytest.raises(ValueError):
+            disk.read(float("nan"), ZONE_OUTER, lambda t: None)
+        assert disk.queue_backlog == 0.0
+
     def test_inner_reads_slower_on_average(self, sim, rngs):
         disk = SimDisk(sim, "dz", DiskParameters(), rngs)
         times = {"outer": [], "inner": []}

@@ -13,6 +13,7 @@ from repro.net.node import NetworkNode
 from repro.net.switch import _FIFO_EPSILON, SwitchedNetwork
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.stats import BusyMeter
 
 
 class Sink(NetworkNode):
@@ -47,6 +48,10 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message("a", "b", None, 0)
 
+    def test_nan_size_rejected(self):
+        with pytest.raises(ValueError):
+            Message("a", "b", None, float("nan"))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Message("a", "b", None, 10, kind="weird")
@@ -59,8 +64,11 @@ class TestMessage:
 
 class TestNic:
     def test_serialization_delay(self):
+        """A message occupies the wire for size / bandwidth, paced or not."""
         nic = Nic(8e6)  # 1 MB/s
-        assert nic.serialization_delay(1_000_000) == pytest.approx(1.0)
+        nic.pace(0.0, 1_000_000)
+        assert nic.busy_until == pytest.approx(1.0)
+        assert Nic(8e6).enqueue(0.0, 1_000_000) == pytest.approx(1.0)
 
     def test_fifo_queueing(self):
         nic = Nic(8e6)
@@ -82,6 +90,26 @@ class TestNic:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             Nic(0.0)
+
+    def test_pace_charges_what_add_busy_charged(self):
+        """The paced accounting in one method: serialization share on the
+        busy horizon (queued behind the FIFO), bytes and messages."""
+        nic, meter = Nic(8e6), BusyMeter(0.0)
+        for now, size in ((0.0, 500_000), (0.25, 250_000), (2.0, 1_000_000)):
+            nic.pace(now, size)
+            meter.add_busy(now, size * 8.0 / 8e6)
+            assert nic.busy_until == meter.busy_until
+            assert nic.utilization(now + 0.5) == meter.utilization(now + 0.5)
+        assert (nic.bytes_sent, nic.messages_sent) == (1_750_000, 3)
+
+    @pytest.mark.parametrize("size", [-1, float("nan")])
+    def test_pace_rejects_a_negative_or_nan_duration(self, size):
+        nic = Nic(8e6)
+        nic.pace(0.0, 500_000)
+        with pytest.raises(ValueError):
+            nic.pace(1.0, size)
+        assert nic.utilization(1.0) == 0.5
+        assert (nic.bytes_sent, nic.messages_sent) == (500_000, 1)
 
 
 class TestDelivery:
@@ -228,6 +256,12 @@ class TestPacedSend:
         network, a, b = net_pair
         with pytest.raises(ValueError):
             network.send_paced(Message("a", "b", "x", 10), -1.0)
+
+    def test_nan_pacing_rejected(self, sim, net_pair):
+        network, a, b = net_pair
+        with pytest.raises(ValueError):
+            network.send_paced(Message("a", "b", "x", 10), float("nan"))
+        assert network.messages_sent == 0
 
 
 class _InjectorHost:

@@ -67,6 +67,16 @@ class TestBusyMeter:
         with pytest.raises(ValueError):
             BusyMeter(0.0).add_busy(0.0, -1.0)
 
+    def test_nan_duration_rejected(self):
+        """One NaN accepted used to read 0.0 utilization for the rest
+        of the run."""
+        meter = BusyMeter(0.0)
+        meter.add_busy(0.0, 5.0)
+        with pytest.raises(ValueError):
+            meter.add_busy(1.0, float("nan"))
+        meter.add_busy(6.0, 1.0)
+        assert meter.utilization(10.0) == pytest.approx(0.6)
+
 
 class TestHistogram:
     def test_quantiles(self):

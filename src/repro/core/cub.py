@@ -1,14 +1,15 @@
 """The cub: Tiger's distributed schedule-management engine (paper §4).
 
 Each cub owns a handful of disks, a bounded :class:`ScheduleView`, a
-:class:`DeadmanMonitor`, and per-disk queues of waiting start requests.
-All of §4's machinery lives here:
+:class:`DeadmanMonitor`, and a :class:`ScheduleOwner` holding its
+waiting start requests.  All of §4's machinery lives here:
 
 * steady-state viewer-state propagation to the successor *and second
   successor*, batched by a periodic pump within the
   [minVStateLead, maxVStateLead] window (§4.1.1);
 * idempotent deschedule flooding with tombstones (§4.1.2);
-* slot-ownership-based insertion (§4.1.3);
+* slot-ownership-based insertion (§4.1.3), which the
+  :class:`ScheduleOwner` decides and the cub carries out;
 * mirror viewer states and gap bridging when neighbours die (§4.1.1,
   §2.3).
 
@@ -40,20 +41,12 @@ from repro.core.protocol import (
     StartRequest,
     ViewerStateBatch,
 )
-from repro.core.placement import (
-    SlotCandidate,
-    make_placement_policy,
-    neighbor_offsets,
-)
+from repro.core.owner import REJECT, ScheduleOwner
+from repro.core.placement import make_placement_policy
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
 from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ExpiryIndex, ScheduleView
-from repro.core.viewerstate import (
-    MirrorViewerState,
-    ViewerState,
-    make_initial_state,
-    mirror_states_for,
-)
+from repro.core.viewerstate import MirrorViewerState, ViewerState, mirror_states_for
 from repro.disk.drive import Read, SimDisk
 from repro.net.message import (
     BATCH_HEADER_BYTES,
@@ -155,35 +148,14 @@ class Cub(NetworkNode):
             hold_time=config.deschedule_hold,
             is_final=self._state_is_final,
         )
-        self.deadman = self._fresh_deadman()
-        #: The deadman beat and the neighbours it goes to, built once:
-        #: the watched set is fixed by ``cub_id`` and ``num_cubs``, so a
-        #: rebooted cub's fresh monitor watches the same cubs.
-        self._heartbeat = Heartbeat(cub_id)
-        self._heartbeat_to = tuple(
-            cub_address(neighbour) for neighbour in self.deadman.watched
-        )
-
         #: The cub's disks, keyed by global disk id.
         self.disks: Dict[int, SimDisk] = {
             disk_id: SimDisk(sim, f"{self.name}.disk{disk_id}", config.disk, rngs, tracer)
             for disk_id in layout.disks_of_cub(cub_id)
         }
 
-        #: Start requests waiting for a free slot, per target disk.
-        #: May include a dead predecessor's disks when covering for it.
-        self._wait_queues: Dict[int, Deque[StartRequest]] = {}
-        #: Play instance -> its request in ``_wait_queues`` (an instance
-        #: is queued at most once), so a stop or cancel goes to the one
-        #: queue that holds it.  Exactly the queued requests.
-        self._queued_requests: Dict[int, StartRequest] = {}
+        #: The armed ownership-instant timer per disk with waiting starts.
         self._scan_events: Dict[int, Event] = {}
-        self._cancelled_instances: Set[int] = set()
-        #: Start-request instances already routed to this cub (duplicate
-        #: suppression for controller-failover client retries).
-        self._seen_start_instances: Set[int] = set()
-        #: Redundant start requests held for a live predecessor (§4.1.3).
-        self._redundant_requests: Dict[int, StartRequest] = {}
         #: Redundant viewer states held for predecessors (§4.1.1), in
         #: arrival order — the order a neighbour's death bridges them.
         self._redundant_states: Dict[Tuple[int, int], ViewerState] = {}
@@ -231,11 +203,6 @@ class Cub(NetworkNode):
         #: Sliding window of recent block sends for the local schedule-
         #: load estimate behind the admission guard.
         self._recent_send_times: Deque[float] = deque()
-        #: When each queued start instance first reached an ownership
-        #: instant — patience for deferring policies counts from here,
-        #: not from the client's request time, so a long admission
-        #: queue does not eat the policy's whole deferral budget.
-        self._first_considered: Dict[int, float] = {}
         #: Pump ticks since construction; every fourth one prunes.
         self._pump_ticks = 0
         #: How far back the sends behind the load estimate reach.
@@ -297,11 +264,13 @@ class Cub(NetworkNode):
             help="Believed-dead neighbours heard from again",
             unit="events", cub=cub_id)
 
-        #: Slot-placement policy for this cub's ownership instants.
-        #: Policies are stateless; every cub shares the same registry
-        #: series, so the placement.* metrics aggregate system-wide.
-        self._placement = make_placement_policy(
-            config.placement, self.registry
+        self._boot()
+        #: The deadman beat and the neighbours it goes to, built once:
+        #: the watched set is fixed by ``cub_id`` and ``num_cubs``, so a
+        #: rebooted cub's fresh monitor watches the same cubs.
+        self._heartbeat = Heartbeat(cub_id)
+        self._heartbeat_to = tuple(
+            cub_address(neighbour) for neighbour in self.deadman.watched
         )
 
         #: Payload type -> ``handler(payload, sender)``: the one dispatch
@@ -324,16 +293,28 @@ class Cub(NetworkNode):
     # ==================================================================
     # Lifecycle
     # ==================================================================
-    def _fresh_deadman(self) -> DeadmanMonitor:
-        monitor = DeadmanMonitor(
+    def _boot(self) -> None:
+        """What a cub believes at power-on: a deadman seeded now, which
+        grants every neighbour a full timeout of grace, and beside it an
+        owner with nothing queued — a crash loses every queued start, so
+        its duplicate and cancel memory goes too.  Policies are stateless
+        and share the registry's placement.* series across cubs."""
+        self.deadman = DeadmanMonitor(
             self.cub_id,
             self.config.num_cubs,
             timeout=self.config.deadman_timeout,
             now=self.sim.now,
         )
-        monitor.on_declare_failed.append(self._on_neighbour_declared_failed)
-        monitor.on_declare_recovered.append(self._on_neighbour_recovered)
-        return monitor
+        self.deadman.on_declare_failed.append(self._on_neighbour_declared_failed)
+        self.deadman.on_declare_recovered.append(self._on_neighbour_recovered)
+        self.admission = ScheduleOwner(
+            self.view,
+            self.deadman,
+            self.clock,
+            self.layout,
+            make_placement_policy(self.config.placement, self.registry),
+            self.config.scheduling_lead,
+        )
 
     def _on_neighbour_recovered(self, cub_id: int) -> None:
         """A believed-dead neighbour was heard again."""
@@ -365,24 +346,13 @@ class Cub(NetworkNode):
     def recover(self) -> None:
         """Power back on with empty protocol state (a rebooted machine)."""
         super().recover()
-        # A reboot forgets liveness history along with everything else;
-        # a fresh monitor seeded at the restart time grants neighbours a
-        # full timeout of grace instead of replaying pre-crash silence.
-        self.deadman = self._fresh_deadman()
-        self._wait_queues.clear()
-        self._queued_requests.clear()
+        self._boot()
         self._scan_events.clear()
-        # The crash lost every queued start, so its duplicate-suppression
-        # memory must go with it: a client retry routed here again is
-        # the only copy left, not a duplicate.
-        self._seen_start_instances.clear()
-        self._cancelled_instances.clear()
         self._forward_queue.clear()
         self._mirror_forward_queue.clear()
         self._redundant_states.clear()
         self._redundant_index.clear()
         self._redundant_expiry.clear()
-        self._redundant_requests.clear()
         # The drain events were cancelled by fail(); their buckets must
         # go too or a re-used fire time would run pre-crash service.  A
         # read already issued goes with its record: nothing of it is
@@ -394,7 +364,6 @@ class Cub(NetworkNode):
         self._pending_service.clear()
         self._aborted_service.clear()
         self._recent_send_times.clear()
-        self._first_considered.clear()
         # Served tiers forget their volatile state too.  Committed
         # migrations persist — they model on-disk placement metadata,
         # like the block index.
@@ -441,16 +410,13 @@ class Cub(NetworkNode):
             self.oracle.remove(state.slot, state.viewer_id, state.instance)
         if disposition != ADMIT_NEW:
             return
-        # A state for a queued-redundantly viewer proves the primary
-        # target scheduled it; drop our redundant copy of the request.
-        self._redundant_requests.pop(state.instance, None)
+        if self.admission.redundant_requests:  # else nothing to drop
+            self.admission.state_admitted(self.sim.now, state.instance)
 
         owner_cub = self.layout.cub_of_disk(state.disk_id)
         if owner_cub == self.cub_id:
             self._accept_own_state(state, key)
-        elif self.deadman.believes_failed(owner_cub) and self._is_first_living_after(
-            owner_cub
-        ):
+        elif self.deadman.adopts(owner_cub):
             self._bridge_state(state)
         else:
             self._hold_redundant(state, key)
@@ -709,7 +675,7 @@ class Cub(NetworkNode):
             self.cpu.add_busy(now, size * config.cpu_per_data_byte)
             self.blocks_sent.increment()
             # The load estimate's window, trimmed here as it slides (see
-            # _trim_send_window): the send just appended is never older
+            # local_load_estimate): the send just appended is never older
             # than the horizon, so the loop stops at it at the latest.
             sends = self._recent_send_times
             sends.append(now)
@@ -868,25 +834,18 @@ class Cub(NetworkNode):
             self.config.block_play_time,
         )
         for mirror_state in mirrors:
-            if self.view.admit_mirror(mirror_state, self.sim.now) != ADMIT_NEW:
-                continue
-            target_cub = self.layout.cub_of_disk(mirror_state.disk_id)
-            if target_cub == self.cub_id:
-                self._serve_mirror_piece(mirror_state)
-            elif self.deadman.believes_failed(target_cub):
-                # Second failure inside the decluster neighbourhood:
-                # this piece is gone (§2.3's data-loss case).
-                self.pieces_lost_to_second_failure.increment()
-            else:
-                self._mirror_forward_queue.append(mirror_state)
+            self._on_mirror_state(mirror_state)
 
     def _on_mirror_state(self, mirror_state: MirrorViewerState) -> None:
+        """Serve a piece held here, or pass it on toward its holder."""
         if self.view.admit_mirror(mirror_state, self.sim.now) != ADMIT_NEW:
             return
         target_cub = self.layout.cub_of_disk(mirror_state.disk_id)
         if target_cub == self.cub_id:
             self._serve_mirror_piece(mirror_state)
         elif self.deadman.believes_failed(target_cub):
+            # Second failure inside the decluster neighbourhood: this
+            # piece is gone (§2.3's data-loss case).
             self.pieces_lost_to_second_failure.increment()
         else:
             # Keep hopping toward the piece's holder with the next pump.
@@ -962,25 +921,12 @@ class Cub(NetworkNode):
         # and whose first living successor is now us.
         for key in list(self._redundant_states):
             state = self._redundant_states[key]
-            owner = self.layout.cub_of_disk(state.disk_id)
-            if not (
-                self.deadman.believes_failed(owner)
-                and self._is_first_living_after(owner)
-            ):
-                continue
-            self._release_redundant(key)
-            self._bridge_state(state)
+            if self.deadman.adopts(self.layout.cub_of_disk(state.disk_id)):
+                self._release_redundant(key)
+                self._bridge_state(state)
         # Activate redundant start requests on the same criterion.
-        for instance in list(self._redundant_requests):
-            request = self._redundant_requests[instance]
-            owner = self.layout.cub_of_disk(request.target_disk)
-            if not (
-                self.deadman.believes_failed(owner)
-                and self._is_first_living_after(owner)
-            ):
-                continue
-            del self._redundant_requests[instance]
-            self._enqueue_start(request)
+        for disk_id in self.admission.neighbour_failed(self.sim.now):
+            self._arm_scan(disk_id)
 
     def on_local_disk_failed(self, disk_id: int) -> None:
         """One of my disks died while the cub survives.
@@ -998,9 +944,6 @@ class Cub(NetworkNode):
             del self._pending_service[key]
             self._aborted_service.add(key)
             self._cover_with_mirrors(state)
-
-    def _is_first_living_after(self, cub: int) -> bool:
-        return self.deadman.next_living_cub(cub) == self.cub_id
 
     # ==================================================================
     # Deschedule handling (§4.1.2)
@@ -1030,8 +973,7 @@ class Cub(NetworkNode):
             key = (request.instance, seqno)
             if request.matches(self._redundant_states[key]):
                 self._release_redundant(key)
-        self._remove_queued_instance(request.instance)
-        self._redundant_requests.pop(request.instance, None)
+        self.admission.deschedule(self.sim.now, request.instance)
         if self.oracle is not None:
             self.oracle.remove(request.slot, request.viewer_id, request.instance)
         if self.tracer.enabled:
@@ -1044,7 +986,10 @@ class Cub(NetworkNode):
 
         # Forward until the tombstone has outrun every possible viewer
         # state: stop once our own visit is > maxVStateLead away.
-        my_next_visit = self._earliest_own_visit(request.slot)
+        my_next_visit = min(
+            self.clock.visit_time(disk_id, request.slot, self.sim.now)
+            for disk_id in self.disks
+        )
         if my_next_visit - self.sim.now <= self.config.max_vstate_lead:
             size = DESCHEDULE_BYTES
             for destination in self.deadman.living_successors(self.forward_copies):
@@ -1059,61 +1004,28 @@ class Cub(NetworkNode):
                 self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
             self.deschedules_forwarded.increment()
 
-    def _earliest_own_visit(self, slot: int) -> float:
-        return min(
-            self.clock.visit_time(disk_id, slot, self.sim.now)
-            for disk_id in self.disks
-        )
-
     # ==================================================================
     # Insertion (§4.1.3)
     # ==================================================================
     def _on_start_request(self, request: StartRequest, _sender: str) -> None:
-        if request.instance in self._cancelled_instances:
-            return
-        if request.instance in self._seen_start_instances:
-            return  # duplicate routing (e.g. a client retried via the backup)
-        self._seen_start_instances.add(request.instance)
-        if request.redundant:
-            target_cub = self.layout.cub_of_disk(request.target_disk)
-            if self.deadman.believes_failed(target_cub):
-                self._enqueue_start(request)
-            else:
-                self._redundant_requests[request.instance] = request
-            return
-        self._enqueue_start(request)
-
-    def _enqueue_start(self, request: StartRequest) -> None:
-        queue = self._wait_queues.setdefault(request.target_disk, deque())
-        queue.append(request)
-        self._queued_requests[request.instance] = request
-        self._arm_scan(request.target_disk)
+        disk_id = self.admission.start_request(self.sim.now, request)
+        if disk_id is not None:
+            self._arm_scan(disk_id)
 
     def _on_cancel_start(self, cancel: CancelStart, _sender: str) -> None:
-        self._cancelled_instances.add(cancel.instance)
-        self._redundant_requests.pop(cancel.instance, None)
-        self._remove_queued_instance(cancel.instance)
-
-    def _remove_queued_instance(self, instance: int) -> None:
-        self._first_considered.pop(instance, None)
-        request = self._queued_requests.pop(instance, None)
-        if request is not None:
-            self._wait_queues[request.target_disk].remove(request)
+        self.admission.cancel_start(self.sim.now, cancel.instance)
 
     def _arm_scan(self, disk_id: int) -> None:
         """Schedule the next ownership instant for ``disk_id``'s queue."""
-        if not self._wait_queues.get(disk_id):
-            return
         pending = self._scan_events.get(disk_id)
         if pending is not None and pending.active:
             return
-        slot, visit = self.clock.next_slot_visit(
-            disk_id, self.sim.now + self.config.scheduling_lead
-        )
-        ownership_instant = visit - self.config.scheduling_lead
-        self._scan_events[disk_id] = self.at(
-            ownership_instant, self._ownership_instant, disk_id, slot, visit
-        )
+        instant = self.admission.next_instant(self.sim.now, disk_id)
+        if instant is not None:
+            when, slot, visit = instant
+            self._scan_events[disk_id] = self.at(
+                when, self._ownership_instant, disk_id, slot, visit
+            )
 
     def local_load_estimate(self) -> float:
         """Schedule load inferred from this cub's own recent sends.
@@ -1123,7 +1035,11 @@ class Cub(NetworkNode):
         disks' total visit rate, estimates rho with no global state —
         a view-local quantity, in the spirit of §4.
         """
-        window = self._trim_send_window()
+        window = self._send_window
+        horizon = self.sim.now - window
+        sends = self._recent_send_times
+        while sends and sends[0] < horizon:
+            sends.popleft()
         if self.sim.now < window:  # not enough history yet
             return 0.0
         visits_per_second = (
@@ -1131,140 +1047,44 @@ class Cub(NetworkNode):
             * self.clock.visits_per_block_play_time()
             / self.config.block_play_time
         )
-        return len(self._recent_send_times) / (window * visits_per_second)
-
-    def _trim_send_window(self) -> float:
-        """Drop sends older than the estimate's window; returns its length."""
-        window = self._send_window
-        horizon = self.sim.now - window
-        sends = self._recent_send_times
-        while sends and sends[0] < horizon:
-            sends.popleft()
-        return window
+        return len(sends) / (window * visits_per_second)
 
     def _admission_blocked(self) -> bool:
         limit = self.config.admission_load_limit
         return limit is not None and self.local_load_estimate() >= limit
 
     def _ownership_instant(self, disk_id: int, slot: int, visit: float) -> None:
-        """This cub now owns (slot, visit) and may insert if it is free."""
+        """This cub now owns (slot, visit): insert what the owner picks."""
         self._scan_events.pop(disk_id, None)
-        queue = self._wait_queues.get(disk_id)
-        while queue and queue[0].instance in self._cancelled_instances:
-            del self._queued_requests[queue.popleft().instance]
-        if queue and not self.view.occupied_at(slot, visit):
-            if self._admission_blocked():
-                self.admission_rejects.increment()
-                if self.tracer.enabled:
-                    self.trace(
-                        "admission.reject",
-                        "ownership instant skipped by admission guard",
-                        slot=slot,
-                        disk=disk_id,
-                        queued=len(queue),
-                    )
-            else:
-                self._place_viewer(queue, disk_id, slot, visit)
+        state = self.admission.ownership_instant(
+            self.sim.now, disk_id, slot, visit, self._admission_blocked
+        )
+        if state is REJECT:
+            self.admission_rejects.increment()
+            if self.tracer.enabled:
+                self.trace(
+                    "admission.reject",
+                    "ownership instant skipped by admission guard",
+                    slot=slot,
+                    disk=disk_id,
+                    queued=self.admission.queued(disk_id),
+                )
+        elif state is not None:
+            self._insert_viewer(state)
         self._arm_scan(disk_id)
 
-    def _place_viewer(
-        self, queue: Deque[StartRequest], disk_id: int, slot: int, visit: float
-    ) -> None:
-        """Let the placement policy pick the request and the visit.
-
-        The policy sees the free (slot, visit) the cub owns right now
-        as rank 0 plus, for look-ahead policies, this disk's next free
-        visits; choosing rank > 0 defers the insert to a later
-        ownership instant (the scan re-arms one slot period later), so
-        every insert still happens at its own ownership instant.
-        """
-        policy = self._placement
-        eligible = [
-            request
-            for request in queue
-            if request.instance not in self._cancelled_instances
-        ]
-        if not eligible:
-            return
-        request = eligible[policy.select_request(eligible, self.sim.now)]
-        candidates = self._placement_candidates(disk_id, slot, visit)
-        first_seen = self._first_considered.setdefault(
-            request.instance, self.sim.now
-        )
-        waited = max(0.0, self.sim.now - first_seen)
-        chosen = policy.choose(
-            candidates, waited=waited, patience=self.config.block_play_time
-        )
-        if chosen is None or chosen.rank > 0:
-            policy.record_deferral()
-            return
-        self._first_considered.pop(request.instance, None)
-        queue.remove(request)
-        del self._queued_requests[request.instance]
-        self._insert_viewer(request, disk_id, slot, visit)
-
-    def _placement_candidates(
-        self, disk_id: int, slot: int, visit: float
-    ) -> List[SlotCandidate]:
-        """The free visits of ``disk_id`` a policy may rank, soonest
-        first.  Rank 0 is the owned (slot, visit) — the legacy choice —
-        and is always free when this is called."""
-        policy = self._placement
-
-        def candidate(c_slot: int, c_visit: float, c_rank: int) -> SlotCandidate:
-            return SlotCandidate(
-                c_slot,
-                c_visit,
-                c_rank,
-                self._slot_crowding(c_slot, c_visit)
-                if policy.needs_crowding
-                else 0.0,
-            )
-
-        candidates = [candidate(slot, visit, 0)]
-        if policy.lookahead > 1:
-            service_time = self.clock.block_service_time
-            num_slots = self.clock.num_slots
-            for step in range(1, policy.lookahead):
-                later_slot = (slot + step) % num_slots
-                later_visit = visit + step * service_time
-                if self.view.occupied_at(later_slot, later_visit):
-                    continue
-                candidates.append(candidate(later_slot, later_visit, step))
-        return candidates
-
-    def _slot_crowding(self, slot: int, visit: float) -> float:
-        """Occupied slots this disk services adjacently to ``slot`` —
-        the consecutive-service pressure load-spread penalizes."""
-        service_time = self.clock.block_service_time
-        num_slots = self.clock.num_slots
-        count = 0
-        for delta in neighbor_offsets():
-            neighbor = (slot + delta) % num_slots
-            if self.view.occupied_at(neighbor, visit + delta * service_time):
-                count += 1
-        return float(count)
-
-    def _insert_viewer(
-        self, request: StartRequest, disk_id: int, slot: int, visit: float
-    ) -> None:
-        state = make_initial_state(
-            viewer_id=request.viewer_id,
-            instance=request.instance,
-            slot=slot,
-            file_id=request.file_id,
-            first_block=request.first_block,
-            disk_id=disk_id,
-            due_time=visit,
-        )
+    def _insert_viewer(self, state: ViewerState) -> None:
+        """Carry out an insert the owner decided: commit it to the
+        oracle, the view and the disk, then tell the controller."""
+        viewer_id, slot, disk_id = state.viewer_id, state.slot, state.disk_id
         if self.oracle is not None:
             try:
                 self.oracle.insert(
                     slot,
-                    request.viewer_id,
-                    request.instance,
-                    request.file_id,
-                    request.first_block,
+                    viewer_id,
+                    state.instance,
+                    state.file_id,
+                    state.block_index,
                     self.sim.now,
                 )
             except SlotConflictError:
@@ -1281,10 +1101,10 @@ class Cub(NetworkNode):
         self.trace(
             "insert",
             "scheduled viewer",
-            viewer=request.viewer_id,
+            viewer=viewer_id,
             slot=slot,
             disk=disk_id,
-            due=visit,
+            due=state.due_time,
         )
 
         owner_cub = self.layout.cub_of_disk(disk_id)
@@ -1301,17 +1121,9 @@ class Cub(NetworkNode):
         # Commit: the insertion joins the hallucination once another
         # machine knows about it (§4.3) — tell the controller and
         # immediately push the viewer state to the successors.
-        for controller in self.controller_addresses:
-            self.network.send(
-                Message(
-                    self.address,
-                    controller,
-                    StartCommitted(
-                        request.viewer_id, request.instance, slot, visit
-                    ),
-                    DESCHEDULE_BYTES,
-                )
-            )
+        self._tell_controllers(
+            StartCommitted(viewer_id, state.instance, slot, state.due_time)
+        )
         self._pump_forward()
 
     # ==================================================================
@@ -1321,16 +1133,14 @@ class Cub(NetworkNode):
         """The final block was handled; retire the slot."""
         if self.oracle is not None:
             self.oracle.remove_unconditional(last_state.slot)
+        self._tell_controllers(
+            PlayEnded(last_state.viewer_id, last_state.instance, last_state.slot)
+        )
+
+    def _tell_controllers(self, payload: Any) -> None:
         for controller in self.controller_addresses:
             self.network.send(
-                Message(
-                    self.address,
-                    controller,
-                    PlayEnded(
-                        last_state.viewer_id, last_state.instance, last_state.slot
-                    ),
-                    DESCHEDULE_BYTES,
-                )
+                Message(self.address, controller, payload, DESCHEDULE_BYTES)
             )
 
     # ==================================================================
@@ -1372,9 +1182,6 @@ class Cub(NetworkNode):
         self.cpu.reset(self.sim.now)
         for disk in self.disks.values():
             disk.reset_measurement()
-
-    def queued_start_requests(self) -> int:
-        return sum(len(queue) for queue in self._wait_queues.values())
 
 
 def _client_address(viewer_id: str) -> str:

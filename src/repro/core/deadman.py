@@ -141,6 +141,11 @@ class DeadmanMonitor:
                 return candidate
         raise RuntimeError("no living cub found (whole ring believed dead)")
 
+    def adopts(self, cub_id: int) -> bool:
+        """Is ``cub_id`` believed dead with this cub the first living one
+        after it?  Then its chains and its starts are this cub's."""
+        return cub_id in self._believed_failed and self.next_living_cub(cub_id) == self.cub_id
+
     def living_successors(self, count: int = 2) -> Tuple[int, ...]:
         """The next ``count`` cubs after self believed alive — the
         forwarding destinations for viewer states and deschedules."""

@@ -113,10 +113,6 @@ class ScheduleView:
         self._slot_expiry = ExpiryIndex()
         #: Deschedule tombstones: (viewer, instance, slot) -> expiry time.
         self._tombstones: Dict[Tuple[str, int, int], float] = {}
-        self._tombstone_requests: Dict[Tuple[str, int, int], DescheduleRequest] = {}
-        #: Slots this cub has tentatively claimed for an insertion that
-        #: has not yet round-tripped into a viewer state.
-        self._reserved_slots: Dict[int, float] = {}
         self.duplicates_ignored = 0
         self.states_discarded_late = 0
 
@@ -190,7 +186,6 @@ class ScheduleView:
         if key in self._tombstones:
             return False
         self._tombstones[key] = expiry
-        self._tombstone_requests[key] = request
         current = self._slot_states.get(request.slot)
         if current is not None and request.matches(current):
             del self._slot_states[request.slot]
@@ -224,8 +219,6 @@ class ScheduleView:
         minVStateLead >> scheduling lead (§4.1.3): any real occupant's
         state arrived seconds before the ownership window opened.
         """
-        if slot in self._reserved_slots:
-            return True
         state = self._slot_states.get(slot)
         if state is None:
             return False
@@ -234,13 +227,6 @@ class ScheduleView:
         if state.due_time >= visit_time - self.block_play_time - _EPS:
             return not self._is_final(state)
         return False
-
-    def reserve_slot(self, slot: int, until: float) -> None:
-        """Mark a slot claimed by an in-progress local insertion."""
-        self._reserved_slots[slot] = until
-
-    def release_slot(self, slot: int) -> None:
-        self._reserved_slots.pop(slot, None)
 
     def state_for_slot(self, slot: int) -> Optional[ViewerState]:
         return self._slot_states.get(slot)
@@ -267,12 +253,6 @@ class ScheduleView:
         expired = [key for key, expiry in self._tombstones.items() if expiry < now]
         for key in expired:
             del self._tombstones[key]
-            self._tombstone_requests.pop(key, None)
-        self._reserved_slots = {
-            slot: until
-            for slot, until in self._reserved_slots.items()
-            if until >= now
-        }
 
     def size(self) -> int:
         """Total records held — must stay O(leads), not O(system)."""

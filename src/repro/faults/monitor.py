@@ -104,7 +104,8 @@ def index_incoherence(cub: Any) -> Optional[str]:
 
     Every indexed key is in the store, every stored key is indexed, and
     no play's entry is empty — so the index is never larger than the
-    store; likewise the instance map and the wait queues.  And every
+    store; likewise the admission state's instance map and wait
+    queues.  And every
     record the view or the redundant store holds is listed under its
     due time in that store's expiry index (a listing may outlive its
     record; a record may never lack its listing).
@@ -124,17 +125,16 @@ def index_incoherence(cub: Any) -> Optional[str]:
             f"redundant index names {len(indexed)} records of {len(index)} "
             f"plays, the store holds {len(store)}"
         )
+    admission = cub.admission
     queued = [
         request.instance
-        for queue in cub._wait_queues.values()
+        for queue in admission._wait_queues.values()
         for request in queue
     ]
-    if (
-        len(queued) != len(cub._queued_requests)
-        or set(queued) != cub._queued_requests.keys()
-    ):
+    mapped = admission._queued_requests
+    if len(queued) != len(mapped) or set(queued) != mapped.keys():
         return (
-            f"instance map names {len(cub._queued_requests)} queued "
+            f"instance map names {len(mapped)} queued "
             f"starts, the wait queues hold {len(queued)}"
         )
     stranded = cub.view.unexpirable() + len(

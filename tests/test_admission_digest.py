@@ -1,0 +1,107 @@
+"""Every admission decision, pinned (paper §4.1.3).
+
+A cub may insert a viewer only at its own ownership instant and only
+into a slot its view says is free.  These digests hash what every
+ownership instant of a run decided — (time, cub, disk, slot, visit,
+outcome, inserted instance) — so moving the decision code cannot change
+a single one of them unnoticed.  The outcome is read off what the
+instant did, not off the tables that decided it: an insert, a guard
+reject, a placement deferral, an occupied slot, or nothing (an empty
+queue).
+"""
+
+import hashlib
+
+import pytest
+
+from repro import TigerSystem, small_config
+from repro.core.cub import Cub
+from repro.workloads.placement import run_policy_scenario
+from tests.test_deschedule_index import _churn_under_faults, _small_system
+
+
+def _record_instants(monkeypatch):
+    """Wrap the cub's ownership instant and insert; returns the list
+    every instant appends its record to."""
+    instants, inserted = [], []
+    ownership_instant, insert_viewer = Cub._ownership_instant, Cub._insert_viewer
+
+    def insert(cub, request, *args):
+        inserted.append(request.instance)
+        return insert_viewer(cub, request, *args)
+
+    def instant(cub, disk_id, slot, visit):
+        deferrals = cub.registry.counter(
+            "placement.deferrals", policy=cub.config.placement
+        )
+        occupied = cub.view.occupied_at(slot, visit)
+        rejects, deferred = cub.admission_rejects.count, deferrals.count
+        del inserted[:]
+        ownership_instant(cub, disk_id, slot, visit)
+        if inserted:
+            outcome = "insert"
+        elif cub.admission_rejects.count > rejects:
+            outcome = "reject"
+        elif deferrals.count > deferred:
+            outcome = "defer"
+        else:
+            outcome = "occupied" if occupied else "idle"
+        instants.append((
+            repr(cub.sim.now), cub.cub_id, disk_id, slot, repr(visit),
+            outcome, inserted[0] if inserted else None,
+        ))
+
+    monkeypatch.setattr(Cub, "_insert_viewer", insert)
+    monkeypatch.setattr(Cub, "_ownership_instant", instant)
+    return instants
+
+
+def _digest(instants):
+    return hashlib.sha256(repr(instants).encode()).hexdigest()
+
+
+CHURN_DIGESTS = {
+    1: "8f8c13d53bc54bf6d439729fbb4ac5a6d18b03aa4587f216ef82e872bfb2c8d2",
+    2: "7e71c4214265e38a5c44bb295e2facfe3b5cb54850eeb74242166c1bba04ff91",
+    3: "9f1625f8506c7c0cee3da2c8df978a28eaa34e38a1cd3abd012d7cf841b1b099",
+    4: "e3b114e5e639d7585c67e023cfda1ac8d0a2341b1d0da2b7844586e8de6a272d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHURN_DIGESTS))
+def test_churn_under_faults_admits_as_it_always_did(monkeypatch, seed):
+    instants = _record_instants(monkeypatch)
+    _churn_under_faults(_small_system(seed, strict=False), seed)
+    outcomes = {record[5] for record in instants}
+    assert {"insert", "occupied"} <= outcomes
+    assert _digest(instants) == CHURN_DIGESTS[seed]
+
+
+POLICY_DIGESTS = {
+    "first-fit": "621265bd12d426494b75601f958a592b33ff1404e7a1efb9a803951ceae7af7b",
+    "deadline-greedy": "29211562e2ef9eb027d926bb337dea7aa4ad744f6e3dec0543bf4b6cf988a1c4",
+    "load-spread": "83d9f3c488fdb4fbf8b5caca248314ef7893d47d1d74db6e44ebf3a755b2c9bc",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_DIGESTS))
+def test_each_placement_policy_admits_as_it_always_did(monkeypatch, policy):
+    instants = _record_instants(monkeypatch)
+    run_policy_scenario(policy)
+    assert _digest(instants) == POLICY_DIGESTS[policy]
+
+
+def test_the_admission_guard_rejects_as_it_always_did(monkeypatch):
+    """A full ring's worth of starts against a 0.6 load limit: the
+    guard turns free instants away once the cubs' sends fill in."""
+    instants = _record_instants(monkeypatch)
+    system = TigerSystem(small_config(admission_load_limit=0.6), seed=31)
+    system.add_standard_content(num_files=4, duration_s=120)
+    client = system.add_client()
+    for index in range(system.config.num_slots):
+        client.start_stream(file_id=index % 4)
+    system.run_for(40.0)
+    assert "reject" in {record[5] for record in instants}
+    assert _digest(instants) == (
+        "abbe3faa6c8650349ad4ddf74c8c6a09431edc2292a9e4c99406c0babdee6af3"
+    )

@@ -12,7 +12,12 @@ half of their protocols and reach the cub only through its dispatch
 table, attached by the assembly.
 
 And it keeps a deschedule searching nothing: the stop, pause and cancel
-handlers may walk no table of the cub but the one play's index entry.
+handlers may walk no table of the cub or of its admission state but the
+one play's index entry.
+
+And it keeps the admission core off every backend: ``core/owner.py``
+imports no simulator, network, live or runtime module and holds no such
+object, and the cub holds none of the tables it moved there.
 
 And it keeps expiry working from the due-time indexes: a prune may walk
 none of the stores it expires, and the histogram sorts, never inserts.
@@ -83,8 +88,13 @@ TIER_PAYLOADS = {
 }
 
 
-#: The handlers every stop, pause and cancel runs through ...
-STOP_PATH = {"_on_deschedule", "_on_cancel_start", "_remove_queued_instance"}
+#: The handlers every stop, pause and cancel runs through, by class ...
+STOP_PATH = {
+    ("core/cub.py", "Cub"): {"_on_deschedule", "_on_cancel_start"},
+    ("core/owner.py", "ScheduleOwner"): {
+        "cancel_start", "deschedule", "_remove_queued",
+    },
+}
 #: ... the one table they may iterate, and only one play's entry of it ...
 PLAY_INDEX = "self._redundant_index"
 #: ... and the builtins that walk their argument as a loop would.
@@ -271,10 +281,62 @@ def _cub_methods(source: str, class_name: str = "Cub"):
 def test_a_deschedule_walks_no_table_of_the_cub():
     """Stop, pause and cancel cost the play's own records (DESIGN.md
     §5.1), so the scan they replaced cannot quietly come back."""
-    methods = _cub_methods((SRC / "core/cub.py").read_text(encoding="utf-8"))
-    assert STOP_PATH <= set(methods)
-    for name in sorted(STOP_PATH):
-        assert not _tables_walked(methods[name]), name
+    for (relative, class_name), names in STOP_PATH.items():
+        methods = _cub_methods(
+            (SRC / relative).read_text(encoding="utf-8"), class_name
+        )
+        assert names <= set(methods)
+        for name in sorted(names):
+            assert not _tables_walked(methods[name]), (class_name, name)
+
+
+#: Packages a backend is made of; the admission core imports none.
+BACKEND_PACKAGES = ("repro.sim", "repro.net", "repro.live", "repro.runtime")
+#: Objects it may not hold, and the tables the cub no longer holds.
+BACKEND_HANDLES = {"sim", "runtime", "network", "tracer", "registry"}
+ADMISSION_TABLES = {
+    "_wait_queues", "_queued_requests", "_cancelled_instances",
+    "_seen_start_instances", "_redundant_requests", "_first_considered",
+    "_placement", "redundant_requests",
+}
+
+
+def _imports(tree: ast.AST):
+    return {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+    }
+
+
+def _self_attributes(tree: ast.AST):
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def test_the_schedule_owner_runs_on_no_backend():
+    """Admission (§4.1.3) is driven with plain inputs and no simulator:
+    the owner imports no backend package and holds no backend object,
+    and the cub keeps none of the tables the owner holds."""
+    owner = ast.parse((SRC / "core/owner.py").read_text(encoding="utf-8"))
+    imported = _imports(owner)
+    assert "repro.core.view" in imported
+    assert not [
+        module for module in imported
+        if module.startswith(tuple(p + "." for p in BACKEND_PACKAGES))
+        or module in BACKEND_PACKAGES
+    ]
+    assert not _self_attributes(owner) & BACKEND_HANDLES
+    assert ADMISSION_TABLES - {"_placement", "_redundant_requests"} <= (
+        _self_attributes(owner)
+    )
+    cub = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    assert not _self_attributes(cub) & ADMISSION_TABLES
 
 
 def test_the_walk_check_sees_the_scans_it_replaced():

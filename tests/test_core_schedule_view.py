@@ -173,12 +173,6 @@ class TestOccupancy:
         view.apply_deschedule(DescheduleRequest("v1", 1, 3, 5.0), expiry=100.0)
         assert not view.occupied_at(3, visit_time=10.0)
 
-    def test_reservation_occupies(self, view):
-        view.reserve_slot(3, until=20.0)
-        assert view.occupied_at(3, visit_time=10.0)
-        view.release_slot(3)
-        assert not view.occupied_at(3, visit_time=10.0)
-
     def test_latest_due_wins(self, view):
         view.admit(make_state(due_time=9.0, play_seqno=4, block_index=4), now=5.0)
         view.admit(make_state(due_time=10.0, play_seqno=5), now=5.0)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import TigerSystem, small_config
 from repro.core.cub import Cub
+from repro.core.owner import ScheduleOwner
 from repro.core.protocol import BlockData, DescheduleForward, ViewerStateBatch
 from repro.core.schedule import SlotConflictError
 from repro.core.viewerstate import (
@@ -25,11 +26,27 @@ from repro.core.viewerstate import (
 from repro.faults.monitor import index_incoherence
 
 
+class FullScanOwner(ScheduleOwner):
+    """The reference's admission state: a stop walks every wait queue."""
+
+    def _remove_queued(self, instance):
+        self._first_considered.pop(instance, None)
+        self._queued_requests.pop(instance, None)
+        for disk_id, queue in self._wait_queues.items():
+            self._wait_queues[disk_id] = deque(
+                request for request in queue if request.instance != instance
+            )
+
+
 class FullScanCub(Cub):
     """The reference: the same cub with no index.  Every stop walks the
     redundant store, both forward queues and every wait queue, as the
     code did before the index; what remains of ``Cub._on_deschedule``
     then finds nothing left to drop."""
+
+    def _boot(self):
+        super()._boot()
+        self.admission.__class__ = FullScanOwner
 
     def _hold_redundant(self, state, key):
         self._redundant_states[key] = state
@@ -44,14 +61,6 @@ class FullScanCub(Cub):
             for key, state in self._redundant_states.items()
             if state.due_time >= horizon
         }
-
-    def _remove_queued_instance(self, instance):
-        self._first_considered.pop(instance, None)
-        self._queued_requests.pop(instance, None)
-        for disk_id, queue in self._wait_queues.items():
-            self._wait_queues[disk_id] = deque(
-                request for request in queue if request.instance != instance
-            )
 
     def _on_deschedule(self, forward, sender):
         request = forward.request
@@ -81,6 +90,7 @@ class FullScanCub(Cub):
 def _full_scan(system):
     for cub in system.cubs:
         cub.__class__ = FullScanCub
+        cub._boot()
         cub.handlers[DescheduleForward] = cub._on_deschedule
     return system
 
@@ -128,7 +138,10 @@ def _churn_under_faults(system, seed, indexed=False):
         history.append([
             (
                 list(cub._redundant_states.items()),
-                {disk: list(q) for disk, q in cub._wait_queues.items() if q},
+                {
+                    disk: list(q)
+                    for disk, q in cub.admission._wait_queues.items() if q
+                },
             )
             for cub in system.cubs
         ])

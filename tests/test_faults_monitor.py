@@ -161,7 +161,7 @@ class TestDetection:
         system = build_running(streams=34)  # two more than fit: they queue
         cub = next(
             cub for cub in system.cubs
-            if cub._redundant_states and cub._queued_requests
+            if cub._redundant_states and cub.admission.queued()
         )
         monitor = InvariantMonitor(system)
         own = InvariantMonitor(system, cub)
@@ -174,7 +174,7 @@ class TestDetection:
         elif damage == "unstored":  # an index entry outliving its record
             cub._redundant_states.popitem()
         elif damage == "unmapped":
-            cub._queued_requests.popitem()
+            cub.admission._queued_requests.popitem()
         elif damage == "view-size":  # a view that outgrew its leads
             check = damage
             for key in range(monitor.view_bound + 1):

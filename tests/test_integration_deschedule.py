@@ -50,7 +50,7 @@ class TestStopPlaying:
         small_system.run_for(1.0)
         client.stop_stream(waiting)
         small_system.run_for(5.0)
-        assert sum(cub.queued_start_requests() for cub in small_system.cubs) == 0
+        assert sum(cub.admission.queued() for cub in small_system.cubs) == 0
         assert client.streams[waiting].blocks_received == 0
 
     def test_stop_is_idempotent(self, small_system):

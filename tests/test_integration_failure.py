@@ -146,12 +146,12 @@ class TestCubFailure:
             request_time=system.sim.now,
         )
         cub.handlers[StartRequest](request, "controller")
-        assert cub.queued_start_requests() == 1
+        assert cub.admission.queued() == 1
         system.fail_cub(1)
         system.recover_cub(1)  # inside the deadman timeout: nobody noticed
-        assert cub.queued_start_requests() == 0
+        assert cub.admission.queued() == 0
         cub.handlers[StartRequest](request, "backup-controller")
-        assert cub.queued_start_requests() == 1
+        assert cub.admission.queued() == 1
 
     def test_small_system_does_not_bridge_long_expired_states(self):
         """The redundant store is pruned whatever its size.  Left alone

@@ -1,0 +1,239 @@
+"""The admission core on its own (paper §4.1.3): a :class:`ScheduleOwner`
+driven with plain inputs and times — no simulator, network or disk.
+
+Each test builds the pure objects a cub hands its owner (view, deadman,
+slot clock, stripe layout, placement policy) from ``small_config()`` and
+asks what the owner decides.  The last one reboots a real cub, because
+what a reboot forgets is the cub's business.
+"""
+
+import pytest
+
+from repro import TigerSystem, small_config
+from repro.core.deadman import DeadmanMonitor
+from repro.core.owner import REJECT, ScheduleOwner
+from repro.core.placement import make_placement_policy
+from repro.core.protocol import CancelStart, StartRequest
+from repro.core.slots import SlotClock
+from repro.core.view import ScheduleView
+from repro.core.viewerstate import ViewerState
+from repro.obs.registry import MetricsRegistry
+from repro.storage.blockindex import BlockLocation
+from repro.storage.layout import StripeLayout
+
+CONFIG = small_config()
+LAYOUT = StripeLayout(CONFIG.num_cubs, CONFIG.disks_per_cub)
+CLOCK = SlotClock(CONFIG.num_disks, CONFIG.num_slots, CONFIG.block_play_time)
+
+
+def _owner(cub_id=0, policy="first-fit", registry=None):
+    view = ScheduleView(
+        cub_id, CONFIG.block_play_time, hold_time=CONFIG.deschedule_hold
+    )
+    deadman = DeadmanMonitor(
+        cub_id, CONFIG.num_cubs, timeout=CONFIG.deadman_timeout
+    )
+    return ScheduleOwner(
+        view, deadman, CLOCK, LAYOUT, make_placement_policy(policy, registry),
+        CONFIG.scheduling_lead,
+    )
+
+
+def _request(instance, disk_id, request_time=0.0, redundant=False):
+    return StartRequest(
+        f"client:0#{instance}", instance, file_id=0, first_block=0,
+        target_disk=disk_id, request_time=request_time, redundant=redundant,
+    )
+
+
+def _occupant(slot, due_time, instance=99):
+    return ViewerState(
+        viewer_id=f"client:0#{instance}", instance=instance, slot=slot,
+        file_id=0, block_index=3, disk_id=0, due_time=due_time, play_seqno=3,
+    )
+
+
+def _never_blocked():
+    return False
+
+
+DISK = LAYOUT.disks_of_cub(0)[0]
+
+
+def test_a_free_owned_instant_inserts_the_queued_start():
+    owner = _owner()
+    assert owner.start_request(0.0, _request(1, DISK)) == DISK
+    when, slot, visit = owner.next_instant(0.0, DISK)
+    assert visit - when == pytest.approx(CONFIG.scheduling_lead)
+    state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
+    assert (state.instance, state.slot, state.disk_id) == (1, slot, DISK)
+    assert (state.due_time, state.block_index, state.play_seqno) == (visit, 0, 0)
+    assert owner.queued() == 0
+    assert owner.next_instant(when, DISK) is None  # nothing left to scan for
+
+
+def test_an_occupied_instant_inserts_nothing_and_rearms():
+    owner = _owner()
+    owner.start_request(0.0, _request(1, DISK))
+    when, slot, visit = owner.next_instant(0.0, DISK)
+    owner.view.admit(_occupant(slot, visit), now=0.0)
+    asked = []
+    decision = owner.ownership_instant(
+        when, DISK, slot, visit, lambda: asked.append(1) or False
+    )
+    assert decision is None and not asked  # the guard is not consulted
+    assert owner.queued(DISK) == 1
+    # The scan re-arms for the disk's next slot, one service time on.
+    later, next_slot, next_visit = owner.next_instant(when, DISK)
+    assert later > when
+    assert next_slot == (slot + 1) % CONFIG.num_slots
+    assert next_visit == pytest.approx(visit + CLOCK.block_service_time)
+    state = owner.ownership_instant(
+        later, DISK, next_slot, next_visit, _never_blocked
+    )
+    assert state.slot == next_slot
+
+
+def test_the_admission_guard_rejects_a_free_instant():
+    owner = _owner()
+    owner.start_request(0.0, _request(1, DISK))
+    when, slot, visit = owner.next_instant(0.0, DISK)
+    assert owner.ownership_instant(when, DISK, slot, visit, lambda: True) is REJECT
+    assert owner.queued(DISK) == 1
+
+
+def test_deadline_greedy_takes_the_oldest_request_time():
+    for policy, expected in (("first-fit", 1), ("deadline-greedy", 2)):
+        owner = _owner(policy=policy)
+        owner.start_request(0.0, _request(1, DISK, request_time=5.0))
+        owner.start_request(0.0, _request(2, DISK, request_time=3.0))
+        owner.start_request(0.0, _request(3, DISK, request_time=4.0))
+        when, slot, visit = owner.next_instant(6.0, DISK)
+        state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
+        assert state.instance == expected, policy
+        assert owner.queued(DISK) == 2
+
+
+def test_load_spread_defers_then_takes_rank_zero_past_its_patience():
+    registry = MetricsRegistry()
+    owner = _owner(policy="load-spread", registry=registry)
+    owner.start_request(0.0, _request(1, DISK))
+    when, slot, visit = owner.next_instant(0.0, DISK)
+    service = CLOCK.block_service_time
+    # Occupants just ahead of the owned slot crowd it; two slots on, the
+    # disk's neighbourhood is empty.
+    for delta in (-1, -2):
+        owner.view.admit(
+            _occupant((slot + delta) % CONFIG.num_slots, visit + delta * service,
+                      instance=90 + delta),
+            now=0.0,
+        )
+    assert owner.ownership_instant(when, DISK, slot, visit, _never_blocked) is None
+    assert owner.queued(DISK) == 1
+    # Still inside its patience (one block play time from first
+    # consideration): deferred again.
+    patience = CONFIG.block_play_time
+    almost = when + patience / 2
+    assert owner.ownership_instant(almost, DISK, slot, visit, _never_blocked) is None
+    # Past it, every policy takes the owned visit.
+    state = owner.ownership_instant(
+        when + 1.5 * patience, DISK, slot, visit, _never_blocked
+    )
+    assert (state.instance, state.slot) == (1, slot)
+    assert registry.get_value("placement.deferrals", policy="load-spread") == 2
+
+
+def _silence(owner, dead, now):
+    """Every watched neighbour but ``dead`` beats; the deadman checks."""
+    for neighbour in owner.deadman.watched:
+        if neighbour != dead:
+            owner.deadman.note_heartbeat(neighbour, now)
+    owner.deadman.check(now)
+    assert owner.deadman.believes_failed(dead)
+
+
+def test_a_redundant_start_is_adopted_only_by_the_first_living_successor():
+    dead_disk = LAYOUT.disks_of_cub(0)[0]
+    successor, second = _owner(cub_id=1), _owner(cub_id=2)
+    for owner in (successor, second):
+        request = _request(7, dead_disk, redundant=True)
+        assert owner.start_request(0.0, request) is None  # held, not queued
+        assert owner.queued() == 0
+        assert owner.neighbour_failed(1.0) == []  # cub 0 is still alive
+    later = CONFIG.deadman_timeout + 1.0
+    _silence(successor, 0, later)
+    _silence(second, 0, later)
+    assert successor.neighbour_failed(later) == [dead_disk]
+    assert successor.queued(dead_disk) == 1
+    # Cub 1 lives, so cub 2 keeps its copy and queues nothing.
+    assert second.neighbour_failed(later) == []
+    assert second.queued() == 0
+
+
+def test_a_redundant_start_for_a_dead_target_is_queued_at_once():
+    owner = _owner(cub_id=1)
+    _silence(owner, 0, CONFIG.deadman_timeout + 1.0)
+    dead_disk = LAYOUT.disks_of_cub(0)[0]
+    assert owner.start_request(8.0, _request(7, dead_disk, redundant=True)) == dead_disk
+
+
+def test_a_new_state_drops_the_redundant_copy():
+    owner = _owner(cub_id=1)
+    dead_disk = LAYOUT.disks_of_cub(0)[0]
+    owner.start_request(0.0, _request(7, dead_disk, redundant=True))
+    owner.state_admitted(0.5, 7)
+    _silence(owner, 0, CONFIG.deadman_timeout + 1.0)
+    assert owner.neighbour_failed(8.0) == []
+
+
+def test_a_cancel_takes_the_start_off_its_queue_and_the_instance_map():
+    owner = _owner()
+    other_disk = LAYOUT.disks_of_cub(0)[1]
+    owner.start_request(0.0, _request(1, DISK))
+    owner.start_request(0.0, _request(2, DISK))
+    owner.start_request(0.0, _request(3, other_disk))
+    owner.cancel_start(0.5, 2)
+    assert [request.instance for request in owner._wait_queues[DISK]] == [1]
+    assert set(owner._queued_requests) == {1, 3}
+    assert owner.queued() == 2
+    owner.deschedule(0.6, 3)  # a stop before the insert: the same
+    assert not owner._wait_queues[other_disk]
+    assert set(owner._queued_requests) == {1}
+
+
+def test_a_start_arriving_after_its_cancel_is_never_queued():
+    owner = _owner()
+    owner.cancel_start(0.0, 4)
+    assert owner.start_request(0.1, _request(4, DISK)) is None
+    assert owner.queued() == 0
+    # Nor is its redundant copy held for a later failover.
+    owner.cancel_start(0.0, 5)
+    owner.start_request(0.1, _request(5, DISK, redundant=True))
+    assert owner.redundant_requests == {}
+
+
+def test_a_rebooted_cub_gets_a_fresh_owner_and_keeps_its_migrations():
+    system = TigerSystem(small_config(), seed=41)
+    system.add_standard_content(num_files=2, duration_s=60)
+    cub = system.cubs[0]
+    disk_id = LAYOUT.disks_of_cub(0)[0]
+    cub._on_start_request(_request(1, disk_id), "controller")
+    cub._on_cancel_start(CancelStart("client:0#2", 2), "controller")
+    moved = BlockLocation(disk_id, "outer", 0, 1)
+    cub.migrations[(0, 5)] = moved
+    before, deadman = cub.admission, cub.deadman
+    assert cub.admission.queued() == 1
+
+    cub.fail()
+    cub.recover()
+    assert cub.admission is not before and cub.deadman is not deadman
+    assert cub.admission.deadman is cub.deadman
+    assert cub.admission.view is cub.view
+    assert cub.admission.queued() == 0
+    assert not cub._scan_events
+    # Neither the seen nor the cancelled start is remembered: both are
+    # queued when routed here again.
+    cub._on_start_request(_request(1, disk_id), "controller")
+    cub._on_start_request(_request(2, disk_id), "controller")
+    assert cub.admission.queued() == 2
+    assert cub.migrations == {(0, 5): moved}

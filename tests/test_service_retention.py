@@ -45,7 +45,7 @@ def _container_sizes(system: TigerSystem) -> dict:
     """
     owners = []
     for cub in system.cubs:
-        owners += [cub, cub.view, *cub.disks.values()]
+        owners += [cub, cub.view, cub.admission, *cub.disks.values()]
     owners += [system.controller, *system.clients]
     sizes: dict = {}
     for owner in owners:
@@ -64,7 +64,8 @@ def _container_sizes(system: TigerSystem) -> dict:
         for seqnos in cub._redundant_index.values()
     )
     assert {
-        "Cub._redundant_index", "Cub._queued_requests", "SimDisk._in_flight",
+        "Cub._redundant_index", "ScheduleOwner._queued_requests",
+        "SimDisk._in_flight",
     } <= set(sizes)
     return sizes
 

@@ -36,7 +36,7 @@ def run_offered_overload(limit):
     system.run_for(60.0)
     latencies = workload.startup_latencies()
     admitted = system.oracle.num_occupied
-    queued = sum(cub.admission.queued() for cub in system.cubs)
+    queued = sum(cub.owner.queued() for cub in system.cubs)
     return latencies, admitted, queued, system.oracle.load
 
 

@@ -343,10 +343,3 @@ class Controller(NetworkNode):
 
     def reset_measurement(self) -> None:
         self.cpu.reset(self.sim.now)
-
-    def active_plays(self) -> int:
-        return sum(
-            1
-            for record in self.plays.values()
-            if record.slot is not None and not record.ended
-        )

@@ -2,7 +2,8 @@
 
 Each cub owns a handful of disks, a bounded :class:`ScheduleView`, a
 :class:`DeadmanMonitor`, and a :class:`ScheduleOwner` holding its
-waiting start requests.  All of §4's machinery lives here:
+per-play records: held states, forward queues and waiting start
+requests.  All of §4's machinery runs here:
 
 * steady-state viewer-state propagation to the successor *and second
   successor*, batched by a periodic pump within the
@@ -26,7 +27,7 @@ and add their payloads to the dispatch table, :attr:`Cub.handlers`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -45,7 +46,7 @@ from repro.core.owner import REJECT, ScheduleOwner
 from repro.core.placement import make_placement_policy
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
-from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ExpiryIndex, ScheduleView
+from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ScheduleView
 from repro.core.viewerstate import MirrorViewerState, ViewerState, mirror_states_for
 from repro.disk.drive import Read, SimDisk
 from repro.net.message import (
@@ -81,19 +82,12 @@ class _Service:
     send share.  Built once, appended to the read bucket and the send
     bucket of the pending table, dead when the send bucket pops."""
 
-    __slots__ = ("state", "key", "disk", "location", "read")
+    __slots__ = ("state", "aborted", "disk", "location", "read")
 
-    def __init__(
-        self,
-        state: Any,
-        disk: SimDisk,
-        location: BlockLocation,
-        key: Optional[Tuple] = None,
-    ) -> None:
+    def __init__(self, state: Any, disk: SimDisk, location: BlockLocation) -> None:
         self.state = state
-        #: A primary state's idempotence key, computed once: what the
-        #: disk-death bookkeeping is keyed by.  Mirror pieces have none.
-        self.key = key
+        #: Set by a disk death before the send; mirror pieces cover it.
+        self.aborted = False
         self.disk = disk
         self.location = location
         #: The drive's handle once the read is issued; None if a
@@ -156,27 +150,6 @@ class Cub(NetworkNode):
 
         #: The armed ownership-instant timer per disk with waiting starts.
         self._scan_events: Dict[int, Event] = {}
-        #: Redundant viewer states held for predecessors (§4.1.1), in
-        #: arrival order — the order a neighbour's death bridges them.
-        self._redundant_states: Dict[Tuple[int, int], ViewerState] = {}
-        #: The same records by play: instance -> play seqnos held, so a
-        #: deschedule finds them without a search.  Exactly the store's
-        #: keys; every write to the store goes through
-        #: :meth:`_hold_redundant` / :meth:`_release_redundant`.
-        self._redundant_index: Dict[int, Tuple[int, ...]] = {}
-        #: And by due time: what :meth:`_prune_redundant` visits.
-        self._redundant_expiry = ExpiryIndex()
-        #: States awaiting their forward window.
-        self._forward_queue: List[ViewerState] = []
-        #: Mirror states bound for downstream piece holders; they ride
-        #: the next pump batch, one hop at a time, single copy (each is
-        #: re-derivable from the primary chain, so no redundancy needed).
-        self._mirror_forward_queue: List[MirrorViewerState] = []
-        #: States with a scheduled read/send on a local disk, by key —
-        #: consulted when one of our own disks dies mid-flight.
-        self._pending_service: Dict[Tuple, ViewerState] = {}
-        #: Service keys abandoned because their disk died.
-        self._aborted_service: Set[Tuple] = set()
         #: The pending table: fire time -> (drain event, records whose
         #: read is due then, records whose send is due then, each in
         #: scheduling order).  One kernel event per distinct deadline;
@@ -203,7 +176,8 @@ class Cub(NetworkNode):
         #: Sliding window of recent block sends for the local schedule-
         #: load estimate behind the admission guard.
         self._recent_send_times: Deque[float] = deque()
-        #: Pump ticks since construction; every fourth one prunes.
+        #: Pump ticks since construction; every fourth one prunes.  Not
+        #: reset by a reboot, so a rebooted cub prunes in the same phase.
         self._pump_ticks = 0
         #: How far back the sends behind the load estimate reach.
         self._send_window = 4.0 * config.block_play_time
@@ -295,10 +269,10 @@ class Cub(NetworkNode):
     # ==================================================================
     def _boot(self) -> None:
         """What a cub believes at power-on: a deadman seeded now, which
-        grants every neighbour a full timeout of grace, and beside it an
-        owner with nothing queued — a crash loses every queued start, so
-        its duplicate and cancel memory goes too.  Policies are stateless
-        and share the registry's placement.* series across cubs."""
+        grants every neighbour a full timeout of grace, and an empty
+        owner — a crash loses every held state, queued forward and queued
+        start, and the duplicate and cancel memory with them.  Policies
+        are stateless and share the registry's placement.* series."""
         self.deadman = DeadmanMonitor(
             self.cub_id,
             self.config.num_cubs,
@@ -307,13 +281,14 @@ class Cub(NetworkNode):
         )
         self.deadman.on_declare_failed.append(self._on_neighbour_declared_failed)
         self.deadman.on_declare_recovered.append(self._on_neighbour_recovered)
-        self.admission = ScheduleOwner(
+        self.owner = ScheduleOwner(
             self.view,
             self.deadman,
             self.clock,
             self.layout,
             make_placement_policy(self.config.placement, self.registry),
-            self.config.scheduling_lead,
+            self.config,
+            self.catalog,
         )
 
     def _on_neighbour_recovered(self, cub_id: int) -> None:
@@ -348,21 +323,11 @@ class Cub(NetworkNode):
         super().recover()
         self._boot()
         self._scan_events.clear()
-        self._forward_queue.clear()
-        self._mirror_forward_queue.clear()
-        self._redundant_states.clear()
-        self._redundant_index.clear()
-        self._redundant_expiry.clear()
-        # The drain events were cancelled by fail(); their buckets must
-        # go too or a re-used fire time would run pre-crash service.  A
-        # read already issued goes with its record: nothing of it is
-        # kept anywhere else.
+        # fail() cancelled the drain events; their buckets go too, or a
+        # re-used fire time would run pre-crash service.  A read already
+        # issued goes with its record: nothing else keeps it.
         self._service_buckets.clear()
         self._latest_service_deadline = 0.0
-        # Service events were cancelled by fail(); drop their bookkeeping
-        # too, or the entries would linger as phantom slot ownership.
-        self._pending_service.clear()
-        self._aborted_service.clear()
         self._recent_send_times.clear()
         # Served tiers forget their volatile state too.  Committed
         # migrations persist — they model on-disk placement metadata,
@@ -399,8 +364,8 @@ class Cub(NetworkNode):
     # ==================================================================
     def _on_viewer_state(self, state: ViewerState) -> None:
         # The state's key is made here, once per visit, and handed to
-        # whichever of the view, the redundant store and the pending
-        # table this visit reaches.
+        # whichever of the view and the held-state store this visit
+        # reaches.
         key = state.key()
         disposition = self.view.admit(state, self.sim.now, key)
         if disposition == ADMIT_TOO_LATE and self.oracle is not None:
@@ -410,16 +375,17 @@ class Cub(NetworkNode):
             self.oracle.remove(state.slot, state.viewer_id, state.instance)
         if disposition != ADMIT_NEW:
             return
-        if self.admission.redundant_requests:  # else nothing to drop
-            self.admission.state_admitted(self.sim.now, state.instance)
+        owner = self.owner
+        if owner.redundant_requests:  # else nothing to drop
+            owner.state_admitted(self.sim.now, state.instance)
 
         owner_cub = self.layout.cub_of_disk(state.disk_id)
         if owner_cub == self.cub_id:
-            self._accept_own_state(state, key)
+            self._accept_own_state(state)
         elif self.deadman.adopts(owner_cub):
             self._bridge_state(state)
         else:
-            self._hold_redundant(state, key)
+            owner.hold(state, key)
             if self.deadman.recently_resurrected(owner_cub, self.sim.now):
                 # Restart race: the sender routed around the owner while
                 # believing it dead, but our belief already flipped back
@@ -429,27 +395,6 @@ class Cub(NetworkNode):
                 # destination.  Relay it; duplicate chains self-merge
                 # through the idempotence set.
                 self._relay_to_owner(owner_cub, state)
-
-    def _hold_redundant(self, state: ViewerState, key: Tuple[int, int]) -> None:
-        """Keep a state (``key`` is its ``key()``) targeted at another
-        cub's disk, indexed by play and by due time."""
-        if key not in self._redundant_states:
-            instance, seqno = key
-            index = self._redundant_index
-            index[instance] = index.get(instance, ()) + (seqno,)
-        self._redundant_states[key] = state
-        self._redundant_expiry.note(key, state.due_time)
-
-    def _release_redundant(self, key: Tuple[int, int]) -> None:
-        """Take one held state out of the store and the index."""
-        del self._redundant_states[key]
-        instance, seqno = key
-        index = self._redundant_index
-        held = index[instance]
-        if len(held) == 1:  # the usual case: one visit's state per play
-            del index[instance]
-        else:
-            index[instance] = tuple(s for s in held if s != seqno)
 
     def _relay_to_owner(self, owner_cub: int, state: ViewerState) -> None:
         """Hand a held state straight to its (resurrected) owner."""
@@ -466,7 +411,7 @@ class Cub(NetworkNode):
         )
         self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
 
-    def _accept_own_state(self, state: ViewerState, key: Tuple[int, int]) -> None:
+    def _accept_own_state(self, state: ViewerState) -> None:
         """Serve and later forward a state targeted at one of my disks."""
         disk = self.disks[state.disk_id]
         location = None
@@ -488,8 +433,8 @@ class Cub(NetworkNode):
             # after a failover gap): the block cannot be sent on time.
             self.server_missed_blocks.increment()
         else:
-            self._schedule_block_service(state, key, disk, location)
-        self._forward_queue.append(state)
+            self._schedule_block_service(state, disk, location)
+        self.owner.forward_queue.append(state)
 
     def _migrated_source(self, state: ViewerState):
         """The (disk, location) a committed migration redirects to.
@@ -515,7 +460,8 @@ class Cub(NetworkNode):
         distinct deadline instead of one per viewer.  Nothing here can
         be cancelled: a deschedule leaves the records in place and the
         read and the send consult the tombstone when they fire (see
-        :meth:`_on_deschedule` for why it is still there).
+        :meth:`_on_deschedule` for why it is still there).  A disk death
+        marks its unsent records aborted in place.
 
         The read is issued ``disk_read_lead`` ahead, floored to the
         cub's slot-period grid — a read may run *early* (it has the
@@ -569,26 +515,25 @@ class Cub(NetworkNode):
     def pending_service_records(self) -> Iterator[Tuple[float, str, Any]]:
         """Read-only walk of the pending table: ``(fire time, "read" |
         "send", state)`` for every read not yet issued and every send
-        not yet made.  For tests and monitors; the service path never
-        walks the table."""
+        not yet made, less the sends a disk death aborted.  For tests
+        and monitors; the service path never walks the table."""
         for when, (_drain, reads, sends) in self._service_buckets.items():
             for record in reads:
                 yield when, "read", record.state
             for record in sends:
-                yield when, "send", record.state
+                if not record.aborted:
+                    yield when, "send", record.state
 
     def _schedule_block_service(
         self,
         state: ViewerState,
-        key: Tuple[int, int],
         disk: SimDisk,
         location: Optional[BlockLocation] = None,
     ) -> None:
         """Issue the read ahead of time; transmit exactly at the due time.
 
-        ``key`` is ``state.key()``; ``location`` overrides the
-        primary-index lookup when a committed migration redirects the
-        read (see :meth:`_migrated_source`).
+        ``location`` overrides the primary-index lookup when a committed
+        migration redirects the read (see :meth:`_migrated_source`).
         """
         if location is None:
             location = self.block_index.lookup_primary(
@@ -599,8 +544,7 @@ class Cub(NetworkNode):
                 f"{self.name}: no primary index entry for file {state.file_id} "
                 f"block {state.block_index} (disk {state.disk_id})"
             )
-        self._queue_service(_Service(state, disk, location, key))
-        self._pending_service[key] = state
+        self._queue_service(_Service(state, disk, location))
 
     def _issue_read(self, record: _Service) -> None:
         """Start the disk read for a viewer state or mirror piece."""
@@ -612,15 +556,11 @@ class Cub(NetworkNode):
 
     def _transmit_block(self, record: _Service) -> None:
         """The disk pointer reached the slot: put the block on the wire."""
-        state = record.state
-        key = record.key
-        self._pending_service.pop(key, None)
-        aborted = self._aborted_service
-        if aborted and key in aborted:
+        if record.aborted:
             # The disk died after this send was scheduled; mirror
             # coverage already replaced it.
-            aborted.discard(key)
             return
+        state = record.state
         if self.view.has_tombstone(state.viewer_id, state.instance, state.slot):
             return
         entry = self.catalog.get(state.file_id)
@@ -689,48 +629,16 @@ class Cub(NetworkNode):
         """Forward every state whose window opened; prune old records."""
         self._pump_ticks += 1
         if self._pump_ticks % 4 == 0:
-            self.view.prune(self.sim.now)
-            self._prune_redundant()
+            self.owner.prune(self.sim.now)
         self._pump_forward()
 
     def _pump_forward(self) -> None:
-        if not self._forward_queue and not self._mirror_forward_queue:
+        owner = self.owner
+        if not owner.forward_queue and not owner.mirror_forward_queue:
             return  # an idle cub's every pump tick
-        now = self.sim.now
-        bpt = self.config.block_play_time
-        max_lead = self.config.max_vstate_lead
-        has_tombstone = self.view.has_tombstone
-        num_disks = self.layout.num_disks
-        get_file = self.catalog.get
-        outgoing: List[ViewerState] = []
-        keep: List[ViewerState] = []
-        for state in self._forward_queue:
-            next_due = state.due_time + bpt
-            if now < next_due - max_lead - _EPS:
-                keep.append(state)
-                continue
-            if has_tombstone(state.viewer_id, state.instance, state.slot):
-                continue
-            advanced = state.advanced(1, num_disks, bpt)
-            if advanced.block_index >= get_file(state.file_id).num_blocks:
-                continue  # end of file: the chain simply stops (§4.1.2)
-            outgoing.append(advanced)
-        self._forward_queue = keep
-
-        mirrors_out: List[MirrorViewerState] = []
-        for mirror_state in self._mirror_forward_queue:
-            # Tombstone first: a descheduled play's piece still queued
-            # here was cancelled, not missed.
-            if self.view.has_tombstone(
-                mirror_state.viewer_id, mirror_state.instance, mirror_state.slot
-            ):
-                continue
-            if mirror_state.due_time <= now + _EPS:
-                self.mirror_pieces_missed.increment()
-                continue
-            mirrors_out.append(mirror_state)
-        self._mirror_forward_queue = []
-
+        outgoing, mirrors_out, missed = owner.take_forwards(self.sim.now)
+        for _piece in missed:
+            self.mirror_pieces_missed.increment()
         if outgoing or mirrors_out:
             self._send_state_batch(outgoing, mirrors_out)
 
@@ -811,7 +719,7 @@ class Cub(NetworkNode):
             # — the owner never received a copy.  Hand it over the wire.
             key = advanced.key()
             self.view.admit(advanced, self.sim.now, key)
-            self._hold_redundant(advanced, key)
+            self.owner.hold(advanced, key)
             self._relay_to_owner(owner, advanced)
             return
         self._on_viewer_state(advanced)
@@ -849,7 +757,7 @@ class Cub(NetworkNode):
             self.pieces_lost_to_second_failure.increment()
         else:
             # Keep hopping toward the piece's holder with the next pump.
-            self._mirror_forward_queue.append(mirror_state)
+            self.owner.mirror_forward_queue.append(mirror_state)
 
     def _serve_mirror_piece(self, mirror_state: MirrorViewerState) -> None:
         disk = self.disks[mirror_state.disk_id]
@@ -917,15 +825,11 @@ class Cub(NetworkNode):
         chains the intermediate (now dead) cub had been bridging.
         """
         self.trace("deadman", f"declared cub {dead_cub} failed")
-        # Bridge every held redundant state whose target cub is dead
-        # and whose first living successor is now us.
-        for key in list(self._redundant_states):
-            state = self._redundant_states[key]
-            if self.deadman.adopts(self.layout.cub_of_disk(state.disk_id)):
-                self._release_redundant(key)
-                self._bridge_state(state)
+        now = self.sim.now
+        for state in self.owner.adopted(now):
+            self._bridge_state(state)
         # Activate redundant start requests on the same criterion.
-        for disk_id in self.admission.neighbour_failed(self.sim.now):
+        for disk_id in self.owner.neighbour_failed(now):
             self._arm_scan(disk_id)
 
     def on_local_disk_failed(self, disk_id: int) -> None:
@@ -933,47 +837,40 @@ class Cub(NetworkNode):
 
         Unlike a cub death, no deadman latency applies: the cub sees
         the I/O errors immediately and takes the mirror decision itself
-        for every block already scheduled on the dead drive.
+        for every block already scheduled on the dead drive, in due-time
+        order.  A send due now is already being transmitted (or missed).
         """
-        for key in list(self._pending_service):
-            state = self._pending_service[key]
-            if state.disk_id != disk_id:
-                continue
-            if state.due_time <= self.sim.now + _EPS:
-                continue  # already being transmitted (or missed)
-            del self._pending_service[key]
-            self._aborted_service.add(key)
-            self._cover_with_mirrors(state)
+        buckets = self._service_buckets
+        now = self.sim.now
+        for when in sorted(when for when in buckets if when > now + _EPS):
+            for record in buckets[when][2]:
+                state = record.state
+                if (
+                    type(state) is ViewerState
+                    and state.disk_id == disk_id
+                    and not record.aborted
+                ):
+                    record.aborted = True
+                    self._cover_with_mirrors(state)
 
     # ==================================================================
     # Deschedule handling (§4.1.2)
     # ==================================================================
     def _on_deschedule(self, forward: DescheduleForward, _sender: str) -> None:
-        """Apply one deschedule.  It searches nothing: every table it
-        touches is reached by the play's own key."""
+        """Apply one deschedule (:meth:`ScheduleOwner.deschedule`), then
+        pass it on while it can still outrun a viewer state."""
         request = forward.request
-        if self.view.has_tombstone(request.viewer_id, request.instance, request.slot):
-            return  # duplicate — idempotent
-        # The tombstone is what cancels the play's pending service and
-        # its queued forwards: the pending table's reads and sends and
-        # the forward queues' states check it when they fire, so none is
-        # looked for here.  A state is accepted at most max_vstate_lead
-        # ahead of its due time (plus one block play time per dead cub
-        # it was bridged across) and leaves the forward queue within a
-        # block play time and a pump interval of that, so the protocol's
-        # hold normally covers them all; taking the table's latest
-        # deadline as well makes "the tombstone outlives the service"
-        # true by construction.
+        # The tombstone cancels the play's pending service and queued
+        # forwards, so it must outlive them.  The protocol's hold covers
+        # a state accepted max_vstate_lead ahead (plus a block play time
+        # per dead cub bridged); the table's latest deadline makes it
+        # true by construction (DESIGN.md §5.1).
         config = self.config
         expiry = self.sim.now + config.max_vstate_lead + config.deschedule_hold
-        self.view.apply_deschedule(
-            request, max(expiry, self._latest_service_deadline)
-        )
-        for seqno in self._redundant_index.get(request.instance, ()):
-            key = (request.instance, seqno)
-            if request.matches(self._redundant_states[key]):
-                self._release_redundant(key)
-        self.admission.deschedule(self.sim.now, request.instance)
+        if not self.owner.deschedule(
+            self.sim.now, request, max(expiry, self._latest_service_deadline)
+        ):
+            return  # duplicate — idempotent
         if self.oracle is not None:
             self.oracle.remove(request.slot, request.viewer_id, request.instance)
         if self.tracer.enabled:
@@ -1008,19 +905,19 @@ class Cub(NetworkNode):
     # Insertion (§4.1.3)
     # ==================================================================
     def _on_start_request(self, request: StartRequest, _sender: str) -> None:
-        disk_id = self.admission.start_request(self.sim.now, request)
+        disk_id = self.owner.start_request(self.sim.now, request)
         if disk_id is not None:
             self._arm_scan(disk_id)
 
     def _on_cancel_start(self, cancel: CancelStart, _sender: str) -> None:
-        self.admission.cancel_start(self.sim.now, cancel.instance)
+        self.owner.cancel_start(self.sim.now, cancel.instance)
 
     def _arm_scan(self, disk_id: int) -> None:
         """Schedule the next ownership instant for ``disk_id``'s queue."""
         pending = self._scan_events.get(disk_id)
         if pending is not None and pending.active:
             return
-        instant = self.admission.next_instant(self.sim.now, disk_id)
+        instant = self.owner.next_instant(self.sim.now, disk_id)
         if instant is not None:
             when, slot, visit = instant
             self._scan_events[disk_id] = self.at(
@@ -1056,7 +953,7 @@ class Cub(NetworkNode):
     def _ownership_instant(self, disk_id: int, slot: int, visit: float) -> None:
         """This cub now owns (slot, visit): insert what the owner picks."""
         self._scan_events.pop(disk_id, None)
-        state = self.admission.ownership_instant(
+        state = self.owner.ownership_instant(
             self.sim.now, disk_id, slot, visit, self._admission_blocked
         )
         if state is REJECT:
@@ -1067,7 +964,7 @@ class Cub(NetworkNode):
                     "ownership instant skipped by admission guard",
                     slot=slot,
                     disk=disk_id,
-                    queued=self.admission.queued(disk_id),
+                    queued=self.owner.queued(disk_id),
                 )
         elif state is not None:
             self._insert_viewer(state)
@@ -1095,8 +992,7 @@ class Cub(NetworkNode):
                 # insert (one of the viewers loses service).
                 self.insert_conflicts.increment()
                 return
-        key = state.key()
-        self.view.admit(state, self.sim.now, key)
+        self.view.admit(state, self.sim.now)
         self.inserts_performed.increment()
         self.trace(
             "insert",
@@ -1110,8 +1006,8 @@ class Cub(NetworkNode):
         owner_cub = self.layout.cub_of_disk(disk_id)
         if owner_cub == self.cub_id and not self.disks[disk_id].failed:
             disk = self.disks[disk_id]
-            self._schedule_block_service(state, key, disk)
-            self._forward_queue.append(state)
+            self._schedule_block_service(state, disk)
+            self.owner.forward_queue.append(state)
         else:
             # Covering insertion for a dead predecessor's disk: the
             # first block goes out via mirrors, the chain continues here.
@@ -1154,15 +1050,6 @@ class Cub(NetworkNode):
 
     def _deadman_check(self) -> None:
         self.deadman.check(self.sim.now)
-
-    def _prune_redundant(self) -> None:
-        """Drop held states no neighbour's death could still need."""
-        horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
-        held = self._redundant_states
-        for key in self._redundant_expiry.due_before(horizon):
-            state = held.get(key)
-            if state is not None and state.due_time < horizon:
-                self._release_redundant(key)
 
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1

@@ -14,7 +14,7 @@ succeeding living cub").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 
 class DeadmanMonitor:
@@ -93,11 +93,9 @@ class DeadmanMonitor:
     def believes_failed(self, cub_id: int) -> bool:
         return cub_id in self._believed_failed
 
-    def recently_resurrected(
-        self, cub_id: int, now: float, window: Optional[float] = None
-    ) -> bool:
+    def recently_resurrected(self, cub_id: int, now: float) -> bool:
         """Was ``cub_id`` heard again, after being believed dead, within
-        the last ``window`` seconds (default: the deadman timeout)?
+        the last deadman timeout?
 
         Around a restart, beliefs across the ring converge at slightly
         different instants; a viewer state addressed under the sender's
@@ -113,9 +111,7 @@ class DeadmanMonitor:
         if not resurrected:
             return False
         heard_again = resurrected.get(cub_id)
-        return heard_again is not None and heard_again >= now - (
-            self.timeout if window is None else window
-        )
+        return heard_again is not None and heard_again >= now - self.timeout
 
     @property
     def believed_failed(self) -> frozenset:
@@ -125,13 +121,13 @@ class DeadmanMonitor:
     def watched(self) -> Tuple[int, ...]:
         return self._watched
 
-    def next_living_cub(self, after: int, extra_failed: Optional[Set[int]] = None) -> int:
+    def next_living_cub(self, after: int) -> int:
         """First cub after ``after`` (exclusive) believed alive.
 
         Cubs outside the monitored neighbourhood are assumed alive —
         beliefs are local, exactly as §4's view model allows.
         """
-        failed = self._believed_failed | (extra_failed or set())
+        failed = self._believed_failed
         for step in range(1, self.num_cubs + 1):
             candidate = (after + step) % self.num_cubs
             if candidate == self.cub_id or candidate not in failed:

@@ -1,34 +1,38 @@
-"""A cub's admission state and decisions (paper §4.1.3), with no I/O.
-
-A cub may insert a viewer only at its own ownership instant of a
-(slot, visit), and only into a slot its view says is free.  What decides
-such an insert lives here: the per-disk wait queues, the redundant
-requests held for a live predecessor, duplicate and cancel suppression,
-and the placement policy.  A :class:`ScheduleOwner` holds only pure
-objects and no simulator, runtime, network, tracer or registry.  Each
-input is one method that takes the time and returns what the cub must
-do; the cub keeps the timers and the effects (DESIGN.md §5.2).
+"""A cub's per-play records and the decisions they drive (paper §4.1),
+with no I/O: the states held for its predecessors, the states waiting
+for their forward window, its tombstones (in the view), its waiting
+starts, and what decides an insert at an ownership instant.  A
+:class:`ScheduleOwner` holds only pure objects and no simulator,
+runtime, network, tracer or registry.  Each input is one method that
+takes the time and returns what the cub must do; the cub keeps the
+timers and the effects (DESIGN.md §5.2).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
 from repro.core.placement import PlacementPolicy, SlotCandidate, neighbor_offsets
 from repro.core.protocol import StartRequest
 from repro.core.slots import SlotClock
-from repro.core.view import ScheduleView
-from repro.core.viewerstate import ViewerState, make_initial_state
+from repro.core.view import ExpiryIndex, ScheduleView
+from repro.core.viewerstate import (
+    DescheduleRequest, MirrorViewerState, ViewerState, make_initial_state,
+)
+from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
+
+_EPS = 1e-9
 
 #: :meth:`ScheduleOwner.ownership_instant`'s answer when the guard says no.
 REJECT = "reject"
 
 
 class ScheduleOwner:
-    """One cub's waiting start requests and the inserts it decides."""
+    """One cub's per-play records and the inserts it decides."""
 
     def __init__(
         self,
@@ -37,14 +41,29 @@ class ScheduleOwner:
         clock: SlotClock,
         layout: StripeLayout,
         policy: PlacementPolicy,
-        scheduling_lead: float,
+        config: TigerConfig,
+        catalog: Catalog,
     ) -> None:
         self.view = view
         self.deadman = deadman
         self.clock = clock
         self.layout = layout
         self.policy = policy
-        self.scheduling_lead = scheduling_lead
+        self.config = config
+        self.catalog = catalog
+        #: Viewer states held for predecessors (§4.1.1), in arrival
+        #: order — the order a neighbour's death bridges them.
+        self._redundant_states: Dict[Tuple[int, int], ViewerState] = {}
+        #: The same records by play: instance -> play seqnos held, so a
+        #: deschedule finds them without a search.  Exactly the store's keys.
+        self._redundant_index: Dict[int, Tuple[int, ...]] = {}
+        #: And by due time: what :meth:`prune` visits.
+        self._redundant_expiry = ExpiryIndex()
+        #: States this cub served, awaiting their forward window.
+        self.forward_queue: List[ViewerState] = []
+        #: Mirror states bound for downstream piece holders: one hop a
+        #: pump, single copy (the primary chain can re-derive each).
+        self.mirror_forward_queue: List[MirrorViewerState] = []
         #: Start requests waiting for a free slot, per target disk.
         #: May include a dead predecessor's disks when covering for it.
         self._wait_queues: Dict[int, Deque[StartRequest]] = {}
@@ -79,10 +98,25 @@ class ScheduleOwner:
     def cancel_start(self, now: float, instance: int) -> None:
         """The client withdrew a start: never queue it again."""
         self._cancelled_instances.add(instance)
-        self.deschedule(now, instance)
+        self._forget_start(instance)
 
-    def deschedule(self, now: float, instance: int) -> None:
-        """A stop or pause: forget the play's start wherever it is held."""
+    def deschedule(self, now: float, request: DescheduleRequest, expiry: float) -> bool:
+        """A stop or pause: tombstone the play until ``expiry``, release
+        its held states and forget its start; False for a duplicate.  It
+        searches nothing: queued forwards and pending service check the
+        tombstone when their turn comes (DESIGN.md §5.1)."""
+        if not self.view.apply_deschedule(request, expiry):
+            return False  # duplicate — idempotent
+        instance = request.instance
+        for seqno in self._redundant_index.get(instance, ()):
+            key = (instance, seqno)
+            if request.matches(self._redundant_states[key]):
+                self._release(key)
+        self._forget_start(instance)
+        return True
+
+    def _forget_start(self, instance: int) -> None:
+        """Drop the play's start wherever it is held."""
         self.redundant_requests.pop(instance, None)
         self._remove_queued(instance)
 
@@ -90,6 +124,93 @@ class ScheduleOwner:
         """A new viewer state for ``instance`` proves its primary target
         scheduled it: drop the redundant copy of its request."""
         self.redundant_requests.pop(instance, None)
+
+    def hold(self, state: ViewerState, key: Tuple[int, int]) -> None:
+        """Keep a state (``key`` is its ``key()``) targeted at another
+        cub's disk, indexed by play and by due time."""
+        if key not in self._redundant_states:
+            instance, seqno = key
+            index = self._redundant_index
+            index[instance] = index.get(instance, ()) + (seqno,)
+        self._redundant_states[key] = state
+        self._redundant_expiry.note(key, state.due_time)
+
+    def _release(self, key: Tuple[int, int]) -> None:
+        """Take one held state out of the store and the index."""
+        del self._redundant_states[key]
+        instance, seqno = key
+        index = self._redundant_index
+        held = index[instance]
+        if len(held) == 1:  # the usual case: one visit's state per play
+            del index[instance]
+        else:
+            index[instance] = tuple(s for s in held if s != seqno)
+
+    def prune(self, now: float) -> None:
+        """Expire the view, and the held states no death could still need."""
+        self.view.prune(now)
+        horizon = now - (self.config.deadman_timeout + 2.0)
+        held = self._redundant_states
+        for key in self._redundant_expiry.due_before(horizon):
+            state = held.get(key)
+            if state is not None and state.due_time < horizon:
+                self._release(key)
+
+    def adopted(self, now: float) -> Iterator[ViewerState]:
+        """Each held state this cub now adopts (:meth:`DeadmanMonitor.adopts`)
+        in arrival order, released just before it is yielded.  The walk
+        covers the keys held when it began and reads the store again at
+        each, so bridging between yields may hold new states."""
+        held = self._redundant_states
+        for key in list(held):
+            state = held[key]
+            if self.deadman.adopts(self.layout.cub_of_disk(state.disk_id)):
+                self._release(key)
+                yield state
+
+    def take_forwards(
+        self, now: float
+    ) -> Tuple[List[ViewerState], List[MirrorViewerState], List[MirrorViewerState]]:
+        """(next visits' states to send, mirror pieces to send, mirror
+        pieces past due).  A state waits until its next visit is within
+        ``max_vstate_lead``, and is dropped on a tombstone or at the end
+        of its file (§4.1.2); every queued mirror piece leaves."""
+        config = self.config
+        bpt = config.block_play_time
+        max_lead = config.max_vstate_lead
+        has_tombstone = self.view.has_tombstone
+        num_disks = self.layout.num_disks
+        get_file = self.catalog.get
+        outgoing: List[ViewerState] = []
+        keep: List[ViewerState] = []
+        for state in self.forward_queue:
+            next_due = state.due_time + bpt
+            if now < next_due - max_lead - _EPS:
+                keep.append(state)
+                continue
+            if has_tombstone(state.viewer_id, state.instance, state.slot):
+                continue
+            advanced = state.advanced(1, num_disks, bpt)
+            if advanced.block_index >= get_file(state.file_id).num_blocks:
+                continue  # end of file: the chain simply stops (§4.1.2)
+            outgoing.append(advanced)
+        self.forward_queue = keep
+
+        mirrors_out: List[MirrorViewerState] = []
+        missed: List[MirrorViewerState] = []
+        for mirror_state in self.mirror_forward_queue:
+            # Tombstone first: a descheduled play's piece still queued
+            # here was cancelled, not missed.
+            if has_tombstone(
+                mirror_state.viewer_id, mirror_state.instance, mirror_state.slot
+            ):
+                continue
+            if mirror_state.due_time <= now + _EPS:
+                missed.append(mirror_state)
+                continue
+            mirrors_out.append(mirror_state)
+        self.mirror_forward_queue = []
+        return outgoing, mirrors_out, missed
 
     def neighbour_failed(self, now: float) -> List[int]:
         """Queue every redundant start this cub now adopts (see
@@ -109,7 +230,7 @@ class ScheduleOwner:
         visit), or None when nothing waits for it."""
         if not self._wait_queues.get(disk_id):
             return None
-        lead = self.scheduling_lead
+        lead = self.config.scheduling_lead
         slot, visit = self.clock.next_slot_visit(disk_id, now + lead)
         return visit - lead, slot, visit
 

@@ -353,9 +353,6 @@ class TigerSystem(World):
     def living_cubs(self) -> List[Cub]:
         return [cub for cub in self.cubs if not cub.failed]
 
-    def living_helpers(self) -> List[HelperNode]:
-        return [helper for helper in self.helpers if not helper.failed]
-
     # ------------------------------------------------------------------
     # Aggregate accounting
     # ------------------------------------------------------------------

@@ -83,9 +83,6 @@ class ExpiryIndex:
             if key not in listed.get(floor(due_time), ())
         ]
 
-    def clear(self) -> None:
-        self._buckets.clear()
-
 
 class ScheduleView:
     """The per-cub window onto the hallucinated global schedule."""
@@ -113,7 +110,6 @@ class ScheduleView:
         self._slot_expiry = ExpiryIndex()
         #: Deschedule tombstones: (viewer, instance, slot) -> expiry time.
         self._tombstones: Dict[Tuple[str, int, int], float] = {}
-        self.duplicates_ignored = 0
         self.states_discarded_late = 0
 
     # ------------------------------------------------------------------
@@ -133,7 +129,6 @@ class ScheduleView:
         if key is None:
             key = state.key()
         if key in self._seen:
-            self.duplicates_ignored += 1
             return ADMIT_DUPLICATE
         due_time = state.due_time
         if self._tombstones and (
@@ -159,7 +154,6 @@ class ScheduleView:
         """Idempotence/tombstone filtering for mirror viewer states."""
         key = state.key()
         if key in self._seen:
-            self.duplicates_ignored += 1
             return ADMIT_DUPLICATE
         if self._tombstones and (
             (state.viewer_id, state.instance, state.slot) in self._tombstones

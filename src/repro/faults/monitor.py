@@ -64,9 +64,10 @@ the cluster driver with every metrics frame, so a cluster run asserts
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.view import view_size_bound
+from repro.core.viewerstate import ViewerState
 from repro.faults.plan import FaultSpec
 from repro.sim.trace import format_trace
 
@@ -95,6 +96,13 @@ CHECK_NAMES = ("oracle",) + CUB_CHECKS + (
 )
 
 
+def _pending_sends(cub: Any) -> Iterator[ViewerState]:
+    """The primary states ``cub`` has a block send pending for."""
+    for _when, kind, state in cub.pending_service_records():
+        if kind == "send" and type(state) is ViewerState:
+            yield state
+
+
 class InvariantViolation(AssertionError):
     """A chaos run broke one of the system's correctness invariants."""
 
@@ -102,15 +110,15 @@ class InvariantViolation(AssertionError):
 def index_incoherence(cub: Any) -> Optional[str]:
     """How ``cub``'s by-play indexes and their stores disagree, if they do.
 
-    Every indexed key is in the store, every stored key is indexed, and
-    no play's entry is empty — so the index is never larger than the
-    store; likewise the admission state's instance map and wait
-    queues.  And every
-    record the view or the redundant store holds is listed under its
-    due time in that store's expiry index (a listing may outlive its
-    record; a record may never lack its listing).
+    Every indexed key is in the owner's held-state store, every stored
+    key is indexed, and no play's entry is empty — so the index is never
+    larger than the store; likewise its instance map and wait queues.
+    And every record the view or the store holds is listed under its due
+    time in that store's expiry index (a listing may outlive its record;
+    a record may never lack its listing).
     """
-    store, index = cub._redundant_states, cub._redundant_index
+    owner = cub.owner
+    store, index = owner._redundant_states, owner._redundant_index
     indexed = [
         (instance, seqno)
         for instance, seqnos in index.items()
@@ -125,22 +133,20 @@ def index_incoherence(cub: Any) -> Optional[str]:
             f"redundant index names {len(indexed)} records of {len(index)} "
             f"plays, the store holds {len(store)}"
         )
-    admission = cub.admission
     queued = [
         request.instance
-        for queue in admission._wait_queues.values()
+        for queue in owner._wait_queues.values()
         for request in queue
     ]
-    mapped = admission._queued_requests
+    mapped = owner._queued_requests
     if len(queued) != len(mapped) or set(queued) != mapped.keys():
         return (
             f"instance map names {len(mapped)} queued "
             f"starts, the wait queues hold {len(queued)}"
         )
     stranded = cub.view.unexpirable() + len(
-        cub._redundant_expiry.unlisted(
-            (key, state.due_time)
-            for key, state in cub._redundant_states.items()
+        owner._redundant_expiry.unlisted(
+            (key, state.due_time) for key, state in store.items()
         )
     )
     if stranded:
@@ -338,7 +344,8 @@ class InvariantMonitor:
 
     def _check_forward_queues(self, now: float, cubs: Iterable[Any]) -> None:
         for cub in cubs:
-            queued = len(cub._forward_queue) + len(cub._mirror_forward_queue)
+            owner = cub.owner
+            queued = len(owner.forward_queue) + len(owner.mirror_forward_queue)
             if queued > self.queue_bound:
                 self._fail(
                     now,
@@ -358,7 +365,7 @@ class InvariantMonitor:
         bpt = self.config.block_play_time
         claims: dict = {}
         for cub in cubs:
-            for state in cub._pending_service.values():
+            for state in _pending_sends(cub):
                 if cub.view.has_tombstone(
                     state.viewer_id, state.instance, state.slot
                 ):
@@ -497,13 +504,13 @@ class InvariantMonitor:
             state = cub.view.state_for_slot(slot)
             if state is not None and (state.viewer_id, state.instance) == ident:
                 return True
-            for pending in cub._pending_service.values():
+            for pending in _pending_sends(cub):
                 if (pending.viewer_id, pending.instance) == ident:
                     return True
-            for queued in cub._forward_queue:
+            for queued in cub.owner.forward_queue:
                 if (queued.viewer_id, queued.instance) == ident:
                     return True
-            if entry.instance in cub._redundant_index:
+            if entry.instance in cub.owner._redundant_index:
                 return True  # instance ids are unique to a play
         return False
 

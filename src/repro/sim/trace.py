@@ -85,10 +85,6 @@ class Tracer:
         self.enabled = True
         self._categories = set(categories) if categories else None
 
-    def disable(self) -> None:
-        """Turn tracing off; retained records stay readable."""
-        self.enabled = False
-
     def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
         """Record one instant event (no-op while disabled or filtered).
 

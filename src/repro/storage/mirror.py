@@ -61,10 +61,6 @@ class MirrorScheme:
             for piece in range(self.decluster)
         )
 
-    def covering_disks(self, failed_disk: int) -> Tuple[int, ...]:
-        """Disks that jointly cover for ``failed_disk`` — its successors."""
-        return self.secondary_disks(failed_disk)
-
     def covering_cubs(self, failed_cub: int) -> Tuple[int, ...]:
         """Cubs that take on mirror reads when ``failed_cub`` dies.
 

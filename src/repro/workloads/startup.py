@@ -52,10 +52,6 @@ class StartupResult:
         ]
         return sum(band) / len(band) if band else None
 
-    def pending_count(self) -> int:
-        """Starts that never completed before the probe closed."""
-        return sum(1 for sample in self.samples if sample.censored)
-
 
 class StartupLatencyProbe:
     """Collects (load, latency) points while a ramp fills the system.

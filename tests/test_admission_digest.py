@@ -16,6 +16,7 @@ import pytest
 
 from repro import TigerSystem, small_config
 from repro.core.cub import Cub
+from repro.core.metrics import PROTOCOL_COUNTERS
 from repro.workloads.placement import run_policy_scenario
 from tests.test_deschedule_index import _churn_under_faults, _small_system
 
@@ -104,4 +105,82 @@ def test_the_admission_guard_rejects_as_it_always_did(monkeypatch):
     assert "reject" in {record[5] for record in instants}
     assert _digest(instants) == (
         "abbe3faa6c8650349ad4ddf74c8c6a09431edc2292a9e4c99406c0babdee6af3"
+    )
+
+
+# ----------------------------------------------------------------------
+# What a cub holds between steps, and what a dying disk makes it send
+# ----------------------------------------------------------------------
+def _held(cub):
+    """Every per-play record a cub keeps for later: its held states in
+    arrival order, both forward queues in order, its tombstones and the
+    size of its view."""
+    owner = cub.owner
+    return (
+        list(owner._redundant_states.items()),
+        list(owner.forward_queue),
+        list(owner.mirror_forward_queue),
+        sorted(cub.view._tombstones),
+        cub.view.size(),
+    )
+
+
+HELD_DIGESTS = {
+    1: "bf27b9f89b591c6f8e73562ab2c24c489272c27a7007d0eca27cfee2f2b22641",
+    2: "00c8100bcc99745ba572e8ef06b4af6a690b26bb2d609f3de6ea6318edb48d1e",
+    3: "bfdcef819dcea4da432e475ee93908e93bf4ef687bd6a35b283f3f16b1486859",
+    4: "a5984538dbc1a88fed7fa89f741cc46b1fdc5b46a4081ee8a8e76dfe5dbab2e4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HELD_DIGESTS))
+def test_churn_under_faults_holds_what_it_always_held(seed):
+    """After every step of the churn script: what each cub holds for
+    its predecessors, for its forward window and as tombstones."""
+    system = _small_system(seed, strict=False)
+    steps = []
+    run_for = system.run_for
+
+    def step(seconds):
+        run_for(seconds)
+        steps.append([_held(cub) for cub in system.cubs])
+
+    system.run_for = step
+    _churn_under_faults(system, seed)
+    assert any(cub[0] for held in steps for cub in held)
+    assert any(cub[2] for held in steps for cub in held)
+    assert _digest(steps) == HELD_DIGESTS[seed]
+
+
+def test_a_dying_disk_is_covered_as_it_always_was():
+    """One disk dies mid-stream and its cub lives: every data send after
+    the death, and each cub's protocol counters at the end."""
+    system = TigerSystem(small_config(), seed=9)
+    system.add_standard_content(num_files=6, duration_s=240.0)
+    client = system.add_client()
+    for index in range(12):
+        client.start_stream(file_id=index % 6)
+    system.run_for(15.0)
+
+    sent = []
+    send_paced = system.network.send_paced
+
+    def record(message, pacing_duration):
+        payload = message.payload
+        sent.append((
+            repr(system.sim.now), message.src, payload.viewer_id,
+            payload.block_index, payload.piece,
+        ))
+        return send_paced(message, pacing_duration)
+
+    system.network.send_paced = record
+    system.fail_disk(1)
+    system.run_for(40.0)
+    counters = [
+        [getattr(cub, name.split(".")[1]).count for name in PROTOCOL_COUNTERS]
+        for cub in system.cubs
+    ]
+    assert system.cubs[1].mirror_covers.count > 0
+    assert _digest((sent, counters)) == (
+        "0a47a7f08dfdb27ed81437573a941230fb51e65e0cef059dd7bafe279348b04a"
     )

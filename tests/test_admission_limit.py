@@ -27,7 +27,7 @@ def test_limit_caps_admitted_load():
     # The guard engages near the ceiling; local estimation is a little
     # noisy, so allow one step of slack above and real admission below.
     assert 0.4 < load < 0.8, f"load {load:.2f} not held near the 0.6 limit"
-    queued = sum(cub.admission.queued() for cub in system.cubs)
+    queued = sum(cub.owner.queued() for cub in system.cubs)
     assert queued > 0, "excess viewers must wait, not vanish"
 
 

@@ -92,7 +92,8 @@ TIER_PAYLOADS = {
 STOP_PATH = {
     ("core/cub.py", "Cub"): {"_on_deschedule", "_on_cancel_start"},
     ("core/owner.py", "ScheduleOwner"): {
-        "cancel_start", "deschedule", "_remove_queued",
+        "cancel_start", "deschedule", "_forget_start", "_remove_queued",
+        "_release",
     },
 }
 #: ... the one table they may iterate, and only one play's entry of it ...
@@ -290,14 +291,21 @@ def test_a_deschedule_walks_no_table_of_the_cub():
             assert not _tables_walked(methods[name]), (class_name, name)
 
 
-#: Packages a backend is made of; the admission core imports none.
+#: Packages a backend is made of; the schedule owner imports none.
 BACKEND_PACKAGES = ("repro.sim", "repro.net", "repro.live", "repro.runtime")
-#: Objects it may not hold, and the tables the cub no longer holds.
+#: Objects it may not hold, and the tables it holds in the cub's stead.
 BACKEND_HANDLES = {"sim", "runtime", "network", "tracer", "registry"}
-ADMISSION_TABLES = {
+OWNER_TABLES = {
     "_wait_queues", "_queued_requests", "_cancelled_instances",
-    "_seen_start_instances", "_redundant_requests", "_first_considered",
-    "_placement", "redundant_requests",
+    "_seen_start_instances", "_first_considered", "redundant_requests",
+    "_redundant_states", "_redundant_index", "_redundant_expiry",
+    "forward_queue", "mirror_forward_queue",
+}
+#: The cub's old names for tables the owner now holds, and the pending
+#: table's shadow copies, gone for good.
+RETIRED_CUB_TABLES = {
+    "_placement", "_redundant_requests", "_forward_queue",
+    "_mirror_forward_queue", "_pending_service", "_aborted_service",
 }
 
 
@@ -320,9 +328,9 @@ def _self_attributes(tree: ast.AST):
 
 
 def test_the_schedule_owner_runs_on_no_backend():
-    """Admission (§4.1.3) is driven with plain inputs and no simulator:
-    the owner imports no backend package and holds no backend object,
-    and the cub keeps none of the tables the owner holds."""
+    """§4.1's per-play records are kept with plain inputs and no
+    simulator: the owner imports no backend package and holds no backend
+    object, and the cub keeps none of the tables the owner holds."""
     owner = ast.parse((SRC / "core/owner.py").read_text(encoding="utf-8"))
     imported = _imports(owner)
     assert "repro.core.view" in imported
@@ -332,11 +340,9 @@ def test_the_schedule_owner_runs_on_no_backend():
         or module in BACKEND_PACKAGES
     ]
     assert not _self_attributes(owner) & BACKEND_HANDLES
-    assert ADMISSION_TABLES - {"_placement", "_redundant_requests"} <= (
-        _self_attributes(owner)
-    )
+    assert OWNER_TABLES <= _self_attributes(owner)
     cub = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
-    assert not _self_attributes(cub) & ADMISSION_TABLES
+    assert not _self_attributes(cub) & (OWNER_TABLES | RETIRED_CUB_TABLES)
 
 
 def test_the_walk_check_sees_the_scans_it_replaced():
@@ -353,7 +359,7 @@ def test_the_walk_check_sees_the_scans_it_replaced():
         "        for disk, queue in queues.items(): pass\n"
         "    def e(self, request):\n"
         "        for n in self._redundant_index.get(request.instance, ()):\n"
-        "            self._release_redundant((request.instance, n))\n"
+        "            self._release((request.instance, n))\n"
         "        for peer in self.deadman.living_successors(self.copies): pass\n"
     )
     assert _tables_walked(scans["a"]) == {"self._redundant_states"}
@@ -374,8 +380,10 @@ def test_a_prune_walks_no_store_it_expires():
     view = _cub_methods(
         (SRC / "core/view.py").read_text(encoding="utf-8"), "ScheduleView"
     )
-    cub = _cub_methods((SRC / "core/cub.py").read_text(encoding="utf-8"))
-    for prune in (view["prune"], cub["_prune_redundant"]):
+    owner = _cub_methods(
+        (SRC / "core/owner.py").read_text(encoding="utf-8"), "ScheduleOwner"
+    )
+    for prune in (view["prune"], owner["prune"]):
         assert not _tables_walked(prune) & EXPIRING_STORES, prune.name
     rebuilds = _cub_methods(
         "class Cub:\n"

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import TigerSystem, paper_config, small_config
-from repro.core.cub import Cub
+from repro.core.owner import ScheduleOwner
 from repro.core.view import ExpiryIndex, ScheduleView
 from repro.core.viewerstate import (
     DescheduleRequest,
@@ -178,21 +178,22 @@ def test_a_prune_visits_what_expired_not_what_is_held(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Cub._prune_redundant against the walk it replaced
+# ScheduleOwner.prune against the walk it replaced
 # ----------------------------------------------------------------------
-class RescanningCub(Cub):
-    """The reference: the same cub, expiring held states by walking the
-    whole redundant store, as before the expiry index."""
+class RescanningOwner(ScheduleOwner):
+    """The reference: the same owner, expiring held states by walking
+    the whole store, as before the expiry index."""
 
-    def _prune_redundant(self):
-        horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
+    def prune(self, now):
+        self.view.prune(now)
+        horizon = now - (self.config.deadman_timeout + 2.0)
         expired = [
             key
             for key, state in self._redundant_states.items()
             if state.due_time < horizon
         ]
         for key in expired:
-            self._release_redundant(key)
+            self._release(key)
 
 
 #: The subject is cub 2; cub 1 is its predecessor, whose states it
@@ -216,12 +217,12 @@ _STORE_STEP = st.one_of(
 )
 
 
-def _store_subject(cub_class):
+def _store_subject(owner_class):
     system = TigerSystem(small_config(), seed=3)
     system.add_standard_content(num_files=2, duration_s=60)
     system.add_client()  # client:0 — where a bridged state's block goes
     cub = system.cubs[_SUBJECT]
-    cub.__class__ = cub_class
+    cub.owner.__class__ = owner_class
     return system, cub
 
 
@@ -244,47 +245,48 @@ def _apply_store_step(system, cub, step):
             due_time=now + offset, play_seqno=seqno,
         )
         if op == "hold":
-            cub._hold_redundant(state, state.key())
+            cub.owner.hold(state, state.key())
         else:
             cub._on_viewer_state(state)
     elif op == "release":
-        held = list(cub._redundant_states)
+        held = list(cub.owner._redundant_states)
         if held:
-            cub._release_redundant(held[args % len(held)])
+            cub.owner._release(held[args % len(held)])
     elif op == "deadman":
         cub.deadman.check(now)
     elif op == "heartbeat":
         cub.deadman.note_heartbeat(_PREDECESSOR, now)
     else:
         system.sim.run(until=now + args)
-        cub._prune_redundant()
+        cub.owner.prune(system.sim.now)
 
 
 @given(st.lists(_STORE_STEP, max_size=50))
 @settings(max_examples=120, deadline=None)
 def test_an_indexed_expiry_holds_what_a_walk_of_the_store_holds(steps):
-    system, cub = _store_subject(Cub)
-    reference_system, reference = _store_subject(RescanningCub)
+    system, cub = _store_subject(ScheduleOwner)
+    reference_system, reference = _store_subject(RescanningOwner)
     for number, step in enumerate(steps):
         _apply_store_step(system, cub, step)
         _apply_store_step(reference_system, reference, step)
-        assert list(cub._redundant_states.items()) == list(
-            reference._redundant_states.items()
+        ours, theirs = cub.owner, reference.owner
+        assert list(ours._redundant_states.items()) == list(
+            theirs._redundant_states.items()
         ), (number, step)
-        assert cub._redundant_index == reference._redundant_index, (number, step)
+        assert ours._redundant_index == theirs._redundant_index, (number, step)
         assert index_incoherence(cub) is None, (number, step)
 
 
 def test_a_reboot_forgets_the_expiry_index_with_the_store():
-    system, cub = _store_subject(Cub)
+    system, cub = _store_subject(ScheduleOwner)
     _apply_store_step(system, cub, ("hold", (1, 0, 0, 5.0)))
-    ((key, state),) = cub._redundant_states.items()
+    ((key, state),) = cub.owner._redundant_states.items()
     record = [(key, state.due_time)]
-    assert cub._redundant_expiry.unlisted(record) == []
+    assert cub.owner._redundant_expiry.unlisted(record) == []
     cub.fail()
     cub.recover()
-    assert not cub._redundant_states
-    assert cub._redundant_expiry.unlisted(record) == [key]
+    assert not cub.owner._redundant_states
+    assert cub.owner._redundant_expiry.unlisted(record) == [key]
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,6 @@ class TestRouting:
         monitor.check(now=10.0)  # everyone watched is silent -> dead
         assert monitor.next_living_cub(5) == 8  # 6,7 dead; 8 unmonitored
 
-    def test_next_living_with_extra_failed(self, monitor):
-        assert monitor.next_living_cub(5, extra_failed={6, 7, 8}) == 9
-
     def test_small_ring(self):
         monitor = DeadmanMonitor(cub_id=0, num_cubs=3, timeout=1.0)
         assert set(monitor.watched) == {1, 2}
@@ -103,7 +100,6 @@ class TestResurrection:
         assert monitor.recently_resurrected(4, now=9.5)
         assert monitor.recently_resurrected(4, now=14.9)
         assert not monitor.recently_resurrected(4, now=15.1)
-        assert not monitor.recently_resurrected(4, now=9.5, window=0.1)
 
     def test_never_resurrected_cub(self):
         monitor = DeadmanMonitor(cub_id=5, num_cubs=14, timeout=6.0)
@@ -124,4 +120,7 @@ class TestRingExhaustion:
 
     def test_wrap_prefers_living_cubs_over_self(self):
         monitor = DeadmanMonitor(cub_id=1, num_cubs=4, timeout=6.0)
-        assert monitor.next_living_cub(1, extra_failed={2, 3}) == 0
+        monitor.note_heartbeat(0, now=9.0)
+        monitor.check(now=10.0)  # cubs 2 and 3 silent -> dead; 0 alive
+        assert set(monitor.believed_failed) == {2, 3}
+        assert monitor.next_living_cub(1) == 0

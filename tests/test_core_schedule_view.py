@@ -104,7 +104,6 @@ class TestViewAdmission:
         state = make_state()
         view.admit(state, now=5.0)
         assert view.admit(state, now=5.0) == ADMIT_DUPLICATE
-        assert view.duplicates_ignored == 1
 
     def test_descheduled_state_rejected(self, view):
         """"Before accepting a viewer state, a cub checks to see if it

@@ -1,11 +1,11 @@
 """A deschedule searches nothing (DESIGN.md §5.1, paper §4.1.2).
 
-The cub reaches every record a stop, pause or cancel must drop through
-the play's own key: its redundant states through a by-play index, its
-queued start through an instance map, everything already queued for
+The cub's owner reaches every record a stop, pause or cancel must drop
+through the play's own key: its held states through a by-play index,
+its queued start through an instance map, everything already queued for
 service or forwarding through the tombstone.  These tests hold that to
-a reference cub that searches everything, count the work a deschedule
-does, and check that what is no longer searched for is still never sent.
+a reference that searches everything, count the work a deschedule does,
+and check that what is no longer searched for is still never sent.
 """
 
 import random
@@ -27,7 +27,42 @@ from repro.faults.monitor import index_incoherence
 
 
 class FullScanOwner(ScheduleOwner):
-    """The reference's admission state: a stop walks every wait queue."""
+    """The reference: the same owner with no index.  Every stop walks the
+    held-state store, both forward queues and every wait queue, as the
+    code did before the indexes; what remains of
+    ``ScheduleOwner.deschedule`` then finds nothing left to drop."""
+
+    def hold(self, state, key):
+        self._redundant_states[key] = state
+
+    def _release(self, key):
+        del self._redundant_states[key]
+
+    def prune(self, now):
+        self.view.prune(now)
+        horizon = now - (self.config.deadman_timeout + 2.0)
+        self._redundant_states = {
+            key: state
+            for key, state in self._redundant_states.items()
+            if state.due_time >= horizon
+        }
+
+    def deschedule(self, now, request, expiry):
+        if not self.view.has_tombstone(
+            request.viewer_id, request.instance, request.slot
+        ):
+            self.forward_queue = [
+                state for state in self.forward_queue
+                if not request.matches(state)
+            ]
+            self.mirror_forward_queue = [
+                mirror for mirror in self.mirror_forward_queue
+                if not request.matches_mirror(mirror)
+            ]
+            for key in list(self._redundant_states):
+                if request.matches(self._redundant_states[key]):
+                    del self._redundant_states[key]
+        return super().deschedule(now, request, expiry)
 
     def _remove_queued(self, instance):
         self._first_considered.pop(instance, None)
@@ -39,45 +74,17 @@ class FullScanOwner(ScheduleOwner):
 
 
 class FullScanCub(Cub):
-    """The reference: the same cub with no index.  Every stop walks the
-    redundant store, both forward queues and every wait queue, as the
-    code did before the index; what remains of ``Cub._on_deschedule``
-    then finds nothing left to drop."""
+    """The reference cub: its owner is a :class:`FullScanOwner`."""
 
     def _boot(self):
         super()._boot()
-        self.admission.__class__ = FullScanOwner
-
-    def _hold_redundant(self, state, key):
-        self._redundant_states[key] = state
-
-    def _release_redundant(self, key):
-        del self._redundant_states[key]
-
-    def _prune_redundant(self):
-        horizon = self.sim.now - (self.config.deadman_timeout + 2.0)
-        self._redundant_states = {
-            key: state
-            for key, state in self._redundant_states.items()
-            if state.due_time >= horizon
-        }
+        self.owner.__class__ = FullScanOwner
 
     def _on_deschedule(self, forward, sender):
         request = forward.request
         if not self.view.has_tombstone(
             request.viewer_id, request.instance, request.slot
         ):
-            self._forward_queue = [
-                state for state in self._forward_queue
-                if not request.matches(state)
-            ]
-            self._mirror_forward_queue = [
-                mirror for mirror in self._mirror_forward_queue
-                if not request.matches_mirror(mirror)
-            ]
-            for key in list(self._redundant_states):
-                if request.matches(self._redundant_states[key]):
-                    del self._redundant_states[key]
             # The running latest deadline stands in for a walk of the
             # pending table wherever the tombstone's expiry can see it.
             floor = self.sim.now
@@ -137,10 +144,10 @@ def _churn_under_faults(system, seed, indexed=False):
         system.run_for(rng.choice((0.25, 0.5, 1.0, 2.5)))
         history.append([
             (
-                list(cub._redundant_states.items()),
+                list(cub.owner._redundant_states.items()),
                 {
                     disk: list(q)
-                    for disk, q in cub.admission._wait_queues.items() if q
+                    for disk, q in cub.owner._wait_queues.items() if q
                 },
             )
             for cub in system.cubs
@@ -217,7 +224,7 @@ def test_a_deschedule_costs_the_plays_own_records(monkeypatch):
         cub._on_viewer_state(_state(instance, 0, instance % 32, foreign_disk, now + 3.0))
     for seqno in range(3):
         cub._on_viewer_state(_state(7, seqno, 5, foreign_disk, now + 3.0 + seqno))
-    assert len(cub._redundant_states) == 1003
+    assert len(cub.owner._redundant_states) == 1003
 
     compared = []
     matches = DescheduleRequest.matches
@@ -227,16 +234,16 @@ def test_a_deschedule_costs_the_plays_own_records(monkeypatch):
     )
     stop = DescheduleForward(DescheduleRequest("client:0#7", 7, 5, now))
     cub._on_deschedule(stop, "controller")
-    assert len(cub._redundant_states) == 1000
+    assert len(cub.owner._redundant_states) == 1000
     # Its three held states and the view's one slot occupant.
     assert len(compared) <= 4
     assert {state.instance for state in compared} == {7}
-    assert 7 not in cub._redundant_index
+    assert 7 not in cub.owner._redundant_index
 
     del compared[:]
     cub._on_deschedule(stop, "cub:3")
     assert not compared
-    assert len(cub._redundant_states) == 1000
+    assert len(cub.owner._redundant_states) == 1000
 
 
 def test_a_descheduled_plays_queued_records_are_never_sent():
@@ -259,7 +266,8 @@ def test_a_descheduled_plays_queued_records_are_never_sent():
         disk_id=next_disk, due_time=now + 2.0, play_seqno=0,
     )
     cub._on_mirror_state(piece)
-    assert doomed in cub._forward_queue and piece in cub._mirror_forward_queue
+    owner = cub.owner
+    assert doomed in owner.forward_queue and piece in owner.mirror_forward_queue
 
     sent = []
     network = system.network
@@ -275,7 +283,7 @@ def test_a_descheduled_plays_queued_records_are_never_sent():
     )
     system.run_for(lead + 3.0)
 
-    assert not cub._forward_queue and not cub._mirror_forward_queue
+    assert not owner.forward_queue and not owner.mirror_forward_queue
     forwarded = {
         record.instance
         for payload in sent if isinstance(payload, ViewerStateBatch)

@@ -84,7 +84,7 @@ class TestCubEdgeCases:
         request = StartRequest("client:0#1", 1, 0, 0, 0, 0.0)
         cub._on_start_request(request, "controller")
         cub._on_start_request(request, "controller")
-        assert cub.admission.queued() == 1
+        assert cub.owner.queued() == 1
 
     def test_mean_disk_utilization_zero_idle(self):
         system = TigerSystem(small_config(), seed=47)

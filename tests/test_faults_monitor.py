@@ -161,7 +161,7 @@ class TestDetection:
         system = build_running(streams=34)  # two more than fit: they queue
         cub = next(
             cub for cub in system.cubs
-            if cub._redundant_states and cub.admission.queued()
+            if cub.owner._redundant_states and cub.owner.queued()
         )
         monitor = InvariantMonitor(system)
         own = InvariantMonitor(system, cub)
@@ -170,18 +170,18 @@ class TestDetection:
         assert violations(system, cub) == 0
         check = "index-coherence"
         if damage == "unindexed":  # a record no deschedule can reach
-            cub._redundant_index.popitem()
+            cub.owner._redundant_index.popitem()
         elif damage == "unstored":  # an index entry outliving its record
-            cub._redundant_states.popitem()
+            cub.owner._redundant_states.popitem()
         elif damage == "unmapped":
-            cub.admission._queued_requests.popitem()
+            cub.owner._queued_requests.popitem()
         elif damage == "view-size":  # a view that outgrew its leads
             check = damage
             for key in range(monitor.view_bound + 1):
                 cub.view._tombstones[("ghost", key, 0)] = math.inf
         elif damage == "forward-queue":  # a pump that stopped draining
             check = damage
-            cub._mirror_forward_queue.extend([None] * (monitor.queue_bound + 1))
+            cub.owner.mirror_forward_queue.extend([None] * (monitor.queue_bound + 1))
         else:  # a record no prune can reach: held forever
             view = cub.view
             index, records = {
@@ -190,9 +190,9 @@ class TestDetection:
                     (slot, state.due_time)
                     for slot, state in view._slot_states.items()
                 )),
-                "stranded-redundant": (cub._redundant_expiry, (
+                "stranded-redundant": (cub.owner._redundant_expiry, (
                     (key, state.due_time)
-                    for key, state in cub._redundant_states.items()
+                    for key, state in cub.owner._redundant_states.items()
                 )),
             }[damage]
             key, due_time = next(iter(records))
@@ -263,7 +263,7 @@ class TestOneCubMonitor:
 def test_assert_invariants_runs_the_cub_scope_checks():
     system = build_running(streams=34)
     system.assert_invariants()
-    cub = next(cub for cub in system.cubs if cub._redundant_states)
-    cub._redundant_index.popitem()
+    cub = next(cub for cub in system.cubs if cub.owner._redundant_states)
+    cub.owner._redundant_index.popitem()
     with pytest.raises(InvariantViolation, match=r"\[index-coherence\]"):
         system.assert_invariants()

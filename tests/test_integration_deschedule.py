@@ -50,7 +50,7 @@ class TestStopPlaying:
         small_system.run_for(1.0)
         client.stop_stream(waiting)
         small_system.run_for(5.0)
-        assert sum(cub.admission.queued() for cub in small_system.cubs) == 0
+        assert sum(cub.owner.queued() for cub in small_system.cubs) == 0
         assert client.streams[waiting].blocks_received == 0
 
     def test_stop_is_idempotent(self, small_system):
@@ -145,7 +145,6 @@ class TestCancellationByTombstone:
         system.run_for(20.0)
         assert _service_totals(system) == at_stop == expected
         for cub in system.living_cubs():
-            assert not cub._pending_service
             assert not list(cub.pending_service_records())
         system.assert_invariants()
 
@@ -212,21 +211,21 @@ class TestCancellationByTombstone:
         client = small_system.add_client()
         instance = client.start_stream(file_id=0)
         small_system.run_for(10.3)
-        cub = next(
-            cub for cub in small_system.cubs
-            if any(s.instance == instance for s in cub._pending_service.values())
-        )
-        state = max(
-            (s for s in cub._pending_service.values() if s.instance == instance),
-            key=lambda s: s.due_time,
-        )
+        def sends(cub):
+            return [
+                state for _when, kind, state in cub.pending_service_records()
+                if kind == "send" and state.instance == instance
+            ]
+
+        cub = next(cub for cub in small_system.cubs if sends(cub))
+        state = max(sends(cub), key=lambda s: s.due_time)
         hops = 2 * config.num_cubs * config.disks_per_cub  # same disk again
         far = state.advanced(hops, config.num_disks, config.block_play_time)
         assert (
             far.due_time - small_system.sim.now
             > config.max_vstate_lead + config.deschedule_hold
         )
-        cub._schedule_block_service(far, far.key(), cub.disks[far.disk_id])
+        cub._schedule_block_service(far, cub.disks[far.disk_id])
         client.stop_stream(instance)
         small_system.run_for(0.5)
         at_stop = _service_totals(small_system)

@@ -146,12 +146,12 @@ class TestCubFailure:
             request_time=system.sim.now,
         )
         cub.handlers[StartRequest](request, "controller")
-        assert cub.admission.queued() == 1
+        assert cub.owner.queued() == 1
         system.fail_cub(1)
         system.recover_cub(1)  # inside the deadman timeout: nobody noticed
-        assert cub.admission.queued() == 0
+        assert cub.owner.queued() == 0
         cub.handlers[StartRequest](request, "backup-controller")
-        assert cub.admission.queued() == 1
+        assert cub.owner.queued() == 1
 
     def test_small_system_does_not_bridge_long_expired_states(self):
         """The redundant store is pruned whatever its size.  Left alone
@@ -168,8 +168,8 @@ class TestCubFailure:
             config.deadman_timeout + 2.0 + 4 * config.forward_pump_interval
         )
         for cub in system.cubs:
-            assert cub._redundant_states
-            for state in cub._redundant_states.values():
+            assert cub.owner._redundant_states
+            for state in cub.owner._redundant_states.values():
                 assert state.due_time >= system.sim.now - retention
         system.fail_cub(1)
         system.run_for(30.0)

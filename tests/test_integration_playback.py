@@ -89,7 +89,7 @@ class TestManyStreams:
         # Exactly capacity admitted; the rest wait (no double booking —
         # the oracle would have raised).
         assert small_system.oracle.num_occupied == capacity
-        queued = sum(cub.admission.queued() for cub in small_system.cubs)
+        queued = sum(cub.owner.queued() for cub in small_system.cubs)
         assert queued == 6
 
     def test_queued_viewers_admitted_after_eof(self):

@@ -178,7 +178,7 @@ class TestRecovery:
         system.fail_cub(1)
         system.run_for(20.0)
         system.recover_cub(1)
-        assert cub.admission.queued() == 0
+        assert cub.owner.queued() == 0
         assert not cub.failed
         system.run_for(20.0)
         system.assert_invariants()

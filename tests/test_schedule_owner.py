@@ -1,11 +1,15 @@
-"""The admission core on its own (paper §4.1.3): a :class:`ScheduleOwner`
-driven with plain inputs and times — no simulator, network or disk.
+"""A cub's per-play records on their own (paper §4.1): a
+:class:`ScheduleOwner` driven with plain inputs and times — no
+simulator, network or disk.
 
 Each test builds the pure objects a cub hands its owner (view, deadman,
-slot clock, stripe layout, placement policy) from ``small_config()`` and
-asks what the owner decides.  The last one reboots a real cub, because
-what a reboot forgets is the cub's business.
+slot clock, stripe layout, placement policy, config, catalog) from
+``small_config()`` and asks what the owner holds and decides.  The last
+one reboots a real cub, because what a reboot forgets is the cub's
+business.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,14 +20,23 @@ from repro.core.placement import make_placement_policy
 from repro.core.protocol import CancelStart, StartRequest
 from repro.core.slots import SlotClock
 from repro.core.view import ScheduleView
-from repro.core.viewerstate import ViewerState
+from repro.core.viewerstate import (
+    DescheduleRequest,
+    MirrorViewerState,
+    ViewerState,
+)
+from repro.faults.monitor import index_incoherence
 from repro.obs.registry import MetricsRegistry
 from repro.storage.blockindex import BlockLocation
+from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
 
 CONFIG = small_config()
 LAYOUT = StripeLayout(CONFIG.num_cubs, CONFIG.disks_per_cub)
 CLOCK = SlotClock(CONFIG.num_disks, CONFIG.num_slots, CONFIG.block_play_time)
+#: File 0 is four blocks long.
+CATALOG = Catalog(CONFIG.block_play_time, CONFIG.num_disks)
+CATALOG.add_file("four-blocks", bitrate_bps=2e6, duration_s=4.0)
 
 
 def _owner(cub_id=0, policy="first-fit", registry=None):
@@ -35,7 +48,7 @@ def _owner(cub_id=0, policy="first-fit", registry=None):
     )
     return ScheduleOwner(
         view, deadman, CLOCK, LAYOUT, make_placement_policy(policy, registry),
-        CONFIG.scheduling_lead,
+        CONFIG, CATALOG,
     )
 
 
@@ -196,7 +209,8 @@ def test_a_cancel_takes_the_start_off_its_queue_and_the_instance_map():
     assert [request.instance for request in owner._wait_queues[DISK]] == [1]
     assert set(owner._queued_requests) == {1, 3}
     assert owner.queued() == 2
-    owner.deschedule(0.6, 3)  # a stop before the insert: the same
+    # A stop before the insert: the same.
+    assert owner.deschedule(0.6, DescheduleRequest("client:0#3", 3, 3, 0.6), 9.0)
     assert not owner._wait_queues[other_disk]
     assert set(owner._queued_requests) == {1}
 
@@ -221,19 +235,172 @@ def test_a_rebooted_cub_gets_a_fresh_owner_and_keeps_its_migrations():
     cub._on_cancel_start(CancelStart("client:0#2", 2), "controller")
     moved = BlockLocation(disk_id, "outer", 0, 1)
     cub.migrations[(0, 5)] = moved
-    before, deadman = cub.admission, cub.deadman
-    assert cub.admission.queued() == 1
+    foreign = _state(3, 0, LAYOUT.disks_of_cub(1)[0], 9.0)
+    cub.owner.hold(foreign, foreign.key())
+    cub.owner.forward_queue.append(_state(4, 0, disk_id, 9.0))
+    before, deadman, view = cub.owner, cub.deadman, cub.view
+    ticks = cub._pump_ticks
+    assert cub.owner.queued() == 1
 
     cub.fail()
     cub.recover()
-    assert cub.admission is not before and cub.deadman is not deadman
-    assert cub.admission.deadman is cub.deadman
-    assert cub.admission.view is cub.view
-    assert cub.admission.queued() == 0
+    assert cub.owner is not before and cub.deadman is not deadman
+    assert cub.owner.deadman is cub.deadman
+    assert cub.owner.view is cub.view is view  # the view is built once
+    assert cub.owner.queued() == 0
+    assert not cub.owner._redundant_states and not cub.owner.forward_queue
+    assert cub._pump_ticks == ticks  # a reboot keeps the prune phase
     assert not cub._scan_events
     # Neither the seen nor the cancelled start is remembered: both are
     # queued when routed here again.
     cub._on_start_request(_request(1, disk_id), "controller")
     cub._on_start_request(_request(2, disk_id), "controller")
-    assert cub.admission.queued() == 2
+    assert cub.owner.queued() == 2
     assert cub.migrations == {(0, 5): moved}
+
+
+# ----------------------------------------------------------------------
+# Held states, forward queues and tombstones (§4.1.1-§4.1.2)
+# ----------------------------------------------------------------------
+def _state(instance, seqno, disk_id, due_time, slot=None):
+    return ViewerState(
+        viewer_id=f"client:0#{instance}", instance=instance,
+        slot=instance if slot is None else slot, file_id=0,
+        block_index=seqno, disk_id=disk_id, due_time=due_time,
+        play_seqno=seqno,
+    )
+
+
+def _stop(instance, slot=None):
+    return DescheduleRequest(
+        f"client:0#{instance}", instance,
+        instance if slot is None else slot, 0.0,
+    )
+
+
+def _coherent(owner):
+    return index_incoherence(SimpleNamespace(owner=owner, view=owner.view))
+
+
+#: A disk of cub 0, whose states cub 1 holds as its successor.
+FOREIGN = LAYOUT.disks_of_cub(0)[0]
+
+
+def test_hold_then_release_leaves_the_store_and_its_indexes_coherent():
+    owner = _owner(cub_id=1)
+    states = [_state(i, s, FOREIGN, 5.0 + s) for i in (1, 2) for s in (0, 1)]
+    for state in states:
+        owner.hold(state, state.key())
+    owner.hold(states[0], states[0].key())  # held again: still one record
+    assert list(owner._redundant_states) == [s.key() for s in states]
+    assert owner._redundant_index == {1: (0, 1), 2: (0, 1)}
+    assert _coherent(owner) is None
+    for key in ((1, 0), (2, 1), (2, 0)):
+        owner._release(key)
+    assert list(owner._redundant_states) == [(1, 1)]
+    assert owner._redundant_index == {1: (1,)}
+    assert _coherent(owner) is None
+
+
+def test_a_deschedule_releases_only_its_plays_held_states():
+    owner = _owner(cub_id=1)
+    for instance in (1, 2):
+        for seqno in (0, 1):
+            state = _state(instance, seqno, FOREIGN, 5.0 + seqno)
+            owner.hold(state, state.key())
+    # The same play instance in another slot is another play.
+    other_slot = _state(1, 2, FOREIGN, 7.0, slot=9)
+    owner.hold(other_slot, other_slot.key())
+    owner.start_request(0.5, _request(3, DISK))
+
+    assert owner.deschedule(1.0, _stop(1), expiry=20.0)
+    assert list(owner._redundant_states) == [(2, 0), (2, 1), (1, 2)]
+    assert owner.view.has_tombstone("client:0#1", 1, 1)
+    assert _coherent(owner) is None
+    assert owner.queued() == 1
+    # A repeat changes nothing; a stop of the queued start forgets it.
+    assert not owner.deschedule(1.5, _stop(1), expiry=20.0)
+    assert owner.deschedule(1.5, _stop(3), expiry=20.0)
+    assert owner.queued() == 0
+    assert len(owner._redundant_states) == 3
+
+
+def test_prune_drops_held_states_due_before_the_horizon_and_the_view_too():
+    owner = _owner(cub_id=1)
+    now = 20.0
+    horizon = now - (CONFIG.deadman_timeout + 2.0)
+    dues = (horizon - 1.0, horizon - 0.01, horizon, horizon + 3.0)
+    for instance, due in enumerate(dues, start=1):
+        state = _state(instance, 0, FOREIGN, due)
+        owner.hold(state, state.key())
+    owner.view.apply_deschedule(_stop(9), expiry=now - 1.0)
+    owner.prune(now)
+    assert [s.due_time for s in owner._redundant_states.values()] == [
+        horizon, horizon + 3.0,
+    ]
+    assert _coherent(owner) is None
+    assert not owner.view.has_tombstone("client:0#9", 9, 9)
+
+
+def test_adopted_yields_in_arrival_order_only_what_this_cub_adopts():
+    owner = _owner(cub_id=1)
+    living = LAYOUT.disks_of_cub(2)[0]
+    first, kept, second = (
+        _state(1, 0, FOREIGN, 9.0), _state(2, 0, living, 9.0),
+        _state(3, 0, FOREIGN, 9.5),
+    )
+    for state in (first, kept, second):
+        owner.hold(state, state.key())
+    assert list(owner.adopted(1.0)) == []  # cub 0 is still alive
+    assert len(owner._redundant_states) == 3
+
+    later = CONFIG.deadman_timeout + 1.0
+    _silence(owner, 0, later)
+    walk = owner.adopted(later)
+    assert next(walk) == first
+    # Released just before it is yielded; the rest is still held, and
+    # what is held during the walk is not part of it.
+    assert list(owner._redundant_states) == [kept.key(), second.key()]
+    late = _state(4, 0, FOREIGN, 10.0)
+    owner.hold(late, late.key())
+    assert list(walk) == [second]
+    assert list(owner._redundant_states) == [kept.key(), late.key()]
+    assert _coherent(owner) is None
+
+
+def test_take_forwards_keeps_a_state_until_its_window_then_sends_it():
+    owner = _owner()
+    bpt, lead = CONFIG.block_play_time, CONFIG.max_vstate_lead
+    ready = _state(1, 0, DISK, 10.0)
+    waiting = _state(2, 0, DISK, 10.5)
+    stopped = _state(3, 0, DISK, 10.0)
+    last = _state(4, 3, DISK, 10.0)  # file 0's final block
+    owner.forward_queue.extend([ready, stopped, last, waiting])
+    owner.deschedule(0.0, _stop(3), expiry=30.0)
+
+    opens = ready.due_time + bpt - lead
+    assert owner.take_forwards(opens - 0.01) == ([], [], [])
+    assert owner.forward_queue == [ready, stopped, last, waiting]
+    states, mirrors, missed = owner.take_forwards(opens)
+    assert states == [ready.advanced(1, CONFIG.num_disks, bpt)]
+    assert (mirrors, missed) == ([], [])
+    # A tombstone or the end of the file drops a state; the one whose
+    # window is still shut waits.
+    assert owner.forward_queue == [waiting]
+
+
+def test_a_past_due_mirror_piece_comes_back_missed():
+    owner = _owner()
+
+    def piece(instance, due_time):
+        return MirrorViewerState(
+            f"client:0#{instance}", instance, instance, file_id=0,
+            block_index=0, piece=0, decluster=2, disk_id=DISK,
+            due_time=due_time, play_seqno=0,
+        )
+
+    late, on_time, cancelled = piece(1, 4.0), piece(2, 6.0), piece(3, 4.0)
+    owner.mirror_forward_queue.extend([late, on_time, cancelled])
+    owner.deschedule(0.0, _stop(3), expiry=30.0)
+    assert owner.take_forwards(5.0) == ([], [on_time], [late])
+    assert owner.mirror_forward_queue == []

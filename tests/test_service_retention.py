@@ -45,7 +45,7 @@ def _container_sizes(system: TigerSystem) -> dict:
     """
     owners = []
     for cub in system.cubs:
-        owners += [cub, cub.view, cub.admission, *cub.disks.values()]
+        owners += [cub, cub.view, cub.owner, *cub.disks.values()]
     owners += [system.controller, *system.clients]
     sizes: dict = {}
     for owner in owners:
@@ -58,13 +58,13 @@ def _container_sizes(system: TigerSystem) -> dict:
     )
     # The by-play index is counted by the records it names, not by its
     # plays, and it and the instance map must be on the list at all.
-    sizes["Cub indexed redundant records"] = sum(
+    sizes["ScheduleOwner indexed held records"] = sum(
         len(seqnos)
         for cub in system.cubs
-        for seqnos in cub._redundant_index.values()
+        for seqnos in cub.owner._redundant_index.values()
     )
     assert {
-        "Cub._redundant_index", "ScheduleOwner._queued_requests",
+        "ScheduleOwner._redundant_index", "ScheduleOwner._queued_requests",
         "SimDisk._in_flight",
     } <= set(sizes)
     return sizes

@@ -7,16 +7,16 @@ sockets need bytes.  This module defines:
   (:class:`~repro.core.viewerstate.ViewerState`, deschedule requests,
   heartbeats, reservations/start-stop traffic, block data, replica
   updates, ...) to a stable type tag *and* a stable numeric id, with
-  generic recursive encode/decode — registering a new payload type is
-  one :func:`register_payload` call;
+  generic encode/decode — registering a new payload type is one
+  :func:`register_payload` call;
 * **frame v1 (JSON)**: a 4-byte big-endian length prefix followed by a
   JSON body carrying the wire version, the
   :class:`~repro.net.message.Message` envelope (src, dst, kind,
   modelled size, message id) and the encoded payload;
 * **frame v2 (binary)**: the same length prefix followed by a
   struct-packed body (magic ``0xB2``, version, frame type, fixed-width
-  envelope, type-coded payload values) decoded from :class:`memoryview`
-  slices without intermediate copies.  A binary body can never be
+  envelope, type-coded payload values), coded in one flat pass per
+  frame — no Python call per value.  A binary body can never be
   mistaken for JSON — JSON bodies start with ``{`` (0x7B), binary
   bodies with ``0xB2`` — so one stream can carry both and a decoder
   never needs out-of-band codec state;
@@ -47,9 +47,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+from operator import attrgetter
 from typing import (
-    Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple, Type,
+    Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple, Type,
 )
 
 from repro.core.protocol import (
@@ -129,12 +130,26 @@ _B_OBJ = 0x07
 #: u64 hashes that overflow the signed ``_B_INT`` range.
 _B_U64 = 0x08
 
+#: A v2 frame's fixed head: the length prefix, then magic, version,
+#: frame type, msg_id, size_bytes, kind code and ``src``'s length.
+_ENVELOPE = struct.Struct(">IBBBQIBI")
+#: The same head field by field, for naming what a refused one got wrong.
 _BIN_HEAD = struct.Struct(">BBB")     # magic, version, frame type
 _BIN_MSG = struct.Struct(">QIB")      # msg_id, size_bytes, kind code
 _U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
+# A value's type code and its fixed-width part, coded as one.
+_TAGGED_I64 = struct.Struct(">Bq")
+_TAGGED_U64 = struct.Struct(">BQ")
+_TAGGED_F64 = struct.Struct(">Bd")
+_TAGGED_U32 = struct.Struct(">BI")    # str byte length / seq count
+_TAGGED_ID = struct.Struct(">BB")     # obj registry id
+#: Bytes of a tagged i64/u64/f64 value, and of a tagged str length or
+#: seq count (the decoder steps by these in its per-value loop).
+_TAGGED_WORD = _TAGGED_I64.size
+_TAGGED_COUNT = _TAGGED_U32.size
+#: The value of each one-byte code: none, true, false.
+_CONSTANT_OF_CODE = (None, True, False)
+_I64_MIN, _I64_MAX, _U64_MAX = -(1 << 63), (1 << 63) - 1, (1 << 64) - 1
 
 _KIND_TO_CODE = {KIND_CONTROL: 0, KIND_DATA: 1}
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
@@ -158,13 +173,16 @@ _TYPE_TO_TAG: Dict[Type[Any], str] = {}
 #: Stable numeric ids for the binary codec, assigned in registration
 #: order starting at 1 (0 is reserved/invalid).
 _TAG_TO_ID: Dict[str, int] = {}
-_ID_TO_TYPE: Dict[int, Type[Any]] = {}
-_TYPE_TO_ID: Dict[Type[Any], int] = {}
-#: Field names per registered class, in declaration order — the binary
-#: codec writes values positionally and never puts names on the wire.
+#: Field names per registered class, in declaration order — JSON names
+#: every field; binary writes the values positionally, no names.
 _TYPE_FIELDS: Dict[Type[Any], Tuple[str, ...]] = {}
 #: The same names as a set, for the JSON decoder's unknown-field check.
 _TYPE_FIELD_SET: Dict[Type[Any], FrozenSet[str]] = {}
+#: The binary encoder's view of a registered class: its numeric id and
+#: one call returning every field value, in declaration order.
+_RECORD_OF_TYPE: Dict[Type[Any], Tuple[int, Callable[[Any], Tuple[Any, ...]]]] = {}
+#: The binary decoder's: numeric id -> (class, field count).
+_RECORD_OF_ID: Dict[int, Tuple[Type[Any], int]] = {}
 
 
 def register_payload(tag: str, cls: Type[Any]) -> None:
@@ -191,12 +209,24 @@ def register_payload(tag: str, cls: Type[Any]) -> None:
     _TAG_TO_TYPE[tag] = cls
     _TYPE_TO_TAG[cls] = tag
     _TAG_TO_ID[tag] = numeric_id
-    _ID_TO_TYPE[numeric_id] = cls
-    _TYPE_TO_ID[cls] = numeric_id
     _TYPE_FIELDS[cls] = tuple(
         field.name for field in dataclasses.fields(cls)
     )
     _TYPE_FIELD_SET[cls] = frozenset(_TYPE_FIELDS[cls])
+    _RECORD_OF_TYPE[cls] = (numeric_id, _field_getter(_TYPE_FIELDS[cls]))
+    _RECORD_OF_ID[numeric_id] = (cls, len(_TYPE_FIELDS[cls]))
+
+
+def _field_getter(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """One call returning a record's ``names`` values as a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    # attrgetter of one name returns the bare value, not a 1-tuple.
+
+    def fields(record: Any) -> Tuple[Any, ...]:
+        return tuple(getattr(record, name) for name in names)
+
+    return fields
 
 
 def registered_payload_types() -> Dict[str, Type[Any]]:
@@ -350,9 +380,11 @@ class WireStats:
         frames.increment()
         bytes_.increment(nbytes)
 
-    def on_decoded(self, codec: str, nbytes: int) -> None:
+    def on_decoded(self, codec: str, nbytes: int, count: int = 1) -> None:
+        """``count`` frames of ``nbytes`` in all — a decoder counts each
+        read's frames at once."""
         frames, bytes_ = self._rx[codec]
-        frames.increment()
+        frames.increment(count)
         bytes_.increment(nbytes)
 
 
@@ -429,147 +461,100 @@ def parse_frame(body: Dict[str, Any]) -> Tuple[str, Any]:
 # ----------------------------------------------------------------------
 # Frames: v2 (binary)
 # ----------------------------------------------------------------------
-def _encode_binary_value(obj: Any, out: bytearray) -> None:
-    if obj is None:
-        out.append(_B_NONE)
-    elif obj is True:
-        out.append(_B_TRUE)
-    elif obj is False:
-        out.append(_B_FALSE)
-    elif isinstance(obj, int):
-        if -(1 << 63) <= obj < (1 << 63):
-            out.append(_B_INT)
-            out += _I64.pack(obj)
-        elif obj < (1 << 64):
-            # Full-width unsigned values (content fingerprint hashes).
-            out.append(_B_U64)
-            out += _U64.pack(obj)
-        else:
-            raise WireError(f"int {obj} out of binary range")
-    elif isinstance(obj, float):
-        out.append(_B_FLOAT)
-        out += _F64.pack(obj)
-    elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-        if len(data) > 0xFFFFFFFF:
-            raise WireError("string too long for binary frame")
-        out.append(_B_STR)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(obj, (tuple, list)):
-        out.append(_B_SEQ)
-        out += _U32.pack(len(obj))
-        for item in obj:
-            _encode_binary_value(item, out)
-    else:
-        numeric_id = _TYPE_TO_ID.get(type(obj))
-        if numeric_id is None:
-            raise WireError(
-                f"payload type {type(obj).__name__} is not wire-registered"
-            )
-        out.append(_B_OBJ)
-        out.append(numeric_id)
-        for name in _TYPE_FIELDS[type(obj)]:
-            _encode_binary_value(getattr(obj, name), out)
+def _plain_value(value: Any) -> Any:
+    """The built-in value an instance of a subclass codes as — an
+    ``IntEnum`` member as its int, a ``NamedTuple`` as a tuple.
+
+    :raises WireError: for anything that is not a wire type at all.
+    """
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(value)
+    raise WireError(f"payload type {type(value).__name__} is not wire-registered")
 
 
 def binary_message_frame(message: Message) -> bytes:
-    """Serialize one message as a v2 (binary) frame."""
+    """Serialize one message as a v2 (binary) frame.
+
+    One pass: the fixed envelope is one pack, and the payload is coded
+    by one loop over a stack of iterators — each scalar inline, checked
+    by exact type, and each sequence or record pushed as its items or
+    its fields — so no value costs a Python call.
+    """
     kind_code = _KIND_TO_CODE.get(message.kind)
     if kind_code is None:
         raise WireError(f"unknown message kind {message.kind!r}")
-    src = message.src.encode("utf-8")
-    dst = message.dst.encode("utf-8")
-    body = bytearray()
-    body += _BIN_HEAD.pack(BINARY_MAGIC, WIRE_VERSION_BINARY, _FT_MESSAGE)
     try:
-        body += _BIN_MSG.pack(message.msg_id, message.size_bytes, kind_code)
+        src = message.src.encode("utf-8")
+        dst = message.dst.encode("utf-8")
+        out = bytearray(_ENVELOPE.pack(
+            0, BINARY_MAGIC, WIRE_VERSION_BINARY, _FT_MESSAGE,
+            message.msg_id, message.size_bytes, kind_code, len(src),
+        ))
+        out += src
+        out += _U32.pack(len(dst))
+        out += dst
+        stack: List[Iterator[Any]] = []
+        values: Iterator[Any] = iter((message.payload,))
+        while True:
+            for value in values:
+                cls = type(value)
+                if cls is int:
+                    if _I64_MIN <= value <= _I64_MAX:
+                        out += _TAGGED_I64.pack(_B_INT, value)
+                    elif 0 < value <= _U64_MAX:
+                        # Full-width unsigned values (content fingerprints).
+                        out += _TAGGED_U64.pack(_B_U64, value)
+                    else:
+                        raise WireError(f"int {value} out of binary range")
+                elif cls is str:
+                    data = value.encode("utf-8")
+                    if len(data) > 0xFFFFFFFF:
+                        raise WireError("string too long for binary frame")
+                    out += _TAGGED_U32.pack(_B_STR, len(data))
+                    out += data
+                elif value is None:
+                    out.append(_B_NONE)
+                elif cls is float:
+                    out += _TAGGED_F64.pack(_B_FLOAT, value)
+                elif cls is bool:
+                    out.append(_B_TRUE if value else _B_FALSE)
+                elif cls is tuple or cls is list:
+                    out += _TAGGED_U32.pack(_B_SEQ, len(value))
+                    stack.append(values)
+                    values = iter(value)
+                    break
+                else:
+                    record = _RECORD_OF_TYPE.get(cls)
+                    stack.append(values)
+                    if record is None:
+                        values = iter((_plain_value(value),))
+                    else:
+                        numeric_id, fields = record
+                        out += _TAGGED_ID.pack(_B_OBJ, numeric_id)
+                        values = iter(fields(value))
+                    break
+            else:  # ``values`` is exhausted: resume the one it was nested in
+                if not stack:
+                    break
+                values = stack.pop()
+    except UnicodeEncodeError as error:
+        raise WireError(f"string not encodable in binary frame: {error}") from error
     except struct.error as error:
         raise WireError(f"envelope field out of binary range: {error}") from error
-    body += _U32.pack(len(src))
-    body += src
-    body += _U32.pack(len(dst))
-    body += dst
-    _encode_binary_value(message.payload, body)
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame body of {len(body)} bytes exceeds maximum")
-    return _LENGTH.pack(len(body)) + bytes(body)
+    length = len(out) - _LENGTH.size
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame body of {length} bytes exceeds maximum")
+    _LENGTH.pack_into(out, 0, length)
+    return bytes(out)
 
 
-def _read_binary_str(view: memoryview, offset: int) -> Tuple[str, int]:
-    try:
-        (length,) = _U32.unpack_from(view, offset)
-    except struct.error as error:
-        raise WireError(f"truncated binary string: {error}") from error
-    offset += _U32.size
-    end = offset + length
-    if end > len(view):
-        raise WireError("truncated binary string body")
-    try:
-        return str(view[offset:end], "utf-8"), end
-    except UnicodeDecodeError as error:
-        raise WireError(f"bad utf-8 in binary frame: {error}") from error
-
-
-def _decode_binary_value(view: memoryview, offset: int) -> Tuple[Any, int]:
-    if offset >= len(view):
-        raise WireError("truncated binary value")
-    code = view[offset]
-    offset += 1
-    if code == _B_NONE:
-        return None, offset
-    if code == _B_TRUE:
-        return True, offset
-    if code == _B_FALSE:
-        return False, offset
-    try:
-        if code == _B_INT:
-            (value,) = _I64.unpack_from(view, offset)
-            return value, offset + _I64.size
-        if code == _B_U64:
-            (value,) = _U64.unpack_from(view, offset)
-            return value, offset + _U64.size
-        if code == _B_FLOAT:
-            (value,) = _F64.unpack_from(view, offset)
-            return value, offset + _F64.size
-        if code == _B_STR:
-            return _read_binary_str(view, offset)
-        if code == _B_SEQ:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += _U32.size
-            if count > len(view):  # cheap sanity bound: >= 1 byte/item
-                raise WireError(f"binary sequence count {count} too large")
-            items = []
-            for _ in range(count):
-                item, offset = _decode_binary_value(view, offset)
-                items.append(item)
-            return tuple(items), offset
-        if code == _B_OBJ:
-            if offset >= len(view):
-                raise WireError("truncated binary object header")
-            numeric_id = view[offset]
-            offset += 1
-            cls = _ID_TO_TYPE.get(numeric_id)
-            if cls is None:
-                raise WireError(f"unknown binary payload id {numeric_id}")
-            values = []
-            for _ in _TYPE_FIELDS[cls]:
-                value, offset = _decode_binary_value(view, offset)
-                values.append(value)
-            try:
-                return cls(*values), offset
-            except (TypeError, ValueError) as error:
-                raise WireError(
-                    f"bad {cls.__name__} payload: {error}"
-                ) from error
-    except struct.error as error:
-        raise WireError(f"truncated binary value: {error}") from error
-    raise WireError(f"unknown binary value type code {code:#04x}")
-
-
-def _read_binary_envelope(
-    frame: memoryview,
-) -> Tuple[str, str, int, int, str, int]:
+def _read_binary_envelope(frame: bytes) -> Tuple[str, str, int, int, str, int]:
     """Validate a v2 frame's envelope, leaving its payload unread.
 
     :param frame: The whole frame, length prefix included.
@@ -577,58 +562,169 @@ def _read_binary_envelope(
     :raises WireError: for everything an envelope can get wrong,
         including a payload of zero bytes.
     """
+    try:
+        (_, magic, version, frame_type, msg_id, size_bytes, kind_code,
+         src_length) = _ENVELOPE.unpack_from(frame)
+        src_end = _ENVELOPE.size + src_length
+        (dst_length,) = _U32.unpack_from(frame, src_end)
+        payload_at = src_end + _U32.size + dst_length
+        kind = _CODE_TO_KIND.get(kind_code)
+        if (
+            magic == BINARY_MAGIC and version == WIRE_VERSION_BINARY
+            and frame_type == _FT_MESSAGE and kind is not None
+            and size_bytes and payload_at < len(frame)
+        ):
+            return (
+                frame[_ENVELOPE.size:src_end].decode("utf-8"),
+                frame[src_end + _U32.size:payload_at].decode("utf-8"),
+                msg_id, size_bytes, kind, payload_at,
+            )
+    except (struct.error, UnicodeDecodeError):
+        pass
+    raise _envelope_error(frame)
+
+
+def _envelope_error(frame: bytes) -> WireError:
+    """What is wrong with an envelope :func:`_read_binary_envelope`
+    refused: its fields checked one at a time, in wire order."""
     offset = _LENGTH.size
     try:
         magic, version, frame_type = _BIN_HEAD.unpack_from(frame, offset)
     except struct.error as error:
-        raise WireError(f"binary frame too short: {error}") from error
+        return WireError(f"binary frame too short: {error}")
     if magic != BINARY_MAGIC:
-        raise WireError(f"bad binary magic {magic:#04x}")
+        return WireError(f"bad binary magic {magic:#04x}")
     if version != WIRE_VERSION_BINARY:
-        raise WireError(
+        return WireError(
             f"unsupported wire version {version!r} "
             f"(speaking {WIRE_VERSION_BINARY})"
         )
     if frame_type != _FT_MESSAGE:
-        raise WireError(f"unknown binary frame type {frame_type:#04x}")
+        return WireError(f"unknown binary frame type {frame_type:#04x}")
     offset += _BIN_HEAD.size
     try:
-        msg_id, size_bytes, kind_code = _BIN_MSG.unpack_from(frame, offset)
+        _, size_bytes, kind_code = _BIN_MSG.unpack_from(frame, offset)
     except struct.error as error:
-        raise WireError(f"truncated binary envelope: {error}") from error
+        return WireError(f"truncated binary envelope: {error}")
     offset += _BIN_MSG.size
-    kind = _CODE_TO_KIND.get(kind_code)
-    if kind is None:
-        raise WireError(f"unknown message kind code {kind_code}")
+    if kind_code not in _CODE_TO_KIND:
+        return WireError(f"unknown message kind code {kind_code}")
     if size_bytes <= 0:
         # Message.__post_init__'s check, made where no Message is built.
-        raise WireError("bad message envelope: messages must have positive size")
-    src, offset = _read_binary_str(frame, offset)
-    dst, offset = _read_binary_str(frame, offset)
-    if offset >= len(frame):
-        raise WireError("truncated binary value")
-    return src, dst, msg_id, size_bytes, kind, offset
+        return WireError("bad message envelope: messages must have positive size")
+    for _ in ("src", "dst"):
+        try:
+            (length,) = _U32.unpack_from(frame, offset)
+        except struct.error as error:
+            return WireError(f"truncated binary string: {error}")
+        offset += _U32.size
+        end = offset + length
+        if end > len(frame):
+            return WireError("truncated binary string body")
+        try:
+            frame[offset:end].decode("utf-8")
+        except UnicodeDecodeError as error:
+            return WireError(f"bad utf-8 in binary frame: {error}")
+        offset = end
+    return WireError("truncated binary value")
 
 
 def _binary_message(
-    frame: memoryview, src: str, dst: str, msg_id: int, size_bytes: int,
+    frame: bytes, src: str, dst: str, msg_id: int, size_bytes: int,
     kind: str, offset: int,
 ) -> Message:
     """Decode the payload at ``offset`` of a frame whose envelope
-    :func:`_read_binary_envelope` already validated."""
+    :func:`_read_binary_envelope` already validated.
+
+    One loop reads every value: scalars inline, while a sequence or a
+    record opens a container on an explicit stack, built into a tuple
+    or the record once its count of values is in.  A value cut short
+    surfaces as ``IndexError`` or ``struct.error``, and becomes one
+    :class:`WireError` for the whole frame.
+    """
+    end = len(frame)
+    stack: List[Tuple[List[Any], int, Optional[Type[Any]]]] = []
+    # The open container: values so far, values still to read, and the
+    # record class to build (None: a sequence, or the payload itself).
+    values: List[Any] = []
+    remaining = 1
+    record: Optional[Type[Any]] = None
     try:
-        payload, offset = _decode_binary_value(frame, offset)
-        if offset != len(frame):
+        try:
+            while True:
+                while remaining:
+                    remaining -= 1
+                    code = frame[offset]
+                    if code == _B_INT:
+                        values.append(_TAGGED_I64.unpack_from(frame, offset)[1])
+                        offset += _TAGGED_WORD
+                    elif code == _B_STR:
+                        _, length = _TAGGED_U32.unpack_from(frame, offset)
+                        start = offset + _TAGGED_COUNT
+                        offset = start + length
+                        if offset > end:
+                            raise WireError("truncated binary string body")
+                        values.append(frame[start:offset].decode("utf-8"))
+                    elif code == _B_OBJ:
+                        numeric_id = frame[offset + 1]
+                        offset += 2
+                        shape = _RECORD_OF_ID.get(numeric_id)
+                        if shape is None:
+                            raise WireError(
+                                f"unknown binary payload id {numeric_id}"
+                            )
+                        stack.append((values, remaining, record))
+                        values = []
+                        record, remaining = shape
+                    elif code < _B_INT:  # none, true, false
+                        values.append(_CONSTANT_OF_CODE[code])
+                        offset += 1
+                    elif code == _B_FLOAT:
+                        values.append(_TAGGED_F64.unpack_from(frame, offset)[1])
+                        offset += _TAGGED_WORD
+                    elif code == _B_U64:
+                        values.append(_TAGGED_U64.unpack_from(frame, offset)[1])
+                        offset += _TAGGED_WORD
+                    elif code == _B_SEQ:
+                        _, count = _TAGGED_U32.unpack_from(frame, offset)
+                        offset += _TAGGED_COUNT
+                        if count > end:  # cheap sanity bound: >= 1 byte/item
+                            raise WireError(
+                                f"binary sequence count {count} too large"
+                            )
+                        stack.append((values, remaining, record))
+                        values, remaining, record = [], count, None
+                    else:
+                        raise WireError(
+                            f"unknown binary value type code {code:#04x}"
+                        )
+                if not stack:
+                    break
+                if record is None:
+                    value = tuple(values)
+                else:
+                    try:
+                        value = record(*values)
+                    except (TypeError, ValueError) as error:
+                        raise WireError(
+                            f"bad {record.__name__} payload: {error}"
+                        ) from error
+                values, remaining, record = stack.pop()
+                values.append(value)
+        except IndexError as error:
+            raise WireError("truncated binary value") from error
+        except struct.error as error:
+            raise WireError(f"truncated binary value: {error}") from error
+        except UnicodeDecodeError as error:
+            raise WireError(f"bad utf-8 in binary frame: {error}") from error
+        if offset != end:
             raise WireError(
-                f"{len(frame) - offset} trailing byte(s) after binary payload"
+                f"{end - offset} trailing byte(s) after binary payload"
             )
     except WireError as error:
         error.src, error.msg_id = src, msg_id
         raise
-    return Message(
-        src=src, dst=dst, payload=payload, size_bytes=size_bytes,
-        kind=kind, msg_id=msg_id,
-    )
+    return Message(src, dst, values[0], size_bytes, kind, msg_id)
 
 
 class RawFrame(NamedTuple):
@@ -653,7 +749,7 @@ class RawFrame(NamedTuple):
 
         :raises WireError: on a corrupt payload.
         """
-        return _binary_message(memoryview(self.frame), *self[:6])
+        return _binary_message(self.frame, *self[:6])
 
 
 def encode_message(
@@ -672,9 +768,9 @@ def encode_message(
     return frame
 
 
-def _parse_json_body(frame: memoryview) -> Tuple[str, Any]:
+def _parse_json_body(frame: bytes) -> Tuple[str, Any]:
     try:
-        body = json.loads(bytes(frame[_LENGTH.size:]))
+        body = json.loads(frame[_LENGTH.size:])
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"undecodable frame body: {error}") from error
     return parse_frame(body)
@@ -685,18 +781,16 @@ class FrameDecoder:
 
     Feed raw TCP bytes in; complete frames come out of
     :meth:`feed_parsed` as ``("ctl", body)`` / ``("msg", Message)``
-    tuples, JSON *and* binary, with binary frames decoded straight from
-    a :class:`memoryview` over the receive buffer (no per-frame body
-    copy).  The decoder validates the length prefix before buffering a
-    body, so a corrupt or hostile peer cannot make it allocate
-    unboundedly.
+    tuples, JSON *and* binary.  The decoder validates the length prefix
+    before buffering a body, so a corrupt or hostile peer cannot make
+    it allocate unboundedly.
     """
 
     def __init__(self, stats: Optional[WireStats] = None) -> None:
         self._buffer = bytearray()
         self._stats = stats
 
-    def _parse_binary(self, frame: memoryview) -> Tuple[str, Any]:
+    def _parse_binary(self, frame: bytes) -> Tuple[str, Any]:
         """Parse one complete v2 frame (length prefix included)."""
         return ("msg", _binary_message(frame, *_read_binary_envelope(frame)))
 
@@ -704,25 +798,26 @@ class FrameDecoder:
         """Add bytes; return every parsed frame completed by them.
 
         Handles both codecs per frame (the first body byte
-        discriminates).  Binary frames are decoded from a
-        :class:`memoryview` over the internal buffer — values are
-        extracted with ``unpack_from``/slice decoding, never via an
-        intermediate ``bytes`` copy of the body.
+        discriminates).  Once a frame is complete, the buffer is copied
+        out once for the whole read, and each frame is a ``bytes`` slice
+        of that copy — what a binary frame is decoded from and, at the
+        hub, forwarded as.  Frames and bytes parsed are counted into the
+        stats once per call and codec.
 
         :raises WireError: on any malformed frame; frames parsed
             before the error are lost to the caller, which treats a
             wire error as fatal for the connection anyway.
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         frames: List[Tuple[str, Any]] = []
+        total = len(buffer)
         consumed = 0
-        total = len(self._buffer)
-        view = memoryview(self._buffer)
+        received = b""
+        binary_frames = binary_bytes = 0
         try:
-            while True:
-                if total - consumed < _LENGTH.size:
-                    break
-                (length,) = _LENGTH.unpack_from(view, consumed)
+            while total - consumed >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer, consumed)
                 if length > MAX_FRAME_BYTES:
                     raise WireError(
                         f"frame length {length} exceeds maximum "
@@ -731,24 +826,28 @@ class FrameDecoder:
                 end = consumed + _LENGTH.size + length
                 if total < end:
                     break
-                frame = view[consumed:end]
-                try:
-                    if length and frame[_LENGTH.size] == BINARY_MAGIC:
-                        codec = CODEC_BINARY
-                        parsed = self._parse_binary(frame)
-                    else:
-                        codec = CODEC_JSON
-                        parsed = _parse_json_body(frame)
-                finally:
-                    frame.release()
-                if self._stats is not None:
-                    self._stats.on_decoded(codec, _LENGTH.size + length)
-                frames.append(parsed)
+                if not received:
+                    received = bytes(buffer)
+                frame = received[consumed:end]
+                if length and frame[_LENGTH.size] == BINARY_MAGIC:
+                    frames.append(self._parse_binary(frame))
+                    binary_frames += 1
+                    binary_bytes += end - consumed
+                else:
+                    frames.append(_parse_json_body(frame))
                 consumed = end
         finally:
-            view.release()
             if consumed:
-                del self._buffer[:consumed]
+                del buffer[:consumed]
+            stats = self._stats
+            if stats is not None:
+                if binary_frames:
+                    stats.on_decoded(CODEC_BINARY, binary_bytes, binary_frames)
+                if len(frames) > binary_frames:
+                    stats.on_decoded(
+                        CODEC_JSON, consumed - binary_bytes,
+                        len(frames) - binary_frames,
+                    )
         return frames
 
     def pending_bytes(self) -> int:
@@ -774,8 +873,8 @@ class EnvelopeDecoder(FrameDecoder):
     message frames parse in full.
     """
 
-    def _parse_binary(self, frame: memoryview) -> Tuple[str, Any]:
-        return ("raw", RawFrame(*_read_binary_envelope(frame), bytes(frame)))
+    def _parse_binary(self, frame: bytes) -> Tuple[str, Any]:
+        return ("raw", RawFrame(*_read_binary_envelope(frame), frame))
 
 
 def decode_frames(data: bytes) -> Iterator[Tuple[str, Any]]:

@@ -34,9 +34,11 @@ land in ``live.wire_frames`` / ``live.wire_bytes``.
 
 Like the switch it stands in for, the hub does not interpret what it
 only carries: it reads a binary frame's envelope and queues the
-sender's bytes untouched on a binary peer's connection, decoding the
-payload only for a driver-local or JSON-codec destination — a payload
-is validated exactly once, by whoever consumes it (docs/WIRE.md).
+sender's bytes untouched on a binary peer's connection — each run of
+one read's consecutive frames for one peer in a single send — decoding
+the payload only for a driver-local or JSON-codec destination.  A
+payload is validated exactly once, by whoever consumes it
+(docs/WIRE.md).
 
 Determinism and comparability
 -----------------------------
@@ -64,7 +66,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from collections import deque
 
@@ -646,44 +648,74 @@ class ClusterHub:
         return False
 
     # -- routing ------------------------------------------------------
-    def route(self, message: Union[Message, RawFrame]) -> bool:
-        """Deliver one protocol message to its destination's inbox.
+    def route(self, run: Union[Message, RawFrame, List[RawFrame]]) -> bool:
+        """Deliver protocol messages to their destination's inbox.
 
-        A :class:`~repro.live.wire.RawFrame` (a binary frame off a
-        socket, payload unread) bound for a connection that negotiated
-        binary is queued as the bytes the sender wrote.  For any other
-        destination the hub consumes the payload and decodes it here.
+        ``run`` is one :class:`~repro.net.message.Message` (from a
+        driver-local sender), or a run: consecutive
+        :class:`~repro.live.wire.RawFrame` frames of one read (binary
+        frames off a socket, payloads unread) that share one ``dst``.
+        A lone ``RawFrame`` is a run of one.  A run bound for a connection
+        that negotiated binary is queued as the bytes its senders
+        wrote, with one hard-cap check, one ``send`` and one increment
+        per counter; if it would overflow the hard cap, it is admitted
+        frame by frame, so exactly the frames that fit are queued.  For
+        any other destination the hub consumes each payload in order
+        and decodes it here.  Counters count frames either way.
 
-        :raises WireError: when that decode finds a corrupt payload.
+        :returns: True when every message was delivered.
+        :raises WireError: when a decode finds a corrupt payload.
         """
-        raw = message if isinstance(message, RawFrame) else None
-        deliver = self.local.get(message.dst)
+        if not isinstance(run, list):
+            run = [run]
+        dst = run[0].dst
+        deliver = self.local.get(dst)
         if deliver is not None:
-            if raw is not None:
-                message = raw.message()
-            self.routed.increment()
-            self.forwarded_decoded.increment()
-            deliver(message)
+            for message in run:
+                if isinstance(message, RawFrame):
+                    message = message.message()
+                self.routed.increment()
+                self.forwarded_decoded.increment()
+                deliver(message)
             return True
-        connection = self.connections.get(message.dst)
+        connection = self.connections.get(dst)
         if connection is None or connection.is_closing():
-            self.dropped.increment()
+            self.dropped.increment(len(run))
             return False
-        if raw is not None and connection.codec == CODEC_BINARY:
-            frame, path = raw.frame, self.forwarded_raw
-            # Still a frame this endpoint put on a socket: count it tx.
-            self.wire_stats.on_encoded(CODEC_BINARY, len(frame))
-        else:
-            if raw is not None:
-                message = raw.message()
+        if connection.codec == CODEC_BINARY and isinstance(run[0], RawFrame):
+            return self._forward_raw(connection, [raw.frame for raw in run])
+        sent = 0
+        for message in run:
+            if isinstance(message, RawFrame):
+                message = message.message()
             frame = encode_message(message, connection.codec, self.wire_stats)
-            path = self.forwarded_decoded
-        if not connection.send(frame):
-            self.dropped.increment()
-            return False
-        self.routed.increment()
-        path.increment()
-        return True
+            if connection.send(frame):
+                self.routed.increment()
+                self.forwarded_decoded.increment()
+                sent += 1
+            else:
+                self.dropped.increment()
+        return sent == len(run)
+
+    def _forward_raw(
+        self, connection: NodeConnection, frames: List[bytes]
+    ) -> bool:
+        """Queue senders' frames untouched on a binary peer's connection."""
+        data = b"".join(frames)
+        if connection.queued_bytes + len(data) <= SEND_QUEUE_HARD_CAP:
+            connection.send(data)
+            sent, nbytes = len(frames), len(data)
+        else:
+            # Over the hard cap: each frame takes its own chance, and
+            # send() counts each one that does not fit.
+            kept = [frame for frame in frames if connection.send(frame)]
+            sent, nbytes = len(kept), sum(map(len, kept))
+            self.dropped.increment(len(frames) - sent)
+        # Still frames this endpoint put on a socket: count them tx.
+        self.routed.increment(sent)
+        self.forwarded_raw.increment(sent)
+        self.wire_stats.on_encoded(CODEC_BINARY, nbytes, sent)
+        return sent == len(frames)
 
     def broadcast(self, frame: bytes) -> None:
         """Queue one control frame to every connected node."""
@@ -702,7 +734,7 @@ class ClusterHub:
                 data = await reader.read(65536)
                 if not data:
                     break
-                for kind, parsed in decoder.feed_parsed(data):
+                for kind, parsed in _runs(decoder.feed_parsed(data)):
                     if kind != "ctl":
                         self.route(parsed)
                         continue
@@ -757,7 +789,10 @@ class ClusterHub:
                 self.wire_stats.on_encoded(CODEC_JSON, len(frame))
         finally:
             if address is not None:
-                self.connections.pop(address, None)
+                # A node that re-sent ``hello`` on a new socket owns the
+                # entry now; this socket's end must not evict it.
+                if self.connections.get(address) is connection:
+                    del self.connections[address]
                 reason = (
                     "clean" if address in self.expected_exits else "unexpected"
                 )
@@ -766,6 +801,27 @@ class ClusterHub:
                 connection.close()
             elif not writer.is_closing():
                 writer.close()
+
+
+def _runs(frames: List[Tuple[str, Any]]) -> Iterator[Tuple[str, Any]]:
+    """One read's parsed frames, in order, with each stretch of
+    consecutive ``raw`` frames bound for one ``dst`` grouped into one
+    ``("raw", [RawFrame, ...])`` run; every other frame ends the run in
+    progress and passes through alone."""
+    run: List[RawFrame] = []
+    for kind, parsed in frames:
+        if kind == "raw":
+            if run and run[0].dst != parsed.dst:
+                yield "raw", run
+                run = []
+            run.append(parsed)
+            continue
+        if run:
+            yield "raw", run
+            run = []
+        yield kind, parsed
+    if run:
+        yield "raw", run
 
 
 # ----------------------------------------------------------------------

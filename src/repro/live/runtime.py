@@ -28,6 +28,7 @@ surfaces in the run report instead of tearing down the process silently.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 import traceback
 from typing import Any, Callable, List, Optional, Set, Tuple
@@ -127,11 +128,14 @@ class LiveRuntime:
         """Schedule ``fn(*args)`` at absolute runtime time ``when``.
 
         Times already past are clamped to "as soon as possible" —
-        wall-clock lateness is a fact of life, not a bug.  ``priority``
-        is accepted for DES signature compatibility; the wall clock
-        cannot order same-instant callbacks deterministically anyway.
+        wall-clock lateness is a fact of life, not a bug.  A NaN time
+        is a bug, refused as the DES refuses it.  ``priority`` is accepted
+        for DES signature compatibility; the wall clock cannot order
+        same-instant callbacks deterministically anyway.
         """
         del priority  # no deterministic tie-breaking on a wall clock
+        if math.isnan(when):
+            raise ValueError(f"cannot schedule at t={when!r}")
         timer = LiveTimer(when, fn, args)
         delay = max(0.0, when - self.now)
         timer._handle = self._ensure_loop().call_later(
@@ -148,7 +152,7 @@ class LiveRuntime:
         priority: int = 0,
     ) -> LiveTimer:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay!r}")
         return self.call_at(self.now + delay, fn, *args, priority=priority)
 

@@ -76,7 +76,7 @@ class NodeTransport:
 
     def send_paced(self, message: Message, pacing_duration: float) -> bool:
         """Ship a stream-paced message ``pacing_duration`` late."""
-        if pacing_duration < 0:
+        if not pacing_duration >= 0:  # also rejects NaN
             raise ValueError("negative pacing duration")
         if pacing_duration == 0.0:
             return self._write(message)
@@ -106,7 +106,7 @@ class HubTransport:
 
     def send_paced(self, message: Message, pacing_duration: float) -> bool:
         """Route a stream-paced message ``pacing_duration`` late."""
-        if pacing_duration < 0:
+        if not pacing_duration >= 0:  # also rejects NaN
             raise ValueError("negative pacing duration")
         if pacing_duration == 0.0:
             return self.hub.route(message)

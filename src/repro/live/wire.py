@@ -375,9 +375,11 @@ class WireStats:
         self._tx = {codec: pair(codec, "tx") for codec in SUPPORTED_CODECS}
         self._rx = {codec: pair(codec, "rx") for codec in SUPPORTED_CODECS}
 
-    def on_encoded(self, codec: str, nbytes: int) -> None:
+    def on_encoded(self, codec: str, nbytes: int, count: int = 1) -> None:
+        """``count`` frames of ``nbytes`` in all — the hub counts a
+        forwarded run at once."""
         frames, bytes_ = self._tx[codec]
-        frames.increment()
+        frames.increment(count)
         bytes_.increment(nbytes)
 
     def on_decoded(self, codec: str, nbytes: int, count: int = 1) -> None:

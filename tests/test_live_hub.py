@@ -633,3 +633,181 @@ def test_envelope_decoder_yields_the_frame_and_a_lazy_message():
     )
     assert raw.message() == message == parsed[2][1]
     assert list(decode_frames(raw.frame)) == [("msg", message)]
+
+
+# ----------------------------------------------------------------------
+# (i) the hub forwards runs, and a run is invisible on the wire
+# ----------------------------------------------------------------------
+def _interleaved_read():
+    """One read from ``cub:0``: binary frames for two binary peers, a
+    JSON peer, a driver-local sink and an unknown address, one JSON
+    message frame, and control frames between them.
+
+    Returns the read's bytes, its message frames as ``(dst, message)``
+    in order, and the runs the hub should hand ``route`` as
+    ``(dst, frame count)``: consecutive binary frames to one ``dst``,
+    ended by a change of ``dst`` or by any other frame.
+    """
+    mix = iter(_fixed_mix(23))
+    script = [
+        ("cub:1", 3), ("cub:2", 2), ("cub:1", 1), "_metrics", ("cub:1", 2),
+        ("client:0", 2), ("cub:3", 2), "_bye", ("cub:9", 2), ("cub:2", 3),
+        ("json", "cub:2"), ("cub:2", 2),
+    ]
+    frames, sent, runs = [], [], []
+    for step in script:
+        if step == "_metrics":
+            frames.append(control_frame(step, node="cub:0", data={}))
+        elif step == "_bye":
+            frames.append(control_frame(step, node="cub:0", errors=0))
+        elif step[0] == "json":
+            message = next(mix)
+            message.dst = step[1]
+            frames.append(encode_message(message, CODEC_JSON))
+            sent.append((message.dst, message))
+            runs.append((message.dst, 1))
+        else:
+            dst, count = step
+            for _ in range(count):
+                message = next(mix)
+                message.dst = dst
+                frames.append(binary_message_frame(message))
+                sent.append((dst, message))
+            runs.append((dst, count))
+    return b"".join(frames), sent, runs
+
+
+def test_runs_reach_every_peer_byte_for_byte_with_per_frame_counts():
+    read, sent, runs = _interleaved_read()
+
+    def to(dst):
+        return [message for to_dst, message in sent if to_dst == dst]
+
+    async def scenario():
+        async with running_hub(
+            ("cub:0", BOTH), ("cub:1", BOTH), ("cub:2", BOTH), ("cub:3", V1)
+        ) as rig:
+            hub = rig.hub
+            _, one, two, json_peer = rig.peers
+            inbox = []
+            hub.local["client:0"] = inbox.append
+            routes = []
+            route = hub.route
+
+            def counted(run):
+                routes.append(
+                    (run[0].dst, len(run)) if isinstance(run, list)
+                    else (run.dst, 1)
+                )
+                return route(run)
+
+            hub.route = counted
+            before = rig.registry.snapshot()
+            # Fed to a handler whole, the bytes are exactly one read.
+            reader = asyncio.StreamReader()
+            reader.feed_data(read)
+            reader.feed_eof()
+            # A sender that never says hello, its socket already gone.
+            sender = SimpleNamespace(is_closing=lambda: True)
+            await hub._handle_connection(reader, sender)
+
+            assert await one.read_messages(len(to("cub:1"))) == to("cub:1")
+            assert await two.read_messages(len(to("cub:2"))) == to("cub:2")
+            assert await json_peer.read_messages(2) == to("cub:3")
+            assert inbox == to("client:0")
+            assert bytes(one.raw) == b"".join(map(binary_message_frame, to("cub:1")))
+            assert bytes(two.raw) == b"".join(map(binary_message_frame, to("cub:2")))
+            assert bytes(json_peer.raw) == b"".join(
+                encode_message(m, CODEC_JSON) for m in to("cub:3")
+            )
+            assert routes == runs
+            assert hub.byes["cub:0"]["errors"] == 0 and "cub:0" in hub.node_metrics
+            assert not hub.wire_errors
+
+            after = rig.registry.snapshot()
+
+            def delta(name, **labels):
+                return (
+                    snapshot_total(after, name, **labels)
+                    - snapshot_total(before, name, **labels)
+                )
+
+            binary_peers = len(to("cub:1") + to("cub:2"))
+            decoded = len(to("client:0") + to("cub:3")) + 1
+            assert delta("live.hub_messages_routed") == len(sent) - len(to("cub:9"))
+            # All but the one JSON frame to cub:2, which is re-encoded.
+            assert delta("live.hub_frames_forwarded", mode="raw") == binary_peers - 1
+            assert delta("live.hub_frames_forwarded", mode="decoded") == decoded
+            assert delta("live.hub_messages_dropped") == len(to("cub:9"))
+            binary_tx = {"codec": CODEC_BINARY, "direction": "tx", "node": "hub"}
+            json_tx = {"codec": CODEC_JSON, "direction": "tx", "node": "hub"}
+            assert delta("live.wire_frames", **binary_tx) == binary_peers
+            assert delta("live.wire_bytes", **binary_tx) == len(one.raw) + len(two.raw)
+            assert delta("live.wire_frames", **json_tx) == 2
+            assert delta("live.wire_bytes", **json_tx) == len(json_peer.raw)
+
+    asyncio.run(scenario())
+
+
+def test_a_run_straddling_the_hard_cap_queues_exactly_what_fits():
+    big = message_to(
+        "cub:1", ClientStart("v" * (256 * 1024), 1, 2), msg_id=1
+    )
+    small = message_to("cub:1", msg_id=2)
+    echo = message_to("cub:1", msg_id=3)
+    big_frame, small_frame = map(binary_message_frame, (big, small))
+    fits = SEND_QUEUE_HARD_CAP // len(big_frame)
+    room = (SEND_QUEUE_HARD_CAP - fits * len(big_frame)) // len(small_frame)
+    assert room > 0
+    ((_, big_raw),) = EnvelopeDecoder().feed_parsed(big_frame)
+    ((_, small_raw),) = EnvelopeDecoder().feed_parsed(small_frame)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            hub = rig.hub
+            tx, rx = rig.peers
+            queue = hub.connections["cub:1"]
+            # No await between these calls: the drainer cannot run.
+            assert hub.route([big_raw] * fits)
+            assert not hub.route([small_raw] * (room + 3))
+            assert queue.queued_bytes == (
+                fits * len(big_frame) + room * len(small_frame)
+            )
+            assert total(rig, "live.hub_sendq_dropped") == 3
+            assert total(rig, "live.hub_messages_dropped") == 3
+            assert total(rig, "live.hub_messages_routed") == fits + room
+            assert forwarded(rig) == (fits + room, 0)
+            assert total(
+                rig, "live.wire_frames", codec=CODEC_BINARY, direction="tx",
+                node="hub",
+            ) == fits + room
+            # The queue drains and the connection carries on.
+            tx.send(binary_message_frame(echo))
+            expected = [big] * fits + [small] * room + [echo]
+            assert await rx.read_messages(len(expected)) == expected
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (j) a node that joins again keeps its new connection
+# ----------------------------------------------------------------------
+def test_a_rejoined_node_survives_its_old_sockets_close():
+    message = message_to("cub:1")
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", BOTH)) as rig:
+            hub = rig.hub
+            tx, old = rig.peers
+            # A respawned cub:1 says hello on a new socket ...
+            new = await join(rig.port, "cub:1", BOTH)
+            rig.peers.append(new)
+            # ... and only then does its old socket go.
+            old.writer.close()
+            await settled(lambda: ("cub:1", "unexpected") in hub.disconnects)
+            assert sorted(hub.connections) == ["cub:0", "cub:1"]
+            tx.send(binary_message_frame(message))
+            assert await new.read_messages(1) == [message]
+            assert total(rig, "live.hub_messages_dropped") == 0
+
+    asyncio.run(scenario())

@@ -1,13 +1,18 @@
 """LiveRuntime: the wall-clock implementation of the Runtime contract."""
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.protocol import Heartbeat
 from repro.live.runtime import LiveRuntime, LiveTimer
-from repro.live.transport import NullTransport
+from repro.live.transport import HubTransport, NodeTransport, NullTransport
+from repro.net.message import Message
 from repro.runtime import Runtime, TimerHandle, Transport
-from repro.sim.core import Simulator
+from repro.sim.core import SimulationError, Simulator
+
+NAN = float("nan")
 
 
 def _run(coro):
@@ -61,6 +66,48 @@ def test_negative_delay_is_still_a_bug():
         runtime = LiveRuntime()
         with pytest.raises(ValueError, match="negative delay"):
             runtime.call_after(-0.5, lambda: None)
+
+    _run(scenario())
+
+
+@pytest.mark.parametrize("verb", ["call_after", "call_at"])
+@pytest.mark.parametrize("backend", [Simulator, LiveRuntime])
+def test_a_nan_time_is_refused_by_both_runtimes(backend, verb):
+    # NaN compares false both ways: a `delay < 0` check lets it through,
+    # and a clamp to zero would run it "now".
+    async def scenario():
+        runtime = backend()
+        fired = []
+        with pytest.raises((ValueError, SimulationError)):
+            getattr(runtime, verb)(NAN, fired.append, "nan")
+        if isinstance(runtime, Simulator):
+            runtime.run()
+        else:
+            await asyncio.sleep(0.03)
+        assert fired == []
+
+    _run(scenario())
+
+
+@pytest.mark.parametrize("transport", ["node", "hub"])
+def test_a_nan_pacing_is_refused_by_both_live_transports(transport):
+    message = Message("cub:0", "cub:1", Heartbeat(0), 64)
+
+    async def scenario():
+        runtime = LiveRuntime()
+        shipped = []
+        if transport == "node":
+            writer = SimpleNamespace(
+                is_closing=lambda: False, write=shipped.append
+            )
+            carrier = NodeTransport(runtime, writer)
+        else:
+            carrier = HubTransport(SimpleNamespace(route=shipped.append), runtime)
+        with pytest.raises(ValueError, match="negative pacing duration"):
+            carrier.send_paced(message, NAN)
+        await asyncio.sleep(0.03)
+        assert shipped == []
+        assert runtime.events_dispatched == 0
 
     _run(scenario())
 

@@ -159,9 +159,14 @@ class ClusterScenario:
     first_start: float = 1.0
     stream_stagger: float = 0.25
     metrics_interval: float = DEFAULT_METRICS_INTERVAL
-    #: Seconds between the ``_start`` broadcast and the shared epoch —
-    #: the window in which every node builds its content state.
-    start_delta: float = 1.5
+    #: Seconds between the ``_start`` broadcast and the shared epoch.
+    #: The window covers delivery of ``_start`` plus one node's
+    #: ``_boot`` (its World, content and component), measured at
+    #: 19-79 ms on loopback over 35 runs, so this is over 4x the worst
+    #: (PROTOCOL.md, "Epoch handshake").  Every node proves it made it
+    #: with a ``_ready`` frame, and ``ClusterReport.checks`` fails a
+    #: run where one did not.
+    start_delta: float = 0.35
     #: Preferred message codec (``json`` or ``binary``); negotiated
     #: per connection, so a peer that only speaks JSON stays on JSON.
     codec: str = CODEC_JSON
@@ -595,7 +600,13 @@ class ClusterHub:
         #: Addresses whose disconnect is expected (killed or stopping).
         self.expected_exits: set = set()
         self.all_joined = asyncio.Event()
+        #: Set when the last open connection closes.
+        self.all_left = asyncio.Event()
+        #: The ``_start`` frame :meth:`fix_epoch` broadcast; every later
+        #: ``hello`` is answered with it too.
+        self.start_frame: Optional[bytes] = None
         self.wire_errors: List[str] = []
+        self._registry = registry
         self._server: Optional[asyncio.AbstractServer] = None
         self.routed = registry.counter(
             "live.hub_messages_routed",
@@ -722,6 +733,13 @@ class ClusterHub:
         for connection in self.connections.values():
             self._send_control(connection, frame)
 
+    def fix_epoch(self, epoch: float, duration: float) -> None:
+        """Broadcast ``_start`` and keep it for nodes that join later."""
+        self.start_frame = control_frame(
+            "_start", epoch=epoch, duration=duration
+        )
+        self.broadcast(self.start_frame)
+
     # -- per-connection service ---------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -761,8 +779,18 @@ class ClusterHub:
                                 connection,
                                 control_frame("codec_ack", codec=chosen),
                             )
+                        if self.start_frame is not None:
+                            self._send_control(connection, self.start_frame)
+                        self.all_left.clear()
                         if self.expected <= set(self.connections):
                             self.all_joined.set()
+                    elif ctl == "_ready":
+                        self._registry.gauge(
+                            "live.epoch_slack",
+                            help="Shared epoch minus the node's wall "
+                                 "time when it was ready to run",
+                            unit="seconds", node=parsed["node"],
+                        ).set(float(parsed["slack"]))
                     elif ctl == "_metrics":
                         self.node_metrics[parsed["node"]] = parsed["data"]
                     elif ctl == "_bye":
@@ -793,6 +821,8 @@ class ClusterHub:
                 # entry now; this socket's end must not evict it.
                 if self.connections.get(address) is connection:
                     del self.connections[address]
+                    if not self.connections:
+                        self.all_left.set()
                 reason = (
                     "clean" if address in self.expected_exits else "unexpected"
                 )
@@ -876,6 +906,7 @@ class ClusterReport:
         rows.append((
             "clients received data", received > 0, f"{received:g} blocks"
         ))
+        rows.append(self._readiness_row())
         if self.scenario.restripe_weights is not None:
             committed = snapshot_total(merged, "restripe.moves_committed")
             skipped = snapshot_total(merged, "restripe.moves_skipped")
@@ -902,6 +933,31 @@ class ClusterReport:
                 ", ".join(bad) or f"{len(self.comparison)} counters match",
             ))
         return rows
+
+    def _readiness_row(self) -> Tuple[str, bool, str]:
+        """Every node's ``_ready`` slack (``live.epoch_slack``) must be
+        positive: a node that was not ready by the epoch, or never said
+        it was, ran on a start window too short to cover its boot."""
+        slack = {
+            row["labels"].get("node"): row["value"]
+            for row in self.merged.get("live.epoch_slack", {}).get("series", ())
+        }
+        addresses = self.scenario.node_addresses()
+        late = [
+            f"{address} "
+            + (f"{slack[address] * 1e3:.1f} ms" if address in slack
+               else "never reported")
+            for address in addresses
+            if slack.get(address, 0.0) <= 0.0
+        ]
+        if late:
+            return "nodes ready before the epoch", False, "; ".join(late)
+        least = min(slack[address] for address in addresses)
+        return (
+            "nodes ready before the epoch", True,
+            f"min slack {least * 1e3:.1f} ms of "
+            f"{self.scenario.start_delta * 1e3:g} ms",
+        )
 
     @property
     def passed(self) -> bool:
@@ -1239,12 +1295,11 @@ async def _run_cluster_async(
             f"{JOIN_TIMEOUT:g}s (logs in {workdir})"
         ) from None
 
-    # Every node is connected: fix the shared epoch slightly in the
-    # future so all of them finish building content state before t=0.
+    # Every node is connected: fix the shared epoch start_delta in the
+    # future, for every node to boot by t=0 — each one's ``_ready``
+    # says whether it did.
     epoch = time.time() + scenario.start_delta
-    hub.broadcast(
-        control_frame("_start", epoch=epoch, duration=scenario.duration)
-    )
+    hub.fix_epoch(epoch, scenario.duration)
     runtime = LiveRuntime(epoch, asyncio.get_running_loop())
     reset_message_ids(scenario.driver_namespace)
 
@@ -1265,13 +1320,15 @@ async def _run_cluster_async(
     )
     await asyncio.sleep(max(0.0, epoch + scenario.duration - time.time()))
 
-    # Stop: ask every surviving node to snapshot and sign off.
+    # Stop: ask every surviving node to snapshot and sign off, and
+    # wait for the last one to hang up.
     for address in hub.connections:
         hub.expected_exits.add(address)
     hub.broadcast(control_frame("_stop"))
-    drain_deadline = time.time() + DRAIN_TIMEOUT
-    while time.time() < drain_deadline and hub.connections:
-        await asyncio.sleep(0.05)
+    try:
+        await asyncio.wait_for(hub.all_left.wait(), timeout=DRAIN_TIMEOUT)
+    except asyncio.TimeoutError:
+        pass
     runtime.cancel_all()
     _reap(procs)
     await hub.stop()

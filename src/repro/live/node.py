@@ -19,10 +19,12 @@ the live backend:
    every node's indexes are byte-identical to the simulator's;
 5. ask that world for the **one** node the spec names — the
    unmodified protocol class, wired by the same ``make_*`` call that
-   wires it in the DES — then pump frames: incoming message frames go
-   to ``component.deliver``, metrics snapshots stream back to the hub
-   every few seconds, and a ``_stop`` frame (or hub disconnect) ends
-   the process after one final snapshot.
+   wires it in the DES — and report ``_ready`` with its slack, how
+   long before the epoch it got there;
+6. pump frames: incoming message frames go to ``component.deliver``,
+   metrics snapshots stream back to the hub every few seconds, and a
+   ``_stop`` frame (or hub disconnect) ends the process after one
+   final snapshot.
 
 The spec is a file, not argv, so a config never hits shell quoting and
 the driver can keep specs around for post-mortem reruns.
@@ -36,6 +38,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig
@@ -216,7 +219,16 @@ class LiveNode:
         decoder = FrameDecoder(stats=self.wire_stats)
         try:
             start_body = await self._await_start(reader, decoder)
-            self._boot(float(start_body["epoch"]), writer)
+            epoch = float(start_body["epoch"])
+            self._boot(epoch, writer)
+            # The proof that the start window covered this boot: how
+            # long before the epoch this node could run.
+            self._write_control(
+                writer,
+                control_frame(
+                    "_ready", node=self.address, slack=epoch - time.time()
+                ),
+            )
             await self._serve(reader, decoder)
         except WireError as error:
             # The hub forwards binary frames unopened, so a peer's bad

@@ -28,7 +28,7 @@ from repro.live.cluster import (
     run_scenario_in_sim,
 )
 from repro.live.node import config_from_dict, config_to_dict
-from repro.obs.registry import merge_snapshots, snapshot_total
+from repro.obs.registry import MetricsRegistry, merge_snapshots, snapshot_total
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +419,58 @@ def test_report_render_shows_zero_safe_drift():
     assert "drift=100%" in text
 
 
+def _report_with_slack(scenario, **slack):
+    registry = MetricsRegistry()
+    for address, value in slack.items():
+        registry.gauge("live.epoch_slack", node=address).set(value)
+    return ClusterReport(
+        scenario=scenario, merged=registry.snapshot(), node_metrics={},
+        byes={}, unexpected_exits=[], wire_errors=[], kills=[],
+        wall_seconds=1.0, workdir="",
+    )
+
+
+def _readiness(report):
+    (row,) = [
+        row for row in report.checks()
+        if row[0] == "nodes ready before the epoch"
+    ]
+    return row[1:]
+
+
+def test_readiness_passes_when_every_node_was_ready_before_the_epoch():
+    scenario = ClusterScenario(cubs=3, backup=False)
+    slack = {"cub:0": 0.21, "cub:1": 0.19, "cub:2": 0.2, "controller": 0.22}
+    assert sorted(slack) == sorted(scenario.node_addresses())
+    ok, detail = _readiness(_report_with_slack(scenario, **slack))
+    assert ok
+    assert detail == "min slack 190.0 ms of 350 ms"
+
+
+@pytest.mark.parametrize("late", [-0.004, 0.0], ids=["negative", "zero"])
+def test_readiness_fails_a_node_that_was_not_ready_by_the_epoch(late):
+    scenario = ClusterScenario(cubs=3, backup=False)
+    report = _report_with_slack(
+        scenario, **{"cub:0": 0.2, "cub:1": late, "cub:2": 0.2,
+                     "controller": 0.2}
+    )
+    ok, detail = _readiness(report)
+    assert not ok
+    assert detail == f"cub:1 {late * 1e3:.1f} ms"
+    assert not report.passed
+
+
+def test_readiness_fails_a_node_that_never_reported():
+    scenario = ClusterScenario(cubs=3, backup=False)
+    report = _report_with_slack(
+        scenario, **{"cub:0": 0.2, "cub:2": 0.2, "controller": 0.2}
+    )
+    ok, detail = _readiness(report)
+    assert not ok
+    assert detail == "cub:1 never reported"
+    assert not report.passed
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -481,4 +533,9 @@ def test_live_cluster_survives_a_cub_kill():
     assert snapshot_total(report.merged, "live.client_blocks_received") > 0
     assert not report.unexpected_exits
     assert not report.wire_errors
+    (ready,) = [
+        row for row in report.checks()
+        if row[0] == "nodes ready before the epoch"
+    ]
+    assert ready[1], ready[2]
     assert report.passed, report.render()

@@ -13,7 +13,10 @@ would actually see:
   sender; every payload error is caught exactly once, by whoever
   consumes the payload — and still fails the run, naming its sender;
 * the hub's counters (wire frames/bytes per codec, drops, the send
-  queue's hard cap) read as they did when the hub decoded everything.
+  queue's hard cap) read as they did when the hub decoded everything;
+* a ``hello`` that arrives after the epoch is fixed gets the same
+  ``_start``, a node's ``_ready`` lands as its ``live.epoch_slack``,
+  and ``all_left`` fires when the last connection closes.
 """
 
 import asyncio
@@ -809,5 +812,92 @@ def test_a_rejoined_node_survives_its_old_sockets_close():
             tx.send(binary_message_frame(message))
             assert await new.read_messages(1) == [message]
             assert total(rig, "live.hub_messages_dropped") == 0
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# (k) the epoch handshake: a late hello gets the same ``_start``, every
+# node proves it was ready, and the hub knows when the last one left
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("codecs", [BOTH, V1], ids=["negotiating", "v1"])
+def test_a_node_that_joins_after_the_epoch_gets_the_same_start(codecs):
+    async def scenario():
+        async with running_hub(("cub:0", BOTH)) as rig:
+            hub = rig.hub
+            (early,) = rig.peers
+            hub.fix_epoch(time.time() + 1.0, 30.0)
+            await early.read(lambda: early.controls)
+            assert bytes(early.raw) == hub.start_frame
+            # A new address, and a re-hello from cub:0 on a new socket.
+            for address in ("cub:1", "cub:0"):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", rig.port
+                )
+                late = Peer(reader, writer)
+                rig.peers.append(late)
+                hello = {"node": address, "pid": 2}
+                if codecs:
+                    hello["codecs"] = list(codecs)
+                late.send(control_frame("hello", **hello))
+                expected = hub.start_frame
+                if codecs:
+                    expected = control_frame(
+                        "codec_ack", codec=CODEC_BINARY
+                    ) + expected
+                await late.read(lambda: len(late.raw) >= len(expected))
+                assert bytes(late.raw) == expected
+            # The epoch went out once; nothing re-broadcast it.
+            assert bytes(early.raw) == hub.start_frame
+
+    asyncio.run(scenario())
+
+
+def test_a_late_live_node_boots_and_reports_its_slack():
+    scenario_ = ClusterScenario(cubs=3)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH)) as rig:
+            hub = rig.hub
+            hub.fix_epoch(time.time() + 2.0, 60.0)
+            node = LiveNode({
+                "role": ROLE_CONTROLLER, "node_id": 0,
+                "address": "controller",
+                "namespace": scenario_.namespace_of("controller"),
+                "port": rig.port,
+                "config": config_to_dict(scenario_.config()),
+                "content": {"num_files": 2, "duration_s": 10.0},
+                "metrics_interval": 60.0,
+            })
+            running = asyncio.ensure_future(node.run())
+            await settled(
+                lambda: "live.epoch_slack" in rig.registry.snapshot()
+            )
+            assert 0.0 < total(rig, "live.epoch_slack", node="controller") < 2.0
+            hub.broadcast(control_frame("_stop"))
+            assert await asyncio.wait_for(running, TIMEOUT) == 0
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        reset_message_ids()  # the node rebound the process-wide sequence
+
+
+def test_all_left_fires_on_the_last_close_and_not_before():
+    async def scenario():
+        async with running_hub(("cub:0", BOTH), ("cub:1", V1)) as rig:
+            hub = rig.hub
+            first, last = rig.peers
+            assert not hub.all_left.is_set()
+            first.writer.close()
+            await settled(lambda: "cub:0" not in hub.connections)
+            await asyncio.sleep(0.05)
+            assert not hub.all_left.is_set()
+            last.writer.close()
+            await asyncio.wait_for(hub.all_left.wait(), TIMEOUT)
+            assert not hub.connections
+            # A node joining again re-arms it.
+            rig.peers.append(await join(rig.port, "cub:0", BOTH))
+            assert not hub.all_left.is_set()
 
     asyncio.run(scenario())

@@ -30,6 +30,7 @@ CONTROL_VERBS = (
     "hello",
     "codec_ack",
     "_start",
+    "_ready",
     "_metrics",
     "_stop",
     "_bye",

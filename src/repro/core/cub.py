@@ -239,10 +239,9 @@ class Cub(NetworkNode):
             unit="events", cub=cub_id)
 
         self._boot()
-        #: The deadman beat and the neighbours it goes to, built once:
-        #: the watched set is fixed by ``cub_id`` and ``num_cubs``, so a
+        #: The neighbours the deadman beat goes to, built once: the
+        #: watched set is fixed by ``cub_id`` and ``num_cubs``, so a
         #: rebooted cub's fresh monitor watches the same cubs.
-        self._heartbeat = Heartbeat(cub_id)
         self._heartbeat_to = tuple(
             cub_address(neighbour) for neighbour in self.deadman.watched
         )
@@ -269,18 +268,18 @@ class Cub(NetworkNode):
     # ==================================================================
     def _boot(self) -> None:
         """What a cub believes at power-on: a deadman seeded now, which
-        grants every neighbour a full timeout of grace, and an empty
-        owner — a crash loses every held state, queued forward and queued
-        start, and the duplicate and cancel memory with them.  Policies
-        are stateless and share the registry's placement.* series."""
+        grants every neighbour a full timeout of grace, a heartbeat
+        whose epoch is now, and an empty owner — a crash loses every
+        held state, queued forward and queued start, and the duplicate
+        and cancel memory with them.  Policies are stateless and share
+        the registry's placement.* series."""
         self.deadman = DeadmanMonitor(
             self.cub_id,
             self.config.num_cubs,
             timeout=self.config.deadman_timeout,
             now=self.sim.now,
         )
-        self.deadman.on_declare_failed.append(self._on_neighbour_declared_failed)
-        self.deadman.on_declare_recovered.append(self._on_neighbour_recovered)
+        self._heartbeat = Heartbeat(self.cub_id, self.sim.now)
         self.owner = ScheduleOwner(
             self.view,
             self.deadman,
@@ -289,15 +288,6 @@ class Cub(NetworkNode):
             make_placement_policy(self.config.placement, self.registry),
             self.config,
             self.catalog,
-        )
-
-    def _on_neighbour_recovered(self, cub_id: int) -> None:
-        """A believed-dead neighbour was heard again."""
-        self.deadman_resurrections.increment()
-        self.trace(
-            "deadman.resurrect",
-            f"heard cub {cub_id} again, believing it alive",
-            watched=cub_id,
         )
 
     def start(self) -> None:
@@ -345,7 +335,9 @@ class Cub(NetworkNode):
         if kind is Heartbeat:
             # Eight of every cub-second's messages; a liveness beat is
             # not charged CPU and goes straight to the deadman.
-            self.deadman.note_heartbeat(payload.cub_id, self.sim.now)
+            alive = self.deadman.note_heartbeat(payload.cub_id, self.sim.now, payload.epoch)
+            if alive is not None:
+                self._on_membership(payload.cub_id, alive)
             return
         handler = self.handlers.get(kind)
         if handler is None:
@@ -816,20 +808,26 @@ class Cub(NetworkNode):
         self.cpu.add_busy(self.sim.now, piece_bytes * self.config.cpu_per_data_byte)
         self.mirror_pieces_sent.increment()
 
-    def _on_neighbour_declared_failed(self, dead_cub: int) -> None:
-        """Deadman verdict: adopt every chain I am now responsible for.
+    def _on_membership(self, cub_id: int, alive: bool) -> None:
+        """A deadman verdict: ``cub_id`` is back, or it is dead (silent
+        past the timeout, or rebooted unseen) and this cub adopts every
+        chain and start it is now responsible for.
 
         Responsibility covers more than the newly dead cub: with two
         consecutive failures, the second death can make this cub the
         first living successor of a cub that died *earlier* — whose
         chains the intermediate (now dead) cub had been bridging.
         """
-        self.trace("deadman", f"declared cub {dead_cub} failed")
-        now = self.sim.now
-        for state in self.owner.adopted(now):
+        if alive:
+            self.deadman_resurrections.increment()
+            self.trace("deadman.resurrect", f"heard cub {cub_id} again, believing it alive",
+                       watched=cub_id)
+            return
+        self.trace("deadman", f"declared cub {cub_id} failed")
+        states, disks = self.owner.adopt(self.sim.now)
+        for state in states:
             self._bridge_state(state)
-        # Activate redundant start requests on the same criterion.
-        for disk_id in self.owner.neighbour_failed(now):
+        for disk_id in disks:
             self._arm_scan(disk_id)
 
     def on_local_disk_failed(self, disk_id: int) -> None:
@@ -1049,7 +1047,8 @@ class Cub(NetworkNode):
             send(Message(source, address, beat, HEARTBEAT_BYTES))
 
     def _deadman_check(self) -> None:
-        self.deadman.check(self.sim.now)
+        for cub_id in self.deadman.check(self.sim.now):
+            self._on_membership(cub_id, False)
 
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1

@@ -9,12 +9,13 @@ which the schedule protocol tolerates by design (views may be stale).
 Monitoring both directions is what lets the *preceding* living cub
 bridge a gap of two or more consecutive failed cubs (§2.3: "the
 preceding living cub will send scheduling information to the
-succeeding living cub").
+succeeding living cub").  A beat carries its sender's boot epoch, so a
+reboot inside the timeout is a membership change too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 
 class DeadmanMonitor:
@@ -40,13 +41,11 @@ class DeadmanMonitor:
         #: mid-run (a cub restarting after a crash) must grant every
         #: neighbour a full timeout of grace before declaring it dead.
         self._last_heard: Dict[int, float] = {cub: now for cub in self._watched}
+        #: Each neighbour's boot epoch, learnt from its first beat heard.
+        self._epochs: Dict[int, float] = {}
         self._believed_failed: Set[int] = set()
         #: When a believed-dead neighbour was last heard again.
         self._resurrected_at: Dict[int, float] = {}
-        #: Callbacks fired with (cub_id,) on a new death declaration.
-        self.on_declare_failed: List[Callable[[int], None]] = []
-        #: Callbacks fired with (cub_id,) when a dead cub is heard again.
-        self.on_declare_recovered: List[Callable[[int], None]] = []
 
     def _neighbourhood(self, distance: int) -> Tuple[int, ...]:
         cubs = []
@@ -62,16 +61,31 @@ class DeadmanMonitor:
     # ------------------------------------------------------------------
     # Inputs
     # ------------------------------------------------------------------
-    def note_heartbeat(self, from_cub: int, now: float) -> None:
-        """Record a liveness beacon; may resurrect a believed-dead cub."""
-        if from_cub not in self._last_heard:
-            return  # not a neighbour we monitor
+    def note_heartbeat(self, from_cub: int, now: float, epoch: float) -> Optional[bool]:
+        """Record a liveness beacon; returns the membership change it makes.
+
+        True: a cub believed dead is back.  False: a cub believed alive
+        beats with a larger epoch, so it rebooted unseen; it is declared
+        dead now, and its next beat brings it back.  None: no change.  A
+        smaller epoch is a late beat from an earlier life: not heard."""
+        known = self._epochs.get(from_cub)
+        if known != epoch:
+            if known is None:
+                if from_cub not in self._last_heard:
+                    return None  # not a neighbour we monitor
+            elif epoch < known:
+                return None
+            elif from_cub not in self._believed_failed:
+                self._epochs[from_cub] = epoch
+                self._believed_failed.add(from_cub)
+                return False
+            self._epochs[from_cub] = epoch
         self._last_heard[from_cub] = now
         if from_cub in self._believed_failed:
             self._believed_failed.discard(from_cub)
             self._resurrected_at[from_cub] = now
-            for callback in self.on_declare_recovered:
-                callback(from_cub)
+            return True
+        return None
 
     def check(self, now: float) -> Tuple[int, ...]:
         """Scan for newly silent neighbours; returns fresh declarations."""
@@ -82,9 +96,6 @@ class DeadmanMonitor:
             if now - last > self.timeout:
                 self._believed_failed.add(cub)
                 newly_failed.append(cub)
-        for cub in newly_failed:
-            for callback in self.on_declare_failed:
-                callback(cub)
         return tuple(newly_failed)
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ timers and the effects (DESIGN.md §5.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -156,17 +156,21 @@ class ScheduleOwner:
             if state is not None and state.due_time < horizon:
                 self._release(key)
 
-    def adopted(self, now: float) -> Iterator[ViewerState]:
-        """Each held state this cub now adopts (:meth:`DeadmanMonitor.adopts`)
-        in arrival order, released just before it is yielded.  The walk
-        covers the keys held when it began and reads the store again at
-        each, so bridging between yields may hold new states."""
-        held = self._redundant_states
-        for key in list(held):
-            state = held[key]
-            if self.deadman.adopts(self.layout.cub_of_disk(state.disk_id)):
-                self._release(key)
-                yield state
+    def adopt(self, now: float) -> Tuple[List[ViewerState], List[int]]:
+        """A neighbour died: (each held state this cub now adopts, in
+        arrival order and already released; the disks whose redundant
+        starts it queued), by :meth:`DeadmanMonitor.adopts`."""
+        adopts, cub_of_disk = self.deadman.adopts, self.layout.cub_of_disk
+        held = self._redundant_states.values()
+        states = [state for state in held if adopts(cub_of_disk(state.disk_id))]
+        for state in states:
+            self._release(state.key())
+        disks = []
+        for instance, request in list(self.redundant_requests.items()):
+            if adopts(cub_of_disk(request.target_disk)):
+                del self.redundant_requests[instance]
+                disks.append(self._enqueue(request))
+        return states, disks
 
     def take_forwards(
         self, now: float
@@ -211,17 +215,6 @@ class ScheduleOwner:
             mirrors_out.append(mirror_state)
         self.mirror_forward_queue = []
         return outgoing, mirrors_out, missed
-
-    def neighbour_failed(self, now: float) -> List[int]:
-        """Queue every redundant start this cub now adopts (see
-        :meth:`DeadmanMonitor.adopts`); returns the disks to scan."""
-        armed = []
-        for instance in list(self.redundant_requests):
-            request = self.redundant_requests[instance]
-            if self.deadman.adopts(self.layout.cub_of_disk(request.target_disk)):
-                del self.redundant_requests[instance]
-                armed.append(self._enqueue(request))
-        return armed
 
     def next_instant(
         self, now: float, disk_id: int

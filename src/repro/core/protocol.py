@@ -94,9 +94,11 @@ class DescheduleForward:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Deadman-protocol liveness beacon (§2.3)."""
+    """Deadman-protocol liveness beacon (§2.3); ``epoch`` is the sender's
+    boot time (a controller, watched by no deadman, leaves it 0)."""
 
     cub_id: int
+    epoch: float = 0.0
 
 
 def block_pattern(file_id: int, block_index: int) -> int:

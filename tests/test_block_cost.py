@@ -253,9 +253,9 @@ def _apply_store_step(system, cub, step):
         if held:
             cub.owner._release(held[args % len(held)])
     elif op == "deadman":
-        cub.deadman.check(now)
+        cub._deadman_check()
     elif op == "heartbeat":
-        cub.deadman.note_heartbeat(_PREDECESSOR, now)
+        cub.deadman.note_heartbeat(_PREDECESSOR, now, 0.0)
     else:
         system.sim.run(until=now + args)
         cub.owner.prune(system.sim.now)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import small_config
+from repro import paper_config, small_config
 from repro.faults import ChaosHarness, FaultPlan, standard_chaos_plan
 from repro.faults.plan import (
     CONTROLLER_KILL,
@@ -94,6 +94,27 @@ class TestChainLivenessRegressions:
             )
             report = harness.run()
             assert report.totals["client_received"] > 100
+
+
+class TestRebootInsideTheTimeout:
+    """One cub reboots after ``r`` seconds, before (0.5, 3.0) or around
+    (5.5) the 6 s deadman timeout, under the invariant monitor.  Without
+    the boot epoch in the heartbeat the two short reboots orphan plays:
+    ``view-coherence`` fails at t = 58 or 60 on both configs."""
+
+    @pytest.mark.parametrize("restart_after", [0.5, 3.0, 5.5])
+    @pytest.mark.parametrize("config, seeds, duration", [
+        (small_config, (0, 1, 2), 120.0),
+        (paper_config, (0,), 75.0),
+    ], ids=["small", "paper"])
+    def test_no_viewer_is_dropped(self, config, seeds, duration, restart_after):
+        plan = FaultPlan().crash_cub(1, at=40.0, restart_after=restart_after)
+        for seed in seeds:
+            report = ChaosHarness(
+                config(), plan, seed=seed, load=0.5, duration=duration,
+                file_seconds=240.0,
+            ).run()
+            assert report.checks_run >= duration - 2  # raises on a violation
 
 
 def partition_case():

@@ -15,36 +15,33 @@ class TestDetection:
         assert set(monitor.watched) == {6, 4, 7, 3}
 
     def test_fresh_heartbeats_keep_alive(self, monitor):
-        monitor.note_heartbeat(4, now=1.0)
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
         assert monitor.check(now=5.0) == ()
         assert not monitor.believes_failed(4)
 
     def test_silence_declares_failure(self, monitor):
-        monitor.note_heartbeat(4, now=1.0)
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
         declared = monitor.check(now=8.0)
         assert 4 in declared
 
-    def test_declaration_fires_callbacks_once(self, monitor):
-        calls = []
-        monitor.on_declare_failed.append(calls.append)
-        monitor.note_heartbeat(4, now=1.0)
-        monitor.check(now=8.0)
-        monitor.check(now=9.0)
-        assert calls.count(4) == 1
+    def test_a_declaration_is_returned_once(self, monitor):
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
+        assert 4 in monitor.check(now=8.0)
+        assert 4 not in monitor.check(now=9.0)
 
     def test_heartbeat_resurrects(self, monitor):
-        recovered = []
-        monitor.on_declare_recovered.append(recovered.append)
-        monitor.note_heartbeat(4, now=1.0)
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
         monitor.check(now=8.0)
         assert monitor.believes_failed(4)
-        monitor.note_heartbeat(4, now=9.0)
+        assert monitor.note_heartbeat(4, now=9.0, epoch=0.0) is True
         assert not monitor.believes_failed(4)
-        assert recovered == [4]
+        assert monitor.note_heartbeat(4, now=9.5, epoch=0.0) is None
 
     def test_non_neighbour_heartbeats_ignored(self, monitor):
-        monitor.note_heartbeat(10, now=1.0)  # not watched
         assert 10 not in monitor.watched
+        assert monitor.note_heartbeat(10, now=1.0, epoch=0.0) is None
+        assert monitor.note_heartbeat(10, now=2.0, epoch=1.5) is None
+        assert not monitor.believes_failed(10)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -53,14 +50,51 @@ class TestDetection:
             DeadmanMonitor(0, 14, timeout=1.0, watch_distance=0)
 
 
+class TestEpochs:
+    def test_a_larger_epoch_declares_then_the_next_beat_brings_back(self, monitor):
+        """A reboot inside the timeout: declared on the new life's first
+        beat, alive on its second — two verdicts, not one."""
+        assert monitor.note_heartbeat(4, now=1.0, epoch=0.0) is None
+        assert monitor.note_heartbeat(4, now=3.0, epoch=2.5) is False
+        assert monitor.believes_failed(4)
+        assert monitor.check(now=3.5) == ()  # already declared
+        assert monitor.note_heartbeat(4, now=3.25, epoch=2.5) is True
+        assert not monitor.believes_failed(4)
+        assert monitor.recently_resurrected(4, now=3.5)
+
+    def test_a_smaller_epoch_is_a_late_beat_and_is_ignored(self, monitor):
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
+        monitor.note_heartbeat(4, now=3.0, epoch=2.5)
+        monitor.note_heartbeat(4, now=3.25, epoch=2.5)
+        assert monitor.note_heartbeat(4, now=7.0, epoch=0.0) is None
+        assert monitor._last_heard[4] == 3.25
+        assert not monitor.believes_failed(4)
+        assert 4 in monitor.check(now=9.5)  # silence since 3.25
+
+    def test_a_new_epoch_from_a_cub_believed_dead_is_back_at_once(self, monitor):
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
+        monitor.check(now=8.0)
+        assert monitor.note_heartbeat(4, now=9.0, epoch=8.5) is True
+        assert not monitor.believes_failed(4)
+        assert monitor.note_heartbeat(4, now=9.25, epoch=8.5) is None
+
+    def test_the_first_beat_heard_sets_the_epoch(self):
+        """A rebooted monitor knows no epoch: its neighbours' first beats
+        are not reboots, whenever those neighbours booted."""
+        monitor = DeadmanMonitor(cub_id=5, num_cubs=14, timeout=6.0, now=40.0)
+        assert monitor.note_heartbeat(4, now=40.25, epoch=0.0) is None
+        assert monitor.note_heartbeat(6, now=40.25, epoch=33.0) is None
+        assert monitor.believed_failed == frozenset()
+
+
 class TestRouting:
     def test_living_successors_normal(self, monitor):
         assert monitor.living_successors(2) == (6, 7)
 
     def test_living_successors_skip_dead(self, monitor):
-        monitor.note_heartbeat(6, now=0.0)
+        monitor.note_heartbeat(6, now=0.0, epoch=0.0)
         for alive in (4, 7, 3):
-            monitor.note_heartbeat(alive, now=9.0)
+            monitor.note_heartbeat(alive, now=9.0, epoch=0.0)
         monitor.check(now=10.0)  # only 6 has gone silent
         assert monitor.believes_failed(6)
         successors = monitor.living_successors(2)
@@ -93,17 +127,17 @@ class TestLateConstruction:
 class TestResurrection:
     def test_recently_resurrected_window(self):
         monitor = DeadmanMonitor(cub_id=5, num_cubs=14, timeout=6.0)
-        monitor.note_heartbeat(4, now=1.0)
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
         monitor.check(now=8.0)
         assert monitor.believes_failed(4)
-        monitor.note_heartbeat(4, now=9.0)
+        monitor.note_heartbeat(4, now=9.0, epoch=0.0)
         assert monitor.recently_resurrected(4, now=9.5)
         assert monitor.recently_resurrected(4, now=14.9)
         assert not monitor.recently_resurrected(4, now=15.1)
 
     def test_never_resurrected_cub(self):
         monitor = DeadmanMonitor(cub_id=5, num_cubs=14, timeout=6.0)
-        monitor.note_heartbeat(4, now=1.0)
+        monitor.note_heartbeat(4, now=1.0, epoch=0.0)
         assert not monitor.recently_resurrected(4, now=2.0)
 
 
@@ -120,7 +154,7 @@ class TestRingExhaustion:
 
     def test_wrap_prefers_living_cubs_over_self(self):
         monitor = DeadmanMonitor(cub_id=1, num_cubs=4, timeout=6.0)
-        monitor.note_heartbeat(0, now=9.0)
+        monitor.note_heartbeat(0, now=9.0, epoch=0.0)
         monitor.check(now=10.0)  # cubs 2 and 3 silent -> dead; 0 alive
         assert set(monitor.believed_failed) == {2, 3}
         assert monitor.next_living_cub(1) == 0

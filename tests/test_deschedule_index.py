@@ -190,17 +190,20 @@ def test_indexed_cub_holds_what_a_full_scan_holds_in_the_same_order(seed):
     assert totals == reference_totals
 
 
-@pytest.mark.xfail(
-    raises=SlotConflictError, strict=True,
-    reason="a start inserted inside a crash's detection window, or soon "
-           "after the reboot, double-books a slot",
-)
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [
+    2,
+    *(pytest.param(seed, marks=pytest.mark.xfail(
+        raises=SlotConflictError, strict=True,
+        reason="a double-book remains: a rebooted cub inserts into a slot "
+               "whose occupant's state it never received, or a neighbour "
+               "inserts inside a fresh crash's detection window",
+    )) for seed in (1, 3, 4)),
+])
 def test_a_single_failure_never_double_books_a_slot(seed):
     """The paper's claim under the strict oracle: one cub down at a time
-    and no slot ever holds two viewers.  It does not hold yet (seed 1:
-    "slot 14 already holds client:0#33#33; refused insert of
-    client:0#65#65"); strict, so the fix has to flip it."""
+    and no slot ever holds two viewers.  It holds for seed 2; seeds 1,
+    3 and 4 still fail, strict, so the fix for what remains has to flip
+    them."""
     _churn_under_faults(_small_system(seed, strict=True), seed)
 
 

@@ -228,7 +228,7 @@ def _frame_mix():
 #: :func:`_frame_mix`, as records built by the dataclass-generated
 #: ``__init__`` encode: the codec must not tell the two apart.
 FRAME_MIX_SHA256 = (
-    "8cf4a8a1a858e0a74f74d0b52994d82b9709da98af00624eebce8d83747ce1ae"
+    "3c5f551a17f7a138c91e63e8b76893299356ef7bd476a057d80c4636bcd11f8e"
 )
 
 

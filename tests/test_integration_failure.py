@@ -179,6 +179,49 @@ class TestCubFailure:
         assert 0 < system.total_failover_losses() <= 3 * per_viewer
 
 
+class TestRebootInsideTheTimeout:
+    def test_a_new_epoch_is_bridged_before_the_cub_is_believed_alive(self):
+        """Cub 1 is down half a second, far inside the deadman timeout.
+        Cub 2, its first living successor, hears the new boot epoch and
+        bridges every state it holds for cub 1's disks while it still
+        believes cub 1 dead — after the belief flips back, ``adopts``
+        is false and those chains would die in the held store."""
+        system, client = build_loaded()
+        cub = system.cubs[2]
+        dead_disks = set(system.layout.disks_of_cub(1))
+        events = []
+        bridge, membership = cub._bridge_state, cub._on_membership
+
+        def recording_bridge(state):
+            if state.disk_id in dead_disks:
+                events.append(("bridge", cub.deadman.adopts(1)))
+            bridge(state)
+
+        def recording_membership(cub_id, alive):
+            events.append(("alive" if alive else "dead", cub_id))
+            membership(cub_id, alive)
+
+        cub._bridge_state = recording_bridge
+        cub._on_membership = recording_membership
+        resurrections = cub.deadman_resurrections.count
+        system.fail_cub(1)
+        system.run_for(0.5)
+        system.recover_cub(1)
+        system.run_for(2.0)
+
+        assert events[0] == ("dead", 1)
+        alive_at = events.index(("alive", 1))
+        bridged = events[1:alive_at]
+        assert bridged and set(bridged) == {("bridge", True)}
+        assert not cub.deadman.believes_failed(1)
+        assert cub.deadman_resurrections.count == resurrections + 1
+        system.run_for(20.0)
+        for monitor in client.streams.values():
+            assert monitor.blocks_received > 30
+        system.finalize_clients()
+        system.assert_invariants()
+
+
 class TestDiskFailure:
     def test_single_disk_covered_without_deadman(self):
         """A live cub detects its own disk failure instantly and takes

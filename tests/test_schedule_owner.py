@@ -160,7 +160,7 @@ def _silence(owner, dead, now):
     """Every watched neighbour but ``dead`` beats; the deadman checks."""
     for neighbour in owner.deadman.watched:
         if neighbour != dead:
-            owner.deadman.note_heartbeat(neighbour, now)
+            owner.deadman.note_heartbeat(neighbour, now, 0.0)
     owner.deadman.check(now)
     assert owner.deadman.believes_failed(dead)
 
@@ -172,14 +172,14 @@ def test_a_redundant_start_is_adopted_only_by_the_first_living_successor():
         request = _request(7, dead_disk, redundant=True)
         assert owner.start_request(0.0, request) is None  # held, not queued
         assert owner.queued() == 0
-        assert owner.neighbour_failed(1.0) == []  # cub 0 is still alive
+        assert owner.adopt(1.0) == ([], [])  # cub 0 is still alive
     later = CONFIG.deadman_timeout + 1.0
     _silence(successor, 0, later)
     _silence(second, 0, later)
-    assert successor.neighbour_failed(later) == [dead_disk]
+    assert successor.adopt(later) == ([], [dead_disk])
     assert successor.queued(dead_disk) == 1
     # Cub 1 lives, so cub 2 keeps its copy and queues nothing.
-    assert second.neighbour_failed(later) == []
+    assert second.adopt(later) == ([], [])
     assert second.queued() == 0
 
 
@@ -196,7 +196,7 @@ def test_a_new_state_drops_the_redundant_copy():
     owner.start_request(0.0, _request(7, dead_disk, redundant=True))
     owner.state_admitted(0.5, 7)
     _silence(owner, 0, CONFIG.deadman_timeout + 1.0)
-    assert owner.neighbour_failed(8.0) == []
+    assert owner.adopt(8.0) == ([], [])
 
 
 def test_a_cancel_takes_the_start_off_its_queue_and_the_instance_map():
@@ -342,7 +342,7 @@ def test_prune_drops_held_states_due_before_the_horizon_and_the_view_too():
     assert not owner.view.has_tombstone("client:0#9", 9, 9)
 
 
-def test_adopted_yields_in_arrival_order_only_what_this_cub_adopts():
+def test_adopt_returns_in_arrival_order_only_what_this_cub_adopts():
     owner = _owner(cub_id=1)
     living = LAYOUT.disks_of_cub(2)[0]
     first, kept, second = (
@@ -351,20 +351,16 @@ def test_adopted_yields_in_arrival_order_only_what_this_cub_adopts():
     )
     for state in (first, kept, second):
         owner.hold(state, state.key())
-    assert list(owner.adopted(1.0)) == []  # cub 0 is still alive
+    assert owner.adopt(1.0) == ([], [])  # cub 0 is still alive
     assert len(owner._redundant_states) == 3
 
     later = CONFIG.deadman_timeout + 1.0
     _silence(owner, 0, later)
-    walk = owner.adopted(later)
-    assert next(walk) == first
-    # Released just before it is yielded; the rest is still held, and
-    # what is held during the walk is not part of it.
-    assert list(owner._redundant_states) == [kept.key(), second.key()]
-    late = _state(4, 0, FOREIGN, 10.0)
-    owner.hold(late, late.key())
-    assert list(walk) == [second]
-    assert list(owner._redundant_states) == [kept.key(), late.key()]
+    # Released before they are returned: what the cub holds while it
+    # bridges them is only what it still holds for the living.
+    assert owner.adopt(later) == ([first, second], [])
+    assert list(owner._redundant_states) == [kept.key()]
+    assert owner.adopt(later) == ([], [])
     assert _coherent(owner) is None
 
 

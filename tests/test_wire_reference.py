@@ -321,7 +321,7 @@ def test_true_stays_0x01_and_one_stays_0x03():
     assert binary_message_frame(message_of(1)).endswith(b"\x03" + bytes(7) + b"\x01")
     for value in (True, False, 1, 0):
         assert typed(assert_coders_agree(message_of(Heartbeat(value))).payload) == (
-            Heartbeat, ((type(value), value),)
+            Heartbeat, ((type(value), value), (float, (0.0).hex()))
         )
 
 
@@ -390,9 +390,9 @@ def test_a_nested_batch_with_mirrors():
 
 
 @pytest.mark.parametrize("record", [
-    Heartbeat((1, 2)),
-    Heartbeat(()),
-    Heartbeat(((3,),)),
+    DescheduleForward((1, 2)),
+    DescheduleForward(()),
+    DescheduleForward(((3,),)),
     DescheduleForward((DescheduleRequest("v", 1, 2, 3.0),)),
     DescheduleForward(DescheduleRequest("v", 1, 2, 3.0)),
 ])
@@ -465,7 +465,7 @@ def corpus():
 
 #: sha256 over ``encode_message(m, "json") + encode_message(m, "binary")``
 #: for every message of :func:`corpus`, taken with the recursive coder.
-CORPUS_SHA256 = "11880a71d45f1f36c4cac6e5f662eb1ed45151370e091ea70cb3ed822d41a6c7"
+CORPUS_SHA256 = "787d2218872dd8b5b6408fb8dd5a67a1abd391319254937f5baee15e800d4b71"
 
 
 def test_the_corpus_is_byte_identical_to_the_recursive_coder():

@@ -30,7 +30,8 @@ from __future__ import annotations
 import pytest
 
 from repro import small_config
-from repro.faults import ChaosHarness, FaultPlan, standard_chaos_plan
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
+from repro.faults.plan import FaultPlan
 
 from conftest import write_result
 

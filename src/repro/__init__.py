@@ -33,8 +33,9 @@ Subpackages
     Ramp / startup-latency / failure drivers used by the benchmarks.
 """
 
+from typing import Any
+
 from repro.config import TigerConfig, paper_config, small_config
-from repro.core.tiger import TigerSystem
 
 __version__ = "1.0.0"
 
@@ -45,3 +46,13 @@ __all__ = [
     "small_config",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # TigerSystem pulls in the whole simulated deployment; a live node
+    # process, which imports this package too, never needs it.
+    if name == "TigerSystem":
+        from repro.core.tiger import TigerSystem
+
+        return TigerSystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -58,7 +58,7 @@ from repro.analysis.render import (
     render_metrics_table,
     render_view_summary,
 )
-from repro.obs import write_trace
+from repro.obs.export import write_trace
 from repro.sim.trace import Tracer
 from repro.storage.rebalance import arm_rebalance
 from repro.workloads import ContinuousWorkload
@@ -376,7 +376,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults import ChaosHarness, InvariantViolation, standard_chaos_plan
+    from repro.faults.harness import ChaosHarness, standard_chaos_plan
+    from repro.faults.monitor import InvariantViolation
 
     tracer = _make_tracer(args)
     with _constructing():

@@ -1,56 +1,1 @@
 """Tiger's core: the distributed schedule and the machines that run it."""
-
-from repro.core.client import StreamMonitor, ViewerClient
-from repro.core.controller import CONTROLLER_ADDRESS, Controller, PlayRecord
-from repro.core.cub import Cub, cub_address
-from repro.core.deadman import DeadmanMonitor
-from repro.core.metrics import MetricsCollector, SystemSample
-from repro.core.schedule import GlobalSchedule, SlotConflictError, SlotEntry
-from repro.core.slots import SlotClock
-from repro.core.tiger import TigerSystem
-from repro.core.view import (
-    ADMIT_DESCHEDULED,
-    ADMIT_DUPLICATE,
-    ADMIT_NEW,
-    ADMIT_TOO_LATE,
-    ScheduleView,
-)
-from repro.core.viewerstate import (
-    DescheduleRequest,
-    MirrorViewerState,
-    ViewerState,
-    make_initial_state,
-    mirror_states_for,
-    new_instance_id,
-    reset_instance_ids,
-)
-
-__all__ = [
-    "TigerSystem",
-    "Cub",
-    "cub_address",
-    "Controller",
-    "CONTROLLER_ADDRESS",
-    "PlayRecord",
-    "ViewerClient",
-    "StreamMonitor",
-    "DeadmanMonitor",
-    "GlobalSchedule",
-    "SlotEntry",
-    "SlotConflictError",
-    "SlotClock",
-    "ScheduleView",
-    "ADMIT_NEW",
-    "ADMIT_DUPLICATE",
-    "ADMIT_DESCHEDULED",
-    "ADMIT_TOO_LATE",
-    "ViewerState",
-    "MirrorViewerState",
-    "DescheduleRequest",
-    "make_initial_state",
-    "mirror_states_for",
-    "new_instance_id",
-    "reset_instance_ids",
-    "MetricsCollector",
-    "SystemSample",
-]

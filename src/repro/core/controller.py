@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import TigerConfig
-from repro.core.cub import cub_address
 from repro.core.protocol import (
+    CONTROLLER_ADDRESS,
     CancelStart,
     ClientStart,
     ClientStop,
@@ -24,6 +24,7 @@ from repro.core.protocol import (
     PlayEnded,
     StartCommitted,
     StartRequest,
+    cub_address,
 )
 from repro.core.slots import SlotClock
 from repro.core.viewerstate import DescheduleRequest
@@ -36,8 +37,6 @@ from repro.sim.stats import BusyMeter
 from repro.sim.trace import Tracer
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
-
-CONTROLLER_ADDRESS = "controller"
 
 #: Sentinel "cub id" used in primary-to-backup controller heartbeats.
 CONTROLLER_HEARTBEAT_ID = -1

@@ -32,6 +32,7 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
 from repro.core.protocol import (
+    CONTROLLER_ADDRESS,
     BlockData,
     block_pattern,
     CancelStart,
@@ -41,6 +42,7 @@ from repro.core.protocol import (
     StartCommitted,
     StartRequest,
     ViewerStateBatch,
+    cub_address,
 )
 from repro.core.owner import REJECT, ScheduleOwner
 from repro.core.placement import make_placement_policy
@@ -71,10 +73,6 @@ from repro.storage.layout import StripeLayout
 from repro.storage.mirror import MirrorScheme
 
 _EPS = 1e-9
-
-
-def cub_address(cub_id: int) -> str:
-    return f"cub:{cub_id}"
 
 
 class _Service:
@@ -134,7 +132,7 @@ class Cub(NetworkNode):
         self.forward_copies = forward_copies
         #: Where commit/end notifications go; the controller-failover
         #: extension adds the backup's address.
-        self.controller_addresses = ("controller",)
+        self.controller_addresses = (CONTROLLER_ADDRESS,)
 
         self.view = ScheduleView(
             cub_id,

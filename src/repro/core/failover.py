@@ -26,11 +26,15 @@ from typing import Optional
 from repro.config import TigerConfig
 from repro.core.controller import (
     BACKUP_ACTIVE_HEARTBEAT_ID,
-    CONTROLLER_ADDRESS,
     Controller,
     PlayRecord,
 )
-from repro.core.protocol import Heartbeat, ReplicaUpdate
+from repro.core.protocol import (
+    BACKUP_CONTROLLER_ADDRESS,
+    CONTROLLER_ADDRESS,
+    Heartbeat,
+    ReplicaUpdate,
+)
 from repro.core.slots import SlotClock
 from repro.net.message import DESCHEDULE_BYTES, Message
 from repro.net.switch import SwitchedNetwork
@@ -38,8 +42,6 @@ from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
-
-BACKUP_CONTROLLER_ADDRESS = "controller-backup"
 
 #: Sentinel "cub id" used in controller-to-controller heartbeats
 #: (re-exported; defined next to the demote logic in controller.py).

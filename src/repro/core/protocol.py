@@ -18,6 +18,16 @@ from repro.core.viewerstate import (
 )
 
 
+#: The controller's network address, and its backup's.
+CONTROLLER_ADDRESS = "controller"
+BACKUP_CONTROLLER_ADDRESS = "controller-backup"
+
+
+def cub_address(cub_id: int) -> str:
+    """The network address of cub ``cub_id``."""
+    return f"cub:{cub_id}"
+
+
 @dataclass(frozen=True)
 class ViewerStateBatch:
     """A bundle of viewer states forwarded between cubs (§4.1.1).

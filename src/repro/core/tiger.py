@@ -14,8 +14,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import TigerConfig
+# The simulated deployment can build every kind of node, so it imports
+# all of their classes here rather than on its first construction,
+# where World.make_* would.
 from repro.core.client import ViewerClient
 from repro.core.cub import Cub
+from repro.core.failover import BackupController
 from repro.core.metrics import MetricsCollector
 from repro.core.schedule import GlobalSchedule
 from repro.core.protocol import HelperInvalidate
@@ -29,6 +33,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+from repro.storage.rebalance import OnlineRestriper
 
 
 class TigerSystem(World):
@@ -96,11 +101,11 @@ class TigerSystem(World):
             self.helpers.append(helper)
 
         self.clients: List[ViewerClient] = []
-        self.backup_controller = None
+        self.backup_controller: Optional[BackupController] = None
         #: Optional online restriper (see :meth:`attach_restriper`).
         #: None means no restripe machinery exists at all, so runs
         #: without one stay bit-identical to pre-restripe baselines.
-        self.restriper = None
+        self.restriper: Optional[OnlineRestriper] = None
         self._started = False
 
     # ------------------------------------------------------------------

@@ -25,25 +25,34 @@ Three bindings exist:
 
 The ``make_*`` methods only construct.  Attaching the node to a fabric
 (``network.register``, ``hub.local``) and remembering it is the
-caller's business, because that is where the bindings differ.
+caller's business, because that is where the bindings differ.  Each
+imports its protocol class when first called, so a process imports
+only the classes of the nodes it builds: a live controller never loads
+the cub, and no live node loads the viewer client.
+
+The substrate needs no backend, so a live node builds its world before
+it joins, with no runtime or transport, and :meth:`World.bind` hands
+them in once the cluster's epoch is fixed.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.config import TigerConfig
-from repro.core.client import ViewerClient
-from repro.core.controller import Controller
-from repro.core.cub import Cub
-from repro.core.failover import BackupController
 from repro.core.slots import SlotClock
-from repro.helpers.node import HelperFetchService, HelperNode
 from repro.storage.blockindex import BlockIndex
 from repro.storage.catalog import MODE_SINGLE_BITRATE, Catalog, TigerFile
 from repro.storage.layout import StripeLayout
 from repro.storage.mirror import MirrorScheme
-from repro.storage.rebalance import CubRestripeService, OnlineRestriper
+
+if TYPE_CHECKING:
+    from repro.core.client import ViewerClient
+    from repro.core.controller import Controller
+    from repro.core.cub import Cub
+    from repro.core.failover import BackupController
+    from repro.helpers.node import HelperNode
+    from repro.storage.rebalance import OnlineRestriper
 
 
 class World:
@@ -79,6 +88,12 @@ class World:
         self.indexes: List[BlockIndex] = [
             BlockIndex(cub_id) for cub_id in range(config.num_cubs)
         ]
+
+    def bind(self, runtime: Any, network: Any) -> None:
+        """Hand in the runtime and transport of a world built without
+        them; nodes made after this run on them."""
+        self.runtime = runtime
+        self.network = network
 
     # ------------------------------------------------------------------
     # Content
@@ -142,6 +157,10 @@ class World:
         strict: bool = True,
         forward_copies: int = 2,
     ) -> Cub:
+        from repro.core.cub import Cub
+        from repro.helpers.node import HelperFetchService
+        from repro.storage.rebalance import CubRestripeService
+
         cub = Cub(
             sim=self.runtime,
             cub_id=cub_id,
@@ -167,6 +186,8 @@ class World:
         return cub
 
     def make_controller(self) -> Controller:
+        from repro.core.controller import Controller
+
         return Controller(
             sim=self.runtime,
             config=self.config,
@@ -181,6 +202,8 @@ class World:
     def make_backup_controller(
         self, takeover_timeout: Optional[float] = None
     ) -> BackupController:
+        from repro.core.failover import BackupController
+
         return BackupController(
             sim=self.runtime,
             config=self.config,
@@ -194,6 +217,8 @@ class World:
         )
 
     def make_helper(self, helper_id: int) -> HelperNode:
+        from repro.helpers.node import HelperNode
+
         return HelperNode(
             sim=self.runtime,
             helper_id=helper_id,
@@ -213,6 +238,8 @@ class World:
     ) -> ViewerClient:
         """Viewer machine ``client:<index>``; ``backup`` is the address
         unacknowledged starts are retried against, if any."""
+        from repro.core.client import ViewerClient
+
         return ViewerClient(
             sim=self.runtime,
             address=f"client:{index}",
@@ -236,6 +263,8 @@ class World:
     ) -> OnlineRestriper:
         """A restriper that will execute ``plan`` in the background
         once started."""
+        from repro.storage.rebalance import OnlineRestriper
+
         return OnlineRestriper(
             sim=self.runtime,
             config=self.config,

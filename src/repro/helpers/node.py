@@ -34,10 +34,9 @@ current position (see :class:`repro.core.client.ViewerClient`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.config import TigerConfig
-from repro.core.cub import Cub, cub_address
 from repro.core.protocol import (
     BlockData,
     HelperCancel,
@@ -48,6 +47,7 @@ from repro.core.protocol import (
     HelperMiss,
     HelperProbe,
     block_pattern,
+    cub_address,
 )
 from repro.helpers.directory import helper_address
 from repro.helpers.policy import CachePolicy, make_policy
@@ -56,6 +56,9 @@ from repro.net.node import NetworkNode
 from repro.obs.registry import MetricsRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
+
+if TYPE_CHECKING:
+    from repro.core.cub import Cub
 
 #: Blocks kept requested ahead of each active play point.
 PREFETCH_LEAD = 4

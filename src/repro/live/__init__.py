@@ -17,8 +17,9 @@ Modules
 ``repro.live.transport``
     Socket transports satisfying :class:`repro.runtime.Transport`.
 ``repro.live.node``
-    One protocol component as a subprocess (``python -m
-    repro.live.node --spec FILE``).
+    One protocol component as a subprocess (``python -S -m
+    repro.live.node --spec FILE``: no site-packages, only the standard
+    library and ``repro``).
 ``repro.live.cluster``
     The cluster driver: spawns nodes, routes frames hub-and-spoke,
     hosts viewer clients, streams metrics, kills cubs on schedule, and

@@ -71,8 +71,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from collections import deque
 
 from repro.config import TigerConfig
-from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
-from repro.core.protocol import BlockData
+from repro.core.protocol import BACKUP_CONTROLLER_ADDRESS, BlockData
 from repro.core.tiger import TigerSystem
 from repro.core.world import World
 from repro.faults.injectors import install_plan
@@ -161,12 +160,16 @@ class ClusterScenario:
     metrics_interval: float = DEFAULT_METRICS_INTERVAL
     #: Seconds between the ``_start`` broadcast and the shared epoch.
     #: The window covers delivery of ``_start`` plus one node's
-    #: ``_boot`` (its World, content and component), measured at
-    #: 19-79 ms on loopback over 35 runs, so this is over 4x the worst
-    #: (PROTOCOL.md, "Epoch handshake").  Every node proves it made it
-    #: with a ``_ready`` frame, and ``ClusterReport.checks`` fails a
-    #: run where one did not.
-    start_delta: float = 0.35
+    #: ``_boot``, which only binds a runtime and a transport and builds
+    #: the component: a node imports its role and builds its content
+    #: before it joins.  The worst delay measured on loopback was
+    #: 5.1 ms over 32 runs of 3 cubs and 22 streams, and 12.2 ms over
+    #: 16 runs of 8 cubs and 1,000 viewers (10 nodes; 12.6 ms beside a
+    #: busy core), so this is over 4x the worst (PROTOCOL.md, "Epoch
+    #: handshake").  Every node proves it made it with a ``_ready``
+    #: frame, and ``ClusterReport.checks`` fails a run where one did
+    #: not.
+    start_delta: float = 0.06
     #: Preferred message codec (``json`` or ``binary``); negotiated
     #: per connection, so a peer that only speaks JSON stays on JSON.
     codec: str = CODEC_JSON
@@ -1258,7 +1261,9 @@ def _spawn_nodes(
         log_path = workdir / f"{address.replace(':', '-')}.log"
         with open(log_path, "wb") as log:
             procs[address] = subprocess.Popen(
-                [sys.executable, "-m", "repro.live.node",
+                # -S: a node needs only the standard library and
+                # repro, so skip the site-packages scan.
+                [sys.executable, "-S", "-m", "repro.live.node",
                  "--spec", str(spec_path)],
                 stdout=log, stderr=subprocess.STDOUT, env=env,
             )
@@ -1282,6 +1287,12 @@ async def _run_cluster_async(
         f"workdir {workdir})"
     )
     procs = _spawn_nodes(workdir, scenario, port)
+    # The driver's own assembly is built while the nodes boot.  Its
+    # runtime has no epoch yet, so nothing can be scheduled on it
+    # before the join fixes one.
+    runtime = LiveRuntime.awaiting_epoch(asyncio.get_running_loop())
+    reset_message_ids(scenario.driver_namespace)
+    cluster = LiveCluster(scenario, hub, runtime, registry, procs)
     try:
         await asyncio.wait_for(
             hub.all_joined.wait(), timeout=JOIN_TIMEOUT
@@ -1300,10 +1311,10 @@ async def _run_cluster_async(
     # says whether it did.
     epoch = time.time() + scenario.start_delta
     hub.fix_epoch(epoch, scenario.duration)
-    runtime = LiveRuntime(epoch, asyncio.get_running_loop())
-    reset_message_ids(scenario.driver_namespace)
-
-    cluster = LiveCluster(scenario, hub, runtime, registry, procs)
+    runtime.fix_epoch(epoch)
+    # One turn of the loop lets every connection's drainer put its
+    # ``_start`` on the wire before the driver arms the scenario.
+    await asyncio.sleep(0)
     arm_scenario(cluster, scenario)
     if cluster.restriper is not None:
         echo(

@@ -1,51 +1,57 @@
 """One Tiger component as a real OS process.
 
-``python -m repro.live.node --spec FILE`` boots exactly one protocol
-component — a cub, the controller, or the backup controller — against
-the live backend:
+``python -S -m repro.live.node --spec FILE`` boots exactly one protocol
+component — a cub, the controller, the backup controller or a helper —
+against the live backend.  Everything that does not depend on the
+cluster's epoch happens before the node joins:
 
 1. read the JSON **node spec** (written by the cluster driver:
    role, address, message-id namespace, hub endpoint, serialized
    :class:`~repro.config.TigerConfig`, content parameters);
-2. connect to the cluster hub and say hello;
-3. wait for the hub's ``_start`` frame carrying the shared **epoch**
-   (the wall-clock instant that is runtime time 0.0 for every node);
-4. build the same assembly the simulator runs
-   (:class:`~repro.core.world.World`) around a
-   :class:`~repro.live.runtime.LiveRuntime` and a
-   :class:`~repro.live.transport.NodeTransport`, and load the standard
-   content from the spec — content placement is a pure function of
-   the config, so no metadata distribution protocol is needed and
-   every node's indexes are byte-identical to the simulator's;
-5. ask that world for the **one** node the spec names — the
-   unmodified protocol class, wired by the same ``make_*`` call that
-   wires it in the DES — and report ``_ready`` with its slack, how
-   long before the epoch it got there;
+2. import the classes of its role, and no other role's
+   (:data:`ROLE_MODULES`);
+3. build the same assembly the simulator runs
+   (:class:`~repro.core.world.World`) with its content — placement is
+   a pure function of the config, so no metadata distribution protocol
+   is needed and every node's indexes are byte-identical to the
+   simulator's;
+4. connect to the cluster hub and say hello.
+
+Then it waits for the hub's ``_start`` frame carrying the shared
+**epoch** (the wall-clock instant that is runtime time 0.0 for every
+node), and only wires:
+
+5. bind a :class:`~repro.live.runtime.LiveRuntime` and a
+   :class:`~repro.live.transport.NodeTransport` to the world, ask it
+   for the **one** node the spec names — the unmodified protocol class,
+   wired by the same ``make_*`` call that wires it in the DES — and
+   report ``_ready`` with its slack, how long before the epoch it got
+   there;
 6. pump frames: incoming message frames go to ``component.deliver``,
    metrics snapshots stream back to the hub every few seconds, and a
    ``_stop`` frame (or hub disconnect) ends the process after one
    final snapshot.
 
-The spec is a file, not argv, so a config never hits shell quoting and
-the driver can keep specs around for post-mortem reruns.
+The driver starts it with ``-S``: a node needs the standard library and
+``repro`` only, so the interpreter skips site processing.  The spec is
+a file, not argv, so a config never hits shell quoting and the driver
+can keep specs around for post-mortem reruns.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import dataclasses
+import importlib
 import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig
-from repro.core.controller import CONTROLLER_ADDRESS
-from repro.core.failover import BACKUP_CONTROLLER_ADDRESS
+from repro.core.protocol import BACKUP_CONTROLLER_ADDRESS, CONTROLLER_ADDRESS
 from repro.core.world import World
-from repro.faults.monitor import InvariantMonitor
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import NodeTransport
 from repro.live.wire import (
@@ -61,10 +67,28 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
+if TYPE_CHECKING:
+    from repro.faults.monitor import InvariantMonitor
+
 ROLE_CUB = "cub"
 ROLE_CONTROLLER = "controller"
 ROLE_BACKUP = "backup"
 ROLE_HELPER = "helper"
+
+#: What :func:`build_component` imports for each role, through the
+#: ``World.make_*`` call it makes.  A node imports these before it says
+#: hello, so that ``_start`` finds them loaded.
+ROLE_MODULES: Dict[str, Tuple[str, ...]] = {
+    ROLE_CUB: (
+        "repro.core.cub",
+        "repro.faults.monitor",
+        "repro.helpers.node",
+        "repro.storage.rebalance",
+    ),
+    ROLE_CONTROLLER: ("repro.core.controller",),
+    ROLE_BACKUP: ("repro.core.failover",),
+    ROLE_HELPER: ("repro.helpers.node",),
+}
 
 #: Default cadence of ``_metrics`` frames back to the hub.
 DEFAULT_METRICS_INTERVAL = 2.0
@@ -110,6 +134,8 @@ def build_component(
     """
     role = spec["role"]
     if role == ROLE_CUB:
+        from repro.faults.monitor import InvariantMonitor
+
         # The oracle needs global state a live node does not have.
         # Without one, the slot-conflict check in Cub._insert_viewer
         # never runs, so a live double-book is not counted at all.
@@ -138,14 +164,34 @@ class LiveNode:
     """Lifecycle of one node process: handshake, run, drain, exit."""
 
     def __init__(self, spec: Dict[str, Any]) -> None:
+        """Everything the epoch does not decide: the role's classes
+        and the world's content."""
         self.spec = spec
         self.address: str = spec["address"]
         self.metrics_interval = float(
             spec.get("metrics_interval", DEFAULT_METRICS_INTERVAL)
         )
+        if spec["role"] not in ROLE_MODULES:
+            raise ValueError(f"unknown node role {spec['role']!r}")
+        for module in ROLE_MODULES[spec["role"]]:
+            importlib.import_module(module)
         self.runtime: Optional[LiveRuntime] = None
         self.transport: Optional[NodeTransport] = None
         self.registry = MetricsRegistry()
+        # No runtime or transport yet: _boot binds them at _start.
+        self.world = World(
+            config_from_dict(spec["config"]),
+            None,
+            None,
+            self.registry,
+            Tracer(capacity=4096),
+            RngRegistry(int(spec.get("seed", 0))),
+        )
+        content = spec.get("content", {})
+        self.world.add_standard_content(
+            num_files=int(content.get("num_files", 16)),
+            duration_s=float(content.get("duration_s", 600.0)),
+        )
         self.component: Any = None
         self.monitor: Optional[InvariantMonitor] = None
         self._stopping = False
@@ -204,6 +250,9 @@ class LiveNode:
     async def run(self) -> int:
         """Connect, handshake, serve until stopped; returns exit code."""
         spec = self.spec
+        # Namespace the message-id sequence so every live node mints ids
+        # in a disjoint range — globally unique with zero coordination.
+        reset_message_ids(int(spec["namespace"]))
         reader, writer = await asyncio.open_connection(
             spec.get("host", "127.0.0.1"), int(spec["port"])
         )
@@ -251,31 +300,13 @@ class LiveNode:
         return 1 if self.wire_errors else 0
 
     def _boot(self, epoch: float, writer: asyncio.StreamWriter) -> None:
-        """Build the runtime and the component once the epoch is known."""
-        spec = self.spec
-        # Namespace the message-id sequence so every live node mints ids
-        # in a disjoint range — globally unique with zero coordination.
-        reset_message_ids(int(spec["namespace"]))
-
-        loop = asyncio.get_running_loop()
-        self.runtime = LiveRuntime(epoch, loop)
+        """Wire the runtime and the component once the epoch is known."""
+        self.runtime = LiveRuntime(epoch, asyncio.get_running_loop())
         self.transport = NodeTransport(
             self.runtime, writer, codec=self.codec, stats=self.wire_stats
         )
-        world = World(
-            config_from_dict(spec["config"]),
-            self.runtime,
-            self.transport,
-            self.registry,
-            Tracer(capacity=4096),
-            RngRegistry(int(spec.get("seed", 0))),
-        )
-        content = spec.get("content", {})
-        world.add_standard_content(
-            num_files=int(content.get("num_files", 16)),
-            duration_s=float(content.get("duration_s", 600.0)),
-        )
-        self.component, self.monitor = build_component(spec, world)
+        self.world.bind(self.runtime, self.transport)
+        self.component, self.monitor = build_component(self.spec, self.world)
         if self.monitor is not None:
             # A cub: heartbeats, pumps, deadman and invariant sweeps
             # begin at epoch, in lockstep with every other cub's
@@ -368,7 +399,11 @@ class LiveNode:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry: ``python -m repro.live.node --spec FILE``."""
+    """CLI entry: ``python -S -m repro.live.node --spec FILE``."""
+    # Only the entry point parses argv; the driver imports this module
+    # for its spec helpers.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="repro.live.node",
         description="Run one Tiger component as a live cluster node.",

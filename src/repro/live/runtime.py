@@ -86,7 +86,11 @@ class LiveRuntime:
         epoch: Optional[float] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
-        self.epoch = time.time() if epoch is None else float(epoch)
+        #: None only on a runtime built by :meth:`awaiting_epoch`, until
+        #: :meth:`fix_epoch`.
+        self.epoch: Optional[float] = (
+            time.time() if epoch is None else float(epoch)
+        )
         self._loop = loop
         self._events_dispatched = 0
         self.callback_errors = 0
@@ -97,13 +101,36 @@ class LiveRuntime:
         self._timers: Set[LiveTimer] = set()
         self._sweep_at = 512
 
+    @classmethod
+    def awaiting_epoch(
+        cls, loop: Optional[asyncio.AbstractEventLoop] = None
+    ) -> "LiveRuntime":
+        """A runtime to build a host on before the cluster's epoch is
+        known: it has no ``now`` and refuses every timer until
+        :meth:`fix_epoch`."""
+        runtime = cls(0.0, loop)
+        runtime.epoch = None
+        return runtime
+
+    def fix_epoch(self, epoch: float) -> None:
+        """Set the instant that is runtime time 0.0, once."""
+        if self.epoch is not None:
+            raise RuntimeError("this runtime's epoch is already fixed")
+        self.epoch = float(epoch)
+
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Seconds since the cluster epoch (may be negative pre-start)."""
-        return time.time() - self.epoch
+        """Seconds since the cluster epoch (may be negative pre-start).
+
+        Undefined, and so an error, until the epoch is fixed: every
+        timer asks for it, so none can be set before then."""
+        epoch = self.epoch
+        if epoch is None:
+            raise RuntimeError("this runtime's epoch is not fixed yet")
+        return time.time() - epoch
 
     @property
     def events_dispatched(self) -> int:
@@ -191,8 +218,9 @@ class LiveRuntime:
         self._timers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        now = "unfixed" if self.epoch is None else f"{self.now:.3f}"
         return (
-            f"<LiveRuntime now={self.now:.3f} "
+            f"<LiveRuntime now={now} "
             f"dispatched={self._events_dispatched} "
             f"errors={self.callback_errors}>"
         )

@@ -1,31 +1,1 @@
 """Switched-network substrate: messages, NICs, nodes, and the fabric."""
-
-from repro.net.message import (
-    BATCH_HEADER_BYTES,
-    DESCHEDULE_BYTES,
-    HEARTBEAT_BYTES,
-    KIND_CONTROL,
-    KIND_DATA,
-    REQUEST_BYTES,
-    RESERVATION_BYTES,
-    VIEWER_STATE_BYTES,
-    Message,
-)
-from repro.net.nic import Nic
-from repro.net.node import NetworkNode
-from repro.net.switch import SwitchedNetwork
-
-__all__ = [
-    "Message",
-    "Nic",
-    "NetworkNode",
-    "SwitchedNetwork",
-    "KIND_CONTROL",
-    "KIND_DATA",
-    "VIEWER_STATE_BYTES",
-    "DESCHEDULE_BYTES",
-    "REQUEST_BYTES",
-    "HEARTBEAT_BYTES",
-    "RESERVATION_BYTES",
-    "BATCH_HEADER_BYTES",
-]

@@ -15,33 +15,3 @@ Every metric name and trace category is documented in
 ``docs/OBSERVABILITY.md``; ``tests/test_obs_docs.py`` asserts the doc
 stays complete against what a fault-injected run actually emits.
 """
-
-from repro.obs.export import (
-    records_from_jsonl,
-    trace_to_chrome,
-    trace_to_jsonl,
-    write_chrome_trace,
-    write_jsonl_trace,
-    write_trace,
-)
-from repro.obs.registry import (
-    CounterSeries,
-    GaugeSeries,
-    HistogramSeries,
-    MetricError,
-    MetricsRegistry,
-)
-
-__all__ = [
-    "CounterSeries",
-    "GaugeSeries",
-    "HistogramSeries",
-    "MetricError",
-    "MetricsRegistry",
-    "records_from_jsonl",
-    "trace_to_chrome",
-    "trace_to_jsonl",
-    "write_chrome_trace",
-    "write_jsonl_trace",
-    "write_trace",
-]

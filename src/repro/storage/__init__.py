@@ -1,33 +1,1 @@
 """Storage substrate: striping, catalog, block index, mirroring, restripe."""
-
-from repro.storage.blockindex import INDEX_ENTRY_BYTES, BlockIndex, BlockLocation
-from repro.storage.catalog import (
-    MODE_MULTIPLE_BITRATE,
-    MODE_SINGLE_BITRATE,
-    Catalog,
-    TigerFile,
-)
-from repro.storage.layout import StripeLayout
-from repro.storage.mirror import MirrorScheme
-from repro.storage.restripe import (
-    BlockMove,
-    RestripePlan,
-    estimate_restripe_time,
-    plan_restripe,
-)
-
-__all__ = [
-    "StripeLayout",
-    "Catalog",
-    "TigerFile",
-    "MODE_SINGLE_BITRATE",
-    "MODE_MULTIPLE_BITRATE",
-    "BlockIndex",
-    "BlockLocation",
-    "INDEX_ENTRY_BYTES",
-    "MirrorScheme",
-    "RestripePlan",
-    "BlockMove",
-    "plan_restripe",
-    "estimate_restripe_time",
-]

@@ -40,10 +40,14 @@ disk to disk on the cub that owns both.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
 
-from repro.core.cub import Cub, cub_address
-from repro.core.protocol import RestripeAck, RestripeCommit, RestripeCopy
+from repro.core.protocol import (
+    RestripeAck,
+    RestripeCommit,
+    RestripeCopy,
+    cub_address,
+)
 from repro.disk.zones import ZONE_OUTER
 from repro.net.message import KIND_CONTROL, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
@@ -53,6 +57,9 @@ from repro.storage.catalog import TigerFile
 from repro.storage.journal import MoveJournal
 from repro.storage.layout import StripeLayout
 from repro.storage.restripe import BlockMove, RestripePlan, plan_restripe
+
+if TYPE_CHECKING:
+    from repro.core.cub import Cub
 
 #: Network address the restriper listens on (both backends).
 RESTRIPER_ADDRESS = "restriper"

@@ -3,13 +3,14 @@
 import pytest
 
 from repro import paper_config, small_config
-from repro.faults import ChaosHarness, FaultPlan, standard_chaos_plan
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.faults.plan import (
     CONTROLLER_KILL,
     CONTROLLER_RECOVER,
     CUB_CRASH,
     CUB_RESTART,
     NET_DROP,
+    FaultPlan,
 )
 
 DURATION = 40.0

@@ -6,12 +6,13 @@ import re
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.faults import ChaosHarness, InvariantMonitor
+from repro.faults.harness import ChaosHarness
 from repro.faults.injectors import (
     MessageFaultInjector,
     UnsupportedFaultError,
     install_plan,
 )
+from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import ALL_KINDS, CUB_CRASH, FaultPlan, FaultSpec
 from repro.live.cluster import ClusterHub, ClusterScenario, LiveCluster
 from repro.obs.registry import MetricsRegistry

@@ -11,7 +11,8 @@ fingerprint untouched.
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.faults import ChaosHarness, FaultPlan, standard_chaos_plan
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
+from repro.faults.plan import FaultPlan
 from repro.helpers import CACHE_POLICIES, HelperDirectory, make_policy
 from repro.helpers.directory import helper_address
 from repro.helpers.policy import (

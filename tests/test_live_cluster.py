@@ -444,7 +444,8 @@ def test_readiness_passes_when_every_node_was_ready_before_the_epoch():
     assert sorted(slack) == sorted(scenario.node_addresses())
     ok, detail = _readiness(_report_with_slack(scenario, **slack))
     assert ok
-    assert detail == "min slack 190.0 ms of 350 ms"
+    window = ClusterScenario().start_delta
+    assert detail == f"min slack 190.0 ms of {window * 1e3:g} ms"
 
 
 @pytest.mark.parametrize("late", [-0.004, 0.0], ids=["negative", "zero"])

@@ -22,6 +22,7 @@ would actually see:
 import asyncio
 import contextlib
 import random
+import socket
 import struct
 import time
 from types import SimpleNamespace
@@ -36,11 +37,16 @@ from repro.core.protocol import (
     block_pattern,
 )
 from repro.core.viewerstate import ViewerState
+from repro.core.world import World
+from repro.live import cluster as cluster_module
 from repro.live.cluster import (
     SEND_QUEUE_HARD_CAP,
     ClusterHub,
     ClusterReport,
     ClusterScenario,
+    LiveCluster,
+    NodeConnection,
+    run_cluster,
 )
 from repro.live.node import ROLE_CONTROLLER, LiveNode, config_to_dict
 from repro.live.wire import (
@@ -882,6 +888,121 @@ def test_a_late_live_node_boots_and_reports_its_slack():
         asyncio.run(scenario())
     finally:
         reset_message_ids()  # the node rebound the process-wide sequence
+
+
+def test_a_live_node_is_built_before_it_joins(monkeypatch):
+    """Content before ``hello``; after ``_start``, only wiring."""
+    scenario_ = ClusterScenario(cubs=3)
+    events = []
+    files_at_hello = []
+    nodes = []
+    real_add_file, real_boot = World.add_file, LiveNode._boot
+
+    def add_file(world, *args, **kwargs):
+        events.append("add_file")
+        return real_add_file(world, *args, **kwargs)
+
+    def boot(node, *args):
+        events.append("_start")
+        return real_boot(node, *args)
+
+    class HelloProbe(NodeConnection):
+        def __init__(self, address, *args):
+            if address == "controller":
+                (node,) = nodes
+                files_at_hello.append(len(node.world.catalog.files()))
+            super().__init__(address, *args)
+
+    monkeypatch.setattr(World, "add_file", add_file)
+    monkeypatch.setattr(LiveNode, "_boot", boot)
+
+    async def scenario():
+        async with running_hub(("cub:0", BOTH)) as rig:
+            monkeypatch.setattr(cluster_module, "NodeConnection", HelloProbe)
+            rig.hub.fix_epoch(time.time() + 2.0, 60.0)
+            nodes.append(LiveNode({
+                "role": ROLE_CONTROLLER, "node_id": 0,
+                "address": "controller",
+                "namespace": scenario_.namespace_of("controller"),
+                "port": rig.port,
+                "config": config_to_dict(scenario_.config()),
+                "content": {"num_files": 3, "duration_s": 10.0},
+                "metrics_interval": 60.0,
+            }))
+            running = asyncio.ensure_future(nodes[0].run())
+            await settled(
+                lambda: "live.epoch_slack" in rig.registry.snapshot()
+            )
+            rig.hub.broadcast(control_frame("_stop"))
+            assert await asyncio.wait_for(running, TIMEOUT) == 0
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        reset_message_ids()
+    assert files_at_hello == [3]
+    assert events == ["add_file"] * 3 + ["_start"]
+
+
+def test_the_driver_arms_the_scenario_after_every_start_is_on_the_wire(
+    monkeypatch,
+):
+    """The driver's assembly exists before the join, refuses timers
+    until the epoch, and every connected node's socket holds ``_start``
+    by the time the scenario is armed."""
+    scenario_ = ClusterScenario(
+        cubs=3, backup=False, streams=0, duration=0.6, first_start=0.3
+    )
+    sockets = {}
+    refused = []
+    controls = {}
+    real_arm = cluster_module.arm_scenario
+
+    def spawn(_workdir, scenario, port):
+        for address in scenario.node_addresses():
+            peer = socket.create_connection(("127.0.0.1", port))
+            peer.sendall(control_frame(
+                "hello", node=address, pid=1, codecs=list(SUPPORTED_CODECS),
+            ))
+            sockets[address] = peer
+        return {}
+
+    class PreBuilt(LiveCluster):
+        def __init__(self, *args):
+            super().__init__(*args)
+            try:
+                self.runtime.call_after(0.0, lambda: None)
+            except RuntimeError:
+                refused.append(True)
+
+    def arm(host, scenario):
+        for address, peer in sockets.items():
+            decoder = FrameDecoder()
+            peer.setblocking(False)
+            frames = []
+            with contextlib.suppress(BlockingIOError):
+                while data := peer.recv(1 << 16):
+                    frames += decoder.feed_parsed(data)
+            controls[address] = [
+                value["ctl"] for kind, value in frames if kind == "ctl"
+            ]
+            peer.close()
+        real_arm(host, scenario)
+
+    monkeypatch.setattr(cluster_module, "_spawn_nodes", spawn)
+    monkeypatch.setattr(cluster_module, "LiveCluster", PreBuilt)
+    monkeypatch.setattr(cluster_module, "arm_scenario", arm)
+    try:
+        run_cluster(scenario_)
+    finally:
+        reset_message_ids()
+        for peer in sockets.values():
+            peer.close()
+    assert refused == [True]
+    assert controls == {
+        address: ["codec_ack", "_start"]
+        for address in scenario_.node_addresses()
+    }
 
 
 def test_all_left_fires_on_the_last_close_and_not_before():

@@ -1,6 +1,7 @@
 """LiveRuntime: the wall-clock implementation of the Runtime contract."""
 
 import asyncio
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +32,24 @@ def test_now_is_measured_from_the_epoch():
         assert -0.1 < runtime.now < 0.1
         future = LiveRuntime(epoch=runtime.epoch + 100.0)
         assert future.now < -99.0  # pre-epoch clocks read negative
+
+    _run(scenario())
+
+
+def test_a_runtime_awaiting_its_epoch_refuses_timers():
+    runtime = LiveRuntime.awaiting_epoch()
+    with pytest.raises(RuntimeError, match="epoch"):
+        runtime.call_at(0.0, lambda: None)
+    with pytest.raises(RuntimeError, match="epoch"):
+        runtime.call_after(0.1, lambda: None)
+
+    async def scenario():
+        runtime.fix_epoch(time.time())
+        fired = asyncio.Event()
+        runtime.call_after(0.0, fired.set)
+        await asyncio.wait_for(fired.wait(), 1.0)
+        with pytest.raises(RuntimeError, match="already fixed"):
+            runtime.fix_epoch(time.time())
 
     _run(scenario())
 

@@ -26,7 +26,7 @@ from repro.analysis.render import (
     render_metrics_table,
     render_view_summary,
 )
-from repro.faults import ChaosHarness, standard_chaos_plan
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.sim.trace import Tracer
 from repro.workloads import ContinuousWorkload
 

@@ -36,7 +36,7 @@ from repro.core.placement import (
     neighbor_offsets,
     ring_crowding,
 )
-from repro.faults import ChaosHarness, standard_chaos_plan
+from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 

@@ -193,31 +193,32 @@ def test_live_load(benchmark):
     )
 
     speedup = binary_row["frames_per_sec"] / json_row["frames_per_sec"]
+    # The committed file keeps only what a rerun reproduces; the
+    # wall-clock figures are printed.
     lines = [
         "live backend — open-loop load over real sockets "
         f"({CLUSTER_CUBS} cub processes, "
         f"{CLUSTER_VIEWERS} viewers, zipf arrivals, seed {SEED})",
         "",
         "codec microbench (encode+decode, deterministic frame mix):",
-        f"{'codec':>8} {'frames':>8} {'bytes/frame':>12} "
-        f"{'frames/sec':>12}",
+        f"{'codec':>8} {'frames':>8} {'bytes/frame':>12}",
     ]
     for row in (json_row, binary_row):
         lines.append(
             f"{row['codec']:>8} {row['frames']:>8} "
-            f"{row['mean_frame_bytes']:>12.1f} "
-            f"{row['frames_per_sec']:>12.0f}"
+            f"{row['mean_frame_bytes']:>12.1f}"
         )
-    lines.append(f"binary speedup over json: {speedup:.2f}x")
+        print(f"{row['codec']}: {row['frames_per_sec']:.0f} frames/sec")
+    print(f"binary speedup over json: {speedup:.2f}x")
     lines.append("")
     lines.append("cluster run (binary codec, real sockets):")
     lines.append(
         f"  report passed={cluster['passed']}  "
-        f"invariant violations={cluster['violations']:g}  "
-        f"viewers admitted={cluster['admitted']:g}"
+        f"invariant violations={cluster['violations']:g}"
     )
-    lines.append(
-        f"  blocks at clients={cluster['blocks']:g}  "
+    print(
+        f"viewers admitted={cluster['admitted']:g}  "
+        f"blocks at clients={cluster['blocks']:g}  "
         f"binary wire frames={cluster['wire_frames_binary']:g}  "
         f"block lateness p99={cluster['lateness_p99']:.3f}s"
     )

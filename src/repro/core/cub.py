@@ -9,10 +9,13 @@ requests.  All of §4's machinery runs here:
   successor*, batched by a periodic pump within the
   [minVStateLead, maxVStateLead] window (§4.1.1);
 * idempotent deschedule flooding with tombstones (§4.1.2);
-* slot-ownership-based insertion (§4.1.3), which the
-  :class:`ScheduleOwner` decides and the cub carries out;
+* slot-ownership-based insertion (§4.1.3);
 * mirror viewer states and gap bridging when neighbours die (§4.1.1,
   §2.3).
+
+The :class:`ScheduleOwner` decides where every state, piece and chain
+goes and what a deadman verdict adopts; the cub carries its records
+out — service, sends, counters and traces.
 
 A cub never consults the global schedule; when a :class:`GlobalSchedule`
 oracle is attached (tests, metrics) the cub *reports* its commits to it,
@@ -27,7 +30,7 @@ and add their payloads to the dispatch table, :attr:`Cub.handlers`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
@@ -44,12 +47,14 @@ from repro.core.protocol import (
     ViewerStateBatch,
     cub_address,
 )
-from repro.core.owner import REJECT, ScheduleOwner
+from repro.core.owner import (
+    COVERED, DISCARDED, FINISHED, LOST, REJECT, SERVE, Record, ScheduleOwner,
+)
 from repro.core.placement import make_placement_policy
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
-from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ScheduleView
-from repro.core.viewerstate import MirrorViewerState, ViewerState, mirror_states_for
+from repro.core.view import ScheduleView
+from repro.core.viewerstate import MirrorViewerState, ViewerState
 from repro.disk.drive import Read, SimDisk
 from repro.net.message import (
     BATCH_HEADER_BYTES,
@@ -70,7 +75,6 @@ from repro.sim.trace import Tracer
 from repro.storage.blockindex import BlockIndex, BlockLocation
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
-from repro.storage.mirror import MirrorScheme
 
 _EPS = 1e-9
 
@@ -102,7 +106,6 @@ class Cub(NetworkNode):
         cub_id: int,
         config: TigerConfig,
         layout: StripeLayout,
-        mirror: MirrorScheme,
         catalog: Catalog,
         clock: SlotClock,
         network: SwitchedNetwork,
@@ -118,7 +121,6 @@ class Cub(NetworkNode):
         self.cub_id = cub_id
         self.config = config
         self.layout = layout
-        self.mirror = mirror
         self.catalog = catalog
         self.clock = clock
         self.network = network
@@ -335,7 +337,7 @@ class Cub(NetworkNode):
             # not charged CPU and goes straight to the deadman.
             alive = self.deadman.note_heartbeat(payload.cub_id, self.sim.now, payload.epoch)
             if alive is not None:
-                self._on_membership(payload.cub_id, alive)
+                self._on_verdict(payload.cub_id, alive)
             return
         handler = self.handlers.get(kind)
         if handler is None:
@@ -344,62 +346,55 @@ class Cub(NetworkNode):
         handler(payload, message.src)
 
     def _on_state_batch(self, batch: ViewerStateBatch, _sender: str) -> None:
-        for state in batch.states:
-            self._on_viewer_state(state)
-        for mirror_state in batch.mirrors:
-            self._on_mirror_state(mirror_state)
-
-    # ==================================================================
-    # Steady state: viewer-state propagation (§4.1.1)
-    # ==================================================================
-    def _on_viewer_state(self, state: ViewerState) -> None:
-        # The state's key is made here, once per visit, and handed to
-        # whichever of the view and the held-state store this visit
-        # reaches.
-        key = state.key()
-        disposition = self.view.admit(state, self.sim.now, key)
-        if disposition == ADMIT_TOO_LATE and self.oracle is not None:
-            # Discarding without forwarding spontaneously deschedules
-            # the viewer (§4.1.2's acknowledged worst case); keep the
-            # oracle truthful about it.
-            self.oracle.remove(state.slot, state.viewer_id, state.instance)
-        if disposition != ADMIT_NEW:
-            return
+        """Route each state and piece through the owner and carry out
+        its answer.  Serve and hold, nearly every state's fate, cost no
+        record: the owner answers :data:`SERVE` or None."""
         owner = self.owner
-        if owner.redundant_requests:  # else nothing to drop
-            owner.state_admitted(self.sim.now, state.instance)
+        now = self.sim.now
+        for state in batch.states:
+            decision = owner.receive(now, state)
+            if decision is SERVE:
+                self._accept_own_state(state)
+            elif decision is not None:
+                self._carry_out(decision)
+        for piece in batch.mirrors:
+            verb = owner.receive_piece(now, piece)
+            if verb is SERVE:
+                self._serve_mirror_piece(piece)
+            elif verb is LOST:
+                self.pieces_lost_to_second_failure.increment()
 
-        owner_cub = self.layout.cub_of_disk(state.disk_id)
-        if owner_cub == self.cub_id:
-            self._accept_own_state(state)
-        elif self.deadman.adopts(owner_cub):
-            self._bridge_state(state)
-        else:
-            owner.hold(state, key)
-            if self.deadman.recently_resurrected(owner_cub, self.sim.now):
-                # Restart race: the sender routed around the owner while
-                # believing it dead, but our belief already flipped back
-                # to alive (its first heartbeat overtook the state batch
-                # on the wire).  Held passively, this state would orphan
-                # the viewer — the rebooted owner was never a
-                # destination.  Relay it; duplicate chains self-merge
-                # through the idempotence set.
-                self._relay_to_owner(owner_cub, state)
-
-    def _relay_to_owner(self, owner_cub: int, state: ViewerState) -> None:
-        """Hand a held state straight to its (resurrected) owner."""
-        self.trace(
-            "failover.relay",
-            f"relaying state to resurrected cub {owner_cub}",
-            viewer=state.viewer_id,
-            seqno=state.play_seqno,
-        )
-        batch = ViewerStateBatch((state,), ())
-        size = BATCH_HEADER_BYTES + VIEWER_STATE_BYTES
-        self.network.send(
-            Message(self.address, cub_address(owner_cub), batch, size)
-        )
-        self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
+    def _carry_out(self, records: Iterable[Record]) -> None:
+        """Do what an owner input decided, record by record, in its
+        order (the verbs are :mod:`repro.core.owner`'s)."""
+        for verb, state in records:
+            if verb is SERVE:
+                if type(state) is ViewerState:
+                    self._accept_own_state(state)
+                else:
+                    self._serve_mirror_piece(state)
+            elif verb is COVERED:
+                self.mirror_covers.increment()
+                if self.tracer.enabled:
+                    self.trace("mirror.cover", "covering lost block with mirror pieces",
+                               viewer=state.viewer_id, block=state.block_index,
+                               disk=state.disk_id)
+            elif verb is LOST:
+                if type(state) is ViewerState:
+                    self.blocks_lost_in_failover.increment()
+                else:
+                    self.pieces_lost_to_second_failure.increment()
+            elif verb is FINISHED:
+                self._finish_play(state)
+            elif verb is DISCARDED:
+                # Keep the oracle truthful about the spontaneous
+                # deschedule.
+                if self.oracle is not None:
+                    self.oracle.remove(state.slot, state.viewer_id, state.instance)
+            else:  # a relay: ``verb`` is the cub the state goes to
+                self.trace("failover.relay", f"relaying state to resurrected cub {verb}",
+                           viewer=state.viewer_id, seqno=state.play_seqno)
+                self._send_states((verb,), (state,), ())
 
     def _accept_own_state(self, state: ViewerState) -> None:
         """Serve and later forward a state targeted at one of my disks."""
@@ -414,9 +409,9 @@ class Cub(NetworkNode):
                 disk, location = migrated
         if disk.failed:
             # Local disk death: this cub is alive and knows immediately
-            # (I/O errors), so it takes the §4.1.1 mirror decision itself.
-            self._cover_with_mirrors(state)
-            self._advance_chain(state)
+            # (I/O errors), so mirrors cover the block and the chain
+            # moves on (§4.1.1) without waiting for a deadman.
+            self._carry_out(self.owner.reroute(self.sim.now, state))
             return
         if state.due_time <= self.sim.now + _EPS:
             # Arrived behind its deadline (e.g. a chain catching up
@@ -629,126 +624,37 @@ class Cub(NetworkNode):
         outgoing, mirrors_out, missed = owner.take_forwards(self.sim.now)
         for _piece in missed:
             self.mirror_pieces_missed.increment()
-        if outgoing or mirrors_out:
-            self._send_state_batch(outgoing, mirrors_out)
-
-    def _send_state_batch(self, states, mirrors) -> None:
-        """Batched forwarding: viewer states go to the successor *and*
-        second successor (§4.1.1's double forwarding); mirror states
-        ride only the first copy — each hop re-forwards what is still
-        downstream, so per-cub control traffic roughly doubles in
-        failed mode, as the paper measured."""
+        if not outgoing and not mirrors_out:
+            return
+        # Batched forwarding: viewer states go to the successor *and*
+        # second successor (§4.1.1's double forwarding); mirror states
+        # ride only the first copy — each hop re-forwards what is still
+        # downstream, so per-cub control traffic roughly doubles in
+        # failed mode, as the paper measured.
         destinations = self.deadman.living_successors(self.forward_copies)
+        self._send_states(destinations, outgoing, mirrors_out)
+        self.viewer_states_forwarded.increment(len(outgoing))
+        if self.tracer.enabled:
+            # One record per batch; `to` lists successor and (when the
+            # ring allows) second successor — the §4.1.1 double forward.
+            self.trace("vstate.forward", f"forwarded {len(outgoing)} states, "
+                       f"{len(mirrors_out)} mirrors", count=len(outgoing),
+                       mirrors=len(mirrors_out), to=list(destinations))
+
+    def _send_states(self, destinations, states, mirrors) -> None:
+        """The one batch send: ``states`` to every cub of
+        ``destinations``, ``mirrors`` with the first copy only."""
         for index, destination in enumerate(destinations):
-            batch = ViewerStateBatch(
-                tuple(states), tuple(mirrors) if index == 0 else ()
-            )
+            batch = ViewerStateBatch(tuple(states), tuple(mirrors) if index == 0 else ())
             if not len(batch):
                 continue
             size = BATCH_HEADER_BYTES + VIEWER_STATE_BYTES * len(batch)
-            self.network.send(
-                Message(self.address, cub_address(destination), batch, size)
-            )
+            self.network.send(Message(self.address, cub_address(destination), batch, size))
             self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
-        self.viewer_states_forwarded.increment(len(states))
-        if self.tracer.enabled and (states or mirrors):
-            # One record per batch; `to` lists successor and (when the
-            # ring allows) second successor — the §4.1.1 double forward.
-            self.trace(
-                "vstate.forward",
-                f"forwarded {len(states)} states, {len(mirrors)} mirrors",
-                count=len(states),
-                mirrors=len(mirrors),
-                to=list(destinations),
-            )
 
     # ==================================================================
-    # Mirror coverage and gap bridging (§2.3, §4.1.1)
+    # Mirror pieces (§2.3, §4.1.1)
     # ==================================================================
-    def _bridge_state(self, state: ViewerState) -> None:
-        """Handle a state targeted at a dead component's disk.
-
-        Generates mirror viewer states for the lost block (if its due
-        time has not already passed) and advances the chain to the next
-        living disk — possibly hopping several dead cubs (§2.3's
-        bridging of multi-cub gaps).
-        """
-        if state.due_time > self.sim.now + _EPS:
-            self._cover_with_mirrors(state)
-        else:
-            self.blocks_lost_in_failover.increment()
-        self._advance_chain(state)
-
-    def _advance_chain(self, state: ViewerState) -> None:
-        """Re-inject the state's successor, exactly as if it arrived.
-
-        When bridging after slow failure detection, several hops' due
-        times may already be in the past; those blocks are lost (nobody
-        ever received their states in time) and the chain re-enters the
-        schedule at the first future visit.  Without this skip the
-        advanced state would be discarded as too-late — the paper's
-        "spontaneous deschedule" worst case — killing the viewer.
-        """
-        bpt = self.config.block_play_time
-        num_blocks = self.catalog.get(state.file_id).num_blocks
-        advanced = state.advanced(1, self.layout.num_disks, bpt)
-        while (
-            advanced.block_index < num_blocks
-            and advanced.due_time <= self.sim.now + _EPS
-        ):
-            self.blocks_lost_in_failover.increment()
-            advanced = advanced.advanced(1, self.layout.num_disks, bpt)
-        if advanced.block_index >= num_blocks:
-            self._finish_play(state)
-            return
-        owner = self.layout.cub_of_disk(advanced.disk_id)
-        if owner != self.cub_id and not self.deadman.believes_failed(owner):
-            # The chain re-enters living territory (e.g. the hop after a
-            # locally failed disk).  Re-injecting locally would park the
-            # state in the passive redundant store and orphan the viewer
-            # — the owner never received a copy.  Hand it over the wire.
-            key = advanced.key()
-            self.view.admit(advanced, self.sim.now, key)
-            self.owner.hold(advanced, key)
-            self._relay_to_owner(owner, advanced)
-            return
-        self._on_viewer_state(advanced)
-
-    def _cover_with_mirrors(self, state: ViewerState) -> None:
-        """Create mirror viewer states for a block on a dead disk."""
-        self.mirror_covers.increment()
-        if self.tracer.enabled:
-            self.trace(
-                "mirror.cover",
-                "covering lost block with mirror pieces",
-                viewer=state.viewer_id,
-                block=state.block_index,
-                disk=state.disk_id,
-            )
-        mirrors = mirror_states_for(
-            state,
-            self.config.decluster,
-            self.layout.num_disks,
-            self.config.block_play_time,
-        )
-        for mirror_state in mirrors:
-            self._on_mirror_state(mirror_state)
-
-    def _on_mirror_state(self, mirror_state: MirrorViewerState) -> None:
-        """Serve a piece held here, or pass it on toward its holder."""
-        if self.view.admit_mirror(mirror_state, self.sim.now) != ADMIT_NEW:
-            return
-        target_cub = self.layout.cub_of_disk(mirror_state.disk_id)
-        if target_cub == self.cub_id:
-            self._serve_mirror_piece(mirror_state)
-        elif self.deadman.believes_failed(target_cub):
-            # Second failure inside the decluster neighbourhood: this
-            # piece is gone (§2.3's data-loss case).
-            self.pieces_lost_to_second_failure.increment()
-        else:
-            # Keep hopping toward the piece's holder with the next pump.
-            self.owner.mirror_forward_queue.append(mirror_state)
-
     def _serve_mirror_piece(self, mirror_state: MirrorViewerState) -> None:
         disk = self.disks[mirror_state.disk_id]
         if disk.failed:
@@ -806,28 +712,6 @@ class Cub(NetworkNode):
         self.cpu.add_busy(self.sim.now, piece_bytes * self.config.cpu_per_data_byte)
         self.mirror_pieces_sent.increment()
 
-    def _on_membership(self, cub_id: int, alive: bool) -> None:
-        """A deadman verdict: ``cub_id`` is back, or it is dead (silent
-        past the timeout, or rebooted unseen) and this cub adopts every
-        chain and start it is now responsible for.
-
-        Responsibility covers more than the newly dead cub: with two
-        consecutive failures, the second death can make this cub the
-        first living successor of a cub that died *earlier* — whose
-        chains the intermediate (now dead) cub had been bridging.
-        """
-        if alive:
-            self.deadman_resurrections.increment()
-            self.trace("deadman.resurrect", f"heard cub {cub_id} again, believing it alive",
-                       watched=cub_id)
-            return
-        self.trace("deadman", f"declared cub {cub_id} failed")
-        states, disks = self.owner.adopt(self.sim.now)
-        for state in states:
-            self._bridge_state(state)
-        for disk_id in disks:
-            self._arm_scan(disk_id)
-
     def on_local_disk_failed(self, disk_id: int) -> None:
         """One of my disks died while the cub survives.
 
@@ -847,7 +731,7 @@ class Cub(NetworkNode):
                     and not record.aborted
                 ):
                     record.aborted = True
-                    self._cover_with_mirrors(state)
+                    self._carry_out(self.owner.cover(now, state))
 
     # ==================================================================
     # Deschedule handling (§4.1.2)
@@ -1007,8 +891,7 @@ class Cub(NetworkNode):
         else:
             # Covering insertion for a dead predecessor's disk: the
             # first block goes out via mirrors, the chain continues here.
-            self._cover_with_mirrors(state)
-            self._advance_chain(state)
+            self._carry_out(self.owner.reroute(self.sim.now, state))
 
         # Commit: the insertion joins the hallucination once another
         # machine knows about it (§4.3) — tell the controller and
@@ -1046,7 +929,22 @@ class Cub(NetworkNode):
 
     def _deadman_check(self) -> None:
         for cub_id in self.deadman.check(self.sim.now):
-            self._on_membership(cub_id, False)
+            self._on_verdict(cub_id, False)
+
+    def _on_verdict(self, cub_id: int, alive: bool) -> None:
+        """A deadman verdict: ``cub_id`` is back, or it is dead (silent
+        past the timeout, or rebooted unseen).  Count and trace it, then
+        carry out what the owner adopts."""
+        if alive:
+            self.deadman_resurrections.increment()
+            self.trace("deadman.resurrect", f"heard cub {cub_id} again, believing it alive",
+                       watched=cub_id)
+        else:
+            self.trace("deadman", f"declared cub {cub_id} failed")
+        records, disks = self.owner.membership(self.sim.now, cub_id, alive)
+        self._carry_out(records)
+        for disk_id in disks:
+            self._arm_scan(disk_id)
 
     def _state_is_final(self, state: ViewerState) -> bool:
         return state.block_index >= self.catalog.get(state.file_id).num_blocks - 1

@@ -106,18 +106,9 @@ class DeadmanMonitor:
 
     def recently_resurrected(self, cub_id: int, now: float) -> bool:
         """Was ``cub_id`` heard again, after being believed dead, within
-        the last deadman timeout?
-
-        Around a restart, beliefs across the ring converge at slightly
-        different instants; a viewer state addressed under the sender's
-        stale "dead" routing can reach cubs that already believe the
-        owner alive, and would otherwise be held passively while the
-        resurrected owner — who was not a destination — never hears of
-        it.  Callers use this predicate to relay such states onward.
-
-        Asked for every held state; until some neighbour has come back
-        it answers before computing anything.
-        """
+        the last deadman timeout?  The owner relays a state it would
+        hold for such a cub (the restart race).  Asked for every held
+        state; until some neighbour has come back it answers at once."""
         resurrected = self._resurrected_at
         if not resurrected:
             return False

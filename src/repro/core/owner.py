@@ -1,26 +1,28 @@
 """A cub's per-play records and the decisions they drive (paper §4.1),
 with no I/O: the states held for its predecessors, the states waiting
 for their forward window, its tombstones (in the view), its waiting
-starts, and what decides an insert at an ownership instant.  A
-:class:`ScheduleOwner` holds only pure objects and no simulator,
-runtime, network, tracer or registry.  Each input is one method that
-takes the time and returns what the cub must do; the cub keeps the
-timers and the effects (DESIGN.md §5.2).
+starts, what decides an insert at an ownership instant, and where each
+arriving state goes — served, held, bridged across dead cubs or relayed
+(§2.3, §4.1.1).  A :class:`ScheduleOwner` holds only pure objects and no
+simulator, runtime, network, tracer or registry.  Each input is one
+method that takes the time and returns what the cub must do; the cub
+keeps the timers and carries out the records (DESIGN.md §5.2).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
 from repro.core.placement import PlacementPolicy, SlotCandidate, neighbor_offsets
 from repro.core.protocol import StartRequest
 from repro.core.slots import SlotClock
-from repro.core.view import ExpiryIndex, ScheduleView
+from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ExpiryIndex, ScheduleView
 from repro.core.viewerstate import (
     DescheduleRequest, MirrorViewerState, ViewerState, make_initial_state,
+    mirror_states_for,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
@@ -30,9 +32,18 @@ _EPS = 1e-9
 #: :meth:`ScheduleOwner.ownership_instant`'s answer when the guard says no.
 REJECT = "reject"
 
+# What the chain inputs return: records ``(verb, state)`` for the cub to
+# carry out in order, or ``(cub, state)``: hand the state to that cub.
+SERVE = "serve"          # the block or piece goes out from a local disk
+COVERED = "covered"      # the pieces that follow stand in for the block
+LOST = "lost"            # nobody can send this block or piece any more
+FINISHED = "finished"    # the play has ended: retire its slot
+DISCARDED = "discarded"  # too late to keep (§4.1.2): the viewer is descheduled
+Record = Tuple[Union[str, int], Union[ViewerState, MirrorViewerState]]
+
 
 class ScheduleOwner:
-    """One cub's per-play records and the inserts it decides."""
+    """One cub's per-play records, and the inserts and chains it decides."""
 
     def __init__(
         self,
@@ -45,6 +56,7 @@ class ScheduleOwner:
         catalog: Catalog,
     ) -> None:
         self.view = view
+        self.cub_id = view.cub_id
         self.deadman = deadman
         self.clock = clock
         self.layout = layout
@@ -74,8 +86,8 @@ class ScheduleOwner:
         #: Start-request instances already routed to this cub (duplicate
         #: suppression for controller-failover client retries).
         self._seen_start_instances: Set[int] = set()
-        #: Redundant starts held for a live predecessor.  The cub reads
-        #: it to skip :meth:`state_admitted` (two states a block) if empty.
+        #: Redundant starts held for a live predecessor; :meth:`receive`
+        #: tests it before dropping one (two states a block).
         self.redundant_requests: Dict[int, StartRequest] = {}
         #: When each queued start first reached an ownership instant:
         #: a deferring policy's patience counts from here, not from the
@@ -120,10 +132,143 @@ class ScheduleOwner:
         self.redundant_requests.pop(instance, None)
         self._remove_queued(instance)
 
-    def state_admitted(self, now: float, instance: int) -> None:
-        """A new viewer state for ``instance`` proves its primary target
-        scheduled it: drop the redundant copy of its request."""
-        self.redundant_requests.pop(instance, None)
+    def receive(self, now: float, state: ViewerState) -> Union[str, List[Record], None]:
+        """A viewer state arrived (§4.1.1): None when it is held or
+        dropped, :data:`SERVE` when a disk of this cub serves it (nearly
+        every state's fate; neither allocates), or the records of its
+        bridge, relay or discard."""
+        # The state's key is made here, once per visit, and handed to
+        # whichever of the view and the held-state store this visit
+        # reaches.
+        key = state.key()
+        disposition = self.view.admit(state, now, key)
+        if disposition != ADMIT_NEW:
+            return [(DISCARDED, state)] if disposition == ADMIT_TOO_LATE else None
+        if self.redundant_requests:
+            # A new state proves its primary target scheduled the play:
+            # drop the redundant copy of its start.
+            self.redundant_requests.pop(state.instance, None)
+        owner_cub = self.layout.cub_of_disk(state.disk_id)
+        if owner_cub == self.cub_id:
+            return SERVE
+        if self.deadman.adopts(owner_cub):
+            return self._bridge(now, state)
+        self.hold(state, key)
+        if self.deadman.recently_resurrected(owner_cub, now):
+            # Restart race: the sender routed around the owner while
+            # believing it dead, but our belief already flipped back to
+            # alive (its first heartbeat overtook the state batch on the
+            # wire).  Held passively, this state would orphan the viewer
+            # — the rebooted owner was never a destination.  Relay it;
+            # duplicate chains self-merge through the idempotence set.
+            return [(owner_cub, state)]
+        return None
+
+    def receive_piece(self, now: float, piece: MirrorViewerState) -> Optional[str]:
+        """A mirror piece arrived or was made here: :data:`SERVE` when a
+        disk of this cub holds it, :data:`LOST` when its holder is
+        believed dead (§2.3's second-failure data loss), else None — a
+        duplicate, or queued to hop on toward its holder."""
+        if self.view.admit_mirror(piece, now) != ADMIT_NEW:
+            return None
+        target_cub = self.layout.cub_of_disk(piece.disk_id)
+        if target_cub == self.cub_id:
+            return SERVE
+        if self.deadman.believes_failed(target_cub):
+            return LOST
+        self.mirror_forward_queue.append(piece)
+        return None
+
+    def cover(self, now: float, state: ViewerState) -> List[Record]:
+        """Mirror pieces for a block on a dead disk, each routed as if it
+        had arrived."""
+        records: List[Record] = [(COVERED, state)]
+        config = self.config
+        for piece in mirror_states_for(
+            state, config.decluster, self.layout.num_disks, config.block_play_time
+        ):
+            verb = self.receive_piece(now, piece)
+            if verb is not None:
+                records.append((verb, piece))
+        return records
+
+    def reroute(self, now: float, state: ViewerState) -> List[Record]:
+        """A state this cub cannot read itself (its own disk is dead, or
+        it inserted on a dead predecessor's disk): mirrors cover the
+        block, whatever its due time, and the chain moves on."""
+        return self.cover(now, state) + self._advance(now, state)
+
+    def membership(
+        self, now: float, cub: int, alive: bool
+    ) -> Tuple[Iterable[Record], List[int]]:
+        """A deadman verdict on ``cub``: (records, disks whose scans to
+        arm).  A return changes nothing yet.  A death releases every held
+        state whose dead target this cub now adopts
+        (:meth:`DeadmanMonitor.adopts`) and returns their bridges, in
+        arrival order, and queues the redundant starts it adopts.  With
+        two consecutive failures that includes a cub that died *earlier*,
+        whose chains the intermediate (now dead) cub had been bridging."""
+        if alive:
+            return (), []
+        adopts, cub_of_disk = self.deadman.adopts, self.layout.cub_of_disk
+        held = self._redundant_states.values()
+        states = [state for state in held if adopts(cub_of_disk(state.disk_id))]
+        for state in states:
+            self._release(state.key())
+        disks = []
+        for instance, request in list(self.redundant_requests.items()):
+            if adopts(cub_of_disk(request.target_disk)):
+                del self.redundant_requests[instance]
+                disks.append(self._enqueue(request))
+        # Lazy, one chain at a time: a chain is decided only once the cub
+        # has carried out the one before, so a serve it hands back (its
+        # disk has died) is rerouted before the next chain is decided.
+        return (record for state in states for record in self._bridge(now, state)), disks
+
+    def _bridge(self, now: float, state: ViewerState) -> List[Record]:
+        """A state for a dead cub's disk: mirrors cover its block unless
+        it is past due, and the chain moves on to the next living disk —
+        across several dead cubs if need be (§2.3)."""
+        if state.due_time > now + _EPS:
+            records = self.cover(now, state)
+        else:
+            records = [(LOST, state)]
+        return records + self._advance(now, state)
+
+    def _advance(self, now: float, state: ViewerState) -> List[Record]:
+        """Route the state's successor as if it had arrived.  Hops already
+        past due after slow failure detection are lost, and the chain
+        re-enters the schedule at its first future visit: discarded as
+        too late, it would kill the viewer (§4.1.2's worst case)."""
+        bpt = self.config.block_play_time
+        num_disks = self.layout.num_disks
+        num_blocks = self.catalog.get(state.file_id).num_blocks
+        records: List[Record] = []
+        advanced = state.advanced(1, num_disks, bpt)
+        while advanced.block_index < num_blocks and advanced.due_time <= now + _EPS:
+            records.append((LOST, advanced))
+            advanced = advanced.advanced(1, num_disks, bpt)
+        if advanced.block_index >= num_blocks:
+            records.append((FINISHED, state))
+            return records
+        owner_cub = self.layout.cub_of_disk(advanced.disk_id)
+        if owner_cub != self.cub_id and not self.deadman.believes_failed(owner_cub):
+            # The chain re-enters living territory (e.g. the hop after a
+            # locally failed disk).  Routed as an arrival, the state
+            # would sit in the passive held store and orphan the viewer:
+            # the owner never received a copy.  So it is held and handed
+            # over, whatever the view made of it.
+            key = advanced.key()
+            self.view.admit(advanced, now, key)
+            self.hold(advanced, key)
+            records.append((owner_cub, advanced))
+            return records
+        decision = self.receive(now, advanced)
+        if decision is SERVE:
+            records.append((SERVE, advanced))
+        elif decision is not None:
+            records += decision
+        return records
 
     def hold(self, state: ViewerState, key: Tuple[int, int]) -> None:
         """Keep a state (``key`` is its ``key()``) targeted at another
@@ -155,22 +300,6 @@ class ScheduleOwner:
             state = held.get(key)
             if state is not None and state.due_time < horizon:
                 self._release(key)
-
-    def adopt(self, now: float) -> Tuple[List[ViewerState], List[int]]:
-        """A neighbour died: (each held state this cub now adopts, in
-        arrival order and already released; the disks whose redundant
-        starts it queued), by :meth:`DeadmanMonitor.adopts`."""
-        adopts, cub_of_disk = self.deadman.adopts, self.layout.cub_of_disk
-        held = self._redundant_states.values()
-        states = [state for state in held if adopts(cub_of_disk(state.disk_id))]
-        for state in states:
-            self._release(state.key())
-        disks = []
-        for instance, request in list(self.redundant_requests.items()):
-            if adopts(cub_of_disk(request.target_disk)):
-                del self.redundant_requests[instance]
-                disks.append(self._enqueue(request))
-        return states, disks
 
     def take_forwards(
         self, now: float

@@ -166,7 +166,6 @@ class World:
             cub_id=cub_id,
             config=self.config,
             layout=self.layout,
-            mirror=self.mirror,
             catalog=self.catalog,
             clock=self.clock,
             network=self.network,

@@ -17,7 +17,8 @@ one play's index entry.
 
 And it keeps the admission core off every backend: ``core/owner.py``
 imports no simulator, network, live or runtime module and holds no such
-object, and the cub holds none of the tables it moved there.
+object, and the cub holds none of the tables it moved there.  The owner
+decides every chain: the cub asks its deadman for no belief.
 
 And it keeps expiry working from the due-time indexes: a prune may walk
 none of the stores it expires, and the histogram sorts, never inserts.
@@ -343,6 +344,52 @@ def test_the_schedule_owner_runs_on_no_backend():
     assert OWNER_TABLES <= _self_attributes(owner)
     cub = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
     assert not _self_attributes(cub) & (OWNER_TABLES | RETIRED_CUB_TABLES)
+
+
+#: The deadman beliefs behind a chain decision: the owner's to ask.
+OWNER_BELIEFS = {
+    "adopts", "believes_failed", "recently_resurrected", "next_living_cub",
+}
+
+
+def _belief_queries(source: str):
+    """Every use of a name in :data:`OWNER_BELIEFS` in ``source``, called
+    or not (an alias is called later), however qualified."""
+    return sorted(
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in OWNER_BELIEFS
+        or isinstance(node, ast.Name) and node.id in OWNER_BELIEFS
+    )
+
+
+def test_the_cub_asks_its_deadman_no_belief():
+    """Serve, hold, bridge or relay, and what a death adopts, are the
+    owner's answers; the cub hears verdicts and carries records out."""
+    cub = (SRC / "core/cub.py").read_text(encoding="utf-8")
+    assert not _belief_queries(cub)
+    owner = (SRC / "core/owner.py").read_text(encoding="utf-8")
+    assert {query.rsplit(".", 1)[-1] for query in _belief_queries(owner)} == {
+        "adopts", "believes_failed", "recently_resurrected",
+    }
+
+
+def test_the_belief_check_sees_the_queries_it_replaced():
+    assert _belief_queries(
+        "class Cub:\n"
+        "    def _on_viewer_state(self, state):\n"
+        "        owner = self.layout.cub_of_disk(state.disk_id)\n"
+        "        if self.deadman.adopts(owner):\n"
+        "            self._bridge_state(state)\n"
+        "        elif self.deadman.recently_resurrected(owner, self.sim.now):\n"
+        "            self._relay_to_owner(owner, state)\n"
+        "    def _advance_chain(self, state):\n"
+        "        dead = self.deadman.believes_failed\n"
+        "        return dead(1) or next_living_cub(2)\n"
+    ) == [
+        "next_living_cub", "self.deadman.adopts",
+        "self.deadman.believes_failed", "self.deadman.recently_resurrected",
+    ]
 
 
 def test_the_walk_check_sees_the_scans_it_replaced():

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import TigerSystem, paper_config, small_config
 from repro.core.owner import ScheduleOwner
+from repro.core.protocol import ViewerStateBatch
 from repro.core.view import ExpiryIndex, ScheduleView
 from repro.core.viewerstate import (
     DescheduleRequest,
@@ -247,7 +248,7 @@ def _apply_store_step(system, cub, step):
         if op == "hold":
             cub.owner.hold(state, state.key())
         else:
-            cub._on_viewer_state(state)
+            cub._on_state_batch(ViewerStateBatch((state,), ()), "cub:3")
     elif op == "release":
         held = list(cub.owner._redundant_states)
         if held:

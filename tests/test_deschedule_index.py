@@ -224,9 +224,11 @@ def test_a_deschedule_costs_the_plays_own_records(monkeypatch):
     foreign_disk = 1  # cub 1's: cub 0 holds these states redundantly
     assert system.layout.cub_of_disk(foreign_disk) != cub.cub_id
     for instance in range(100, 1100):
-        cub._on_viewer_state(_state(instance, 0, instance % 32, foreign_disk, now + 3.0))
+        state = _state(instance, 0, instance % 32, foreign_disk, now + 3.0)
+        cub._on_state_batch(ViewerStateBatch((state,), ()), "cub:3")
     for seqno in range(3):
-        cub._on_viewer_state(_state(7, seqno, 5, foreign_disk, now + 3.0 + seqno))
+        state = _state(7, seqno, 5, foreign_disk, now + 3.0 + seqno)
+        cub._on_state_batch(ViewerStateBatch((state,), ()), "cub:3")
     assert len(cub.owner._redundant_states) == 1003
 
     compared = []
@@ -262,13 +264,12 @@ def test_a_descheduled_plays_queued_records_are_never_sent():
     # Far enough ahead that its forward window has not opened yet.
     doomed = _state(7, 0, 5, own_disk, now + lead + 0.5)
     spared = _state(8, 0, 6, own_disk, now + lead + 0.5)
-    cub._on_viewer_state(doomed)
-    cub._on_viewer_state(spared)
+    cub._on_state_batch(ViewerStateBatch((doomed, spared), ()), "cub:3")
     piece = MirrorViewerState(
         "client:0#7", 7, 5, file_id=0, block_index=0, piece=0, decluster=2,
         disk_id=next_disk, due_time=now + 2.0, play_seqno=0,
     )
-    cub._on_mirror_state(piece)
+    cub._on_state_batch(ViewerStateBatch((), (piece,)), "cub:3")
     owner = cub.owner
     assert doomed in owner.forward_queue and piece in owner.mirror_forward_queue
 

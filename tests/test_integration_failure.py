@@ -2,6 +2,7 @@
 
 
 from repro import TigerSystem, small_config
+from repro.core.owner import COVERED, LOST
 from repro.core.protocol import StartRequest
 from repro.workloads.generator import ContinuousWorkload
 
@@ -190,19 +191,23 @@ class TestRebootInsideTheTimeout:
         cub = system.cubs[2]
         dead_disks = set(system.layout.disks_of_cub(1))
         events = []
-        bridge, membership = cub._bridge_state, cub._on_membership
+        owner = cub.owner
+        membership = owner.membership
 
-        def recording_bridge(state):
-            if state.disk_id in dead_disks:
-                events.append(("bridge", cub.deadman.adopts(1)))
-            bridge(state)
-
-        def recording_membership(cub_id, alive):
+        def recording_membership(now, cub_id, alive):
             events.append(("alive" if alive else "dead", cub_id))
-            membership(cub_id, alive)
+            records, disks = membership(now, cub_id, alive)
 
-        cub._bridge_state = recording_bridge
-        cub._on_membership = recording_membership
+            def bridges():
+                # Checked as the cub carries each record out.
+                for verb, state in records:
+                    if verb in (COVERED, LOST) and state.disk_id in dead_disks:
+                        events.append(("bridge", owner.deadman.adopts(1)))
+                    yield verb, state
+
+            return bridges(), disks
+
+        owner.membership = recording_membership
         resurrections = cub.deadman_resurrections.count
         system.fail_cub(1)
         system.run_for(0.5)

@@ -15,7 +15,9 @@ import pytest
 
 from repro import TigerSystem, small_config
 from repro.core.deadman import DeadmanMonitor
-from repro.core.owner import REJECT, ScheduleOwner
+from repro.core.owner import (
+    COVERED, DISCARDED, FINISHED, LOST, REJECT, SERVE, ScheduleOwner,
+)
 from repro.core.placement import make_placement_policy
 from repro.core.protocol import CancelStart, StartRequest
 from repro.core.slots import SlotClock
@@ -24,6 +26,7 @@ from repro.core.viewerstate import (
     DescheduleRequest,
     MirrorViewerState,
     ViewerState,
+    mirror_states_for,
 )
 from repro.faults.monitor import index_incoherence
 from repro.obs.registry import MetricsRegistry
@@ -156,13 +159,21 @@ def test_load_spread_defers_then_takes_rank_zero_past_its_patience():
     assert registry.get_value("placement.deferrals", policy="load-spread") == 2
 
 
-def _silence(owner, dead, now):
-    """Every watched neighbour but ``dead`` beats; the deadman checks."""
+def _adopted(owner, now):
+    """What a death of cub 0 adopts: (the held states it bridges, in
+    arrival order; the disks whose redundant starts it queued)."""
+    records, disks = owner.membership(now, 0, False)
+    return [state for verb, state in records if verb in (COVERED, LOST)
+            and LAYOUT.cub_of_disk(state.disk_id) == 0], disks
+
+
+def _silence(owner, *dead, now):
+    """Every watched neighbour but the ``dead`` beats; the deadman checks."""
     for neighbour in owner.deadman.watched:
-        if neighbour != dead:
+        if neighbour not in dead:
             owner.deadman.note_heartbeat(neighbour, now, 0.0)
     owner.deadman.check(now)
-    assert owner.deadman.believes_failed(dead)
+    assert all(owner.deadman.believes_failed(cub) for cub in dead)
 
 
 def test_a_redundant_start_is_adopted_only_by_the_first_living_successor():
@@ -172,20 +183,20 @@ def test_a_redundant_start_is_adopted_only_by_the_first_living_successor():
         request = _request(7, dead_disk, redundant=True)
         assert owner.start_request(0.0, request) is None  # held, not queued
         assert owner.queued() == 0
-        assert owner.adopt(1.0) == ([], [])  # cub 0 is still alive
+        assert _adopted(owner, 1.0) == ([], [])  # cub 0 is still alive
     later = CONFIG.deadman_timeout + 1.0
-    _silence(successor, 0, later)
-    _silence(second, 0, later)
-    assert successor.adopt(later) == ([], [dead_disk])
+    _silence(successor, 0, now=later)
+    _silence(second, 0, now=later)
+    assert _adopted(successor, later) == ([], [dead_disk])
     assert successor.queued(dead_disk) == 1
     # Cub 1 lives, so cub 2 keeps its copy and queues nothing.
-    assert second.adopt(later) == ([], [])
+    assert _adopted(second, later) == ([], [])
     assert second.queued() == 0
 
 
 def test_a_redundant_start_for_a_dead_target_is_queued_at_once():
     owner = _owner(cub_id=1)
-    _silence(owner, 0, CONFIG.deadman_timeout + 1.0)
+    _silence(owner, 0, now=CONFIG.deadman_timeout + 1.0)
     dead_disk = LAYOUT.disks_of_cub(0)[0]
     assert owner.start_request(8.0, _request(7, dead_disk, redundant=True)) == dead_disk
 
@@ -194,9 +205,11 @@ def test_a_new_state_drops_the_redundant_copy():
     owner = _owner(cub_id=1)
     dead_disk = LAYOUT.disks_of_cub(0)[0]
     owner.start_request(0.0, _request(7, dead_disk, redundant=True))
-    owner.state_admitted(0.5, 7)
-    _silence(owner, 0, CONFIG.deadman_timeout + 1.0)
-    assert owner.adopt(8.0) == ([], [])
+    # Any new state of the play: here its next block, on cub 1's disk.
+    assert owner.receive(0.5, _state(7, 1, LAYOUT.disks_of_cub(1)[0], 1.5)) is SERVE
+    assert owner.redundant_requests == {}
+    _silence(owner, 0, now=CONFIG.deadman_timeout + 1.0)
+    assert _adopted(owner, 8.0) == ([], [])
 
 
 def test_a_cancel_takes_the_start_off_its_queue_and_the_instance_map():
@@ -342,7 +355,7 @@ def test_prune_drops_held_states_due_before_the_horizon_and_the_view_too():
     assert not owner.view.has_tombstone("client:0#9", 9, 9)
 
 
-def test_adopt_returns_in_arrival_order_only_what_this_cub_adopts():
+def test_a_death_adopts_in_arrival_order_only_what_this_cub_adopts():
     owner = _owner(cub_id=1)
     living = LAYOUT.disks_of_cub(2)[0]
     first, kept, second = (
@@ -351,16 +364,19 @@ def test_adopt_returns_in_arrival_order_only_what_this_cub_adopts():
     )
     for state in (first, kept, second):
         owner.hold(state, state.key())
-    assert owner.adopt(1.0) == ([], [])  # cub 0 is still alive
+    assert _adopted(owner, 1.0) == ([], [])  # cub 0 is still alive
     assert len(owner._redundant_states) == 3
 
     later = CONFIG.deadman_timeout + 1.0
-    _silence(owner, 0, later)
-    # Released before they are returned: what the cub holds while it
+    _silence(owner, 0, now=later)
+    # Released before they are bridged: what the cub holds while it
     # bridges them is only what it still holds for the living.
-    assert owner.adopt(later) == ([first, second], [])
+    records, disks = owner.membership(later, 0, False)
     assert list(owner._redundant_states) == [kept.key()]
-    assert owner.adopt(later) == ([], [])
+    assert ([s for verb, s in records if s in (first, second)], disks) == (
+        [first, second], [],
+    )
+    assert _adopted(owner, later) == ([], [])
     assert _coherent(owner) is None
 
 
@@ -400,3 +416,165 @@ def test_a_past_due_mirror_piece_comes_back_missed():
     owner.deschedule(0.0, _stop(3), expiry=30.0)
     assert owner.take_forwards(5.0) == ([], [on_time], [late])
     assert owner.mirror_forward_queue == []
+
+
+# ----------------------------------------------------------------------
+# Where a state goes: served, held, bridged or relayed (§2.3, §4.1.1)
+# ----------------------------------------------------------------------
+NUM_DISKS, BPT = CONFIG.num_disks, CONFIG.block_play_time
+#: Each cub's first disk; the disk after each is on the next cub.
+DISK_OF_CUB = {cub: LAYOUT.disks_of_cub(cub)[0] for cub in range(CONFIG.num_cubs)}
+LATER = CONFIG.deadman_timeout + 1.0
+
+
+def _pieces(state):
+    return mirror_states_for(state, CONFIG.decluster, NUM_DISKS, BPT)
+
+
+def _next(state):
+    return state.advanced(1, NUM_DISKS, BPT)
+
+
+def test_a_state_for_an_own_disk_is_served():
+    owner = _owner(cub_id=0)
+    state = _state(1, 0, DISK_OF_CUB[0], 5.0)
+    assert owner.receive(1.0, state) is SERVE
+    assert not owner._redundant_states
+    assert owner.receive(1.0, state) is None  # a duplicate
+    # Later than any tombstone is held: dropped, and the cub told.
+    late = _state(2, 0, DISK_OF_CUB[0], 1.0 - CONFIG.deschedule_hold - 0.5)
+    assert owner.receive(1.0, late) == [(DISCARDED, late)]
+
+
+def test_a_state_for_a_living_cub_is_held():
+    owner = _owner(cub_id=1)
+    state = _state(1, 0, DISK_OF_CUB[0], 5.0)
+    assert owner.receive(1.0, state) is None
+    assert list(owner._redundant_states.values()) == [state]
+    assert owner.mirror_forward_queue == []
+
+
+def test_a_state_for_a_just_resurrected_cub_is_held_and_relayed():
+    owner = _owner(cub_id=1)
+    _silence(owner, 0, now=LATER)
+    assert owner.deadman.note_heartbeat(0, LATER + 0.5, 0.0) is True
+    state = _state(1, 0, DISK_OF_CUB[0], LATER + 5.0)
+    assert owner.receive(LATER + 1.0, state) == [(0, state)]
+    assert list(owner._redundant_states.values()) == [state]
+    # A timeout after the return, the race is over: held only.
+    calm = _state(2, 0, DISK_OF_CUB[0], LATER + 9.0)
+    assert owner.receive(LATER + 0.5 + CONFIG.deadman_timeout + 0.1, calm) is None
+
+
+def test_an_adopted_chain_is_bridged_across_two_dead_cubs():
+    """Cubs 0 and 1 are dead; cub 2 adopts both.  A held state still
+    due is covered on each dead cub's disk and served on cub 2's; one
+    whose due time has passed loses every past-due hop first."""
+    owner = _owner(cub_id=2)
+    ahead = _state(1, 0, DISK_OF_CUB[0], LATER + 2.0)
+    behind = _state(2, 0, DISK_OF_CUB[0], LATER - 1.5)
+    for state in (ahead, behind):
+        assert owner.receive(1.0, state) is None  # held while cub 0 lives
+    _silence(owner, 0, 1, now=LATER)
+
+    records, disks = owner.membership(LATER, 1, False)
+    ahead1 = _next(ahead)
+    ahead_pieces, bridged_pieces = _pieces(ahead), _pieces(ahead1)
+    behind1 = _next(behind)
+    assert list(records) == [
+        (COVERED, ahead),
+        (LOST, ahead_pieces[0]),    # on cub 1's disk: a second failure
+        (SERVE, ahead_pieces[1]),   # on cub 2's own disk
+        (COVERED, ahead1),          # cub 1's disk: bridged again
+        (SERVE, bridged_pieces[0]),
+        (SERVE, _next(ahead1)),     # the chain reaches cub 2's disk
+        (LOST, behind),
+        (LOST, behind1),
+        (SERVE, _next(behind1)),
+    ]
+    assert disks == []
+    # The piece for living cub 3 hops on with the next pump.
+    assert owner.mirror_forward_queue == [bridged_pieces[1]]
+    assert not owner._redundant_states
+
+
+def test_adopted_chains_are_decided_one_at_a_time():
+    """A chain is decided only once the cub has carried out the one
+    before: the second state's successor is unseen until then."""
+    owner = _owner(cub_id=1)
+    first = _state(1, 0, DISK_OF_CUB[0], LATER + 2.0)
+    second = _state(2, 0, DISK_OF_CUB[0], LATER + 3.0)
+    for state in (first, second):
+        owner.receive(1.0, state)
+    _silence(owner, 0, now=LATER)
+    records, _disks = owner.membership(LATER, 0, False)
+    records = iter(records)
+    assert next(records) == (COVERED, first)
+    assert _next(second).key() not in owner.view._seen
+    assert (SERVE, _next(second)) in list(records)
+
+
+def test_a_chain_reentering_living_territory_is_relayed():
+    """Cub 2's own disk died: mirrors cover the block and the next hop,
+    on living cub 3, is held and handed over — whatever the view made
+    of it, so a second reroute relays it again."""
+    owner = _owner(cub_id=2)
+    state = _state(1, 0, DISK_OF_CUB[2], 5.0)
+    following = _next(state)
+    assert owner.reroute(1.0, state) == [(COVERED, state), (3, following)]
+    assert owner.mirror_forward_queue == list(_pieces(state))
+    assert list(owner._redundant_states.values()) == [following]
+    assert owner.reroute(1.0, state) == [(COVERED, state), (3, following)]
+
+
+def test_the_end_of_a_file_finishes_the_play():
+    owner = _owner(cub_id=1)
+    _silence(owner, 0, now=LATER)
+    last = _state(1, 3, DISK_OF_CUB[0], LATER + 1.0)  # file 0's final block
+    pieces = _pieces(last)
+    assert owner.receive(LATER, last) == [
+        (COVERED, last), (SERVE, pieces[0]), (FINISHED, last),
+    ]
+    assert owner.mirror_forward_queue == [pieces[1]]
+
+
+def test_a_piece_is_served_held_on_or_lost_by_its_holders_fate():
+    owner = _owner(cub_id=1)
+    _silence(owner, 0, now=LATER)
+
+    def piece(instance, disk_id):
+        return MirrorViewerState(
+            f"client:0#{instance}", instance, instance, file_id=0,
+            block_index=0, piece=0, decluster=2, disk_id=disk_id,
+            due_time=LATER + 2.0, play_seqno=0,
+        )
+
+    own, onward = piece(1, DISK_OF_CUB[1]), piece(2, DISK_OF_CUB[2])
+    dead = piece(3, DISK_OF_CUB[0])
+    assert owner.receive_piece(LATER, own) is SERVE
+    assert owner.receive_piece(LATER, onward) is None
+    assert owner.receive_piece(LATER, dead) is LOST
+    assert owner.receive_piece(LATER, dead) is None  # a duplicate
+    assert owner.mirror_forward_queue == [onward]
+
+
+def test_a_death_returns_the_adopted_chains_and_the_disks_to_scan():
+    owner = _owner(cub_id=1)
+    dead_disk = DISK_OF_CUB[0]
+    held = _state(1, 0, dead_disk, LATER + 2.0)
+    owner.receive(1.0, held)
+    owner.start_request(1.0, _request(7, dead_disk, redundant=True))
+    records, disks = owner.membership(1.0, 0, True)  # a return: nothing
+    assert (list(records), disks) == ([], [])
+
+    _silence(owner, 0, now=LATER)
+    records, disks = owner.membership(LATER, 0, False)
+    assert disks == [dead_disk]
+    assert owner.queued(dead_disk) == 1
+    pieces = _pieces(held)
+    assert list(records) == [
+        (COVERED, held), (SERVE, pieces[0]), (SERVE, _next(held)),
+    ]
+    # Adopted once: a second verdict finds nothing left.
+    records, disks = owner.membership(LATER, 0, False)
+    assert (list(records), disks) == ([], [])

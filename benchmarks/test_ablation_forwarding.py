@@ -30,9 +30,7 @@ STREAMS = 300
 
 
 def run_drill(forward_copies: int):
-    system = TigerSystem(
-        paper_config(), seed=700, strict=False, forward_copies=forward_copies
-    )
+    system = TigerSystem(paper_config(), seed=700, forward_copies=forward_copies)
     system.add_standard_content(num_files=32, duration_s=300)
     workload = ContinuousWorkload(system)
     for _ in range(5):

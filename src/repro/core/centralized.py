@@ -173,7 +173,7 @@ class CentralizedController(NetworkNode):
             candidates, patience=self.config.block_play_time
         )
         slot, first_due = chosen.slot, chosen.visit
-        self.schedule.insert(slot, viewer_id, instance, file_id, 0, self.sim.now)
+        self.schedule.insert(slot, viewer_id, instance, self.sim.now)
         self._active[instance] = True
         self._issue(viewer_id, instance, file_id, slot, 0, first_disk, first_due)
         return True

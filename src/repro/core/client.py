@@ -500,13 +500,6 @@ class ViewerClient(NetworkNode):
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def active_stream_count(self) -> int:
-        return sum(
-            1
-            for monitor in self.streams.values()
-            if not monitor.finished and not monitor.stopped
-        )
-
     def all_monitors(self) -> List[StreamMonitor]:
         return list(self.streams.values())
 

@@ -17,10 +17,9 @@ The :class:`ScheduleOwner` decides where every state, piece and chain
 goes and what a deadman verdict adopts; the cub carries its records
 out — service, sends, counters and traces.
 
-A cub never consults the global schedule; when a :class:`GlobalSchedule`
-oracle is attached (tests, metrics) the cub *reports* its commits to it,
-and the oracle raises if the distributed protocol ever violates the
-hallucination's invariants.
+A cub never consults the global schedule, and never books one: a
+commit or an end is a message to the controller, and the DES's slot
+audit reads those off the fabric.
 
 Nothing else lives here.  The optional tiers (online restriping, helper
 fills) keep the cub-side half of their protocols in their own modules
@@ -48,10 +47,9 @@ from repro.core.protocol import (
     cub_address,
 )
 from repro.core.owner import (
-    COVERED, DISCARDED, FINISHED, LOST, REJECT, SERVE, Record, ScheduleOwner,
+    COVERED, FINISHED, LOST, REJECT, SERVE, Record, ScheduleOwner,
 )
 from repro.core.placement import make_placement_policy
-from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
 from repro.core.view import ScheduleView
 from repro.core.viewerstate import MirrorViewerState, ViewerState
@@ -111,9 +109,7 @@ class Cub(NetworkNode):
         network: SwitchedNetwork,
         rngs: RngRegistry,
         block_index: BlockIndex,
-        oracle: Optional[GlobalSchedule] = None,
         tracer: Optional[Tracer] = None,
-        strict: bool = True,
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -125,10 +121,6 @@ class Cub(NetworkNode):
         self.clock = clock
         self.network = network
         self.block_index = block_index
-        self.oracle = oracle
-        #: Raise on protocol violations (tests); False counts them
-        #: instead (used by the forwarding ablation).
-        self.strict = strict
         #: Number of successors each record is forwarded to; the paper
         #: uses 2 ("successor and second successor"), the ablation 1.
         self.forward_copies = forward_copies
@@ -209,10 +201,6 @@ class Cub(NetworkNode):
             "cub.pieces_lost_to_second_failure",
             help="Mirror pieces unrecoverable after a second failure",
             unit="pieces", cub=cub_id)
-        self.insert_conflicts = metric(
-            "cub.insert_conflicts",
-            help="Double-booked insertions (non-strict ablation mode only)",
-            unit="inserts", cub=cub_id)
         self.viewer_states_forwarded = metric(
             "cub.viewer_states_forwarded",
             help="Viewer-state records forwarded to ring successors",
@@ -386,11 +374,6 @@ class Cub(NetworkNode):
                     self.pieces_lost_to_second_failure.increment()
             elif verb is FINISHED:
                 self._finish_play(state)
-            elif verb is DISCARDED:
-                # Keep the oracle truthful about the spontaneous
-                # deschedule.
-                if self.oracle is not None:
-                    self.oracle.remove(state.slot, state.viewer_id, state.instance)
             else:  # a relay: ``verb`` is the cub the state goes to
                 self.trace("failover.relay", f"relaying state to resurrected cub {verb}",
                            viewer=state.viewer_id, seqno=state.play_seqno)
@@ -751,8 +734,6 @@ class Cub(NetworkNode):
             self.sim.now, request, max(expiry, self._latest_service_deadline)
         ):
             return  # duplicate — idempotent
-        if self.oracle is not None:
-            self.oracle.remove(request.slot, request.viewer_id, request.instance)
         if self.tracer.enabled:
             self.trace(
                 "deschedule",
@@ -851,27 +832,9 @@ class Cub(NetworkNode):
         self._arm_scan(disk_id)
 
     def _insert_viewer(self, state: ViewerState) -> None:
-        """Carry out an insert the owner decided: commit it to the
-        oracle, the view and the disk, then tell the controller."""
+        """Carry out an insert the owner decided: admit it to the view,
+        commit it, then serve its first block and push its state on."""
         viewer_id, slot, disk_id = state.viewer_id, state.slot, state.disk_id
-        if self.oracle is not None:
-            try:
-                self.oracle.insert(
-                    slot,
-                    viewer_id,
-                    state.instance,
-                    state.file_id,
-                    state.block_index,
-                    self.sim.now,
-                )
-            except SlotConflictError:
-                if self.strict:
-                    raise
-                # Ablation mode: record the double-booking the paper's
-                # ownership protocol exists to prevent, and drop the
-                # insert (one of the viewers loses service).
-                self.insert_conflicts.increment()
-                return
         self.view.admit(state, self.sim.now)
         self.inserts_performed.increment()
         self.trace(
@@ -881,6 +844,12 @@ class Cub(NetworkNode):
             slot=slot,
             disk=disk_id,
             due=state.due_time,
+        )
+        # Commit: the insertion joins the hallucination once another
+        # machine knows about it (§4.3).  Told before the first block is
+        # dispatched, so a play that ends inside it ends after its commit.
+        self._tell_controllers(
+            StartCommitted(viewer_id, state.instance, slot, state.due_time)
         )
 
         owner_cub = self.layout.cub_of_disk(disk_id)
@@ -892,13 +861,6 @@ class Cub(NetworkNode):
             # Covering insertion for a dead predecessor's disk: the
             # first block goes out via mirrors, the chain continues here.
             self._carry_out(self.owner.reroute(self.sim.now, state))
-
-        # Commit: the insertion joins the hallucination once another
-        # machine knows about it (§4.3) — tell the controller and
-        # immediately push the viewer state to the successors.
-        self._tell_controllers(
-            StartCommitted(viewer_id, state.instance, slot, state.due_time)
-        )
         self._pump_forward()
 
     # ==================================================================
@@ -906,8 +868,6 @@ class Cub(NetworkNode):
     # ==================================================================
     def _finish_play(self, last_state: ViewerState) -> None:
         """The final block was handled; retire the slot."""
-        if self.oracle is not None:
-            self.oracle.remove_unconditional(last_state.slot)
         self._tell_controllers(
             PlayEnded(last_state.viewer_id, last_state.instance, last_state.slot)
         )

@@ -19,7 +19,7 @@ from repro.core.deadman import DeadmanMonitor
 from repro.core.placement import PlacementPolicy, SlotCandidate, neighbor_offsets
 from repro.core.protocol import StartRequest
 from repro.core.slots import SlotClock
-from repro.core.view import ADMIT_NEW, ADMIT_TOO_LATE, ExpiryIndex, ScheduleView
+from repro.core.view import ADMIT_NEW, ExpiryIndex, ScheduleView
 from repro.core.viewerstate import (
     DescheduleRequest, MirrorViewerState, ViewerState, make_initial_state,
     mirror_states_for,
@@ -38,7 +38,6 @@ SERVE = "serve"          # the block or piece goes out from a local disk
 COVERED = "covered"      # the pieces that follow stand in for the block
 LOST = "lost"            # nobody can send this block or piece any more
 FINISHED = "finished"    # the play has ended: retire its slot
-DISCARDED = "discarded"  # too late to keep (§4.1.2): the viewer is descheduled
 Record = Tuple[Union[str, int], Union[ViewerState, MirrorViewerState]]
 
 
@@ -134,16 +133,16 @@ class ScheduleOwner:
 
     def receive(self, now: float, state: ViewerState) -> Union[str, List[Record], None]:
         """A viewer state arrived (§4.1.1): None when it is held or
-        dropped, :data:`SERVE` when a disk of this cub serves it (nearly
-        every state's fate; neither allocates), or the records of its
-        bridge, relay or discard."""
+        dropped (a duplicate, descheduled, or too late to keep), :data:`SERVE`
+        when a disk of this cub serves it (nearly every state's fate;
+        neither allocates), or the records of its bridge or relay."""
         # The state's key is made here, once per visit, and handed to
         # whichever of the view and the held-state store this visit
         # reaches.
         key = state.key()
         disposition = self.view.admit(state, now, key)
         if disposition != ADMIT_NEW:
-            return [(DISCARDED, state)] if disposition == ADMIT_TOO_LATE else None
+            return None
         if self.redundant_requests:
             # A new state proves its primary target scheduled the play:
             # drop the redundant copy of its start.

@@ -4,8 +4,9 @@ In a running distributed Tiger no machine holds this object; each cub
 has only a bounded view.  We implement it anyway, for two purposes the
 paper's methodology implies but cannot execute:
 
-* as the **coherence oracle** for tests: the distributed implementation
-  must never take an action (insert, send, deschedule) that would be
+* as the **coherence oracle** for tests: :class:`SlotAudit` books the
+  schedule from outside the cubs, off the messages they send, and the
+  distributed implementation must never commit an insert that would be
   illegal against the single global schedule, and
 * as the working data structure of the **centralized baseline**
   (§3.3), which really does keep the whole schedule on the controller.
@@ -20,6 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.protocol import (
+    CONTROLLER_ADDRESS, DescheduleForward, PlayEnded, StartCommitted,
+)
+from repro.net.message import Message
+
 
 class SlotConflictError(RuntimeError):
     """An insert targeted a slot that already holds a viewer."""
@@ -31,8 +37,6 @@ class SlotEntry:
 
     viewer_id: str
     instance: int
-    file_id: int
-    first_block: int
     inserted_at: float
 
 
@@ -78,15 +82,7 @@ class GlobalSchedule:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        slot: int,
-        viewer_id: str,
-        instance: int,
-        file_id: int,
-        first_block: int,
-        now: float,
-    ) -> SlotEntry:
+    def insert(self, slot: int, viewer_id: str, instance: int, now: float) -> SlotEntry:
         """Place a viewer into a free slot; conflict is an error.
 
         In the distributed system a conflict here means the ownership
@@ -99,7 +95,7 @@ class GlobalSchedule:
                 f"slot {slot} already holds {existing.viewer_id}#{existing.instance}; "
                 f"refused insert of {viewer_id}#{instance}"
             )
-        entry = SlotEntry(viewer_id, instance, file_id, first_block, now)
+        entry = SlotEntry(viewer_id, instance, now)
         self._slots[slot] = entry
         self.inserts += 1
         return entry
@@ -144,5 +140,54 @@ class GlobalSchedule:
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
 
-    def __len__(self) -> int:
-        return len(self._slots)
+
+class SlotAudit(GlobalSchedule):
+    """The global schedule booked from the fabric, never by a cub.
+
+    An insert joins the hallucination "when a message to that effect
+    makes it to at least one other machine" (§4.3): the audit books it
+    when a cub *sends* ``StartCommitted`` to the controller — before any
+    drop, so a lost message does not hide it — and ignores the backup's
+    copy.  A play leaves when its cub sends ``PlayEnded``, or when its
+    deschedule is delivered to a living cub (where the first cub applies
+    it).  Both removals are conditional on the occupant.
+
+    A conflicting commit raises :class:`SlotConflictError` when
+    ``strict``; otherwise ``cub.insert_conflicts`` counts it for the
+    committer, the slot keeps its first occupant and the protocol runs on.
+    """
+
+    def __init__(self, num_slots: int, network, registry, strict: bool = True) -> None:
+        super().__init__(num_slots)
+        self.strict = strict
+        self._network = network
+        self._registry = registry
+        network.add_send_hook(StartCommitted, self._on_commit)
+        network.add_send_hook(PlayEnded, self._on_end)
+        network.add_delivery_hook(DescheduleForward, self._on_deschedule)
+
+    def _on_commit(self, message: Message, now: float) -> None:
+        if message.dst != CONTROLLER_ADDRESS:
+            return
+        committed = message.payload
+        try:
+            self.insert(committed.slot, committed.viewer_id, committed.instance, now)
+        except SlotConflictError:
+            if self.strict:
+                raise
+            self._registry.counter(
+                "cub.insert_conflicts",
+                help="Commits into a booked slot, counted by the slot audit",
+                unit="inserts",
+                cub=int(message.src.rpartition(":")[2]),
+            ).increment()
+
+    def _on_end(self, message: Message, _now: float) -> None:
+        if message.dst == CONTROLLER_ADDRESS:
+            ended = message.payload
+            self.remove(ended.slot, ended.viewer_id, ended.instance)
+
+    def _on_deschedule(self, message: Message, _now: float) -> None:
+        if not self._network.node(message.dst).failed:
+            request = message.payload.request
+            self.remove(request.slot, request.viewer_id, request.instance)

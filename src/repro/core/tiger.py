@@ -21,7 +21,7 @@ from repro.core.client import ViewerClient
 from repro.core.cub import Cub
 from repro.core.failover import BackupController
 from repro.core.metrics import MetricsCollector
-from repro.core.schedule import GlobalSchedule
+from repro.core.schedule import SlotAudit
 from repro.core.protocol import HelperInvalidate
 from repro.core.viewerstate import reset_instance_ids
 from repro.core.world import World
@@ -76,13 +76,13 @@ class TigerSystem(World):
         )
         #: The runtime under the name DES code has always used.
         self.sim = sim
-        #: The hallucination made checkable: cubs report commits here and
-        #: the oracle raises on any violation of the global invariants.
-        self.oracle = GlobalSchedule(config.num_slots)
+        #: The hallucination made checkable, booked off the fabric from
+        #: what the cubs announce; ``strict`` makes a conflict raise.
+        self.oracle = SlotAudit(config.num_slots, self.network, self.registry, strict)
 
         self.cubs: List[Cub] = []
         for cub_id in range(config.num_cubs):
-            cub = self.make_cub(cub_id, self.oracle, strict, forward_copies)
+            cub = self.make_cub(cub_id, forward_copies)
             self.network.register(cub, config.cub_nic_bps)
             self.cubs.append(cub)
 

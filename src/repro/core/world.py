@@ -150,13 +150,7 @@ class World:
     # ------------------------------------------------------------------
     # Protocol nodes
     # ------------------------------------------------------------------
-    def make_cub(
-        self,
-        cub_id: int,
-        oracle: Any = None,
-        strict: bool = True,
-        forward_copies: int = 2,
-    ) -> Cub:
+    def make_cub(self, cub_id: int, forward_copies: int = 2) -> Cub:
         from repro.core.cub import Cub
         from repro.helpers.node import HelperFetchService
         from repro.storage.rebalance import CubRestripeService
@@ -171,9 +165,7 @@ class World:
             network=self.network,
             rngs=self.rngs,
             block_index=self.indexes[cub_id],
-            oracle=oracle,
             tracer=self.tracer,
-            strict=strict,
             forward_copies=forward_copies,
             registry=self.registry,
         )

@@ -424,9 +424,6 @@ class HelperNode(NetworkNode):
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def active_stream_count(self) -> int:
-        return sum(1 for s in self._streams.values() if not s.cancelled)
-
     def cached_blocks(self) -> int:
         return len(self.policy)
 

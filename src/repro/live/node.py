@@ -136,10 +136,9 @@ def build_component(
     if role == ROLE_CUB:
         from repro.faults.monitor import InvariantMonitor
 
-        # The oracle needs global state a live node does not have.
-        # Without one, the slot-conflict check in Cub._insert_viewer
-        # never runs, so a live double-book is not counted at all.
-        cub = world.make_cub(int(spec["node_id"]), oracle=None)
+        # No slot audit: it books the schedule off the DES fabric, so a
+        # live double-book is not counted at all.
+        cub = world.make_cub(int(spec["node_id"]))
         if spec.get("backup_enabled"):
             cub.controller_addresses = (
                 CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS

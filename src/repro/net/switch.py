@@ -16,7 +16,7 @@ allow link-level drops for fault-injection tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.message import KIND_CONTROL, KIND_DATA, Message
 from repro.net.nic import Nic
@@ -28,6 +28,9 @@ from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Minimum spacing enforced between ordered deliveries on one flow.
 _FIFO_EPSILON = 1e-9
+
+#: A send or delivery observer: ``hook(message, now)``.
+Hook = Callable[[Message, float], None]
 
 
 class SwitchedNetwork:
@@ -57,7 +60,10 @@ class SwitchedNetwork:
         self._last_arrival: Dict[Tuple[str, str], float] = {}
         self._partitioned: Set[Tuple[str, str]] = set()
         self._isolated: Set[str] = set()
-        self._delivery_hooks: list = []
+        #: Payload type -> observers of its sends and of its deliveries;
+        #: a message costs one dict lookup whatever is hooked.
+        self._send_hooks: Dict[type, List[Hook]] = {}
+        self._delivery_hooks: Dict[type, List[Hook]] = {}
         #: Optional in-fabric fault stage (see repro.faults.injectors):
         #: an object with ``perturb(message, now, arrival) -> [times]``.
         #: Returning no times drops the message; several duplicate it;
@@ -180,9 +186,16 @@ class SwitchedNetwork:
             )
         return True
 
-    def add_delivery_hook(self, hook: Callable[[Message, float], None]) -> None:
-        """Observe every successful delivery (message, arrival_time)."""
-        self._delivery_hooks.append(hook)
+    def add_send_hook(self, payload_type: type, hook: Hook) -> None:
+        """Observe each :meth:`send` of a ``payload_type`` payload
+        (message, send time), before any drop: what a node said, lost or
+        not.  Paced data (:meth:`send_paced`) is not observed."""
+        self._send_hooks.setdefault(payload_type, []).append(hook)
+
+    def add_delivery_hook(self, payload_type: type, hook: Hook) -> None:
+        """Observe each delivery of a ``payload_type`` payload (message,
+        arrival time), also to a failed node."""
+        self._delivery_hooks.setdefault(payload_type, []).append(hook)
 
     # ------------------------------------------------------------------
     # Sending
@@ -208,6 +221,8 @@ class SwitchedNetwork:
             raise KeyError(f"unknown destination address {dst!r}")
         src_node, nic, control_meter, data_meter = endpoint
         self.messages_sent += 1
+        for hook in self._send_hooks.get(type(message.payload), ()):
+            hook(message, self.sim.now)
         if src_node.failed or (
             (self._partitioned or self._isolated)
             and self._link_blocked(src, dst)
@@ -305,10 +320,9 @@ class SwitchedNetwork:
                 size=message.size_bytes,
                 node=message.dst,
             )
-        if self._delivery_hooks:
-            now = self.sim.now
-            for hook in self._delivery_hooks:
-                hook(message, now)
+        if type(message.payload) in self._delivery_hooks:
+            for hook in self._delivery_hooks[type(message.payload)]:
+                hook(message, self.sim.now)
         if not node.failed:
             node.handle_message(message)
 

@@ -36,6 +36,10 @@ kernel writes the simulator's clock.
 And it keeps one command line: one verb per drill, and one parser per
 executable (``repro`` and a live node).
 
+And it keeps the judge out of the cub: ``core/cub.py`` and
+``core/owner.py`` name no oracle, strict mode or slot audit, and
+``World.make_cub`` takes neither.
+
 And it keeps the optional tiers declared once: the helper tier's shape
 is ``TigerConfig``'s, read where it is used and threaded through no
 signature, and the restripe's cross-cub copy path and the multi-hub
@@ -43,6 +47,7 @@ listener knob stay deleted.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -199,6 +204,29 @@ def test_the_cub_names_no_optional_tier():
         module.startswith(("repro.helpers", "repro.storage.rebalance"))
         for module in imported
     )
+
+
+#: The judge's names: the slot audit books the schedule off the fabric,
+#: so the cub and its owner neither keep its books nor know it exists.
+JUDGE_NAMES = (
+    "oracle", "strict", "GlobalSchedule", "SlotAudit", "SlotConflictError",
+    "DISCARDED",
+)
+
+
+def test_the_cub_and_its_owner_know_no_judge():
+    for relative in ("core/cub.py", "core/owner.py"):
+        text = (SRC / relative).read_text(encoding="utf-8")
+        named = re.findall(rf"\b({'|'.join(JUDGE_NAMES)})\b", text)
+        assert not named, (relative, sorted(set(named)))
+    world = ast.parse((SRC / "core/world.py").read_text(encoding="utf-8"))
+    (make_cub,) = [
+        node for node in ast.walk(world)
+        if isinstance(node, ast.FunctionDef) and node.name == "make_cub"
+    ]
+    assert {arg.arg for arg in make_cub.args.args} == {
+        "self", "cub_id", "forward_copies",
+    }
 
 
 def test_the_cub_has_one_dispatch_path():

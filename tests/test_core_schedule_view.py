@@ -1,8 +1,12 @@
-"""Tests for the global schedule oracle and the per-cub view (§3, §4.1)."""
+"""Tests for the global schedule, its slot audit and the per-cub view (§3, §4.1)."""
 
 import pytest
 
-from repro.core.schedule import GlobalSchedule, SlotConflictError
+from repro.core.protocol import (
+    BACKUP_CONTROLLER_ADDRESS, CONTROLLER_ADDRESS, DescheduleForward, PlayEnded,
+    StartCommitted,
+)
+from repro.core.schedule import GlobalSchedule, SlotAudit, SlotConflictError
 from repro.core.view import (
     ADMIT_DESCHEDULED,
     ADMIT_DUPLICATE,
@@ -11,6 +15,10 @@ from repro.core.view import (
     ScheduleView,
 )
 from repro.core.viewerstate import DescheduleRequest, ViewerState, mirror_states_for
+from repro.net.message import Message
+from repro.net.node import NetworkNode
+from repro.net.switch import SwitchedNetwork
+from repro.obs.registry import MetricsRegistry
 
 
 def make_state(**overrides):
@@ -31,20 +39,20 @@ def make_state(**overrides):
 class TestGlobalSchedule:
     def test_insert_then_occupied(self):
         schedule = GlobalSchedule(10)
-        schedule.insert(3, "v", 1, 0, 0, 0.0)
+        schedule.insert(3, "v", 1, 0.0)
         assert not schedule.is_free(3)
         assert schedule.occupant(3).viewer_id == "v"
 
     def test_double_insert_conflicts(self):
         """The invariant the ownership protocol must uphold."""
         schedule = GlobalSchedule(10)
-        schedule.insert(3, "v", 1, 0, 0, 0.0)
+        schedule.insert(3, "v", 1, 0.0)
         with pytest.raises(SlotConflictError):
-            schedule.insert(3, "w", 2, 0, 0, 0.0)
+            schedule.insert(3, "w", 2, 0.0)
 
     def test_conditional_remove_semantics(self):
         schedule = GlobalSchedule(10)
-        schedule.insert(3, "v", 1, 0, 0, 0.0)
+        schedule.insert(3, "v", 1, 0.0)
         assert schedule.remove(3, "v", 2) is False  # wrong instance
         assert schedule.remove(3, "w", 1) is False  # wrong viewer
         assert not schedule.is_free(3)
@@ -53,21 +61,21 @@ class TestGlobalSchedule:
 
     def test_remove_is_idempotent(self):
         schedule = GlobalSchedule(10)
-        schedule.insert(3, "v", 1, 0, 0, 0.0)
+        schedule.insert(3, "v", 1, 0.0)
         assert schedule.remove(3, "v", 1) is True
         assert schedule.remove(3, "v", 1) is False
 
     def test_remove_unconditional(self):
         schedule = GlobalSchedule(10)
-        schedule.insert(3, "v", 1, 0, 0, 0.0)
+        schedule.insert(3, "v", 1, 0.0)
         entry = schedule.remove_unconditional(3)
         assert entry.viewer_id == "v"
         assert schedule.remove_unconditional(3) is None
 
     def test_load_and_free_slots(self):
         schedule = GlobalSchedule(4)
-        schedule.insert(0, "a", 1, 0, 0, 0.0)
-        schedule.insert(2, "b", 2, 0, 0, 0.0)
+        schedule.insert(0, "a", 1, 0.0)
+        schedule.insert(2, "b", 2, 0.0)
         assert schedule.load == pytest.approx(0.5)
         assert schedule.free_slots() == (1, 3)
         assert schedule.occupied_slots() == (0, 2)
@@ -75,14 +83,77 @@ class TestGlobalSchedule:
     def test_out_of_range_slot_rejected(self):
         schedule = GlobalSchedule(4)
         with pytest.raises(ValueError):
-            schedule.insert(4, "v", 1, 0, 0, 0.0)
+            schedule.insert(4, "v", 1, 0.0)
         with pytest.raises(ValueError):
             schedule.is_free(-1)
 
     def test_consistency_check_passes(self):
         schedule = GlobalSchedule(4)
-        schedule.insert(0, "a", 1, 0, 0, 0.0)
+        schedule.insert(0, "a", 1, 0.0)
         schedule.assert_consistent()
+
+
+class _Machine(NetworkNode):
+    def handle_message(self, message):
+        pass
+
+
+class TestSlotAudit:
+    """The schedule booked off the fabric: commits as a cub sends them,
+    ends and deschedules conditional on the slot's occupant."""
+
+    @pytest.fixture
+    def fabric(self, sim, rngs):
+        network = SwitchedNetwork(sim, rngs)
+        for address in (CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS, "cub:0", "cub:1"):
+            network.register(_Machine(sim, address), 100e6)
+        registry = MetricsRegistry()
+        return sim, network, registry, SlotAudit(8, network, registry, strict=False)
+
+    @staticmethod
+    def tell(network, payload, src="cub:0", dst=CONTROLLER_ADDRESS):
+        return network.send(Message(src, dst, payload, 64))
+
+    def test_a_commit_is_booked_when_sent_and_the_backup_copy_ignored(self, fabric):
+        sim, network, _registry, audit = fabric
+        network.partition("cub:0", CONTROLLER_ADDRESS)
+        assert self.tell(network, StartCommitted("v", 1, 3, 1.0)) is False
+        self.tell(network, StartCommitted("v", 1, 3, 1.0), dst=BACKUP_CONTROLLER_ADDRESS)
+        sim.run()
+        assert audit.occupant(3).instance == 1
+        assert audit.inserts == 1
+
+    def test_an_end_removes_only_its_own_play(self, fabric):
+        sim, network, _registry, audit = fabric
+        self.tell(network, StartCommitted("v", 1, 3, 1.0))
+        self.tell(network, PlayEnded("w", 2, 3))  # a play ending twice
+        assert audit.occupant(3).instance == 1
+        self.tell(network, PlayEnded("v", 1, 3))
+        assert audit.is_free(3)
+        assert audit.removes == 1
+
+    def test_a_deschedule_removes_where_a_living_cub_applies_it(self, fabric):
+        sim, network, _registry, audit = fabric
+        self.tell(network, StartCommitted("v", 1, 3, 1.0))
+        stop = DescheduleForward(DescheduleRequest("v", 1, 3, 0.0))
+        network.node("cub:1").fail()
+        self.tell(network, stop, src=CONTROLLER_ADDRESS, dst="cub:1")
+        sim.run()
+        assert audit.occupant(3).instance == 1
+        self.tell(network, stop, src=CONTROLLER_ADDRESS, dst="cub:0")
+        assert audit.occupant(3).instance == 1  # not yet delivered
+        sim.run()
+        assert audit.is_free(3)
+
+    def test_a_conflict_is_counted_for_its_committer_and_raises_when_strict(self, fabric):
+        sim, network, registry, audit = fabric
+        self.tell(network, StartCommitted("v", 1, 3, 1.0))
+        self.tell(network, StartCommitted("w", 2, 3, 1.0), src="cub:1")
+        assert audit.occupant(3).instance == 1
+        assert registry.get_value("cub.insert_conflicts", cub=1) == 1
+        audit.strict = True
+        with pytest.raises(SlotConflictError):
+            self.tell(network, StartCommitted("x", 3, 3, 1.0))
 
 
 class TestViewAdmission:

@@ -24,6 +24,7 @@ from repro.core.viewerstate import (
     ViewerState,
 )
 from repro.faults.monitor import index_incoherence
+from repro.obs.registry import snapshot_total
 
 
 class FullScanOwner(ScheduleOwner):
@@ -169,7 +170,7 @@ def _small_system(seed, strict=True):
 def test_indexed_cub_holds_what_a_full_scan_holds_in_the_same_order(seed):
     # Not strict: a start inserted inside a crash's detection window can
     # double-book a slot, on this code and on a full scan alike; the
-    # oracle then counts the conflict where a strict one would raise.
+    # slot audit then counts the conflict where a strict one would raise.
     held, totals = _churn_under_faults(
         _small_system(seed, strict=False), seed, indexed=True
     )
@@ -200,11 +201,27 @@ def test_indexed_cub_holds_what_a_full_scan_holds_in_the_same_order(seed):
     )) for seed in (1, 3, 4)),
 ])
 def test_a_single_failure_never_double_books_a_slot(seed):
-    """The paper's claim under the strict oracle: one cub down at a time
+    """The paper's claim under the strict slot audit: one cub down at a time
     and no slot ever holds two viewers.  It holds for seed 2; seeds 1,
     3 and 4 still fail, strict, so the fix for what remains has to flip
     them."""
     _churn_under_faults(_small_system(seed, strict=True), seed)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_a_counted_conflict_leaves_no_play_unstarted(seed):
+    """Not strict, the slot audit counts a double-book and the protocol
+    runs on: the conflicting insert is served, not dropped, so every
+    play the script did not stop has started."""
+    system = _small_system(seed, strict=False)
+    _history, snapshot = _churn_under_faults(system, seed)
+    assert snapshot_total(snapshot, "cub.insert_conflicts") >= 1
+    assert not [
+        monitor.viewer_id
+        for client in system.clients
+        for monitor in client.all_monitors()
+        if monitor.startup_latency is None and not monitor.stopped
+    ]
 
 
 def _state(instance, seqno, slot, disk_id, due_time):

@@ -11,6 +11,7 @@ assertion.
 import pytest
 
 from repro import TigerSystem, small_config
+from repro.core.protocol import BlockData
 from repro.sim.rng import RngRegistry
 
 
@@ -107,10 +108,9 @@ def test_no_duplicate_block_delivery_under_double_forwarding():
     system.add_standard_content(num_files=4, duration_s=60)
     client = system.add_client()
     seen = []
-    hook = lambda message, when: seen.append(
+    system.network.add_delivery_hook(BlockData, lambda message, when: seen.append(
         (message.payload.instance, message.payload.play_seqno, message.payload.piece)
-    ) if message.kind == "data" else None
-    system.network.add_delivery_hook(hook)
+    ))
     for index in range(8):
         client.start_stream(file_id=index % 4)
     system.run_for(30.0)

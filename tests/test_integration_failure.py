@@ -3,7 +3,7 @@
 
 from repro import TigerSystem, small_config
 from repro.core.owner import COVERED, LOST
-from repro.core.protocol import StartRequest
+from repro.core.protocol import CONTROLLER_ADDRESS, PlayEnded, StartCommitted, StartRequest
 from repro.workloads.generator import ContinuousWorkload
 
 
@@ -120,6 +120,37 @@ class TestCubFailure:
         system.run_for(25.0)
         monitor = client.streams[instance]
         assert monitor.blocks_received > 5
+
+    def test_a_covering_insert_commits_before_its_play_ends(self):
+        """A one-block play inserted on a dead cub's disk is served by
+        mirrors and ends inside its own insert: the controller must hear
+        the commit first, or the slot audit books a play already over."""
+        system = TigerSystem(small_config(), seed=21)
+        system.add_standard_content(num_files=6, duration_s=240)
+        client = system.add_client()
+        system.run_for(10.0)
+        system.fail_cub(1)
+        system.run_for(10.0)  # detection
+        told = []
+        send = system.network.send
+
+        def record(message):
+            if message.dst == CONTROLLER_ADDRESS:
+                told.append(type(message.payload))
+            return send(message)
+
+        system.network.send = record
+        entry = next(
+            entry for entry in system.catalog.files()
+            if system.layout.cub_of_block(entry.start_disk, entry.num_blocks - 1) == 1
+        )
+        instance = client.start_stream(entry.file_id, first_block=entry.num_blocks - 1)
+        system.run_for(10.0)
+        assert client.streams[instance].finished
+        assert [kind for kind in told if kind in (StartCommitted, PlayEnded)] == [
+            StartCommitted, PlayEnded,
+        ]
+        assert system.oracle.num_occupied == 0
 
     def test_recovered_cub_rejoins(self):
         system, client = build_loaded()

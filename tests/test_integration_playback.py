@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TigerSystem, small_config
+from repro.core.protocol import BlockData
 
 
 class TestSingleStream:
@@ -49,8 +50,9 @@ class TestSingleStream:
     def test_blocks_come_from_consecutive_cubs(self, small_system):
         """The lockstep striping property, observed at the wire."""
         sources = []
-        hook = lambda message, when: sources.append(message.src) if message.kind == "data" else None
-        small_system.network.add_delivery_hook(hook)
+        small_system.network.add_delivery_hook(
+            BlockData, lambda message, when: sources.append(message.src)
+        )
         client = small_system.add_client()
         client.start_stream(file_id=0)
         small_system.run_for(12.0)

@@ -156,10 +156,25 @@ class TestDelivery:
     def test_delivery_hook_fires(self, sim, net_pair):
         network, a, b = net_pair
         seen = []
-        network.add_delivery_hook(lambda message, when: seen.append(message.payload))
+        network.add_delivery_hook(str, lambda message, when: seen.append(message.payload))
         network.send(Message("a", "b", "x", 10))
+        network.send(Message("a", "b", 7, 10))
         sim.run()
         assert seen == ["x"]
+
+    def test_send_hook_sees_a_send_the_fabric_drops(self, sim, net_pair):
+        network, a, b = net_pair
+        sent, delivered = [], []
+        network.add_send_hook(str, lambda message, when: sent.append((message.payload, when)))
+        network.add_delivery_hook(str, lambda message, when: delivered.append(message.payload))
+        network.partition("a", "b")
+        assert network.send(Message("a", "b", "lost", 10)) is False
+        network.heal("a", "b")
+        network.send(Message("a", "b", "kept", 10))
+        network.send(Message("a", "b", 7, 10))
+        sim.run()
+        assert sent == [("lost", 0.0), ("kept", 0.0)]
+        assert delivered == ["kept"]
 
 
 class TestFailureSemantics:
@@ -226,13 +241,12 @@ class TestFailureSemantics:
         heard = dict(victim.deadman._last_heard)
         delivered = []
         system.network.add_delivery_hook(
-            lambda message, _when: delivered.append(message)
+            Heartbeat, lambda message, _when: delivered.append(message)
         )
         before = system.network.messages_delivered
         system.run_for(2.0)
-        to_victim = [m for m in delivered if m.dst == victim.address]
-        assert to_victim
-        assert all(type(m.payload) is Heartbeat for m in to_victim)
+        assert [m for m in delivered if m.dst == victim.address]
+        # Every delivery of the window was a beat.
         assert system.network.messages_delivered - before == len(delivered)
         assert victim.deadman._last_heard == heard
 

@@ -29,11 +29,10 @@ class TestForwardingWindows:
         leads = []
 
         def hook(message, when):
-            if isinstance(message.payload, ViewerStateBatch):
-                for state in message.payload.states:
-                    leads.append(state.due_time - when)
+            for state in message.payload.states:
+                leads.append(state.due_time - when)
 
-        system.network.add_delivery_hook(hook)
+        system.network.add_delivery_hook(ViewerStateBatch, hook)
         client = system.add_client()
         for index in range(8):
             client.start_stream(file_id=index % 4)
@@ -63,11 +62,10 @@ class TestForwardingWindows:
         recipients = {}
 
         def hook(message, when):
-            if isinstance(message.payload, ViewerStateBatch):
-                for state in message.payload.states:
-                    recipients.setdefault(state.key(), set()).add(message.dst)
+            for state in message.payload.states:
+                recipients.setdefault(state.key(), set()).add(message.dst)
 
-        system.network.add_delivery_hook(hook)
+        system.network.add_delivery_hook(ViewerStateBatch, hook)
         client = system.add_client()
         client.start_stream(file_id=0)
         system.run_for(15.0)
@@ -83,10 +81,9 @@ class TestForwardingWindows:
         beats = []
 
         def hook(message, when):
-            if isinstance(message.payload, Heartbeat):
-                beats.append((message.src, message.dst, when))
+            beats.append((message.src, message.dst, when))
 
-        system.network.add_delivery_hook(hook)
+        system.network.add_delivery_hook(Heartbeat, hook)
         system.run_until(10.0)
         per_pair = {}
         for src, dst, when in beats:
@@ -113,10 +110,9 @@ class TestDeschedulePropagation:
         deschedule_deliveries = []
 
         def hook(message, when):
-            if isinstance(message.payload, DescheduleForward):
-                deschedule_deliveries.append(message.dst)
+            deschedule_deliveries.append(message.dst)
 
-        system.network.add_delivery_hook(hook)
+        system.network.add_delivery_hook(DescheduleForward, hook)
         client = system.add_client()
         instance = client.start_stream(file_id=0)
         system.run_for(10.0)

@@ -16,7 +16,7 @@ import pytest
 from repro import TigerSystem, small_config
 from repro.core.deadman import DeadmanMonitor
 from repro.core.owner import (
-    COVERED, DISCARDED, FINISHED, LOST, REJECT, SERVE, ScheduleOwner,
+    COVERED, FINISHED, LOST, REJECT, SERVE, ScheduleOwner,
 )
 from repro.core.placement import make_placement_policy
 from repro.core.protocol import CancelStart, StartRequest
@@ -441,9 +441,10 @@ def test_a_state_for_an_own_disk_is_served():
     assert owner.receive(1.0, state) is SERVE
     assert not owner._redundant_states
     assert owner.receive(1.0, state) is None  # a duplicate
-    # Later than any tombstone is held: dropped, and the cub told.
+    # Later than any tombstone is held: dropped, with nothing to do.
     late = _state(2, 0, DISK_OF_CUB[0], 1.0 - CONFIG.deschedule_hold - 0.5)
-    assert owner.receive(1.0, late) == [(DISCARDED, late)]
+    assert owner.receive(1.0, late) is None
+    assert not owner._redundant_states
 
 
 def test_a_state_for_a_living_cub_is_held():

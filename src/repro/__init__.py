@@ -23,14 +23,27 @@ Subpackages
     Switched network: NICs, fabric, ordered per-flow delivery.
 ``repro.disk``
     Zoned disk model with failure injection.
+``repro.obs``
+    Dimensional metrics registry, snapshot merging, trace exporters.
 ``repro.storage``
     Striped layout, catalog, block index, declustered mirroring,
-    restriping.
+    restripe planning and the online restriper.
 ``repro.core``
     The schedule itself: slot arithmetic, viewer states, cubs,
-    controller, clients, deadman, metrics.
+    controller, clients, deadman, the §5 measurement collector, and
+    ``TigerSystem``, the simulated deployment.
+``repro.helpers``
+    The optional edge-cache tier, plugged into cubs and clients.
+``repro.mbr``
+    Multiple-bitrate Tiger (§3.2, §4.2): EDF disks, joint admission.
+``repro.faults``
+    Fault plans, the chaos harness, the invariant monitor.
+``repro.live``
+    The socket backend: node processes and the cluster driver.
 ``repro.workloads``
     Ramp / startup-latency / failure drivers used by the benchmarks.
+``repro.analysis``
+    ASCII renderers and the EXPERIMENTS.md report.
 """
 
 from typing import Any

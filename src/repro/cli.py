@@ -58,7 +58,9 @@ from repro.analysis.render import (
     render_metrics_table,
     render_view_summary,
 )
+from repro.helpers.node import origin_offload_ratio
 from repro.obs.export import write_trace
+from repro.obs.registry import snapshot_total
 from repro.sim.trace import Tracer
 from repro.storage.rebalance import arm_rebalance
 from repro.workloads import ContinuousWorkload
@@ -289,10 +291,13 @@ def cmd_demo(args) -> int:
           f"missed {system.total_client_missed()}, "
           f"late {system.total_client_late()}")
     if system.helpers:
+        snapshot = system.registry.snapshot()
+        served = snapshot_total(snapshot, "helper.blocks_served")
+        fills = snapshot_total(snapshot, "cub.helper_fetches_served")
         print(f"helper tier: {len(system.helpers)} helper(s) served "
-              f"{system.total_helper_blocks_served()} blocks "
-              f"({system.origin_offload_ratio():.0%} offload, "
-              f"{system.total_helper_fetches_served()} cache fills)")
+              f"{served:.0f} blocks "
+              f"({origin_offload_ratio(snapshot):.0%} offload, "
+              f"{fills:.0f} cache fills)")
     latencies = workload.startup_latencies()
     if latencies:
         print(f"startup latency: min {min(latencies):.2f}s "

@@ -12,7 +12,7 @@ uses to measure the failover window).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.config import TigerConfig
 from repro.core.controller import CONTROLLER_ADDRESS
@@ -20,15 +20,10 @@ from repro.core.protocol import (
     BlockData,
     ClientStart,
     ClientStop,
-    HelperCancel,
-    HelperHit,
-    HelperMiss,
-    HelperProbe,
     StartAck,
     block_pattern,
 )
 from repro.core.viewerstate import new_instance_id
-from repro.helpers.directory import HelperDirectory
 from repro.net.message import REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
 from repro.net.switch import SwitchedNetwork
@@ -142,6 +137,11 @@ class StreamMonitor:
         self._pieces.clear()
         self._piece_targets.clear()
 
+    def start_request(self) -> ClientStart:
+        """What asks a controller to schedule this play."""
+        return ClientStart(self.viewer_id, self.instance, self.file_id,
+                           self.first_block, request_time=self.request_time)
+
     @property
     def expected_total(self) -> int:
         return self.num_blocks - self.first_block
@@ -162,7 +162,6 @@ class ViewerClient(NetworkNode):
         backup_controller: Optional[str] = None,
         ack_timeout: float = 2.0,
         registry=None,
-        probe_timeout: float = 1.5,
     ) -> None:
         super().__init__(sim, address, tracer)
         self.config = config
@@ -172,167 +171,95 @@ class ViewerClient(NetworkNode):
         #: Failover extension: retry unacknowledged starts here.
         self.backup_controller = backup_controller
         self.ack_timeout = ack_timeout
-        #: Helper tier: the deterministic file -> helper map of the
-        #: config's tier (see :class:`~repro.helpers.directory
-        #: .HelperDirectory`).  ``None`` (or an inert directory) keeps
-        #: the classic start path with zero extra messages.
-        self.helper_directory = (
-            HelperDirectory(config) if config.helpers > 0 else None
-        )
-        #: Unanswered probe after this long means the helper is dead;
-        #: fall back to the origin tier.
-        self.probe_timeout = probe_timeout
-        #: Optional metrics sink for per-tier lateness and fallbacks.
+        #: Optional metrics sink for per-tier lateness.
         self.registry = registry
+        #: Block-lateness series by the address blocks came from.
         self._lateness_histograms: Dict[str, object] = {}
-        self.helper_fallbacks = (
-            registry.counter(
-                "client.helper_fallbacks",
-                help="Helper-served streams rescued via the origin tier",
-                unit="streams", client=address)
-            if registry is not None else None
-        )
+        #: Source address -> the ``tier`` label of its lateness series;
+        #: any source not named here is the origin tier.
+        self.source_tiers: Dict[str, str] = {}
         self._acked: set = set()
         #: VCR bookmarks: paused instance -> (file_id, resume block).
         self._paused: Dict[int, tuple] = {}
-        #: Probes awaiting a helper's hit/miss answer.
-        self._helper_pending: set = set()
-        #: Cache-served instances -> serving helper's address.
-        self._helper_served: Dict[int, str] = {}
-        #: Instances already started against the origin tier (guards
-        #: against a probe timeout racing a late HelperMiss).
-        self._origin_started: set = set()
         self.streams: Dict[int, StreamMonitor] = {}
         #: Optional callback fired with (monitor,) when a stream finishes.
         self.on_stream_finished: Optional[Callable[[StreamMonitor], None]] = None
+        #: Payload type -> ``handler(payload, sender)`` for everything
+        #: but block data, which keeps its own fast path.  An optional
+        #: tier attached from outside adds its answers here, and may
+        #: replace the one start path and the one stop path below.
+        self.handlers: Dict[type, Callable[[Any, str], None]] = {
+            StartAck: self._on_start_ack,
+        }
+        #: How a new play is requested, and a stopped one released.
+        self.request_play: Callable[[StreamMonitor], None] = self.request_origin
+        self.release_play: Callable[[StreamMonitor], None] = self.release_origin
 
     # ------------------------------------------------------------------
     # Control-plane actions
     # ------------------------------------------------------------------
-    def start_stream(
-        self, file_id: int, first_block: int = 0, origin_only: bool = False
-    ) -> int:
-        """Request playback; returns the play instance id.
+    def start_stream(self, file_id: int, first_block: int = 0) -> int:
+        """Request playback; returns the play instance id."""
+        monitor = self.open_stream(file_id, first_block)
+        self.request_play(monitor)
+        return monitor.instance
 
-        When a helper directory names an (active) helper for the file,
-        the start is a :class:`HelperProbe` to that helper instead of a
-        :class:`ClientStart` to the controller: on a hit, the blocks
-        come from the helper's cache and the schedule slot is never
-        claimed; on a miss — or an unanswered probe, meaning the helper
-        is dead — the classic origin path runs.  ``origin_only``
-        bypasses the helper tier (used by the fallback path so a dead
-        helper is not asked twice).
-        """
+    def open_stream(self, file_id: int, first_block: int) -> StreamMonitor:
+        """A new play instance's monitor, not yet requested."""
         instance = new_instance_id()
-        viewer_id = f"{self.address}#{instance}"
-        entry = self.catalog.get(file_id)
         monitor = StreamMonitor(
-            viewer_id=viewer_id,
+            viewer_id=f"{self.address}#{instance}",
             instance=instance,
             file_id=file_id,
             first_block=first_block,
             request_time=self.sim.now,
             block_play_time=self.config.block_play_time,
             late_tolerance=self.late_tolerance,
-            num_blocks=entry.num_blocks,
+            num_blocks=self.catalog.get(file_id).num_blocks,
         )
         self.streams[instance] = monitor
-        helper = None
-        if not origin_only and self.helper_directory is not None:
-            helper = self.helper_directory.helper_for(
-                file_id, len(self.catalog)
-            )
-        if helper is not None:
-            self._helper_pending.add(instance)
-            self.network.send(
-                Message(
-                    self.address,
-                    helper,
-                    HelperProbe(viewer_id, instance, file_id, first_block),
-                    REQUEST_BYTES,
-                )
-            )
-            self.after(
-                self.probe_timeout, self._helper_probe_timeout, instance
-            )
-        else:
-            self._send_origin_start(monitor)
-        return instance
+        return monitor
 
-    def _send_origin_start(self, monitor: StreamMonitor) -> None:
+    def send_request(self, destination: str, payload: Any) -> None:
+        """A control message from this viewer."""
+        self.network.send(
+            Message(self.address, destination, payload, REQUEST_BYTES)
+        )
+
+    def request_origin(self, monitor: StreamMonitor) -> None:
         """The classic start path: ask the controller for a slot."""
-        if monitor.instance in self._origin_started:
-            return
-        self._origin_started.add(monitor.instance)
-        self.network.send(
-            Message(
-                self.address,
-                CONTROLLER_ADDRESS,
-                ClientStart(monitor.viewer_id, monitor.instance,
-                            monitor.file_id, monitor.first_block,
-                            request_time=monitor.request_time),
-                REQUEST_BYTES,
-            )
-        )
+        self.send_request(CONTROLLER_ADDRESS, monitor.start_request())
         if self.backup_controller is not None:
-            self.after(
-                self.ack_timeout, self._retry_unacked, monitor.instance,
-                monitor.file_id, monitor.first_block,
-            )
+            self.after(self.ack_timeout, self._retry_unacked, monitor)
 
-    def _retry_unacked(self, instance: int, file_id: int, first_block: int) -> None:
-        """No acknowledgement: the primary may be dead — ask the backup."""
-        monitor = self.streams.get(instance)
-        if instance in self._acked or monitor is None or monitor.stopped:
+    def _retry_unacked(self, monitor: StreamMonitor) -> None:
+        """No acknowledgement: the primary may be dead — ask the backup,
+        until someone answers, data flows or the stream is stopped."""
+        if (
+            monitor.instance in self._acked
+            or monitor.stopped
+            or monitor.first_block_time is not None
+        ):
             return
-        if monitor.first_block_time is not None:
-            return  # data already flowing
-        self.network.send(
-            Message(
-                self.address,
-                self.backup_controller,
-                ClientStart(monitor.viewer_id, instance, file_id, first_block,
-                            request_time=monitor.request_time),
-                REQUEST_BYTES,
-            )
-        )
-        # Keep retrying until someone answers or the stream is stopped.
-        self.after(
-            self.ack_timeout, self._retry_unacked, instance, file_id, first_block
-        )
+        self.send_request(self.backup_controller, monitor.start_request())
+        self.after(self.ack_timeout, self._retry_unacked, monitor)
+
+    def _on_start_ack(self, ack: StartAck, _sender: str) -> None:
+        self._acked.add(ack.instance)
 
     def stop_stream(self, instance: int) -> None:
         monitor = self.streams.get(instance)
         if monitor is None or monitor.stopped:
             return
         monitor.stopped = True
-        helper = self._helper_served.pop(instance, None)
-        if helper is not None:
-            # Cache-served play: nothing in the schedule to release.
-            self.network.send(
-                Message(
-                    self.address, helper,
-                    HelperCancel(monitor.viewer_id, instance),
-                    REQUEST_BYTES,
-                )
-            )
-            return
-        if instance in self._helper_pending:
-            # Probe in flight: the hit/miss handler sees the stopped
-            # monitor and cancels (or never starts) the play.
-            return
-        destinations = [CONTROLLER_ADDRESS]
+        self.release_play(monitor)
+
+    def release_origin(self, monitor: StreamMonitor) -> None:
+        """The classic stop path: every controller releases the slot."""
+        stop = ClientStop(monitor.viewer_id, monitor.instance)
+        self.send_request(CONTROLLER_ADDRESS, stop)
         if self.backup_controller is not None:
-            destinations.append(self.backup_controller)
-        for destination in destinations:
-            self.network.send(
-                Message(
-                    self.address,
-                    destination,
-                    ClientStop(monitor.viewer_id, instance),
-                    REQUEST_BYTES,
-                )
-            )
+            self.send_request(self.backup_controller, stop)
 
     def pause_stream(self, instance: int) -> Optional[int]:
         """VCR pause: stop the play, remembering the position.
@@ -362,108 +289,19 @@ class ViewerClient(NetworkNode):
         file_id, resume_block = bookmark
         return self.start_stream(file_id, first_block=resume_block)
 
-    # ------------------------------------------------------------------
-    # Helper tier: probe answers, death watchdog, fallback
-    # ------------------------------------------------------------------
-    def _on_helper_hit(self, payload: HelperHit, helper: str) -> None:
-        self._helper_pending.discard(payload.instance)
-        monitor = self.streams.get(payload.instance)
-        if monitor is None or monitor.stopped:
-            # Stopped while the probe was in flight: tell the helper.
-            self.network.send(
-                Message(
-                    self.address, helper,
-                    HelperCancel(payload.viewer_id, payload.instance),
-                    REQUEST_BYTES,
-                )
-            )
-            return
-        self._helper_served[payload.instance] = helper
-        self.after(
-            self.late_tolerance + 2 * self.config.block_play_time,
-            self._helper_watchdog, payload.instance,
-        )
-
-    def _on_helper_miss(self, payload: HelperMiss) -> None:
-        self._helper_pending.discard(payload.instance)
-        monitor = self.streams.get(payload.instance)
-        if monitor is None or monitor.stopped:
-            return
-        self._send_origin_start(monitor)
-
-    def _helper_probe_timeout(self, instance: int) -> None:
-        """No hit/miss answer: the helper is dead — use the origin."""
-        if instance not in self._helper_pending:
-            return
-        self._helper_pending.discard(instance)
-        monitor = self.streams.get(instance)
-        if monitor is None or monitor.stopped:
-            return
-        self.trace(
-            "helper.fallback", "probe unanswered, starting at origin",
-            viewer=monitor.viewer_id, file=monitor.file_id,
-        )
-        self._send_origin_start(monitor)
-
-    def _helper_watchdog(self, instance: int) -> None:
-        """Detect a helper dying mid-stream; degrade to origin service.
-
-        A helper owns no schedule state, so its death cannot violate an
-        invariant — the viewer just stops receiving.  The watchdog
-        notices the stall and re-starts the play from the current
-        position through the origin tier, mirroring the VCR
-        pause/resume semantics (a new play instance, §4.1.2).
-        """
-        if instance not in self._helper_served:
-            return
-        monitor = self.streams.get(instance)
-        if monitor is None or monitor.stopped or monitor.finished:
-            self._helper_served.pop(instance, None)
-            return
-        bpt = self.config.block_play_time
-        if monitor.first_block_time is None:
-            # A hit promised data; none ever came.
-            stalled = True
-        else:
-            # Generous bound: a transient cache-fill stall can skip a
-            # block (~2 play times) without being read as a death.
-            stalled = self.sim.now > monitor.deadline(monitor.next_seqno) + 3 * bpt
-        if stalled:
-            self._helper_fallback(instance)
-        else:
-            self.after(bpt, self._helper_watchdog, instance)
-
-    def _helper_fallback(self, instance: int) -> None:
-        monitor = self.streams.get(instance)
-        self._helper_served.pop(instance, None)
-        if monitor is None or monitor.stopped or monitor.finished:
-            return
-        monitor.stopped = True
-        if self.helper_fallbacks is not None:
-            self.helper_fallbacks.increment()
-        resume_block = monitor.first_block + monitor.next_seqno
-        self.trace(
-            "helper.fallback", "helper stalled, resuming at origin",
-            viewer=monitor.viewer_id, file=monitor.file_id,
-            block=resume_block,
-        )
-        self.start_stream(
-            monitor.file_id, first_block=resume_block, origin_only=True
-        )
-
     def _observe_lateness(self, monitor: StreamMonitor, payload: BlockData,
-                          tier: str) -> None:
+                          source: str) -> None:
         """Per-tier block-lateness histogram (0 for on-time blocks)."""
         if self.registry is None or monitor.first_block_time is None:
             return
-        histogram = self._lateness_histograms.get(tier)
+        histogram = self._lateness_histograms.get(source)
         if histogram is None:
             histogram = self.registry.histogram(
                 "client.block_lateness",
                 help="Arrival delay past a block's nominal due time",
-                unit="s", tier=tier,
+                unit="s", tier=self.source_tiers.get(source, "origin"),
             )
-            self._lateness_histograms[tier] = histogram
+            self._lateness_histograms[source] = histogram
         due = (
             monitor.first_block_time
             + payload.play_seqno * monitor.block_play_time
@@ -476,24 +314,19 @@ class ViewerClient(NetworkNode):
     def handle_message(self, message: Message) -> None:
         payload = message.payload
         if not isinstance(payload, BlockData):  # the rare kinds
-            if isinstance(payload, StartAck):
-                self._acked.add(payload.instance)
-            elif isinstance(payload, HelperHit):
-                self._on_helper_hit(payload, message.src)
-            elif isinstance(payload, HelperMiss):
-                self._on_helper_miss(payload)
-            else:
+            handler = self.handlers.get(type(payload))
+            if handler is None:
                 raise TypeError(
                     f"{self.name}: unexpected payload {type(payload).__name__}"
                 )
+            handler(payload, message.src)
             return
         monitor = self.streams.get(payload.instance)
         if monitor is None:
             return  # stream already torn down
         was_finished = monitor.finished
         monitor.on_block(payload, self.sim.now)
-        tier = "helper" if message.src.startswith("helper:") else "origin"
-        self._observe_lateness(monitor, payload, tier)
+        self._observe_lateness(monitor, payload, message.src)
         if monitor.finished and not was_finished and self.on_stream_finished:
             self.on_stream_finished(monitor)
 

@@ -156,13 +156,6 @@ class Cub(NetworkNode):
         #: whenever that lies in the future.
         self._latest_service_deadline = 0.0
 
-        #: Committed block migrations from an online restripe:
-        #: (file_id, block_index) -> the block's new local location.
-        #: Consulted by the scheduled read path; survives a reboot
-        #: (it models on-disk placement metadata, like the block
-        #: index itself).
-        self.migrations: Dict[Tuple[int, int], BlockLocation] = {}
-
         #: Modelled CPU (packetization dominates; see DESIGN.md).
         self.cpu = BusyMeter(sim.now)
         #: Sliding window of recent block sends for the local schedule-
@@ -238,8 +231,8 @@ class Cub(NetworkNode):
         #: path.  These four and the heartbeat, which
         #: :meth:`handle_message` hands the deadman before any lookup,
         #: are §4's whole vocabulary; an optional tier's cub-side service
-        #: adds its own (``World.make_cub``), so the cub never names a
-        #: tier's messages.
+        #: adds its own when the host that built the cub attaches it, so
+        #: the cub never names a tier's messages.
         self.handlers: Dict[type, Callable[[Any, str], None]] = {
             ViewerStateBatch: self._on_state_batch,
             DescheduleForward: self._on_deschedule,
@@ -307,9 +300,8 @@ class Cub(NetworkNode):
         self._service_buckets.clear()
         self._latest_service_deadline = 0.0
         self._recent_send_times.clear()
-        # Served tiers forget their volatile state too.  Committed
-        # migrations persist — they model on-disk placement metadata,
-        # like the block index.
+        # Served tiers forget their volatile state too.  The block
+        # index is on-disk metadata and stays.
         for forget in self.on_recover:
             forget()
         self.start()
@@ -380,16 +372,12 @@ class Cub(NetworkNode):
                 self._send_states((verb,), (state,), ())
 
     def _accept_own_state(self, state: ViewerState) -> None:
-        """Serve and later forward a state targeted at one of my disks."""
-        disk = self.disks[state.disk_id]
-        location = None
-        if self.migrations:
-            migrated = self._migrated_source(state)
-            if migrated is not None:
-                # An online restripe committed this block to a new local
-                # disk; the schedule slot is unchanged but the read goes
-                # to the migrated copy.
-                disk, location = migrated
+        """Serve and later forward a state targeted at one of my disks,
+        reading the block wherever the block index locates it."""
+        location = self.block_index.locate(
+            state.file_id, state.block_index, self.disks
+        )
+        disk = self.disks[state.disk_id if location is None else location.disk_id]
         if disk.failed:
             # Local disk death: this cub is alive and knows immediately
             # (I/O errors), so mirrors cover the block and the chain
@@ -403,21 +391,6 @@ class Cub(NetworkNode):
         else:
             self._schedule_block_service(state, disk, location)
         self.owner.forward_queue.append(state)
-
-    def _migrated_source(self, state: ViewerState):
-        """The (disk, location) a committed migration redirects to.
-
-        Returns None when the block never migrated or the new disk is
-        unavailable — dual presence means the original copy (or its
-        mirrors) still serves in that case.
-        """
-        location = self.migrations.get((state.file_id, state.block_index))
-        if location is None:
-            return None
-        disk = self.disks.get(location.disk_id)
-        if disk is None or disk.failed:
-            return None
-        return disk, location
 
     def _queue_service(self, record: _Service) -> None:
         """One record, two appends: the bucket of its read's issue time
@@ -500,8 +473,8 @@ class Cub(NetworkNode):
     ) -> None:
         """Issue the read ahead of time; transmit exactly at the due time.
 
-        ``location`` overrides the primary-index lookup when a committed
-        migration redirects the read (see :meth:`_migrated_source`).
+        ``location`` is where the block index located the read (see
+        :meth:`BlockIndex.locate`); without one, the primary copy.
         """
         if location is None:
             location = self.block_index.lookup_primary(

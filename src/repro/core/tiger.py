@@ -4,9 +4,10 @@
 the discrete-event backend — a ``Simulator`` and a ``SwitchedNetwork``
 — building *every* node: cubs, controller, helpers, and on request
 clients, the backup controller and an online restriper.  It is the
-single entry point examples and benchmarks use, and one of the two
-scenario hosts (see
-:func:`repro.live.cluster.arm_scenario`).
+single entry point examples and benchmarks use, one of the two scenario
+hosts (see :func:`repro.live.cluster.arm_scenario`), and the one
+``core/`` module that imports an optional tier (or ``faults``): it
+attaches both tiers to every cub and client it builds.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from repro.core.protocol import HelperInvalidate
 from repro.core.viewerstate import reset_instance_ids
 from repro.core.world import World
 from repro.disk.drive import SimDisk
-from repro.helpers.node import HelperNode
+from repro.helpers import attach_helpers
+from repro.helpers.node import HelperNode, make_helper, origin_offload_ratio
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
 from repro.net.switch import SwitchedNetwork
 from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.storage.rebalance import OnlineRestriper
+from repro.storage.rebalance import OnlineRestriper, attach_restripe, make_restriper
 
 
 class TigerSystem(World):
@@ -83,6 +85,8 @@ class TigerSystem(World):
         self.cubs: List[Cub] = []
         for cub_id in range(config.num_cubs):
             cub = self.make_cub(cub_id, forward_copies)
+            attach_restripe(cub)
+            attach_helpers(cub)
             self.network.register(cub, config.cub_nic_bps)
             self.cubs.append(cub)
 
@@ -96,7 +100,7 @@ class TigerSystem(World):
         #: chaos fingerprints match the no-helper baseline bit for bit.
         self.helpers: List[HelperNode] = []
         for helper_id in range(config.helpers):
-            helper = self.make_helper(helper_id)
+            helper = make_helper(self, helper_id)
             self.network.register(helper, config.cub_nic_bps)
             self.helpers.append(helper)
 
@@ -122,6 +126,7 @@ class TigerSystem(World):
             ),
             late_tolerance=late_tolerance,
         )
+        attach_helpers(client)
         self.network.register(client, self.config.client_nic_bps)
         self.clients.append(client)
         return client
@@ -133,8 +138,8 @@ class TigerSystem(World):
         """Attach an :class:`~repro.storage.rebalance.OnlineRestriper`
         that will execute ``plan`` in the background once started.
 
-        ``options`` are :meth:`World.make_restriper`'s (``journal``,
-        ``throttle``, ``retry_base``, ``suspend_after``,
+        ``options`` are :func:`~repro.storage.rebalance.make_restriper`'s
+        (``journal``, ``throttle``, ``retry_base``, ``suspend_after``,
         ``ack_timeout``).  The restriper is a network node like any
         other — it rides the switched fabric with the same NIC model
         as a cub.  Call ``system.restriper.start()`` (or schedule it)
@@ -142,7 +147,7 @@ class TigerSystem(World):
         """
         if self.restriper is not None:
             raise RuntimeError("a restriper is already attached")
-        restriper = self.make_restriper(plan, **options)
+        restriper = make_restriper(self, plan, **options)
         self.network.register(restriper, self.config.cub_nic_bps)
         self.restriper = restriper
         return restriper
@@ -252,7 +257,7 @@ class TigerSystem(World):
             gauge("helper.origin_offload_ratio",
                   help="Fraction of viewer blocks served from helper "
                        "caches instead of the cub schedule",
-                  unit="ratio").set(self.origin_offload_ratio())
+                  unit="ratio").set(origin_offload_ratio(self.registry.snapshot()))
             gauge("helper.cached_blocks",
                   help="Blocks currently resident across helper caches",
                   unit="blocks").set(
@@ -363,18 +368,6 @@ class TigerSystem(World):
     # ------------------------------------------------------------------
     def total_blocks_sent(self) -> int:
         return sum(cub.blocks_sent.count for cub in self.cubs)
-
-    def total_helper_blocks_served(self) -> int:
-        return sum(helper.blocks_served.count for helper in self.helpers)
-
-    def total_helper_fetches_served(self) -> int:
-        return sum(cub.helper_fetch.served.count for cub in self.cubs)
-
-    def origin_offload_ratio(self) -> float:
-        """Fraction of viewer blocks that never touched the schedule."""
-        cached = self.total_helper_blocks_served()
-        total = cached + self.total_blocks_sent()
-        return cached / total if total else 0.0
 
     def total_mirror_pieces_sent(self) -> int:
         return sum(cub.mirror_pieces_sent.count for cub in self.cubs)

@@ -10,18 +10,19 @@ runtime, transport, metrics registry, tracer, seeded RNG registry — is
 whatever the caller passes in; the class has no notion of which one it
 got.
 
-It is also the only place the six protocol classes are constructed
-(``make_cub`` … ``make_restriper``), so a node is wired identically
-wherever it runs — including the cub-side services of the restripe and
-helper tiers, which ``make_cub`` plugs into every cub's dispatch table.
-Three bindings exist:
+It is also the only place the four protocol classes are constructed
+(``make_cub`` … ``make_client``), so a node is wired identically
+wherever it runs.  It imports no optional tier: each builds its own
+nodes from a world and is attached to the nodes built here by the host
+that built them (:func:`repro.helpers.attach_helpers`,
+:func:`repro.storage.rebalance.attach_restripe`).  Three bindings exist:
 
 * :class:`~repro.core.tiger.TigerSystem` — ``Simulator`` +
   ``SwitchedNetwork``, builds every node;
 * a live node process (:mod:`repro.live.node`) — ``LiveRuntime`` +
   ``NodeTransport``, builds the one node its spec names;
 * the live driver (:class:`~repro.live.cluster.LiveCluster`) —
-  ``LiveRuntime`` + ``HubTransport``, builds clients and the restriper.
+  ``LiveRuntime`` + ``HubTransport``, builds the viewer clients.
 
 The ``make_*`` methods only construct.  Attaching the node to a fabric
 (``network.register``, ``hub.local``) and remembering it is the
@@ -51,12 +52,10 @@ if TYPE_CHECKING:
     from repro.core.controller import Controller
     from repro.core.cub import Cub
     from repro.core.failover import BackupController
-    from repro.helpers.node import HelperNode
-    from repro.storage.rebalance import OnlineRestriper
 
 
 class World:
-    """Substrate + backend + the six protocol-class constructors."""
+    """Substrate + backend + the four protocol-class constructors."""
 
     def __init__(
         self,
@@ -152,10 +151,8 @@ class World:
     # ------------------------------------------------------------------
     def make_cub(self, cub_id: int, forward_copies: int = 2) -> Cub:
         from repro.core.cub import Cub
-        from repro.helpers.node import HelperFetchService
-        from repro.storage.rebalance import CubRestripeService
 
-        cub = Cub(
+        return Cub(
             sim=self.runtime,
             cub_id=cub_id,
             config=self.config,
@@ -169,12 +166,6 @@ class World:
             forward_copies=forward_copies,
             registry=self.registry,
         )
-        # The optional tiers' cub-side services, always attached: a
-        # live cub process cannot know whether the driver will restripe
-        # or a helper will fetch, and an idle service is a table entry.
-        cub.restripe = CubRestripeService(cub)
-        cub.helper_fetch = HelperFetchService(cub)
-        return cub
 
     def make_controller(self) -> Controller:
         from repro.core.controller import Controller
@@ -207,20 +198,6 @@ class World:
             registry=self.registry,
         )
 
-    def make_helper(self, helper_id: int) -> HelperNode:
-        from repro.helpers.node import HelperNode
-
-        return HelperNode(
-            sim=self.runtime,
-            helper_id=helper_id,
-            config=self.config,
-            catalog=self.catalog,
-            layout=self.layout,
-            network=self.network,
-            tracer=self.tracer,
-            registry=self.registry,
-        )
-
     def make_client(
         self,
         index: int,
@@ -240,32 +217,5 @@ class World:
             tracer=self.tracer,
             late_tolerance=late_tolerance,
             backup_controller=backup,
-            registry=self.registry,
-        )
-
-    def make_restriper(
-        self,
-        plan: Any,
-        journal: Any = None,
-        throttle: float = 0.25,
-        retry_base: float = 0.5,
-        suspend_after: int = 3,
-        ack_timeout: Optional[float] = None,
-    ) -> OnlineRestriper:
-        """A restriper that will execute ``plan`` in the background
-        once started."""
-        from repro.storage.rebalance import OnlineRestriper
-
-        return OnlineRestriper(
-            sim=self.runtime,
-            config=self.config,
-            plan=plan,
-            network=self.network,
-            journal=journal,
-            throttle=throttle,
-            retry_base=retry_base,
-            suspend_after=suspend_after,
-            ack_timeout=ack_timeout,
-            tracer=self.tracer,
             registry=self.registry,
         )

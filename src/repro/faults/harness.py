@@ -27,7 +27,7 @@ from repro.core.tiger import TigerSystem
 from repro.faults.injectors import MessageFaultInjector, install_plan
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, snapshot_total
 from repro.sim.trace import Tracer
 from repro.storage.rebalance import arm_rebalance
 from repro.workloads.generator import ContinuousWorkload
@@ -189,6 +189,7 @@ class ChaosHarness:
 
     @staticmethod
     def _totals(system: TigerSystem) -> Dict[str, int]:
+        snapshot = system.registry.snapshot()
         totals = {
             "blocks_sent": system.total_blocks_sent(),
             "mirror_pieces_sent": system.total_mirror_pieces_sent(),
@@ -209,8 +210,12 @@ class ChaosHarness:
             # Both zero whenever the helper tier is absent *or* inert
             # (capacity 0), so a capacity-0 fingerprint is bit-identical
             # to the no-helper baseline.
-            "helper_blocks_served": system.total_helper_blocks_served(),
-            "helper_fetches_served": system.total_helper_fetches_served(),
+            "helper_blocks_served": int(
+                snapshot_total(snapshot, "helper.blocks_served")
+            ),
+            "helper_fetches_served": int(
+                snapshot_total(snapshot, "cub.helper_fetches_served")
+            ),
         }
         # Restripe totals only exist when a restriper is attached, so a
         # restripe-free fingerprint is bit-identical to the old baseline.

@@ -451,7 +451,7 @@ class InvariantMonitor:
         """
         cubs = self.system.cubs
         for cub in cubs:
-            for key, location in cub.migrations.items():
+            for key, location in cub.block_index.migrations.items():
                 if location.disk_id not in cub.disks:
                     file_id, block = key
                     self._fail(

@@ -14,7 +14,8 @@ recently-streamed blocks ahead of the cubs:
   map clients consult before touching the schedule;
 * :mod:`repro.helpers.node` — :class:`HelperNode`, written against the
   Runtime/Transport contracts so the identical code runs on the DES
-  and the live asyncio backend;
+  and the live asyncio backend, and the cub-side fill service;
+* :mod:`repro.helpers.client` — the viewer-side probe and fallback;
 * :mod:`repro.helpers.scenarios` — hot-movie-premiere and flash-crowd
   experiments measuring origin offload vs. the no-helper baseline.
 
@@ -26,8 +27,11 @@ chaos fingerprints with capacity-0 helpers are bit-identical to the
 no-helper baseline.
 """
 
+from typing import Any
+
+from repro.helpers.client import HelperClient
 from repro.helpers.directory import HelperDirectory, helper_address
-from repro.helpers.node import HelperNode
+from repro.helpers.node import HelperFetchService, HelperNode
 from repro.helpers.policy import (
     CACHE_POLICIES,
     IntervalCachePolicy,
@@ -43,6 +47,19 @@ __all__ = [
     "IntervalCachePolicy",
     "LruPolicy",
     "SegmentPopularityPolicy",
+    "attach_helpers",
     "helper_address",
     "make_policy",
 ]
+
+
+def attach_helpers(node: Any) -> None:
+    """The helper tier's plug, for every cub and viewer client a host
+    builds: a cub always answers fills (a live cub cannot know whether a
+    helper will fetch); a client probes helpers if the tier can serve."""
+    from repro.core.cub import Cub  # loaded wherever a cub is built
+
+    if isinstance(node, Cub):
+        HelperFetchService(node)
+    elif HelperDirectory(node.config).active:
+        HelperClient(node)

@@ -20,7 +20,7 @@ in :mod:`repro.live.wire`):
   off-schedule block read from the owning cub's spare bandwidth,
   answered by :class:`~repro.core.protocol.HelperFetchReply` (the
   cub-side half is :class:`HelperFetchService` below, attached to
-  every cub by ``World.make_cub``);
+  every cub by :func:`repro.helpers.attach_helpers`);
 * anyone -> helper :class:`~repro.core.protocol.HelperInvalidate` —
   purge a file from the cache (content replaced/restriped).
 
@@ -28,13 +28,13 @@ The helper holds **no schedule state**: it never talks to the
 controller, never claims a slot, and never touches the oracle.
 Killing one mid-stream therefore cannot violate a schedule invariant;
 the viewer's watchdog simply falls back to an origin start at its
-current position (see :class:`repro.core.client.ViewerClient`).
+current position (see :class:`repro.helpers.client.HelperClient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.config import TigerConfig
 from repro.core.protocol import (
@@ -53,7 +53,7 @@ from repro.helpers.directory import helper_address
 from repro.helpers.policy import CachePolicy, make_policy
 from repro.net.message import KIND_DATA, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, snapshot_total
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
 
@@ -83,6 +83,24 @@ class _HelperStream:
     seqno: int = 0
     retry_since: Optional[float] = None
     cancelled: bool = field(default=False)
+
+
+def make_helper(world: Any, helper_id: int) -> "HelperNode":
+    """Helper ``helper:<helper_id>`` on ``world``'s backend and content."""
+    return HelperNode(
+        world.runtime, helper_id, world.config, world.catalog, world.layout,
+        world.network, world.tracer, world.registry,
+    )
+
+
+def origin_offload_ratio(snapshot: Dict[str, Any]) -> float:
+    """Fraction of whole blocks the helper tier served instead of the
+    cub schedule, from a registry snapshot (one process's, or the live
+    cluster's merged node snapshots): ``helper.blocks_served`` over it
+    plus ``cub.blocks_sent``."""
+    cached = snapshot_total(snapshot, "helper.blocks_served")
+    total = cached + snapshot_total(snapshot, "cub.blocks_sent")
+    return cached / total if total else 0.0
 
 
 class HelperNode(NetworkNode):
@@ -212,14 +230,8 @@ class HelperNode(NetworkNode):
                 viewer=probe.viewer_id, file=probe.file_id,
                 block=probe.first_block,
             )
-            self.network.send(
-                Message(
-                    self.address, client,
-                    HelperHit(probe.viewer_id, probe.instance,
-                              probe.file_id, probe.first_block),
-                    REQUEST_BYTES,
-                )
-            )
+            self._send(client, HelperHit(probe.viewer_id, probe.instance,
+                                         probe.file_id, probe.first_block))
             stream = _HelperStream(
                 viewer_id=probe.viewer_id,
                 instance=probe.instance,
@@ -238,16 +250,15 @@ class HelperNode(NetworkNode):
                 viewer=probe.viewer_id, file=probe.file_id,
                 block=probe.first_block,
             )
-            self.network.send(
-                Message(
-                    self.address, client,
-                    HelperMiss(probe.viewer_id, probe.instance,
-                               probe.file_id, probe.first_block),
-                    REQUEST_BYTES,
-                )
-            )
+            self._send(client, HelperMiss(probe.viewer_id, probe.instance,
+                                          probe.file_id, probe.first_block))
             if self.policy.capacity > 0:
                 self._start_warm(probe.file_id, probe.first_block)
+
+    def _send(self, destination: str, payload) -> None:
+        self.network.send(
+            Message(self.address, destination, payload, REQUEST_BYTES)
+        )
 
     # ------------------------------------------------------------------
     # Serving
@@ -351,14 +362,7 @@ class HelperNode(NetworkNode):
         entry = self.catalog.get(file_id)
         disk = self.layout.disk_of_block(entry.start_disk, block)
         owner = self.layout.cub_of_disk(disk)
-        self.network.send(
-            Message(
-                self.address,
-                cub_address(owner),
-                HelperFetch(file_id, block),
-                REQUEST_BYTES,
-            )
-        )
+        self._send(cub_address(owner), HelperFetch(file_id, block))
 
     def _on_fetch_reply(self, reply: HelperFetchReply) -> None:
         key = (reply.file_id, reply.block_index)
@@ -420,12 +424,6 @@ class HelperNode(NetworkNode):
             "helper.invalidate", "purged file from cache",
             file=payload.file_id, blocks=purged,
         )
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
-    def cached_blocks(self) -> int:
-        return len(self.policy)
 
 
 class HelperFetchService:

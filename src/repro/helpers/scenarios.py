@@ -34,6 +34,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import TigerConfig, small_config
 from repro.core.tiger import TigerSystem
+from repro.helpers.node import origin_offload_ratio
+from repro.obs.registry import snapshot_total
 from repro.workloads.arrivals import open_loop_trace
 
 #: Scenario names understood by :func:`run_offload_experiment`.
@@ -125,16 +127,18 @@ def run_edge_scenario(
     system.run_until(duration)
     system.finalize_clients()
     system.assert_invariants()
-    system.export_metrics()
+    snapshot = system.export_metrics().snapshot()
     return EdgeScenarioResult(
         name=name,
         seed=seed,
         config=config,
         streams=len(trace),
         cub_blocks=system.total_blocks_sent(),
-        helper_blocks=system.total_helper_blocks_served(),
-        helper_fetches=system.total_helper_fetches_served(),
-        offload_ratio=system.origin_offload_ratio(),
+        helper_blocks=int(snapshot_total(snapshot, "helper.blocks_served")),
+        helper_fetches=int(
+            snapshot_total(snapshot, "cub.helper_fetches_served")
+        ),
+        offload_ratio=origin_offload_ratio(snapshot),
         client_received=system.total_client_received(),
         client_missed=system.total_client_missed(),
         client_late=system.total_client_late(),

@@ -81,6 +81,8 @@ from repro.faults.plan import (
     HELPER_CRASH,
     FaultPlan,
 )
+from repro.helpers import attach_helpers
+from repro.helpers.node import origin_offload_ratio
 from repro.live.node import (
     DEFAULT_METRICS_INTERVAL,
     ROLE_BACKUP,
@@ -110,7 +112,11 @@ from repro.obs.registry import (
     snapshot_total,
 )
 from repro.sim.rng import RngRegistry
-from repro.storage.rebalance import RESTRIPER_ADDRESS, arm_rebalance
+from repro.storage.rebalance import (
+    RESTRIPER_ADDRESS,
+    arm_rebalance,
+    make_restriper,
+)
 from repro.workloads.arrivals import (
     ARRIVAL_MODES,
     DEFAULT_ZIPF_EXPONENT,
@@ -1099,6 +1105,7 @@ class LiveCluster(World):
     def add_client(self) -> Any:
         """Host one more viewer, reachable as ``client:<n>`` at the hub."""
         client = self.make_client(len(self.clients), backup=self._backup)
+        attach_helpers(client)
         self.hub.local[client.address] = self._observed_deliver(client)
         self.clients.append(client)
         return client
@@ -1124,7 +1131,7 @@ class LiveCluster(World):
 
     def attach_restriper(self, plan: Any, **options: Any) -> Any:
         """Host the restriper; acks route back through ``hub.local``."""
-        self.restriper = self.make_restriper(plan, **options)
+        self.restriper = make_restriper(self, plan, **options)
         self.hub.local[RESTRIPER_ADDRESS] = self.restriper.deliver
         return self.restriper
 
@@ -1180,16 +1187,15 @@ class LiveCluster(World):
             self.restriper.export_gauges()
         if self.config.helpers:
             # Offload ratio across the whole run, from the nodes' final
-            # snapshots: cache-served blocks over all whole blocks served.
-            node_merged = merge_snapshots(list(self.hub.node_metrics.values()))
-            cached = snapshot_total(node_merged, "helper.blocks_served")
-            origin = snapshot_total(node_merged, "cub.blocks_sent")
+            # snapshots.
             registry.gauge(
                 "helper.origin_offload_ratio",
                 help="Fraction of whole-block services the helper tier "
                      "absorbed instead of the cub schedule",
                 unit="ratio",
-            ).set(cached / (cached + origin) if cached + origin else 0.0)
+            ).set(origin_offload_ratio(
+                merge_snapshots(list(self.hub.node_metrics.values()))
+            ))
         return registry
 
 

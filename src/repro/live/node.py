@@ -75,14 +75,15 @@ ROLE_CONTROLLER = "controller"
 ROLE_BACKUP = "backup"
 ROLE_HELPER = "helper"
 
-#: What :func:`build_component` imports for each role, through the
-#: ``World.make_*`` call it makes.  A node imports these before it says
-#: hello, so that ``_start`` finds them loaded.
+#: What :func:`build_component` imports for each role: the class its
+#: ``make_*`` call builds, and for a cub the tiers it attaches and the
+#: invariant monitor.  A node imports these before it says hello, so
+#: that ``_start`` finds them loaded.
 ROLE_MODULES: Dict[str, Tuple[str, ...]] = {
     ROLE_CUB: (
         "repro.core.cub",
         "repro.faults.monitor",
-        "repro.helpers.node",
+        "repro.helpers",
         "repro.storage.rebalance",
     ),
     ROLE_CONTROLLER: ("repro.core.controller",),
@@ -135,10 +136,14 @@ def build_component(
     role = spec["role"]
     if role == ROLE_CUB:
         from repro.faults.monitor import InvariantMonitor
+        from repro.helpers import attach_helpers
+        from repro.storage.rebalance import attach_restripe
 
         # No slot audit: it books the schedule off the DES fabric, so a
         # live double-book is not counted at all.
         cub = world.make_cub(int(spec["node_id"]))
+        attach_restripe(cub)
+        attach_helpers(cub)
         if spec.get("backup_enabled"):
             cub.controller_addresses = (
                 CONTROLLER_ADDRESS, BACKUP_CONTROLLER_ADDRESS
@@ -150,7 +155,9 @@ def build_component(
             controller.attach_backup(BACKUP_CONTROLLER_ADDRESS)
         return controller, None
     if role == ROLE_HELPER:
-        return world.make_helper(int(spec["node_id"])), None
+        from repro.helpers.node import make_helper
+
+        return make_helper(world, int(spec["node_id"])), None
     if role == ROLE_BACKUP:
         return world.make_backup_controller(), None
     raise ValueError(f"unknown node role {role!r}")

@@ -9,13 +9,15 @@ unacceptably expensive, and a metadata read would serialize in front
 of the block read.
 
 We also index the secondary (mirror) pieces a cub hosts, which the
-mirror-coverage path uses when a neighbour dies.
+mirror-coverage path uses when a neighbour dies, and an online
+restripe's committed migrations, which never replace a primary entry
+(dual presence).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.disk.zones import ZONE_INNER, ZONE_OUTER
 
@@ -42,6 +44,8 @@ class BlockIndex:
         self._secondary: Dict[Tuple[int, int, int], BlockLocation] = {}
         self._disk_used_primary: Dict[int, int] = {}
         self._disk_used_secondary: Dict[int, int] = {}
+        #: Committed migrations: (file, block) -> new location.
+        self.migrations: Dict[Tuple[int, int], BlockLocation] = {}
 
     # ------------------------------------------------------------------
     # Population (done at file-creation / restripe time)
@@ -82,6 +86,21 @@ class BlockIndex:
     # ------------------------------------------------------------------
     def lookup_primary(self, file_id: int, block_index: int) -> Optional[BlockLocation]:
         return self._primary.get((file_id, block_index))
+
+    def locate(
+        self, file_id: int, block_index: int, disks: Dict[int, Any]
+    ) -> Optional[BlockLocation]:
+        """Where a scheduled read of a primary block goes: its committed
+        migration while ``disks`` (this cub's drives, by id) has the
+        disk it moved to up, else the original copy."""
+        key = (file_id, block_index)
+        if self.migrations:
+            moved = self.migrations.get(key)
+            if moved is not None:
+                disk = disks.get(moved.disk_id)
+                if disk is not None and not disk.failed:
+                    return moved
+        return self._primary.get(key)
 
     def lookup_secondary(
         self, file_id: int, block_index: int, piece: int

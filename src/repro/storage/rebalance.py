@@ -30,11 +30,12 @@ Robustness model
   consume slot-idle time.
 
 Both halves of the wire protocol live here: :class:`OnlineRestriper`
-sends ``RestripeCopy`` / ``RestripeCommit`` and consumes ``RestripeAck``;
-the :class:`CubRestripeService` that ``World.make_cub`` attaches to
-every cub answers them.  Every move stays inside one cub — a block's
-schedule slot is anchored to its cub (§2.2, §4.1.1) — so a copy is
-disk to disk on the cub that owns both.
+(built by :func:`make_restriper`) sends ``RestripeCopy`` /
+``RestripeCommit`` and consumes ``RestripeAck``; the
+:class:`CubRestripeService` that :func:`attach_restripe` plugs into
+every cub a host builds answers them.  Every move stays inside one
+cub — a block's schedule slot is anchored to its cub (§2.2, §4.1.1) —
+so a copy is disk to disk on the cub that owns both.
 """
 
 from __future__ import annotations
@@ -162,6 +163,18 @@ def placement_fingerprint(plan: RestripePlan, committed: Set[int]) -> str:
         digest.update(row.encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def make_restriper(
+    world: Any, plan: RestripePlan, **options: Any
+) -> "OnlineRestriper":
+    """A restriper on ``world``'s backend that will execute ``plan`` once
+    started; ``options`` are :class:`OnlineRestriper`'s (``journal``,
+    ``throttle``, ``ack_timeout``, ``retry_base``, ``suspend_after``)."""
+    return OnlineRestriper(
+        world.runtime, world.config, plan, world.network,
+        tracer=world.tracer, registry=world.registry, **options,
+    )
 
 
 class OnlineRestriper(NetworkNode):
@@ -538,6 +551,13 @@ class OnlineRestriper(NetworkNode):
         )
 
 
+def attach_restripe(cub: Cub) -> "CubRestripeService":
+    """The restripe tier's plug, for every cub a host builds (a live cub
+    cannot know whether the driver will restripe): it answers copies
+    and commits."""
+    return CubRestripeService(cub)
+
+
 class CubRestripeService:
     """The cub-side half of the protocol: copy, stage, cut over.
 
@@ -657,8 +677,9 @@ class CubRestripeService:
         serving from the source copies.
         """
         cub = self.cub
+        migrations = cub.block_index.migrations
         key = (commit.file_id, commit.block_index)
-        if key in cub.migrations:
+        if key in migrations:
             return
         if commit.dst_disk not in cub.disks:
             return  # not the serving cub for this move (stale commit)
@@ -671,5 +692,5 @@ class CubRestripeService:
                 commit.dst_disk, ZONE_OUTER, 0,
                 entry.content_bytes_per_block,
             )
-        cub.migrations[key] = staged
+        migrations[key] = staged
         self.commits.increment()

@@ -9,7 +9,13 @@ per-backend copies this replaced stay gone.
 The same walk keeps ``core/cub.py`` the paper's §4 and nothing else:
 the restripe and helper tiers' cub-side services live beside the other
 half of their protocols and reach the cub only through its dispatch
-table, attached by the assembly.
+table, attached by the host that builds the cub.
+
+And it keeps the optional tiers outside the protocol: nothing the
+protocol is built on imports a helper, MBR, restripe, live or faults
+module (the DES deployment, ``core/tiger.py``, builds every tier and is
+exempt), neither the cub nor the viewer client names a tier, and
+``World`` builds the four protocol classes only.
 
 And it keeps a deschedule searching nothing: the stop, pause and cancel
 handlers may walk no table of the cub or of its admission state but the
@@ -57,18 +63,20 @@ SRC = Path(repro.__file__).resolve().parent
 
 #: callee -> the one file allowed to call it.
 SINGLE_SITES = {
-    # The six protocol classes and the substrate: the assembly.
+    # The four protocol classes and the substrate: the assembly.
     "Cub": "core/world.py",
     "Controller": "core/world.py",
     "BackupController": "core/world.py",
-    "HelperNode": "core/world.py",
     "ViewerClient": "core/world.py",
-    "OnlineRestriper": "core/world.py",
     "MirrorScheme": "core/world.py",
     "SlotClock": "core/world.py",
-    # The optional tiers' cub-side services: attached by the assembly.
-    "CubRestripeService": "core/world.py",
-    "HelperFetchService": "core/world.py",
+    # The optional tiers' nodes: each tier's make_* function.
+    "HelperNode": "helpers/node.py",
+    "OnlineRestriper": "storage/rebalance.py",
+    # Their services on a cub or a client: each tier's attach function.
+    "CubRestripeService": "storage/rebalance.py",
+    "HelperFetchService": "helpers/__init__.py",
+    "HelperClient": "helpers/__init__.py",
     # weights -> plan -> journal -> attach -> start: arm_rebalance.
     "plan_rebalance": "storage/rebalance.py",
     "MoveJournal.load": "storage/rebalance.py",
@@ -700,3 +708,116 @@ def test_the_tier_shape_is_declared_once():
         if name in path.read_text(encoding="utf-8")
     ]
     assert not named
+
+
+# ----------------------------------------------------------------------
+# The optional tiers plug in from outside
+# ----------------------------------------------------------------------
+#: What the protocol and its substrate are made of ...
+BELOW_THE_TIERS = (
+    "core/", "sim/", "net/", "disk/", "obs/", "storage/",
+    "config.py", "runtime.py", "placement.py",
+)
+#: ... the packages none of it may import ...
+TIER_PACKAGES = (
+    "repro.helpers", "repro.mbr", "repro.storage.rebalance", "repro.live",
+    "repro.faults",
+)
+#: ... but a tier's own module and the DES deployment, which builds all.
+TIER_IMPORTERS = {"storage/rebalance.py", "core/tiger.py"}
+#: What ``World`` builds: §4's protocol, no tier.
+WORLD_MAKERS = {"make_cub", "make_controller", "make_backup_controller", "make_client"}
+
+
+def _imported_modules(tree: ast.AST):
+    """``(line, module)`` for every module an import anywhere in ``tree``
+    may load, function-level and ``TYPE_CHECKING`` ones included; a
+    relative import keeps its leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield node.lineno, module
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def _tier_imports(tree: ast.AST):
+    return [
+        f"{line} {module}" for line, module in _imported_modules(tree)
+        if module.startswith(".")
+        or any(module == p or module.startswith(p + ".") for p in TIER_PACKAGES)
+    ]
+
+
+def _identifiers(tree: ast.AST):
+    """Every name ``tree`` defines, binds, reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_the_protocol_imports_no_optional_tier():
+    """A tier goes in one ``git rm``: the hosts that build a node attach
+    the tiers to it, and nothing below them imports one."""
+    found = [
+        f"{relative}:{found}"
+        for relative, tree in _walk_sources()
+        if relative.startswith(BELOW_THE_TIERS)
+        and relative not in TIER_IMPORTERS
+        for found in _tier_imports(tree)
+    ]
+    assert not found
+
+
+def test_neither_the_client_nor_the_cub_names_a_tier():
+    client = ast.parse((SRC / "core/client.py").read_text(encoding="utf-8"))
+    assert not [
+        name for name in _identifiers(client) if "helper" in name.lower()
+    ]
+    cub = ast.parse((SRC / "core/cub.py").read_text(encoding="utf-8"))
+    assert not [
+        name for name in _identifiers(cub) if "migrat" in name.lower()
+    ]
+    world = ast.parse((SRC / "core/world.py").read_text(encoding="utf-8"))
+    (assembly,) = [
+        node for node in world.body
+        if isinstance(node, ast.ClassDef) and node.name == "World"
+    ]
+    assert {
+        node.name for node in assembly.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("make_")
+    } == WORLD_MAKERS
+
+
+def test_the_tier_check_sees_the_imports_it_replaced():
+    assert _tier_imports(ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "from repro.helpers.directory import HelperDirectory\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.storage.rebalance import OnlineRestriper\n"
+        "def make_cub(self):\n"
+        "    import repro.live.node\n"
+        "    from repro import faults\n"
+        "    from .rebalance import CubRestripeService\n"
+        "    from repro.storage.restripe import plan_restripe\n"
+    )) == [
+        "2 repro.helpers.directory",
+        "2 repro.helpers.directory.HelperDirectory",
+        "4 repro.storage.rebalance",
+        "4 repro.storage.rebalance.OnlineRestriper",
+        "6 repro.live.node",
+        "7 repro.faults",
+        "8 .rebalance",
+        "8 .rebalance.CubRestripeService",
+    ]

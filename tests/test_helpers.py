@@ -15,6 +15,7 @@ from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.faults.plan import FaultPlan
 from repro.helpers import CACHE_POLICIES, HelperDirectory, make_policy
 from repro.helpers.directory import helper_address
+from repro.helpers.node import origin_offload_ratio
 from repro.helpers.policy import (
     IntervalCachePolicy,
     LruPolicy,
@@ -26,6 +27,7 @@ from repro.helpers.scenarios import (
     run_edge_scenario,
     run_offload_experiment,
 )
+from repro.obs.registry import snapshot_total
 from repro.placement import group_pin
 
 
@@ -142,6 +144,10 @@ class TestHelperDirectory:
             group_pin(0, 0, 4)
 
 
+def _total(system, name):
+    return snapshot_total(system.registry.snapshot(), name)
+
+
 def _staggered_system(helpers=1, capacity=64, policy="lru", seed=11):
     """Three viewers on one file, spaced past the cache warm time."""
     system = TigerSystem(
@@ -168,11 +174,23 @@ class TestDesIntegration:
         # Viewer 1 misses (cold cache) and claims a slot; the warm fill
         # completes before viewers 2 and 3 arrive, so they are served
         # from cache and the global schedule never sees them.
-        assert system.total_helper_blocks_served() > 0
+        assert _total(system, "helper.blocks_served") > 0
         assert system.oracle.inserts == 1
-        assert system.origin_offload_ratio() > 0.4
+        assert origin_offload_ratio(system.registry.snapshot()) > 0.4
         assert system.total_client_missed() == 0
         assert system.total_client_corrupt() == 0
+
+    def test_offload_is_read_from_the_registry_totals(self):
+        """One offload ratio, over the registry totals both backends
+        export: they equal the nodes' own counters, summed."""
+        system, _, _ = _staggered_system(helpers=2)
+        system.run_until(40.0)
+        served = sum(helper.blocks_served.count for helper in system.helpers)
+        assert _total(system, "helper.blocks_served") == served > 0
+        assert _total(system, "cub.blocks_sent") == system.total_blocks_sent()
+        assert origin_offload_ratio(system.registry.snapshot()) == (
+            served / (served + system.total_blocks_sent())
+        )
 
     def test_all_policies_serve_identically_sized_demand(self):
         for policy in CACHE_POLICIES:
@@ -180,7 +198,7 @@ class TestDesIntegration:
             system.run_until(40.0)
             system.finalize_clients()
             system.assert_invariants()
-            assert system.total_helper_blocks_served() > 0, policy
+            assert _total(system, "helper.blocks_served") > 0, policy
             assert system.total_client_missed() == 0, policy
 
     def test_capacity_zero_emits_no_helper_traffic(self):
@@ -188,8 +206,8 @@ class TestDesIntegration:
         system.run_until(40.0)
         system.finalize_clients()
         system.assert_invariants()
-        assert system.total_helper_blocks_served() == 0
-        assert system.total_helper_fetches_served() == 0
+        assert _total(system, "helper.blocks_served") == 0
+        assert _total(system, "cub.helper_fetches_served") == 0
         assert system.oracle.inserts == 3  # everyone took the origin path
 
     def test_warm_join_absorbs_near_simultaneous_arrivals(self):
@@ -210,23 +228,18 @@ class TestDesIntegration:
         system.finalize_clients()
         system.assert_invariants()
         assert system.oracle.inserts == 1
-        assert system.total_helper_blocks_served() > 0
+        assert _total(system, "helper.blocks_served") > 0
         assert system.total_client_missed() == 0
         assert system.total_client_corrupt() == 0
 
     def test_helper_death_degrades_to_origin(self):
-        system, clients, _ = _staggered_system()
+        system, _, _ = _staggered_system()
         # Kill the helper while viewers 2/3 are being cache-served.
         system.sim.call_at(20.0, system.fail_helper, 0)
         system.run_until(60.0)
         system.finalize_clients()
         system.assert_invariants()
-        fallbacks = sum(
-            client.helper_fallbacks.count
-            for client in clients
-            if client.helper_fallbacks is not None
-        )
-        assert fallbacks > 0
+        assert _total(system, "client.helper_fallbacks") > 0
         # Fail-soft: every block still arrives, via the origin tier.
         assert system.total_client_missed() == 0
         assert system.total_client_corrupt() == 0

@@ -30,6 +30,9 @@ FORBIDDEN = (
     "repro.core.client",
 )
 FORBIDDEN_PACKAGES = ("repro.workloads", "repro.analysis", "repro.mbr")
+#: Nor does a controller or its backup load an optional tier or the
+#: fault machinery: the tiers plug into cubs and clients only.
+CONTROLLER_FORBIDDEN = ("repro.helpers", "repro.storage.rebalance", "repro.faults")
 
 PROBE = """
 import json, sys, time
@@ -91,6 +94,9 @@ def test_a_node_imports_only_its_role(role):
     assert ROLES[role][2] in loaded
     if role in ("controller", "backup"):
         assert "repro.core.cub" not in loaded
+        assert not [
+            name for name in loaded if name.startswith(CONTROLLER_FORBIDDEN)
+        ]
     assert not [
         path for path in report["files"]
         if "site-packages" in path or "dist-packages" in path

@@ -247,7 +247,7 @@ def test_a_rebooted_cub_gets_a_fresh_owner_and_keeps_its_migrations():
     cub._on_start_request(_request(1, disk_id), "controller")
     cub._on_cancel_start(CancelStart("client:0#2", 2), "controller")
     moved = BlockLocation(disk_id, "outer", 0, 1)
-    cub.migrations[(0, 5)] = moved
+    cub.block_index.migrations[(0, 5)] = moved
     foreign = _state(3, 0, LAYOUT.disks_of_cub(1)[0], 9.0)
     cub.owner.hold(foreign, foreign.key())
     cub.owner.forward_queue.append(_state(4, 0, disk_id, 9.0))
@@ -269,7 +269,7 @@ def test_a_rebooted_cub_gets_a_fresh_owner_and_keeps_its_migrations():
     cub._on_start_request(_request(1, disk_id), "controller")
     cub._on_start_request(_request(2, disk_id), "controller")
     assert cub.owner.queued() == 2
-    assert cub.migrations == {(0, 5): moved}
+    assert cub.block_index.migrations == {(0, 5): moved}
 
 
 # ----------------------------------------------------------------------

@@ -241,10 +241,11 @@ class TestDualPresence:
         assert restriper.moves_committed.value() == 1
         return system, entry, src, dst
 
-    def moved_block_read(self, system, entry, src):
-        """Play the file from the block before the moved one, so the
-        moved block rides a viewer state rather than an insert; the disks
-        its cub's primary reads went to, and the play's monitor."""
+    def moved_block_read(self, system, entry, src, first_block=BLOCK - 1):
+        """Play the file from ``first_block``: by default the block
+        before the moved one, so the moved block rides a viewer state;
+        from the moved block itself, it is the insert's first block.  The
+        disks its cub's primary reads went to, and the play's monitor."""
         reads = []
         cub = system.cubs[system.layout.cub_of_disk(src)]
         for disk_id, disk in cub.disks.items():
@@ -254,9 +255,7 @@ class TestDualPresence:
                 return _read(size, zone, *rest)
             disk.read = read
         client = system.add_client()
-        instance = client.start_stream(
-            entry.file_id, first_block=self.BLOCK - 1
-        )
+        instance = client.start_stream(entry.file_id, first_block=first_block)
         system.run_for(8.0)
         return reads, client.streams[instance]
 
@@ -272,6 +271,31 @@ class TestDualPresence:
         system.fail_disk(dst)
         reads, monitor = self.moved_block_read(system, entry, src)
         assert reads[:1] == [src]
+        assert monitor.blocks_received >= 2
+        assert (monitor.blocks_late, monitor.blocks_missed) == (0, 0)
+
+    def test_a_play_inserted_on_the_moved_block_reads_its_new_disk(self):
+        system, entry, src, dst = self.committed_move()
+        reads, monitor = self.moved_block_read(
+            system, entry, src, first_block=self.BLOCK
+        )
+        assert reads[:1] == [dst]
+        assert monitor.blocks_received >= 2
+        assert (monitor.blocks_late, monitor.blocks_missed) == (0, 0)
+
+    def test_an_insert_reads_the_moved_block_past_a_failed_original(self):
+        """Dual presence the other way round: the original disk has
+        failed, the migrated copy is up, so the insert's first block is
+        read from the new disk, not sent to the mirrors."""
+        system, entry, src, dst = self.committed_move()
+        system.fail_disk(src)
+        system.tracer.enable("mirror.cover")
+        reads, monitor = self.moved_block_read(
+            system, entry, src, first_block=self.BLOCK
+        )
+        assert reads[:1] == [dst]
+        covered = [record.fields["block"] for record in system.tracer.records]
+        assert self.BLOCK not in covered
         assert monitor.blocks_received >= 2
         assert (monitor.blocks_late, monitor.blocks_missed) == (0, 0)
 

@@ -16,7 +16,7 @@ analysis of section 3.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 #: Approximate size of one viewer-state record on the wire (paper §3.3).
 VIEWER_STATE_BYTES = 100
@@ -91,13 +91,18 @@ def reset_message_ids(namespace: int = 0) -> None:
     _allocator.reset(namespace)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """A unit of traffic between two network addresses.
 
     ``payload`` is an arbitrary protocol object (e.g. a list of
     :class:`~repro.core.viewerstate.ViewerState`); the network treats it
     opaquely and only uses ``size_bytes`` for timing.
+
+    Every hop of every block builds one, so the ``__init__`` is written
+    out: one call sets the fields, draws the default id from the
+    process-wide allocator inline and validates, where the generated
+    one took three (itself, the id factory and ``__post_init__``).
     """
 
     src: str
@@ -107,11 +112,29 @@ class Message:
     kind: str = KIND_CONTROL
     msg_id: int = field(default_factory=_allocator.allocate)
 
-    def __post_init__(self) -> None:
-        if not self.size_bytes > 0:  # also rejects NaN
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        size_bytes: int,
+        kind: str = KIND_CONTROL,
+        msg_id: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.kind = kind
+        if msg_id is None:
+            # MessageIdAllocator.allocate, inline.
+            msg_id = _allocator._namespace_base + _allocator._next
+            _allocator._next += 1
+        self.msg_id = msg_id
+        if not size_bytes > 0:  # also rejects NaN
             raise ValueError("messages must have positive size")
-        if self.kind not in (KIND_CONTROL, KIND_DATA):
-            raise ValueError(f"unknown message kind {self.kind!r}")
+        if kind not in (KIND_CONTROL, KIND_DATA):
+            raise ValueError(f"unknown message kind {kind!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

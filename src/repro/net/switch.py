@@ -75,7 +75,7 @@ class SwitchedNetwork:
         self.data_bytes_from: Dict[str, RateMeter] = {}
         #: Send attempts (every ``send``/``send_paced`` call).
         self.messages_sent = 0
-        #: Delivery events enqueued into the simulator.
+        #: Deliveries posted to the simulator.
         self.messages_scheduled = 0
         #: Extra copies enqueued beyond the original (fault injection).
         self.messages_duplicated = 0
@@ -84,6 +84,9 @@ class SwitchedNetwork:
         # Hot-path cache: (node, nic, control meter, data meter) per
         # address, so a send does one dict lookup instead of four.
         self._endpoint: Dict[str, Tuple[NetworkNode, Nic, RateMeter, RateMeter]] = {}
+        #: The delivery callback, bound once: every delivery posts this
+        #: one object instead of binding a fresh method per message.
+        self._deliver = self._deliver
 
     # ------------------------------------------------------------------
     # Topology management
@@ -133,10 +136,10 @@ class SwitchedNetwork:
     def _schedule_delivery(
         self, message: Message, arrival: float, flow: Optional[Tuple[str, str]]
     ) -> bool:
-        """The fault stage: perturb one delivery, then enqueue it.
+        """The fault stage: perturb one delivery, then post it.
 
         Only runs while a ``fault_injector`` is installed; without one,
-        ``send`` / ``send_paced`` enqueue the delivery themselves.
+        ``send`` / ``send_paced`` post the delivery themselves.
         ``arrival`` is already clamped to the flow's FIFO floor.
 
         The per-flow FIFO floor is maintained here — from the arrival
@@ -168,7 +171,7 @@ class SwitchedNetwork:
             if when < now:
                 when = now
             self.messages_scheduled += 1
-            self.sim.call_at(when, self._deliver, message)
+            self.sim.post(when, self._deliver, message)
             if when > latest:
                 latest = when
         if flow is not None and not reordered:
@@ -209,7 +212,7 @@ class SwitchedNetwork:
 
         This is every heartbeat's path (eight per cub-second), so it
         reads each message field once, looks at the partition sets only
-        while one is non-empty, and enqueues the delivery itself unless
+        while one is non-empty, and posts the delivery itself unless
         a fault stage is installed.
         """
         src = message.src
@@ -249,7 +252,7 @@ class SwitchedNetwork:
             return self._schedule_delivery(message, arrival, flow)
         self._last_arrival[flow] = arrival
         self.messages_scheduled += 1
-        self.sim.call_at(arrival, self._deliver, message)
+        self.sim.post(arrival, self._deliver, message)
         return True
 
     def send_paced(self, message: Message, pacing_duration: float) -> bool:
@@ -301,11 +304,11 @@ class SwitchedNetwork:
         if self.fault_injector is not None:
             return self._schedule_delivery(message, arrival, None)
         self.messages_scheduled += 1
-        self.sim.call_at(arrival, self._deliver, message)
+        self.sim.post(arrival, self._deliver, message)
         return True
 
     def _deliver(self, message: Message) -> None:
-        """One delivery event: count it, show it to the tracer and the
+        """One posted delivery: count it, show it to the tracer and the
         hooks, and hand it to the destination unless that is failed (a
         powered-off machine drops what reaches it; see
         :meth:`NetworkNode.deliver`, the entry the live backend uses)."""
@@ -324,6 +327,8 @@ class SwitchedNetwork:
             for hook in self._delivery_hooks[type(message.payload)]:
                 hook(message, self.sim.now)
         if not node.failed:
+            # Looked up per delivery, never bound ahead: a wrapper put on
+            # the node's class (a span recorder's) sees every message.
             node.handle_message(message)
 
     # ------------------------------------------------------------------
@@ -331,7 +336,7 @@ class SwitchedNetwork:
     # ------------------------------------------------------------------
     @property
     def messages_in_flight(self) -> int:
-        """Delivery events enqueued but not yet dispatched.
+        """Deliveries posted but not yet dispatched.
 
         The fabric counters reconcile exactly at all times::
 

@@ -1,10 +1,17 @@
 """The discrete-event simulation kernel.
 
 The kernel is deliberately small — and the only one the DES has: a
-time-ordered heap of ``(time, priority, seq, event)`` entries and a
-clock.  Components schedule callbacks with :meth:`Simulator.call_at` /
-``call_after`` and one loop, :meth:`Simulator.run`, dispatches them in
-deterministic order.
+time-ordered heap and a clock.  A heap entry has one of two shapes,
+both ordered by their first three fields:
+
+* ``(time, priority, seq, event)`` — a cancellable
+  :class:`~repro.sim.events.Event`, from :meth:`Simulator.call_at` /
+  ``call_after``;
+* ``(time, priority, seq, fn, arg)`` — a fire-and-forget callback from
+  :meth:`Simulator.post`: no ``Event``, no args tuple, no handle.
+
+One loop, :meth:`Simulator.run`, dispatches both in deterministic
+order.
 
 Design notes
 ------------
@@ -14,11 +21,13 @@ Design notes
   stack traces when something goes wrong.
 * Determinism: ties are broken by ``(priority, insertion order)`` and
   all randomness flows through :class:`~repro.sim.rng.RngRegistry`, so a
-  run is a pure function of its seed and configuration.
+  run is a pure function of its seed and configuration.  Both entry
+  shapes draw ``seq`` from one counter, so a post and an event at the
+  same time and priority fire in the order they were scheduled.
 * Cancellation is lazy: a cancelled event stays in the heap as a
   tombstone until it reaches the top or a compaction sweeps it.  A
   tombstone is never dispatched, consumes no ``max_events`` budget and
-  never advances the clock.
+  never advances the clock.  A posted entry cannot be cancelled.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from math import inf
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import PRIORITY_NORMAL, Event
+from repro.sim.events import PRIORITY_NORMAL, Event, _seq_counter
 
 #: Lazy heap compaction floor: below this many tombstones the heap is
 #: never rebuilt, so cancel-light workloads pay nothing.
@@ -46,7 +55,8 @@ class Simulator:
     :class:`repro.runtime.Runtime` backend contract (``now`` +
     ``call_at`` / ``call_after``); the other is the wall-clock
     :class:`repro.live.runtime.LiveRuntime`, which runs the same
-    protocol classes over real sockets.
+    protocol classes over real sockets.  :meth:`post` is not part of
+    the contract: it is the DES fabric's delivery entry.
 
     Example
     -------
@@ -66,10 +76,10 @@ class Simulator:
         #: on every hop of every block; only this module writes it (the
         #: dispatch loop, ``step`` and the end of a bounded ``run``).
         self.now = float(start_time)
-        #: The event heap.  The list object is never replaced
-        #: (compaction rebuilds it in place): :meth:`run` holds it
-        #: across callbacks.
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        #: The event heap, of both entry shapes (see the module
+        #: docstring).  The list object is never replaced (compaction
+        #: rebuilds it in place): :meth:`run` holds it across callbacks.
+        self._heap: List[Tuple[Any, ...]] = []
         #: Cancelled events still sitting in the heap (lazy tombstones).
         self._cancelled_in_heap = 0
         self._events_dispatched = 0
@@ -98,11 +108,11 @@ class Simulator:
     def set_profiler(self, profiler: Optional[Any]) -> None:
         """Attach (or detach, with None) an event-loop profiler.
 
-        While attached, every dispatched event is timed with
-        ``perf_counter`` and reported via ``profiler.record(fn, wall_s,
-        sim_now)`` — the span recorder in ``benchmarks/perf/spans.py``
-        attaches here.  Detached, the dispatch loop pays a single
-        attribute check per event.
+        While attached, every dispatched callback — an event's or a
+        post's — is timed with ``perf_counter`` and reported via
+        ``profiler.record(fn, wall_s, sim_now)``; the span recorder in
+        ``benchmarks/perf/spans.py`` attaches here.  Detached, the
+        dispatch loop pays a single attribute check per event.
 
         :param profiler: Object with a ``record`` method, or None.
         """
@@ -145,15 +155,33 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         return self.call_at(self.now + delay, fn, *args, priority=priority)
 
+    def post(self, time: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at ``time``, for good: nothing can cancel it.
+
+        The entry is one heap tuple, ``(time, PRIORITY_NORMAL, seq, fn,
+        arg)``, with ``seq`` from the counter ``call_at`` uses, so it is
+        dispatched exactly where a ``call_at(time, fn, arg)`` would be.
+        It counts against ``max_events`` and in ``events_dispatched``
+        like any event.  The DES fabric posts every delivery; a caller
+        that might cancel uses :meth:`call_at`.
+        """
+        if not time >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
+            )
+        heappush(self._heap, (time, PRIORITY_NORMAL, next(_seq_counter), fn, arg))
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _purge_head(self) -> Optional[Tuple[float, int, int, Event]]:
-        """Pop tombstones off the top of the heap; return the entry of
-        the next active event (left in the heap), or None."""
+    def _purge_head(self) -> Optional[Tuple[Any, ...]]:
+        """Pop tombstones off the top of the heap; return the next
+        active entry (left in the heap), or None."""
         heap = self._heap
         while heap:
             entry = heap[0]
+            if len(entry) == 5:
+                return entry
             event = entry[3]
             if not event.cancelled:
                 return entry
@@ -163,42 +191,46 @@ class Simulator:
         return None
 
     def step(self) -> bool:
-        """Dispatch the next active event.
+        """Dispatch the next active event or post.
 
-        Returns False when the heap holds no active events.
+        Returns False when the heap holds no active entries.
         """
         entry = self._purge_head()
         if entry is None:
             return False
         heappop(self._heap)
-        event = entry[3]
-        event.owner = None
         self.now = entry[0]
         self._events_dispatched += 1
+        if len(entry) == 5:
+            fn = entry[3]
+            args: Tuple[Any, ...] = (entry[4],)
+        else:
+            event = entry[3]
+            event.owner = None
+            fn, args = event.fn, event.args
         if self._profiler is None:
-            event.fn(*event.args)
+            fn(*args)
         else:
             started = perf_counter()
-            event.fn(*event.args)
-            self._profiler.record(
-                event.fn, perf_counter() - started, self.now
-            )
+            fn(*args)
+            self._profiler.record(fn, perf_counter() - started, self.now)
         return True
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next active event, or None if the heap is empty."""
+        """Time of the next active entry, or None if the heap is empty."""
         entry = self._purge_head()
         return entry[0] if entry is not None else None
 
     def _note_cancelled(self) -> None:
         """An event currently in the heap was cancelled (Event.cancel).
 
-        When tombstones outnumber live events (past a fixed floor), the
+        When tombstones outnumber live entries (past a fixed floor), the
         heap is rebuilt without them: cancel-heavy workloads (deadman
         timers, per-service bookkeeping) otherwise carry every tombstone
         until its pop, inflating both memory and per-push compare cost.
-        Event ordering is a total order on ``(time, priority, seq)``, so
-        the rebuild cannot reorder the survivors.
+        Entry ordering is a total order on ``(time, priority, seq)``, so
+        the rebuild cannot reorder the survivors; posts are never
+        tombstones and always survive.
         """
         self._cancelled_in_heap += 1
         heap = self._heap
@@ -208,7 +240,7 @@ class Simulator:
         ):
             live = []
             for entry in heap:
-                if entry[3].cancelled:
+                if len(entry) == 4 and entry[3].cancelled:
                     entry[3].owner = None
                 else:
                     live.append(entry)
@@ -242,27 +274,39 @@ class Simulator:
         try:
             while heap and dispatched != budget and not self._stopped:
                 entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    # A tombstone consumes no budget and moves no clock.
-                    heappop(heap)
-                    event.owner = None
-                    self._cancelled_in_heap -= 1
-                    continue
+                posted = len(entry) == 5
+                if not posted:
+                    event = entry[3]
+                    if event.cancelled:
+                        # A tombstone consumes no budget and moves no clock.
+                        heappop(heap)
+                        event.owner = None
+                        self._cancelled_in_heap -= 1
+                        continue
                 if entry[0] > horizon:
                     break
                 heappop(heap)
-                event.owner = None
                 self.now = entry[0]
                 self._events_dispatched += 1
                 dispatched += 1
                 profiler = self._profiler
-                if profiler is None:
-                    event.fn(*event.args)
+                if posted:
+                    fn = entry[3]
+                    if profiler is None:
+                        fn(entry[4])
+                    else:
+                        started = perf_counter()
+                        fn(entry[4])
+                        profiler.record(fn, perf_counter() - started, self.now)
                 else:
-                    started = perf_counter()
-                    event.fn(*event.args)
-                    profiler.record(event.fn, perf_counter() - started, self.now)
+                    event.owner = None
+                    fn = event.fn
+                    if profiler is None:
+                        fn(*event.args)
+                    else:
+                        started = perf_counter()
+                        fn(*event.args)
+                        profiler.record(fn, perf_counter() - started, self.now)
             pending = self.peek_time()
             if (
                 until is not None

@@ -1,12 +1,15 @@
 """Event objects for the discrete-event simulator.
 
-An :class:`Event` is a scheduled callback.  Events are ordered by
-``(time, priority, seq)`` so that simultaneous events fire in a
-deterministic order: lower priority values first, then insertion order.
-The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
-unique, so the tuple compare is decided before it reaches the event and
-every heap comparison runs in C — an ``Event`` defines no ordering of
-its own.
+An :class:`Event` is a scheduled callback that can be cancelled.
+Events are ordered by ``(time, priority, seq)`` so that simultaneous
+events fire in a deterministic order: lower priority values first, then
+insertion order.  The heap holds ``(time, priority, seq, event)``
+tuples beside the ``(time, priority, seq, fn, arg)`` tuples of
+:meth:`Simulator.post <repro.sim.core.Simulator.post>`, which need no
+``Event``; both draw ``seq`` from :data:`_seq_counter`.  ``seq`` is
+unique, so the tuple compare is decided before it reaches the event or
+the callback and every heap comparison runs in C — an ``Event`` defines
+no ordering of its own.
 Events may be cancelled; cancelled events are skipped (and lazily
 discarded) by the simulator loop rather than removed from the heap,
 which keeps cancellation O(1).
@@ -24,6 +27,7 @@ PRIORITY_HIGH = -10
 #: Priority for bookkeeping that should run after ordinary events.
 PRIORITY_LOW = 10
 
+#: The one insertion counter of every heap entry, event or post.
 _seq_counter = itertools.count()
 
 

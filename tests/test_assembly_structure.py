@@ -512,7 +512,7 @@ def _classes_with_a_run_method():
 def _fabric_kernel_forks(source: str):
     """What in the fabric's source would make it serve two kernels:
     probing the simulator with ``getattr``, or handing ``_deliver`` to
-    anything but ``self.sim.call_at``."""
+    anything but ``self.sim.post``."""
     tree = ast.parse(source)
     found = [
         ast.unparse(node) for node in _calls(tree, "getattr")
@@ -522,7 +522,7 @@ def _fabric_kernel_forks(source: str):
         if isinstance(node, ast.Call) and any(
             ast.unparse(arg) == "self._deliver" for arg in node.args
         ):
-            if ast.unparse(node.func) != "self.sim.call_at":
+            if ast.unparse(node.func) != "self.sim.post":
                 found.append(ast.unparse(node))
     return found
 
@@ -543,7 +543,10 @@ def _init_parameters(relative: str, class_name: str):
 def test_the_des_has_one_event_kernel():
     assert _classes_with_a_run_method() == ["sim/core.py:Simulator"]
     switch = (SRC / "net/switch.py").read_text(encoding="utf-8")
-    assert "self.sim.call_at(" in switch
+    # One kernel entry point: every delivery is posted, and the fabric
+    # builds no cancellable Event.
+    assert "self.sim.post(" in switch
+    assert "call_at" not in switch and "call_after" not in switch
     assert not _fabric_kernel_forks(switch)
     assert "shards" not in _init_parameters("core/tiger.py", "TigerSystem")
     assert "shards" not in _init_parameters("faults/harness.py", "ChaosHarness")
@@ -642,7 +645,7 @@ def test_the_kernel_fork_check_sees_the_fork_it_replaced():
         "        self._call_on_lane = getattr(sim, 'call_on_lane', None)\n"
         "    def _schedule_delivery(self, message, arrival):\n"
         "        if self._call_on_lane is None:\n"
-        "            self.sim.call_at(arrival, self._deliver, message)\n"
+        "            self.sim.post(arrival, self._deliver, message)\n"
         "        else:\n"
         "            self._call_on_lane(\n"
         "                message.dst, arrival, self._deliver, message)\n"
@@ -651,6 +654,11 @@ def test_the_kernel_fork_check_sees_the_fork_it_replaced():
         "getattr(sim, 'call_on_lane', None)",
         "self._call_on_lane(message.dst, arrival, self._deliver, message)",
     ]
+    # A delivery handed back to the cancellable entry is a fork too.
+    assert _fabric_kernel_forks(
+        "def send(self, message, arrival):\n"
+        "    self.sim.call_at(arrival, self._deliver, message)\n"
+    ) == ["self.sim.call_at(arrival, self._deliver, message)"]
 
 
 # ----------------------------------------------------------------------

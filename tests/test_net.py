@@ -499,20 +499,29 @@ class TestEveryDeliveryPaysTheBaseLatency:
             _noisy_chaos_plan(duration) if injected
             else FaultPlan(name="quiet")
         )
-        real_call_at = Simulator.call_at
-        leads, branches = [], set()
+        real_post, real_call_at = Simulator.post, Simulator.call_at
+        leads, branches, cancellable = [], set(), []
 
-        def spy(sim, time, fn, *args, **kwargs):
+        def post_spy(sim, time, fn, arg):
             if getattr(fn, "__func__", None) is SwitchedNetwork._deliver:
                 leads.append(time - sim.now)
                 branches.add(fn.__self__.fault_injector is not None)
+            return real_post(sim, time, fn, arg)
+
+        def call_at_spy(sim, time, fn, *args, **kwargs):
+            if getattr(fn, "__func__", None) is SwitchedNetwork._deliver:
+                cancellable.append(time)
             return real_call_at(sim, time, fn, *args, **kwargs)
 
-        monkeypatch.setattr(Simulator, "call_at", spy)
+        monkeypatch.setattr(Simulator, "post", post_spy)
+        monkeypatch.setattr(Simulator, "call_at", call_at_spy)
         harness = ChaosHarness(config, plan, seed=3, duration=duration)
         report = harness.run()
 
+        # Every delivery is posted (none is a cancellable Event), and
+        # every one the fabric scheduled passed the spy.
         assert branches == {injected}
+        assert not cancellable
         assert len(leads) == report.totals["messages_scheduled"] > 1000
         assert min(leads) >= config.net_base_latency - 1e-12
         if injected:

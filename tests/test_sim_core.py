@@ -470,3 +470,165 @@ class TestBudgetVsTombstones:
             assert sim.events_dispatched == 1
         finally:
             sim_core._COMPACT_MIN_TOMBSTONES = original
+
+
+class _Recorder:
+    """A duck-typed profiler: every ``record`` call, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, fn, wall_s, sim_now):
+        assert wall_s >= 0.0
+        self.calls.append((fn, sim_now))
+
+
+class TestPost:
+    """``Simulator.post`` is the fire-and-forget entry: a plain
+    ``(time, priority, seq, fn, arg)`` heap tuple, no ``Event``.  Every
+    kernel path must treat it as an event that cannot be cancelled."""
+
+    def test_a_post_is_one_plain_heap_tuple(self, sim):
+        fired = []
+        assert sim.post(1.0, fired.append, "x") is None
+        ((time, priority, seq, fn, arg),) = sim._heap
+        assert (time, priority, fn, arg) == (1.0, 0, fired.append, "x")
+        assert isinstance(seq, int)
+        sim.run()
+        assert fired == ["x"] and sim.now == 1.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 6),
+                st.sampled_from([PRIORITY_HIGH, 0, PRIORITY_LOW]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sets(st.integers(0, 59)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_posts_and_events_interleave_in_time_priority_seq_order(
+        self, schedule, cancelled
+    ):
+        """Property: posts (priority 0) and ``call_at`` events on a
+        coarse grid, some events cancelled, fire in exactly
+        ``sorted((time, priority, insertion))`` order: both draw
+        ``seq`` from one counter."""
+        sim = Simulator()
+        fired = []
+        events = {}
+        for index, (posted, tick, priority) in enumerate(schedule):
+            if posted:
+                sim.post(tick / 10.0, fired.append, index)
+            else:
+                events[index] = sim.call_at(
+                    tick / 10.0, fired.append, index, priority=priority
+                )
+        for victim in cancelled:
+            if victim in events:
+                events[victim].cancel()
+        sim.run()
+        expected = [
+            index
+            for _tick, _priority, index in sorted(
+                (tick, 0 if posted else priority, index)
+                for index, (posted, tick, priority) in enumerate(schedule)
+            )
+            if index not in cancelled or index not in events
+        ]
+        assert fired == expected
+        assert sim.events_dispatched == len(expected)
+
+    def test_a_post_into_the_past_or_at_nan_is_refused(self, sim):
+        fired = []
+        sim.post(2.0, fired.append, "a")
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.post(1.5, fired.append, "past")
+        with pytest.raises(SimulationError):
+            sim.post(float("nan"), fired.append, "nan")
+        assert not sim._heap
+        sim.post(sim.now, fired.append, "now")  # the current instant is fine
+        sim.run()
+        assert fired == ["a", "now"] and sim.now == 2.0
+
+    def test_posts_count_against_max_events_and_in_events_dispatched(self, sim):
+        fired = []
+        for tag in range(4):
+            sim.post(1.0 + tag, fired.append, tag)
+        sim.call_at(2.5, fired.append, "event")
+        sim.run(until=10.0, max_events=3)
+        assert fired == [0, 1, "event"]
+        assert sim.events_dispatched == 3
+        assert sim.now == 2.5  # budget exit: posts at 3 and 4 still due
+        sim.run(until=10.0)
+        assert fired == [0, 1, "event", 2, 3]
+        assert sim.events_dispatched == 5
+        assert sim.now == 10.0
+
+    def test_stop_from_a_posted_callback_ends_the_run(self, sim):
+        fired = []
+
+        def halt(tag):
+            fired.append(tag)
+            sim.stop()
+
+        sim.post(1.0, halt, "stop")
+        sim.post(2.0, fired.append, "after")
+        sim.run(until=5.0)
+        assert fired == ["stop"] and sim.now == 1.0
+        sim.run()
+        assert fired == ["stop", "after"]
+
+    def test_peek_time_and_step_see_posts_under_tombstones(self, sim):
+        fired = []
+        sim.call_at(1.0, fired.append, "gone").cancel()
+        sim.post(2.0, fired.append, "post")
+        sim.call_at(3.0, fired.append, "event")
+        assert sim.peek_time() == 2.0
+        assert sim._cancelled_in_heap == 0  # the tombstone was purged
+        assert sim.step() and fired == ["post"] and sim.now == 2.0
+        assert sim.peek_time() == 3.0
+        assert sim.step() and fired == ["post", "event"]
+        assert not sim.step() and sim.peek_time() is None
+        assert sim.events_dispatched == 2
+
+    def test_compaction_keeps_every_post(self):
+        """Tombstones outnumbering everything else, posts among them: a
+        rebuild drops the tombstones only."""
+        original = sim_core._COMPACT_MIN_TOMBSTONES
+        sim_core._COMPACT_MIN_TOMBSTONES = 4
+        try:
+            sim = Simulator()
+            fired = []
+            victims = []
+            for index in range(60):
+                sim.post(index / 10.0, fired.append, index)
+                victims.append(sim.call_at(index / 10.0, fired.append, "x"))
+                victims.append(sim.call_at(index / 20.0, fired.append, "y"))
+            for victim in victims:
+                victim.cancel()
+            assert len(sim._heap) < 60 + len(victims) // 2
+            sim.run()
+        finally:
+            sim_core._COMPACT_MIN_TOMBSTONES = original
+        assert fired == list(range(60))
+        assert sim.events_dispatched == 60
+        assert sim._cancelled_in_heap == 0
+
+    def test_an_attached_profiler_records_every_posted_callback(self, sim):
+        recorder = _Recorder()
+        sim.set_profiler(recorder)
+        fired = []
+        sim.post(1.0, fired.append, "a")
+        sim.call_at(1.5, fired.append, "b")
+        sim.post(2.0, fired.append, "c")
+        sim.run(until=1.8)
+        sim.step()
+        assert fired == ["a", "b", "c"]
+        assert recorder.calls == [
+            (fired.append, 1.0), (fired.append, 1.5), (fired.append, 2.0),
+        ]

@@ -379,7 +379,7 @@ class Cub(NetworkNode):
         location = self.block_index.locate(
             state.file_id, state.block_index, self.disks
         )
-        disk = self.disks[state.disk_id if location is None else location.disk_id]
+        disk = self.disks[location.disk_id]
         if disk.failed:
             # Local disk death: this cub is alive and knows immediately
             # (I/O errors), so mirrors cover the block and the chain
@@ -468,25 +468,13 @@ class Cub(NetworkNode):
                     yield when, "send", record.state
 
     def _schedule_block_service(
-        self,
-        state: ViewerState,
-        disk: SimDisk,
-        location: Optional[BlockLocation] = None,
+        self, state: ViewerState, disk: SimDisk, location: BlockLocation
     ) -> None:
         """Issue the read ahead of time; transmit exactly at the due time.
 
         ``location`` is where the block index located the read (see
-        :meth:`BlockIndex.locate`); without one, the primary copy.
+        :meth:`BlockIndex.locate`).
         """
-        if location is None:
-            location = self.block_index.lookup_primary(
-                state.file_id, state.block_index
-            )
-        if location is None:
-            raise RuntimeError(
-                f"{self.name}: no primary index entry for file {state.file_id} "
-                f"block {state.block_index} (disk {state.disk_id})"
-            )
         self._queue_service(_Service(state, disk, location))
 
     def _issue_read(self, record: _Service) -> None:

@@ -225,7 +225,10 @@ class TestCancellationByTombstone:
             far.due_time - small_system.sim.now
             > config.max_vstate_lead + config.deschedule_hold
         )
-        cub._schedule_block_service(far, cub.disks[far.disk_id])
+        cub._schedule_block_service(
+            far, cub.disks[far.disk_id],
+            cub.block_index.locate(far.file_id, far.block_index, cub.disks),
+        )
         client.stop_stream(instance)
         small_system.run_for(0.5)
         at_stop = _service_totals(small_system)

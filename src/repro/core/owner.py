@@ -62,12 +62,13 @@ class ScheduleOwner:
         self.policy = policy
         self.config = config
         self.catalog = catalog
-        #: Viewer states held for predecessors (§4.1.1), in arrival
-        #: order — the order a neighbour's death bridges them.
-        self._redundant_states: Dict[Tuple[int, int], ViewerState] = {}
-        #: The same records by play: instance -> play seqnos held, so a
-        #: deschedule finds them without a search.  Exactly the store's keys.
-        self._redundant_index: Dict[int, Tuple[int, ...]] = {}
+        #: Viewer states held for predecessors (§4.1.1) by their keys, in
+        #: arrival order — the order a neighbour's death bridges them.
+        self._redundant_states: Dict[int, ViewerState] = {}
+        #: The same records by play: instance -> the one key it holds, or
+        #: a tuple of keys only while it holds several, so a deschedule
+        #: finds them without a search.  Exactly the store's keys.
+        self._redundant_index: Dict[int, Union[int, Tuple[int, ...]]] = {}
         #: And by due time: what :meth:`prune` visits.
         self._redundant_expiry = ExpiryIndex()
         #: States this cub served, awaiting their forward window.
@@ -119,10 +120,11 @@ class ScheduleOwner:
         if not self.view.apply_deschedule(request, expiry):
             return False  # duplicate — idempotent
         instance = request.instance
-        for seqno in self._redundant_index.get(instance, ()):
-            key = (instance, seqno)
-            if request.matches(self._redundant_states[key]):
-                self._release(key)
+        held = self._redundant_index.get(instance)
+        if held is not None:
+            for key in (held,) if type(held) is int else held:
+                if request.matches(self._redundant_states[key]):
+                    self._release(key)
         self._forget_start(instance)
         return True
 
@@ -269,26 +271,30 @@ class ScheduleOwner:
             records += decision
         return records
 
-    def hold(self, state: ViewerState, key: Tuple[int, int]) -> None:
+    def hold(self, state: ViewerState, key: int) -> None:
         """Keep a state (``key`` is its ``key()``) targeted at another
         cub's disk, indexed by play and by due time."""
         if key not in self._redundant_states:
-            instance, seqno = key
             index = self._redundant_index
-            index[instance] = index.get(instance, ()) + (seqno,)
+            instance = state.instance
+            held = index.get(instance)
+            if held is None:
+                index[instance] = key
+            else:
+                index[instance] = (held, key) if type(held) is int else held + (key,)
         self._redundant_states[key] = state
         self._redundant_expiry.note(key, state.due_time)
 
-    def _release(self, key: Tuple[int, int]) -> None:
+    def _release(self, key: int) -> None:
         """Take one held state out of the store and the index."""
-        del self._redundant_states[key]
-        instance, seqno = key
+        instance = self._redundant_states.pop(key).instance
         index = self._redundant_index
         held = index[instance]
-        if len(held) == 1:  # the usual case: one visit's state per play
+        if held == key:
             del index[instance]
         else:
-            index[instance] = tuple(s for s in held if s != seqno)
+            rest = tuple(k for k in held if k != key)
+            index[instance] = rest[0] if len(rest) == 1 else rest
 
     def prune(self, now: float) -> None:
         """Expire the view, and the held states no death could still need."""

@@ -3,7 +3,8 @@
 Each cub tracks only the part of the schedule near its own disks: the
 viewer states it has received for upcoming visits (its own and, for
 redundancy, its predecessors'), deschedule tombstones, and an
-idempotence set of recently seen record keys.  Everything expires, so
+idempotence set of recently seen record keys (ints: see
+:mod:`repro.core.viewerstate`).  Everything expires, so
 the view's size is bounded by the lead-time constants — the paper's
 "necessary but insufficient condition for scalability".
 """
@@ -11,7 +12,7 @@ the view's size is bounded by the lead-time constants — the paper's
 from __future__ import annotations
 
 from math import floor
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.viewerstate import (
     DescheduleRequest,
@@ -52,9 +53,9 @@ class ExpiryIndex:
     __slots__ = ("_buckets",)
 
     def __init__(self) -> None:
-        self._buckets: Dict[int, List[Hashable]] = {}
+        self._buckets: Dict[int, List[int]] = {}
 
-    def note(self, key: Hashable, due_time: float) -> None:
+    def note(self, key: int, due_time: float) -> None:
         """List ``key`` under ``due_time``; call on every store write."""
         second = floor(due_time)
         try:
@@ -62,19 +63,19 @@ class ExpiryIndex:
         except KeyError:
             self._buckets[second] = [key]
 
-    def due_before(self, cutoff: float) -> List[Hashable]:
+    def due_before(self, cutoff: float) -> List[int]:
         """Every key listed under a due time that may lie before
         ``cutoff``: the whole seconds before it, forgotten here as they
         are returned, and the second ``cutoff`` falls in, which stays
         listed because part of it is still to come."""
         boundary = floor(cutoff)
         buckets = self._buckets
-        keys: List[Hashable] = []
+        keys: List[int] = []
         for second in [s for s in buckets if s <= boundary]:
             keys += buckets[second] if second == boundary else buckets.pop(second)
         return keys
 
-    def unlisted(self, records: Iterable[Tuple[Hashable, float]]) -> List[Hashable]:
+    def unlisted(self, records: Iterable[Tuple[int, float]]) -> List[int]:
         """The keys among ``(key, due_time)`` records not listed under
         their due time — records no expiry would ever reach."""
         listed = {second: set(keys) for second, keys in self._buckets.items()}
@@ -103,8 +104,8 @@ class ScheduleView:
         self._is_final = is_final if is_final is not None else (lambda state: False)
         #: Latest-due viewer state seen per slot (occupancy knowledge).
         self._slot_states: Dict[int, ViewerState] = {}
-        #: Idempotence: record key -> due time (for expiry).
-        self._seen: Dict[Tuple, float] = {}
+        #: Idempotence: record key (an int) -> due time (for expiry).
+        self._seen: Dict[int, float] = {}
         #: The two stores' keys by due time: what :meth:`prune` visits.
         self._seen_expiry = ExpiryIndex()
         self._slot_expiry = ExpiryIndex()
@@ -116,7 +117,7 @@ class ScheduleView:
     # Admission of viewer states
     # ------------------------------------------------------------------
     def admit(
-        self, state: ViewerState, now: float, key: Optional[Tuple] = None
+        self, state: ViewerState, now: float, key: Optional[int] = None
     ) -> str:
         """Apply one incoming viewer state; returns its disposition.
 
@@ -166,7 +167,7 @@ class ScheduleView:
         self._note_seen(key, state.due_time)
         return ADMIT_NEW
 
-    def _note_seen(self, key: Tuple, due_time: float) -> None:
+    def _note_seen(self, key: int, due_time: float) -> None:
         """Remember a record key until its due time is ``hold_time`` past."""
         self._seen[key] = due_time
         self._seen_expiry.note(key, due_time)

@@ -67,7 +67,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.view import view_size_bound
-from repro.core.viewerstate import ViewerState
+from repro.core.viewerstate import ViewerState, key_instance
 from repro.faults.plan import FaultSpec
 from repro.sim.trace import format_trace
 
@@ -110,9 +110,10 @@ class InvariantViolation(AssertionError):
 def index_incoherence(cub: Any) -> Optional[str]:
     """How ``cub``'s by-play indexes and their stores disagree, if they do.
 
-    Every indexed key is in the owner's held-state store, every stored
-    key is indexed, and no play's entry is empty — so the index is never
-    larger than the store; likewise its instance map and wait queues.
+    Every indexed key is in the owner's held-state store under the play
+    that indexes it, every stored key is indexed, and a play's entry is
+    one key, or a tuple of two or more — so the index is never larger
+    than the store; likewise its instance map and wait queues.
     And every record the view or the store holds is listed under its due
     time in that store's expiry index (a listing may outlive its record;
     a record may never lack its listing).
@@ -120,14 +121,15 @@ def index_incoherence(cub: Any) -> Optional[str]:
     owner = cub.owner
     store, index = owner._redundant_states, owner._redundant_index
     indexed = [
-        (instance, seqno)
-        for instance, seqnos in index.items()
-        for seqno in seqnos
+        (instance, key)
+        for instance, held in index.items()
+        for key in ((held,) if type(held) is int else held)
     ]
     if (
         len(indexed) != len(store)
-        or set(indexed) != store.keys()
-        or not all(index.values())
+        or {key for _instance, key in indexed} != store.keys()
+        or any(key_instance(key) != instance for instance, key in indexed)
+        or any(type(held) is not int and len(held) < 2 for held in index.values())
     ):
         return (
             f"redundant index names {len(indexed)} records of {len(index)} "

@@ -12,6 +12,10 @@ We also index the secondary (mirror) pieces a cub hosts, which the
 mirror-coverage path uses when a neighbour dies, and an online
 restripe's committed migrations, which never replace a primary entry
 (dual presence).
+
+Entries are kept in one map per file, keyed by an int — the block for a
+primary, the block and piece (:data:`PIECE_BITS`) for a secondary — so
+the index holds no key tuple per entry and a lookup builds none.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from repro.disk.zones import ZONE_INNER, ZONE_OUTER
 
 #: Size of one index entry, per the paper.
 INDEX_ENTRY_BYTES = 8
+#: Bits of a secondary entry's key below its block: the piece.
+PIECE_BITS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockLocation:
     """Where one block (or piece) lives on a cub."""
 
@@ -40,8 +46,10 @@ class BlockIndex:
 
     def __init__(self, cub_id: int) -> None:
         self.cub_id = cub_id
-        self._primary: Dict[Tuple[int, int], BlockLocation] = {}
-        self._secondary: Dict[Tuple[int, int, int], BlockLocation] = {}
+        #: file -> block -> location.
+        self._primary: Dict[int, Dict[int, BlockLocation]] = {}
+        #: file -> (block << PIECE_BITS | piece) -> location.
+        self._secondary: Dict[int, Dict[int, BlockLocation]] = {}
         self._disk_used_primary: Dict[int, int] = {}
         self._disk_used_secondary: Dict[int, int] = {}
         #: Committed migrations: (file, block) -> new location.
@@ -54,12 +62,14 @@ class BlockIndex:
         self, file_id: int, block_index: int, disk_id: int, size_bytes: int
     ) -> BlockLocation:
         """Record a primary block; primaries occupy the fast outer zone."""
-        key = (file_id, block_index)
-        if key in self._primary:
-            raise ValueError(f"duplicate primary entry for {key}")
+        blocks = self._primary.setdefault(file_id, {})
+        if block_index in blocks:
+            raise ValueError(
+                f"duplicate primary entry for {(file_id, block_index)}"
+            )
         offset = self._disk_used_primary.get(disk_id, 0)
         location = BlockLocation(disk_id, ZONE_OUTER, offset, size_bytes)
-        self._primary[key] = location
+        blocks[block_index] = location
         self._disk_used_primary[disk_id] = offset + size_bytes
         return location
 
@@ -72,12 +82,17 @@ class BlockIndex:
         size_bytes: int,
     ) -> BlockLocation:
         """Record a mirror piece; secondaries occupy the slow inner zone."""
-        key = (file_id, block_index, piece)
-        if key in self._secondary:
-            raise ValueError(f"duplicate secondary entry for {key}")
+        if not 0 <= piece < 1 << PIECE_BITS:
+            raise ValueError(f"piece {piece} outside [0, {1 << PIECE_BITS})")
+        pieces = self._secondary.setdefault(file_id, {})
+        key = block_index << PIECE_BITS | piece
+        if key in pieces:
+            raise ValueError(
+                f"duplicate secondary entry for {(file_id, block_index, piece)}"
+            )
         offset = self._disk_used_secondary.get(disk_id, 0)
         location = BlockLocation(disk_id, ZONE_INNER, offset, size_bytes)
-        self._secondary[key] = location
+        pieces[key] = location
         self._disk_used_secondary[disk_id] = offset + size_bytes
         return location
 
@@ -85,7 +100,8 @@ class BlockIndex:
     # Lookup (hot path, no disk I/O by design)
     # ------------------------------------------------------------------
     def lookup_primary(self, file_id: int, block_index: int) -> Optional[BlockLocation]:
-        return self._primary.get((file_id, block_index))
+        blocks = self._primary.get(file_id)
+        return None if blocks is None else blocks.get(block_index)
 
     def locate(
         self, file_id: int, block_index: int, disks: Dict[int, Any]
@@ -93,34 +109,39 @@ class BlockIndex:
         """Where a scheduled read of a primary block goes: its committed
         migration while ``disks`` (this cub's drives, by id) has the
         disk it moved to up, else the original copy."""
-        key = (file_id, block_index)
         if self.migrations:
-            moved = self.migrations.get(key)
+            moved = self.migrations.get((file_id, block_index))
             if moved is not None:
                 disk = disks.get(moved.disk_id)
                 if disk is not None and not disk.failed:
                     return moved
-        return self._primary.get(key)
+        blocks = self._primary.get(file_id)
+        return None if blocks is None else blocks.get(block_index)
 
     def lookup_secondary(
         self, file_id: int, block_index: int, piece: int
     ) -> Optional[BlockLocation]:
-        return self._secondary.get((file_id, block_index, piece))
+        pieces = self._secondary.get(file_id)
+        if pieces is None:
+            return None
+        return pieces.get(block_index << PIECE_BITS | piece)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
     def num_primary_entries(self) -> int:
-        return len(self._primary)
+        return sum(map(len, self._primary.values()))
 
     @property
     def num_secondary_entries(self) -> int:
-        return len(self._secondary)
+        return sum(map(len, self._secondary.values()))
 
     def memory_bytes(self) -> int:
         """Modelled RAM footprint at 64 bits per entry (paper §4.1.1)."""
-        return (len(self._primary) + len(self._secondary)) * INDEX_ENTRY_BYTES
+        return (
+            self.num_primary_entries + self.num_secondary_entries
+        ) * INDEX_ENTRY_BYTES
 
     def primary_bytes_on_disk(self, disk_id: int) -> int:
         return self._disk_used_primary.get(disk_id, 0)

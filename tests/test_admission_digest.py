@@ -118,10 +118,12 @@ def test_the_admission_guard_rejects_as_it_always_did(monkeypatch):
 def _held(cub):
     """Every per-play record a cub keeps for later: its held states in
     arrival order, both forward queues in order, its tombstones and the
-    size of its view."""
+    size of its view.  A held state is hashed under the (instance, play
+    seqno) pair its key encodes, as the store once keyed it, so the
+    digests below are the ones recorded before keys became ints."""
     owner = cub.owner
     return (
-        list(owner._redundant_states.items()),
+        [((s.instance, s.play_seqno), s) for s in owner._redundant_states.values()],
         list(owner.forward_queue),
         list(owner.mirror_forward_queue),
         sorted(cub.view._tombstones),

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.viewerstate import (
+    PIECE_BITS,
+    SEQNO_BITS,
+    SEQNO_LIMIT,
     DescheduleRequest,
     ViewerState,
+    key_instance,
     make_initial_state,
     mirror_states_for,
     new_instance_id,
@@ -50,7 +54,39 @@ class TestViewerState:
             make_state().advanced(0, 56, 1.0)
 
     def test_key_is_instance_and_seqno(self):
-        assert make_state().key() == (1, 5)
+        key = make_state().key()
+        assert type(key) is int and key == 1 << SEQNO_BITS | 5
+        assert key_instance(key) == 1
+
+    @given(
+        st.tuples(st.integers(0, 2**40), st.integers(0, SEQNO_LIMIT - 1)),
+        st.tuples(st.integers(0, 2**40), st.integers(0, SEQNO_LIMIT - 1)),
+        st.integers(1, 1 << PIECE_BITS),
+    )
+    def test_keys_are_one_per_record(self, first, second, decluster):
+        """Two states share a key only as the same (instance, seqno);
+        every piece has its own key, and no piece key is a state key."""
+        a, b = (
+            make_state(instance=instance, play_seqno=seqno)
+            for instance, seqno in (first, second)
+        )
+        assert (a.key() == b.key()) == (first == second)
+        assert key_instance(a.key()) == first[0]
+        pieces = [m.key() for m in mirror_states_for(a, decluster, 56, 1.0)]
+        assert len(set(pieces)) == decluster and max(pieces) < 0 <= a.key()
+        if first != second:
+            others = {m.key() for m in mirror_states_for(b, decluster, 56, 1.0)}
+            assert not others & set(pieces)
+
+    def test_key_bounds_are_asserted_where_states_are_built(self):
+        last = make_state(play_seqno=SEQNO_LIMIT - 2)
+        assert last.advanced(1, 56, 1.0).play_seqno == SEQNO_LIMIT - 1
+        with pytest.raises(AssertionError):
+            last.advanced(2, 56, 1.0)
+        with pytest.raises(AssertionError):
+            make_initial_state("client:0#1", -1, 0, 0, 0, 0, 1.0)
+        with pytest.raises(AssertionError):
+            mirror_states_for(make_state(), (1 << PIECE_BITS) + 1, 56, 1.0)
 
     def test_lead_time(self):
         assert make_state(due_time=10.0).lead_time(now=4.0) == pytest.approx(6.0)
@@ -104,6 +140,9 @@ class TestMirrorStates:
     def test_mirror_keys_distinct_per_piece(self):
         mirrors = mirror_states_for(make_state(), 4, 56, 1.0)
         assert len({m.key() for m in mirrors}) == 4
+        assert [m.key() for m in mirrors] == [
+            ~((1 << SEQNO_BITS | 5) << PIECE_BITS | piece) for piece in range(4)
+        ]
 
     def test_mirror_carries_play_identity(self):
         mirrors = mirror_states_for(make_state(), 2, 56, 1.0)

@@ -22,7 +22,9 @@ from repro.core.protocol import BlockData, block_pattern
 from repro.core.viewerstate import (
     DescheduleRequest,
     MirrorViewerState,
+    SEQNO_BITS,
     ViewerState,
+    key_instance,
 )
 from repro.live.wire import (
     binary_message_frame,
@@ -199,7 +201,8 @@ def test_a_record_method_builds_the_same_record():
     assert state.advanced(2, 8, 1.0) == ViewerState(
         "client:1#4", 4, 9, 2, 12, 7, 14.5, 5
     )
-    assert state.key() == (4, 3)
+    assert state.key() == 4 << SEQNO_BITS | 3
+    assert key_instance(state.key()) == 4
 
 
 # ----------------------------------------------------------------------

@@ -59,18 +59,19 @@ class TestForwardingWindows:
         """Each forwarded state reaches exactly two cubs (succ + succ2)."""
         system = TigerSystem(small_config(), seed=56)
         system.add_standard_content(num_files=2, duration_s=60)
-        recipients = {}
+        recipients, seqnos = {}, {}
 
         def hook(message, when):
             for state in message.payload.states:
                 recipients.setdefault(state.key(), set()).add(message.dst)
+                seqnos[state.key()] = state.play_seqno
 
         system.network.add_delivery_hook(ViewerStateBatch, hook)
         client = system.add_client()
         client.start_stream(file_id=0)
         system.run_for(15.0)
         steady = {
-            key: cubs for key, cubs in recipients.items() if key[1] > 2
+            key: cubs for key, cubs in recipients.items() if seqnos[key] > 2
         }
         assert steady
         assert all(len(cubs) == 2 for cubs in steady.values())

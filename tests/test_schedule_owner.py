@@ -302,16 +302,21 @@ FOREIGN = LAYOUT.disks_of_cub(0)[0]
 def test_hold_then_release_leaves_the_store_and_its_indexes_coherent():
     owner = _owner(cub_id=1)
     states = [_state(i, s, FOREIGN, 5.0 + s) for i in (1, 2) for s in (0, 1)]
+    key = {(s.instance, s.play_seqno): s.key() for s in states}
+    assert len(set(key.values())) == 4
     for state in states:
         owner.hold(state, state.key())
     owner.hold(states[0], states[0].key())  # held again: still one record
     assert list(owner._redundant_states) == [s.key() for s in states]
-    assert owner._redundant_index == {1: (0, 1), 2: (0, 1)}
+    assert owner._redundant_index == {
+        1: (key[1, 0], key[1, 1]), 2: (key[2, 0], key[2, 1]),
+    }
     assert _coherent(owner) is None
-    for key in ((1, 0), (2, 1), (2, 0)):
-        owner._release(key)
-    assert list(owner._redundant_states) == [(1, 1)]
-    assert owner._redundant_index == {1: (1,)}
+    for instance, seqno in ((1, 0), (2, 1), (2, 0)):
+        owner._release(key[instance, seqno])
+    assert list(owner._redundant_states) == [key[1, 1]]
+    # One key held: the play's entry is that key, not a tuple of one.
+    assert owner._redundant_index == {1: key[1, 1]}
     assert _coherent(owner) is None
 
 
@@ -324,10 +329,11 @@ def test_a_deschedule_releases_only_its_plays_held_states():
     # The same play instance in another slot is another play.
     other_slot = _state(1, 2, FOREIGN, 7.0, slot=9)
     owner.hold(other_slot, other_slot.key())
+    key = {(s.instance, s.play_seqno): k for k, s in owner._redundant_states.items()}
     owner.start_request(0.5, _request(3, DISK))
 
     assert owner.deschedule(1.0, _stop(1), expiry=20.0)
-    assert list(owner._redundant_states) == [(2, 0), (2, 1), (1, 2)]
+    assert list(owner._redundant_states) == [key[2, 0], key[2, 1], key[1, 2]]
     assert owner.view.has_tombstone("client:0#1", 1, 1)
     assert _coherent(owner) is None
     assert owner.queued() == 1

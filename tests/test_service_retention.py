@@ -59,9 +59,9 @@ def _container_sizes(system: TigerSystem) -> dict:
     # The by-play index is counted by the records it names, not by its
     # plays, and it and the instance map must be on the list at all.
     sizes["ScheduleOwner indexed held records"] = sum(
-        len(seqnos)
+        1 if type(held) is int else len(held)
         for cub in system.cubs
-        for seqnos in cub.owner._redundant_index.values()
+        for held in cub.owner._redundant_index.values()
     )
     assert {
         "ScheduleOwner._redundant_index", "ScheduleOwner._queued_requests",

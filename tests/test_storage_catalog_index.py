@@ -109,6 +109,27 @@ class TestBlockIndex:
         assert index.lookup_secondary(1, 2, 3) is not None
         assert index.lookup_secondary(1, 2, 0) is None
 
+    def test_one_int_keyed_map_per_file(self):
+        """No key tuple per entry, and no ``__dict__`` per location: a
+        cub's index is the largest table it keeps."""
+        index = BlockIndex(0)
+        index.add_primary(3, 17, 0, 100)
+        index.add_primary(4, 17, 1, 100)
+        index.add_secondary(3, 1, 0, 4, 25)
+        index.add_secondary(3, 0, 255, 5, 25)
+        assert index.lookup_primary(4, 17).disk_id == 1
+        assert index.lookup_secondary(3, 1, 0).disk_id == 4
+        assert index.lookup_secondary(3, 0, 255).disk_id == 5
+        assert index.lookup_secondary(3, 0, 0) is None
+        assert index.lookup_secondary(5, 1, 0) is None
+        # A piece that would reach into the next block's key is refused.
+        with pytest.raises(ValueError):
+            index.add_secondary(3, 0, 256, 5, 25)
+        assert (index.num_primary_entries, index.num_secondary_entries) == (2, 2)
+        for table in (index._primary, index._secondary):
+            assert {type(key) for entries in table.values() for key in entries} == {int}
+        assert not hasattr(index.lookup_primary(3, 17), "__dict__")
+
     def test_duplicate_entries_rejected(self):
         index = BlockIndex(0)
         index.add_primary(0, 0, 0, 100)

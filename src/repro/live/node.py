@@ -13,8 +13,8 @@ cluster's epoch happens before the node joins:
 3. build the same assembly the simulator runs
    (:class:`~repro.core.world.World`) with its content — placement is
    a pure function of the config, so no metadata distribution protocol
-   is needed and every node's indexes are byte-identical to the
-   simulator's;
+   is needed and every node's placement table is byte-identical to
+   the simulator's;
 4. connect to the cluster hub and say hello.
 
 Then it waits for the hub's ``_start`` frame carrying the shared

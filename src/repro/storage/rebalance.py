@@ -664,7 +664,7 @@ class CubRestripeService:
                 f"destination disk {copy.dst_disk} failed")
             return
         self.staged[copy.move_id] = BlockLocation(
-            copy.dst_disk, ZONE_OUTER, 0, copy.size_bytes
+            copy.dst_disk, ZONE_OUTER, copy.size_bytes
         )
         self._ack(requester, copy.move_id, True)
 
@@ -689,8 +689,7 @@ class CubRestripeService:
             # rebuild the location from the commit itself.
             entry = cub.catalog.get(commit.file_id)
             staged = BlockLocation(
-                commit.dst_disk, ZONE_OUTER, 0,
-                entry.content_bytes_per_block,
+                commit.dst_disk, ZONE_OUTER, entry.content_bytes_per_block
             )
         migrations[key] = staged
         self.commits.increment()

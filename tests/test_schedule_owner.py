@@ -246,7 +246,7 @@ def test_a_rebooted_cub_gets_a_fresh_owner_and_keeps_its_migrations():
     disk_id = LAYOUT.disks_of_cub(0)[0]
     cub._on_start_request(_request(1, disk_id), "controller")
     cub._on_cancel_start(CancelStart("client:0#2", 2), "controller")
-    moved = BlockLocation(disk_id, "outer", 0, 1)
+    moved = BlockLocation(disk_id, "outer", 1)
     cub.block_index.migrations[(0, 5)] = moved
     foreign = _state(3, 0, LAYOUT.disks_of_cub(1)[0], 9.0)
     cub.owner.hold(foreign, foreign.key())

@@ -4,10 +4,10 @@
 The 1997 Tiger shipped single-bitrate; the paper designed — but never
 finished — the multiple-bitrate system.  This example runs our
 completion of it: joint disk+network admission over a 2-D network
-schedule, earliest-deadline-first disk service ("entries in the disk
-schedule are free to move around, as long as they're completed before
-they're due at the network"), and the bottleneck flip the paper
-predicts.
+schedule, the earliest-deadline-first feasibility that admission
+guarantees ("entries in the disk schedule are free to move around, as
+long as they're completed before they're due at the network"), and the
+bottleneck flip the paper predicts.
 
 Run:  python examples/mixed_bitrate_service.py
 """
@@ -15,9 +15,8 @@ Run:  python examples/mixed_bitrate_service.py
 import _bootstrap  # noqa: F401  (path shim; keep before repro imports)
 
 from repro.disk.model import DiskParameters
-from repro.mbr import MbrAdmission, MbrCubSimulation, run_mix_experiment
-from repro.sim.core import Simulator
-from repro.sim.rng import RngRegistry
+from repro.disk.zones import ZONE_OUTER
+from repro.mbr import MbrAdmission, periodic_stream_feasible, run_mix_experiment
 
 
 def admission_walkthrough() -> None:
@@ -48,25 +47,24 @@ def admission_walkthrough() -> None:
     print(f"  disk budget used {summary['disk_utilization']:.0%}, "
           f"NIC plane used {summary['network_utilization']:.0%}")
 
-    # Serve the admitted mix and verify EDF meets every deadline.
-    sim = Simulator()
-    service = MbrCubSimulation(sim, admission, RngRegistry(5))
-    service.start()
-    sim.run(until=20.0)
-    print(f"  served {service.total_due()} blocks over 20 s: "
-          f"{service.total_missed()} deadline misses "
-          f"(disk duty {service.mean_disk_utilization():.0%})\n")
+    # Striping rotates every stream over the 4 drives, so over one
+    # rotation each drive reads one block of every admitted stream.
+    blocks = [stream.block_bytes for stream in admission.streams.values()]
+    fits = periodic_stream_feasible(
+        admission.disk_params, blocks, ZONE_OUTER,
+        admission.num_disks * admission.block_play_time,
+    )
+    print(f"  each drive meets every deadline over a rotation: {fits}\n")
 
 
 def crossover_table() -> None:
     print("=== §3.2: the limiting resource depends on the playing mix ===")
     print(f"  {'bitrate':>9} {'streams':>8} {'disk':>6} {'net':>6} {'limit':>8}")
     for rate in (0.25e6, 0.5e6, 1e6, 2e6, 4e6, 8e6):
-        row = run_mix_experiment([rate], duration=8.0, nic_bps=100e6)
-        limiting = "disk" if row["limiting"] else "network"
+        row = run_mix_experiment([rate], nic_bps=100e6)
         print(f"  {rate/1e6:>7.2f}M {row['streams']:>8.0f} "
-              f"{row['disk_utilization_model']:>6.2f} "
-              f"{row['network_utilization_model']:>6.2f} {limiting:>8}")
+              f"{row['disk_utilization']:>6.2f} "
+              f"{row['network_utilization']:>6.2f} {row['limiting']:>8}")
     print("  (small blocks pay the same seek for less data -> disk-bound;\n"
           "   large blocks saturate the NIC first -> network-bound)")
 

@@ -35,7 +35,7 @@ Subpackages
 ``repro.helpers``
     The optional edge-cache tier, plugged into cubs and clients.
 ``repro.mbr``
-    Multiple-bitrate Tiger (§3.2, §4.2): EDF disks, joint admission.
+    Multiple-bitrate Tiger (§3.2, §4.2): joint admission, EDF feasibility.
 ``repro.faults``
     Fault plans, the chaos harness, the invariant monitor.
 ``repro.live``

@@ -100,7 +100,12 @@ PAPER_CLAIMS = {
         "overhead), so whether the network or the disk limits a "
         "multiple-bitrate Tiger depends on the current set of playing "
         "files; the paper's own OC-3/4-disk cubs were always "
-        "disk-limited.",
+        "disk-limited.  Every admitted mix fits each drive over one "
+        "rotation (`num_disks` block play times), the argument the "
+        "pooled disk budget rests on; revolution by revolution the "
+        "0.5M+8M mix does not: two drives each draw six 1 MB reads, "
+        "1.23 s of expected service, in a 1 s revolution, so a server "
+        "must read ahead of the network to carry the surplus.",
     ),
     "live_load": (
         "§5 testbed methodology — live socket backend (extension)",

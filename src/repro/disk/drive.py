@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from math import inf
 from operator import attrgetter
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.disk.model import DiskParameters
 from repro.sim.core import Simulator
@@ -13,12 +13,6 @@ from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import BusyMeter, Counter
 from repro.sim.trace import Tracer
-
-#: Signature of a read-completion callback: receives the completion time.
-CompletionCallback = Callable[[float], None]
-#: Signature of a read-error callback (disk failed before completion).
-ErrorCallback = Callable[[], None]
-
 
 class Read:
     """One read handed to a :class:`SimDisk`: a completion *time*.
@@ -65,8 +59,8 @@ class SimDisk(Process):
       queued when the state is accepted, the read ``disk_read_lead``
       later) and so runs first within that instant.
 
-    Only a caller that passes a callback gets a kernel event, scheduled
-    at ``done_at`` on top of the same settlement.
+    The drive arms no kernel event in any state: a reader polls
+    :meth:`finished`.
     """
 
     def __init__(
@@ -89,9 +83,7 @@ class SimDisk(Process):
         #: While stuck, new reads queue without being serviced; they are
         #: started when the drive unsticks (or errored if it dies first).
         self.stuck = False
-        self._stalled: List[
-            Tuple[Read, str, Optional[CompletionCallback], Optional[ErrorCallback]]
-        ] = []
+        self._stalled: List[Tuple[Read, str]] = []
         #: Started reads not yet settled, by ``done_at``.
         self._in_flight: Deque[Read] = deque()
         self._reads_completed = Counter()
@@ -101,39 +93,25 @@ class SimDisk(Process):
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def read(
-        self,
-        size_bytes: int,
-        zone: str,
-        on_complete: Optional[CompletionCallback] = None,
-        on_error: Optional[ErrorCallback] = None,
-    ) -> Read:
+    def read(self, size_bytes: int, zone: str) -> Read:
         """Queue a contiguous read of ``size_bytes`` from ``zone``.
 
         Returns the :class:`Read`; :meth:`finished` says whether its
-        data is in the buffer.  With callbacks, ``on_complete(
-        completion_time)`` also fires when it is, or ``on_error()`` (at
-        the request time or at ``done_at``) if the drive is dead then.
+        data is in the buffer.
         """
         if not size_bytes > 0:  # also rejects NaN
             raise ValueError("read size must be positive")
         self._settle()
         read = Read(size_bytes)
         if self.failed:
-            self._error_now(read, on_error)
+            self._error_now(read)
         elif self.stuck:
-            self._stalled.append((read, zone, on_complete, on_error))
+            self._stalled.append((read, zone))
         else:
-            self._start(read, zone, on_complete, on_error)
+            self._start(read, zone)
         return read
 
-    def _start(
-        self,
-        read: Read,
-        zone: str,
-        on_complete: Optional[CompletionCallback],
-        on_error: Optional[ErrorCallback],
-    ) -> None:
+    def _start(self, read: Read, zone: str) -> None:
         """The arm takes the read: from here its completion time is known."""
         now = self.sim.now
         service = (
@@ -153,8 +131,6 @@ class SimDisk(Process):
             in_flight.extend(ordered)
         else:
             in_flight.append(read)
-        if on_complete is not None or on_error is not None:
-            self.sim.call_at(done_at, self._notify, read, on_complete, on_error)
 
     def _settle(self) -> None:
         """Count every read whose service time has ended (settle rule)."""
@@ -175,27 +151,11 @@ class SimDisk(Process):
         self._settle()
         return read.done_at < self.sim.now and not read.errored
 
-    def _notify(
-        self,
-        read: Read,
-        on_complete: Optional[CompletionCallback],
-        on_error: Optional[ErrorCallback],
-    ) -> None:
-        """A callback caller's read reached ``done_at``."""
-        self._settle()
-        if read.errored:
-            if on_error is not None:
-                on_error()
-        elif on_complete is not None:
-            on_complete(self.sim.now)
-
-    def _error_now(self, read: Read, on_error: Optional[ErrorCallback]) -> None:
+    def _error_now(self, read: Read) -> None:
         """A read that never starts: the drive is (or just went) dead."""
         read.done_at = self.sim.now
         read.errored = True
         self._reads_errored.increment()
-        if on_error is not None:
-            self.sim.call_after(0.0, on_error)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -210,8 +170,8 @@ class SimDisk(Process):
         # Reads in flight stay in flight; they error when settled if
         # the drive is still dead at their completion time.
         stalled, self._stalled = self._stalled, []
-        for read, _zone, _on_complete, on_error in stalled:
-            self._error_now(read, on_error)
+        for read, _zone in stalled:
+            self._error_now(read)
 
     def recover(self) -> None:
         self._settle()
@@ -244,8 +204,8 @@ class SimDisk(Process):
                    "I/O frozen" if stuck else "I/O resumed")
         if not stuck:
             stalled, self._stalled = self._stalled, []
-            for read, zone, on_complete, on_error in stalled:
-                self._start(read, zone, on_complete, on_error)
+            for read, zone in stalled:
+                self._start(read, zone)
 
     # ------------------------------------------------------------------
     # Measurement

@@ -1,6 +1,7 @@
-"""Multiple-bitrate Tiger (§3.2, §4.2) — including the disk path the
-1997 implementation left unwritten: EDF disk service, joint disk +
-network admission, and the bottleneck-crossover experiment."""
+"""Multiple-bitrate Tiger (§3.2, §4.2) — including the disk side the
+1997 implementation left unwritten: joint disk + network admission,
+the EDF feasibility tests behind it, and the bottleneck-crossover
+experiment."""
 
 from repro.mbr.admission import (
     LIMIT_DISK,
@@ -8,9 +9,10 @@ from repro.mbr.admission import (
     LIMIT_NONE,
     AdmittedStream,
     MbrAdmission,
+    edf_feasible,
+    periodic_stream_feasible,
+    run_mix_experiment,
 )
-from repro.mbr.diskqueue import EdfDiskQueue, edf_feasible, periodic_stream_feasible
-from repro.mbr.system import MbrCubSimulation, StreamServiceStats, run_mix_experiment
 
 __all__ = [
     "MbrAdmission",
@@ -18,10 +20,7 @@ __all__ = [
     "LIMIT_DISK",
     "LIMIT_NETWORK",
     "LIMIT_NONE",
-    "EdfDiskQueue",
     "edf_feasible",
     "periodic_stream_feasible",
-    "MbrCubSimulation",
-    "StreamServiceStats",
     "run_mix_experiment",
 ]

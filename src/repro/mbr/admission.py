@@ -12,12 +12,21 @@ performance may depend on the current set of playing files."
 stream only if both the 2-D network schedule (NIC bandwidth) and the
 per-disk service budget (seek-dominated for small blocks) still fit,
 and reports which resource is binding.
+
+The network schedule carries the timing, so "the specific time ordering
+information in the disk schedule is not necessary ... entries in the
+disk schedule are free to move around, as long as they're completed
+before they're due at the network."  :func:`edf_feasible` is the test
+that freedom needs: a read set is schedulable earliest-deadline-first
+iff, for every deadline d, the service demand due by d fits in the time
+until d.  :func:`periodic_stream_feasible` is its steady state, one
+block per stream per period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.netschedule import NetworkSchedule
 from repro.core.placement import (
@@ -105,11 +114,6 @@ class MbrAdmission:
 
     def disk_utilization(self) -> float:
         return self.disk_time_committed() / self.disk_budget()
-
-    def network_utilization(self) -> float:
-        return self.network.utilization() / (
-            1.0 if self.network.length else 1.0
-        )
 
     def limiting_resource(self) -> str:
         """Which resource is closer to exhaustion right now (§3.2)."""
@@ -206,3 +210,80 @@ class MbrAdmission:
             "rejected_disk": float(self.rejections[LIMIT_DISK]),
             "rejected_network": float(self.rejections[LIMIT_NETWORK]),
         }
+
+
+def run_mix_experiment(
+    bitrates_bps: List[float],
+    num_disks: int = 4,
+    nic_bps: float = 155e6,
+    block_play_time: float = 1.0,
+    disk_headroom: float = 0.95,
+) -> Dict[str, Union[float, str]]:
+    """Admit-to-saturation for one bitrate mix on one cub.
+
+    Streams of the given rates are offered round-robin until the first
+    rejection, so the admitted set is the first ``streams`` offers.
+    Returns the admission's :meth:`~MbrAdmission.summary` plus the
+    ``limiting`` resource — the row of the bottleneck-crossover
+    benchmark.
+    """
+    # Ring length = one block play time: this is the per-cub *slice* of
+    # the system network schedule — every admitted stream's entry
+    # overlaps every other at this cub's position, so the height check
+    # is exactly "sum of bitrates <= NIC rate".
+    admission = MbrAdmission(
+        disk_params=DiskParameters(),
+        num_disks=num_disks,
+        nic_bps=nic_bps,
+        block_play_time=block_play_time,
+        schedule_length=block_play_time,
+        start_quantum=block_play_time / 4,
+        disk_headroom=disk_headroom,
+    )
+    offered = 0
+    while True:
+        rate = bitrates_bps[offered % len(bitrates_bps)]
+        admitted = admission.try_admit(
+            f"viewer-{offered}",
+            rate,
+            preferred_offset=(offered * 0.37) % admission.network.length,
+        )
+        offered += 1
+        if admitted is None:
+            break
+        if offered > 100_000:  # safety valve
+            break
+    return {**admission.summary(), "limiting": admission.limiting_resource()}
+
+
+def edf_feasible(
+    jobs: Sequence[Tuple[float, float]], start_time: float = 0.0
+) -> bool:
+    """EDF demand test: ``jobs`` is (service_time, deadline) pairs.
+
+    Feasible iff for every deadline d (in sorted order), the sum of
+    service times of jobs with deadline <= d fits in ``d - start``.
+    """
+    demand = 0.0
+    for service, deadline in sorted(jobs, key=lambda job: job[1]):
+        if service < 0:
+            raise ValueError("negative service time")
+        demand += service
+        if demand > (deadline - start_time) + 1e-9:
+            return False
+    return True
+
+
+def periodic_stream_feasible(
+    params: DiskParameters,
+    block_sizes: Sequence[int],
+    zone: str,
+    period: float,
+) -> bool:
+    """Long-run feasibility of one disk serving one block per stream
+    per ``period`` (the multiple-bitrate steady state): total expected
+    service per period must fit in the period."""
+    total = sum(
+        params.expected_read_time(zone, size) for size in block_sizes
+    )
+    return total <= period + 1e-9

@@ -93,6 +93,9 @@ RETIRED_NAMES = {
     "LiveFaultError", "LIVE_SUPPORTED_KINDS", "PROCESS_KINDS",
     "install_faults", "network_events", "disk_events", "process_events",
     "restripe_events",
+    # One block server (the cub) and one way a read completes (polled).
+    "MbrCubSimulation", "StreamServiceStats", "EdfDiskQueue",
+    "CompletionCallback", "ErrorCallback",
 }
 
 #: Tier payloads the cub serves without ever naming them.

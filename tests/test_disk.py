@@ -128,85 +128,76 @@ class TestSimDisk:
         return SimDisk(sim, "d0", DiskParameters(), rngs)
 
     def test_read_completes(self, sim, disk):
-        done = []
-        disk.read(250_000, ZONE_OUTER, done.append)
-        sim.run()
-        assert len(done) == 1
-        assert done[0] > 0.04  # at least the transfer time
+        read = disk.read(250_000, ZONE_OUTER)
+        assert read.done_at > 0.04  # at least the transfer time
+        sim.run(until=read.done_at + 1e-9)
+        assert disk.finished(read) and not read.errored
 
     def test_fifo_service(self, sim, disk):
-        done = []
-        disk.read(250_000, ZONE_OUTER, lambda t: done.append(("a", t)))
-        disk.read(250_000, ZONE_OUTER, lambda t: done.append(("b", t)))
-        sim.run()
-        assert [tag for tag, _ in done] == ["a", "b"]
-        assert done[1][1] > done[0][1]
+        first = disk.read(250_000, ZONE_OUTER)
+        second = disk.read(250_000, ZONE_OUTER)
+        assert first.done_at < second.done_at
+        sim.run(until=first.done_at + 1e-9)
+        assert disk.finished(first) and not disk.finished(second)
 
     def test_utilization_tracks_busy(self, sim, disk):
-        for _ in range(10):
-            disk.read(250_000, ZONE_OUTER, lambda t: None)
-        sim.run()
+        reads = [disk.read(250_000, ZONE_OUTER) for _ in range(10)]
+        sim.run(until=reads[-1].done_at)
         assert disk.utilization() == pytest.approx(1.0, abs=0.01)
 
     def test_counters(self, sim, disk):
-        disk.read(100_000, ZONE_OUTER, lambda t: None)
-        sim.run()
+        read = disk.read(100_000, ZONE_OUTER)
+        sim.run(until=read.done_at)
         assert disk.reads_completed.count == 1
         assert disk.bytes_read.count == 100_000
 
     def test_failed_disk_errors_immediately(self, sim, disk):
         disk.fail()
-        errors = []
-        disk.read(100_000, ZONE_OUTER, lambda t: None, on_error=lambda: errors.append(1))
-        sim.run()
-        assert errors == [1]
-        assert disk.reads_completed.count == 0
+        read = disk.read(100_000, ZONE_OUTER)
+        assert read.errored and read.done_at == sim.now
+        sim.run(until=1.0)
+        assert not disk.finished(read)
+        assert (disk.reads_completed.count, disk.reads_errored.count) == (0, 1)
 
     def test_failure_mid_flight_errors(self, sim, disk):
-        results = {"done": 0, "err": 0}
-        disk.read(
-            250_000,
-            ZONE_OUTER,
-            lambda t: results.__setitem__("done", 1),
-            on_error=lambda: results.__setitem__("err", 1),
-        )
-        sim.call_at(0.001, disk.fail)
-        sim.run()
-        assert results == {"done": 0, "err": 1}
+        read = disk.read(250_000, ZONE_OUTER)
+        sim.run(until=0.001)
+        disk.fail()
+        sim.run(until=read.done_at + 1e-9)
+        assert not disk.finished(read) and read.errored
+        assert (disk.reads_completed.count, disk.reads_errored.count) == (0, 1)
 
     def test_recovery_allows_reads(self, sim, disk):
         disk.fail()
         disk.recover()
-        done = []
-        disk.read(100_000, ZONE_OUTER, done.append)
-        sim.run()
-        assert len(done) == 1
+        read = disk.read(100_000, ZONE_OUTER)
+        sim.run(until=read.done_at + 1e-9)
+        assert disk.finished(read)
 
     def test_queue_backlog(self, sim, disk):
-        disk.read(250_000, ZONE_OUTER, lambda t: None)
+        disk.read(250_000, ZONE_OUTER)
         assert disk.queue_backlog > 0.0
 
     def test_nonpositive_read_rejected(self, sim, disk):
         with pytest.raises(ValueError):
-            disk.read(0, ZONE_OUTER, lambda t: None)
+            disk.read(0, ZONE_OUTER)
 
     def test_nan_read_rejected(self, sim, disk):
         with pytest.raises(ValueError):
-            disk.read(float("nan"), ZONE_OUTER, lambda t: None)
+            disk.read(float("nan"), ZONE_OUTER)
         assert disk.queue_backlog == 0.0
 
     def test_inner_reads_slower_on_average(self, sim, rngs):
         disk = SimDisk(sim, "dz", DiskParameters(), rngs)
-        times = {"outer": [], "inner": []}
+        times = {ZONE_OUTER: [], ZONE_INNER: []}
         for _ in range(50):
-            start = sim.now
-            disk.read(250_000, ZONE_OUTER, lambda t, s=start: times["outer"].append(t - s))
-            sim.run()
-            start = sim.now
-            disk.read(250_000, ZONE_INNER, lambda t, s=start: times["inner"].append(t - s))
-            sim.run()
+            for zone in (ZONE_OUTER, ZONE_INNER):
+                start = sim.now
+                read = disk.read(250_000, zone)
+                sim.run(until=read.done_at)
+                times[zone].append(read.done_at - start)
         mean = lambda xs: sum(xs) / len(xs)
-        assert mean(times["inner"]) > mean(times["outer"])
+        assert mean(times[ZONE_INNER]) > mean(times[ZONE_OUTER])
 
     def test_a_read_without_callbacks_costs_no_event(self, sim, disk):
         read = disk.read(250_000, ZONE_OUTER)
@@ -217,6 +208,19 @@ class TestSimDisk:
         assert disk.reads_completed.count == 1
         sim.run(until=read.done_at + 1e-9)
         assert disk.finished(read) and not read.errored
+        # Nor does a read in any other state of the drive.
+        disk.fail()
+        disk.read(250_000, ZONE_OUTER)
+        assert sim.peek_time() is None
+        disk.recover()
+        disk.set_stuck(True)
+        stalled = disk.read(250_000, ZONE_OUTER)
+        assert sim.peek_time() is None
+        disk.set_stuck(False)
+        assert stalled.done_at < inf
+        assert sim.peek_time() is None
+        disk.read(250_000, ZONE_OUTER)
+        assert sim.peek_time() is None
 
     def test_die_and_recover_inside_a_flight_completes_the_read(self, sim, disk):
         read = disk.read(250_000, ZONE_OUTER)
@@ -329,11 +333,10 @@ class _Differential:
         )
         self.reads = []      # the event-less drive's Read per read issued
         self.ref_fired = []  # per read: None | ("done", t) | ("error", t)
-        self.new_fired = []  # the same; stays None without callbacks
-        self.with_callbacks = []
         self.ties = []       # (asked of the new drive, asked of the reference)
 
-    def _recorders(self, fired, sim):
+    def _recorders(self):
+        fired, sim = self.ref_fired, self.sims[1]
         index = len(fired)
         fired.append(None)
 
@@ -347,19 +350,14 @@ class _Differential:
 
         return done, error
 
-    def read(self, size, zone, callbacks, ask_at_tie=True):
+    def read(self, size, zone, ask_at_tie=True):
         """Issue one read on both drives.  Before the reference's read,
         an event is armed at the read's completion time on both sides —
         the order a cub's send has with the read it waits for — which
         asks "ready?" at that exact instant."""
         new_sim, ref_sim = self.sims
         index = len(self.reads)
-        self.with_callbacks.append(callbacks)
-        if callbacks:
-            read = self.new.read(size, zone, *self._recorders(self.new_fired, new_sim))
-        else:
-            self.new_fired.append(None)
-            read = self.new.read(size, zone)
+        read = self.new.read(size, zone)
         self.reads.append(read)
         # settle-on-read: what is left really is in flight, in order.
         flying = [r.done_at for r in self.new._in_flight]
@@ -375,7 +373,7 @@ class _Differential:
                 read.done_at,
                 lambda: tie.__setitem__(1, self.ref_fired[index] is not None),
             )
-        self.ref.read(size, zone, *self._recorders(self.ref_fired, ref_sim))
+        self.ref.read(size, zone, *self._recorders())
 
     def step(self, step, look=True):
         op, *args = step
@@ -394,7 +392,7 @@ class _Differential:
             for disk in (self.new, self.ref):
                 getattr(disk, op)(*args)
         for sim in self.sims:
-            sim.run(until=sim.now)  # zero-delay error callbacks
+            sim.run(until=sim.now)  # the reference's zero-delay error callbacks
         if look:
             self.check()
 
@@ -407,12 +405,9 @@ class _Differential:
         assert new.reads_errored.count == ref.reads_errored.count
         assert new.utilization() == ref.utilization()
         assert new.queue_backlog == ref.queue_backlog
-        for read, fired, echoed, called_back in zip(
-            self.reads, self.ref_fired, self.new_fired, self.with_callbacks
-        ):
+        for read, fired in zip(self.reads, self.ref_fired):
             kind = fired[0] if fired is not None else None
             assert read.errored == (kind == "error")
-            assert echoed == (fired if called_back else None)
             if read.done_at != now:
                 # At the exact completion time "ready" depends on who
                 # asks; the armed tie events ask in the cub's order.
@@ -426,9 +421,7 @@ class _Differential:
 
 _ZONES = st.sampled_from([ZONE_OUTER, ZONE_INNER])
 _DRIVE_STEP = st.one_of(
-    st.tuples(
-        st.just("read"), st.integers(20_000, 400_000), _ZONES, st.booleans()
-    ),
+    st.tuples(st.just("read"), st.integers(20_000, 400_000), _ZONES),
     st.tuples(st.just("run"), st.floats(0.0, 0.12)),
     st.tuples(st.just("run_to_done"), st.integers(0, 50)),
     st.tuples(st.just("fail")),
@@ -457,8 +450,8 @@ def test_event_less_drive_matches_an_event_per_read(seed, steps, look_every_step
     _run_differential(seed, steps, look_every_step)
 
 
-_READ = ("read", 250_000, ZONE_OUTER, False)
-_READ_CB = ("read", 250_000, ZONE_INNER, True)
+_READ = ("read", 250_000, ZONE_OUTER)
+_READ_INNER = ("read", 250_000, ZONE_INNER)
 
 
 @pytest.mark.parametrize("look_every_step", [True, False])
@@ -468,17 +461,17 @@ _READ_CB = ("read", 250_000, ZONE_INNER, True)
         # die and recover inside one read's flight: it completes
         [_READ, ("run", 0.01), ("fail",), ("run", 0.01), ("recover",)],
         # ... and a read started after the recovery overtakes it
-        [("set_slow", 3.0), _READ_CB, ("run", 0.01), ("fail",), ("recover",),
-         ("set_slow", 0.5), _READ, _READ_CB, ("run_to_done", 1)],
+        [("set_slow", 3.0), _READ_INNER, ("run", 0.01), ("fail",), ("recover",),
+         ("set_slow", 0.5), _READ, _READ_INNER, ("run_to_done", 1)],
         # dead at the completion time: errored, whoever asks and when
-        [_READ, _READ_CB, ("run", 0.01), ("fail",), ("run", 0.5), ("recover",)],
+        [_READ, _READ_INNER, ("run", 0.01), ("fail",), ("run", 0.5), ("recover",)],
         # issued on a dead drive
-        [("fail",), _READ, _READ_CB, ("run", 0.1), ("recover",), _READ],
+        [("fail",), _READ, _READ_INNER, ("run", 0.1), ("recover",), _READ],
         # stalled on a stuck drive that then dies
-        [("set_stuck", True), _READ, _READ_CB, ("run", 0.2), ("fail",),
+        [("set_stuck", True), _READ, _READ_INNER, ("run", 0.2), ("fail",),
          ("run", 0.1), ("recover",), _READ, ("set_stuck", False), _READ],
         # stalled, then started late
-        [("set_stuck", True), _READ, _READ_CB, _READ, ("run", 0.3),
+        [("set_stuck", True), _READ, _READ_INNER, _READ, ("run", 0.3),
          ("set_stuck", False), ("run_to_done", 0), ("run_to_done", 2)],
         # the clock stops exactly on a completion time, drive alive and dead
         [_READ, _READ, ("run_to_done", 0), ("fail",), ("run_to_done", 1)],
@@ -494,5 +487,5 @@ def test_named_interleavings(steps, look_every_step):
 def test_the_tie_is_really_asked():
     """The differential's tie events do fire with a verdict, and it is
     "not ready" on both drives."""
-    pair = _run_differential(7, [_READ, _READ_CB, ("run", 1.0)])
+    pair = _run_differential(7, [_READ, _READ_INNER, ("run", 1.0)])
     assert pair.ties == [[False, False], [False, False]]

@@ -3,14 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.disk.drive import SimDisk
 from repro.disk.model import DiskParameters
 from repro.disk.zones import ZONE_OUTER
-from repro.mbr.admission import LIMIT_DISK, LIMIT_NETWORK, MbrAdmission
-from repro.mbr.diskqueue import EdfDiskQueue, edf_feasible, periodic_stream_feasible
-from repro.mbr.system import MbrCubSimulation, run_mix_experiment
-from repro.sim.core import Simulator
-from repro.sim.rng import RngRegistry
+from repro.mbr.admission import (
+    LIMIT_DISK,
+    LIMIT_NETWORK,
+    MbrAdmission,
+    edf_feasible,
+    periodic_stream_feasible,
+    run_mix_experiment,
+)
 
 
 class TestEdfFeasibility:
@@ -59,74 +61,6 @@ class TestEdfFeasibility:
         assert not periodic_stream_feasible(
             params, [250_000] * 20, ZONE_OUTER, 1.0
         )
-
-
-class TestEdfDiskQueue:
-    def build(self, sim, rngs):
-        disk = SimDisk(sim, "d", DiskParameters(), rngs)
-        return EdfDiskQueue(sim, disk)
-
-    def test_serves_most_urgent_first(self, sim, rngs):
-        queue = self.build(sim, rngs)
-        order = []
-        # Submit in reverse urgency while the disk is busy with a filler.
-        queue.submit(250_000, ZONE_OUTER, 100.0, lambda t: order.append("filler"))
-        queue.submit(250_000, ZONE_OUTER, 50.0, lambda t: order.append("late"))
-        queue.submit(250_000, ZONE_OUTER, 10.0, lambda t: order.append("urgent"))
-        sim.run()
-        assert order == ["filler", "urgent", "late"]
-
-    def test_miss_callback_on_late_completion(self, sim, rngs):
-        queue = self.build(sim, rngs)
-        outcomes = []
-        queue.submit(
-            250_000,
-            ZONE_OUTER,
-            deadline=0.001,  # impossible
-            on_complete=lambda t: outcomes.append("ok"),
-            on_miss=lambda t: outcomes.append("miss"),
-        )
-        sim.run()
-        assert outcomes == ["miss"]
-        assert queue.completed_late.count == 1
-
-    def test_on_time_completion(self, sim, rngs):
-        queue = self.build(sim, rngs)
-        outcomes = []
-        queue.submit(
-            250_000, ZONE_OUTER, 10.0, lambda t: outcomes.append("ok")
-        )
-        sim.run()
-        assert outcomes == ["ok"]
-        assert queue.completed_on_time.count == 1
-
-    def test_disk_failure_routes_to_miss(self, sim, rngs):
-        disk = SimDisk(sim, "d", DiskParameters(), rngs)
-        queue = EdfDiskQueue(sim, disk)
-        disk.fail()
-        outcomes = []
-        queue.submit(
-            250_000,
-            ZONE_OUTER,
-            10.0,
-            lambda t: outcomes.append("ok"),
-            on_miss=lambda t: outcomes.append("miss"),
-        )
-        sim.run()
-        assert outcomes == ["miss"]
-
-    def test_depth_tracks_queue(self, sim, rngs):
-        queue = self.build(sim, rngs)
-        for _ in range(3):
-            queue.submit(250_000, ZONE_OUTER, 10.0, lambda t: None)
-        assert queue.depth == 3
-        sim.run()
-        assert queue.depth == 0
-
-    def test_invalid_size_rejected(self, sim, rngs):
-        queue = self.build(sim, rngs)
-        with pytest.raises(ValueError):
-            queue.submit(0, ZONE_OUTER, 1.0, lambda t: None)
 
 
 class TestMbrAdmission:
@@ -203,45 +137,47 @@ class TestMbrAdmission:
 
 
 class TestMbrService:
-    def test_feasible_mix_has_no_misses(self):
-        row = run_mix_experiment([1e6, 2e6, 4e6], duration=15.0, seed=3)
-        assert row["streams"] > 10
-        assert row["miss_rate"] == 0.0
+    """What serving an admitted mix needs, decided from the admission:
+    striping rotates every stream over the cub's drives, so each drive
+    reads one block per stream per rotation of ``num_disks`` block play
+    times."""
 
-    def test_measured_utilization_tracks_model(self):
-        row = run_mix_experiment([2e6], duration=20.0, seed=4)
-        assert row["measured_disk_utilization"] == pytest.approx(
-            row["disk_utilization_model"], abs=0.25
-        )
+    def test_feasible_mix_has_no_misses(self):
+        rates = [1e6, 2e6, 4e6]
+        row = run_mix_experiment(rates)
+        streams = int(row["streams"])
+        assert streams > 10
+        # The first ``streams`` offers, round-robin; a block is 1 s of data.
+        blocks = [int(rates[i % 3] / 8) for i in range(streams)]
+        assert periodic_stream_feasible(DiskParameters(), blocks, ZONE_OUTER, 4.0)
 
     def test_crossover_with_rate(self):
         """The §3.2 claim: the binding resource depends on the mix."""
-        small = run_mix_experiment([0.5e6], duration=5.0, nic_bps=100e6)
-        large = run_mix_experiment([8e6], duration=5.0, nic_bps=100e6)
-        assert small["limiting"] == 1.0  # disk
-        assert large["limiting"] == 0.0  # network
+        small = run_mix_experiment([0.5e6], nic_bps=100e6)
+        large = run_mix_experiment([8e6], nic_bps=100e6)
+        assert small["limiting"] == LIMIT_DISK
+        assert large["limiting"] == LIMIT_NETWORK
 
     def test_overcommitted_disk_misses_deadlines(self):
-        """Bypass admission: an infeasible set must actually miss."""
-        sim = Simulator()
-        rngs = RngRegistry(9)
+        """25 x 250 KB blocks a second (~61 ms each) overrun one disk:
+        the admission stops short of them, and what it admits fits."""
         admission = MbrAdmission(
             disk_params=DiskParameters(),
             num_disks=1,
             nic_bps=1e9,
             block_play_time=1.0,
             schedule_length=1.0,
-            disk_headroom=1.0,
         )
-        # Force-fill beyond the disk budget by inserting directly.
-        from repro.mbr.admission import AdmittedStream
-
-        for index in range(25):  # 25 x ~61 ms >> 1 s of disk time
-            entry = admission.network.insert(f"v{index}", 0.0, 1e4)
-            admission.streams[f"v{index}"] = AdmittedStream(
-                f"v{index}", 2e6, 250_000, 0.0, entry.entry_id
-            )
-        service = MbrCubSimulation(sim, admission, rngs)
-        service.start()
-        sim.run(until=15.0)
-        assert service.miss_rate() > 0.1
+        while admission.try_admit(
+            f"v{len(admission.streams)}", 2e6
+        ) is not None:
+            pass
+        admitted = [stream.block_bytes for stream in admission.streams.values()]
+        assert admitted == [250_000] * len(admitted)
+        assert len(admitted) < 25
+        assert admission.rejections[LIMIT_DISK] == 1
+        params = admission.disk_params
+        assert periodic_stream_feasible(params, admitted, ZONE_OUTER, 1.0)
+        assert not periodic_stream_feasible(
+            params, [250_000] * 25, ZONE_OUTER, 1.0
+        )

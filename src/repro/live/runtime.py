@@ -12,7 +12,8 @@ unmodified:
   well under a slot width — the live analogue of the paper's clock-
   mastering assumption (§4.2 notes cubs keep clocks synchronized to
   "within a few milliseconds").
-* ``call_at`` / ``call_after`` — cancellable timers with the
+* ``call_at(when, fn, *args)`` / ``call_after(delay, fn, *args)`` —
+  the DES signatures exactly, returning cancellable timers with the
   :class:`~repro.sim.events.Event` surface (``cancel()``, ``active``,
   ``time``).  One deliberate divergence: scheduling *slightly* in the
   past is clamped to "immediately" instead of raising.  In the DES a
@@ -145,22 +146,13 @@ class LiveRuntime:
             self._loop = asyncio.get_event_loop()
         return self._loop
 
-    def call_at(
-        self,
-        when: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> LiveTimer:
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> LiveTimer:
         """Schedule ``fn(*args)`` at absolute runtime time ``when``.
 
         Times already past are clamped to "as soon as possible" —
         wall-clock lateness is a fact of life, not a bug.  A NaN time
-        is a bug, refused as the DES refuses it.  ``priority`` is accepted
-        for DES signature compatibility; the wall clock cannot order
-        same-instant callbacks deterministically anyway.
+        is a bug, refused as the DES refuses it.
         """
-        del priority  # no deterministic tie-breaking on a wall clock
         if math.isnan(when):
             raise ValueError(f"cannot schedule at t={when!r}")
         timer = LiveTimer(when, fn, args)
@@ -171,17 +163,11 @@ class LiveRuntime:
         self._track(timer)
         return timer
 
-    def call_after(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> LiveTimer:
+    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> LiveTimer:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay!r}")
-        return self.call_at(self.now + delay, fn, *args, priority=priority)
+        return self.call_at(self.now + delay, fn, *args)
 
     def _dispatch(self, timer: LiveTimer) -> None:
         # Fired (or cancelled after its handle ran): no longer pending.

@@ -3,9 +3,9 @@
 Modules:
 
 * :mod:`repro.sim.core` — :class:`~repro.sim.core.Simulator`, the event
-  loop.
+  loop: one heap, dispatched in ``(time, insertion)`` order.
 * :mod:`repro.sim.events` — :class:`~repro.sim.events.Event`, a
-  cancellable scheduled callback.
+  cancellable scheduled callback; cancelling sets a flag the loop skips.
 * :mod:`repro.sim.process` — :class:`~repro.sim.process.Process`, base
   class for simulated components.
 * :mod:`repro.sim.rng` — :class:`~repro.sim.rng.RngRegistry`,

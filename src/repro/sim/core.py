@@ -2,12 +2,12 @@
 
 The kernel is deliberately small — and the only one the DES has: a
 time-ordered heap and a clock.  A heap entry has one of two shapes,
-both ordered by their first three fields:
+both ordered by their first two fields:
 
-* ``(time, priority, seq, event)`` — a cancellable
+* ``(time, seq, event)`` — a cancellable
   :class:`~repro.sim.events.Event`, from :meth:`Simulator.call_at` /
   ``call_after``;
-* ``(time, priority, seq, fn, arg)`` — a fire-and-forget callback from
+* ``(time, seq, fn, arg)`` — a fire-and-forget callback from
   :meth:`Simulator.post`: no ``Event``, no args tuple, no handle.
 
 One loop, :meth:`Simulator.run`, dispatches both in deterministic
@@ -19,29 +19,25 @@ Design notes
   "when a message arrives", "when a timer fires" — which maps naturally
   onto callbacks, keeps the event loop trivially fast, and produces flat
   stack traces when something goes wrong.
-* Determinism: ties are broken by ``(priority, insertion order)`` and
-  all randomness flows through :class:`~repro.sim.rng.RngRegistry`, so a
+* Determinism: ties in time are broken by insertion order and all
+  randomness flows through :class:`~repro.sim.rng.RngRegistry`, so a
   run is a pure function of its seed and configuration.  Both entry
   shapes draw ``seq`` from one counter, so a post and an event at the
-  same time and priority fire in the order they were scheduled.
+  same time fire in the order they were scheduled.
 * Cancellation is lazy: a cancelled event stays in the heap as a
-  tombstone until it reaches the top or a compaction sweeps it.  A
-  tombstone is never dispatched, consumes no ``max_events`` budget and
-  never advances the clock.  A posted entry cannot be cancelled.
+  tombstone until its own time reaches the top.  A tombstone is never
+  dispatched, never counted and never advances the clock.  A posted
+  entry cannot be cancelled.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import inf
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import PRIORITY_NORMAL, Event, _seq_counter
-
-#: Lazy heap compaction floor: below this many tombstones the heap is
-#: never rebuilt, so cancel-light workloads pay nothing.
-_COMPACT_MIN_TOMBSTONES = 64
+from repro.sim.events import Event, _seq_counter
 
 
 class SimulationError(RuntimeError):
@@ -71,20 +67,16 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current simulated time in seconds.  A plain attribute, read
         #: on every hop of every block; only this module writes it (the
         #: dispatch loop, ``step`` and the end of a bounded ``run``).
-        self.now = float(start_time)
+        self.now = 0.0
         #: The event heap, of both entry shapes (see the module
-        #: docstring).  The list object is never replaced (compaction
-        #: rebuilds it in place): :meth:`run` holds it across callbacks.
+        #: docstring).  :meth:`run` holds this list across callbacks.
         self._heap: List[Tuple[Any, ...]] = []
-        #: Cancelled events still sitting in the heap (lazy tombstones).
-        self._cancelled_in_heap = 0
         self._events_dispatched = 0
         self._running = False
-        self._stopped = False
         #: Optional event-loop profiler (duck-typed: ``record(fn, wall_s,
         #: sim_now)``); None keeps dispatch at one attribute check.
         self._profiler: Optional[Any] = None
@@ -121,13 +113,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def call_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``.
 
         Scheduling exactly at ``now`` is permitted (the event runs within
@@ -138,76 +124,58 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
-        event = Event(time, fn, args, priority)
-        event.owner = self
-        heappush(self._heap, (event.time, priority, event.seq, event))
+        event = Event(time, fn, args)
+        heappush(self._heap, (event.time, event.seq, event))
         return event
 
-    def call_after(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self.now + delay, fn, *args, priority=priority)
+        return self.call_at(self.now + delay, fn, *args)
 
     def post(self, time: float, fn: Callable[[Any], Any], arg: Any) -> None:
         """Schedule ``fn(arg)`` at ``time``, for good: nothing can cancel it.
 
-        The entry is one heap tuple, ``(time, PRIORITY_NORMAL, seq, fn,
-        arg)``, with ``seq`` from the counter ``call_at`` uses, so it is
-        dispatched exactly where a ``call_at(time, fn, arg)`` would be.
-        It counts against ``max_events`` and in ``events_dispatched``
-        like any event.  The DES fabric posts every delivery; a caller
-        that might cancel uses :meth:`call_at`.
+        The entry is one heap tuple, ``(time, seq, fn, arg)``, with
+        ``seq`` from the counter ``call_at`` uses, so it is dispatched
+        exactly where a ``call_at(time, fn, arg)`` would be, and counts
+        in ``events_dispatched`` like any event.  The DES fabric posts
+        every delivery; a caller that might cancel uses :meth:`call_at`.
         """
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
-        heappush(self._heap, (time, PRIORITY_NORMAL, next(_seq_counter), fn, arg))
+        heappush(self._heap, (time, next(_seq_counter), fn, arg))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _purge_head(self) -> Optional[Tuple[Any, ...]]:
-        """Pop tombstones off the top of the heap; return the next
-        active entry (left in the heap), or None."""
+    def peek_time(self) -> Optional[float]:
+        """Time of the next active entry, or None if there is none.
+
+        Pops the tombstones above it on the way."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if len(entry) == 5:
-                return entry
-            event = entry[3]
-            if not event.cancelled:
-                return entry
+        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
             heappop(heap)
-            event.owner = None
-            self._cancelled_in_heap -= 1
-        return None
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Dispatch the next active event or post.
 
         Returns False when the heap holds no active entries.
         """
-        entry = self._purge_head()
-        if entry is None:
+        if self.peek_time() is None:
             return False
-        heappop(self._heap)
+        entry = heappop(self._heap)
         self.now = entry[0]
         self._events_dispatched += 1
-        if len(entry) == 5:
-            fn = entry[3]
-            args: Tuple[Any, ...] = (entry[4],)
+        if len(entry) == 4:
+            fn = entry[2]
+            args: Tuple[Any, ...] = (entry[3],)
         else:
-            event = entry[3]
-            event.owner = None
-            fn, args = event.fn, event.args
+            fn, args = entry[2].fn, entry[2].args
         if self._profiler is None:
             fn(*args)
         else:
@@ -216,90 +184,44 @@ class Simulator:
             self._profiler.record(fn, perf_counter() - started, self.now)
         return True
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next active entry, or None if the heap is empty."""
-        entry = self._purge_head()
-        return entry[0] if entry is not None else None
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the heap drains or the next entry is past ``until``.
 
-    def _note_cancelled(self) -> None:
-        """An event currently in the heap was cancelled (Event.cancel).
-
-        When tombstones outnumber live entries (past a fixed floor), the
-        heap is rebuilt without them: cancel-heavy workloads (deadman
-        timers, per-service bookkeeping) otherwise carry every tombstone
-        until its pop, inflating both memory and per-push compare cost.
-        Entry ordering is a total order on ``(time, priority, seq)``, so
-        the rebuild cannot reorder the survivors; posts are never
-        tombstones and always survive.
-        """
-        self._cancelled_in_heap += 1
-        heap = self._heap
-        if (
-            self._cancelled_in_heap > _COMPACT_MIN_TOMBSTONES
-            and self._cancelled_in_heap * 2 > len(heap)
-        ):
-            live = []
-            for entry in heap:
-                if len(entry) == 4 and entry[3].cancelled:
-                    entry[3].owner = None
-                else:
-                    live.append(entry)
-            heap[:] = live
-            heapify(heap)
-            self._cancelled_in_heap = 0
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the heap drains, ``until`` is reached, or ``max_events``.
-
-        When ``until`` is given, the clock is advanced to exactly ``until``
+        When ``until`` is given, the clock ends at exactly ``until``
         even if the last event fires earlier, so back-to-back ``run``
-        calls observe a monotonic clock.  The advance is skipped only
-        when active events earlier than ``until`` remain undispatched
-        (a ``max_events`` or ``stop()`` exit): jumping over them would
-        make the next ``run`` move the clock backwards.
-
-        A :meth:`stop` requested while no run is active (e.g. from a
-        monitor callback firing at a run boundary) is honored by the
-        *next* ``run``, which returns immediately without dispatching;
-        each ``run`` consumes at most one stop request on exit.
+        calls observe a monotonic clock.  Only an exception raised by a
+        callback ends a run sooner; it leaves the clock at that
+        callback's time.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         heap = self._heap
         horizon = inf if until is None else until
-        # Counted up to the budget; -1 is never reached.
-        budget = -1 if max_events is None else max(0, max_events)
-        dispatched = 0
         try:
-            while heap and dispatched != budget and not self._stopped:
+            while heap:
                 entry = heap[0]
-                posted = len(entry) == 5
-                if not posted:
-                    event = entry[3]
-                    if event.cancelled:
-                        # A tombstone consumes no budget and moves no clock.
-                        heappop(heap)
-                        event.owner = None
-                        self._cancelled_in_heap -= 1
-                        continue
                 if entry[0] > horizon:
                     break
                 heappop(heap)
+                posted = len(entry) == 4
+                if not posted:
+                    event = entry[2]
+                    if event.cancelled:
+                        # A tombstone moves no clock and counts nothing.
+                        continue
                 self.now = entry[0]
                 self._events_dispatched += 1
-                dispatched += 1
                 profiler = self._profiler
                 if posted:
-                    fn = entry[3]
+                    fn = entry[2]
                     if profiler is None:
-                        fn(entry[4])
+                        fn(entry[3])
                     else:
                         started = perf_counter()
-                        fn(entry[4])
+                        fn(entry[3])
                         profiler.record(fn, perf_counter() - started, self.now)
                 else:
-                    event.owner = None
                     fn = event.fn
                     if profiler is None:
                         fn(*event.args)
@@ -307,21 +229,10 @@ class Simulator:
                         started = perf_counter()
                         fn(*event.args)
                         profiler.record(fn, perf_counter() - started, self.now)
-            pending = self.peek_time()
-            if (
-                until is not None
-                and self.now < until
-                and not self._stopped
-                and (pending is None or pending > until)
-            ):
+            if until is not None and until > self.now:
                 self.now = until
         finally:
-            self._stopped = False
             self._running = False
-
-    def stop(self) -> None:
-        """Request that the current :meth:`run` return after this event."""
-        self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

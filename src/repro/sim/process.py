@@ -25,12 +25,10 @@ class Process:
         self._timers: Dict[int, Event] = {}
         self._next_slot = 0
         self._compact_at = 256
-        #: Periodic timers by ``(registered at, period)``: ``(first
-        #: event, callbacks after the first)`` — what a later
-        #: :meth:`every` at the same instant joins.
-        self._periodic: Dict[
-            Tuple[float, float], Tuple[Event, List[Callable[[], Any]]]
-        ] = {}
+        #: Periodic timers by ``(registered at, period)``: the callbacks
+        #: after the first — what a later :meth:`every` at the same
+        #: instant joins.
+        self._periodic: Dict[Tuple[float, float], List[Callable[[], Any]]] = {}
 
     # ------------------------------------------------------------------
     # Timers
@@ -47,16 +45,17 @@ class Process:
         self._remember(event)
         return event
 
-    def every(self, period: float, fn: Callable[[], Any]) -> Event:
+    def every(self, period: float, fn: Callable[[], Any]) -> None:
         """Run ``fn`` every ``period`` seconds until :meth:`cancel_timers`.
 
         Periodic timers this process registers at the same ``now`` with
         the same period share one kernel event: they would fire at the
         same instants forever, so one tick runs them in registration
-        order (and the returned event is the group's).  A timer with
-        another period, or registered at a later ``now``, gets its own
-        event.  On the live backend consecutive registrations read
-        different wall-clock ``now`` values and so never merge.
+        order.  A timer with another period, or registered at a later
+        ``now``, gets its own event.  On the live backend consecutive
+        registrations read different wall-clock ``now`` values and so
+        never merge.  No handle is returned: each tick re-arms on a new
+        event, so only :meth:`cancel_timers` can stop the timer.
 
         A callback that reaches :meth:`cancel_timers` stops the timer:
         the rest of its group does not run and nothing is re-armed.
@@ -66,8 +65,8 @@ class Process:
         key = (self.sim.now, period)
         group = self._periodic.get(key)
         if group is not None:
-            group[1].append(fn)
-            return group[0]
+            group.append(fn)
+            return
         rest: List[Callable[[], Any]] = []
 
         # ``fn`` stays a free variable of ``tick``: the benchmark's span
@@ -83,10 +82,8 @@ class Process:
                 # Each tick takes over the slot of the one that just fired.
                 self._timers[slot] = self.sim.call_after(period, tick)
 
-        first = self.sim.call_after(period, tick)
-        slot = self._remember(first)
-        self._periodic[key] = (first, rest)
-        return first
+        slot = self._remember(self.sim.call_after(period, tick))
+        self._periodic[key] = rest
 
     def cancel_timers(self) -> None:
         """Cancel every outstanding timer this process scheduled."""

@@ -32,7 +32,8 @@ none of the stores it expires, and the histogram sorts, never inserts.
 And it keeps the DES on one event kernel (DESIGN.md §8): one class with
 a ``run`` loop under ``repro/sim``, a fabric that hands deliveries to
 ``call_at`` and probes the simulator for nothing else, and no ``shards``
-option on the system or the chaos harness.
+option on the system or the chaos harness.  That kernel takes only what
+its callers pass: no priority, start time, event budget or stop flag.
 
 And it keeps protocol code on the backend contract (``runtime.py``): no
 module under ``core/``, ``helpers/`` or ``storage/`` reads a private
@@ -53,6 +54,7 @@ listener knob stay deleted.
 """
 
 import ast
+import inspect
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -96,6 +98,9 @@ RETIRED_NAMES = {
     # One block server (the cub) and one way a read completes (polled).
     "MbrCubSimulation", "StreamServiceStats", "EdfDiskQueue",
     "CompletionCallback", "ErrorCallback",
+    # One event order, (time, insertion): no priorities, no compaction.
+    "PRIORITY_NORMAL", "PRIORITY_HIGH", "PRIORITY_LOW",
+    "_note_cancelled", "_COMPACT_MIN_TOMBSTONES",
 }
 
 #: Tier payloads the cub serves without ever naming them.
@@ -553,6 +558,24 @@ def test_the_des_has_one_event_kernel():
     assert not _fabric_kernel_forks(switch)
     assert "shards" not in _init_parameters("core/tiger.py", "TigerSystem")
     assert "shards" not in _init_parameters("faults/harness.py", "ChaosHarness")
+
+
+def test_the_kernel_takes_only_what_its_callers_pass():
+    """``Simulator()``, ``call_at(time, fn, *args)``, ``call_after(delay,
+    fn, *args)`` and ``run(until=None)``: no priority, start time, event
+    budget or stop flag, on the simulator or on the live runtime."""
+    from repro.live.runtime import LiveRuntime
+    from repro.sim.core import Simulator
+
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert parameters(Simulator) == []
+    assert parameters(Simulator.run) == ["self", "until"]
+    assert not hasattr(Simulator, "stop")
+    for runtime in (Simulator, LiveRuntime):
+        assert parameters(runtime.call_at)[2:] == ["fn", "args"]
+        assert parameters(runtime.call_after)[2:] == ["fn", "args"]
 
 
 #: Packages written against the backend contract (``runtime.py``) ...

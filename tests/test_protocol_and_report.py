@@ -1,6 +1,8 @@
 """Tests for wire payloads and the EXPERIMENTS.md report generator."""
 
 
+import pathlib
+
 import pytest
 
 from repro.analysis.report import (
@@ -22,6 +24,9 @@ from repro.core.protocol import (
     ViewerStateBatch,
 )
 from repro.core.viewerstate import DescheduleRequest, ViewerState
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def make_state(seqno=0):
@@ -96,3 +101,10 @@ class TestReport:
         )
         assert code == 0
         assert "# EXPERIMENTS" in output.read_text(encoding="utf-8")
+
+    def test_the_committed_document_is_what_report_writes(self):
+        """EXPERIMENTS.md is generated: a result file that changes
+        without the document being regenerated fails here."""
+        committed = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        results = REPO_ROOT / "benchmarks" / "results"
+        assert committed == render(load_sections(str(results)))

@@ -132,9 +132,12 @@ class TestProcess:
     def test_same_instant_same_period_timers_share_one_event(self, sim):
         proc = Process(sim, "p")
         fired = []
-        first = proc.every(0.5, lambda: fired.append(("a", sim.now)))
-        assert proc.every(0.5, lambda: fired.append(("b", sim.now))) is first
-        assert proc.every(0.5, lambda: fired.append(("c", sim.now))) is first
+        for name in "abc":
+
+            def record(name=name):
+                fired.append((name, sim.now))
+
+            assert proc.every(0.5, record) is None  # no handle to keep
         assert len(sim._heap) == 1
         sim.run(until=2.0)
         # One kernel event per period, members in registration order,

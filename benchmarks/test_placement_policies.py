@@ -1,8 +1,8 @@
-"""Fig-10-style slot-placement policy comparison (extension).
+"""Fig-10-style start-order policy comparison (extension).
 
 The paper's fig-10 shows startup latency degrading as schedule load
 approaches capacity under first-fit slot claiming.  This benchmark
-compares the three pluggable placement policies under
+compares the two placement policies (start orders) under
 :func:`repro.workloads.placement.run_policy_scenario` — 95% schedule
 load, VCR churn, and a mid-run controller failover whose client
 retries land requests at the cubs in retry-phase order rather than

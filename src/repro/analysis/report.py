@@ -144,16 +144,16 @@ PAPER_CLAIMS = {
         "trace.",
     ),
     "placement_policies": (
-        "Extension — pluggable slot-placement policies (fig-10 tail)",
+        "Extension — start-order placement policies (fig-10 tail)",
         "Fig-10 attributes the startup-latency tail near capacity to "
-        "waiting for a free slot under first-fit claiming.  With slot "
-        "placement behind one policy contract, first-fit stays "
-        "bit-identical to the legacy behavior; deadline-greedy keeps "
-        "first-fit's slot choice but serves the oldest outstanding "
-        "request first, which repairs the priority inversions a "
-        "controller failover's retry-against-the-backup path creates "
-        "and lowers the startup p99 at 95% load under VCR churn; "
-        "load-spread trades median latency for spread-out free slots.",
+        "waiting for a free slot under first-fit claiming.  A cub "
+        "inserts only into the slot it owns, so a policy decides only "
+        "which waiting start goes first: first-fit takes the queue "
+        "head, as the paper's cubs do; deadline-greedy serves the "
+        "oldest outstanding request first, which repairs the priority "
+        "inversions a controller failover's retry-against-the-backup "
+        "path creates and lowers the startup p99 at 95% load under VCR "
+        "churn.",
     ),
     "online_restripe": (
         "Extension — online restriping under live traffic",

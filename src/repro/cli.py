@@ -557,9 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--placement", choices=PLACEMENT_POLICIES,
             default="first-fit", metavar="POLICY",
-            help="slot-placement policy: "
+            help="which waiting start a cub inserts first: "
                  f"{', '.join(PLACEMENT_POLICIES)} "
-                 "(first-fit is the legacy behavior)")
+                 "(first-fit: arrival order; deadline-greedy: oldest "
+                 "request first)")
 
     def restripe_flags(sub):
         sub.add_argument(

@@ -22,10 +22,11 @@ from typing import Optional
 
 from repro.disk.model import DiskParameters, worst_case_streams_per_disk
 
-#: Slot-placement policies every admitter understands (see
-#: :mod:`repro.core.placement`).  ``first-fit`` is the historical
-#: behavior and the default.
-PLACEMENT_POLICIES = ("first-fit", "deadline-greedy", "load-spread")
+#: The orders in which a cub serves the starts waiting for one disk
+#: (see :meth:`repro.core.owner.ScheduleOwner.ownership_instant`):
+#: ``first-fit`` is arrival order, the paper's and the default;
+#: ``deadline-greedy`` serves the oldest ``request_time`` first.
+PLACEMENT_POLICIES = ("first-fit", "deadline-greedy")
 
 #: Cache replacement policies a helper node runs (see
 #: :mod:`repro.helpers.policy`).
@@ -95,9 +96,8 @@ class TigerConfig:
     #: disables the guard, as the paper's experiments did.  Cubs enforce
     #: it from a purely local load estimate — no global state.
     admission_load_limit: Optional[float] = None
-    #: Slot-placement policy used by every admitter (one of
-    #: ``PLACEMENT_POLICIES``).  ``first-fit`` reproduces the
-    #: pre-policy behavior bit-for-bit.
+    #: Which waiting start a cub inserts at an ownership instant (one
+    #: of ``PLACEMENT_POLICIES``).
     placement: str = "first-fit"
 
     # ------------------------------------------------------------------

@@ -19,11 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import TigerConfig
-from repro.core.placement import (
-    SlotCandidate,
-    make_placement_policy,
-    ring_crowding,
-)
 from repro.core.schedule import GlobalSchedule
 from repro.core.slots import SlotClock
 from repro.net.message import KIND_DATA, Message
@@ -130,9 +125,6 @@ class CentralizedController(NetworkNode):
         self.cpu = BusyMeter(sim.now)
         self.commands_sent = Counter()
         self._active: Dict[int, bool] = {}
-        #: Slot-placement policy (no registry here: the baseline keeps
-        #: the plain stats counters it always had).
-        self.placement = make_placement_policy(config.placement)
 
     def handle_message(self, message: Message) -> None:  # pragma: no cover
         raise TypeError("the centralized controller takes no inbound messages")
@@ -144,35 +136,14 @@ class CentralizedController(NetworkNode):
         free = self.schedule.free_slots()
         if not free:
             return False
-        # With the whole schedule in hand, the central scheduler can
-        # offer the policy every free slot at once, ordered by when the
-        # start disk reaches each (the legacy soonest-visit preference).
+        # With the whole schedule in hand, the central scheduler takes
+        # the free slot its start disk reaches soonest.
         first_disk = entry.start_disk
-        ordered = sorted(
-            (
-                (self.clock.visit_time(
-                    first_disk, candidate, self.sim.now + self.command_lead
-                ), candidate)
-                for candidate in free
-            )
+        after = self.sim.now + self.command_lead
+        first_due, slot = min(
+            (self.clock.visit_time(first_disk, candidate, after), candidate)
+            for candidate in free
         )
-        occupied = None
-        if self.placement.needs_crowding:
-            free_set = set(free)
-            occupied = [s not in free_set for s in range(self.config.num_slots)]
-        candidates = [
-            SlotCandidate(
-                candidate,
-                due,
-                rank,
-                ring_crowding(occupied, candidate) if occupied else 0.0,
-            )
-            for rank, (due, candidate) in enumerate(ordered)
-        ]
-        chosen = self.placement.choose(
-            candidates, patience=self.config.block_play_time
-        )
-        slot, first_due = chosen.slot, chosen.visit
         self.schedule.insert(slot, viewer_id, instance, self.sim.now)
         self._active[instance] = True
         self._issue(viewer_id, instance, file_id, slot, 0, first_disk, first_due)

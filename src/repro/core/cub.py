@@ -49,7 +49,6 @@ from repro.core.protocol import (
 from repro.core.owner import (
     COVERED, FINISHED, LOST, REJECT, SERVE, Record, ScheduleOwner,
 )
-from repro.core.placement import make_placement_policy
 from repro.core.slots import SlotClock
 from repro.core.view import ScheduleView
 from repro.core.viewerstate import MirrorViewerState, ViewerState
@@ -254,8 +253,7 @@ class Cub(NetworkNode):
         grants every neighbour a full timeout of grace, a heartbeat
         whose epoch is now, and an empty owner — a crash loses every
         held state, queued forward and queued start, and the duplicate
-        and cancel memory with them.  Policies are stateless and share
-        the registry's placement.* series."""
+        and cancel memory with them."""
         self.deadman = DeadmanMonitor(
             self.cub_id,
             self.config.num_cubs,
@@ -268,7 +266,6 @@ class Cub(NetworkNode):
             self.deadman,
             self.clock,
             self.layout,
-            make_placement_policy(self.config.placement, self.registry),
             self.config,
             self.catalog,
         )

@@ -259,22 +259,6 @@ class NetworkSchedule:
         are ``after`` itself and every entry *end* (the natural greedy
         choice that creates unusable slivers).
         """
-        feasible = self.find_offsets(bitrate_bps, after, quantum, limit=1)
-        return feasible[0] if feasible else None
-
-    def find_offsets(
-        self,
-        bitrate_bps: float,
-        after: float = 0.0,
-        quantum: Optional[float] = None,
-        limit: int = 16,
-    ) -> List[float]:
-        """Up to ``limit`` feasible start positions in the same scan
-        order :meth:`find_offset` uses (soonest-after-``after`` first).
-
-        This is the candidate enumeration for pluggable placement:
-        index 0 is exactly what :meth:`find_offset` returns.
-        """
         after %= self.length
         if quantum is not None:
             if quantum <= 0:
@@ -295,13 +279,10 @@ class NetworkSchedule:
                 (after + ((end - after) % self.length)) % self.length
                 for end in ends
             ]
-        feasible: List[float] = []
         for candidate in candidates:
             if self.can_insert(candidate, bitrate_bps):
-                feasible.append(candidate % self.length)
-                if len(feasible) >= limit:
-                    break
-        return feasible
+                return candidate % self.length
+        return None
 
     def utilization(self) -> float:
         """Committed bandwidth-time as a fraction of the whole plane."""

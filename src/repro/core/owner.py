@@ -16,7 +16,6 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, 
 
 from repro.config import TigerConfig
 from repro.core.deadman import DeadmanMonitor
-from repro.core.placement import PlacementPolicy, SlotCandidate, neighbor_offsets
 from repro.core.protocol import StartRequest
 from repro.core.slots import SlotClock
 from repro.core.view import ADMIT_NEW, ExpiryIndex, ScheduleView
@@ -50,7 +49,6 @@ class ScheduleOwner:
         deadman: DeadmanMonitor,
         clock: SlotClock,
         layout: StripeLayout,
-        policy: PlacementPolicy,
         config: TigerConfig,
         catalog: Catalog,
     ) -> None:
@@ -59,7 +57,6 @@ class ScheduleOwner:
         self.deadman = deadman
         self.clock = clock
         self.layout = layout
-        self.policy = policy
         self.config = config
         self.catalog = catalog
         #: Viewer states held for predecessors (§4.1.1) by their keys, in
@@ -89,10 +86,6 @@ class ScheduleOwner:
         #: Redundant starts held for a live predecessor; :meth:`receive`
         #: tests it before dropping one (two states a block).
         self.redundant_requests: Dict[int, StartRequest] = {}
-        #: When each queued start first reached an ownership instant:
-        #: a deferring policy's patience counts from here, not from the
-        #: request time, so a long queue does not eat the whole budget.
-        self._first_considered: Dict[int, float] = {}
 
     def start_request(self, now: float, request: StartRequest) -> Optional[int]:
         """A start routed here; returns the disk whose scan to arm."""
@@ -374,27 +367,17 @@ class ScheduleOwner:
         Returns the initial state of the request to insert there (taken
         off its queue); :data:`REJECT` when the slot is free but
         ``blocked()``, the cub's admission guard asked only then, says
-        no; or None: the slot is occupied, nothing waits, or the policy
-        defers to a later free visit, which gets its own instant.
+        no; or None: the slot is occupied or nothing waits.
         """
         queue = self._wait_queues.get(disk_id)
         if not queue or self.view.occupied_at(slot, visit):
             return None
         if blocked():
             return REJECT
-        policy = self.policy
-        request = queue[policy.select_request(queue, now)]
-        candidates = self._candidates(slot, visit)
-        first_seen = self._first_considered.setdefault(request.instance, now)
-        chosen = policy.choose(
-            candidates,
-            waited=max(0.0, now - first_seen),
-            patience=self.clock.block_play_time,
-        )
-        if chosen.rank > 0:
-            policy.record_deferral()
-            return None
-        del self._first_considered[request.instance]
+        if self.config.placement == "deadline-greedy":
+            request = _oldest(queue)
+        else:
+            request = queue[0]
         queue.remove(request)
         del self._queued_requests[request.instance]
         return make_initial_state(
@@ -420,37 +403,18 @@ class ScheduleOwner:
         return disk_id
 
     def _remove_queued(self, instance: int) -> None:
-        self._first_considered.pop(instance, None)
         request = self._queued_requests.pop(instance, None)
         if request is not None:
             self._wait_queues[request.target_disk].remove(request)
 
-    def _candidates(self, slot: int, visit: float) -> List[SlotCandidate]:
-        """The disk's free visits a policy may rank, soonest first.
-        Rank 0 is the owned (slot, visit) — the first-fit choice, free
-        whenever this is called; a look-ahead policy also sees the free
-        ones among the next ``lookahead - 1`` visits."""
-        policy = self.policy
-        service_time = self.clock.block_service_time
-        num_slots = self.clock.num_slots
-        candidates = []
-        for rank in range(policy.lookahead):
-            c_slot = (slot + rank) % num_slots
-            c_visit = visit + rank * service_time
-            if rank and self.view.occupied_at(c_slot, c_visit):
-                continue
-            crowding = (
-                self._crowding(c_slot, c_visit) if policy.needs_crowding else 0.0
-            )
-            candidates.append(SlotCandidate(c_slot, c_visit, rank, crowding))
-        return candidates
 
-    def _crowding(self, slot: int, visit: float) -> float:
-        """Occupied slots this disk services adjacently to ``slot`` —
-        the consecutive-service pressure load-spread penalizes."""
-        service_time = self.clock.block_service_time
-        num_slots = self.clock.num_slots
-        return float(sum(
-            self.view.occupied_at((slot + delta) % num_slots, visit + delta * service_time)
-            for delta in neighbor_offsets()
-        ))
+def _oldest(queue: Deque[StartRequest]) -> StartRequest:
+    """The queued start with the earliest ``request_time``; the one
+    nearer the head on a tie.  A controller failover can land starts at
+    a cub in inverted age order (clients retry against the backup on an
+    ack-timeout phase), and ``deadline-greedy`` serves the oldest."""
+    best = queue[0]
+    for request in queue:
+        if request.request_time < best.request_time - 1e-12:
+            best = request
+    return best

@@ -392,32 +392,10 @@ class TigerSystem(World):
         return sum(client.total_corrupt() for client in self.clients)
 
     def finalize_clients(self) -> None:
-        """Flush partial assembly state at the end of an experiment and
-        publish the per-policy startup/loss histograms (fig-10 split by
-        placement policy).  Each monitor is observed at most once, so
-        calling this repeatedly cannot double-count a stream.
-        """
-        policy = self.config.placement
-        latency_hist = self.registry.histogram(
-            "placement.startup_latency",
-            help="Startup latency of streams that got their first block, "
-                 "keyed by the placement policy that seated them",
-            unit="seconds", policy=policy)
-        loss_hist = self.registry.histogram(
-            "placement.block_loss",
-            help="Blocks missed per finalized stream, keyed by the "
-                 "placement policy that seated it",
-            unit="blocks", policy=policy)
+        """Flush partial assembly state at the end of an experiment."""
         for client in self.clients:
             for monitor in client.all_monitors():
                 monitor.finalize(self.sim.now)
-                if getattr(monitor, "_placement_observed", False):
-                    continue
-                monitor._placement_observed = True
-                latency = monitor.startup_latency
-                if latency is not None:
-                    latency_hist.observe(latency)
-                loss_hist.observe(float(monitor.blocks_missed))
 
     def assert_invariants(self) -> None:
         """The executable form of the coherence argument (tests): the

@@ -4,7 +4,7 @@ Tiger has no lookup service to ask "who caches this file?", and adding
 one would put a round trip ahead of every start request.  Instead the
 directory is a pure function of the deployment shape — the config's
 helper count and capacity, and the catalog size — via the
-contiguous-group formula :func:`repro.placement.group_pin`, so every
+contiguous-group formula :func:`group_pin`, so every
 client and every helper agree on the mapping without exchanging a
 single message.
 
@@ -20,7 +20,24 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TigerConfig
-from repro.placement import group_pin
+
+
+def group_pin(item: int, groups: int, total: int) -> int:
+    """Map ``item`` of ``total`` onto one of ``groups`` contiguous groups.
+
+    Items ``[0, total)`` are split into ``groups`` contiguous runs whose
+    sizes differ by at most one; returns the zero-based group of
+    ``item``.  With ``groups >= total`` this degenerates to the
+    identity, and out-of-range items are clamped rather than rejected
+    (a file catalog can grow past the size the directory was sized
+    for — the clamp keeps the mapping total).
+    """
+    if groups < 1:
+        raise ValueError(f"groups must be >= 1, got {groups}")
+    if total < 1:
+        raise ValueError(f"total must be >= 1, got {total}")
+    item = min(max(item, 0), total - 1)
+    return item * groups // total
 
 
 def helper_address(helper_id: int) -> str:

@@ -190,7 +190,7 @@ class ClusterScenario:
     helper_policy: str = "lru"
     #: Helper id to SIGKILL mid-run; None keeps all helpers alive.
     kill_helper: Optional[int] = None
-    #: Slot-placement policy both backends run (see repro.core.placement).
+    #: Start order both backends run (``TigerConfig.placement``).
     placement: str = "first-fit"
     #: Seeded VCR churn events (pause/resume/stop) to schedule on top
     #: of the arrival plan; 0 keeps the legacy plan byte-for-byte.

@@ -29,11 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.netschedule import NetworkSchedule
-from repro.core.placement import (
-    PlacementPolicy,
-    SlotCandidate,
-    make_placement_policy,
-)
 from repro.disk.model import DiskParameters
 from repro.disk.zones import ZONE_OUTER
 
@@ -73,7 +68,6 @@ class MbrAdmission:
         schedule_length: float,
         start_quantum: Optional[float] = None,
         disk_headroom: float = 1.0,
-        placement: Optional[PlacementPolicy] = None,
     ) -> None:
         if num_disks < 1:
             raise ValueError("need at least one disk")
@@ -88,12 +82,6 @@ class MbrAdmission:
         self.disk_headroom = disk_headroom
         self.network = NetworkSchedule(
             schedule_length, nic_bps, block_play_time
-        )
-        #: Offset-placement policy; first-fit keeps find_offset's legacy
-        #: soonest-after-preferred scan exactly.
-        self.placement = (
-            placement if placement is not None
-            else make_placement_policy("first-fit")
         )
         self.streams: Dict[str, AdmittedStream] = {}
         self.rejections: Dict[str, int] = {LIMIT_DISK: 0, LIMIT_NETWORK: 0}
@@ -142,7 +130,9 @@ class MbrAdmission:
             self.rejections[LIMIT_DISK] += 1
             return None
 
-        offset = self._place_offset(bitrate_bps, preferred_offset)
+        offset = self.network.find_offset(
+            bitrate_bps, after=preferred_offset, quantum=self.start_quantum
+        )
         if offset is None:
             self.rejections[LIMIT_NETWORK] += 1
             return None
@@ -157,42 +147,6 @@ class MbrAdmission:
         )
         self.streams[viewer_id] = stream
         return stream
-
-    def _place_offset(
-        self, bitrate_bps: float, preferred_offset: float
-    ) -> Optional[float]:
-        """Pick the start offset through the placement policy.
-
-        Single-candidate policies take :meth:`NetworkSchedule.find_offset`'s
-        legacy scan result untouched; look-ahead policies rank the first
-        few feasible offsets, using the window's committed NIC load as
-        the crowding signal.
-        """
-        policy = self.placement
-        if policy.lookahead <= 1 and not policy.needs_crowding:
-            return self.network.find_offset(
-                bitrate_bps, after=preferred_offset, quantum=self.start_quantum
-            )
-        feasible = self.network.find_offsets(
-            bitrate_bps,
-            after=preferred_offset,
-            quantum=self.start_quantum,
-            limit=max(2, policy.lookahead * 4),
-        )
-        if not feasible:
-            return None
-        candidates = [
-            SlotCandidate(
-                rank,
-                (offset - preferred_offset) % self.network.length,
-                rank,
-                self.network.peak_load_in(offset, self.network.width)
-                / self.network.capacity_bps,
-            )
-            for rank, offset in enumerate(feasible)
-        ]
-        chosen = self.placement.choose(candidates)
-        return feasible[chosen.rank]
 
     def release(self, viewer_id: str) -> bool:
         stream = self.streams.pop(viewer_id, None)

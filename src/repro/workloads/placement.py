@@ -1,10 +1,10 @@
-"""Slot-placement policy scenario: 95% load, VCR churn, failover.
+"""Start-order policy scenario: 95% load, VCR churn, failover.
 
 :func:`run_policy_scenario` runs a 95%-load VCR-churn scenario — with a
 mid-run controller failover, which is when client retries against the
 backup land requests in retry-phase order rather than request-age
-order — under one placement policy (``first-fit``, ``deadline-greedy`` or
-``load-spread``) on a seeded trace, and reports startup latency
+order — under one placement policy (``first-fit`` or
+``deadline-greedy``) on a seeded trace, and reports startup latency
 (p50/p99/max, *including* censored still-waiting starts) and block
 loss.  ``benchmarks/test_placement_policies.py`` runs it per policy for
 the EXPERIMENTS.md row; ``tests/test_golden_counters.py`` pins seed 0.
@@ -36,7 +36,6 @@ from typing import List
 
 from repro.config import small_config
 from repro.core.tiger import TigerSystem
-from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 
 
@@ -51,7 +50,6 @@ class PolicyOutcome:
     p99_ms: int
     max_ms: int
     loss_blocks: int
-    deferrals: int
     events: int
     sim_seconds: float
 
@@ -68,7 +66,7 @@ def run_policy_scenario(policy: str, seed: int = 0) -> PolicyOutcome:
 
     The churn RNG stream is keyed by seed only, so every policy sees
     the byte-identical operation sequence; outcomes differ only through
-    the placement decisions themselves.
+    the order in which cubs serve their waiting starts.
     """
     config = dataclasses.replace(small_config(), placement=policy)
     system = TigerSystem(config, seed=seed)
@@ -168,9 +166,6 @@ def run_policy_scenario(policy: str, seed: int = 0) -> PolicyOutcome:
             censored += 1
         latencies_s.append(latency)
 
-    snapshot = system.export_metrics().snapshot()
-    deferrals = int(snapshot_total(snapshot, "placement.deferrals"))
-
     return PolicyOutcome(
         policy=policy,
         streams=len(latencies_s),
@@ -179,7 +174,6 @@ def run_policy_scenario(policy: str, seed: int = 0) -> PolicyOutcome:
         p99_ms=int(round(_percentile(latencies_s, 0.99) * 1000)),
         max_ms=int(round(max(latencies_s) * 1000)),
         loss_blocks=int(loss),
-        deferrals=deferrals,
         events=system.sim.events_dispatched,
         sim_seconds=now,
     )

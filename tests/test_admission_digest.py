@@ -6,8 +6,7 @@ ownership instant of a run decided — (time, cub, disk, slot, visit,
 outcome, inserted instance) — so moving the decision code cannot change
 a single one of them unnoticed.  The outcome is read off what the
 instant did, not off the tables that decided it: an insert, a guard
-reject, a placement deferral, an occupied slot, or nothing (an empty
-queue).
+reject, an occupied slot, or nothing (an empty queue).
 """
 
 import hashlib
@@ -32,19 +31,14 @@ def _record_instants(monkeypatch):
         return insert_viewer(cub, request, *args)
 
     def instant(cub, disk_id, slot, visit):
-        deferrals = cub.registry.counter(
-            "placement.deferrals", policy=cub.config.placement
-        )
         occupied = cub.view.occupied_at(slot, visit)
-        rejects, deferred = cub.admission_rejects.count, deferrals.count
+        rejects = cub.admission_rejects.count
         del inserted[:]
         ownership_instant(cub, disk_id, slot, visit)
         if inserted:
             outcome = "insert"
         elif cub.admission_rejects.count > rejects:
             outcome = "reject"
-        elif deferrals.count > deferred:
-            outcome = "defer"
         else:
             outcome = "occupied" if occupied else "idle"
         instants.append((
@@ -85,7 +79,6 @@ def test_churn_under_faults_admits_as_it_always_did(monkeypatch, seed):
 POLICY_DIGESTS = {
     "first-fit": "621265bd12d426494b75601f958a592b33ff1404e7a1efb9a803951ceae7af7b",
     "deadline-greedy": "29211562e2ef9eb027d926bb337dea7aa4ad744f6e3dec0543bf4b6cf988a1c4",
-    "load-spread": "83d9f3c488fdb4fbf8b5caca248314ef7893d47d1d74db6e44ebf3a755b2c9bc",
 }
 
 

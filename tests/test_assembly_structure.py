@@ -101,6 +101,10 @@ RETIRED_NAMES = {
     # One event order, (time, insertion): no priorities, no compaction.
     "PRIORITY_NORMAL", "PRIORITY_HIGH", "PRIORITY_LOW",
     "_note_cancelled", "_COMPACT_MIN_TOMBSTONES",
+    # A placement policy is a start order: no slot-candidate search.
+    "LoadSpreadPolicy", "SlotCandidate", "PlacementPolicy",
+    "make_placement_policy", "ring_crowding", "neighbor_offsets",
+    "find_offsets",
 }
 
 #: Tier payloads the cub serves without ever naming them.
@@ -342,7 +346,7 @@ BACKEND_PACKAGES = ("repro.sim", "repro.net", "repro.live", "repro.runtime")
 BACKEND_HANDLES = {"sim", "runtime", "network", "tracer", "registry"}
 OWNER_TABLES = {
     "_wait_queues", "_queued_requests", "_cancelled_instances",
-    "_seen_start_instances", "_first_considered", "redundant_requests",
+    "_seen_start_instances", "redundant_requests",
     "_redundant_states", "_redundant_index", "_redundant_expiry",
     "forward_queue", "mirror_forward_queue",
 }
@@ -750,7 +754,7 @@ def test_the_tier_shape_is_declared_once():
 #: What the protocol and its substrate are made of ...
 BELOW_THE_TIERS = (
     "core/", "sim/", "net/", "disk/", "obs/", "storage/",
-    "config.py", "runtime.py", "placement.py",
+    "config.py", "runtime.py",
 )
 #: ... the packages none of it may import ...
 TIER_PACKAGES = (

@@ -66,7 +66,6 @@ class FullScanOwner(ScheduleOwner):
         return super().deschedule(now, request, expiry)
 
     def _remove_queued(self, instance):
-        self._first_considered.pop(instance, None)
         self._queued_requests.pop(instance, None)
         for disk_id, queue in self._wait_queues.items():
             self._wait_queues[disk_id] = deque(

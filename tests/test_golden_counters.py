@@ -207,11 +207,10 @@ class TestPlacementScenarioGolden:
     per placement policy (the DES rows of EXPERIMENTS.md's placement
     table come from the same function)."""
 
-    #: policy -> (p50_ms, p99_ms == max_ms, deferrals)
+    #: policy -> (p50_ms, p99_ms == max_ms)
     GOLDEN = {
-        "first-fit": (3001, 19115, 0),
-        "deadline-greedy": (3001, 16915, 0),
-        "load-spread": (4001, 19115, 22),
+        "first-fit": (3001, 19115),
+        "deadline-greedy": (3001, 16915),
     }
 
     @pytest.fixture(scope="class")
@@ -224,13 +223,12 @@ class TestPlacementScenarioGolden:
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_policy_outcome_pinned(self, outcomes, policy):
         outcome = outcomes[policy]
-        p50_ms, p99_ms, deferrals = self.GOLDEN[policy]
+        p50_ms, p99_ms = self.GOLDEN[policy]
         assert outcome.streams == 47
         assert outcome.p50_ms == p50_ms
         assert outcome.p99_ms == outcome.max_ms == p99_ms
         assert outcome.loss_blocks == 0
         assert outcome.censored == 0
-        assert outcome.deferrals == deferrals
 
     def test_deadline_greedy_beats_first_fit(self, outcomes):
         assert outcomes["deadline-greedy"].p99_ms < outcomes["first-fit"].p99_ms

@@ -28,7 +28,7 @@ from repro.helpers.scenarios import (
     run_offload_experiment,
 )
 from repro.obs.registry import snapshot_total
-from repro.placement import group_pin
+from repro.helpers.directory import group_pin
 
 
 class TestCachePolicies:

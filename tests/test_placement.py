@@ -1,9 +1,12 @@
-"""Slot-placement policies and the slot-machinery bugfix sweep.
+"""Start-order policies and the slot-machinery bugfix sweep.
 
-Covers the `PlacementPolicy` contract (`repro/core/placement.py`) —
-policies only ever claim free slots, first-fit is bit-identical to the
-historical behavior, and the three policies diverge deterministically —
-plus regressions for the bugs fixed alongside the refactor:
+A placement policy is the order in which a cub serves the starts
+waiting for one disk (`ScheduleOwner.ownership_instant`): first-fit
+takes the head of the queue, deadline-greedy the oldest
+``request_time``.  Either inserts only at the owned (slot, visit), so
+first-fit is bit-identical to the historical behavior and the two
+policies diverge deterministically.  Plus regressions for the bugs
+fixed alongside the policies:
 
 * a stale ``stop_viewer`` keyed by slot must not evict a later start
   that reused the slot (centralized baseline);
@@ -24,23 +27,17 @@ import dataclasses
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.config import PLACEMENT_POLICIES
+from repro.config import PLACEMENT_POLICIES, TigerConfig
 from repro.core.metrics import PROTOCOL_COUNTERS
 from repro.core.netschedule import NetworkSchedule
-from repro.core.placement import (
-    DeadlineGreedyPolicy,
-    FirstFitPolicy,
-    LoadSpreadPolicy,
-    SlotCandidate,
-    make_placement_policy,
-    neighbor_offsets,
-    ring_crowding,
-)
 from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 
 from tests.test_core_centralized import build_centralized
+from tests.test_schedule_owner import (
+    DISK, _never_blocked, _occupant, _owner, _request,
+)
 
 #: Chaos fingerprints of the pre-policy code at 95% load (seeds 0, 1).
 #: The first-fit default must keep these bit-identical: any drift means
@@ -56,91 +53,85 @@ FIRST_FIT_BASELINE_FINGERPRINTS = {
 # ======================================================================
 
 
-class _Request:
-    def __init__(self, instance, request_time):
-        self.instance = instance
-        self.request_time = request_time
-
-
-def _random_candidates(rng, count):
-    return [
-        SlotCandidate(
-            slot=index,
-            visit=rng.uniform(0.0, 20.0),
-            rank=index,
-            crowding=float(rng.randrange(5)),
-        )
-        for index in range(count)
+def _random_queue(owner, rng, count):
+    """Queue ``count`` starts for :data:`DISK` with random request
+    times; returns them in arrival order."""
+    requests = [
+        _request(instance, DISK, request_time=float(rng.randrange(8)))
+        for instance in range(1, count + 1)
     ]
+    for request in requests:
+        owner.start_request(0.0, request)
+    return requests
+
+
+def _insert_once(owner, now):
+    """Run ``DISK``'s next ownership instant after ``now``; returns
+    (the inserted state, the owned slot, the owned visit)."""
+    when, slot, visit = owner.next_instant(now, DISK)
+    state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
+    return state, slot, visit
 
 
 class TestPolicyContract:
     def test_factory_builds_every_policy(self):
         for name in PLACEMENT_POLICIES:
-            policy = make_placement_policy(name)
-            assert policy.name == name
-            assert policy.lookahead >= 1
-        with pytest.raises(ValueError):
-            make_placement_policy("best-fit")
+            assert TigerConfig(placement=name).placement == name
+        with pytest.raises(ValueError, match="unknown placement policy"):
+            TigerConfig(placement="best-fit")
 
     @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
     def test_choose_returns_only_offered_candidates(self, name):
-        """Property: a policy may only pick among the free candidates
-        the admitter enumerated — it can never invent (or evict into)
-        a slot it was not offered."""
-        policy = make_placement_policy(name)
+        """Property: a policy only orders the starts it was given — it
+        inserts one of the queued starts, at the owned (slot, visit) it
+        was offered, and never invents (or evicts into) another."""
         rng = RngRegistry(99).stream(f"candidates-{name}")
-        for trial in range(200):
-            candidates = _random_candidates(rng, 1 + rng.randrange(6))
-            chosen = policy.choose(candidates)
-            assert chosen in candidates
-        assert policy.choose([]) is None
+        for trial in range(50):
+            owner = _owner(policy=name)
+            requests = _random_queue(owner, rng, 1 + rng.randrange(6))
+            state, slot, visit = _insert_once(owner, 0.0)
+            assert state.instance in {r.instance for r in requests}
+            assert (state.slot, state.due_time) == (slot, visit)
+            assert owner.queued(DISK) == len(requests) - 1
 
     @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
     def test_patience_degenerates_to_first_fit(self, name):
-        policy = make_placement_policy(name)
-        rng = RngRegistry(7).stream("patience")
-        candidates = _random_candidates(rng, 5)
-        chosen = policy.choose(candidates, waited=2.0, patience=1.0)
-        assert chosen == candidates[0]
+        """No policy defers: however long a start has waited, and after
+        an occupied instant, the next free owned visit takes it."""
+        owner = _owner(policy=name)
+        owner.start_request(0.0, _request(1, DISK))
+        when, slot, visit = owner.next_instant(0.0, DISK)
+        owner.view.admit(_occupant(slot, visit), now=0.0)
+        assert owner.ownership_instant(
+            when, DISK, slot, visit, _never_blocked
+        ) is None
+        state, next_slot, next_visit = _insert_once(owner, when + 30.0)
+        assert (state.instance, state.slot, state.due_time) == (
+            1, next_slot, next_visit,
+        )
 
     def test_first_fit_always_rank_zero(self):
-        policy = FirstFitPolicy()
+        """First-fit inserts the head of the queue, whatever the
+        request times behind it."""
         rng = RngRegistry(3).stream("ff")
         for trial in range(50):
-            candidates = _random_candidates(rng, 1 + rng.randrange(6))
-            assert policy.choose(candidates) == candidates[0]
+            owner = _owner(policy="first-fit")
+            requests = _random_queue(owner, rng, 1 + rng.randrange(6))
+            state, _slot, _visit = _insert_once(owner, 0.0)
+            assert state.instance == requests[0].instance
 
     def test_deadline_greedy_serves_oldest_request(self):
-        policy = DeadlineGreedyPolicy()
-        requests = [_Request(1, 5.0), _Request(2, 1.5), _Request(3, 3.0)]
-        assert policy.select_request(requests, now=10.0) == 1
-        # FIFO on ties (within float tolerance): index 0 wins.
-        tied = [_Request(1, 2.0), _Request(2, 2.0)]
-        assert policy.select_request(tied, now=10.0) == 0
-        # Slot-wise it takes the soonest visit — first-fit's choice on
-        # a legacy-ordered list.
-        candidates = [
-            SlotCandidate(4, 1.0, 0),
-            SlotCandidate(9, 2.5, 1),
-        ]
-        assert policy._pick(candidates) == candidates[0]
-
-    def test_load_spread_prefers_uncrowded_slot(self):
-        policy = LoadSpreadPolicy()
-        candidates = [
-            SlotCandidate(0, 1.0, 0, crowding=3.0),
-            SlotCandidate(1, 2.0, 1, crowding=0.0),
-            SlotCandidate(2, 3.0, 2, crowding=0.0),
-        ]
-        # Least crowding wins; ties break toward the earlier rank.
-        assert policy._pick(candidates) == candidates[1]
-
-    def test_ring_crowding_counts_neighbors(self):
-        occupied = [True, False, True, False, False, False, True, True]
-        assert ring_crowding(occupied, 0) == 3.0  # slots 6, 7, 2
-        assert ring_crowding(occupied, 4) == 2.0  # slots 2, 6
-        assert neighbor_offsets() == [-2, -1, 1, 2]
+        owner = _owner(policy="deadline-greedy")
+        for instance, request_time in ((1, 5.0), (2, 1.5), (3, 3.0)):
+            owner.start_request(0.0, _request(instance, DISK, request_time))
+        state, _slot, _visit = _insert_once(owner, 10.0)
+        assert state.instance == 2
+        # FIFO on ties (within float tolerance): the head wins.
+        tied = _owner(policy="deadline-greedy")
+        tied.start_request(0.0, _request(1, DISK, request_time=2.0))
+        tied.start_request(0.0, _request(2, DISK, request_time=2.0 - 1e-13))
+        state, _slot, _visit = _insert_once(tied, 10.0)
+        assert state.instance == 1
 
 
 # ======================================================================
@@ -206,13 +197,11 @@ def _churn_counters(placement, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_policy_differential_on_protocol_counters(seed):
-    """3-policy differential on the seven golden protocol counters.
+    """Policy differential on the seven golden protocol counters.
 
     Under VCR churn with no failover, cub wait queues stay in request-
-    time order, so deadline-greedy's EDF request selection is FIFO and
-    its lookahead-1 slot choice is first-fit's — the two must agree on
-    every counter.  Load-spread may defer inserts but must still run
-    the identical workload coherently (the `assert_invariants` inside
+    time order, so deadline-greedy's oldest-first order is FIFO — the
+    two must agree on every counter (the `assert_invariants` inside
     each run holds the no-double-booking oracle for every policy).
     """
     counters = {
@@ -422,14 +411,6 @@ class TestPeakLoadFuzzRegression:
         for position in offsets:
             assert schedule.load_at(position) <= 8e6 + 1e-3
 
-    def test_find_offsets_prefix_matches_find_offset(self):
-        schedule = NetworkSchedule(length=14.0, capacity_bps=8e6, width=1.0)
-        schedule.insert("a", 2.0, 4e6)
-        schedule.insert("b", 5.0, 8e6)
-        feasible = schedule.find_offsets(4e6, after=1.0, limit=4)
-        assert feasible
-        assert feasible[0] == schedule.find_offset(4e6, after=1.0)
-
 
 # ======================================================================
 # CLI smoke
@@ -442,10 +423,24 @@ class TestPlacementCli:
 
         parser = build_parser()
         for command in ("demo", "chaos", "cluster"):
-            args = parser.parse_args([command, "--placement", "load-spread"])
-            assert args.placement == "load-spread"
+            args = parser.parse_args([command, "--placement", "deadline-greedy"])
+            assert args.placement == "deadline-greedy"
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "--placement", "best-fit"])
+
+    @pytest.mark.parametrize("verb", ["demo", "chaos", "cluster"])
+    def test_load_spread_is_gone(self, verb, capsys):
+        """A policy is a start order, and load-spread was a slot search:
+        the config refuses it, and argparse refuses it on every verb
+        with exit code 2."""
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="unknown placement policy"):
+            TigerConfig(placement="load-spread")
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--placement", "load-spread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'load-spread'" in capsys.readouterr().err
 
     def test_demo_runs_with_deadline_greedy(self, capsys):
         from repro.cli import main

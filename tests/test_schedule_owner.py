@@ -3,12 +3,13 @@
 simulator, network or disk.
 
 Each test builds the pure objects a cub hands its owner (view, deadman,
-slot clock, stripe layout, placement policy, config, catalog) from
+slot clock, stripe layout, config, catalog) from
 ``small_config()`` and asks what the owner holds and decides.  The last
 one reboots a real cub, because what a reboot forgets is the cub's
 business.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,6 @@ from repro.core.deadman import DeadmanMonitor
 from repro.core.owner import (
     COVERED, FINISHED, LOST, REJECT, SERVE, ScheduleOwner,
 )
-from repro.core.placement import make_placement_policy
 from repro.core.protocol import CancelStart, StartRequest
 from repro.core.slots import SlotClock
 from repro.core.view import ScheduleView
@@ -29,7 +29,6 @@ from repro.core.viewerstate import (
     mirror_states_for,
 )
 from repro.faults.monitor import index_incoherence
-from repro.obs.registry import MetricsRegistry
 from repro.storage.blockindex import BlockLocation
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
@@ -42,17 +41,15 @@ CATALOG = Catalog(CONFIG.block_play_time, CONFIG.num_disks)
 CATALOG.add_file("four-blocks", bitrate_bps=2e6, duration_s=4.0)
 
 
-def _owner(cub_id=0, policy="first-fit", registry=None):
+def _owner(cub_id=0, policy="first-fit"):
     view = ScheduleView(
         cub_id, CONFIG.block_play_time, hold_time=CONFIG.deschedule_hold
     )
     deadman = DeadmanMonitor(
         cub_id, CONFIG.num_cubs, timeout=CONFIG.deadman_timeout
     )
-    return ScheduleOwner(
-        view, deadman, CLOCK, LAYOUT, make_placement_policy(policy, registry),
-        CONFIG, CATALOG,
-    )
+    config = dataclasses.replace(CONFIG, placement=policy)
+    return ScheduleOwner(view, deadman, CLOCK, LAYOUT, config, CATALOG)
 
 
 def _request(instance, disk_id, request_time=0.0, redundant=False):
@@ -127,36 +124,9 @@ def test_deadline_greedy_takes_the_oldest_request_time():
         when, slot, visit = owner.next_instant(6.0, DISK)
         state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
         assert state.instance == expected, policy
+        # Either order inserts at the owned (slot, visit): no look-ahead.
+        assert (state.slot, state.due_time) == (slot, visit)
         assert owner.queued(DISK) == 2
-
-
-def test_load_spread_defers_then_takes_rank_zero_past_its_patience():
-    registry = MetricsRegistry()
-    owner = _owner(policy="load-spread", registry=registry)
-    owner.start_request(0.0, _request(1, DISK))
-    when, slot, visit = owner.next_instant(0.0, DISK)
-    service = CLOCK.block_service_time
-    # Occupants just ahead of the owned slot crowd it; two slots on, the
-    # disk's neighbourhood is empty.
-    for delta in (-1, -2):
-        owner.view.admit(
-            _occupant((slot + delta) % CONFIG.num_slots, visit + delta * service,
-                      instance=90 + delta),
-            now=0.0,
-        )
-    assert owner.ownership_instant(when, DISK, slot, visit, _never_blocked) is None
-    assert owner.queued(DISK) == 1
-    # Still inside its patience (one block play time from first
-    # consideration): deferred again.
-    patience = CONFIG.block_play_time
-    almost = when + patience / 2
-    assert owner.ownership_instant(almost, DISK, slot, visit, _never_blocked) is None
-    # Past it, every policy takes the owned visit.
-    state = owner.ownership_instant(
-        when + 1.5 * patience, DISK, slot, visit, _never_blocked
-    )
-    assert (state.instance, state.slot) == (1, slot)
-    assert registry.get_value("placement.deferrals", policy="load-spread") == 2
 
 
 def _adopted(owner, now):

@@ -143,18 +143,6 @@ PAPER_CLAIMS = {
         "cache can offload more than the re-read fraction of the "
         "trace.",
     ),
-    "placement_policies": (
-        "Extension — start-order placement policies (fig-10 tail)",
-        "Fig-10 attributes the startup-latency tail near capacity to "
-        "waiting for a free slot under first-fit claiming.  A cub "
-        "inserts only into the slot it owns, so a policy decides only "
-        "which waiting start goes first: first-fit takes the queue "
-        "head, as the paper's cubs do; deadline-greedy serves the "
-        "oldest outstanding request first, which repairs the priority "
-        "inversions a controller failover's retry-against-the-backup "
-        "path creates and lowers the startup p99 at 95% load under VCR "
-        "churn.",
-    ),
     "online_restripe": (
         "Extension — online restriping under live traffic",
         "§2.2 bounds restripe time by disk and network bandwidth on "
@@ -198,7 +186,6 @@ EXPERIMENT_ORDER = [
     "hot_premiere",
     "flash_crowd",
     "helper_offload",
-    "placement_policies",
     "online_restripe",
     "chaos_soak",
 ]

@@ -156,9 +156,8 @@ def _check_run_shape(args) -> None:
 
 def _cli_config(args) -> TigerConfig:
     """Base config for a subcommand, with the config fields its flags
-    set (``--placement``, ``--helpers`` …) applied; the config checks
-    them."""
-    fields = ("placement", "helpers", "helper_capacity", "helper_policy")
+    set (``--helpers`` …) applied; the config checks them."""
+    fields = ("helpers", "helper_capacity", "helper_policy")
     preset = paper_config if args.paper else small_config
     return preset(**{
         name: getattr(args, name) for name in fields if hasattr(args, name)
@@ -478,7 +477,6 @@ def cmd_cluster(args) -> int:
             helper_capacity=args.helper_capacity,
             helper_policy=args.helper_policy,
             kill_helper=args.kill_helper,
-            placement=args.placement,
             churn=args.churn,
             restripe_throttle=args.restripe_throttle,
             restripe_start=args.restripe_start,
@@ -551,17 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the metrics registry snapshot as JSON, with one "
                  "sample.* measurement window over the whole run")
 
-    def placement_flag(sub):
-        from repro.config import PLACEMENT_POLICIES
-
-        sub.add_argument(
-            "--placement", choices=PLACEMENT_POLICIES,
-            default="first-fit", metavar="POLICY",
-            help="which waiting start a cub inserts first: "
-                 f"{', '.join(PLACEMENT_POLICIES)} "
-                 "(first-fit: arrival order; deadline-greedy: oldest "
-                 "request first)")
-
     def restripe_flags(sub):
         sub.add_argument(
             "--restripe", metavar="WEIGHTS", default=None,
@@ -600,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--streams", type=int, default=12)
     demo.add_argument("--seconds", type=float, default=30.0)
     helper_tier(demo)
-    placement_flag(demo)
     restripe_flags(demo)
     demo.set_defaults(func=cmd_demo)
 
@@ -629,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--drop-rate", type=float, default=0.01)
     chaos.add_argument("--victim", type=int, default=1)
     helper_tier(chaos)
-    placement_flag(chaos)
     restripe_flags(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
@@ -677,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="when to kill it (default: 40%% of duration)")
     helper_tier(cluster)
-    placement_flag(cluster)
     cluster.add_argument("--kill-helper", type=int, default=None,
                          metavar="HELPER_ID",
                          help="SIGKILL this helper mid-run (viewers must "

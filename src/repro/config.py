@@ -22,12 +22,6 @@ from typing import Optional
 
 from repro.disk.model import DiskParameters, worst_case_streams_per_disk
 
-#: The orders in which a cub serves the starts waiting for one disk
-#: (see :meth:`repro.core.owner.ScheduleOwner.ownership_instant`):
-#: ``first-fit`` is arrival order, the paper's and the default;
-#: ``deadline-greedy`` serves the oldest ``request_time`` first.
-PLACEMENT_POLICIES = ("first-fit", "deadline-greedy")
-
 #: Cache replacement policies a helper node runs (see
 #: :mod:`repro.helpers.policy`).
 CACHE_POLICIES = ("lru", "segment", "interval")
@@ -96,9 +90,6 @@ class TigerConfig:
     #: disables the guard, as the paper's experiments did.  Cubs enforce
     #: it from a purely local load estimate — no global state.
     admission_load_limit: Optional[float] = None
-    #: Which waiting start a cub inserts at an ownership instant (one
-    #: of ``PLACEMENT_POLICIES``).
-    placement: str = "first-fit"
 
     # ------------------------------------------------------------------
     # Optional edge-cache tier (see repro.helpers)
@@ -145,11 +136,6 @@ class TigerConfig:
             raise ValueError(
                 "forwarding pump period must fit inside the "
                 "[minVStateLead, maxVStateLead] window"
-            )
-        if self.placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; "
-                f"expected one of {PLACEMENT_POLICIES}"
             )
         if self.helpers < 0:
             raise ValueError(f"helpers must be >= 0, got {self.helpers}")

@@ -364,20 +364,18 @@ class ScheduleOwner:
     ) -> Union[ViewerState, str, None]:
         """This cub owns (slot, visit) of ``disk_id`` right now.
 
-        Returns the initial state of the request to insert there (taken
-        off its queue); :data:`REJECT` when the slot is free but
-        ``blocked()``, the cub's admission guard asked only then, says
-        no; or None: the slot is occupied or nothing waits.
+        Returns the initial state of the longest-waiting request, to
+        insert there (taken off its queue); :data:`REJECT` when the
+        slot is free but ``blocked()``, the cub's admission guard asked
+        only then, says no; or None: the slot is occupied or nothing
+        waits.
         """
         queue = self._wait_queues.get(disk_id)
         if not queue or self.view.occupied_at(slot, visit):
             return None
         if blocked():
             return REJECT
-        if self.config.placement == "deadline-greedy":
-            request = _oldest(queue)
-        else:
-            request = queue[0]
+        request = _oldest(queue)
         queue.remove(request)
         del self._queued_requests[request.instance]
         return make_initial_state(
@@ -410,9 +408,10 @@ class ScheduleOwner:
 
 def _oldest(queue: Deque[StartRequest]) -> StartRequest:
     """The queued start with the earliest ``request_time``; the one
-    nearer the head on a tie.  A controller failover can land starts at
-    a cub in inverted age order (clients retry against the backup on an
-    ack-timeout phase), and ``deadline-greedy`` serves the oldest."""
+    nearer the head on a tie.  Queues fill in request order, so this is
+    the head unless a controller failover landed starts in inverted age
+    order (clients retry against the backup on an ack-timeout phase):
+    the longest-waiting viewer still goes first (§4.1.3)."""
     best = queue[0]
     for request in queue:
         if request.request_time < best.request_time - 1e-12:

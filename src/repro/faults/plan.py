@@ -236,6 +236,8 @@ class FaultPlan:
     def fail_disk(
         self, disk_id: int, at: float, recover_after: Optional[float] = None
     ) -> "FaultPlan":
+        if recover_after is not None and recover_after <= 0:
+            raise ValueError("recover_after must be positive")
         self.events.append(FaultSpec(DISK_FAIL, at, target=f"disk:{disk_id}"))
         if recover_after is not None:
             self.events.append(
@@ -251,10 +253,10 @@ class FaultPlan:
         self, cub_id: int, at: float, restart_after: Optional[float] = None
     ) -> "FaultPlan":
         """Power-cut a cub; ``restart_after`` folds in the reboot."""
+        if restart_after is not None and restart_after <= 0:
+            raise ValueError("restart_after must be positive")
         self.events.append(FaultSpec(CUB_CRASH, at, target=f"cub:{cub_id}"))
         if restart_after is not None:
-            if restart_after <= 0:
-                raise ValueError("restart_after must be positive")
             self.events.append(
                 FaultSpec(CUB_RESTART, at + restart_after, target=f"cub:{cub_id}")
             )
@@ -264,12 +266,12 @@ class FaultPlan:
         self, helper_id: int, at: float, restart_after: Optional[float] = None
     ) -> "FaultPlan":
         """Kill an edge helper; its viewers fall back to the origin."""
+        if restart_after is not None and restart_after <= 0:
+            raise ValueError("restart_after must be positive")
         self.events.append(
             FaultSpec(HELPER_CRASH, at, target=f"helper:{helper_id}")
         )
         if restart_after is not None:
-            if restart_after <= 0:
-                raise ValueError("restart_after must be positive")
             self.events.append(
                 FaultSpec(HELPER_RESTART, at + restart_after,
                           target=f"helper:{helper_id}")
@@ -281,10 +283,10 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Kill the primary controller; optionally resurrect it later
         (the resurrected primary demotes itself if a backup took over)."""
+        if recover_after is not None and recover_after <= 0:
+            raise ValueError("recover_after must be positive")
         self.events.append(FaultSpec(CONTROLLER_KILL, at, target="controller"))
         if recover_after is not None:
-            if recover_after <= 0:
-                raise ValueError("recover_after must be positive")
             self.events.append(
                 FaultSpec(CONTROLLER_RECOVER, at + recover_after,
                           target="controller")

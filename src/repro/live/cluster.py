@@ -190,8 +190,6 @@ class ClusterScenario:
     helper_policy: str = "lru"
     #: Helper id to SIGKILL mid-run; None keeps all helpers alive.
     kill_helper: Optional[int] = None
-    #: Start order both backends run (``TigerConfig.placement``).
-    placement: str = "first-fit"
     #: Seeded VCR churn events (pause/resume/stop) to schedule on top
     #: of the arrival plan; 0 keeps the legacy plan byte-for-byte.
     churn: int = 0
@@ -208,7 +206,7 @@ class ClusterScenario:
     restripe_journal: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # The config checks its own fields: cubs, placement, helper tier.
+        # The config checks its own fields: cubs and the helper tier.
         num_disks = self.config().num_disks
         if self.duration <= self.first_start:
             raise ValueError("duration too short for any stream to start")
@@ -226,15 +224,15 @@ class ClusterScenario:
             raise ValueError(
                 f"kill target helper:{self.kill_helper} out of range"
             )
-        if (
-            (self.kill_cub is not None or self.kill_helper is not None)
-            and self.kill_at is not None
-            and not 0.0 < self.kill_at < self.duration
-        ):
-            # A kill outside the run never fires: the run would report
-            # PASS having exercised nothing (and the replay's simulator
-            # refuses a time in the past outright).
-            raise ValueError("kill time must land inside the run")
+        if self.kill_at is not None:
+            # A kill time with nothing to kill, or outside the run, never
+            # fires: the run would report PASS having exercised nothing
+            # (and the replay's simulator refuses a time in the past
+            # outright).
+            if self.kill_cub is None and self.kill_helper is None:
+                raise ValueError("kill time set but no kill target")
+            if not 0.0 < self.kill_at < self.duration:
+                raise ValueError("kill time must land inside the run")
         if self.codec not in SUPPORTED_CODECS:
             raise ValueError(
                 f"unknown codec {self.codec!r}; pick one of "
@@ -270,7 +268,6 @@ class ClusterScenario:
             decluster=2,
             streams_per_disk_override=4.0,
             deadman_timeout=self.deadman_timeout,
-            placement=self.placement,
             helpers=self.helpers,
             helper_capacity=self.helper_capacity,
             helper_policy=self.helper_policy,

@@ -16,7 +16,6 @@ import pytest
 from repro import TigerSystem, small_config
 from repro.core.cub import Cub
 from repro.core.metrics import PROTOCOL_COUNTERS
-from repro.workloads.placement import run_policy_scenario
 from tests.test_deschedule_index import _churn_under_faults, _small_system
 
 
@@ -74,19 +73,6 @@ def test_churn_under_faults_admits_as_it_always_did(monkeypatch, seed):
     outcomes = {record[5] for record in instants}
     assert {"insert", "occupied"} <= outcomes
     assert _digest(instants) == CHURN_DIGESTS[seed]
-
-
-POLICY_DIGESTS = {
-    "first-fit": "621265bd12d426494b75601f958a592b33ff1404e7a1efb9a803951ceae7af7b",
-    "deadline-greedy": "29211562e2ef9eb027d926bb337dea7aa4ad744f6e3dec0543bf4b6cf988a1c4",
-}
-
-
-@pytest.mark.parametrize("policy", sorted(POLICY_DIGESTS))
-def test_each_placement_policy_admits_as_it_always_did(monkeypatch, policy):
-    instants = _record_instants(monkeypatch)
-    run_policy_scenario(policy)
-    assert _digest(instants) == POLICY_DIGESTS[policy]
 
 
 def test_the_admission_guard_rejects_as_it_always_did(monkeypatch):

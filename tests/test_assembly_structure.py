@@ -105,6 +105,9 @@ RETIRED_NAMES = {
     "LoadSpreadPolicy", "SlotCandidate", "PlacementPolicy",
     "make_placement_policy", "ring_crowding", "neighbor_offsets",
     "find_offsets",
+    # One start order, the longest-waiting first: no knob, no comparison.
+    "PLACEMENT_POLICIES", "run_policy_scenario", "PolicyOutcome",
+    "placement_flag",
 }
 
 #: Tier payloads the cub serves without ever naming them.

@@ -72,8 +72,6 @@ class TestBuilders:
             plan.reorder_messages(0.5, shift=0.0, start=0.0, duration=1.0)
         with pytest.raises(ValueError):
             plan.slow_disk(0, factor=0.0, start=0.0, duration=1.0)
-        with pytest.raises(ValueError):
-            plan.crash_cub(0, at=1.0, restart_after=0.0)
 
     def test_crash_with_restart_folds_in_recovery(self):
         plan = FaultPlan().crash_cub(2, at=10.0, restart_after=5.0)
@@ -87,6 +85,25 @@ class TestBuilders:
         kinds = [event.kind for event in plan.events]
         assert kinds == [DISK_FAIL, DISK_RECOVER]
         assert plan.events[1].start == pytest.approx(6.0)
+
+    @pytest.mark.parametrize(
+        "verb, args, keyword",
+        [
+            ("fail_disk", (3,), "recover_after"),
+            ("crash_cub", (1,), "restart_after"),
+            ("crash_helper", (0,), "restart_after"),
+            ("kill_controller", (), "recover_after"),
+        ],
+    )
+    @pytest.mark.parametrize("after", [0.0, -1.0])
+    def test_a_recovery_must_follow_its_fault(self, verb, args, keyword, after):
+        """A recovery at or before its fault would be replayed first and
+        leave the fault in force for good: every verb refuses one, and
+        leaves the plan as it was."""
+        plan = FaultPlan()
+        with pytest.raises(ValueError, match=f"{keyword} must be positive"):
+            getattr(plan, verb)(*args, at=5.0, **{keyword: after})
+        assert plan.events == []
 
     def test_partition_and_isolate_targets(self):
         plan = (

@@ -11,12 +11,10 @@ import hashlib
 import pytest
 
 from repro import TigerConfig, TigerSystem, paper_config, small_config
-from repro.config import PLACEMENT_POLICIES
 from repro.core.metrics import PROTOCOL_COUNTERS, protocol_counters
 from repro.faults.injectors import install_plan
 from repro.faults.plan import FaultPlan
 from repro.workloads.generator import ContinuousWorkload
-from repro.workloads.placement import run_policy_scenario
 
 
 def _run(config, *, seed, streams, sim_seconds, num_files=8, file_seconds=240.0):
@@ -200,38 +198,6 @@ class TestHeartbeatTimingGolden:
         assert heartbeat_digest(system) == (
             "557c18620364207d8d04ca971e08ac70dc0ec0fd0880d0f80fa1b043f78740c9"
         )
-
-
-class TestPlacementScenarioGolden:
-    """The 95%-load churn + controller-failover scenario at seed 0,
-    per placement policy (the DES rows of EXPERIMENTS.md's placement
-    table come from the same function)."""
-
-    #: policy -> (p50_ms, p99_ms == max_ms)
-    GOLDEN = {
-        "first-fit": (3001, 19115),
-        "deadline-greedy": (3001, 16915),
-    }
-
-    @pytest.fixture(scope="class")
-    def outcomes(self):
-        return {
-            policy: run_policy_scenario(policy, seed=0)
-            for policy in PLACEMENT_POLICIES
-        }
-
-    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
-    def test_policy_outcome_pinned(self, outcomes, policy):
-        outcome = outcomes[policy]
-        p50_ms, p99_ms = self.GOLDEN[policy]
-        assert outcome.streams == 47
-        assert outcome.p50_ms == p50_ms
-        assert outcome.p99_ms == outcome.max_ms == p99_ms
-        assert outcome.loss_blocks == 0
-        assert outcome.censored == 0
-
-    def test_deadline_greedy_beats_first_fit(self, outcomes):
-        assert outcomes["deadline-greedy"].p99_ms < outcomes["first-fit"].p99_ms
 
 
 class TestSweepPointIndependence:

@@ -62,6 +62,9 @@ def test_scenario_validation():
         # raised on a time in the past.
         (dict(kill_cub=1, kill_at=-1.0), "kill time"),
         (dict(helpers=1, kill_helper=0, kill_at=0.0), "kill time"),
+        # A kill time with no victim killed nothing, and the run
+        # reported PASS.
+        (dict(kill_at=5.0), "no kill target"),
     ],
 )
 def test_scenario_rejects_what_could_not_run(fields, message):
@@ -69,9 +72,11 @@ def test_scenario_rejects_what_could_not_run(fields, message):
         ClusterScenario(cubs=4, duration=20.0, **fields)
 
 
-def test_scenario_kill_at_is_only_checked_with_a_victim():
-    assert ClusterScenario(kill_at=99.0).fault_plan().events == []
+def test_scenario_kill_at_times_the_victims_kill():
     assert ClusterScenario(kill_cub=1, kill_at=19.5).kill_time() == 19.5
+    assert ClusterScenario(
+        helpers=1, kill_helper=0, kill_at=19.5
+    ).helper_kill_time() == 19.5
 
 
 def test_scenario_namespaces_are_disjoint():
@@ -480,6 +485,7 @@ def test_readiness_fails_a_node_that_never_reported():
         (["--file-seconds", "0"], "file duration"),
         (["--kill-cub", "1", "--kill-at", "99"], "kill time"),
         (["--kill-cub", "1", "--kill-at", "-1"], "kill time"),
+        (["--kill-at", "5"], "no kill target"),
     ],
 )
 def test_cluster_cli_rejects_a_scenario_that_could_not_run(

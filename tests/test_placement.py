@@ -1,12 +1,11 @@
-"""Start-order policies and the slot-machinery bugfix sweep.
+"""The start order and the slot-machinery bugfix sweep.
 
-A placement policy is the order in which a cub serves the starts
-waiting for one disk (`ScheduleOwner.ownership_instant`): first-fit
-takes the head of the queue, deadline-greedy the oldest
-``request_time``.  Either inserts only at the owned (slot, visit), so
-first-fit is bit-identical to the historical behavior and the two
-policies diverge deterministically.  Plus regressions for the bugs
-fixed alongside the policies:
+At an ownership instant a cub inserts the longest-waiting start queued
+for that disk (`ScheduleOwner.ownership_instant`, paper §4.1.3), and
+only at the owned (slot, visit).  Wait queues fill in request order, so
+the oldest start is the queue head unless a controller failover lands
+retried starts in inverted age order.  Plus regressions for the bugs
+fixed alongside:
 
 * a stale ``stop_viewer`` keyed by slot must not evict a later start
   that reused the slot (centralized baseline);
@@ -22,16 +21,12 @@ fixed alongside the policies:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro import TigerSystem, small_config
-from repro.config import PLACEMENT_POLICIES, TigerConfig
-from repro.core.metrics import PROTOCOL_COUNTERS
+from repro.core import owner as owner_module
 from repro.core.netschedule import NetworkSchedule
 from repro.faults.harness import ChaosHarness, standard_chaos_plan
-from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 
 from tests.test_core_centralized import build_centralized
@@ -39,17 +34,17 @@ from tests.test_schedule_owner import (
     DISK, _never_blocked, _occupant, _owner, _request,
 )
 
-#: Chaos fingerprints of the pre-policy code at 95% load (seeds 0, 1).
-#: The first-fit default must keep these bit-identical: any drift means
-#: the refactor changed observable behavior.
-FIRST_FIT_BASELINE_FINGERPRINTS = {
+#: Chaos fingerprints of the code before start orders existed, at 95%
+#: load (seeds 0, 1): the oldest-first order must keep them
+#: bit-identical.
+CHAOS_BASELINE_FINGERPRINTS = {
     0: "29d212ddd9921abc32ded9e1a9baa24976f048ee1ae04578d7fc2a07e36b2d82",
     1: "8779deb214dc51b2a623700807c6d8e2c375607a8c1ae0207c630a402e0f61a4",
 }
 
 
 # ======================================================================
-# Policy contract units
+# The start order, unit by unit
 # ======================================================================
 
 
@@ -73,32 +68,24 @@ def _insert_once(owner, now):
     return state, slot, visit
 
 
-class TestPolicyContract:
-    def test_factory_builds_every_policy(self):
-        for name in PLACEMENT_POLICIES:
-            assert TigerConfig(placement=name).placement == name
-        with pytest.raises(ValueError, match="unknown placement policy"):
-            TigerConfig(placement="best-fit")
-
-    @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
-    def test_choose_returns_only_offered_candidates(self, name):
-        """Property: a policy only orders the starts it was given — it
-        inserts one of the queued starts, at the owned (slot, visit) it
-        was offered, and never invents (or evicts into) another."""
-        rng = RngRegistry(99).stream(f"candidates-{name}")
+class TestStartOrder:
+    def test_an_instant_inserts_only_a_queued_start(self):
+        """Property: the owner only orders the starts it was given — it
+        inserts one of the queued starts, at the owned (slot, visit),
+        and never invents (or evicts into) another."""
+        rng = RngRegistry(99).stream("start-order-candidates")
         for trial in range(50):
-            owner = _owner(policy=name)
+            owner = _owner()
             requests = _random_queue(owner, rng, 1 + rng.randrange(6))
             state, slot, visit = _insert_once(owner, 0.0)
             assert state.instance in {r.instance for r in requests}
             assert (state.slot, state.due_time) == (slot, visit)
             assert owner.queued(DISK) == len(requests) - 1
 
-    @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
-    def test_patience_degenerates_to_first_fit(self, name):
-        """No policy defers: however long a start has waited, and after
-        an occupied instant, the next free owned visit takes it."""
-        owner = _owner(policy=name)
+    def test_no_start_is_deferred(self):
+        """However long a start has waited, and after an occupied
+        instant, the next free owned visit takes it."""
+        owner = _owner()
         owner.start_request(0.0, _request(1, DISK))
         when, slot, visit = owner.next_instant(0.0, DISK)
         owner.view.admit(_occupant(slot, visit), now=0.0)
@@ -110,24 +97,19 @@ class TestPolicyContract:
             1, next_slot, next_visit,
         )
 
-    def test_first_fit_always_rank_zero(self):
-        """First-fit inserts the head of the queue, whatever the
-        request times behind it."""
-        rng = RngRegistry(3).stream("ff")
+    def test_the_oldest_request_goes_first(self):
+        """Property: the start inserted is the one with the earliest
+        request time, the one nearest the head among equals."""
+        rng = RngRegistry(3).stream("start-order-oldest")
         for trial in range(50):
-            owner = _owner(policy="first-fit")
+            owner = _owner()
             requests = _random_queue(owner, rng, 1 + rng.randrange(6))
             state, _slot, _visit = _insert_once(owner, 0.0)
-            assert state.instance == requests[0].instance
-
-    def test_deadline_greedy_serves_oldest_request(self):
-        owner = _owner(policy="deadline-greedy")
-        for instance, request_time in ((1, 5.0), (2, 1.5), (3, 3.0)):
-            owner.start_request(0.0, _request(instance, DISK, request_time))
-        state, _slot, _visit = _insert_once(owner, 10.0)
-        assert state.instance == 2
-        # FIFO on ties (within float tolerance): the head wins.
-        tied = _owner(policy="deadline-greedy")
+            assert state.instance == min(
+                requests, key=lambda r: (r.request_time, r.instance)
+            ).instance
+        # Ties within float tolerance go to the head as well.
+        tied = _owner()
         tied.start_request(0.0, _request(1, DISK, request_time=2.0))
         tied.start_request(0.0, _request(2, DISK, request_time=2.0 - 1e-13))
         state, _slot, _visit = _insert_once(tied, 10.0)
@@ -135,14 +117,50 @@ class TestPolicyContract:
 
 
 # ======================================================================
-# First-fit bit-identity + cross-policy differential
+# The order the paper's rule changes: retries after a controller failover
 # ======================================================================
 
 
-def _chaos_report(seed, placement="first-fit"):
-    config = dataclasses.replace(small_config(), placement=placement)
+def test_a_failover_retry_inversion_still_starts_the_oldest_first():
+    """Clients retry a start against the backup controller on their own
+    ack-timeout phase, so a later request can reach a cub's wait queue
+    first.  With the ring full, A (asked at +1.9 s) and B (asked at
+    +3.0 s) both wait for file 0's disk; B lands first.  The one slot a
+    stop frees goes to A, the longest-waiting viewer; taking the queue
+    head would have started B and left A waiting."""
+    system = TigerSystem(small_config(), seed=0)
+    system.add_standard_content(num_files=5, duration_s=120.0)
+    system.enable_controller_backup()
+    client = system.add_client()
+    prefail = [
+        client.start_stream(index % 5)
+        for index in range(system.config.num_slots)
+    ]
+    system.run_for(20.0)
+
+    system.fail_controller()
+    system.run_for(1.9)
+    first = client.start_stream(0)
+    system.run_for(1.1)
+    second = client.start_stream(0)
+    system.run_for(7.0)
+    client.stop_stream(prefail[0])
+    system.run_for(30.0)
+
+    first_block = client.streams[first].first_block_time
+    second_block = client.streams[second].first_block_time
+    assert first_block is not None
+    assert second_block is None or second_block > first_block
+
+
+# ======================================================================
+# The chaos suite replays as before start orders existed
+# ======================================================================
+
+
+def _chaos_report(seed):
     harness = ChaosHarness(
-        config,
+        small_config(),
         standard_chaos_plan(duration=30.0),
         seed=seed,
         load=0.95,
@@ -153,26 +171,37 @@ def _chaos_report(seed, placement="first-fit"):
     return harness.run()
 
 
-@pytest.mark.parametrize("seed", sorted(FIRST_FIT_BASELINE_FINGERPRINTS))
-def test_first_fit_fingerprint_matches_pre_policy_baseline(seed):
-    """The refactor acceptance bar: with the default policy the chaos
-    suite must replay bit-identically to the pre-policy code."""
+@pytest.mark.parametrize("seed", sorted(CHAOS_BASELINE_FINGERPRINTS))
+def test_chaos_fingerprint_matches_pre_policy_baseline(seed):
+    """The chaos suite, controller kill included, must replay
+    bit-identically to the code before start orders existed."""
     report = _chaos_report(seed)
-    assert report.fingerprint == FIRST_FIT_BASELINE_FINGERPRINTS[seed]
+    assert report.fingerprint == CHAOS_BASELINE_FINGERPRINTS[seed]
 
 
-def _churn_counters(placement, seed):
-    """A failover-free VCR-churn run; returns the 7 gated counters."""
-    config = dataclasses.replace(small_config(), placement=placement)
-    system = TigerSystem(config, seed=seed)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_failover_free_churn_inserts_each_queue_head(monkeypatch, seed):
+    """Under VCR churn with no failover, every wait queue stays in
+    request order, so each insert is the head of its queue: the oldest
+    start costs no reordering on the paths the paper measures."""
+    oldest = owner_module._oldest
+    picks = []
+
+    def recording_oldest(queue):
+        request = oldest(queue)
+        picks.append(request is queue[0])
+        return request
+
+    monkeypatch.setattr(owner_module, "_oldest", recording_oldest)
+    system = TigerSystem(small_config(), seed=seed)
     system.add_standard_content(num_files=5, duration_s=120.0)
     client = system.add_client()
-    rng = RngRegistry(seed).stream("placement-differential")
+    rng = RngRegistry(seed).stream("start-order-churn")
 
     active, paused = [], []
     for _ in range(30):
         roll = rng.random()
-        if roll < 0.4 and len(active) < config.num_slots - 2:
+        if roll < 0.4 and len(active) < system.config.num_slots - 2:
             active.append(client.start_stream(rng.randrange(5)))
         elif roll < 0.6 and active:
             victim = active.pop(rng.randrange(len(active)))
@@ -189,30 +218,7 @@ def _churn_counters(placement, seed):
     system.finalize_clients()
     system.assert_invariants()
 
-    snapshot = system.export_metrics().snapshot()
-    return {
-        name: int(snapshot_total(snapshot, name)) for name in PROTOCOL_COUNTERS
-    }
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_policy_differential_on_protocol_counters(seed):
-    """Policy differential on the seven golden protocol counters.
-
-    Under VCR churn with no failover, cub wait queues stay in request-
-    time order, so deadline-greedy's oldest-first order is FIFO — the
-    two must agree on every counter (the `assert_invariants` inside
-    each run holds the no-double-booking oracle for every policy).
-    """
-    counters = {
-        policy: _churn_counters(policy, seed) for policy in PLACEMENT_POLICIES
-    }
-    assert counters["deadline-greedy"] == counters["first-fit"]
-    for policy, values in counters.items():
-        assert values["cub.inserts_performed"] > 0, policy
-        assert values["cub.blocks_sent"] > 0, policy
-        assert values["cub.deadman_resurrections"] == 0, policy
-        assert all(value >= 0 for value in values.values()), policy
+    assert picks and all(picks)
 
 
 # ======================================================================
@@ -326,7 +332,8 @@ class TestRequestTimeLatency:
         # The regression proper: the backup's play record must carry
         # the client's original request time, not the backup's receive
         # time (which is at least one 2 s ack-timeout retry later) —
-        # deadline-greedy's EDF ordering depends on it.
+        # the cubs insert the oldest request first, so their order
+        # depends on it.
         record = system.backup_controller.plays[instance]
         assert record.request_time == pytest.approx(requested_at)
 
@@ -418,45 +425,16 @@ class TestPeakLoadFuzzRegression:
 
 
 class TestPlacementCli:
-    def test_placement_flag_parses_everywhere(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for command in ("demo", "chaos", "cluster"):
-            args = parser.parse_args([command, "--placement", "deadline-greedy"])
-            assert args.placement == "deadline-greedy"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["demo", "--placement", "best-fit"])
-
     @pytest.mark.parametrize("verb", ["demo", "chaos", "cluster"])
     def test_load_spread_is_gone(self, verb, capsys):
-        """A policy is a start order, and load-spread was a slot search:
-        the config refuses it, and argparse refuses it on every verb
+        """There is one start order, so no verb takes ``--placement``:
+        argparse refuses the flag, load-spread or any other policy,
         with exit code 2."""
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="unknown placement policy"):
-            TigerConfig(placement="load-spread")
-        with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--placement", "load-spread"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'load-spread'" in capsys.readouterr().err
-
-    def test_demo_runs_with_deadline_greedy(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "demo",
-                "--streams",
-                "6",
-                "--seconds",
-                "12",
-                "--files",
-                "4",
-                "--placement",
-                "deadline-greedy",
-            ]
-        )
-        assert code == 0
-        assert "slots" in capsys.readouterr().out
+        for policy in ("load-spread", "first-fit"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([verb, "--placement", policy])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: --placement {policy}" in err

@@ -9,7 +9,6 @@ one reboots a real cub, because what a reboot forgets is the cub's
 business.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -41,15 +40,14 @@ CATALOG = Catalog(CONFIG.block_play_time, CONFIG.num_disks)
 CATALOG.add_file("four-blocks", bitrate_bps=2e6, duration_s=4.0)
 
 
-def _owner(cub_id=0, policy="first-fit"):
+def _owner(cub_id=0):
     view = ScheduleView(
         cub_id, CONFIG.block_play_time, hold_time=CONFIG.deschedule_hold
     )
     deadman = DeadmanMonitor(
         cub_id, CONFIG.num_cubs, timeout=CONFIG.deadman_timeout
     )
-    config = dataclasses.replace(CONFIG, placement=policy)
-    return ScheduleOwner(view, deadman, CLOCK, LAYOUT, config, CATALOG)
+    return ScheduleOwner(view, deadman, CLOCK, LAYOUT, CONFIG, CATALOG)
 
 
 def _request(instance, disk_id, request_time=0.0, redundant=False):
@@ -115,18 +113,17 @@ def test_the_admission_guard_rejects_a_free_instant():
     assert owner.queued(DISK) == 1
 
 
-def test_deadline_greedy_takes_the_oldest_request_time():
-    for policy, expected in (("first-fit", 1), ("deadline-greedy", 2)):
-        owner = _owner(policy=policy)
-        owner.start_request(0.0, _request(1, DISK, request_time=5.0))
-        owner.start_request(0.0, _request(2, DISK, request_time=3.0))
-        owner.start_request(0.0, _request(3, DISK, request_time=4.0))
-        when, slot, visit = owner.next_instant(6.0, DISK)
-        state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
-        assert state.instance == expected, policy
-        # Either order inserts at the owned (slot, visit): no look-ahead.
-        assert (state.slot, state.due_time) == (slot, visit)
-        assert owner.queued(DISK) == 2
+def test_the_oldest_request_time_goes_first():
+    owner = _owner()
+    owner.start_request(0.0, _request(1, DISK, request_time=5.0))
+    owner.start_request(0.0, _request(2, DISK, request_time=3.0))
+    owner.start_request(0.0, _request(3, DISK, request_time=4.0))
+    when, slot, visit = owner.next_instant(6.0, DISK)
+    state = owner.ownership_instant(when, DISK, slot, visit, _never_blocked)
+    assert state.instance == 2
+    # It inserts at the owned (slot, visit): no look-ahead.
+    assert (state.slot, state.due_time) == (slot, visit)
+    assert owner.queued(DISK) == 2
 
 
 def _adopted(owner, now):

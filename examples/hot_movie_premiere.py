@@ -18,7 +18,7 @@ Run:  python examples/hot_movie_premiere.py
 import _bootstrap  # noqa: F401  (path shim; keep before repro imports)
 
 from repro import TigerSystem, small_config
-from repro.sim.stats import summarize
+from repro.sim.stats import percentile
 
 
 def main() -> None:
@@ -46,10 +46,11 @@ def main() -> None:
         if client.streams[instance].startup_latency is not None
     ]
     latencies = [monitor.startup_latency for monitor in admitted]
-    stats = summarize(latencies)
     print(f"Admitted {len(admitted)}/{capacity} viewers so far")
-    print(f"Startup delay: min {stats['min']:.2f}s  median {stats['p50']:.2f}s  "
-          f"p95 {stats['p95']:.2f}s  max {stats['max']:.2f}s")
+    print(f"Startup delay: min {min(latencies):.2f}s  "
+          f"median {percentile(latencies, 0.5):.2f}s  "
+          f"p95 {percentile(latencies, 0.95):.2f}s  "
+          f"max {max(latencies):.2f}s")
     print("(The spread IS the equitemporal spacing: each start waits for a "
           "free slot\n to pass under the single disk holding block 0.)\n")
 

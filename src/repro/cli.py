@@ -157,7 +157,7 @@ def _check_run_shape(args) -> None:
 def _cli_config(args) -> TigerConfig:
     """Base config for a subcommand, with the config fields its flags
     set (``--helpers`` …) applied; the config checks them."""
-    fields = ("helpers", "helper_capacity", "helper_policy")
+    fields = ("helpers", "helper_capacity")
     preset = paper_config if args.paper else small_config
     return preset(**{
         name: getattr(args, name) for name in fields if hasattr(args, name)
@@ -475,7 +475,6 @@ def cmd_cluster(args) -> int:
             arrivals=args.arrivals,
             helpers=args.helpers,
             helper_capacity=args.helper_capacity,
-            helper_policy=args.helper_policy,
             kill_helper=args.kill_helper,
             churn=args.churn,
             restripe_throttle=args.restripe_throttle,
@@ -534,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="BLOCKS", dest="helper_capacity",
             help="per-helper cache capacity in blocks (0 keeps booted "
                  "helpers inert, for A/B runs on a fixed topology)")
-        sub.add_argument(
-            "--helper-policy", default="lru", metavar="NAME",
-            dest="helper_policy",
-            help="cache replacement policy: lru, segment, or interval")
 
     def observability(sub):
         sub.add_argument(
@@ -660,7 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SIGKILL this cub mid-run (deadman drill)")
     cluster.add_argument("--kill-at", type=float, default=None,
                          metavar="SECONDS",
-                         help="when to kill it (default: 40%% of duration)")
+                         help="when to kill the victims, both at once "
+                              "when both are set (default: the cub at "
+                              "40%%, the helper at 50%% of duration)")
     helper_tier(cluster)
     cluster.add_argument("--kill-helper", type=int, default=None,
                          metavar="HELPER_ID",

@@ -22,10 +22,6 @@ from typing import Optional
 
 from repro.disk.model import DiskParameters, worst_case_streams_per_disk
 
-#: Cache replacement policies a helper node runs (see
-#: :mod:`repro.helpers.policy`).
-CACHE_POLICIES = ("lru", "segment", "interval")
-
 
 @dataclass(frozen=True)
 class TigerConfig:
@@ -99,9 +95,6 @@ class TigerConfig:
     #: Per-helper cache capacity in blocks; 0 keeps booted helpers inert
     #: (no probe, no fetch), for A/B runs on a fixed topology.
     helper_capacity: int = 0
-    #: Cache replacement policy of every helper (one of
-    #: ``CACHE_POLICIES``).
-    helper_policy: str = "lru"
 
     # ------------------------------------------------------------------
     # CPU cost model (calibrated against §5; see DESIGN.md)
@@ -142,11 +135,6 @@ class TigerConfig:
         if self.helper_capacity < 0:
             raise ValueError(
                 f"helper_capacity must be >= 0, got {self.helper_capacity}"
-            )
-        if self.helper_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown helper policy {self.helper_policy!r}; "
-                f"expected one of {CACHE_POLICIES}"
             )
 
     # ------------------------------------------------------------------

@@ -31,6 +31,10 @@ from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.catalog import Catalog
 
+#: Seconds past its play deadline a block may arrive and still count
+#: as on time.
+LATE_TOLERANCE = 0.5
+
 
 @dataclass
 class StreamMonitor:
@@ -158,7 +162,6 @@ class ViewerClient(NetworkNode):
         catalog: Catalog,
         network: SwitchedNetwork,
         tracer: Optional[Tracer] = None,
-        late_tolerance: float = 0.5,
         backup_controller: Optional[str] = None,
         ack_timeout: float = 2.0,
         registry=None,
@@ -167,7 +170,7 @@ class ViewerClient(NetworkNode):
         self.config = config
         self.catalog = catalog
         self.network = network
-        self.late_tolerance = late_tolerance
+        self.late_tolerance = LATE_TOLERANCE
         #: Failover extension: retry unacknowledged starts here.
         self.backup_controller = backup_controller
         self.ack_timeout = ack_timeout

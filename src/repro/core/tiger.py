@@ -115,7 +115,7 @@ class TigerSystem(World):
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def add_client(self, late_tolerance: float = 0.5) -> ViewerClient:
+    def add_client(self) -> ViewerClient:
         """Attach one client machine to the switched network."""
         client = self.make_client(
             len(self.clients),
@@ -124,7 +124,6 @@ class TigerSystem(World):
                 if self.backup_controller is not None
                 else None
             ),
-            late_tolerance=late_tolerance,
         )
         attach_helpers(client)
         self.network.register(client, self.config.client_nic_bps)
@@ -261,7 +260,7 @@ class TigerSystem(World):
             gauge("helper.cached_blocks",
                   help="Blocks currently resident across helper caches",
                   unit="blocks").set(
-                      sum(len(h.policy) for h in self.helpers))
+                      sum(len(h.cache) for h in self.helpers))
         if self.restriper is not None:
             self.restriper.export_gauges()
         for cub in self.cubs:

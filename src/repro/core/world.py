@@ -200,7 +200,6 @@ class World:
         self,
         index: int,
         backup: Optional[str] = None,
-        late_tolerance: float = 0.5,
     ) -> ViewerClient:
         """Viewer machine ``client:<index>``; ``backup`` is the address
         unacknowledged starts are retried against, if any."""
@@ -213,7 +212,6 @@ class World:
             catalog=self.catalog,
             network=self.network,
             tracer=self.tracer,
-            late_tolerance=late_tolerance,
             backup_controller=backup,
             registry=self.registry,
         )

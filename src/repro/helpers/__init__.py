@@ -8,8 +8,8 @@ the P2P-VoD literature (adaptive plug-and-play helpers; the
 Viennot et al. offload-vs-cache-size bounds) that serve
 recently-streamed blocks ahead of the cubs:
 
-* :mod:`repro.helpers.policy` — pluggable cache replacement (LRU,
-  segment popularity, interval caching) with capacity accounting;
+* :mod:`repro.helpers.policy` — the LRU block cache, with capacity
+  accounting;
 * :mod:`repro.helpers.directory` — the deterministic file -> helper
   map clients consult before touching the schedule;
 * :mod:`repro.helpers.node` — :class:`HelperNode`, written against the
@@ -32,24 +32,12 @@ from typing import Any
 from repro.helpers.client import HelperClient
 from repro.helpers.directory import HelperDirectory, helper_address
 from repro.helpers.node import HelperFetchService, HelperNode
-from repro.helpers.policy import (
-    CACHE_POLICIES,
-    IntervalCachePolicy,
-    LruPolicy,
-    SegmentPopularityPolicy,
-    make_policy,
-)
 
 __all__ = [
-    "CACHE_POLICIES",
     "HelperDirectory",
     "HelperNode",
-    "IntervalCachePolicy",
-    "LruPolicy",
-    "SegmentPopularityPolicy",
     "attach_helpers",
     "helper_address",
-    "make_policy",
 ]
 
 

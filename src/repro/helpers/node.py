@@ -50,7 +50,7 @@ from repro.core.protocol import (
     cub_address,
 )
 from repro.helpers.directory import helper_address
-from repro.helpers.policy import CachePolicy, make_policy
+from repro.helpers.policy import LruCache
 from repro.net.message import KIND_DATA, REQUEST_BYTES, Message
 from repro.net.node import NetworkNode
 from repro.obs.registry import MetricsRegistry, snapshot_total
@@ -104,8 +104,8 @@ def origin_offload_ratio(snapshot: Dict[str, Any]) -> float:
 
 
 class HelperNode(NetworkNode):
-    """An edge cache node serving recently-streamed blocks, sized and
-    policed by ``config.helper_capacity`` / ``config.helper_policy``."""
+    """An edge cache node serving recently-streamed blocks, an LRU
+    cache of ``config.helper_capacity`` blocks."""
 
     def __init__(
         self,
@@ -124,9 +124,7 @@ class HelperNode(NetworkNode):
         self.catalog = catalog
         self.layout = layout
         self.network = network
-        self.policy: CachePolicy = make_policy(
-            config.helper_policy, config.helper_capacity
-        )
+        self.cache = LruCache(config.helper_capacity)
 
         #: Cache-served plays by instance id.
         self._streams: Dict[int, _HelperStream] = {}
@@ -144,7 +142,7 @@ class HelperNode(NetworkNode):
             "helper.misses", help="Probes sent back to the origin tier",
             unit="probes", helper=helper_id)
         self.evictions = metric(
-            "helper.evictions", help="Blocks evicted by the cache policy",
+            "helper.evictions", help="Blocks evicted by the cache",
             unit="blocks", helper=helper_id)
         self.blocks_served = metric(
             "helper.blocks_served", help="Blocks served from cache",
@@ -177,9 +175,9 @@ class HelperNode(NetworkNode):
         self._warming.clear()
 
     def recover(self) -> None:
-        """Reboot with a cold cache (the policy keeps its capacity)."""
+        """Reboot with a cold cache of the same capacity."""
         super().recover()
-        self.policy = make_policy(self.policy.name, self.policy.capacity)
+        self.cache = LruCache(self.config.helper_capacity)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -196,7 +194,6 @@ class HelperNode(NetworkNode):
             stream = self._streams.pop(payload.instance, None)
             if stream is not None:
                 stream.cancelled = True
-                self._publish_play_points()
         else:
             raise TypeError(
                 f"{self.name}: unexpected payload {type(payload).__name__}"
@@ -208,7 +205,7 @@ class HelperNode(NetworkNode):
     def _on_probe(self, probe: HelperProbe) -> None:
         client = _client_address(probe.viewer_id)
         key = (probe.file_id, probe.first_block)
-        cached = self.policy.capacity > 0 and self.policy.touch(key)
+        cached = self.cache.capacity > 0 and self.cache.touch(key)
         # A flash crowd arrives faster than one cache fill completes:
         # everyone after the very first viewer would miss while the
         # warm fill is still in flight.  A probe at or past an active
@@ -252,7 +249,7 @@ class HelperNode(NetworkNode):
             )
             self._send(client, HelperMiss(probe.viewer_id, probe.instance,
                                           probe.file_id, probe.first_block))
-            if self.policy.capacity > 0:
+            if self.cache.capacity > 0:
                 self._start_warm(probe.file_id, probe.first_block)
 
     def _send(self, destination: str, payload) -> None:
@@ -274,7 +271,7 @@ class HelperNode(NetworkNode):
             return
         bpt = self.config.block_play_time
         key = (stream.file_id, block)
-        if self.policy.touch(key):
+        if self.cache.touch(key):
             self._transmit(stream, entry, block)
             stream.retry_since = None
             self._prefetch_ahead(stream)
@@ -325,17 +322,6 @@ class HelperNode(NetworkNode):
             "helper.serve", "served block from cache",
             viewer=stream.viewer_id, block=block, seqno=stream.seqno - 1,
         )
-        self._publish_play_points()
-
-    def _publish_play_points(self) -> None:
-        """Feed active play positions to interval-caching policies."""
-        set_points = getattr(self.policy, "set_play_points", None)
-        if set_points is not None:
-            set_points([
-                (s.file_id, s.first_block + s.seqno)
-                for s in self._streams.values()
-                if not s.cancelled
-            ])
 
     def _prefetch_ahead(self, stream: _HelperStream) -> None:
         entry = self.catalog.get(stream.file_id)
@@ -351,7 +337,7 @@ class HelperNode(NetworkNode):
     # ------------------------------------------------------------------
     def _request_fill(self, file_id: int, block: int) -> None:
         key = (file_id, block)
-        if key in self.policy:
+        if key in self.cache:
             return
         now = self.sim.now
         requested = self._pending_fills.get(key)
@@ -367,10 +353,9 @@ class HelperNode(NetworkNode):
     def _on_fetch_reply(self, reply: HelperFetchReply) -> None:
         key = (reply.file_id, reply.block_index)
         self._pending_fills.pop(key, None)
-        if self.policy.capacity == 0:
+        if self.cache.capacity == 0:
             return
-        self._publish_play_points()
-        evicted = self.policy.insert(key)
+        evicted = self.cache.insert(key)
         self.fills.increment()
         self.trace(
             "helper.fill", "cached block",
@@ -415,7 +400,7 @@ class HelperNode(NetworkNode):
     # Invalidation
     # ------------------------------------------------------------------
     def _on_invalidate(self, payload: HelperInvalidate) -> None:
-        purged = self.policy.invalidate_file(payload.file_id)
+        purged = self.cache.invalidate_file(payload.file_id)
         self.invalidations.increment(purged)
         self._warming.pop(payload.file_id, None)
         for key in [k for k in self._pending_fills if k[0] == payload.file_id]:

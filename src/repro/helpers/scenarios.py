@@ -169,8 +169,7 @@ class OffloadExperiment:
         return [
             f"scenario={self.name} seed={helped.seed} "
             f"streams={helped.streams} helpers={helped.config.helpers} "
-            f"capacity={helped.config.helper_capacity} "
-            f"policy={helped.config.helper_policy}",
+            f"capacity={helped.config.helper_capacity}",
             f"no-helper baseline: cub_blocks={base.cub_blocks} "
             f"received={base.client_received} missed={base.client_missed} "
             f"late={base.client_late} corrupt={base.client_corrupt}",
@@ -253,8 +252,7 @@ def sweep_lines(
         first = rows[0][1]
         out.append(
             f"scenario={first.name} seed={first.seed} "
-            f"streams={first.streams} helpers={first.config.helpers} "
-            f"policy={first.config.helper_policy}"
+            f"streams={first.streams} helpers={first.config.helpers}"
         )
     for capacity, result in rows:
         out.append(
@@ -262,7 +260,8 @@ def sweep_lines(
             f"offload={result.offload_ratio:.3f} "
             f"cub_blocks={result.cub_blocks} "
             f"helper_blocks={result.helper_blocks} "
-            f"missed={result.client_missed}"
+            f"missed={result.client_missed} "
+            f"late={result.client_late}"
         )
     if rows:
         best = max(result.offload_ratio for _, result in rows)

@@ -153,7 +153,8 @@ class ClusterScenario:
     seed: int = 0
     #: Cub id to SIGKILL mid-run; None runs fault-free.
     kill_cub: Optional[int] = None
-    #: When to kill it; None picks 40% of the duration.
+    #: When to kill the victims, both when both are set; None kills
+    #: the cub at 40% of the duration and the helper at 50%.
     kill_at: Optional[float] = None
     backup: bool = True
     num_files: int = 8
@@ -187,7 +188,6 @@ class ClusterScenario:
     #: kin): one process per helper.
     helpers: int = 0
     helper_capacity: int = 0
-    helper_policy: str = "lru"
     #: Helper id to SIGKILL mid-run; None keeps all helpers alive.
     kill_helper: Optional[int] = None
     #: Seeded VCR churn events (pause/resume/stop) to schedule on top
@@ -270,7 +270,6 @@ class ClusterScenario:
             deadman_timeout=self.deadman_timeout,
             helpers=self.helpers,
             helper_capacity=self.helper_capacity,
-            helper_policy=self.helper_policy,
         )
 
     def stream_plan(self) -> List[Tuple[int, int, float]]:
@@ -982,8 +981,7 @@ class ClusterReport:
         if scenario.helpers:
             lines.append(
                 f"  helper tier: {scenario.helpers} helper(s), "
-                f"{scenario.helper_capacity} blocks each, "
-                f"policy {scenario.helper_policy}"
+                f"{scenario.helper_capacity} blocks each"
             )
         if scenario.restripe_weights is not None:
             lines.append(

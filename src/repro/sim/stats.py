@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -175,22 +175,6 @@ class RateMeter:
         self._window_start = now
         self._window_total = 0.0
         return rate
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """A small descriptive-statistics helper for reports."""
-    if not values:
-        return {"n": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0}
-    hist = Histogram()
-    hist.extend(values)
-    return {
-        "n": float(hist.n),
-        "mean": hist.mean(),
-        "min": hist.quantile(0.0),
-        "max": hist.quantile(1.0),
-        "p50": hist.quantile(0.5),
-        "p95": hist.quantile(0.95),
-    }
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:

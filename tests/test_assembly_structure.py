@@ -108,6 +108,10 @@ RETIRED_NAMES = {
     # One start order, the longest-waiting first: no knob, no comparison.
     "PLACEMENT_POLICIES", "run_policy_scenario", "PolicyOutcome",
     "placement_flag",
+    # One helper cache, LRU kept in access order: no policy knob.
+    "CACHE_POLICIES", "make_policy", "CachePolicy", "LruPolicy",
+    "SegmentPopularityPolicy", "IntervalCachePolicy", "set_play_points",
+    "_publish_play_points",
 }
 
 #: Tier payloads the cub serves without ever naming them.
@@ -722,7 +726,7 @@ def test_one_verb_per_drill_and_one_parser_per_executable():
 # The optional tiers, declared once
 # ----------------------------------------------------------------------
 #: Parameters the helper tier's shape used to travel through; it is the
-#: config's ``helpers`` / ``helper_capacity`` / ``helper_policy`` now.
+#: config's ``helpers`` / ``helper_capacity`` now.
 TIER_SHAPE_PARAMETERS = {
     "helper_capacity", "helper_policy", "capacity_blocks", "helper_directory",
 }

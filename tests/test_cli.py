@@ -170,7 +170,8 @@ class TestBadInput:
             (["demo", "--helpers", "-1"], "helpers must be >= 0"),
             (["demo", "--helper-capacity", "-2"],
              "helper_capacity must be >= 0"),
-            (["demo", "--helper-policy", "bogus"], "unknown helper policy"),
+            (["chaos", "--helper-capacity", "-1"],
+             "helper_capacity must be >= 0"),
             (["demo", "--restripe", "1,2", "--restripe-throttle", "0"],
              "throttle must be in (0, 1]"),
             (["demo", "--restripe", "a,b"], "weights must be integers"),
@@ -192,7 +193,6 @@ class TestBadInput:
              "--metrics-out"),
             (["chaos", "--trace", "no-such-dir/t.json"], "--trace"),
             (["report", "--results", "no-such-dir"], "--results"),
-            (["chaos", "--helper-policy", "nope"], "unknown helper policy"),
         ],
     )
     def test_rejected_with_one_error_line(self, argv, message, capsys):
@@ -212,6 +212,17 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: ")
         assert "unrecognized arguments: --shards 2" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("verb", ["demo", "chaos", "cluster"])
+    def test_helper_policy_flag_is_gone(self, verb, capsys):
+        """A helper's cache is always LRU: ``--helper-policy`` is an
+        unknown flag, which argparse refuses with exit code 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--helper-policy", "lru"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --helper-policy lru" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("verb", ["trace", "metrics", "restripe"])

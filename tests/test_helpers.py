@@ -1,6 +1,6 @@
-"""The helper/edge-cache tier: policies, directory, offload, fail-soft.
+"""The helper/edge-cache tier: cache, directory, offload, fail-soft.
 
-Covers the tier bottom-up: cache-policy eviction arithmetic, the
+Covers the tier bottom-up: the LRU cache's eviction arithmetic, the
 deterministic file->helper directory, DES integration (cache hits skip
 the slot schedule entirely), the warm-join path that absorbs flash
 crowds, fail-soft degradation when a helper dies mid-stream, and the
@@ -9,18 +9,15 @@ fingerprint untouched.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import TigerSystem, small_config
 from repro.faults.harness import ChaosHarness, standard_chaos_plan
 from repro.faults.plan import FaultPlan
-from repro.helpers import CACHE_POLICIES, HelperDirectory, make_policy
+from repro.helpers import HelperDirectory
 from repro.helpers.directory import helper_address
 from repro.helpers.node import origin_offload_ratio
-from repro.helpers.policy import (
-    IntervalCachePolicy,
-    LruPolicy,
-    SegmentPopularityPolicy,
-)
+from repro.helpers.policy import LruCache
 from repro.helpers.scenarios import (
     EDGE_SCENARIOS,
     capacity_sweep,
@@ -31,82 +28,111 @@ from repro.obs.registry import snapshot_total
 from repro.helpers.directory import group_pin
 
 
-class TestCachePolicies:
+class _TickLru:
+    """The cache as it was written before its dict kept access order: a
+    logical tick per access, and the victim is the smallest tick."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}
+        self.tick = 0
+
+    def touch(self, key):
+        if key not in self.entries:
+            return False
+        self.tick += 1
+        self.entries[key] = self.tick
+        return True
+
+    def insert(self, key):
+        if self.capacity == 0:
+            return [key]
+        if key in self.entries:
+            self.touch(key)
+            return []
+        self.tick += 1
+        self.entries[key] = self.tick
+        evicted = []
+        while len(self.entries) > self.capacity:
+            victim = min(self.entries, key=self.entries.__getitem__)
+            del self.entries[victim]
+            evicted.append(victim)
+        return evicted
+
+    def invalidate_file(self, file_id):
+        stale = [key for key in self.entries if key[0] == file_id]
+        for key in stale:
+            del self.entries[key]
+        return len(stale)
+
+
+_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 5))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _KEYS),
+        st.tuples(st.just("touch"), _KEYS),
+        st.tuples(st.just("invalidate_file"), st.integers(0, 2)),
+    ),
+    max_size=60,
+)
+
+
+class TestLruCache:
     def test_capacity_accounting_never_exceeded(self):
-        policy = LruPolicy(4)
+        cache = LruCache(4)
         for block in range(10):
-            policy.insert((0, block))
-            assert len(policy) <= 4
-        assert len(policy) == 4
+            cache.insert((0, block))
+            assert len(cache) <= 4
+        assert len(cache) == 4
 
     def test_lru_evicts_least_recently_touched(self):
-        policy = LruPolicy(3)
+        cache = LruCache(3)
         for block in range(3):
-            policy.insert((0, block))
-        policy.touch((0, 0))  # block 1 is now the coldest
-        evicted = policy.insert((0, 3))
+            cache.insert((0, block))
+        cache.touch((0, 0))  # block 1 is now the coldest
+        evicted = cache.insert((0, 3))
         assert evicted == [(0, 1)]
-        assert (0, 0) in policy and (0, 3) in policy
+        assert (0, 0) in cache and (0, 3) in cache
 
     def test_capacity_zero_admits_nothing(self):
-        for name in CACHE_POLICIES:
-            policy = make_policy(name, 0)
-            assert policy.insert((1, 2)) == [(1, 2)]
-            assert len(policy) == 0
-            assert not policy.touch((1, 2))
+        cache = LruCache(0)
+        assert cache.insert((1, 2)) == [(1, 2)]
+        assert len(cache) == 0
+        assert not cache.touch((1, 2))
 
     def test_invalidate_file_drops_only_that_file(self):
-        policy = LruPolicy(8)
+        cache = LruCache(8)
         for block in range(3):
-            policy.insert((5, block))
-        policy.insert((6, 0))
-        assert policy.invalidate_file(5) == 3
-        assert len(policy) == 1 and (6, 0) in policy
-        assert policy.invalidate_file(5) == 0
-
-    def test_segment_policy_protects_popular_segment(self):
-        policy = SegmentPopularityPolicy(4, segment_blocks=2)
-        # File 0's head segment gets three accesses; every other
-        # resident segment only one.
-        policy.insert((0, 0))
-        policy.insert((0, 1))
-        policy.touch((0, 0))
-        policy.insert((1, 0))
-        policy.insert((1, 2))
-        evicted = policy.insert((2, 0))
-        # Ties among the popularity-1 segments break by recency: the
-        # oldest cold-segment block goes, the hot segment survives.
-        assert evicted == [(1, 0)]
-        assert (0, 0) in policy and (0, 1) in policy
-
-    def test_interval_policy_protects_read_ahead_window(self):
-        policy = IntervalCachePolicy(3, window=4)
-        for block in range(3):
-            policy.insert((0, block))
-        # A play point at block 1 protects blocks 1..4; block 0 is
-        # behind every play point and must be the victim.
-        policy.set_play_points([(0, 1)])
-        policy.touch((0, 1))
-        policy.touch((0, 2))
-        evicted = policy.insert((0, 5))
-        assert evicted == [(0, 0)]
+            cache.insert((5, block))
+        cache.insert((6, 0))
+        assert cache.invalidate_file(5) == 3
+        assert len(cache) == 1 and (6, 0) in cache
+        assert cache.invalidate_file(5) == 0
 
     def test_eviction_order_is_deterministic(self):
-        def drive(policy):
+        def drive(cache):
             order = []
             for block in range(12):
-                order.extend(policy.insert((block % 3, block)))
-                policy.touch((0, 0))
+                order.extend(cache.insert((block % 3, block)))
+                cache.touch((0, 0))
             return order
 
-        for name in CACHE_POLICIES:
-            assert drive(make_policy(name, 4)) == drive(make_policy(name, 4))
+        assert drive(LruCache(4)) == drive(LruCache(4))
 
-    def test_unknown_policy_rejected(self):
+    def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("arc", 16)
-        with pytest.raises(ValueError):
-            LruPolicy(-1)
+            LruCache(-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(0, 8), ops=_OPS)
+    def test_access_order_matches_the_tick_reference(self, capacity, ops):
+        """Keeping keys in access order evicts exactly what the smallest
+        access tick did, and leaves the same keys cached."""
+        cache, reference = LruCache(capacity), _TickLru(capacity)
+        for op, arg in ops:
+            assert getattr(cache, op)(arg) == getattr(reference, op)(arg)
+            assert len(cache) == len(reference.entries)
+            assert all(key in cache for key in reference.entries)
 
 
 class TestHelperDirectory:
@@ -148,13 +174,10 @@ def _total(system, name):
     return snapshot_total(system.registry.snapshot(), name)
 
 
-def _staggered_system(helpers=1, capacity=64, policy="lru", seed=11):
+def _staggered_system(helpers=1, capacity=64, seed=11):
     """Three viewers on one file, spaced past the cache warm time."""
     system = TigerSystem(
-        small_config(
-            helpers=helpers, helper_capacity=capacity, helper_policy=policy
-        ),
-        seed=seed,
+        small_config(helpers=helpers, helper_capacity=capacity), seed=seed
     )
     files = system.add_standard_content(num_files=2, duration_s=12.0)
     clients = [system.add_client() for _ in range(3)]
@@ -191,15 +214,6 @@ class TestDesIntegration:
         assert origin_offload_ratio(system.registry.snapshot()) == (
             served / (served + system.total_blocks_sent())
         )
-
-    def test_all_policies_serve_identically_sized_demand(self):
-        for policy in CACHE_POLICIES:
-            system, _, _ = _staggered_system(policy=policy)
-            system.run_until(40.0)
-            system.finalize_clients()
-            system.assert_invariants()
-            assert _total(system, "helper.blocks_served") > 0, policy
-            assert system.total_client_missed() == 0, policy
 
     def test_capacity_zero_emits_no_helper_traffic(self):
         system, _, _ = _staggered_system(capacity=0)
@@ -247,11 +261,11 @@ class TestDesIntegration:
     def test_invalidate_purges_and_recounts(self):
         system, _, file_id = _staggered_system()
         system.run_until(14.0)  # warm fill done, before viewer 2
-        cached = sum(len(helper.policy) for helper in system.helpers)
+        cached = sum(len(helper.cache) for helper in system.helpers)
         assert cached > 0
         system.invalidate_helpers(file_id)
         system.run_until(15.0)  # the invalidate travels as a message
-        assert sum(len(helper.policy) for helper in system.helpers) == 0
+        assert sum(len(helper.cache) for helper in system.helpers) == 0
         assert sum(h.invalidations.count for h in system.helpers) == cached
 
 

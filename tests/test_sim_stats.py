@@ -10,7 +10,6 @@ from repro.sim.stats import (
     Histogram,
     RateMeter,
     percentile,
-    summarize,
 )
 
 
@@ -144,15 +143,6 @@ class TestRateMeter:
 
 
 class TestHelpers:
-    def test_summarize_empty(self):
-        assert summarize([])["n"] == 0
-
-    def test_summarize_basic(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == pytest.approx(2.0)
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-
     def test_percentile_none_for_empty(self):
         assert percentile([], 0.5) is None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import TigerSystem, paper_config
-from repro.sim.stats import percentile
+from repro.obs.registry import percentile
 from repro.workloads import ContinuousWorkload, StartupLatencyProbe
 
 from conftest import write_result

@@ -18,7 +18,7 @@ Run:  python examples/hot_movie_premiere.py
 import _bootstrap  # noqa: F401  (path shim; keep before repro imports)
 
 from repro import TigerSystem, small_config
-from repro.sim.stats import percentile
+from repro.obs.registry import percentile
 
 
 def main() -> None:

@@ -19,11 +19,10 @@ Subcommands:
                  replay of the identical scenario in the simulator.
 
 ``demo``, ``failover`` and ``chaos`` also accept ``--trace PATH`` (Chrome
-JSON by default, JSONL when the path ends in ``.jsonl``; the record
-count per category is printed) and ``--metrics-out PATH`` (registry
-snapshot JSON, with one ``sample.*`` measurement window over the whole
-run; ``demo`` also prints it as a table).  See ``docs/OBSERVABILITY.md``
-for the full name inventory.
+``trace_event`` JSON; the record count per category is printed) and
+``--metrics-out PATH`` (registry snapshot JSON, with one ``sample.*``
+measurement window over the whole run; ``demo`` also prints it as a
+table).  See ``docs/OBSERVABILITY.md`` for the full name inventory.
 
 Usage::
 
@@ -59,7 +58,7 @@ from repro.analysis.render import (
     render_view_summary,
 )
 from repro.helpers.node import origin_offload_ratio
-from repro.obs.export import write_trace
+from repro.obs.export import write_chrome_trace
 from repro.obs.registry import snapshot_total
 from repro.sim.trace import Tracer
 from repro.storage.rebalance import arm_rebalance
@@ -105,12 +104,10 @@ def _export_trace(path: str, tracer: Tracer) -> None:
           f"({tracer.dropped} dropped) across {len(counts)} categories:")
     for category in sorted(counts):
         print(f"  {category:<20} {counts[category]}")
-    written = write_trace(path, tracer.records)
-    fmt = "jsonl" if path.endswith(".jsonl") else "chrome"
-    print(f"wrote {written} trace records to {path} [{fmt}]")
-    if fmt == "chrome":
-        print("open in a Chromium browser at about://tracing, or at "
-              "https://ui.perfetto.dev")
+    written = write_chrome_trace(path, tracer.records)
+    print(f"wrote {written} trace records to {path}")
+    print("open in a Chromium browser at about://tracing, or at "
+          "https://ui.perfetto.dev")
 
 
 def _export_metrics(path: str, system: TigerSystem) -> None:
@@ -537,8 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     def observability(sub):
         sub.add_argument(
             "--trace", metavar="PATH", default=None,
-            help="capture a trace; Chrome JSON, or JSONL if PATH "
-                 "ends in .jsonl")
+            help="capture a trace as Chrome trace_event JSON")
         sub.add_argument(
             "--metrics-out", metavar="PATH", default=None,
             help="write the metrics registry snapshot as JSON, with one "

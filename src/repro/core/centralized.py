@@ -25,7 +25,7 @@ from repro.net.message import KIND_DATA, Message
 from repro.net.node import NetworkNode
 from repro.net.switch import SwitchedNetwork
 from repro.sim.core import Simulator
-from repro.sim.stats import BusyMeter, Counter
+from repro.sim.stats import BusyMeter
 from repro.sim.trace import Tracer
 from repro.storage.catalog import Catalog
 from repro.storage.layout import StripeLayout
@@ -66,7 +66,7 @@ class CommandCub(NetworkNode):
         self.catalog = catalog
         self.network = network
         self.cpu = BusyMeter(sim.now)
-        self.blocks_sent = Counter()
+        self.blocks_sent = 0
 
     def handle_message(self, message: Message) -> None:
         command = message.payload
@@ -91,7 +91,7 @@ class CommandCub(NetworkNode):
             pacing_duration=self.config.block_play_time,
         )
         self.cpu.add_busy(self.sim.now, size * self.config.cpu_per_data_byte)
-        self.blocks_sent.increment()
+        self.blocks_sent += 1
 
 
 class CentralizedController(NetworkNode):
@@ -123,7 +123,7 @@ class CentralizedController(NetworkNode):
         self.schedule = GlobalSchedule(config.num_slots)
         self.command_lead = command_lead
         self.cpu = BusyMeter(sim.now)
-        self.commands_sent = Counter()
+        self.commands_sent = 0
         self._active: Dict[int, bool] = {}
 
     def handle_message(self, message: Message) -> None:  # pragma: no cover
@@ -193,7 +193,7 @@ class CentralizedController(NetworkNode):
             Message(self.address, f"ccub:{cub}", command, COMMAND_BYTES)
         )
         self.cpu.add_busy(self.sim.now, self.config.cpu_per_control_msg)
-        self.commands_sent.increment()
+        self.commands_sent += 1
         next_disk = self.layout.next_disk(disk)
         next_due = due + self.config.block_play_time
         self.at(
@@ -213,7 +213,7 @@ class CentralizedController(NetworkNode):
         """Measured control send rate over the whole run so far."""
         if self.sim.now <= 0:
             return 0.0
-        return self.commands_sent.count * COMMAND_BYTES / self.sim.now
+        return self.commands_sent * COMMAND_BYTES / self.sim.now
 
 
 # ======================================================================

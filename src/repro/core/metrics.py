@@ -16,7 +16,7 @@ name inventory lives in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, snapshot_total
 
@@ -71,21 +71,6 @@ class SystemSample:
     #: Blocks placed on the network, cumulative.
     blocks_sent: int
 
-    def as_row(self) -> Dict[str, float]:
-        """The sample as a printable table row.
-
-        :returns: Column name to rounded value.
-        """
-        return {
-            "streams": self.active_streams,
-            "load": round(self.schedule_load, 4),
-            "cub_cpu": round(self.cub_cpu_mean, 4),
-            "controller_cpu": round(self.controller_cpu, 4),
-            "disk_util": round(self.disk_util_mean, 4),
-            "disk_util_probe": round(self.disk_util_probe, 4),
-            "control_Bps": round(self.control_traffic_bps, 1),
-        }
-
 
 class MetricsCollector:
     """Windowed sampling over a :class:`~repro.core.tiger.TigerSystem`.
@@ -115,7 +100,6 @@ class MetricsCollector:
         if registry is None:
             registry = getattr(system, "registry", None)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.samples: List[SystemSample] = []
 
     # ------------------------------------------------------------------
     def begin_window(self) -> None:
@@ -129,10 +113,10 @@ class MetricsCollector:
             system.network.control_bytes_from[cub.address].snapshot(system.sim.now)
 
     def sample(self, label: str = "") -> SystemSample:
-        """Close the current window and record one sample.
+        """Close the current window and publish one sample.
 
         :param label: Tag stored on the sample (ramp-step name).
-        :returns: The recorded :class:`SystemSample`.
+        :returns: The window's :class:`SystemSample`.
         """
         system = self.system
         now = system.sim.now
@@ -173,7 +157,6 @@ class MetricsCollector:
             server_missed_blocks=system.total_server_missed(),
             blocks_sent=system.total_blocks_sent(),
         )
-        self.samples.append(entry)
         self._publish(entry)
         return entry
 
@@ -210,11 +193,3 @@ class MetricsCollector:
         gauge("sample.blocks_sent",
               help="Cumulative blocks sent at the last sample",
               unit="blocks").set(entry.blocks_sent)
-
-    # ------------------------------------------------------------------
-    def table(self) -> List[Dict[str, float]]:
-        """All samples as printable rows.
-
-        :returns: One :meth:`SystemSample.as_row` dict per sample.
-        """
-        return [sample.as_row() for sample in self.samples]

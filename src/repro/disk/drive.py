@@ -8,10 +8,11 @@ from operator import attrgetter
 from typing import Deque, List, Optional, Tuple
 
 from repro.disk.model import DiskParameters
+from repro.obs.registry import CounterSeries
 from repro.sim.core import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.stats import BusyMeter, Counter
+from repro.sim.stats import BusyMeter
 from repro.sim.trace import Tracer
 
 class Read:
@@ -86,9 +87,11 @@ class SimDisk(Process):
         self._stalled: List[Tuple[Read, str]] = []
         #: Started reads not yet settled, by ``done_at``.
         self._in_flight: Deque[Read] = deque()
-        self._reads_completed = Counter()
-        self._bytes_read = Counter()
-        self._reads_errored = Counter()
+        # Read as ``.count``; bumped as plain int adds, so settling a
+        # read makes no call into the metrics layer.
+        self._reads_completed = CounterSeries({})
+        self._bytes_read = CounterSeries({})
+        self._reads_errored = CounterSeries({})
 
     # ------------------------------------------------------------------
     # I/O
@@ -140,10 +143,10 @@ class SimDisk(Process):
             read = in_flight.popleft()
             if self.failed:
                 read.errored = True
-                self._reads_errored.increment()
+                self._reads_errored.count += 1
             else:
-                self._reads_completed.increment()
-                self._bytes_read.increment(read.size_bytes)
+                self._reads_completed.count += 1
+                self._bytes_read.count += read.size_bytes
 
     def finished(self, read: Read) -> bool:
         """Is ``read``'s data in the buffer?  Strictly after ``done_at``
@@ -155,7 +158,7 @@ class SimDisk(Process):
         """A read that never starts: the drive is (or just went) dead."""
         read.done_at = self.sim.now
         read.errored = True
-        self._reads_errored.increment()
+        self._reads_errored.count += 1
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -211,17 +214,17 @@ class SimDisk(Process):
     # Measurement
     # ------------------------------------------------------------------
     @property
-    def reads_completed(self) -> Counter:
+    def reads_completed(self) -> CounterSeries:
         self._settle()
         return self._reads_completed
 
     @property
-    def bytes_read(self) -> Counter:
+    def bytes_read(self) -> CounterSeries:
         self._settle()
         return self._bytes_read
 
     @property
-    def reads_errored(self) -> Counter:
+    def reads_errored(self) -> CounterSeries:
         self._settle()
         return self._reads_errored
 

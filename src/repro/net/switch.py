@@ -348,11 +348,5 @@ class SwitchedNetwork:
         """
         return self.messages_scheduled - self.messages_delivered
 
-    def control_rate_from(self, address: str, now: Optional[float] = None) -> float:
-        """Control bytes/sec from ``address`` since the last snapshot."""
-        return self.control_bytes_from[address].snapshot(
-            self.sim.now if now is None else now
-        )
-
     def addresses(self) -> Tuple[str, ...]:
         return tuple(self._nodes)

@@ -8,8 +8,8 @@ it measures:
   ``stream``, ``category``) that the per-cub counters,
   :class:`~repro.core.metrics.MetricsCollector`, and the chaos
   :class:`~repro.faults.monitor.InvariantMonitor` publish into;
-* :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters
-  for :class:`~repro.sim.trace.Tracer` records, plus metrics snapshots.
+* :mod:`repro.obs.export` — the Chrome ``trace_event`` exporter for
+  :class:`~repro.sim.trace.Tracer` records.
 
 Every metric name and trace category is documented in
 ``docs/OBSERVABILITY.md``; ``tests/test_obs_docs.py`` asserts the doc

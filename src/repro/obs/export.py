@@ -1,17 +1,13 @@
-"""Trace and metrics exporters.
+"""The trace exporter: Chrome ``trace_event`` JSON.
 
-Two trace formats are produced from the same
-:class:`~repro.sim.trace.TraceRecord` stream:
-
-* **JSONL** — one JSON object per record, loss-free (round-trips back
-  into records via :func:`records_from_jsonl`); the format scripts and
-  tests consume.
-* **Chrome trace_event** — the JSON object understood by
-  ``about://tracing`` and `Perfetto <https://ui.perfetto.dev>`_.  Each
-  emitting component (``cub:3``, ``controller``, ``client:0``) becomes
-  a named thread, instants render as marks and spans as bars, so a
-  chaos run can be read as a timeline of what every cub believed and
-  forwarded.
+:func:`trace_to_chrome` turns a :class:`~repro.sim.trace.TraceRecord`
+stream into the JSON object understood by ``about://tracing`` and
+`Perfetto <https://ui.perfetto.dev>`_.  Each emitting component
+(``cub:3``, ``controller``, ``client:0``) becomes a named thread,
+instants render as marks and spans as bars, so a chaos run can be read
+as a timeline of what every cub believed and forwarded.  Every record
+field but ``node`` (which names the thread) and the record's message
+are kept in the event's ``args``.
 
 Simulated seconds map to trace microseconds (the Chrome format's native
 unit), so timeline coordinates read directly as simulation time.
@@ -20,60 +16,9 @@ unit), so timeline coordinates read directly as simulation time.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.sim.trace import KIND_SPAN, TraceRecord
-
-
-def trace_to_jsonl(records: Iterable[TraceRecord]) -> str:
-    """Serialize records as JSON lines (one object per record).
-
-    :param records: Any iterable of :class:`~repro.sim.trace.TraceRecord`.
-    :returns: Newline-separated JSON objects with keys ``ts``, ``cat``,
-        ``msg``, ``kind``, ``dur``, ``fields``.
-    """
-    lines = []
-    for record in records:
-        lines.append(
-            json.dumps(
-                {
-                    "ts": record.time,
-                    "cat": record.category,
-                    "msg": record.message,
-                    "kind": record.kind,
-                    "dur": record.duration,
-                    "fields": record.fields,
-                },
-                default=str,
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines)
-
-
-def records_from_jsonl(text: str) -> List[TraceRecord]:
-    """Parse :func:`trace_to_jsonl` output back into records.
-
-    :param text: JSONL document (blank lines ignored).
-    :returns: The reconstructed records, in input order.
-    """
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        records.append(
-            TraceRecord(
-                time=data["ts"],
-                category=data["cat"],
-                message=data["msg"],
-                fields=data.get("fields", {}),
-                kind=data.get("kind", "instant"),
-                duration=data.get("dur", 0.0),
-            )
-        )
-    return records
 
 
 def _record_thread(record: TraceRecord) -> str:
@@ -167,38 +112,3 @@ def write_chrome_trace(
         json.dump(document, handle, default=str)
     return len(materialized)
 
-
-def write_jsonl_trace(path: str, records: Iterable[TraceRecord]) -> int:
-    """Write a JSONL trace file; returns the number of records written.
-
-    :param path: Output filename (conventionally ``.jsonl``).
-    :param records: Any iterable of :class:`~repro.sim.trace.TraceRecord`.
-    :returns: Count of records written.
-    """
-    materialized = list(records)
-    with open(path, "w", encoding="utf-8") as handle:
-        text = trace_to_jsonl(materialized)
-        handle.write(text)
-        if text:
-            handle.write("\n")
-    return len(materialized)
-
-
-def write_trace(
-    path: str, records: Iterable[TraceRecord], fmt: Optional[str] = None
-) -> int:
-    """Write a trace in the format implied by ``fmt`` or the extension.
-
-    :param path: Output filename.
-    :param fmt: ``"chrome"`` or ``"jsonl"``; inferred from the filename
-        when None (``.jsonl`` means JSONL, anything else Chrome).
-    :returns: Count of records written.
-    :raises ValueError: On an unknown explicit format.
-    """
-    if fmt is None:
-        fmt = "jsonl" if path.endswith(".jsonl") else "chrome"
-    if fmt == "chrome":
-        return write_chrome_trace(path, records)
-    if fmt == "jsonl":
-        return write_jsonl_trace(path, records)
-    raise ValueError(f"unknown trace format {fmt!r}")

@@ -13,16 +13,15 @@ Design constraints, in order:
 
 1. **Hot-path cost.**  A series handle is fetched once at construction
    time and incremented directly afterwards; an increment is one
-   integer add, exactly what the plain ``sim/stats.py`` counters cost
-   before the refactor (the handles *are* those primitives, subclassed
-   with labels).
+   integer add, an observation one list append.
 2. **Bounded cardinality.**  Label sets are attacker-controlled in the
    sense that a bug can key a metric by something unbounded (stream
-   ids, timestamps).  Each family holds at most ``max_series`` series;
-   excess label sets collapse into a single overflow series
-   (``overflow="true"``) and the registry-wide
-   ``obs.series_overflowed`` counter increments, so the leak is visible
-   instead of eating memory.
+   ids, timestamps).  Each family holds at most
+   :data:`MAX_SERIES_PER_FAMILY` series; excess label sets collapse
+   into a single overflow series (``overflow="true"``) and the
+   registry's :attr:`MetricsRegistry.series_overflowed` attribute
+   counts each collapsed request, so the leak is visible instead of
+   eating memory.
 3. **Plain data out.**  :meth:`MetricsRegistry.snapshot` returns
    JSON-ready dictionaries; no exporter dependency.
 """
@@ -30,10 +29,8 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.sim.stats import Counter as _Counter
-from repro.sim.stats import Histogram as _Histogram
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 KIND_COUNTER = "counter"
 KIND_GAUGE = "gauge"
@@ -42,6 +39,10 @@ KIND_HISTOGRAM = "histogram"
 #: Label key used for the collapsed series once a family exceeds its
 #: cardinality bound.
 OVERFLOW_LABEL = "overflow"
+
+#: Cardinality bound applied to every family: label sets beyond it
+#: collapse into one overflow series.
+MAX_SERIES_PER_FAMILY = 4096
 
 
 class MetricError(ValueError):
@@ -53,21 +54,26 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
-class CounterSeries(_Counter):
+class CounterSeries:
     """One labelled, monotonically increasing counter series.
-
-    Subclasses :class:`repro.sim.stats.Counter`, so existing call sites
-    keep their ``increment(by)`` / ``count`` interface at identical
-    cost.
 
     :param labels: The series' label set (already stringified keys).
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "count")
 
     def __init__(self, labels: Dict[str, str]) -> None:
-        super().__init__()
         self.labels = labels
+        self.count = 0
+
+    def increment(self, by: int = 1) -> None:
+        """Add ``by`` to the count.
+
+        :raises ValueError: If ``by`` is negative.
+        """
+        if by < 0:
+            raise ValueError("a counter only counts up")
+        self.count += by
 
     def value(self) -> float:
         """Current count (exporter interface shared by all series)."""
@@ -102,49 +108,107 @@ class GaugeSeries:
         return self.current
 
 
-class HistogramSeries:
-    """One labelled histogram series with quantile queries.
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolated quantile of ascending, non-empty ``ordered``."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be within [0, 1]")
+    if len(ordered) == 1:
+        return ordered[0]
+    pos = q * (len(ordered) - 1)
+    lo = int(math.floor(pos))
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    lower = ordered[lo]
+    upper = ordered[hi]
+    # lower + delta*frac (not lower*(1-frac) + upper*frac): the
+    # two-product form can round below ``lower`` for subnormal
+    # samples, breaking min <= quantile <= max.
+    return lower + (upper - lower) * frac
 
-    Wraps :class:`repro.sim.stats.Histogram` (exact): O(1)
-    :meth:`observe`, sorted on the first read after a write — fine for
-    the millions of observations a paper-scale run produces, as long as
-    they are read at report time and not between every two writes.
+
+def percentile(values: Sequence[float], q: float) -> Optional[float]:
+    """One-shot quantile of ``values``; None for empty input.
+
+    Bit for bit what a :class:`HistogramSeries` fed the same values
+    answers.
+    """
+    if not values:
+        return None
+    return _quantile(sorted(values), q)
+
+
+class HistogramSeries:
+    """One labelled histogram series with exact quantile queries.
+
+    Stores every sample: O(1) :meth:`observe`, sorted on the first read
+    after a write — fine for the millions of observations a paper-scale
+    run produces, as long as they are read at report time and not
+    between every two writes (one sort, cheap on the already-sorted
+    prefix, instead of one sorted insert per sample).
 
     :param labels: The series' label set.
     """
 
-    __slots__ = ("labels", "_hist")
+    __slots__ = ("labels", "_samples", "_unsorted")
 
     def __init__(self, labels: Dict[str, str]) -> None:
         self.labels = labels
-        self._hist = _Histogram()
+        self._samples: List[float] = []
+        #: Samples were appended since the last sort.
+        self._unsorted = False
 
     def observe(self, value: float) -> None:
         """Record one observation.
 
         :param value: The observed sample.
         """
-        self._hist.add(value)
+        self._samples.append(value)
+        self._unsorted = True
+
+    def _sorted(self) -> List[float]:
+        """The samples in ascending order, equal ones in arrival order
+        (the sort is stable, and cheap on an already-sorted prefix)."""
+        if self._unsorted:
+            self._samples.sort()
+            self._unsorted = False
+        return self._samples
 
     @property
     def n(self) -> int:
         """Number of observations recorded."""
-        return self._hist.n
+        return len(self._samples)
 
     def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile, ``q`` in [0, 1]."""
-        return self._hist.quantile(q)
+        """Linear-interpolated quantile, ``q`` in [0, 1].
+
+        :raises ValueError: If the series is empty or ``q`` is outside
+            [0, 1].
+        """
+        if not self._samples:
+            raise ValueError("empty histogram")
+        return _quantile(self._sorted(), q)
+
+    def mean(self) -> float:
+        """Mean of the observations.
+
+        :raises ValueError: If the series is empty.
+        """
+        if not self._samples:
+            raise ValueError("empty histogram")
+        # Summed in ascending order: float addition is order-sensitive,
+        # and this is the order the reported means have always used.
+        return sum(self._sorted()) / len(self._samples)
 
     def value(self) -> Dict[str, float]:
         """Summary statistics: count, mean, p50, p95, max."""
-        if not self._hist.n:
+        if not self._samples:
             return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
         return {
-            "count": self._hist.n,
-            "mean": self._hist.mean(),
-            "p50": self._hist.quantile(0.5),
-            "p95": self._hist.quantile(0.95),
-            "max": self._hist.quantile(1.0),
+            "count": len(self._samples),
+            "mean": self.mean(),
+            "p50": self.quantile(0.5),
+            "p95": self.quantile(0.95),
+            "max": self.quantile(1.0),
         }
 
 
@@ -165,19 +229,15 @@ class MetricFamily:
     :param kind: One of ``"counter"``, ``"gauge"``, ``"histogram"``.
     :param help: One-line description, surfaced by exporters.
     :param unit: Unit string (``"blocks"``, ``"s"``, ``"bytes/s"``...).
-    :param max_series: Cardinality bound before overflow collapse.
     """
 
-    __slots__ = ("name", "kind", "help", "unit", "max_series", "series", "_overflow")
+    __slots__ = ("name", "kind", "help", "unit", "series", "_overflow")
 
-    def __init__(
-        self, name: str, kind: str, help: str, unit: str, max_series: int
-    ) -> None:
+    def __init__(self, name: str, kind: str, help: str, unit: str) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.unit = unit
-        self.max_series = max_series
         self.series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
         self._overflow = None
 
@@ -193,15 +253,9 @@ class MetricsRegistry:
     labels) pair creates the series, later calls return the same
     object, so components can fetch handles at construction time and
     mutate them on the hot path with no dictionary lookups.
-
-    :param max_series_per_family: Cardinality bound applied to every
-        family; label sets beyond it collapse into one overflow series.
     """
 
-    def __init__(self, max_series_per_family: int = 4096) -> None:
-        if max_series_per_family < 1:
-            raise MetricError("max_series_per_family must be at least 1")
-        self.max_series_per_family = max_series_per_family
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         # Fast path for repeated accessor calls: (kind, name, raw label
         # items) -> series.  Keyed on the *raw* label values so a hit
@@ -256,9 +310,7 @@ class MetricsRegistry:
             raise MetricError(f"label key {OVERFLOW_LABEL!r} is reserved")
         family = self._families.get(name)
         if family is None:
-            family = MetricFamily(
-                name, kind, help, unit, self.max_series_per_family
-            )
+            family = MetricFamily(name, kind, help, unit)
             self._families[name] = family
         elif family.kind != kind:
             raise MetricError(
@@ -267,7 +319,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         series = family.series.get(key)
         if series is None:
-            if len(family.series) >= family.max_series:
+            if len(family.series) >= MAX_SERIES_PER_FAMILY:
                 # Cardinality guard: collapse into the overflow series.
                 # Deliberately not interned in the fast-path cache, so
                 # ``series_overflowed`` keeps counting every collapsed

@@ -12,6 +12,6 @@ Modules:
   deterministic named random streams.
 * :mod:`repro.sim.trace` — :class:`~repro.sim.trace.Tracer`, structured
   trace collection.
-* :mod:`repro.sim.stats` — measurement primitives: ``Counter``,
-  ``Histogram``, ``BusyMeter``, ``RateMeter``.
+* :mod:`repro.sim.stats` — the two time meters the measurement windows
+  read: ``BusyMeter`` and ``RateMeter``.
 """

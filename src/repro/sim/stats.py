@@ -1,32 +1,11 @@
-"""Measurement primitives used by the metrics layer and benchmarks.
+"""The two time meters the paper's §5 measurement windows read.
 
-All accumulators are plain Python so they work inside the simulator's
-hot path without pulling numpy into the core library.  The benchmark
-harness converts to numpy arrays only at reporting time.
+:class:`BusyMeter` gives a serial resource's duty cycle (cub CPU, disk,
+NIC) and :class:`RateMeter` an amount per second (control bytes).
+Counts and distributions live in :mod:`repro.obs.registry`.
 """
 
 from __future__ import annotations
-
-import math
-from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
-
-
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def increment(self, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError("Counter only counts up")
-        self.count += by
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.count}>"
 
 
 class BusyMeter:
@@ -76,76 +55,6 @@ class BusyMeter:
         self._busy_accum = max(0.0, self._busy_until - now)
 
 
-class Histogram:
-    """An exact histogram with quantile queries.
-
-    Stores every sample: O(1) ``add``, sorted on the first read after
-    a write — fine for millions of samples read at report time (one
-    sort, cheap on the already-sorted prefix, instead of one sorted
-    insert per sample).
-    """
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        #: Samples were appended since the last sort.
-        self._unsorted = False
-
-    def add(self, value: float) -> None:
-        self._samples.append(value)
-        self._unsorted = True
-
-    def extend(self, values: Sequence[float]) -> None:
-        self._samples.extend(values)
-        self._unsorted = True
-
-    def _sorted(self) -> List[float]:
-        """The samples in ascending order, equal ones in arrival order
-        (the sort is stable, and cheap on an already-sorted prefix)."""
-        if self._unsorted:
-            self._samples.sort()
-            self._unsorted = False
-        return self._samples
-
-    @property
-    def n(self) -> int:
-        return len(self._samples)
-
-    @property
-    def samples(self) -> Tuple[float, ...]:
-        return tuple(self._sorted())
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile, q in [0, 1]."""
-        if not self._samples:
-            raise ValueError("empty histogram")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be within [0, 1]")
-        ordered = self._sorted()
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = q * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        lower = ordered[lo]
-        upper = ordered[hi]
-        # lower + delta*frac (not lower*(1-frac) + upper*frac): the
-        # two-product form can round below ``lower`` for subnormal
-        # samples, breaking min <= quantile <= max.
-        return lower + (upper - lower) * frac
-
-    def mean(self) -> float:
-        if not self._samples:
-            raise ValueError("empty histogram")
-        # Summed in ascending order: float addition is order-sensitive,
-        # and this is the order the reported means have always used.
-        return sum(self._sorted()) / len(self._samples)
-
-    def count_above(self, threshold: float) -> int:
-        ordered = self._sorted()
-        return len(ordered) - bisect_right(ordered, threshold)
-
-
 class RateMeter:
     """Counts events/bytes in a sliding measurement window.
 
@@ -176,11 +85,3 @@ class RateMeter:
         self._window_total = 0.0
         return rate
 
-
-def percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Convenience one-shot quantile; returns None for empty input."""
-    if not values:
-        return None
-    hist = Histogram()
-    hist.extend(values)
-    return hist.quantile(q)

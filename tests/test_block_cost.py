@@ -14,7 +14,7 @@ import dataclasses
 import gc
 import math
 import sys
-from bisect import bisect_right, insort
+from bisect import insort
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +29,7 @@ from repro.core.viewerstate import (
     ViewerState,
 )
 from repro.faults.monitor import index_incoherence
-from repro.sim.stats import Histogram
+from repro.obs.registry import HistogramSeries
 from repro.storage.catalog import TigerFile
 from repro.workloads.generator import ContinuousWorkload
 
@@ -326,9 +326,6 @@ class SortedInsertHistogram:
     def mean(self):
         return sum(self._sorted) / len(self._sorted)
 
-    def count_above(self, threshold):
-        return len(self._sorted) - bisect_right(self._sorted, threshold)
-
 
 # Subnormals and both zeros included; NaN has no place in a sorted list.
 _SAMPLE = st.floats(allow_nan=False, allow_infinity=False)
@@ -336,7 +333,6 @@ _HISTOGRAM_STEP = st.one_of(
     st.tuples(st.just("add"), _SAMPLE),
     st.tuples(st.just("extend"), st.lists(_SAMPLE, max_size=8)),
     st.tuples(st.just("quantile"), st.floats(0.0, 1.0)),
-    st.tuples(st.just("count_above"), _SAMPLE),
     st.tuples(st.just("mean"), st.none()),
     st.tuples(st.just("samples"), st.none()),
     st.tuples(st.just("n"), st.none()),
@@ -356,22 +352,24 @@ _HISTOGRAM_STEP = st.one_of(
 def test_a_lazily_sorted_histogram_answers_as_a_sorted_insert_one(steps):
     """Reads between writes included; compared by ``repr``, so to the
     last bit and the sign of zero."""
-    histogram, reference = Histogram(), SortedInsertHistogram()
+    histogram, reference = HistogramSeries({}), SortedInsertHistogram()
     for number, (op, argument) in enumerate(steps):
         if op in ("add", "extend"):
-            getattr(histogram, op)(argument)
+            for value in [argument] if op == "add" else argument:
+                histogram.observe(value)
             getattr(reference, op)(argument)
             continue
         if op in ("quantile", "mean") and not reference.n():
             continue  # both raise on an empty histogram; tested elsewhere
-        if op in ("samples", "n"):
-            ours = getattr(histogram, op)
-            theirs = getattr(reference, op)()
+        if op == "samples":
+            ours, theirs = tuple(histogram._sorted()), reference.samples()
+        elif op == "n":
+            ours, theirs = histogram.n, reference.n()
         elif op == "mean":
             ours, theirs = histogram.mean(), reference.mean()
         else:
-            ours = getattr(histogram, op)(argument)
-            theirs = getattr(reference, op)(argument)
+            ours = histogram.quantile(argument)
+            theirs = reference.quantile(argument)
         assert repr(ours) == repr(theirs), (number, op, argument)
         if op == "quantile":
             low, high = reference.samples()[0], reference.samples()[-1]

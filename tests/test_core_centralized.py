@@ -144,6 +144,6 @@ class TestSimulatedBaseline:
         slot = controller.schedule.occupied_slots()[0]
         controller.stop_viewer(1, slot)
         assert controller.schedule.is_free(slot)
-        before = controller.commands_sent.count
+        before = controller.commands_sent
         sim.run(until=5.0)
-        assert controller.commands_sent.count == before
+        assert controller.commands_sent == before

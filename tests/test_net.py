@@ -467,9 +467,11 @@ class TestTrafficAccounting:
         for _ in range(10):
             network.send(Message("a", "b", "c", 100))
         sim.run(until=10.0)
-        assert network.control_rate_from("a", 10.0) == pytest.approx(100.0)
+        # What MetricsCollector.sample reads for the probe cub.
+        meter = network.control_bytes_from["a"]
+        assert meter.snapshot(10.0) == pytest.approx(100.0)
         # Window resets after snapshot.
-        assert network.control_rate_from("a", 20.0) == 0.0
+        assert meter.snapshot(20.0) == 0.0
 
 
 def _noisy_chaos_plan(duration):

@@ -1,19 +1,12 @@
-"""Tests for trace export (JSONL + Chrome) and the kernel's profiler hook."""
+"""Tests for trace export (Chrome) and the kernel's profiler hook."""
 
 import json
 
 import pytest
 
-from repro.obs.export import (
-    records_from_jsonl,
-    trace_to_chrome,
-    trace_to_jsonl,
-    write_chrome_trace,
-    write_jsonl_trace,
-    write_trace,
-)
+from repro.obs.export import trace_to_chrome, write_chrome_trace
 from repro.sim.core import Simulator
-from repro.sim.trace import KIND_SPAN, Tracer
+from repro.sim.trace import Tracer
 
 
 def make_tracer():
@@ -25,32 +18,6 @@ def make_tracer():
     )
     tracer.emit(3.0, "fault.inject", "cub 1 failed", target="cub:1")
     return tracer
-
-
-class TestJsonl:
-    def test_round_trip(self):
-        tracer = make_tracer()
-        text = trace_to_jsonl(tracer.records)
-        restored = records_from_jsonl(text)
-        assert restored == list(tracer.records)
-
-    def test_span_fields_preserved(self):
-        tracer = make_tracer()
-        restored = records_from_jsonl(trace_to_jsonl(tracer.records))
-        span = restored[1]
-        assert span.kind == KIND_SPAN
-        assert span.duration == pytest.approx(0.5)
-        assert span.fields["block"] == 3
-
-    def test_empty(self):
-        assert trace_to_jsonl([]) == ""
-        assert records_from_jsonl("") == []
-
-    def test_write_file(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        count = write_jsonl_trace(str(path), make_tracer().records)
-        assert count == 3
-        assert len(records_from_jsonl(path.read_text())) == 3
 
 
 class TestChrome:
@@ -79,6 +46,9 @@ class TestChrome:
         span = body[1]
         assert span["ph"] == "X"
         assert span["dur"] == pytest.approx(0.5e6)
+        # Every field but the thread's, and the message, are kept.
+        assert span["args"] == {"block": 3, "message": "cub:1: served block"}
+        assert body[2]["args"] == {"target": "cub:1", "message": "cub 1 failed"}
 
     def test_written_file_is_json_loadable(self, tmp_path):
         path = tmp_path / "t.json"
@@ -86,16 +56,6 @@ class TestChrome:
         assert count == 3
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) == 3 + 1 + 3  # events + process + threads
-
-    def test_write_trace_infers_format(self, tmp_path):
-        chrome = tmp_path / "a.json"
-        jsonl = tmp_path / "a.jsonl"
-        write_trace(str(chrome), make_tracer().records)
-        write_trace(str(jsonl), make_tracer().records)
-        assert "traceEvents" in json.loads(chrome.read_text())
-        assert records_from_jsonl(jsonl.read_text())
-        with pytest.raises(ValueError):
-            write_trace(str(chrome), [], fmt="xml")
 
 
 class TestTracerBound:

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.obs import registry as registry_module
 from repro.obs.registry import (
     CounterSeries,
     MetricError,
     MetricsRegistry,
 )
-from repro.sim import stats
 
 
 class TestCounter:
@@ -29,15 +29,16 @@ class TestCounter:
         assert registry.get_value("x.sent", cub=0) == 5
         assert registry.get_value("x.sent", cub=1) == 2
 
-    def test_counter_is_a_stats_counter(self):
-        # Protocol code (and the chaos fingerprint) reads `.count`; the
-        # registry handle must keep the exact legacy surface.
+    def test_counter_counts_up_only(self):
+        # Protocol code (and the chaos fingerprint) reads `.count`.
         handle = MetricsRegistry().counter("x.sent")
-        assert isinstance(handle, stats.Counter)
         handle.increment()
         handle.increment(3)
         assert handle.count == 4
         assert handle.value() == 4
+        with pytest.raises(ValueError):
+            handle.increment(-1)
+        assert handle.count == 4
 
     def test_label_order_is_irrelevant(self):
         registry = MetricsRegistry()
@@ -91,8 +92,9 @@ class TestFamilySemantics:
 
 
 class TestCardinalityGuard:
-    def test_overflow_collapses_not_raises(self):
-        registry = MetricsRegistry(max_series_per_family=4)
+    def test_overflow_collapses_not_raises(self, monkeypatch):
+        monkeypatch.setattr(registry_module, "MAX_SERIES_PER_FAMILY", 4)
+        registry = MetricsRegistry()
         handles = [registry.counter("x.sent", cub=i) for i in range(10)]
         # The first 4 label sets got real series; the rest share one
         # overflow series, so hot paths never blow up on cardinality.
@@ -102,8 +104,9 @@ class TestCardinalityGuard:
         assert handles[4].labels == {"overflow": "true"}
         assert registry.series_overflowed == 6
 
-    def test_overflow_series_in_snapshot(self):
-        registry = MetricsRegistry(max_series_per_family=2)
+    def test_overflow_series_in_snapshot(self, monkeypatch):
+        monkeypatch.setattr(registry_module, "MAX_SERIES_PER_FAMILY", 2)
+        registry = MetricsRegistry()
         for i in range(5):
             registry.counter("x.sent", cub=i).increment()
         snapshot = registry.snapshot()
@@ -180,7 +183,9 @@ class TestMergeSnapshots:
         assert merged["x.sent"]["series"][0]["value"] == 7
         assert merged["x.level"]["series"][0]["value"] == 9.0
 
-    def test_two_overflowed_registries_merge_without_double_count(self):
+    def test_two_overflowed_registries_merge_without_double_count(
+        self, monkeypatch
+    ):
         """Regression: both nodes collapsed into their overflow series.
 
         The overflow rows share the reserved label set, so they must
@@ -189,8 +194,8 @@ class TestMergeSnapshots:
         """
         from repro.obs.registry import merge_snapshots
 
-        a = MetricsRegistry(max_series_per_family=2)
-        b = MetricsRegistry(max_series_per_family=2)
+        monkeypatch.setattr(registry_module, "MAX_SERIES_PER_FAMILY", 2)
+        a, b = MetricsRegistry(), MetricsRegistry()
         for i in range(5):
             a.counter("x.sent", cub=i).increment()        # 3 overflowed
             b.counter("x.sent", cub=i + 100).increment()  # 3 overflowed
@@ -203,19 +208,20 @@ class TestMergeSnapshots:
         assert overflow_rows[0]["value"] == 6
         assert sum(row["value"] for row in series) == 10
 
-    def test_merged_overflow_row_stays_last(self):
+    def test_merged_overflow_row_stays_last(self, monkeypatch):
         """Regression: a second snapshot's plain rows used to append
         after the first snapshot's overflow row, breaking the
         overflow-last contract :meth:`MetricsRegistry.snapshot` gives
         every downstream consumer."""
         from repro.obs.registry import merge_snapshots
 
-        a = MetricsRegistry(max_series_per_family=2)
+        monkeypatch.setattr(registry_module, "MAX_SERIES_PER_FAMILY", 2)
+        a = MetricsRegistry()
         for i in range(4):
             a.counter("x.sent", cub=i).increment()
-        b = MetricsRegistry(max_series_per_family=8)
+        b = MetricsRegistry()  # two series: within the bound
         a_keys = {0, 1}
-        for i in range(4, 8):
+        for i in range(4, 6):
             b.counter("x.sent", cub=i).increment()
         merged = merge_snapshots([a.snapshot(), b.snapshot()])
         series = merged["x.sent"]["series"]

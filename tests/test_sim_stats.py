@@ -1,31 +1,35 @@
-"""Tests for the measurement primitives."""
+"""Tests for the measurement primitives: the two time meters of
+``repro.sim.stats`` and the registry's counter, histogram and
+percentile."""
 
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import (
-    BusyMeter,
-    Counter,
-    Histogram,
-    RateMeter,
-    percentile,
-)
+from repro.obs.registry import CounterSeries, HistogramSeries, percentile
+from repro.sim.stats import BusyMeter, RateMeter
+
+
+def histogram_of(values):
+    hist = HistogramSeries({})
+    for value in values:
+        hist.observe(value)
+    return hist
 
 
 class TestCounter:
     def test_starts_at_zero(self):
-        assert Counter().count == 0
+        assert CounterSeries({}).count == 0
 
     def test_increment(self):
-        counter = Counter()
+        counter = CounterSeries({})
         counter.increment()
         counter.increment(5)
         assert counter.count == 6
 
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
-            Counter().increment(-1)
+            CounterSeries({}).increment(-1)
 
 
 class TestBusyMeter:
@@ -79,45 +83,33 @@ class TestBusyMeter:
 
 class TestHistogram:
     def test_quantiles(self):
-        hist = Histogram()
-        hist.extend(range(1, 101))
+        hist = histogram_of(range(1, 101))
         assert hist.quantile(0.0) == 1
         assert hist.quantile(1.0) == 100
         assert hist.quantile(0.5) == pytest.approx(50.5)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            Histogram().quantile(0.5)
+            HistogramSeries({}).quantile(0.5)
 
     def test_bad_q_raises(self):
-        hist = Histogram()
-        hist.add(1.0)
+        hist = histogram_of([1.0])
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
     def test_single_sample(self):
-        hist = Histogram()
-        hist.add(42.0)
+        hist = histogram_of([42.0])
         assert hist.quantile(0.3) == 42.0
         assert hist.mean() == 42.0
 
-    def test_count_above(self):
-        hist = Histogram()
-        hist.extend([1.0, 2.0, 3.0, 4.0])
-        assert hist.count_above(2.5) == 2
-        assert hist.count_above(4.0) == 0
-
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60))
     def test_quantile_bounds(self, values):
-        hist = Histogram()
-        hist.extend(values)
-        q50 = hist.quantile(0.5)
+        q50 = histogram_of(values).quantile(0.5)
         assert min(values) <= q50 <= max(values)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60))
     def test_quantile_monotone(self, values):
-        hist = Histogram()
-        hist.extend(values)
+        hist = histogram_of(values)
         assert hist.quantile(0.25) <= hist.quantile(0.75)
 
 
@@ -148,3 +140,12 @@ class TestHelpers:
 
     def test_percentile_value(self):
         assert percentile([1.0, 3.0], 0.5) == pytest.approx(2.0)
+
+    @given(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=60),
+        st.floats(0.0, 1.0),
+    )
+    def test_percentile_is_the_histograms_quantile(self, values, q):
+        """Compared by ``repr``: to the last bit and the sign of zero."""
+        expected = histogram_of(values).quantile(q)
+        assert repr(percentile(values, q)) == repr(expected)

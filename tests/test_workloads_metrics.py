@@ -152,16 +152,6 @@ class TestMetrics:
         expected = system.cubs[2].mean_disk_utilization()
         assert sample.disk_util_probe == pytest.approx(expected, rel=0.05)
 
-    def test_table_rows(self):
-        system = build_system()
-        metrics = system.metrics()
-        system.run_for(2.0)
-        metrics.sample("a")
-        metrics.sample("b")
-        rows = metrics.table()
-        assert len(rows) == 2
-        assert "cub_cpu" in rows[0]
-
     def test_failed_probe_cub_reports_zero_traffic(self):
         system = build_system()
         metrics = system.metrics(probe_cub=1)
